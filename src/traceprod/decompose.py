@@ -13,6 +13,7 @@ diagnostics used as negative controls.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -26,7 +27,13 @@ from .errors import (
     PositivityError,
     PreservationError,
 )
-from .extend import CheckMode, PreservationReport, check_preservation, extend_from_subset
+from .extend import (
+    CheckMode,
+    PreservationReport,
+    _randomized_residual,
+    check_preservation,
+    extend_from_subset,
+)
 from .linmaps import (
     COND_LIMIT,
     DiagChain,
@@ -57,6 +64,7 @@ from .spaces import (
 
 PRECHECK_TOL = 1e-6
 PRECHECK_TRIALS = 512
+_WEIGHTED_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -736,6 +744,12 @@ def _power_map_apply_batch(map_: MapLike, batch: np.ndarray, tol: float = 1e-12)
     return map_.scale * _herm_power_batch(mid, map_.post, tol)
 
 
+def _weighted_image(map_: MapLike, a: float, batch: np.ndarray) -> np.ndarray:
+    """f(A)^a on a stack of positive definite A, with f(A) made Hermitian first."""
+    out = _power_map_apply_batch(map_, batch)
+    return _herm_power_batch((out + np.conjugate(np.swapaxes(out, -1, -2))) / 2, a)
+
+
 def verify_weighted(
     maps,
     alpha,
@@ -763,30 +777,14 @@ def verify_weighted(
             raise DimensionMismatchError("maps must share one matrix size")
     pd = SpaceTag(SpaceKind.POSDEF, field, n)
 
-    rng = np.random.default_rng(seed)
-    max_res = -1.0
-    worst: tuple = ()
-    done = 0
-    while done < trials:
-        t = min(256, trials - done)
-        samples = [random_batch(pd, t, rng) for _ in range(m)]
-        lhs = None
-        rhs = None
-        for i in range(m):
-            out = _power_map_apply_batch(maps[i], samples[i])
-            out = (out + np.conjugate(np.swapaxes(out, -1, -2))) / 2
-            F = _herm_power_batch(out, alpha[i])
-            G = _herm_power_batch(samples[i], beta[i])
-            lhs = F if lhs is None else lhs @ F
-            rhs = G if rhs is None else rhs @ G
-        lt = np.einsum("tii->t", lhs)
-        rt = np.einsum("tii->t", rhs)
-        res = np.abs(lt - rt) / np.maximum(1.0, np.abs(rt))
-        j = int(np.argmax(res))
-        if res[j] > max_res:
-            max_res = float(res[j])
-            worst = tuple(s[j] for s in samples)
-        done += t
+    max_res, worst = _randomized_residual(
+        [pd] * m,
+        [functools.partial(_weighted_image, f, a) for f, a in zip(maps, alpha)],
+        [functools.partial(_herm_power_batch, t=b) for b in beta],
+        trials,
+        seed,
+        _WEIGHTED_BATCH,
+    )
     return PreservationReport(
         m=m,
         spaces=tuple(pd for _ in range(m)),
@@ -809,12 +807,9 @@ def weighted_canonical_maps(form, alpha, beta, space: SpaceTag) -> list:
     """
     alpha = [float(a) for a in alpha]
     beta = [float(b) for b in beta]
-    if isinstance(form, HermOdd):
-        c = form.c
-    elif isinstance(form, HermEven):
-        c = form.c
-    else:
+    if not isinstance(form, (HermOdd, HermEven)):
         raise InvalidParameterError("weighted maps are built from HermOdd or HermEven forms")
+    c = form.c
     m = len(c)
     if len(alpha) != m or len(beta) != m:
         raise DimensionMismatchError("alpha and beta must have one entry per map")

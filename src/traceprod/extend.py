@@ -131,7 +131,14 @@ def check_preservation(
         max_res, worst = _check_exhaustive(maps, dims)
         count = total
     else:
-        max_res, worst = _check_randomized(maps, trials, seed, sample_space)
+        max_res, worst = _randomized_residual(
+            [sample_space if sample_space is not None else f.domain for f in maps],
+            [functools.partial(apply_batch, f) for f in maps],
+            [lambda s: s] * m,
+            trials,
+            seed,
+            _BATCH,
+        )
         count = trials
     return PreservationReport(
         m=m,
@@ -174,31 +181,31 @@ def _check_exhaustive(maps, dims) -> tuple[float, tuple]:
     return max_res, worst
 
 
-def _check_randomized(maps, trials, seed, sample_space) -> tuple[float, tuple]:
+def _randomized_residual(
+    spaces, lhs_fns, rhs_fns, trials: int, seed: int, batch: int
+) -> tuple[float, tuple]:
+    """Largest |tr(lhs_1(A_1)...lhs_m(A_m)) - tr(rhs_1(A_1)...rhs_m(A_m))| / max(1, |rhs|)
+    over `trials` seeded samples, A_i drawn from spaces[i] `batch` at a time.
+
+    The factor functions act on (count, n, n) stacks. A residual that is NaN or
+    infinite counts as infinite, so it can never pass.
+    """
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)
-    m = len(maps)
     max_res = -1.0
     worst: tuple = ()
-    done = 0
-    while done < trials:
-        t = min(_BATCH, trials - done)
-        samples = []
-        for f in maps:
-            sp = sample_space if sample_space is not None else f.domain
-            samples.append(random_batch(sp, t, rng))
-        lhs_prod = apply_batch(maps[0], samples[0])
-        rhs_prod = samples[0]
-        for i in range(1, m):
-            lhs_prod = lhs_prod @ apply_batch(maps[i], samples[i])
-            rhs_prod = rhs_prod @ samples[i]
-        lhs = np.einsum("tii->t", lhs_prod)
-        rhs = np.einsum("tii->t", rhs_prod)
+    for done in range(0, trials, batch):
+        t = min(batch, trials - done)
+        samples = [random_batch(sp, t, rng) for sp in spaces]
+        lhs = np.einsum("tii->t", functools.reduce(np.matmul, [f(s) for f, s in zip(lhs_fns, samples)]))
+        rhs = np.einsum("tii->t", functools.reduce(np.matmul, [f(s) for f, s in zip(rhs_fns, samples)]))
         res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+        res[~np.isfinite(res)] = np.inf
         j = int(np.argmax(res))
         if res[j] > max_res:
             max_res = float(res[j])
             worst = tuple(s[j] for s in samples)
-        done += t
     return max_res, worst
 
 

@@ -7,6 +7,7 @@ equal specs produce bit-identical output (one PCG64 stream per call).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -27,23 +28,6 @@ from .linmaps import (
     from_canonical,
 )
 from .spaces import Field, SpaceKind, SpaceTag, random_batch
-
-FAMILIES = (
-    "mn_chain",
-    "herm_odd",
-    "herm_even",
-    "pn_pair",
-    "pn_chain",
-    "sym_odd",
-    "sym_even",
-    "diag_pair",
-    "diag_chain",
-    "hadamard",
-    "rank_one_frame",
-    "nonextendable",
-)
-
-_COMPLEX_ONLY = {"herm_odd", "herm_even", "pn_pair", "nonextendable"}
 
 
 @dataclass(frozen=True)
@@ -72,45 +56,8 @@ class GenSpec:
         object.__setattr__(self, "m", int(self.m))
         if self.condition_bound < 1:
             raise InvalidParameterError("condition_bound must be at least 1")
-        if self.family in _COMPLEX_ONLY and self.field is not Field.COMPLEX:
-            raise InvalidParameterError(f"family {self.family} exists only over the complex field")
-        self._check_length()
-
-    def _check_length(self):
-        fam, m = self.family, self.m
-        if fam == "mn_chain" and m < 3:
-            raise InvalidParameterError("mn_chain needs m >= 3; shorter tuples admit other families")
-        if fam == "herm_odd" and (m < 3 or m % 2 == 0):
-            raise InvalidParameterError("herm_odd needs odd m >= 3")
-        if fam == "herm_even" and (m < 4 or m % 2 == 1):
-            raise InvalidParameterError("herm_even needs even m >= 4")
-        if fam == "pn_pair" and m != 2:
-            raise InvalidParameterError("pn_pair is a pair: m = 2")
-        if fam == "pn_chain" and m < 2:
-            raise InvalidParameterError("pn_chain needs m >= 2")
-        if fam == "sym_odd" and (m < 3 or m % 2 == 0):
-            raise InvalidParameterError("sym_odd needs odd m >= 3")
-        if fam == "sym_even":
-            if m == 2:
-                if self.field is not Field.REAL:
-                    raise InvalidParameterError(
-                        "sym_even pairs are canonical only over the real field"
-                    )
-            elif m < 4 or m % 2 == 1:
-                raise InvalidParameterError("sym_even needs even m >= 4, or m = 2 over the reals")
-        if fam == "diag_pair" and m != 2:
-            raise InvalidParameterError("diag_pair is a pair: m = 2")
-        if fam == "diag_chain" and m < 3:
-            raise InvalidParameterError("diag_chain needs m >= 3; pairs are diag_pair")
-        if fam == "hadamard" and m != 2:
-            raise InvalidParameterError("hadamard is a pair: m = 2")
-        if fam == "rank_one_frame" and m != 2:
-            raise InvalidParameterError("rank_one_frame is a pair: m = 2")
-        if fam == "nonextendable":
-            if m != 3:
-                raise InvalidParameterError("nonextendable is a triple: m = 3")
-            if self.n < 2:
-                raise InvalidParameterError("nonextendable needs n >= 2 (X must not be scalar)")
+        if not _FAMILY_TABLE[self.family].admits(self.n, self.m, self.field):
+            raise InvalidParameterError(f"{self.family} needs {_FAMILY_TABLE[self.family].rule}")
 
 
 @dataclass(frozen=True)
@@ -233,62 +180,6 @@ def gen_space_sample(space: SpaceTag, count: int, seed: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def generate(spec: GenSpec) -> Generated:
-    """Generate the canonical form and maps named by `spec`, deterministically."""
-    rng = np.random.default_rng(spec.seed)
-    n, m, fd, cb = spec.n, spec.m, spec.field, spec.condition_bound
-    fam = spec.family
-
-    if fam == "mn_chain":
-        space = SpaceTag(SpaceKind.FULL, fd, n)
-        form = MnChain(tuple(random_invertible(rng, n, fd, cb) for _ in range(m)))
-    elif fam == "herm_odd":
-        space = SpaceTag(SpaceKind.HERMITIAN, fd, n)
-        form = HermOdd(haar_unitary(rng, n), _scalars(rng, m, fd))
-    elif fam == "herm_even":
-        space = SpaceTag(SpaceKind.HERMITIAN, fd, n)
-        form = HermEven(random_invertible(rng, n, fd, cb), _scalars(rng, m, fd))
-    elif fam == "pn_pair":
-        space = SpaceTag(SpaceKind.POSDEF, fd, n)
-        form = PnPair(random_invertible(rng, n, fd, cb), bool(rng.integers(0, 2)))
-    elif fam == "pn_chain":
-        space = SpaceTag(SpaceKind.POSDEF, fd, n)
-        form = _pn_chain_form(rng, n, m, fd, cb)
-    elif fam == "sym_odd":
-        space = SpaceTag(SpaceKind.SYMMETRIC, fd, n)
-        O = complex_orthogonal(rng, n, cb) if fd is Field.COMPLEX else haar_orthogonal(rng, n)
-        form = SymOdd(O, _scalars(rng, m, fd, complex_phase=True))
-    elif fam == "sym_even":
-        space = SpaceTag(SpaceKind.SYMMETRIC, fd, n)
-        form = SymEven(random_invertible(rng, n, fd, cb), _scalars(rng, m, fd, complex_phase=True))
-    elif fam == "diag_pair":
-        space = SpaceTag(SpaceKind.DIAGONAL, fd, n)
-        form = DiagPair(random_invertible(rng, n, fd, cb))
-    elif fam == "diag_chain":
-        space = SpaceTag(SpaceKind.DIAGONAL, fd, n)
-        form = DiagChain(random_permutation(rng, n), _diag_scalings(rng, n, m, fd))
-    elif fam == "hadamard":
-        space = SpaceTag(SpaceKind.FULL, fd, n)
-        G = rng.standard_normal((n, n))
-        S = (G + G.T) / 2
-        C = np.where(S >= 0, 1.0, -1.0) * (0.3 + np.abs(S))
-        form = Hadamard(C)
-    elif fam == "rank_one_frame":
-        space = SpaceTag(SpaceKind.FULL, fd, n)
-        form = RankOneFrame(tuple(random_invertible(rng, n, fd, cb) for _ in range(n)))
-    elif fam == "nonextendable":
-        space = SpaceTag(SpaceKind.FULL, fd, n)
-        X = _ginibre(rng, n, fd)
-        while np.linalg.norm(X - (np.trace(X) / n) * np.eye(n)) < 1e-3:
-            X = _ginibre(rng, n, fd)
-        form = NonextendableTriple(X)
-    else:  # pragma: no cover - GenSpec already validated the family
-        raise InvalidParameterError(f"unknown family {fam!r}")
-
-    maps = tuple(from_canonical(form, space))
-    return Generated(form=form, maps=maps, space=space)
-
-
 def _pn_chain_form(rng, n, m, fd, cb):
     """Canonical form of a cone-preserving chain: scalars kept positive."""
     if fd is Field.COMPLEX:
@@ -300,3 +191,104 @@ def _pn_chain_form(rng, n, m, fd, cb):
     if m % 2 == 1 and m >= 3:
         return SymOdd(haar_orthogonal(rng, n), _scalars(rng, m, fd, positive=True))
     return SymEven(random_invertible(rng, n, fd, cb), _scalars(rng, m, fd, positive=True))
+
+
+def _hadamard_form(rng, n, m, fd, cb):
+    G = rng.standard_normal((n, n))
+    S = (G + G.T) / 2
+    return Hadamard(np.where(S >= 0, 1.0, -1.0) * (0.3 + np.abs(S)))
+
+
+def _nonextendable_form(rng, n, m, fd, cb):
+    X = _ginibre(rng, n, fd)
+    while np.linalg.norm(X - (np.trace(X) / n) * np.eye(n)) < 1e-3:
+        X = _ginibre(rng, n, fd)
+    return NonextendableTriple(X)
+
+
+class _Family(NamedTuple):
+    kind: SpaceKind
+    rule: str  # what `admits` asks of the spec, for the error message
+    admits: Callable  # (n, m, field) -> bool
+    sample: Callable  # (rng, n, m, field, condition_bound) -> canonical form
+
+
+_FAMILY_TABLE = {
+    "mn_chain": _Family(
+        SpaceKind.FULL,
+        "m >= 3; shorter tuples admit other families",
+        lambda n, m, fd: m >= 3,
+        lambda rng, n, m, fd, cb: MnChain(tuple(random_invertible(rng, n, fd, cb) for _ in range(m))),
+    ),
+    "herm_odd": _Family(
+        SpaceKind.HERMITIAN,
+        "the complex field and odd m >= 3",
+        lambda n, m, fd: fd is Field.COMPLEX and m >= 3 and m % 2 == 1,
+        lambda rng, n, m, fd, cb: HermOdd(haar_unitary(rng, n), _scalars(rng, m, fd)),
+    ),
+    "herm_even": _Family(
+        SpaceKind.HERMITIAN,
+        "the complex field and even m >= 4",
+        lambda n, m, fd: fd is Field.COMPLEX and m >= 4 and m % 2 == 0,
+        lambda rng, n, m, fd, cb: HermEven(random_invertible(rng, n, fd, cb), _scalars(rng, m, fd)),
+    ),
+    "pn_pair": _Family(
+        SpaceKind.POSDEF,
+        "the complex field and m = 2",
+        lambda n, m, fd: fd is Field.COMPLEX and m == 2,
+        lambda rng, n, m, fd, cb: PnPair(random_invertible(rng, n, fd, cb), bool(rng.integers(0, 2))),
+    ),
+    "pn_chain": _Family(SpaceKind.POSDEF, "m >= 2", lambda n, m, fd: m >= 2, _pn_chain_form),
+    "sym_odd": _Family(
+        SpaceKind.SYMMETRIC,
+        "odd m >= 3",
+        lambda n, m, fd: m >= 3 and m % 2 == 1,
+        lambda rng, n, m, fd, cb: SymOdd(
+            complex_orthogonal(rng, n, cb) if fd is Field.COMPLEX else haar_orthogonal(rng, n),
+            _scalars(rng, m, fd, complex_phase=True),
+        ),
+    ),
+    "sym_even": _Family(
+        SpaceKind.SYMMETRIC,
+        "even m >= 4, or m = 2 over the reals (complex pairs are not canonical)",
+        lambda n, m, fd: (m == 2 and fd is Field.REAL) or (m >= 4 and m % 2 == 0),
+        lambda rng, n, m, fd, cb: SymEven(
+            random_invertible(rng, n, fd, cb), _scalars(rng, m, fd, complex_phase=True)
+        ),
+    ),
+    "diag_pair": _Family(
+        SpaceKind.DIAGONAL,
+        "m = 2",
+        lambda n, m, fd: m == 2,
+        lambda rng, n, m, fd, cb: DiagPair(random_invertible(rng, n, fd, cb)),
+    ),
+    "diag_chain": _Family(
+        SpaceKind.DIAGONAL,
+        "m >= 3; pairs are diag_pair",
+        lambda n, m, fd: m >= 3,
+        lambda rng, n, m, fd, cb: DiagChain(random_permutation(rng, n), _diag_scalings(rng, n, m, fd)),
+    ),
+    "hadamard": _Family(SpaceKind.FULL, "m = 2", lambda n, m, fd: m == 2, _hadamard_form),
+    "rank_one_frame": _Family(
+        SpaceKind.FULL,
+        "m = 2",
+        lambda n, m, fd: m == 2,
+        lambda rng, n, m, fd, cb: RankOneFrame(tuple(random_invertible(rng, n, fd, cb) for _ in range(n))),
+    ),
+    "nonextendable": _Family(
+        SpaceKind.FULL,
+        "the complex field, m = 3 and n >= 2 (X must not be scalar)",
+        lambda n, m, fd: fd is Field.COMPLEX and m == 3 and n >= 2,
+        _nonextendable_form,
+    ),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
+def generate(spec: GenSpec) -> Generated:
+    """Generate the canonical form and maps named by `spec`, deterministically."""
+    family = _FAMILY_TABLE[spec.family]
+    space = SpaceTag(family.kind, spec.field, spec.n)
+    form = family.sample(np.random.default_rng(spec.seed), spec.n, spec.m, spec.field, spec.condition_bound)
+    return Generated(form=form, maps=tuple(from_canonical(form, space)), space=space)

@@ -8,27 +8,15 @@ expected.
 """
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
+
 import numpy as np
 
 from .decompose import DecompositionResult
 from .errors import InvalidParameterError
 from .extend import InfeasibilityCertificate, PreservationReport
 from .families import Generated
-from .linmaps import (
-    FORM_TAGS,
-    DiagChain,
-    DiagPair,
-    Hadamard,
-    HermEven,
-    HermOdd,
-    LinMap,
-    MnChain,
-    NonextendableTriple,
-    PnPair,
-    RankOneFrame,
-    SymEven,
-    SymOdd,
-)
+from .linmaps import FORMS, LinMap
 from .spaces import SpaceTag
 
 
@@ -49,22 +37,30 @@ def encode_matrix(M) -> dict:
     }
 
 
+def _number(z) -> complex:
+    """A matrix entry or scalar written as a number or a [real, imag] pair."""
+    if np.isscalar(z):
+        return complex(float(z), 0.0)
+    re, im = z
+    return complex(float(re), float(im))
+
+
+def _real(z) -> float:
+    z = _number(z)
+    if z.imag != 0:
+        raise ValueError(f"scalar {z} must be real")
+    return z.real
+
+
 def decode_matrix(obj) -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         data = obj["data"]
-    except (KeyError, TypeError) as exc:
+        if len(data) != rows * cols:
+            raise InvalidParameterError(f"matrix data has {len(data)} entries, expected {rows * cols}")
+        M = np.array([_number(z) for z in data], dtype=np.complex128).reshape(rows, cols)
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed matrix object: {exc}") from exc
-    if len(data) != rows * cols:
-        raise InvalidParameterError(f"matrix data has {len(data)} entries, expected {rows * cols}")
-    flat = np.empty(rows * cols, dtype=np.complex128)
-    for i, pair in enumerate(data):
-        if np.isscalar(pair):
-            flat[i] = float(pair)
-        else:
-            re, im = pair
-            flat[i] = complex(float(re), float(im))
-    M = flat.reshape(rows, cols)
     if obj.get("field") == "real":
         return np.ascontiguousarray(M.real)
     return M
@@ -100,87 +96,49 @@ def decode_linmap(obj) -> LinMap:
 
 
 def _pairs(values) -> list:
-    out = []
-    for v in values:
-        z = complex(v)
-        out.append([float(z.real), float(z.imag)])
-    return out
+    return [[float(z.real), float(z.imag)] for z in map(complex, values)]
 
 
-def _unpairs(values, real: bool):
-    out = []
-    for pair in values:
-        if np.isscalar(pair):
-            z = complex(float(pair), 0.0)
-        else:
-            z = complex(float(pair[0]), float(pair[1]))
-        out.append(z.real if real else z)
-    return tuple(out)
+# (encode, decode) of a form parameter, keyed by its annotation on the form class
+_PARAM_CODECS = {
+    "np.ndarray": (encode_matrix, decode_matrix),
+    "tuple[np.ndarray, ...]": (
+        lambda mats: [encode_matrix(M) for M in mats],
+        lambda objs: tuple(decode_matrix(M) for M in objs),
+    ),
+    "tuple[float, ...]": (_pairs, lambda values: tuple(_real(z) for z in values)),
+    "tuple[complex, ...]": (_pairs, lambda values: tuple(_number(z) for z in values)),
+    "bool": (bool, bool),
+}
+
+_FORM_CLASSES = {cls.__name__: cls for cls in FORMS}
 
 
 def encode_form(form) -> dict:
-    tag = FORM_TAGS.get(type(form))
-    if tag is None:
+    if type(form) not in FORMS:
         raise InvalidParameterError(f"cannot encode form of type {type(form).__name__}")
-    if isinstance(form, MnChain):
-        params = {"N": [encode_matrix(N) for N in form.N]}
-    elif isinstance(form, HermOdd):
-        params = {"U": encode_matrix(form.U), "c": _pairs(form.c)}
-    elif isinstance(form, HermEven):
-        params = {"M": encode_matrix(form.M), "c": _pairs(form.c)}
-    elif isinstance(form, PnPair):
-        params = {"M": encode_matrix(form.M), "transpose": bool(form.transpose)}
-    elif isinstance(form, SymOdd):
-        params = {"O": encode_matrix(form.O), "c": _pairs(form.c)}
-    elif isinstance(form, SymEven):
-        params = {"M": encode_matrix(form.M), "c": _pairs(form.c)}
-    elif isinstance(form, DiagPair):
-        params = {"N": encode_matrix(form.N)}
-    elif isinstance(form, DiagChain):
-        params = {"P": encode_matrix(form.P), "C": [encode_matrix(C) for C in form.C]}
-    elif isinstance(form, Hadamard):
-        params = {"C": encode_matrix(form.C), "real_family": form.real_family}
-    elif isinstance(form, RankOneFrame):
-        params = {"A": [encode_matrix(A) for A in form.A]}
-    elif isinstance(form, NonextendableTriple):
-        params = {"X": encode_matrix(form.X)}
-    else:  # pragma: no cover - FORM_TAGS and the branches list the same types
-        raise InvalidParameterError(f"cannot encode form of type {type(form).__name__}")
-    return {"form": tag, "params": params}
+    params = {f.name: _PARAM_CODECS[f.type][0](getattr(form, f.name)) for f in fields(form)}
+    return {"form": type(form).__name__, "params": params}
 
 
 def decode_form(obj):
     try:
         tag = obj["form"]
         params = obj["params"]
+        cls = _FORM_CLASSES.get(tag)
     except (KeyError, TypeError) as exc:
         raise InvalidParameterError(f"malformed form object: {exc}") from exc
+    if cls is None:
+        raise InvalidParameterError(f"unknown form tag {tag!r}")
     try:
-        if tag == "MnChain":
-            return MnChain(tuple(decode_matrix(N) for N in params["N"]))
-        if tag == "HermOdd":
-            return HermOdd(decode_matrix(params["U"]), _unpairs(params["c"], real=True))
-        if tag == "HermEven":
-            return HermEven(decode_matrix(params["M"]), _unpairs(params["c"], real=True))
-        if tag == "PnPair":
-            return PnPair(decode_matrix(params["M"]), bool(params.get("transpose", False)))
-        if tag == "SymOdd":
-            return SymOdd(decode_matrix(params["O"]), _unpairs(params["c"], real=False))
-        if tag == "SymEven":
-            return SymEven(decode_matrix(params["M"]), _unpairs(params["c"], real=False))
-        if tag == "DiagPair":
-            return DiagPair(decode_matrix(params["N"]))
-        if tag == "DiagChain":
-            return DiagChain(decode_matrix(params["P"]), tuple(decode_matrix(C) for C in params["C"]))
-        if tag == "Hadamard":
-            return Hadamard(decode_matrix(params["C"]))
-        if tag == "RankOneFrame":
-            return RankOneFrame(tuple(decode_matrix(A) for A in params["A"]))
-        if tag == "NonextendableTriple":
-            return NonextendableTriple(decode_matrix(params["X"]))
-    except (KeyError, TypeError) as exc:
+        kwargs = {
+            f.name: _PARAM_CODECS[f.type][1](params[f.name])
+            for f in fields(cls)
+            if f.default is MISSING or f.name in params
+        }
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed {tag} parameters: {exc}") from exc
-    raise InvalidParameterError(f"unknown form tag {tag!r}")
+    return cls(**kwargs)
 
 
 def encode_report(report: PreservationReport) -> dict:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -42,21 +42,20 @@ from .spaces import (
 COND_LIMIT = 1e6
 
 
-def _as_param(M, name: str, field: Field | None = None, tol: float = 1e-9) -> np.ndarray:
+def _as_param(M, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidParameterError(f"{name} must be a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidParameterError(f"{name} has non-finite entries")
-    if field is Field.REAL and np.max(np.abs(M.imag)) > tol:
-        raise InvalidParameterError(f"{name} must be real for a real-field space")
     return M
 
 
-def _check_invertible(M: np.ndarray, name: str) -> None:
+def _inverse(M: np.ndarray, name: str) -> np.ndarray:
     c = np.linalg.cond(M)
     if not np.isfinite(c) or c > COND_LIMIT:
         raise SingularMatrixError(f"{name} is singular or has condition number above {COND_LIMIT:g} ({c:.3g})")
+    return np.linalg.inv(M)
 
 
 @dataclass(frozen=True)
@@ -135,20 +134,19 @@ def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float 
     d = span_dim(domain)
     if len(images) != d:
         raise DimensionMismatchError(f"need {d} images, got {len(images)}")
-    cols = []
-    cod_span = span_of(codomain)
-    for k, img in enumerate(images):
-        img = np.asarray(img, dtype=np.complex128)
-        x = coords(codomain, img)
-        back = reassemble(codomain, x)
-        scale = max(1.0, float(np.max(np.abs(img))) if img.size else 1.0)
-        if np.max(np.abs(back - img)) > tol * scale:
-            raise MembershipError(
-                f"image {k} is not in the span of {cod_span} within tolerance"
-            )
-        cols.append(x)
-    T = np.stack(cols, axis=1)
-    return LinMap(domain, codomain, T)
+    images = np.asarray(images, dtype=np.complex128)
+    k = codomain.n
+    if images.shape[1:] != (k, k):
+        raise DimensionMismatchError(f"images must be {k} x {k}, got shape {images.shape[1:]}")
+    x = coords_batch(codomain, images)
+    dev = np.max(np.abs(reassemble_batch(codomain, x) - images), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(images), axis=(1, 2)))
+    off_span = np.flatnonzero(dev > tol * scale)
+    if off_span.size:
+        raise MembershipError(
+            f"image {off_span[0]} is not in the span of {span_of(codomain)} within tolerance"
+        )
+    return LinMap(domain, codomain, x.T)
 
 
 def _hermitian_spanning_stack(space: SpaceTag) -> np.ndarray:
@@ -173,25 +171,6 @@ def is_hermitian_preserving(map_: LinMap, tol: float = DEFAULT_TOL) -> bool:
         if np.max(np.abs(img - img.conj().T)) > tol:
             return False
     return True
-
-
-def restrict_map(map_: LinMap, subspace: SpaceTag, tol: float = DEFAULT_TOL) -> LinMap:
-    """Restriction of a full-space map to an invariant subspace tag.
-
-    Fails with MembershipError when some basis element of the subspace is not
-    mapped back into the subspace within tol.
-    """
-    if span_of(map_.domain).kind is not SpaceKind.FULL or map_.domain != map_.codomain:
-        raise InvalidParameterError("restriction requires an endomorphism of a full matrix space")
-    if subspace.n != map_.domain.n:
-        raise DimensionMismatchError("subspace size differs from the map's")
-    images = []
-    for B in _basis_stack(subspace):
-        img = reassemble(map_.codomain, map_.transfer @ coords(map_.domain, B))
-        if not membership(span_of(subspace), img, tol * max(1.0, float(np.max(np.abs(img))))):
-            raise MembershipError(f"map does not preserve {span_of(subspace)}")
-        images.append(img)
-    return linmap_from_images(subspace, subspace, images, tol=max(tol, 1e-7))
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,8 +207,7 @@ def transpose_map(space: SpaceTag) -> LinMap:
     """A -> A^t on a full matrix space."""
     if span_of(space).kind is not SpaceKind.FULL:
         raise InvalidParameterError("transpose_map expects a full matrix space")
-    images = [B.T for B in _basis_stack(space)]
-    return linmap_from_images(space, space, images)
+    return linmap_from_images(space, space, _basis_stack(space).transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +215,8 @@ def transpose_map(space: SpaceTag) -> LinMap:
 # ---------------------------------------------------------------------------
 
 
-def _tuple_of_matrices(mats, name, field=None, tol=1e-9):
-    out = tuple(_as_param(M, f"{name}[{i}]", field, tol) for i, M in enumerate(mats))
+def _tuple_of_matrices(mats, name: str) -> tuple:
+    out = tuple(_as_param(M, f"{name}[{i}]") for i, M in enumerate(mats))
     if not out:
         raise InvalidParameterError(f"{name} must be nonempty")
     sizes = {M.shape[0] for M in out}
@@ -247,134 +225,268 @@ def _tuple_of_matrices(mats, name, field=None, tol=1e-9):
     return out
 
 
-@dataclass(frozen=True)
-class MnChain:
-    """phi_i(A) = N_i A N_{i+1}^{-1}, indices cyclic with N_{m+1} = N_1."""
+# How a form parameter is normalised, keyed by its annotation. The JSON codec
+# in jsonio reads the same annotations.
+_NORMALIZE = {
+    "np.ndarray": _as_param,
+    "tuple[np.ndarray, ...]": _tuple_of_matrices,
+    "tuple[float, ...]": lambda values, name: tuple(float(x) for x in values),
+    "tuple[complex, ...]": lambda values, name: tuple(complex(x) for x in values),
+    "bool": lambda value, name: bool(value),
+}
 
-    N: tuple
+
+@dataclass(frozen=True)
+class _Form:
+    """What every canonical form shares.
+
+    `kinds` are the span kinds the form acts on and `complex_only` says whether
+    it exists only over the complex field. `from_canonical` checks those, the
+    parameter size and real parameters on a real space; `maps` checks the
+    form's own invariants and realises it.
+    """
+
+    kinds: ClassVar[frozenset] = frozenset()
+    complex_only: ClassVar[bool] = False
 
     def __post_init__(self):
-        object.__setattr__(self, "N", _tuple_of_matrices(self.N, "N"))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _NORMALIZE[f.type](getattr(self, f.name), f.name))
+
+    def maps(self, space: SpaceTag, tol: float) -> list[LinMap]:
+        raise NotImplementedError
+
+
+def _adjoint(M: np.ndarray) -> np.ndarray:
+    return M.conj().T
+
+
+def _check_scalar_product(c, tol: float) -> None:
+    if any(x == 0 for x in c):
+        raise InvalidParameterError("scalars must be nonzero")
+    prod = np.prod(np.asarray(c, dtype=np.complex128))
+    if abs(prod - 1.0) > max(tol, 1e-6):
+        raise InvalidParameterError(f"scalar product must be 1, got {prod}")
+
+
+def _congruence(space: SpaceTag, L, R, c=1.0, transpose: bool = False, tol: float = 1e-6) -> LinMap:
+    """The map A -> c L op(A) R on the span of `space`, op(A) = A^t when `transpose`.
+
+    L and R are matrices or stacks with one matrix per basis element.
+    """
+    st = _basis_stack(space)
+    if transpose:
+        st = st.transpose(0, 2, 1)
+    return linmap_from_images(space, space, c * (L @ st @ R), tol=max(tol, 1e-7))
+
+
+def _scaled_isometry(space: SpaceTag, U, adjoint, c, tol: float, what: str) -> list[LinMap]:
+    """c_i adjoint(U) A U, for U with adjoint(U) U = I and scalars of product 1."""
+    if np.max(np.abs(adjoint(U) @ U - np.eye(space.n))) > max(tol, 1e-9):
+        raise InvalidParameterError(f"{what} within tolerance")
+    _check_scalar_product(c, tol)
+    return [_congruence(space, adjoint(U), U, ci, tol=tol) for ci in c]
+
+
+def _alternating(space: SpaceTag, M, adjoint, c, tol: float, transpose: bool = False) -> list[LinMap]:
+    """c_i adjoint(M) op(A) M on odd slots, c_i M^{-1} op(A) adjoint(M^{-1}) on even slots."""
+    Minv = _inverse(M, "M")
+    _check_scalar_product(c, tol)
+    sides = ((adjoint(M), M), (Minv, adjoint(Minv)))
+    return [
+        _congruence(space, *sides[i % 2], ci, transpose=transpose, tol=tol) for i, ci in enumerate(c)
+    ]
 
 
 @dataclass(frozen=True)
-class HermOdd:
+class MnChain(_Form):
+    """phi_i(A) = N_i A N_{i+1}^{-1}, indices cyclic with N_{m+1} = N_1."""
+
+    N: tuple[np.ndarray, ...]
+    kinds = frozenset({SpaceKind.FULL})
+
+    def maps(self, space, tol):
+        invs = [_inverse(N, f"N[{i}]") for i, N in enumerate(self.N)]
+        m = len(self.N)
+        return [_congruence(space, N, invs[(i + 1) % m], tol=tol) for i, N in enumerate(self.N)]
+
+
+@dataclass(frozen=True)
+class HermOdd(_Form):
     """phi_i(A) = c_i U* A U with U unitary and real nonzero c_i, product 1."""
 
     U: np.ndarray
-    c: tuple
+    c: tuple[float, ...]
+    kinds = frozenset({SpaceKind.HERMITIAN})
+    complex_only = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "U", _as_param(self.U, "U"))
-        object.__setattr__(self, "c", tuple(float(x) for x in self.c))
+    def maps(self, space, tol):
+        return _scaled_isometry(space, self.U, _adjoint, self.c, tol, "U must be unitary")
 
 
 @dataclass(frozen=True)
-class HermEven:
+class HermEven(_Form):
     """Alternating c_i M* A M (odd slots) and c_i M^{-1} A M^{-*} (even slots)."""
 
     M: np.ndarray
-    c: tuple
+    c: tuple[float, ...]
+    kinds = frozenset({SpaceKind.HERMITIAN})
+    complex_only = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "M", _as_param(self.M, "M"))
-        object.__setattr__(self, "c", tuple(float(x) for x in self.c))
+    def maps(self, space, tol):
+        return _alternating(space, self.M, _adjoint, self.c, tol)
 
 
 @dataclass(frozen=True)
-class PnPair:
+class PnPair(_Form):
     """phi(A) = M* A M (or M* A^t M) with partner M^{-1} A M^{-*} (resp. with A^t)."""
 
     M: np.ndarray
     transpose: bool = False
+    kinds = frozenset({SpaceKind.HERMITIAN})
+    complex_only = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "M", _as_param(self.M, "M"))
-        object.__setattr__(self, "transpose", bool(self.transpose))
+    def maps(self, space, tol):
+        return _alternating(space, self.M, _adjoint, (1.0, 1.0), tol, self.transpose)
 
 
 @dataclass(frozen=True)
-class SymOdd:
+class SymOdd(_Form):
     """phi_i(A) = c_i O^t A O with O (complex) orthogonal and nonzero c_i, product 1."""
 
     O: np.ndarray
-    c: tuple
+    c: tuple[complex, ...]
+    kinds = frozenset({SpaceKind.SYMMETRIC})
 
-    def __post_init__(self):
-        object.__setattr__(self, "O", _as_param(self.O, "O"))
-        object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
+    def maps(self, space, tol):
+        return _scaled_isometry(space, self.O, np.transpose, self.c, tol, "O must be orthogonal")
 
 
 @dataclass(frozen=True)
-class SymEven:
+class SymEven(_Form):
     """Alternating c_i M^t A M (odd slots) and c_i M^{-1} A M^{-t} (even slots)."""
 
     M: np.ndarray
-    c: tuple
+    c: tuple[complex, ...]
+    kinds = frozenset({SpaceKind.SYMMETRIC})
 
-    def __post_init__(self):
-        object.__setattr__(self, "M", _as_param(self.M, "M"))
-        object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
+    def maps(self, space, tol):
+        return _alternating(space, self.M, np.transpose, self.c, tol)
 
 
 @dataclass(frozen=True)
-class DiagPair:
+class DiagPair(_Form):
     """On diagonals: phi_1 acts as N on the diagonal vector, phi_2 as N^{-t}."""
 
     N: np.ndarray
+    kinds = frozenset({SpaceKind.DIAGONAL})
 
-    def __post_init__(self):
-        object.__setattr__(self, "N", _as_param(self.N, "N"))
+    def maps(self, space, tol):
+        return [LinMap(space, space, self.N), LinMap(space, space, _inverse(self.N, "N").T)]
 
 
 @dataclass(frozen=True)
-class DiagChain:
+class DiagChain(_Form):
     """phi_i(A) = C_i P^t A P with a shared permutation P and diagonal C_i, product I."""
 
     P: np.ndarray
-    C: tuple
+    C: tuple[np.ndarray, ...]
+    kinds = frozenset({SpaceKind.DIAGONAL})
 
-    def __post_init__(self):
-        object.__setattr__(self, "P", _as_param(self.P, "P"))
-        object.__setattr__(self, "C", _tuple_of_matrices(self.C, "C"))
+    def maps(self, space, tol):
+        n, P = space.n, self.P
+        if np.max(np.abs(P - np.round(P.real))) > max(tol, 1e-9) or not _is_permutation(np.round(P.real)):
+            raise InvalidParameterError("P must be a permutation matrix")
+        prod = np.eye(n, dtype=np.complex128)
+        for i, C in enumerate(self.C):
+            if np.max(np.abs(C - np.diag(np.diag(C)))) > max(tol, 1e-9):
+                raise InvalidParameterError(f"C[{i}] must be diagonal")
+            d = np.abs(np.diag(C))
+            if np.min(d) == 0 or np.max(d) / np.min(d) > COND_LIMIT:
+                raise SingularMatrixError(f"C[{i}] must be invertible")
+            prod = prod @ C
+        if np.max(np.abs(prod - np.eye(n))) > max(tol, 1e-6):
+            raise InvalidParameterError("the product of the C_i must be the identity")
+        return [_congruence(space, C @ P.T, P, tol=tol) for C in self.C]
 
 
 @dataclass(frozen=True)
-class Hadamard:
+class Hadamard(_Form):
     """Entrywise multiplier pair: A -> A o C and A -> A o C^ with C^_ij = 1/C_ij."""
 
     C: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "C", _as_param(self.C, "C"))
+    kinds = frozenset({SpaceKind.FULL})
 
     @property
     def real_family(self) -> bool:
         """True when C is real symmetric, the exactly characterized family."""
         return bool(np.max(np.abs(self.C.imag)) <= 1e-12)
 
+    def maps(self, space, tol):
+        C = self.C
+        if np.max(np.abs(C - C.T)) > max(tol, 1e-9):
+            raise InvalidParameterError("C must be symmetric")
+        if np.min(np.abs(C)) == 0:
+            raise InvalidParameterError("C must have no zero entries")
+        if not self.real_family:
+            if space.field is Field.REAL:
+                raise InvalidParameterError("complex C on a real space")
+            warnings.warn(
+                "complex symmetric Hadamard parameter: outside the exactly characterized "
+                "real-symmetric family",
+                stacklevel=3,
+            )
+        flat = C.reshape(-1)
+        return [LinMap(space, space, np.diag(flat)), LinMap(space, space, np.diag(1.0 / flat))]
+
 
 @dataclass(frozen=True)
-class RankOneFrame:
+class RankOneFrame(_Form):
     """phi(E_ij) = E_ij A_i paired with psi(E_ij) = A_j^{-1} E_ij."""
 
-    A: tuple
+    A: tuple[np.ndarray, ...]
+    kinds = frozenset({SpaceKind.FULL})
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", _tuple_of_matrices(self.A, "A"))
+    def maps(self, space, tol):
+        n = space.n
+        if len(self.A) != n:
+            raise DimensionMismatchError(f"RankOneFrame needs n={n} matrices, got {len(self.A)}")
+        A = np.stack(self.A)
+        Ainv = np.stack([_inverse(Ai, f"A[{i}]") for i, Ai in enumerate(self.A)])
+        # basis order is E_ij row-major: element (i, j) sits at index i*n + j
+        rows, cols = np.divmod(np.arange(n * n), n)
+        eye = np.eye(n)
+        return [_congruence(space, eye, A[rows], tol=tol), _congruence(space, Ainv[cols], eye, tol=tol)]
 
 
 @dataclass(frozen=True)
-class NonextendableTriple:
+class NonextendableTriple(_Form):
     """Corner triple A -> A + 0, B -> B + B, C -> C + X C X* into M_{2n}."""
 
     X: np.ndarray
+    kinds = frozenset({SpaceKind.FULL})
+    complex_only = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "X", _as_param(self.X, "X"))
+    def maps(self, space, tol):
+        n, X = space.n, self.X
+        tr_part = (np.trace(X) / n) * np.eye(n)
+        if np.linalg.norm(X - tr_part) <= max(tol, 1e-9) * max(1.0, np.linalg.norm(X)):
+            raise InvalidParameterError("X must not be a scalar matrix")
+        big = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2 * n)
+        st = _basis_stack(space)
+
+        def corner(bottom) -> LinMap:
+            Z = np.zeros((len(st), 2 * n, 2 * n), dtype=np.complex128)
+            Z[:, :n, :n] = st
+            Z[:, n:, n:] = bottom
+            return linmap_from_images(space, big, Z, tol=max(tol, 1e-7))
+
+        return [corner(0.0), corner(st), corner(X @ st @ X.conj().T)]
 
 
-CanonicalForm = Union[
+# Every canonical form; its JSON tag is the class name. A new form is one
+# _Form subclass plus its entry here.
+FORMS = (
     MnChain,
     HermOdd,
     HermEven,
@@ -386,50 +498,9 @@ CanonicalForm = Union[
     Hadamard,
     RankOneFrame,
     NonextendableTriple,
-]
+)
 
-FORM_TAGS = {
-    MnChain: "MnChain",
-    HermOdd: "HermOdd",
-    HermEven: "HermEven",
-    PnPair: "PnPair",
-    SymOdd: "SymOdd",
-    SymEven: "SymEven",
-    DiagPair: "DiagPair",
-    DiagChain: "DiagChain",
-    Hadamard: "Hadamard",
-    RankOneFrame: "RankOneFrame",
-    NonextendableTriple: "NonextendableTriple",
-}
-
-
-def _require_kind(space: SpaceTag, kinds, form_name: str) -> None:
-    if span_of(space).kind not in kinds:
-        raise InvalidParameterError(f"{form_name} does not act on {space.kind.value} spaces")
-
-
-def _require_size(space: SpaceTag, n: int, form_name: str) -> None:
-    if space.n != n:
-        raise DimensionMismatchError(f"{form_name} parameters are {n} x {n} but the space has n={space.n}")
-
-
-def _check_scalar_product(c, tol: float, positive: bool = False) -> None:
-    if any(x == 0 for x in c):
-        raise InvalidParameterError("scalars must be nonzero")
-    if positive and any((not np.isreal(x)) or x.real <= 0 for x in np.asarray(c)):
-        raise InvalidParameterError("scalars must be positive")
-    prod = np.prod(np.asarray(c, dtype=np.complex128))
-    if abs(prod - 1.0) > max(tol, 1e-6):
-        raise InvalidParameterError(f"scalar product must be 1, got {prod}")
-
-
-def _congruence_maps(space: SpaceTag, mats_fns, tol: float) -> list[LinMap]:
-    st = _basis_stack(space)
-    out = []
-    for fn in mats_fns:
-        images = [fn(B) for B in st]
-        out.append(linmap_from_images(space, space, images, tol=max(tol, 1e-7)))
-    return out
+CanonicalForm = Union[FORMS]
 
 
 def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = 1e-6) -> list[LinMap]:
@@ -439,203 +510,22 @@ def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = 1e-6) -> l
     structure, scalar products, invertibility with condition number at most
     1e6) against `tol` where a tolerance applies.
     """
-    n = space.n
-
-    if isinstance(form, MnChain):
-        _require_kind(space, {SpaceKind.FULL}, "MnChain")
-        _require_size(space, form.N[0].shape[0], "MnChain")
-        if space.field is Field.REAL and any(np.max(np.abs(N.imag)) > tol for N in form.N):
-            raise InvalidParameterError("MnChain over a real space needs real parameters")
-        m = len(form.N)
-        invs = []
-        for i, N in enumerate(form.N):
-            _check_invertible(N, f"N[{i}]")
-            invs.append(np.linalg.inv(N))
-        fns = [
-            (lambda Ni, Wi: (lambda A: Ni @ A @ Wi))(form.N[i], invs[(i + 1) % m])
-            for i in range(m)
-        ]
-        return _congruence_maps(space, fns, tol)
-
-    if isinstance(form, HermOdd):
-        if space.field is not Field.COMPLEX:
-            raise InvalidParameterError("HermOdd needs a complex-field space; use SymOdd over the reals")
-        _require_kind(space, {SpaceKind.HERMITIAN}, "HermOdd")
-        _require_size(space, form.U.shape[0], "HermOdd")
-        U = form.U
-        if np.max(np.abs(U.conj().T @ U - np.eye(n))) > max(tol, 1e-9):
-            raise InvalidParameterError("U must be unitary within tolerance")
-        _check_scalar_product(form.c, tol)
-        fns = [(lambda ci: (lambda A: ci * (U.conj().T @ A @ U)))(ci) for ci in form.c]
-        return _congruence_maps(space, fns, tol)
-
-    if isinstance(form, HermEven):
-        if space.field is not Field.COMPLEX:
-            raise InvalidParameterError("HermEven needs a complex-field space; use SymEven over the reals")
-        _require_kind(space, {SpaceKind.HERMITIAN}, "HermEven")
-        _require_size(space, form.M.shape[0], "HermEven")
-        M = form.M
-        _check_invertible(M, "M")
-        _check_scalar_product(form.c, tol)
-        Minv = np.linalg.inv(M)
-        Mist = Minv.conj().T
-        fns = []
-        for i, ci in enumerate(form.c):
-            if i % 2 == 0:
-                fns.append((lambda c: (lambda A: c * (M.conj().T @ A @ M)))(ci))
-            else:
-                fns.append((lambda c: (lambda A: c * (Minv @ A @ Mist)))(ci))
-        return _congruence_maps(space, fns, tol)
-
-    if isinstance(form, PnPair):
-        if space.field is not Field.COMPLEX:
-            raise InvalidParameterError("PnPair needs a complex-field space; real pairs are SymEven with m=2")
-        _require_kind(space, {SpaceKind.HERMITIAN}, "PnPair")
-        _require_size(space, form.M.shape[0], "PnPair")
-        M = form.M
-        _check_invertible(M, "M")
-        Minv = np.linalg.inv(M)
-        Mist = Minv.conj().T
-        if form.transpose:
-            fns = [lambda A: M.conj().T @ A.T @ M, lambda A: Minv @ A.T @ Mist]
-        else:
-            fns = [lambda A: M.conj().T @ A @ M, lambda A: Minv @ A @ Mist]
-        return _congruence_maps(space, fns, tol)
-
-    if isinstance(form, SymOdd):
-        _require_kind(space, {SpaceKind.SYMMETRIC}, "SymOdd")
-        _require_size(space, form.O.shape[0], "SymOdd")
-        O = form.O
-        if space.field is Field.REAL:
-            if np.max(np.abs(O.imag)) > tol or any(abs(x.imag) > tol for x in form.c):
-                raise InvalidParameterError("SymOdd over a real space needs real parameters")
-        if np.max(np.abs(O.T @ O - np.eye(n))) > max(tol, 1e-9):
-            raise InvalidParameterError("O must be orthogonal within tolerance")
-        _check_scalar_product(form.c, tol)
-        fns = [(lambda ci: (lambda A: ci * (O.T @ A @ O)))(ci) for ci in form.c]
-        return _congruence_maps(space, fns, tol)
-
-    if isinstance(form, SymEven):
-        _require_kind(space, {SpaceKind.SYMMETRIC}, "SymEven")
-        _require_size(space, form.M.shape[0], "SymEven")
-        M = form.M
-        if space.field is Field.REAL:
-            if np.max(np.abs(M.imag)) > tol or any(abs(x.imag) > tol for x in form.c):
-                raise InvalidParameterError("SymEven over a real space needs real parameters")
-        _check_invertible(M, "M")
-        _check_scalar_product(form.c, tol)
-        Minv = np.linalg.inv(M)
-        Mit = Minv.T
-        fns = []
-        for i, ci in enumerate(form.c):
-            if i % 2 == 0:
-                fns.append((lambda c: (lambda A: c * (M.T @ A @ M)))(ci))
-            else:
-                fns.append((lambda c: (lambda A: c * (Minv @ A @ Mit)))(ci))
-        return _congruence_maps(space, fns, tol)
-
-    if isinstance(form, DiagPair):
-        _require_kind(space, {SpaceKind.DIAGONAL}, "DiagPair")
-        _require_size(space, form.N.shape[0], "DiagPair")
-        N = form.N
-        if space.field is Field.REAL and np.max(np.abs(N.imag)) > tol:
-            raise InvalidParameterError("DiagPair over a real space needs a real N")
-        _check_invertible(N, "N")
-        Nit = np.linalg.inv(N).T
-        return [LinMap(space, space, N), LinMap(space, space, Nit)]
-
-    if isinstance(form, DiagChain):
-        _require_kind(space, {SpaceKind.DIAGONAL}, "DiagChain")
-        _require_size(space, form.P.shape[0], "DiagChain")
-        P = form.P
-        if np.max(np.abs(P - np.round(P.real))) > max(tol, 1e-9) or not _is_permutation(np.round(P.real)):
-            raise InvalidParameterError("P must be a permutation matrix")
-        prod = np.eye(n, dtype=np.complex128)
-        for i, C in enumerate(form.C):
-            if np.max(np.abs(C - np.diag(np.diag(C)))) > max(tol, 1e-9):
-                raise InvalidParameterError(f"C[{i}] must be diagonal")
-            d = np.diag(C)
-            if np.min(np.abs(d)) == 0 or np.max(np.abs(d)) / np.min(np.abs(d)) > COND_LIMIT:
-                raise SingularMatrixError(f"C[{i}] must be invertible")
-            if space.field is Field.REAL and np.max(np.abs(C.imag)) > tol:
-                raise InvalidParameterError("DiagChain over a real space needs real scalings")
-            prod = prod @ C
-        if np.max(np.abs(prod - np.eye(n))) > max(tol, 1e-6):
-            raise InvalidParameterError("the product of the C_i must be the identity")
-        Pt = P.T
-        fns = [(lambda Ci: (lambda A: Ci @ (Pt @ A @ P)))(C) for C in form.C]
-        return _congruence_maps(space, fns, tol)
-
-    if isinstance(form, Hadamard):
-        _require_kind(space, {SpaceKind.FULL}, "Hadamard")
-        _require_size(space, form.C.shape[0], "Hadamard")
-        C = form.C
-        if np.max(np.abs(C - C.T)) > max(tol, 1e-9):
-            raise InvalidParameterError("C must be symmetric")
-        if np.min(np.abs(C)) == 0:
-            raise InvalidParameterError("C must have no zero entries")
-        if not form.real_family:
-            if space.field is Field.REAL:
-                raise InvalidParameterError("complex C on a real space")
-            warnings.warn(
-                "complex symmetric Hadamard parameter: outside the exactly characterized "
-                "real-symmetric family",
-                stacklevel=2,
+    name = type(form).__name__
+    if type(form) not in FORMS:
+        raise InvalidParameterError(f"unknown canonical form {name}")
+    if form.complex_only and space.field is not Field.COMPLEX:
+        raise InvalidParameterError(f"{name} needs a complex-field space")
+    if span_of(space).kind not in form.kinds:
+        raise InvalidParameterError(f"{name} does not act on {space.kind.value} spaces")
+    for f in fields(form):
+        value = np.asarray(getattr(form, f.name))
+        if value.ndim >= 2 and value.shape[-1] != space.n:
+            raise DimensionMismatchError(
+                f"{name} parameters are {value.shape[-1]} x {value.shape[-1]} but the space has n={space.n}"
             )
-        chat = 1.0 / C
-        T1 = np.diag(C.reshape(-1))
-        T2 = np.diag(chat.reshape(-1))
-        return [LinMap(space, space, T1), LinMap(space, space, T2)]
-
-    if isinstance(form, RankOneFrame):
-        _require_kind(space, {SpaceKind.FULL}, "RankOneFrame")
-        _require_size(space, form.A[0].shape[0], "RankOneFrame")
-        if len(form.A) != n:
-            raise DimensionMismatchError(f"RankOneFrame needs n={n} matrices, got {len(form.A)}")
-        if space.field is Field.REAL and any(np.max(np.abs(A.imag)) > tol for A in form.A):
-            raise InvalidParameterError("RankOneFrame over a real space needs real parameters")
-        Binv = []
-        for i, A in enumerate(form.A):
-            _check_invertible(A, f"A[{i}]")
-            Binv.append(np.linalg.inv(A))
-        st = _basis_stack(space)
-        # basis order is E_ij row-major: element (i, j) sits at index i*n + j
-        img1 = [st[i * n + j] @ form.A[i] for i in range(n) for j in range(n)]
-        img2 = [Binv[j] @ st[i * n + j] for i in range(n) for j in range(n)]
-        return [
-            linmap_from_images(space, space, img1, tol=max(tol, 1e-7)),
-            linmap_from_images(space, space, img2, tol=max(tol, 1e-7)),
-        ]
-
-    if isinstance(form, NonextendableTriple):
-        if space.field is not Field.COMPLEX:
-            raise InvalidParameterError("NonextendableTriple needs a complex space")
-        _require_kind(space, {SpaceKind.FULL}, "NonextendableTriple")
-        _require_size(space, form.X.shape[0], "NonextendableTriple")
-        X = form.X
-        tr_part = (np.trace(X) / n) * np.eye(n)
-        if np.linalg.norm(X - tr_part) <= max(tol, 1e-9) * max(1.0, np.linalg.norm(X)):
-            raise InvalidParameterError("X must not be a scalar matrix")
-        big = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2 * n)
-
-        def pad(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-            Z = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-            Z[:n, :n] = top
-            Z[n:, n:] = bottom
-            return Z
-
-        st = _basis_stack(space)
-        zero = np.zeros((n, n), dtype=np.complex128)
-        img1 = [pad(B, zero) for B in st]
-        img2 = [pad(B, B) for B in st]
-        img3 = [pad(B, X @ B @ X.conj().T) for B in st]
-        return [
-            linmap_from_images(space, big, img1, tol=max(tol, 1e-7)),
-            linmap_from_images(space, big, img2, tol=max(tol, 1e-7)),
-            linmap_from_images(space, big, img3, tol=max(tol, 1e-7)),
-        ]
-
-    raise InvalidParameterError(f"unknown canonical form {type(form).__name__}")
+        if space.field is Field.REAL and value.size and np.max(np.abs(value.imag)) > tol:
+            raise InvalidParameterError(f"{name} over a real space needs a real {f.name}")
+    return form.maps(space, tol)
 
 
 def _is_permutation(P: np.ndarray) -> bool:

@@ -157,6 +157,25 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+def test_check_zero_trials_exits_two(tmp_path, capsys):
+    f = identity_map(SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2))
+    path = _write(tmp_path, "id.json", [encode_linmap(f), encode_linmap(f)])
+    code, err = _run(capsys, ["check", "--maps", path, "--mode", "randomized", "--trials", "0"])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+
+
+@pytest.mark.parametrize("entry", [[1.0, 0.0, 2.0], "one"])
+def test_check_malformed_matrix_entry_exits_two(tmp_path, capsys, entry):
+    f = identity_map(SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2))
+    doc = [encode_linmap(f), encode_linmap(f)]
+    doc[0]["transfer"]["data"][0] = entry
+    path = _write(tmp_path, "bad.json", doc)
+    code, err = _run(capsys, ["check", "--maps", path])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+
+
 def test_missing_file_exits_two(capsys):
     code, err = _run(capsys, ["check", "--maps", "/no/such/file.json"])
     assert code == 2

@@ -11,6 +11,7 @@ from traceprod import (
     Hadamard,
     HermEven,
     HermOdd,
+    InvalidParameterError,
     LinMap,
     MnChain,
     NotApplicableError,
@@ -260,6 +261,12 @@ def test_verify_weighted_control_fails():
     report = verify_weighted(ident, (1.0, 1.0), (2.0, 2.0), trials=200, seed=0)
     assert not report.passed
     assert report.max_residual >= 1e-2
+
+
+def test_verify_weighted_rejects_zero_trials():
+    tag = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 2)
+    with pytest.raises(InvalidParameterError):
+        verify_weighted([identity_map(tag)] * 2, (1.0, 1.0), (1.0, 1.0), trials=0)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 from traceprod import (
     DiagPair,
     Field,
+    GenSpec,
     Hadamard,
     InconsistentSamplesError,
     InvalidParameterError,
@@ -20,6 +21,7 @@ from traceprod import (
     embed_extend_pair,
     extend_from_subset,
     from_canonical,
+    generate,
     identity_map,
     infeasibility_certificate,
     is_hermitian_preserving,
@@ -82,6 +84,23 @@ def test_check_randomized_mode():
     assert not report.passed
     good = from_canonical(Hadamard(np.array([[1.0, 2.0], [2.0, 1.0]])), R2)
     assert check_preservation(good, mode="randomized", trials=200, seed=1).passed
+
+
+def test_check_randomized_rejects_zero_trials():
+    f = identity_map(C2)
+    with pytest.raises(InvalidParameterError):
+        check_preservation([f, f], mode="randomized", trials=0)
+
+
+def test_check_randomized_fails_on_overflowing_residuals():
+    # images of size 1e450 overflow to inf, and inf - inf is NaN
+    gen = generate(GenSpec(family="mn_chain", n=3, m=3, seed=0))
+    huge = [LinMap(f.domain, f.codomain, 1e150 * f.transfer) for f in gen.maps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_preservation(huge, mode="randomized", trials=64, seed=0)
+    assert not report.passed
+    assert report.max_residual == np.inf
+    assert len(report.worst_tuple) == 3
 
 
 def test_check_rejects_mismatched_sample_space():

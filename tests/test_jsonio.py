@@ -24,6 +24,8 @@ ROUND_TRIP_CASES = [
     ("pn_pair", 3, 2, Field.COMPLEX),
     ("sym_odd", 3, 3, Field.REAL),
     ("sym_even", 3, 4, Field.COMPLEX),
+    ("sym_even", 3, 2, Field.REAL),
+    ("pn_chain", 3, 3, Field.REAL),
     ("diag_pair", 3, 2, Field.COMPLEX),
     ("diag_chain", 3, 3, Field.REAL),
     ("hadamard", 3, 2, Field.REAL),
@@ -53,6 +55,12 @@ def test_matrix_rejects_malformed():
         decode_matrix({"rows": 2, "cols": 2, "field": "real", "data": [[1, 0]]})
 
 
+@pytest.mark.parametrize("entry", [[1.0, 0.0, 2.0], "one"])
+def test_matrix_rejects_malformed_entry(entry):
+    with pytest.raises(InvalidParameterError):
+        decode_matrix({"rows": 1, "cols": 2, "field": "complex", "data": [entry, [0.0, 0.0]]})
+
+
 def test_space_round_trip():
     tag = SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 4)
     assert decode_space(json.loads(json.dumps(encode_space(tag)))) == tag
@@ -74,6 +82,63 @@ def test_form_round_trip_rebuilds_same_maps(family, n, m, field):
     assert type(back) is type(gen.form)
     for f, g in zip(gen.maps, from_canonical(back, gen.space)):
         assert np.max(np.abs(f.transfer - g.transfer)) < 1e-12
+
+
+# the "params" of each form tag as written on the wire: key -> value shape
+WIRE_FORMAT = {
+    "MnChain": {"N": "matrices"},
+    "HermOdd": {"U": "matrix", "c": "pairs"},
+    "HermEven": {"M": "matrix", "c": "pairs"},
+    "PnPair": {"M": "matrix", "transpose": "bool"},
+    "SymOdd": {"O": "matrix", "c": "pairs"},
+    "SymEven": {"M": "matrix", "c": "pairs"},
+    "DiagPair": {"N": "matrix"},
+    "DiagChain": {"P": "matrix", "C": "matrices"},
+    "Hadamard": {"C": "matrix"},
+    "RankOneFrame": {"A": "matrices"},
+    "NonextendableTriple": {"X": "matrix"},
+}
+
+
+def _wire_shape(value, n):
+    def is_matrix(obj):
+        return (
+            set(obj) == {"rows", "cols", "field", "data"}
+            and obj["rows"] == obj["cols"] == n
+            and obj["field"] in ("real", "complex")
+            and len(obj["data"]) == n * n
+            and all(len(z) == 2 for z in obj["data"])
+        )
+
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, dict) and is_matrix(value):
+        return "matrix"
+    if value and all(isinstance(v, dict) and is_matrix(v) for v in value):
+        return "matrices"
+    if value and all(isinstance(v, list) and len(v) == 2 and all(isinstance(x, float) for x in v) for v in value):
+        return "pairs"
+    return "unknown"
+
+
+def test_form_wire_format_is_pinned():
+    seen = set()
+    for family, n, m, field in ROUND_TRIP_CASES:
+        gen = generate(GenSpec(family=family, n=n, m=m, field=field, seed=3))
+        doc = json.loads(json.dumps(encode_form(gen.form)))
+        assert set(doc) == {"form", "params"}
+        want = WIRE_FORMAT[doc["form"]]
+        assert {k: _wire_shape(v, n) for k, v in doc["params"].items()} == want
+        seen.add(doc["form"])
+    assert seen == set(WIRE_FORMAT)
+
+
+def test_form_decoder_rejects_complex_hermitian_scalars():
+    gen = generate(GenSpec(family="herm_odd", n=2, m=3, seed=1))
+    doc = json.loads(json.dumps(encode_form(gen.form)))
+    doc["params"]["c"][0][1] = 0.5
+    with pytest.raises(InvalidParameterError):
+        decode_form(doc)
 
 
 def test_generated_document_decodes_to_maps(tmp_path):
