@@ -30,6 +30,7 @@ from .errors import (
 from .extend import (
     CheckMode,
     PreservationReport,
+    _product_stack,
     _randomized_residual,
     check_preservation,
     extend_from_subset,
@@ -60,6 +61,7 @@ from .spaces import (
     reassemble,
     span_of,
     _basis_stack,
+    _upper,
 )
 
 PRECHECK_TOL = 1e-6
@@ -458,26 +460,41 @@ def decompose_pn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
+def _unit_products(n: int) -> np.ndarray:
+    """Flat indices a*d + b into the pairwise products of the symmetric basis
+    (d = n(n+1)/2 elements) of the n^2 products that are matrix units, in the
+    row-major order of E_ij: E_ii E_ii = E_ii, and E_ii (E_ij + E_ji) = E_ij
+    for i != j.
+    """
+    d = n * (n + 1) // 2
+    r = np.arange(n)
+    iu, ju = _upper(n)
+    right = np.empty((n, n), dtype=np.intp)
+    right[r, r] = r
+    right[iu, ju] = right[ju, iu] = n + np.arange(iu.size)
+    return np.repeat(r, n) * d + right.reshape(-1)
+
+
 def _product_extension(dom: SpaceTag, psi_images: np.ndarray, tol: float) -> np.ndarray:
     """Transfer of the map on M_n with Theta(A B) = Psi(A) Psi(B) on the span.
 
-    Products of symmetric matrices span all of M_n, so Theta is determined;
-    inconsistency of the least squares fit means Psi is not product-compatible.
+    Products of symmetric matrices span all of M_n, so Theta is determined:
+    its value on E_ij is read off the product of images whose basis product is
+    E_ij (`_unit_products`). A misfit on any other pair of basis elements
+    means Psi is not product-compatible.
     """
     st = np.asarray(_basis_stack(dom))
     n = st.shape[-1]
-    AB = np.einsum("aij,bjk->abik", st, st).reshape(-1, n, n)
-    PQ = np.einsum("aij,bjk->abik", psi_images, psi_images).reshape(-1, n, n)
-    P = AB.reshape(-1, n * n).T  # columns vec(A_a A_b)
-    Q = PQ.reshape(-1, n * n).T
-    T = Q @ np.linalg.pinv(P)
-    fit = float(np.max(np.abs(T @ P - Q))) / max(1.0, float(np.max(np.abs(Q))))
+    Q = _product_stack([psi_images, psi_images]).reshape(-1, n * n)  # rows vec(Psi(A_a) Psi(A_b))
+    T = Q[_unit_products(n)].T
+    P = _product_stack([st, st]).reshape(-1, n * n)  # rows vec(A_a A_b)
+    misfit = P @ T.T
+    misfit -= Q
+    fit = float(np.max(np.abs(misfit))) / max(1.0, float(np.max(np.abs(Q))))
     if fit > tol:
         raise CanonicalStructureError(
             f"images are not compatible with any product extension (residual {fit:.3g})"
         )
-    if np.linalg.matrix_rank(P) < n * n:
-        raise CanonicalStructureError("products of the basis do not span the full matrix space")
     return T
 
 

@@ -83,11 +83,17 @@ def _validate_tuple(maps) -> tuple[int, int]:
 
 
 def _product_stack(stacks: list[np.ndarray]) -> np.ndarray:
-    """All products over one index per stack: (prod d_i, n, n)."""
+    """All products over one index per stack: (prod d_i, n, n), first index slowest.
+
+    Each step is one matmul (a*n, n) @ (n, b*n) whose (a, i, b, k) entries are
+    reordered to (a, b, i, k).
+    """
     out = stacks[0]
+    n = out.shape[-1]
     for st in stacks[1:]:
-        out = np.einsum("aij,bjk->abik", out, st)
-        out = out.reshape(-1, out.shape[-2], out.shape[-1])
+        a, b = out.shape[0], st.shape[0]
+        flat = out.reshape(a * n, n) @ st.transpose(1, 0, 2).reshape(n, b * n)
+        out = flat.reshape(a, n, b, n).transpose(0, 2, 1, 3).reshape(a * b, n, n)
     return out
 
 
@@ -165,7 +171,8 @@ def _check_exhaustive(maps, dims) -> tuple[float, tuple]:
         else:
             k = stacks[0].shape[-1]
             right = np.eye(k, dtype=np.complex128)[None, :, :]
-        return np.einsum("aij,bji->ab", left, right)
+        # tr(L_a R_b) = sum_ij L_a[i, j] R_b[j, i]
+        return left.reshape(len(left), -1) @ right.transpose(0, 2, 1).reshape(len(right), -1).T
 
     lhs = pair_traces(img_stacks)
     rhs = pair_traces(dom_stacks)

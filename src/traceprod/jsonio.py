@@ -95,6 +95,13 @@ def decode_linmap(obj) -> LinMap:
     return LinMap(dom, cod, T)
 
 
+def _boolean(value) -> bool:
+    # bool(value) would read the string "false" as True
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _pairs(values) -> list:
     return [[float(z.real), float(z.imag)] for z in map(complex, values)]
 
@@ -108,7 +115,7 @@ _PARAM_CODECS = {
     ),
     "tuple[float, ...]": (_pairs, lambda values: tuple(_real(z) for z in values)),
     "tuple[complex, ...]": (_pairs, lambda values: tuple(_number(z) for z in values)),
-    "bool": (bool, bool),
+    "bool": (bool, _boolean),
 }
 
 _FORM_CLASSES = {cls.__name__: cls for cls in FORMS}
@@ -190,7 +197,8 @@ def encode_generated(gen: Generated, family: str) -> dict:
 def decode_maps_document(obj) -> tuple[list, SpaceTag | None]:
     """Read a tuple of maps from a bare list of map objects or any document
     with a "maps" key (for example `generate` output). Returns the maps and
-    the document's space tag when it carries one.
+    the document's space tag when it carries one. A "form" the document
+    carries is decoded too, so a malformed one is an input error.
     """
     space = None
     if isinstance(obj, dict):
@@ -198,6 +206,8 @@ def decode_maps_document(obj) -> tuple[list, SpaceTag | None]:
             raise InvalidParameterError('document has no "maps" key')
         if "space" in obj:
             space = decode_space(obj["space"])
+        if "form" in obj:
+            decode_form(obj["form"])
         items = obj["maps"]
     elif isinstance(obj, list):
         items = obj

@@ -121,8 +121,7 @@ def apply_batch(map_: LinMap, batch: np.ndarray) -> np.ndarray:
 
 def image_stack(map_: LinMap) -> np.ndarray:
     """(d, k, k) images of the domain's canonical basis elements."""
-    cod = _basis_stack(map_.codomain)
-    return np.einsum("lk,lij->kij", map_.transfer, cod)
+    return reassemble_batch(map_.codomain, map_.transfer.T)
 
 
 def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float = 1e-7) -> LinMap:

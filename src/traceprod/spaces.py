@@ -6,7 +6,9 @@ its linear span, coordinates with respect to that basis, a membership test, the
 trace pairing tr(AB), and seeded random sampling. Everything downstream (linear
 maps, preservation checks, decompositions) works in these coordinates.
 
-Basis stacks are computed once per tag and cached read-only, so concurrent
+Coordinates and reassembly are index gathers and scatters on the matrix
+entries; they never touch a basis stack. The explicit basis stacks behind
+`space_basis` are built once per tag and cached read-only, so concurrent
 readers share them safely.
 """
 from __future__ import annotations
@@ -138,14 +140,6 @@ def _basis_stack(space: SpaceTag) -> np.ndarray:
     return stack
 
 
-@functools.lru_cache(maxsize=None)
-def _basis_norms2(space: SpaceTag) -> np.ndarray:
-    st = _basis_stack(space)
-    v = np.einsum("kij,kij->k", st.conj(), st).real
-    v.setflags(write=False)
-    return v
-
-
 def space_basis(space: SpaceTag) -> Basis:
     """Canonical ordered basis of the span of `space`.
 
@@ -161,41 +155,94 @@ def space_basis(space: SpaceTag) -> Basis:
 def coords(space: SpaceTag, A: np.ndarray) -> np.ndarray:
     """Coordinates of A in the canonical basis of the span of `space`.
 
-    The canonical basis is orthogonal under tr(X* Y), so coordinates come from
-    scaled inner products. No membership check; callers validate separately.
+    The canonical basis is orthogonal under tr(X* Y), so each coordinate is the
+    inner product with its basis element over that element's squared norm: an
+    entry, or the mean of a mirrored pair of entries (see `coords_batch`). No
+    membership check; callers validate separately.
     """
-    st = _basis_stack(space)
-    A = np.asarray(A, dtype=np.complex128)
-    if A.shape != st.shape[1:]:
-        raise DimensionMismatchError(f"expected shape {st.shape[1:]}, got {A.shape}")
-    x = np.einsum("kij,ij->k", st.conj(), A) / _basis_norms2(space)
-    if base_field(space) is Field.REAL:
-        return np.ascontiguousarray(x.real)
-    return x
+    A = np.asarray(A)
+    if A.shape != (space.n, space.n):
+        raise DimensionMismatchError(f"expected shape {(space.n, space.n)}, got {A.shape}")
+    return coords_batch(space, A[None])[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _upper(n: int) -> tuple:
+    """Row and column indices of the strict upper triangle, row-major."""
+    iu = np.triu_indices(n, 1)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
 
 
 def coords_batch(space: SpaceTag, batch: np.ndarray) -> np.ndarray:
-    """Coordinates of a (count, n, n) stack; returns (count, d)."""
-    st = _basis_stack(space)
-    x = np.einsum("kij,tij->tk", st.conj(), np.asarray(batch, dtype=np.complex128))
-    x = x / _basis_norms2(space)[None, :]
+    """Coordinates of a (count, n, n) stack; returns (count, d).
+
+    Index gathers in the order of `space_basis`: full spaces read all entries
+    row-major, diagonal spaces the diagonal. Symmetric and Hermitian spaces read
+    the diagonal, then per i<j pair the mean (A_ij + A_ji)/2, followed in the
+    Hermitian case by Im(A_ij - A_ji)/2. Real coordinates keep the real part.
+    """
+    s = span_of(space)
+    n = s.n
+    A = np.asarray(batch)
+    if A.ndim != 3 or A.shape[1:] != (n, n):
+        raise DimensionMismatchError(f"expected a (count, {n}, {n}) stack, got shape {A.shape}")
+    if s.kind is SpaceKind.FULL:
+        x = A.reshape(A.shape[0], n * n)
+    else:
+        x = np.diagonal(A, axis1=1, axis2=2)
+        if s.kind is not SpaceKind.DIAGONAL:
+            iu, ju = _upper(n)
+            upper, lower = A[:, iu, ju], A[:, ju, iu]
+            if s.kind is SpaceKind.SYMMETRIC:
+                off = (upper + lower) / 2
+            else:
+                off = np.stack([(upper + lower).real / 2, (upper - lower).imag / 2], axis=2)
+                off = off.reshape(A.shape[0], -1)
+            x = np.concatenate([x, off], axis=1)
+    # always a fresh array: the gathers above may be views of the input
     if base_field(space) is Field.REAL:
-        return np.ascontiguousarray(x.real)
-    return x
+        return np.array(x.real, dtype=np.float64, order="C")
+    return np.array(x, dtype=np.complex128, order="C")
 
 
 def reassemble(space: SpaceTag, x: np.ndarray) -> np.ndarray:
     """Matrix with coordinate vector x in the canonical basis."""
-    st = _basis_stack(space)
     x = np.asarray(x)
-    if x.shape != (st.shape[0],):
-        raise DimensionMismatchError(f"expected {st.shape[0]} coordinates, got shape {x.shape}")
-    return np.einsum("k,kij->ij", x, st)
+    d = span_dim(space)
+    if x.shape != (d,):
+        raise DimensionMismatchError(f"expected {d} coordinates, got shape {x.shape}")
+    return reassemble_batch(space, x[None])[0]
 
 
 def reassemble_batch(space: SpaceTag, x: np.ndarray) -> np.ndarray:
-    st = _basis_stack(space)
-    return np.einsum("tk,kij->tij", np.asarray(x), st)
+    """(count, n, n) matrices with coordinate rows x of shape (count, d).
+
+    The index scatter inverse to `coords_batch` on the span: a mirrored pair
+    coordinate lands on both triangles, and in the Hermitian case the skew
+    coordinate y adds +iy above and -iy below the diagonal.
+    """
+    s = span_of(space)
+    n = s.n
+    x = np.asarray(x)
+    d = span_dim(s)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise DimensionMismatchError(f"expected (count, {d}) coordinates, got shape {x.shape}")
+    if s.kind is SpaceKind.FULL:
+        return x.reshape(-1, n, n).astype(np.complex128)
+    out = np.zeros((x.shape[0], n, n), dtype=np.complex128)
+    r = np.arange(n)
+    out[:, r, r] = x[:, :n]
+    if s.kind is not SpaceKind.DIAGONAL:
+        iu, ju = _upper(n)
+        if s.kind is SpaceKind.SYMMETRIC:
+            out[:, iu, ju] = out[:, ju, iu] = x[:, n:]
+        else:
+            sym, skew = x[:, n::2], 1j * x[:, n + 1 :: 2]
+            out[:, iu, ju] = sym + skew
+            out[:, ju, iu] = sym - skew
+    return out
 
 
 def membership(space: SpaceTag, A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

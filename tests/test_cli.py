@@ -176,6 +176,15 @@ def test_check_malformed_matrix_entry_exits_two(tmp_path, capsys, entry):
     assert err["error"]["code"] == "InvalidParameterError"
 
 
+def test_decompose_non_boolean_form_flag_exits_two(tmp_path, capsys):
+    code, doc = _run(capsys, ["generate", "--family", "pn_pair", "--n", "2", "--m", "2", "--seed", "3"])
+    doc["form"]["params"]["transpose"] = "false"
+    path = _write(tmp_path, "pair.json", doc)
+    code, err = _run(capsys, ["decompose", "--maps", path])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+
+
 def test_missing_file_exits_two(capsys):
     code, err = _run(capsys, ["check", "--maps", "/no/such/file.json"])
     assert code == 2

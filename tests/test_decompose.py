@@ -43,6 +43,8 @@ from traceprod import (
     weighted_canonical_maps,
     weighted_reduction,
 )
+from traceprod.decompose import _automorphism_units, _product_extension, _unit_products
+from traceprod.extend import _product_stack
 from conftest import basis_stack
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
@@ -175,6 +177,33 @@ def test_sym_even_round_trip():
     res = decompose(gen.maps)
     assert isinstance(res.form, SymEven)
     assert res.reconstruction_residual <= 1e-7
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_unit_products_are_the_matrix_units(n):
+    # so the products of symmetric matrices span M_n and fix the extension
+    st = basis_stack(SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, n))
+    units = _product_stack([st, st])[_unit_products(n)]
+    assert np.array_equal(units, np.eye(n * n).reshape(n * n, n, n))
+
+
+def test_product_extension_rejects_non_multiplicative_images():
+    dom = SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, 3)
+    G = np.random.default_rng(0).standard_normal((6, 3, 3))
+    images = ((G + G.transpose(0, 2, 1)) / 2).astype(complex)
+    with pytest.raises(CanonicalStructureError, match="not compatible with any product extension"):
+        _product_extension(dom, images, 1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_product_extension_of_orthogonal_conjugation(n):
+    dom = SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, n)
+    O, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    images = O @ basis_stack(dom) @ O.T
+    T = _product_extension(dom, images, 1e-6)
+    N = recover_conjugator(_automorphism_units(T, n))
+    N = N / np.sqrt(np.trace(N.T @ N) / n)
+    assert min(np.max(np.abs(N - O)), np.max(np.abs(N + O))) <= 1e-10
 
 
 def test_diag_pair_oracle_exact():

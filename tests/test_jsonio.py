@@ -141,6 +141,25 @@ def test_form_decoder_rejects_complex_hermitian_scalars():
         decode_form(doc)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_form_decoder_keeps_json_booleans(value):
+    gen = generate(GenSpec(family="pn_pair", n=2, m=2, seed=1))
+    doc = json.loads(json.dumps(encode_form(gen.form)))
+    doc["params"]["transpose"] = value
+    assert decode_form(doc).transpose is value
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [False]])
+def test_form_decoder_rejects_non_boolean_flags(value):
+    gen = generate(GenSpec(family="pn_pair", n=2, m=2, seed=1))
+    doc = json.loads(json.dumps(encode_form(gen.form)))
+    doc["params"]["transpose"] = value
+    with pytest.raises(InvalidParameterError):
+        decode_form(doc)
+    with pytest.raises(InvalidParameterError):
+        decode_maps_document(json.loads(json.dumps({**encode_generated(gen, "pn_pair"), "form": doc})))
+
+
 def test_generated_document_decodes_to_maps(tmp_path):
     gen = generate(GenSpec(family="herm_odd", n=3, m=3, seed=5))
     doc = json.loads(json.dumps(encode_generated(gen, "herm_odd")))

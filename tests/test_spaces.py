@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceprod import (
+    DimensionMismatchError,
     Field,
+    LinMap,
     SpaceKind,
     SpaceTag,
     base_field,
@@ -19,6 +21,8 @@ from traceprod import (
     span_of,
     trace_pair,
 )
+from traceprod.linmaps import image_stack
+from traceprod.spaces import coords_batch, reassemble_batch
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
 H2 = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 2)
@@ -206,3 +210,53 @@ def test_trace_pair_from_coords(seed):
     A = reassemble(H2, x)
     B = reassemble(H2, y)
     assert np.isclose(trace_pair(A, B), x @ gram_matrix(H2) @ y)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(list(SpaceKind)),
+    st.sampled_from(list(Field)),
+    st.sampled_from([1, 2, 3, 5]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_index_kernels_match_basis_inner_products(kind, field, n, seed):
+    # the definition: coordinates are inner products with the orthogonal
+    # canonical basis over its squared norms, reassembly the basis combination
+    tag = SpaceTag(kind, field, n)
+    rng = np.random.default_rng(seed)
+    els = np.stack(space_basis(tag).elements)
+    norms2 = np.einsum("kij,kij->k", els.conj(), els).real
+    real = base_field(tag) is Field.REAL
+
+    def gaussian(shape):
+        g = rng.standard_normal(shape)
+        return g if real else g + 1j * rng.standard_normal(shape)
+
+    A = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    x_ref = np.einsum("kij,tij->tk", els.conj(), A) / norms2
+    if real:
+        x_ref = x_ref.real
+    x = gaussian((4, len(els)))
+    T = gaussian((len(els), len(els)))
+    pairs = [
+        (coords_batch(tag, A), x_ref),
+        (np.stack([coords(tag, M) for M in A]), x_ref),
+        (reassemble_batch(tag, x), np.einsum("tk,kij->tij", x, els)),
+        (np.stack([reassemble(tag, v) for v in x]), np.einsum("tk,kij->tij", x, els)),
+        (image_stack(LinMap(tag, tag, T)), np.einsum("lk,lij->kij", T, els)),
+    ]
+    tol = 0.0 if span_of(tag).kind in (SpaceKind.FULL, SpaceKind.DIAGONAL) else 1e-15
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= tol
+
+
+def test_coordinate_shapes_are_checked():
+    with pytest.raises(DimensionMismatchError):
+        coords(S2, np.eye(3))
+    with pytest.raises(DimensionMismatchError):
+        coords_batch(S2, np.zeros((2, 3, 3)))
+    with pytest.raises(DimensionMismatchError):
+        reassemble(S2, np.zeros(4))
+    with pytest.raises(DimensionMismatchError):
+        reassemble_batch(S2, np.zeros((2, 4)))
