@@ -47,6 +47,7 @@ from .linmaps import (
     PnPair,
     SymEven,
     SymOdd,
+    _adjoint,
     apply_batch,
     complexify,
     from_canonical,
@@ -108,8 +109,7 @@ def _precheck(maps) -> None:
 
 
 def _map_at_identity(map_: LinMap) -> np.ndarray:
-    n = map_.domain.n
-    return reassemble(map_.codomain, map_.transfer @ coords(map_.domain, np.eye(n)))
+    return apply_batch(map_, np.eye(map_.domain.n)[None])[0]
 
 
 def _phase_fix(M: np.ndarray) -> complex:
@@ -188,17 +188,13 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
         if abs(w[pick] - 1.0) > 0.1:
             continue
         v = V[:, pick]
-        N = np.stack([images[i * n + j] @ v for i in range(n)], axis=1)
+        N = (images[j::n] @ v).T  # column i is Phi(E_ij) v
         cN = np.linalg.cond(N)
         if not np.isfinite(cN) or cN > COND_LIMIT:
             continue
-        Ninv = np.linalg.inv(N)
-        worst = 0.0
-        for p in range(n):
-            for q in range(n):
-                ref = np.outer(N[:, p], Ninv[q, :])
-                worst = max(worst, float(np.max(np.abs(images[p * n + q] - ref))))
-        last_residual = worst / scale
+        # N E_pq N^{-1} is the outer product of column p of N and row q of N^{-1}
+        ref = np.einsum("ip,qj->pqij", N, np.linalg.inv(N)).reshape(d, n, n)
+        last_residual = float(np.max(np.abs(images - ref))) / scale
         if last_residual <= tol:
             return N
     detail = f" (best residual {last_residual:.3g})" if last_residual is not None else ""
@@ -266,22 +262,41 @@ def decompose_mn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
-def _unitary_from_conjugator(N: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """Strip the free scalar off N = s U*; returns (U, deviation from unitarity)."""
-    n = N.shape[0]
-    G = N @ N.conj().T
-    lam = float(np.trace(G).real) / n
-    if lam <= 0:
-        raise CanonicalStructureError("conjugating matrix has nonpositive scale")
+def _isometry(W: np.ndarray, adjoint, gauge, tol: float, what: str) -> tuple[np.ndarray, float]:
+    """Strip the free scalar off W = s V with adjoint(V) V = I.
+
+    Returns (gauge(V) V, deviation of adjoint(V) V from I); `gauge` picks the
+    unit scalar that fixes the remaining phase or sign.
+    """
+    n = W.shape[0]
+    G = adjoint(W) @ W
+    lam = complex(np.trace(G)) / n
+    if abs(lam) < 1e-12:
+        raise CanonicalStructureError("conjugator has a vanishing or isotropic scale")
     dev = float(np.max(np.abs(G / lam - np.eye(n))))
     if dev > tol:
-        raise CanonicalStructureError(
-            f"conjugating matrix is not a scalar multiple of a unitary (deviation {dev:.3g})"
-        )
-    W = N / np.sqrt(lam)
-    U = W.conj().T
-    u = _phase_fix(U)
-    return u * U, dev
+        raise CanonicalStructureError(f"conjugator is not a scalar multiple of {what} (deviation {dev:.3g})")
+    V = W / np.sqrt(lam)
+    return gauge(V) * V, dev
+
+
+def _alternating_params(W: np.ndarray, phiI, adjoint) -> tuple[np.ndarray, list]:
+    """M = W up to scale, fixed by unit Frobenius norm and a real positive
+    leading entry, and scalars read off f_i(I): c_i adjoint(M) M on odd slots,
+    c_i M^{-1} adjoint(M^{-1}) on even slots. The last scalar closes the
+    product to 1.
+    """
+    n = W.shape[0]
+    M = (_phase_fix(W) / np.linalg.norm(W)) * W
+    Minv = np.linalg.inv(M)
+    c = []
+    for i, S in enumerate(phiI):
+        if i % 2 == 0:
+            c.append(complex(np.trace(adjoint(Minv) @ S @ Minv)) / n)
+        else:
+            c.append(complex(np.trace(M @ S @ adjoint(M))) / n)
+    c[-1] = 1.0 / complex(np.prod(c[:-1]))
+    return M, c
 
 
 def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
@@ -300,39 +315,26 @@ def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
     _precheck(maps)
     n = dom.n
     phiI = [_map_at_identity(f) for f in maps]
+    cnd = np.linalg.cond(phiI[0])
+    if not np.isfinite(cnd) or cnd > COND_LIMIT:
+        raise CanonicalStructureError("f_1(I) is not invertible")
+    units = np.linalg.inv(phiI[0]) @ _automorphism_units(complexify(maps[0]).transfer, n)
+    N = recover_conjugator(units, tol=max(tol * 10, 1e-6))
 
     if m % 2 == 1:
-        c = [float(np.trace(S).real) / n for S in phiI]
+        c = [complex(np.trace(S)) / n for S in phiI]
         if any(abs(x) < 1e-12 for x in c):
             raise CanonicalStructureError("some f_i(I) has vanishing trace; not a scaled conjugation")
-        units = _automorphism_units(complexify(maps[0]).transfer, n) / c[0]
-        N = recover_conjugator(units, tol=max(tol * 10, 1e-6))
-        U, dev = _unitary_from_conjugator(N, max(tol * 10, 1e-8))
-        c[-1] = 1.0 / float(np.prod(c[:-1]))
-        form = HermOdd(U, tuple(c))
+        U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix, max(tol * 10, 1e-8), "a unitary")
+        c[-1] = 1.0 / complex(np.prod(c[:-1]))
+        form = HermOdd(U, _realize_scalars(c, tol, "the scalars"))
         note = (
             "U fixed up to phase by a real positive leading entry; "
             f"unitarity deviation {dev:.3g}"
         )
     else:
-        S1 = phiI[0]
-        cc = np.linalg.cond(S1)
-        if not np.isfinite(cc) or cc > COND_LIMIT:
-            raise CanonicalStructureError("f_1(I) is not invertible")
-        units = np.linalg.inv(S1) @ _automorphism_units(complexify(maps[0]).transfer, n)
-        N = recover_conjugator(units, tol=max(tol * 10, 1e-6))
-        M = np.linalg.inv(N)
-        M = (_phase_fix(M) / np.linalg.norm(M)) * M
-        Minv = np.linalg.inv(M)
-        c = []
-        for i, S in enumerate(phiI):
-            if i % 2 == 0:
-                val = np.trace(Minv.conj().T @ S @ Minv) / n
-            else:
-                val = np.trace(M @ S @ M.conj().T) / n
-            c.append(float(val.real))
-        c[-1] = 1.0 / float(np.prod(c[:-1]))
-        form = HermEven(M, tuple(c))
+        M, c = _alternating_params(np.linalg.inv(N), phiI, _adjoint)
+        form = HermEven(M, _realize_scalars(c, tol, "the scalars"))
         note = "M fixed by unit Frobenius norm and real positive leading entry"
 
     residual = _rebuild_residual(form, dom, maps)
@@ -346,16 +348,8 @@ def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
 
 def herm_power(A: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
     """A**t for Hermitian positive definite A through its eigendecomposition."""
-    A = np.asarray(A, dtype=np.complex128)
-    if t == 1:
-        return A.copy()
-    n = A.shape[0]
-    if t == 0:
-        return np.eye(n, dtype=np.complex128)
-    w, V = np.linalg.eigh(A)
-    if w.min() <= tol:
-        raise PositivityError(f"matrix power {t} needs a positive definite input (min eig {w.min():.3g})")
-    return (V * (w**t)[None, :]) @ V.conj().T
+    # np.array copies, so t == 1 never hands back a view of A
+    return _herm_power_batch(np.array(A, dtype=np.complex128)[None], t, tol)[0]
 
 
 def _herm_power_batch(stack: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
@@ -414,7 +408,7 @@ def decompose_pn_pair(maps, tol: float = 1e-7) -> DecompositionResult:
         order = np.array([q * n + p for p in range(n) for q in range(n)])
         units = units[order]
     N = recover_conjugator(units, tol=max(tol * 10, 1e-6))
-    U, dev = _unitary_from_conjugator(N, max(tol * 10, 1e-8))
+    U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix, max(tol * 10, 1e-8), "a unitary")
     M = U @ Shalf
     M = _phase_fix(M) * M
     form = PnPair(M, transpose)
@@ -515,49 +509,28 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
     n = dom.n
     phiI = [_map_at_identity(f) for f in maps]
 
-    S1 = phiI[0]
-    cnd = np.linalg.cond(S1)
+    cnd = np.linalg.cond(phiI[0])
     if not np.isfinite(cnd) or cnd > COND_LIMIT:
         raise CanonicalStructureError("f_1(I) is not invertible")
-    psi_images = np.linalg.inv(S1) @ image_stack(maps[0])
+    psi_images = np.linalg.inv(phiI[0]) @ image_stack(maps[0])
     T_theta = _product_extension(dom, psi_images, max(tol * 10, 1e-6))
     N = recover_conjugator(_automorphism_units(T_theta, n), tol=max(tol * 10, 1e-6))
     W = np.linalg.inv(N)
 
     if m % 2 == 1:
-        G = W.T @ W
-        lam = complex(np.trace(G)) / n
-        if abs(lam) < 1e-12:
-            raise CanonicalStructureError("conjugator is numerically isotropic")
-        dev = float(np.max(np.abs(G / lam - np.eye(n))))
-        if dev > max(tol * 10, 1e-8):
-            raise CanonicalStructureError(
-                f"conjugator is not a scalar multiple of an orthogonal matrix (deviation {dev:.3g})"
-            )
-        O = W / np.sqrt(lam)
-        O = _sign_fix(O) * O
+        mat, dev = _isometry(W, np.transpose, _sign_fix, max(tol * 10, 1e-8), "an orthogonal matrix")
         c = [complex(np.trace(S)) / n for S in phiI]
         c[-1] = 1.0 / complex(np.prod(c[:-1]))
-        if dom.field is Field.REAL:
-            O = _realize(O, tol, "the orthogonal conjugator")
-            c = list(_realize_scalars(c, tol, "the scalars"))
-        form = SymOdd(O, tuple(c))
+        cls, what = SymOdd, "the orthogonal conjugator"
         note = f"O fixed up to sign; orthogonality deviation {dev:.3g}"
     else:
-        M = (_phase_fix(W) / np.linalg.norm(W)) * W
-        Minv = np.linalg.inv(M)
-        c = []
-        for i, S in enumerate(phiI):
-            if i % 2 == 0:
-                c.append(complex(np.trace(Minv.T @ S @ Minv)) / n)
-            else:
-                c.append(complex(np.trace(M @ S @ M.T)) / n)
-        c[-1] = 1.0 / complex(np.prod(c[:-1]))
-        if dom.field is Field.REAL:
-            M = _realize(M, tol, "the congruence matrix")
-            c = list(_realize_scalars(c, tol, "the scalars"))
-        form = SymEven(M, tuple(c))
+        mat, c = _alternating_params(W, phiI, np.transpose)
+        cls, what = SymEven, "the congruence matrix"
         note = "M fixed by unit Frobenius norm and real positive leading entry"
+    if dom.field is Field.REAL:
+        mat = _realize(mat, tol, what)
+        c = _realize_scalars(c, tol, "the scalars")
+    form = cls(mat, tuple(c))
 
     if m == 3:
         # consistency relation specific to length-3 chains:
@@ -565,11 +538,8 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
         try:
             x = np.linalg.solve(maps[1].transfer, coords(dom, np.eye(n)))
             J = reassemble(dom, maps[2].transfer @ x)
-            worst = 0.0
-            for C, img3 in zip(np.asarray(_basis_stack(dom)), image_stack(maps[2])):
-                f2C = reassemble(dom, maps[1].transfer @ coords(dom, C))
-                ref = (J @ f2C + f2C @ J) / 2
-                worst = max(worst, float(np.max(np.abs(img3 - ref))))
+            f2 = image_stack(maps[1])
+            worst = float(np.max(np.abs(image_stack(maps[2]) - (J @ f2 + f2 @ J) / 2)))
             note += f"; length-3 anticommutator relation deviation {worst:.3g}"
         except np.linalg.LinAlgError:
             note += "; length-3 anticommutator relation skipped (f_2 not invertible)"
@@ -742,13 +712,7 @@ MapLike = Union[LinMap, PowerMap]
 
 def power_map_apply(map_: MapLike, A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Evaluate a LinMap or PowerMap on one positive definite matrix."""
-    if isinstance(map_, LinMap):
-        return reassemble(map_.codomain, map_.transfer @ coords(map_.domain, A))
-    inner = herm_power(np.asarray(A, dtype=np.complex128), map_.pre, tol)
-    mid = reassemble(map_.core.codomain, map_.core.transfer @ coords(map_.core.domain, inner))
-    if map_.post != 1:
-        mid = (mid + mid.conj().T) / 2
-    return map_.scale * herm_power(mid, map_.post, tol)
+    return _power_map_apply_batch(map_, np.asarray(A, dtype=np.complex128)[None], tol)[0]
 
 
 def _power_map_apply_batch(map_: MapLike, batch: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -863,19 +827,12 @@ def weighted_reduction(maps, alpha, beta, tol: float = 1e-8, seed: int = 0) -> l
     out = []
     rng = np.random.default_rng(seed)
     for i in range(m):
-        dom = maps[i].domain
-        span = span_of(dom)
-        st = np.asarray(_basis_stack(span))
+        span = span_of(maps[i].domain)
         n = span.n
-        shifts = [B + 2 * np.eye(n) for B in st]
-        extras = list(random_batch(SpaceTag(SpaceKind.POSDEF, span.field, n), 3, rng))
-        pairs = []
-        for A in shifts + extras:
-            inner = herm_power(A, 1.0 / beta[i])
-            img = power_map_apply(maps[i], inner)
-            img = (img + img.conj().T) / 2
-            pairs.append((A, herm_power(img, alpha[i])))
-        out.append(extend_from_subset(span, span, pairs, tol=max(tol * 10, 1e-6)))
+        extras = random_batch(SpaceTag(SpaceKind.POSDEF, span.field, n), 3, rng)
+        A = np.concatenate([_basis_stack(span) + 2 * np.eye(n), extras])
+        img = _weighted_image(maps[i], alpha[i], _herm_power_batch(A, 1.0 / beta[i]))
+        out.append(extend_from_subset(span, span, zip(A, img), tol=max(tol * 10, 1e-6)))
     return out
 
 

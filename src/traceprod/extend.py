@@ -21,23 +21,30 @@ from .errors import (
     CanonicalStructureError,
     DimensionMismatchError,
     InvalidParameterError,
-    MembershipError,
     NotApplicableError,
     PreservationError,
     RankDeficientError,
     InconsistentSamplesError,
     SingularMatrixError,
 )
-from .linmaps import COND_LIMIT, LinMap, apply_batch, complexify, image_stack, is_hermitian_preserving
+from .linmaps import (
+    COND_LIMIT,
+    LinMap,
+    apply_batch,
+    complexify,
+    image_stack,
+    is_hermitian_preserving,
+    _span_coords,
+)
 from .spaces import (
     DEFAULT_TOL,
     Field,
     SpaceKind,
     SpaceTag,
     base_field,
-    coords,
+    coords_batch,
+    gram_matrix,
     random_batch,
-    reassemble,
     span_dim,
     span_of,
     _basis_stack,
@@ -218,8 +225,7 @@ def _randomized_residual(
 
 @functools.lru_cache(maxsize=None)
 def _span_gram(space: SpaceTag) -> np.ndarray:
-    st = _basis_stack(space)
-    G = np.einsum("aij,bji->ab", st, st)
+    G = gram_matrix(space)
     if base_field(space) is Field.REAL:
         G = np.ascontiguousarray(G.real)
     G.setflags(write=False)
@@ -256,20 +262,12 @@ def extend_from_subset(domain: SpaceTag, codomain: SpaceTag, samples, tol: float
     pairs = list(samples)
     if not pairs:
         raise InvalidParameterError("no samples given")
-    xs, ys = [], []
-    for t, (A, B) in enumerate(pairs):
-        A = np.asarray(A, dtype=np.complex128)
-        B = np.asarray(B, dtype=np.complex128)
-        for tag, M, side in ((domain, A, "input"), (codomain, B, "output")):
-            x = coords(tag, M)
-            back = reassemble(tag, x)
-            scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-            if np.max(np.abs(back - M)) > tol * scale:
-                raise MembershipError(f"sample {t} {side} is not in the span of {span_of(tag)}")
-        xs.append(coords(domain, A))
-        ys.append(coords(codomain, B))
-    X = np.stack(xs)  # (T, d)
-    Y = np.stack(ys)  # (T, d')
+    try:
+        A, B = (np.asarray(side, dtype=np.complex128) for side in zip(*pairs))
+    except ValueError as exc:  # samples that are not pairs of one matrix shape each
+        raise DimensionMismatchError(f"samples must be (input, output) matrix pairs: {exc}") from None
+    X = _span_coords(domain, A, tol, "input of sample")  # (T, d)
+    Y = _span_coords(codomain, B, tol, "output of sample")  # (T, d')
     d = span_dim(domain)
     rank = np.linalg.matrix_rank(X, tol=None)
     if rank < d:
@@ -295,30 +293,22 @@ def extend_from_subset(domain: SpaceTag, codomain: SpaceTag, samples, tol: float
 # ---------------------------------------------------------------------------
 
 
-def _corner_pad(A: np.ndarray, k: int) -> np.ndarray:
-    n = A.shape[0]
-    Z = np.zeros((k, k), dtype=np.complex128)
-    Z[:n, :n] = A
-    return Z
-
-
 def _corner_index_map(dom_span: SpaceTag, cod_span: SpaceTag) -> np.ndarray:
     """Index of each padded domain basis element inside the codomain basis.
 
     Both basis orderings embed unit-for-unit, so each padded element is exactly
     one codomain basis element.
     """
-    k = cod_span.n
-    idx = []
-    for B in _basis_stack(dom_span):
-        x = coords(cod_span, _corner_pad(B, k))
-        p = int(np.argmax(np.abs(x)))
-        e = np.zeros_like(x)
-        e[p] = 1.0
-        if np.max(np.abs(x - e)) > 1e-12:
-            raise CanonicalStructureError("corner embedding did not land on a single basis element")
-        idx.append(p)
-    return np.asarray(idx, dtype=np.intp)
+    st = _basis_stack(dom_span)
+    n, k = dom_span.n, cod_span.n
+    pad = np.zeros((len(st), k, k), dtype=np.complex128)
+    pad[:, :n, :n] = st
+    x = coords_batch(cod_span, pad)
+    idx = np.argmax(np.abs(x), axis=1)
+    x[np.arange(len(idx)), idx] -= 1.0
+    if np.max(np.abs(x)) > 1e-12:
+        raise CanonicalStructureError("corner embedding did not land on a single basis element")
+    return idx
 
 
 def _extend_pair_core(phi1: LinMap, phi2: LinMap) -> tuple[LinMap, LinMap]:
@@ -365,11 +355,7 @@ def _restrict_to_hermitian(map_: LinMap) -> LinMap:
     """Real-linear restriction of a Hermitian-preserving map to Hermitian parts."""
     hdom = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, map_.domain.n)
     hcod = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, map_.codomain.n)
-    cols = []
-    for Hb in _basis_stack(hdom):
-        img = reassemble(map_.codomain, map_.transfer @ coords(map_.domain, Hb))
-        cols.append(coords(hcod, img))
-    return LinMap(hdom, hcod, np.stack(cols, axis=1))
+    return LinMap(hdom, hcod, coords_batch(hcod, apply_batch(map_, _basis_stack(hdom))).T)
 
 
 def embed_extend_pair(phi1: LinMap, phi2: LinMap, tol: float = 1e-8) -> tuple[LinMap, LinMap]:

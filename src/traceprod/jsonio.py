@@ -95,13 +95,6 @@ def decode_linmap(obj) -> LinMap:
     return LinMap(dom, cod, T)
 
 
-def _boolean(value) -> bool:
-    # bool(value) would read the string "false" as True
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _pairs(values) -> list:
     return [[float(z.real), float(z.imag)] for z in map(complex, values)]
 
@@ -115,7 +108,7 @@ _PARAM_CODECS = {
     ),
     "tuple[float, ...]": (_pairs, lambda values: tuple(_real(z) for z in values)),
     "tuple[complex, ...]": (_pairs, lambda values: tuple(_number(z) for z in values)),
-    "bool": (bool, _boolean),
+    "bool": (bool, lambda value: value),  # the form class rejects a non-boolean
 }
 
 _FORM_CLASSES = {cls.__name__: cls for cls in FORMS}

@@ -28,10 +28,8 @@ from .spaces import (
     SpaceKind,
     SpaceTag,
     base_field,
-    coords,
     coords_batch,
     membership,
-    reassemble,
     reassemble_batch,
     span_dim,
     span_of,
@@ -110,7 +108,7 @@ def apply(map_: LinMap, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
     if not membership(span_of(map_.domain), A, tol * scale):
         raise MembershipError(f"input is not in the span of {map_.domain} within tolerance")
-    return reassemble(map_.codomain, map_.transfer @ coords(map_.domain, A))
+    return apply_batch(map_, A[None])[0]
 
 
 def apply_batch(map_: LinMap, batch: np.ndarray) -> np.ndarray:
@@ -122,6 +120,19 @@ def apply_batch(map_: LinMap, batch: np.ndarray) -> np.ndarray:
 def image_stack(map_: LinMap) -> np.ndarray:
     """(d, k, k) images of the domain's canonical basis elements."""
     return reassemble_batch(map_.codomain, map_.transfer.T)
+
+
+def _span_coords(space: SpaceTag, stack: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Coordinates of a (count, n, n) stack whose every matrix must lie in the
+    span of `space` within tol, relative to its own scale; the MembershipError
+    names the first one that does not as `what` and its index."""
+    x = coords_batch(space, stack)
+    dev = np.max(np.abs(reassemble_batch(space, x) - stack), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    off_span = np.flatnonzero(dev > tol * scale)
+    if off_span.size:
+        raise MembershipError(f"{what} {off_span[0]} is not in the span of {span_of(space)} within tolerance")
+    return x
 
 
 def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float = 1e-7) -> LinMap:
@@ -137,15 +148,7 @@ def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float 
     k = codomain.n
     if images.shape[1:] != (k, k):
         raise DimensionMismatchError(f"images must be {k} x {k}, got shape {images.shape[1:]}")
-    x = coords_batch(codomain, images)
-    dev = np.max(np.abs(reassemble_batch(codomain, x) - images), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(images), axis=(1, 2)))
-    off_span = np.flatnonzero(dev > tol * scale)
-    if off_span.size:
-        raise MembershipError(
-            f"image {off_span[0]} is not in the span of {span_of(codomain)} within tolerance"
-        )
-    return LinMap(domain, codomain, x.T)
+    return LinMap(domain, codomain, _span_coords(codomain, images, tol, "image").T)
 
 
 def _hermitian_spanning_stack(space: SpaceTag) -> np.ndarray:
@@ -165,18 +168,15 @@ def is_hermitian_preserving(map_: LinMap, tol: float = DEFAULT_TOL) -> bool:
     Hermitian elements of the domain span are real combinations of a Hermitian
     spanning set, so checking that set suffices.
     """
-    for H in _hermitian_spanning_stack(map_.domain):
-        img = reassemble(map_.codomain, map_.transfer @ coords(map_.domain, H))
-        if np.max(np.abs(img - img.conj().T)) > tol:
-            return False
-    return True
+    img = apply_batch(map_, _hermitian_spanning_stack(map_.domain))
+    return bool(np.max(np.abs(img - img.conj().transpose(0, 2, 1))) <= tol)
 
 
 @functools.lru_cache(maxsize=None)
 def _herm_to_full_change(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Change of basis: Hermitian canonical basis as a complex basis of M_n."""
     herm = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, n)
-    S = np.stack([H.reshape(-1) for H in _basis_stack(herm)], axis=1)
+    S = _basis_stack(herm).reshape(n * n, n * n).T  # column k is vec(H_k)
     Sinv = np.linalg.inv(S)
     S.setflags(write=False)
     Sinv.setflags(write=False)
@@ -224,6 +224,13 @@ def _tuple_of_matrices(mats, name: str) -> tuple:
     return out
 
 
+def _flag(value, name: str) -> bool:
+    # bool(value) would read the string "false" as True
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidParameterError(f"{name} must be a boolean, got {value!r}")
+    return bool(value)
+
+
 # How a form parameter is normalised, keyed by its annotation. The JSON codec
 # in jsonio reads the same annotations.
 _NORMALIZE = {
@@ -231,7 +238,7 @@ _NORMALIZE = {
     "tuple[np.ndarray, ...]": _tuple_of_matrices,
     "tuple[float, ...]": lambda values, name: tuple(float(x) for x in values),
     "tuple[complex, ...]": lambda values, name: tuple(complex(x) for x in values),
-    "bool": lambda value, name: bool(value),
+    "bool": _flag,
 }
 
 

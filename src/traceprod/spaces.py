@@ -7,9 +7,10 @@ trace pairing tr(AB), and seeded random sampling. Everything downstream (linear
 maps, preservation checks, decompositions) works in these coordinates.
 
 Coordinates and reassembly are index gathers and scatters on the matrix
-entries; they never touch a basis stack. The explicit basis stacks behind
-`space_basis` are built once per tag and cached read-only, so concurrent
-readers share them safely.
+entries; they never touch a basis stack. These index kernels are the one place
+the basis order is written down: the basis stack behind `space_basis` is the
+reassembly of the unit coordinate vectors, built once per tag and cached
+read-only, so concurrent readers share it safely.
 """
 from __future__ import annotations
 
@@ -101,45 +102,6 @@ class Basis:
     elements: tuple
 
 
-@functools.lru_cache(maxsize=None)
-def _basis_stack(space: SpaceTag) -> np.ndarray:
-    s = span_of(space)
-    n = s.n
-    mats = []
-    if s.kind is SpaceKind.FULL:
-        for i in range(n):
-            for j in range(n):
-                E = np.zeros((n, n), dtype=np.complex128)
-                E[i, j] = 1.0
-                mats.append(E)
-    elif s.kind in (SpaceKind.HERMITIAN, SpaceKind.SYMMETRIC):
-        for i in range(n):
-            E = np.zeros((n, n), dtype=np.complex128)
-            E[i, i] = 1.0
-            mats.append(E)
-        for i in range(n):
-            for j in range(i + 1, n):
-                S = np.zeros((n, n), dtype=np.complex128)
-                S[i, j] = 1.0
-                S[j, i] = 1.0
-                mats.append(S)
-                if s.kind is SpaceKind.HERMITIAN:
-                    K = np.zeros((n, n), dtype=np.complex128)
-                    K[i, j] = 1.0j
-                    K[j, i] = -1.0j
-                    mats.append(K)
-    elif s.kind is SpaceKind.DIAGONAL:
-        for i in range(n):
-            E = np.zeros((n, n), dtype=np.complex128)
-            E[i, i] = 1.0
-            mats.append(E)
-    else:  # pragma: no cover - span_of removes cone kinds
-        raise InvalidParameterError(f"no basis for kind {s.kind}")
-    stack = np.stack(mats)
-    stack.setflags(write=False)
-    return stack
-
-
 def space_basis(space: SpaceTag) -> Basis:
     """Canonical ordered basis of the span of `space`.
 
@@ -148,8 +110,7 @@ def space_basis(space: SpaceTag) -> Basis:
     element E_ij+E_ji immediately followed, in the Hermitian case, by the
     skew element i(E_ij-E_ji); diagonal units for diagonal spaces.
     """
-    st = _basis_stack(space)
-    return Basis(space=span_of(space), elements=tuple(st))
+    return Basis(space=span_of(space), elements=tuple(_basis_stack(space)))
 
 
 def coords(space: SpaceTag, A: np.ndarray) -> np.ndarray:
@@ -245,6 +206,15 @@ def reassemble_batch(space: SpaceTag, x: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_stack(space: SpaceTag) -> np.ndarray:
+    """The canonical basis as one read-only (d, n, n) stack: the reassembly of
+    the unit coordinate vectors, so the index kernels alone fix the order."""
+    stack = reassemble_batch(space, np.eye(span_dim(space)))
+    stack.setflags(write=False)
+    return stack
+
+
 def membership(space: SpaceTag, A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether A lies in the set named by `space`, within absolute deviation tol.
 
@@ -300,18 +270,20 @@ def gram_matrix(left, right=None) -> np.ndarray:
     canonical bases). With one argument, the Gram matrix of that basis.
     """
     if isinstance(left, SpaceTag):
-        left = space_basis(left).elements
+        left = _basis_stack(left)
     if right is None:
         right = left
     elif isinstance(right, SpaceTag):
-        right = space_basis(right).elements
-    left = [np.asarray(A) for A in left]
-    right = [np.asarray(B) for B in right]
-    G = np.empty((len(left), len(right)), dtype=np.complex128)
-    for i, A in enumerate(left):
-        for j, B in enumerate(right):
-            G[i, j] = trace_pair(A, B)
-    return G
+        right = _basis_stack(right)
+    try:
+        left, right = np.asarray(left, dtype=np.complex128), np.asarray(right, dtype=np.complex128)
+    except ValueError as exc:  # a sequence of matrices of mixed shapes
+        raise DimensionMismatchError(f"trace pairing needs one matrix shape per side: {exc}") from None
+    if left.ndim != 3 or right.ndim != 3 or left.shape[1:] != right.shape[:0:-1]:
+        raise DimensionMismatchError(
+            f"trace pairing needs (p,q) x (q,p) shapes, got stacks {left.shape} and {right.shape}"
+        )
+    return np.einsum("aij,bji->ab", left, right)
 
 
 def random_batch(space: SpaceTag, count: int, rng=0) -> np.ndarray:

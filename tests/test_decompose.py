@@ -267,6 +267,13 @@ def test_herm_power():
         herm_power(np.diag([1.0, -1.0, 2.0]).astype(complex), 0.5)
 
 
+def test_herm_power_one_returns_a_copy():
+    A = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    B = herm_power(A, 1.0)
+    B[0, 0] = 7.0
+    assert np.array_equal(A, np.diag([1.0, 2.0, 3.0]))
+
+
 def test_power_map_apply():
     gen = generate(GenSpec(family="pn_chain", n=3, m=3, seed=12))
     base = gen.maps[0]

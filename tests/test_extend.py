@@ -9,6 +9,7 @@ from traceprod import (
     InconsistentSamplesError,
     InvalidParameterError,
     LinMap,
+    MembershipError,
     NotApplicableError,
     PreservationError,
     RankDeficientError,
@@ -199,6 +200,15 @@ def test_extend_from_subset_needs_spanning_inputs():
     A = np.diag([1.0, 0.0])
     with pytest.raises(RankDeficientError):
         extend_from_subset(D2, D2, [(A, A), (2.0 * A, 2.0 * A)])
+
+
+@pytest.mark.parametrize("side", ["input", "output"])
+def test_extend_from_subset_rejects_off_span_samples(side):
+    samples = [(np.diag([1.0, 0.0]),) * 2, (np.diag([0.0, 1.0]),) * 2, (np.eye(2),) * 2]
+    off_span = np.array([[1.0, 1.0], [0.0, 1.0]])
+    samples[2] = (off_span, np.eye(2)) if side == "input" else (np.eye(2), off_span)
+    with pytest.raises(MembershipError, match=f"{side} of sample 2 "):
+        extend_from_subset(D2, D2, samples)
 
 
 def _corner_pair(n, k, seed, hermitian=True):

@@ -186,6 +186,17 @@ def test_pn_pair_transpose_action():
     assert np.allclose(apply(maps[0], A), M.conj().T @ A.T @ M)
 
 
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_pn_pair_rejects_non_boolean_transpose(value):
+    # bool("false") is True, so only real booleans may set the flag
+    with pytest.raises(InvalidParameterError):
+        PnPair(np.eye(2), transpose=value)
+
+
+def test_pn_pair_keeps_numpy_booleans():
+    assert PnPair(np.eye(2), transpose=np.bool_(True)).transpose is True
+
+
 def test_nonextendable_triple_rejects_scalar_x():
     with pytest.raises(InvalidParameterError):
         from_canonical(NonextendableTriple(1.5 * np.eye(2, dtype=complex)), C2)

@@ -29,6 +29,45 @@ H2 = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 2)
 S2 = SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, 2)
 D3 = SpaceTag(SpaceKind.DIAGONAL, Field.REAL, 3)
 
+ALL_TAGS = [SpaceTag(kind, field, n) for kind in SpaceKind for field in Field for n in (1, 2, 3, 5)]
+
+
+def _reference_basis(tag) -> np.ndarray:
+    """The canonical basis built element by element, independent of the index
+    kernels: matrix units row-major (full); diagonal units, then per i<j pair
+    E_ij+E_ji followed, for Hermitian, by i(E_ij-E_ji); diagonal units."""
+    s = span_of(tag)
+    n = s.n
+    mats = []
+    if s.kind is SpaceKind.FULL:
+        for i in range(n):
+            for j in range(n):
+                E = np.zeros((n, n), dtype=np.complex128)
+                E[i, j] = 1.0
+                mats.append(E)
+    elif s.kind in (SpaceKind.HERMITIAN, SpaceKind.SYMMETRIC):
+        for i in range(n):
+            E = np.zeros((n, n), dtype=np.complex128)
+            E[i, i] = 1.0
+            mats.append(E)
+        for i in range(n):
+            for j in range(i + 1, n):
+                S = np.zeros((n, n), dtype=np.complex128)
+                S[i, j] = 1.0
+                S[j, i] = 1.0
+                mats.append(S)
+                if s.kind is SpaceKind.HERMITIAN:
+                    K = np.zeros((n, n), dtype=np.complex128)
+                    K[i, j] = 1.0j
+                    K[j, i] = -1.0j
+                    mats.append(K)
+    else:
+        for i in range(n):
+            E = np.zeros((n, n), dtype=np.complex128)
+            E[i, i] = 1.0
+            mats.append(E)
+    return np.stack(mats)
+
 
 def test_span_dims():
     assert span_dim(C2) == 4
@@ -54,6 +93,14 @@ def test_base_field():
     assert base_field(H2) is Field.REAL
     assert base_field(S2) is Field.REAL
     assert base_field(SpaceTag(SpaceKind.DIAGONAL, Field.COMPLEX, 2)) is Field.COMPLEX
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind.value}-{t.field.value}-{t.n}")
+def test_space_basis_matches_reference(tag):
+    els = np.stack(space_basis(tag).elements)
+    want = _reference_basis(tag)
+    assert els.dtype == want.dtype
+    assert np.array_equal(els, want)
 
 
 def test_full_basis_order_row_major():
@@ -93,6 +140,15 @@ def test_gram_full_c2():
 
 def test_gram_hermitian_c2():
     assert np.allclose(gram_matrix(H2), np.diag([1.0, 1.0, 2.0, 2.0]))
+
+
+def test_gram_rejects_mismatched_shapes():
+    with pytest.raises(DimensionMismatchError):
+        gram_matrix(C2, SpaceTag(SpaceKind.FULL, Field.COMPLEX, 3))
+    with pytest.raises(DimensionMismatchError):
+        gram_matrix([np.ones((2, 3))], [np.ones((2, 3))])
+    with pytest.raises(DimensionMismatchError):
+        gram_matrix([np.eye(2), np.eye(3)])
 
 
 def test_trace_pair_matches_numpy():
@@ -224,7 +280,7 @@ def test_index_kernels_match_basis_inner_products(kind, field, n, seed):
     # canonical basis over its squared norms, reassembly the basis combination
     tag = SpaceTag(kind, field, n)
     rng = np.random.default_rng(seed)
-    els = np.stack(space_basis(tag).elements)
+    els = _reference_basis(tag)
     norms2 = np.einsum("kij,kij->k", els.conj(), els).real
     real = base_field(tag) is Field.REAL
 
