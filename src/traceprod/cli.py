@@ -244,7 +244,7 @@ def run(argv=None) -> int:
         _emit(_error_doc(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, OSError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _emit(_error_doc(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 2

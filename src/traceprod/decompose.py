@@ -30,7 +30,6 @@ from .errors import (
 from .extend import (
     CheckMode,
     PreservationReport,
-    _product_stack,
     _randomized_residual,
     check_preservation,
     extend_from_subset,
@@ -58,11 +57,11 @@ from .spaces import (
     SpaceKind,
     SpaceTag,
     coords,
+    coords_batch,
     random_batch,
     reassemble,
     span_of,
     _basis_stack,
-    _upper,
 )
 
 PRECHECK_TOL = 1e-6
@@ -151,6 +150,14 @@ def _realize_scalars(c, tol: float, what: str):
     return tuple(float(x) for x in arr)
 
 
+def _invertible(M: np.ndarray, what: str) -> np.ndarray:
+    """inv(M), or CanonicalStructureError if M is singular or badly conditioned."""
+    c = np.linalg.cond(M)
+    if not np.isfinite(c) or c > COND_LIMIT:
+        raise CanonicalStructureError(f"{what} is not invertible")
+    return np.linalg.inv(M)
+
+
 def _rebuild_residual(form, space: SpaceTag, maps) -> float:
     rec = from_canonical(form, space, tol=1e-5)
     worst = 0.0
@@ -165,45 +172,55 @@ def _rebuild_residual(form, space: SpaceTag, maps) -> float:
 # ---------------------------------------------------------------------------
 
 
-def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Given images[i*n+j] = Phi(E_ij) for an automorphism Phi of M_n, find N
-    with Phi(X) = N X N^{-1}, determined up to a scalar.
+@functools.lru_cache(maxsize=None)
+def _unit_columns(space: SpaceTag) -> np.ndarray:
+    """col[i, j] indexes the basis element B of `space` with B e_j = e_i:
+    E_ij on M_n, E_ij + E_ji on the symmetric span. Read off the coordinates
+    of the matrix units, so the basis order stays in the index kernels.
+    """
+    n = space.n
+    units = np.eye(n * n).reshape(n * n, n, n)
+    col = np.argmax(np.abs(coords_batch(space, units)), axis=1).reshape(n, n)
+    col.setflags(write=False)
+    return col
 
-    Phi(E_jj) is a rank-one idempotent whose eigenvector for eigenvalue 1 is
-    the j-th column of N up to scale; the other columns come from Phi(E_ij)
-    applied to it. Each candidate j is verified on every matrix unit and the
-    first consistent one wins.
+
+def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """Given the images Phi(B) of the basis of M_n (n^2 images) or of the
+    symmetric matrices (n(n+1)/2 images), in `space_basis` order, of a map
+    with Phi(X) = N X N^{-1} on that span, find N up to a scalar.
+
+    Phi(E_jj) is a rank-one idempotent whose eigenvector v for eigenvalue 1
+    is the j-th column of N up to scale; column i is Phi(B) v for the basis
+    element B with B e_j = e_i. Each candidate j is verified on every basis
+    element and the first consistent one wins.
     """
     images = np.asarray(images, dtype=np.complex128)
     d = images.shape[0]
-    n = int(round(np.sqrt(d)))
-    if n * n != d or images.shape[1:] != (n, n):
-        raise DimensionMismatchError("need n^2 images of shape (n, n)")
+    n = images.shape[-1]
+    if images.shape[1:] != (n, n) or d not in (n * n, n * (n + 1) // 2):
+        raise DimensionMismatchError("need n^2 or n(n+1)/2 images of shape (n, n)")
+    kind = SpaceKind.FULL if d == n * n else SpaceKind.SYMMETRIC
+    space = SpaceTag(kind, Field.COMPLEX, n)
+    col = _unit_columns(space)
+    basis = _basis_stack(space)
     scale = max(1.0, float(np.max(np.abs(images))))
     last_residual = None
     for j in range(n):
-        X = images[j * n + j]
-        w, V = np.linalg.eig(X)
+        w, V = np.linalg.eig(images[col[j, j]])
         pick = int(np.argmin(np.abs(w - 1.0)))
         if abs(w[pick] - 1.0) > 0.1:
             continue
         v = V[:, pick]
-        N = (images[j::n] @ v).T  # column i is Phi(E_ij) v
+        N = (images[col[:, j]] @ v).T  # column i is Phi(B) v with B e_j = e_i
         cN = np.linalg.cond(N)
         if not np.isfinite(cN) or cN > COND_LIMIT:
             continue
-        # N E_pq N^{-1} is the outer product of column p of N and row q of N^{-1}
-        ref = np.einsum("ip,qj->pqij", N, np.linalg.inv(N)).reshape(d, n, n)
-        last_residual = float(np.max(np.abs(images - ref))) / scale
+        last_residual = float(np.max(np.abs(images - N @ basis @ np.linalg.inv(N)))) / scale
         if last_residual <= tol:
             return N
     detail = f" (best residual {last_residual:.3g})" if last_residual is not None else ""
     raise CanonicalStructureError(f"map is not a conjugation by an invertible matrix{detail}")
-
-
-def _automorphism_units(T_full: np.ndarray, n: int) -> np.ndarray:
-    """Images of the matrix units under a map given by its full-space transfer."""
-    return T_full.T.reshape(n * n, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +243,14 @@ def decompose_mn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
     _precheck(maps)
     n = dom.n
 
-    phi2_I = _map_at_identity(maps[1])
-    c = np.linalg.cond(phi2_I)
-    if not np.isfinite(c) or c > COND_LIMIT:
-        raise CanonicalStructureError("f_2(I) is not invertible")
-    hat = image_stack(maps[1]) @ np.linalg.inv(phi2_I)
+    hat = image_stack(maps[1]) @ _invertible(_map_at_identity(maps[1]), "f_2(I)")
     N2 = recover_conjugator(hat, tol=max(tol * 10, 1e-6))
 
     Ns: list = [None] * m
     Ns[1] = N2
     cur = N2
     for ci in range(2, m + 1):  # chain index of the map whose value at I we use
-        phiI = _map_at_identity(maps[ci - 1])
-        cc = np.linalg.cond(phiI)
-        if not np.isfinite(cc) or cc > COND_LIMIT:
-            raise CanonicalStructureError(f"f_{ci}(I) is not invertible")
-        cur = np.linalg.solve(phiI, cur)
+        cur = _invertible(_map_at_identity(maps[ci - 1]), f"f_{ci}(I)") @ cur
         if ci < m:
             Ns[ci] = cur
         else:
@@ -299,6 +308,15 @@ def _alternating_params(W: np.ndarray, phiI, adjoint) -> tuple[np.ndarray, list]
     return M, c
 
 
+def _normalized_conjugator(maps, images: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
+    """The f_i(I), and N with f_1(I)^{-1} f_1(A) = N A N^{-1} on the span,
+    recovered from `images`, the basis images of f_1.
+    """
+    phiI = [_map_at_identity(f) for f in maps]
+    N = recover_conjugator(_invertible(phiI[0], "f_1(I)") @ images, tol=max(tol * 10, 1e-6))
+    return phiI, N
+
+
 def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
     """Recover the canonical form of a chain on Hermitian matrices, m >= 3.
 
@@ -314,12 +332,7 @@ def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
         )
     _precheck(maps)
     n = dom.n
-    phiI = [_map_at_identity(f) for f in maps]
-    cnd = np.linalg.cond(phiI[0])
-    if not np.isfinite(cnd) or cnd > COND_LIMIT:
-        raise CanonicalStructureError("f_1(I) is not invertible")
-    units = np.linalg.inv(phiI[0]) @ _automorphism_units(complexify(maps[0]).transfer, n)
-    N = recover_conjugator(units, tol=max(tol * 10, 1e-6))
+    phiI, N = _normalized_conjugator(maps, image_stack(complexify(maps[0])), tol)
 
     if m % 2 == 1:
         c = [complex(np.trace(S)) / n for S in phiI]
@@ -384,7 +397,7 @@ def decompose_pn_pair(maps, tol: float = 1e-7) -> DecompositionResult:
         raise CanonicalStructureError("f_1(I) is not positive definite")
     Sneg = herm_power(S, -0.5)
     Shalf = herm_power(S, 0.5)
-    units = Sneg @ _automorphism_units(complexify(maps[0]).transfer, n) @ Sneg
+    units = Sneg @ image_stack(complexify(maps[0])) @ Sneg
 
     if n == 1:
         transpose = False
@@ -405,8 +418,7 @@ def decompose_pn_pair(maps, tol: float = 1e-7) -> DecompositionResult:
         sep_note = f"branch deviations {d_mult:.3g} (direct) vs {d_anti:.3g} (transpose)"
 
     if transpose:
-        order = np.array([q * n + p for p in range(n) for q in range(n)])
-        units = units[order]
+        units = units.reshape(n, n, n, n).swapaxes(0, 1).reshape(n * n, n, n)
     N = recover_conjugator(units, tol=max(tol * 10, 1e-6))
     U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix, max(tol * 10, 1e-8), "a unitary")
     M = U @ Shalf
@@ -454,51 +466,14 @@ def decompose_pn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
-def _unit_products(n: int) -> np.ndarray:
-    """Flat indices a*d + b into the pairwise products of the symmetric basis
-    (d = n(n+1)/2 elements) of the n^2 products that are matrix units, in the
-    row-major order of E_ij: E_ii E_ii = E_ii, and E_ii (E_ij + E_ji) = E_ij
-    for i != j.
-    """
-    d = n * (n + 1) // 2
-    r = np.arange(n)
-    iu, ju = _upper(n)
-    right = np.empty((n, n), dtype=np.intp)
-    right[r, r] = r
-    right[iu, ju] = right[ju, iu] = n + np.arange(iu.size)
-    return np.repeat(r, n) * d + right.reshape(-1)
-
-
-def _product_extension(dom: SpaceTag, psi_images: np.ndarray, tol: float) -> np.ndarray:
-    """Transfer of the map on M_n with Theta(A B) = Psi(A) Psi(B) on the span.
-
-    Products of symmetric matrices span all of M_n, so Theta is determined:
-    its value on E_ij is read off the product of images whose basis product is
-    E_ij (`_unit_products`). A misfit on any other pair of basis elements
-    means Psi is not product-compatible.
-    """
-    st = np.asarray(_basis_stack(dom))
-    n = st.shape[-1]
-    Q = _product_stack([psi_images, psi_images]).reshape(-1, n * n)  # rows vec(Psi(A_a) Psi(A_b))
-    T = Q[_unit_products(n)].T
-    P = _product_stack([st, st]).reshape(-1, n * n)  # rows vec(A_a A_b)
-    misfit = P @ T.T
-    misfit -= Q
-    fit = float(np.max(np.abs(misfit))) / max(1.0, float(np.max(np.abs(Q))))
-    if fit > tol:
-        raise CanonicalStructureError(
-            f"images are not compatible with any product extension (residual {fit:.3g})"
-        )
-    return T
-
-
 def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
     """Recover the canonical form of a chain on symmetric matrices.
 
     Odd length: scaled conjugations by one (possibly complex) orthogonal
     matrix (SymOdd). Even length: alternating congruences (SymEven). The
-    recovery normalizes f_1 at the identity, extends products of its images to
-    an automorphism of M_n, and reads the conjugator off that automorphism.
+    recovery normalizes f_1 at the identity; the result is a conjugation
+    A -> N A N^{-1} on the symmetric matrices, and `recover_conjugator` reads
+    N off the images of the symmetric basis and checks it on every one.
     Guaranteed for length >= 3, and for pairs on the real definite cone.
     """
     dom = _validate_tuple_on(maps, {SpaceKind.SYMMETRIC})
@@ -507,14 +482,7 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
         raise NotApplicableError("need at least a pair")
     _precheck(maps)
     n = dom.n
-    phiI = [_map_at_identity(f) for f in maps]
-
-    cnd = np.linalg.cond(phiI[0])
-    if not np.isfinite(cnd) or cnd > COND_LIMIT:
-        raise CanonicalStructureError("f_1(I) is not invertible")
-    psi_images = np.linalg.inv(phiI[0]) @ image_stack(maps[0])
-    T_theta = _product_extension(dom, psi_images, max(tol * 10, 1e-6))
-    N = recover_conjugator(_automorphism_units(T_theta, n), tol=max(tol * 10, 1e-6))
+    phiI, N = _normalized_conjugator(maps, image_stack(maps[0]), tol)
     W = np.linalg.inv(N)
 
     if m % 2 == 1:
@@ -564,10 +532,7 @@ def decompose_diag_pair(maps, tol: float = 1e-7) -> DecompositionResult:
         raise NotApplicableError("diagonal pairs have exactly 2 maps")
     _precheck(maps)
     N = np.array(maps[0].transfer)
-    c = np.linalg.cond(N)
-    if not np.isfinite(c) or c > COND_LIMIT:
-        raise CanonicalStructureError("f_1 is not invertible")
-    partner = np.linalg.inv(N).T
+    partner = _invertible(N, "f_1").T
     dev = float(np.max(np.abs(maps[1].transfer - partner))) / max(1.0, float(np.max(np.abs(partner))))
     if dev > max(tol, 1e-9):
         raise CanonicalStructureError(

@@ -52,9 +52,17 @@ def _real(z) -> float:
     return z.real
 
 
+def _integer(obj, key: str) -> int:
+    """A size field, which must be a JSON integer: never truncated, and not a boolean."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def decode_matrix(obj) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _integer(obj, "rows"), _integer(obj, "cols")
         data = obj["data"]
         if len(data) != rows * cols:
             raise InvalidParameterError(f"matrix data has {len(data)} entries, expected {rows * cols}")
@@ -72,7 +80,7 @@ def encode_space(space: SpaceTag) -> dict:
 
 def decode_space(obj) -> SpaceTag:
     try:
-        return SpaceTag(obj["kind"], obj["field"], int(obj["n"]))
+        return SpaceTag(obj["kind"], obj["field"], _integer(obj, "n"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed space object: {exc}") from exc
 

@@ -157,6 +157,24 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+def test_non_utf8_maps_file_exits_two(tmp_path, capsys):
+    p = tmp_path / "bad.bin"
+    p.write_bytes(b"\xff\xfe\x00garbage")
+    code, err = _run(capsys, ["check", "--maps", str(p)])
+    assert code == 2
+    assert err["error"]["code"] == "UnicodeDecodeError"
+
+
+def test_non_integer_space_size_exits_two(tmp_path, capsys):
+    f = identity_map(SpaceTag(SpaceKind.FULL, Field.COMPLEX, 1))
+    doc = [encode_linmap(f), encode_linmap(f)]
+    doc[0]["domain"]["n"] = 1.5
+    path = _write(tmp_path, "half.json", doc)
+    code, err = _run(capsys, ["check", "--maps", path])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+
+
 def test_check_zero_trials_exits_two(tmp_path, capsys):
     f = identity_map(SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2))
     path = _write(tmp_path, "id.json", [encode_linmap(f), encode_linmap(f)])

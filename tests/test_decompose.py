@@ -5,6 +5,7 @@ from traceprod import (
     CanonicalStructureError,
     apply,
     DiagChain,
+    DimensionMismatchError,
     DiagPair,
     Field,
     GenSpec,
@@ -43,8 +44,7 @@ from traceprod import (
     weighted_canonical_maps,
     weighted_reduction,
 )
-from traceprod.decompose import _automorphism_units, _product_extension, _unit_products
-from traceprod.extend import _product_stack
+from traceprod.decompose import _unit_columns
 from conftest import basis_stack
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
@@ -80,6 +80,61 @@ def test_recover_conjugator_rejects_non_automorphism():
     images = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(9)]
     with pytest.raises(CanonicalStructureError):
         recover_conjugator(images)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", [SpaceKind.FULL, SpaceKind.SYMMETRIC], ids=["full", "symmetric"])
+def test_unit_columns_map_e_j_to_e_i(kind, n):
+    # the basis element at col[i, j] is E_ij on M_n and E_ij + E_ji on the
+    # symmetric span: both send e_j to e_i
+    space = SpaceTag(kind, Field.COMPLEX, n)
+    basis, col, e = basis_stack(space), _unit_columns(space), np.eye(n)
+    for i in range(n):
+        for j in range(n):
+            assert np.array_equal(basis[col[i, j]] @ e[j], e[i])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_recover_conjugator_on_symmetric_span(n):
+    dom = SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, n)
+    O, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    N = recover_conjugator(O @ basis_stack(dom) @ O.T)
+    N = N / np.sqrt(np.trace(N.T @ N) / n)
+    assert min(np.max(np.abs(N - O)), np.max(np.abs(N + O))) <= 1e-10
+
+
+def test_recover_conjugator_complex_on_symmetric_span():
+    dom = SpaceTag(SpaceKind.SYMMETRIC, Field.COMPLEX, 3)
+    W = _rand_inv(np.random.default_rng(5), 3)
+    Winv = np.linalg.inv(W)
+    Q = recover_conjugator(W @ basis_stack(dom) @ Winv) @ Winv
+    lam = np.trace(Q) / 3
+    assert np.max(np.abs(Q - lam * np.eye(3))) <= 1e-8 * abs(lam)
+
+
+def test_recover_conjugator_rejects_random_symmetric_images():
+    G = np.random.default_rng(0).standard_normal((6, 3, 3))
+    images = ((G + G.transpose(0, 2, 1)) / 2).astype(complex)
+    with pytest.raises(CanonicalStructureError, match="not a conjugation"):
+        recover_conjugator(images)
+
+
+@pytest.mark.parametrize("kind", [SpaceKind.FULL, SpaceKind.SYMMETRIC], ids=["full", "symmetric"])
+def test_recover_conjugator_checks_every_basis_image(kind):
+    # the image of the element at col[1, 2] is not used to build N from
+    # column 0, so only the check over the whole basis can reject it
+    space = SpaceTag(kind, Field.COMPLEX, 3)
+    W = _rand_inv(np.random.default_rng(6), 3)
+    images = W @ basis_stack(space) @ np.linalg.inv(W)
+    recover_conjugator(images)
+    images[_unit_columns(space)[1, 2]] += 1e-3
+    with pytest.raises(CanonicalStructureError, match="not a conjugation"):
+        recover_conjugator(images)
+
+
+def test_recover_conjugator_rejects_image_count():
+    with pytest.raises(DimensionMismatchError):
+        recover_conjugator(np.zeros((5, 3, 3)))
 
 
 @pytest.mark.parametrize("field", [Field.COMPLEX, Field.REAL])
@@ -177,33 +232,6 @@ def test_sym_even_round_trip():
     res = decompose(gen.maps)
     assert isinstance(res.form, SymEven)
     assert res.reconstruction_residual <= 1e-7
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_unit_products_are_the_matrix_units(n):
-    # so the products of symmetric matrices span M_n and fix the extension
-    st = basis_stack(SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, n))
-    units = _product_stack([st, st])[_unit_products(n)]
-    assert np.array_equal(units, np.eye(n * n).reshape(n * n, n, n))
-
-
-def test_product_extension_rejects_non_multiplicative_images():
-    dom = SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, 3)
-    G = np.random.default_rng(0).standard_normal((6, 3, 3))
-    images = ((G + G.transpose(0, 2, 1)) / 2).astype(complex)
-    with pytest.raises(CanonicalStructureError, match="not compatible with any product extension"):
-        _product_extension(dom, images, 1e-6)
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_product_extension_of_orthogonal_conjugation(n):
-    dom = SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, n)
-    O, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
-    images = O @ basis_stack(dom) @ O.T
-    T = _product_extension(dom, images, 1e-6)
-    N = recover_conjugator(_automorphism_units(T, n))
-    N = N / np.sqrt(np.trace(N.T @ N) / n)
-    assert min(np.max(np.abs(N - O)), np.max(np.abs(N + O))) <= 1e-10
 
 
 def test_diag_pair_oracle_exact():

@@ -61,6 +61,20 @@ def test_matrix_rejects_malformed_entry(entry):
         decode_matrix({"rows": 1, "cols": 2, "field": "complex", "data": [entry, [0.0, 0.0]]})
 
 
+@pytest.mark.parametrize("size", [1.5, "2", True])
+def test_matrix_rejects_non_integer_sizes(size):
+    for key in ("rows", "cols"):
+        obj = {"rows": 1, "cols": 1, "field": "real", "data": [[1.0, 0.0]], key: size}
+        with pytest.raises(InvalidParameterError, match=f"{key} must be an integer"):
+            decode_matrix(obj)
+
+
+@pytest.mark.parametrize("size", [1.5, "2", True])
+def test_space_rejects_non_integer_sizes(size):
+    with pytest.raises(InvalidParameterError, match="n must be an integer"):
+        decode_space({"kind": "FullMatrix", "field": "complex", "n": size})
+
+
 def test_space_round_trip():
     tag = SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 4)
     assert decode_space(json.loads(json.dumps(encode_space(tag)))) == tag
