@@ -158,12 +158,19 @@ def _invertible(M: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(M)
 
 
-def _rebuild_residual(form, space: SpaceTag, maps) -> float:
+def _rebuild_residual(form, space: SpaceTag, maps, tol: float) -> float:
+    """Worst relative entry error of the maps rebuilt from `form`; raises
+    CanonicalStructureError when it exceeds `tol`, so no decomposer returns a
+    form that does not reproduce its input."""
     rec = from_canonical(form, space, tol=1e-5)
     worst = 0.0
     for f, g in zip(maps, rec):
         scale = max(1.0, float(np.max(np.abs(f.transfer))))
         worst = max(worst, float(np.max(np.abs(f.transfer - g.transfer))) / scale)
+    if worst > tol:
+        raise CanonicalStructureError(
+            f"the recovered {type(form).__name__} rebuilds the maps only to {worst:.3g}, above tol {tol:.3g}"
+        )
     return worst
 
 
@@ -261,7 +268,7 @@ def decompose_mn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
     if dom.field is Field.REAL:
         Ns = [_realize(N, tol, "a chain matrix") for N in Ns]
     form = MnChain(tuple(Ns))
-    residual = _rebuild_residual(form, dom, maps)
+    residual = _rebuild_residual(form, dom, maps, tol)
     note = "common scalar fixed: N_1 has unit Frobenius norm and real positive leading entry"
     return DecompositionResult(form, residual, note)
 
@@ -350,7 +357,7 @@ def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
         form = HermEven(M, _realize_scalars(c, tol, "the scalars"))
         note = "M fixed by unit Frobenius norm and real positive leading entry"
 
-    residual = _rebuild_residual(form, dom, maps)
+    residual = _rebuild_residual(form, dom, maps, tol)
     return DecompositionResult(form, residual, note)
 
 
@@ -424,7 +431,7 @@ def decompose_pn_pair(maps, tol: float = 1e-7) -> DecompositionResult:
     M = U @ Shalf
     M = _phase_fix(M) * M
     form = PnPair(M, transpose)
-    residual = _rebuild_residual(form, dom, maps)
+    residual = _rebuild_residual(form, dom, maps, tol)
     note = f"M fixed up to phase; unitarity deviation {dev:.3g}; {sep_note}"
     return DecompositionResult(form, residual, note)
 
@@ -512,7 +519,7 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
         except np.linalg.LinAlgError:
             note += "; length-3 anticommutator relation skipped (f_2 not invertible)"
 
-    residual = _rebuild_residual(form, dom, maps)
+    residual = _rebuild_residual(form, dom, maps, tol)
     return DecompositionResult(form, residual, note)
 
 
@@ -539,7 +546,7 @@ def decompose_diag_pair(maps, tol: float = 1e-7) -> DecompositionResult:
             f"f_2 is not the inverse-transpose partner of f_1 (deviation {dev:.3g})"
         )
     form = DiagPair(N)
-    residual = _rebuild_residual(form, dom, maps)
+    residual = _rebuild_residual(form, dom, maps, tol)
     return DecompositionResult(form, residual, "parameters unique: N is the transfer of f_1")
 
 
@@ -602,7 +609,7 @@ def decompose_diag_chain(maps, tol: float = 1e-7) -> DecompositionResult:
     if dom.field is Field.REAL:
         Cs = [_realize(C, tol, "a diagonal scaling") for C in Cs]
     form = DiagChain(P, tuple(Cs))
-    residual = _rebuild_residual(form, dom, maps)
+    residual = _rebuild_residual(form, dom, maps, tol)
     return DecompositionResult(form, residual, "parameters unique: permutation and scalings are pinned")
 
 

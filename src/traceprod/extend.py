@@ -15,7 +15,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CanonicalStructureError,
@@ -311,6 +310,19 @@ def _corner_index_map(dom_span: SpaceTag, cod_span: SpaceTag) -> np.ndarray:
     return idx
 
 
+def _null_space(R: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of R, as columns.
+
+    Singular values up to max(R.shape) * eps * s_max count as zero. The basis
+    comes back row-major: BLAS sums a column-major operand in another order,
+    so the layout decides the last bits of every extension built from it.
+    """
+    _, s, vh = np.linalg.svd(R, full_matrices=True)
+    cutoff = np.finfo(s.dtype).eps * max(R.shape) * np.amax(s, initial=0.0)
+    rank = int(np.sum(s > cutoff))
+    return np.ascontiguousarray(vh[rank:].conj().T)
+
+
 def _extend_pair_core(phi1: LinMap, phi2: LinMap) -> tuple[LinMap, LinMap]:
     dom = span_of(phi1.domain)
     cod = span_of(phi1.codomain)
@@ -323,8 +335,8 @@ def _extend_pair_core(phi1: LinMap, phi2: LinMap) -> tuple[LinMap, LinMap]:
     # X_i = orthogonal complement of Im phi_i under the trace pairing
     R1 = phi1.transfer.T @ G  # rows: pairing of each phi1 image against the basis
     R2 = phi2.transfer.T @ G
-    Z1 = scipy.linalg.null_space(R1)
-    Z2 = scipy.linalg.null_space(R2)
+    Z1 = _null_space(R1)
+    Z2 = _null_space(R2)
     if Z1.shape[1] != D - d or Z2.shape[1] != D - d:
         raise RankDeficientError(
             "the maps are not injective: their trace-pairing annihilators are too large"

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidParameterError, SingularMatrixError
 from .linmaps import (
@@ -113,12 +112,18 @@ def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 def complex_orthogonal(
     rng: np.random.Generator, n: int, cond_bound: float = 1e3
 ) -> np.ndarray:
-    """Complex orthogonal matrix (O^t O = I) as the exponential of a complex
-    skew-symmetric matrix, resampled to keep the condition number modest."""
+    """Complex orthogonal matrix (O^t O = I), resampled to keep the condition
+    number modest.
+
+    O is the Cayley transform (I + K/2)(I - K/2)^{-1} of a random complex
+    skew-symmetric K. The two factors commute, and K^t = -K gives
+    O^t = (I + K/2)^{-1}(I - K/2), so O^t O = I in exact arithmetic.
+    """
+    I = np.eye(n)
     for _ in range(100):
         G = _ginibre(rng, n, Field.COMPLEX)
         K = 0.4 * (G - G.T)
-        O = scipy.linalg.expm(K)
+        O = np.linalg.solve(I - K / 2, I + K / 2)
         c = np.linalg.cond(O)
         if np.isfinite(c) and c <= cond_bound:
             return O

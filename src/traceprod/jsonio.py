@@ -37,12 +37,22 @@ def encode_matrix(M) -> dict:
     }
 
 
+def _float(x) -> float:
+    """A JSON number within double range: never a boolean or a numeric string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError as exc:  # an integer literal beyond double range
+        raise ValueError(f"number out of range: {exc}") from exc
+
+
 def _number(z) -> complex:
     """A matrix entry or scalar written as a number or a [real, imag] pair."""
-    if np.isscalar(z):
-        return complex(float(z), 0.0)
-    re, im = z
-    return complex(float(re), float(im))
+    if isinstance(z, (list, tuple)):
+        re, im = z
+        return complex(_float(re), _float(im))
+    return complex(_float(z), 0.0)
 
 
 def _real(z) -> float:
@@ -66,12 +76,17 @@ def decode_matrix(obj) -> np.ndarray:
         data = obj["data"]
         if len(data) != rows * cols:
             raise InvalidParameterError(f"matrix data has {len(data)} entries, expected {rows * cols}")
+        field = obj["field"]
+        if field not in ("real", "complex"):
+            raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
         M = np.array([_number(z) for z in data], dtype=np.complex128).reshape(rows, cols)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed matrix object: {exc}") from exc
-    if obj.get("field") == "real":
-        return np.ascontiguousarray(M.real)
-    return M
+    if field == "complex":
+        return M
+    if np.any(M.imag != 0):
+        raise InvalidParameterError("a real matrix has an entry with a nonzero imaginary part")
+    return np.ascontiguousarray(M.real)
 
 
 def encode_space(space: SpaceTag) -> dict:

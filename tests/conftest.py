@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from traceprod import linmap_from_images, space_basis
+from traceprod import LinMap, linmap_from_images, space_basis
 
 ACCEPTANCE_LINES: list = []
 
@@ -28,3 +28,16 @@ def map_from_action(dom, cod, fn):
 
 def basis_stack(tag) -> np.ndarray:
     return np.stack(space_basis(tag).elements)
+
+
+def move_first_transfer(maps, rel: float) -> list:
+    """Copy of `maps` whose first transfer T moves by `rel` of its Frobenius
+    norm: T + G * (rel * |T| / |G|), with G Gaussian from default_rng(0)."""
+    f = maps[0]
+    T = f.transfer
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal(T.shape)
+    if np.iscomplexobj(T):
+        G = G + 1j * rng.standard_normal(T.shape)
+    moved = T + G * (rel * np.linalg.norm(T) / np.linalg.norm(G))
+    return [LinMap(f.domain, f.codomain, moved), *maps[1:]]

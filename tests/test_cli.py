@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from traceprod import Field, SpaceKind, SpaceTag, identity_map
+from traceprod import Field, GenSpec, SpaceKind, SpaceTag, generate, identity_map
 from traceprod.cli import run
 from traceprod.jsonio import decode_maps_document, encode_linmap, encode_space
+from conftest import move_first_transfer
 
 
 def _run(capsys, argv):
@@ -183,7 +184,7 @@ def test_check_zero_trials_exits_two(tmp_path, capsys):
     assert err["error"]["code"] == "InvalidParameterError"
 
 
-@pytest.mark.parametrize("entry", [[1.0, 0.0, 2.0], "one"])
+@pytest.mark.parametrize("entry", [[1.0, 0.0, 2.0], "one", True, "1.5", [True, 0.0], pytest.param(10**400, id="huge-int")])
 def test_check_malformed_matrix_entry_exits_two(tmp_path, capsys, entry):
     f = identity_map(SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2))
     doc = [encode_linmap(f), encode_linmap(f)]
@@ -192,6 +193,14 @@ def test_check_malformed_matrix_entry_exits_two(tmp_path, capsys, entry):
     code, err = _run(capsys, ["check", "--maps", path])
     assert code == 2
     assert err["error"]["code"] == "InvalidParameterError"
+
+
+def test_decompose_rebuild_beyond_tol_exits_one(tmp_path, capsys):
+    gen = generate(GenSpec(family="sym_odd", n=4, m=3, field=Field.REAL, seed=0))
+    path = _write(tmp_path, "moved.json", [encode_linmap(f) for f in move_first_transfer(gen.maps, 1e-7)])
+    code, err = _run(capsys, ["decompose", "--maps", path])
+    assert code == 1
+    assert err["error"]["code"] == "CanonicalStructureError"
 
 
 def test_decompose_non_boolean_form_flag_exits_two(tmp_path, capsys):
@@ -223,3 +232,13 @@ def test_console_script_pipeline():
     )
     assert chk.returncode == 0
     assert json.loads(chk.stdout)["pass"] is True
+
+
+def test_cli_import_leaves_scipy_out():
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, traceprod.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"

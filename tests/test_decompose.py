@@ -44,8 +44,8 @@ from traceprod import (
     weighted_canonical_maps,
     weighted_reduction,
 )
-from traceprod.decompose import _unit_columns
-from conftest import basis_stack
+from traceprod.decompose import PRECHECK_TOL, PRECHECK_TRIALS, _unit_columns
+from conftest import basis_stack, move_first_transfer
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
 C3 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 3)
@@ -227,6 +227,16 @@ def test_sym_odd_round_trip(field):
         assert np.max(np.abs(np.imag(np.array(res.form.c)))) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_complex_sym_odd_round_trip_is_tight(n):
+    gen = generate(GenSpec(family="sym_odd", n=n, m=3, field=Field.COMPLEX, seed=7))
+    res = decompose(gen.maps)
+    assert isinstance(res.form, SymOdd)
+    assert res.reconstruction_residual <= 1e-11
+    O = res.form.O
+    assert np.max(np.abs(O.T @ O - np.eye(n))) <= 1e-11
+
+
 def test_sym_even_round_trip():
     gen = generate(GenSpec(family="sym_even", n=3, m=4, seed=8))
     res = decompose(gen.maps)
@@ -281,6 +291,23 @@ def test_decompose_precheck_rejects_broken_tuple():
     maps = [f, identity_map(C2), identity_map(C2)]
     with pytest.raises(PreservationError):
         decompose(maps)
+
+
+def test_decompose_rejects_rebuild_beyond_tol():
+    gen = generate(GenSpec(family="sym_odd", n=4, m=3, field=Field.REAL, seed=0))
+    maps = move_first_transfer(gen.maps, 1e-7)
+    precheck = check_preservation(maps, tol=PRECHECK_TOL, trials=PRECHECK_TRIALS, seed=7)
+    assert precheck.passed  # only the rebuild gate stands between this tuple and a SymOdd
+    with pytest.raises(CanonicalStructureError, match="rebuilds the maps only to"):
+        decompose(maps)
+
+
+def test_decompose_precheck_rejects_rebuild_within_tol():
+    # The rebuild of this tuple misses by 4.1e-9, inside tol = 1e-7, though
+    # the identity fails by 1.1e-5: a rebuild within tol is no certificate yet.
+    gen = generate(GenSpec(family="mn_chain", n=16, m=3, field=Field.COMPLEX, seed=0))
+    with pytest.raises(PreservationError):
+        decompose(move_first_transfer(gen.maps, 1e-8))
 
 
 def test_herm_power():

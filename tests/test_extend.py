@@ -31,6 +31,7 @@ from traceprod import (
     span_dim,
     transpose_map,
 )
+from traceprod.extend import _null_space
 from conftest import basis_stack, map_from_action
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
@@ -226,6 +227,43 @@ def _corner_pair(n, k, seed, hermitian=True):
     f1 = linmap_from_images(dom, cod, list(S @ pad @ T))
     f2 = linmap_from_images(dom, cod, list(Tinv @ pad @ Sinv))
     return f1, f2
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "shape,singular_values",
+    [
+        ((4, 16), None),
+        ((16, 36), None),
+        ((36, 64), None),
+        ((9, 16), [3.0, 1.0, 0.5]),
+        # 1e-14 is above the cutoff 16 * eps * s_max, 1e-16 below it
+        ((4, 16), [1.0, 0.5, 1e-14, 1e-16]),
+        ((3, 5), [0.0, 0.0, 0.0]),
+    ],
+    ids=["4x16", "16x36", "36x64", "rank-3", "near-cutoff", "zero"],
+)
+def test_null_space_matches_scipy(shape, singular_values, complex_entries):
+    import scipy.linalg  # the reference; the package itself needs numpy alone
+
+    rng = np.random.default_rng(sum(shape))
+
+    def gaussian(*dims):
+        X = rng.standard_normal(dims)
+        return X + 1j * rng.standard_normal(dims) if complex_entries else X
+
+    R = gaussian(*shape)
+    if singular_values is not None:
+        U, _ = np.linalg.qr(gaussian(shape[0], shape[0]))
+        V, _ = np.linalg.qr(gaussian(shape[1], shape[1]))
+        s = np.zeros(shape[0])
+        s[: len(singular_values)] = singular_values
+        R = (U * s) @ V[:, : shape[0]].conj().T
+    Z = _null_space(R)
+    want = scipy.linalg.null_space(R)
+    assert Z.shape == want.shape
+    assert np.allclose(Z @ Z.conj().T, want @ want.conj().T, rtol=0, atol=1e-12)
+    assert np.allclose(Z.conj().T @ Z, np.eye(Z.shape[1]), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,k", [(1, 2), (2, 3), (2, 4)])

@@ -13,6 +13,7 @@ from traceprod import (
     membership,
     span_of,
 )
+from traceprod.families import complex_orthogonal
 
 ALL_CASES = [
     ("mn_chain", 3, 3, Field.COMPLEX),
@@ -94,6 +95,15 @@ def test_condition_bound_respected():
     gen = generate(GenSpec(family="mn_chain", n=4, m=3, seed=7, condition_bound=100.0))
     for N in gen.form.N:
         assert np.linalg.cond(N) <= 100.0
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 32])
+def test_complex_orthogonal_is_orthogonal_and_conditioned(n):
+    for seed in range(5):
+        O = complex_orthogonal(np.random.default_rng(seed), n, cond_bound=1e3)
+        assert np.iscomplexobj(O) and np.max(np.abs(O.imag)) > 0
+        assert np.max(np.abs(O.T @ O - np.eye(n))) <= 1e-12
+        assert np.linalg.cond(O) <= 1e3
 
 
 def test_generated_scalar_products_exact():

@@ -55,10 +55,20 @@ def test_matrix_rejects_malformed():
         decode_matrix({"rows": 2, "cols": 2, "field": "real", "data": [[1, 0]]})
 
 
-@pytest.mark.parametrize("entry", [[1.0, 0.0, 2.0], "one"])
+@pytest.mark.parametrize("entry", [[1.0, 0.0, 2.0], "one", True, "1.5", [True, 0.0], pytest.param(10**400, id="huge-int")])
 def test_matrix_rejects_malformed_entry(entry):
     with pytest.raises(InvalidParameterError):
         decode_matrix({"rows": 1, "cols": 2, "field": "complex", "data": [entry, [0.0, 0.0]]})
+
+
+@pytest.mark.parametrize(
+    "field,entry",
+    [("banana", [1.0, 0.0]), (None, [1.0, 0.0]), ("real", [1.0, 2.0])],
+    ids=["unknown-field", "null-field", "real-with-imaginary-part"],
+)
+def test_matrix_rejects_bad_field(field, entry):
+    with pytest.raises(InvalidParameterError):
+        decode_matrix({"rows": 1, "cols": 1, "field": field, "data": [entry]})
 
 
 @pytest.mark.parametrize("size", [1.5, "2", True])
