@@ -1,10 +1,12 @@
 """Command line front end.
 
-Every subcommand prints exactly one JSON document to stdout; diagnostics go to
-stderr. Exit codes: 0 success (and, for checks, the identity holds), 1 the
-identity fails or the maps lack the expected canonical structure, 2 usage or
-input errors. `generate` output pipes straight into `check`, `decompose`,
-`extend`, and `weighted` via `--maps -`.
+Every subcommand prints exactly one JSON document to stdout, as one line of
+compact JSON ending in a newline (`jsonio.encode_document`); a NaN or
+infinite residual is written as null. Diagnostics go to stderr. Exit codes:
+0 success (and, for checks, the identity holds), 1 the identity fails or the
+maps lack the expected canonical structure, 2 usage or input errors.
+`generate` output pipes straight into `check`, `decompose`, `extend`, and
+`weighted` via `--maps -`.
 """
 from __future__ import annotations
 
@@ -25,6 +27,8 @@ from .jsonio import (
     decode_maps_document,
     encode_certificate,
     encode_decomposition,
+    encode_document,
+    encode_error,
     encode_generated,
     encode_linmap,
     encode_report,
@@ -43,8 +47,7 @@ def _read_maps(path: str):
 
 
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    encode_document(doc, sys.stdout)
 
 
 def _float_list(text: str) -> list:
@@ -218,38 +221,25 @@ _HANDLERS = {
 }
 
 
-def _error_doc(exc: Exception, context: dict | None = None) -> dict:
-    return {
-        "error": {
-            "code": type(exc).__name__,
-            "message": str(exc),
-            "context": context or {},
-        }
-    }
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except PreservationError as exc:
-        ctx = {}
-        if exc.report is not None:
-            ctx["max_residual"] = exc.report.max_residual
-        _emit(_error_doc(exc, ctx))
+        _emit(encode_error(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CanonicalStructureError as exc:
-        _emit(_error_doc(exc))
+        _emit(encode_error(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        _emit(_error_doc(exc))
+        _emit(encode_error(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TraceProdError as exc:
-        _emit(_error_doc(exc))
+        _emit(encode_error(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

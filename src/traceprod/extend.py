@@ -183,6 +183,7 @@ def _check_exhaustive(maps, dims) -> tuple[float, tuple]:
     lhs = pair_traces(img_stacks)
     rhs = pair_traces(dom_stacks)
     res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+    res[~np.isfinite(res)] = np.inf  # as in _randomized_residual: it can never pass
     flat = int(np.argmax(res))
     max_res = float(res.reshape(-1)[flat])
     idx = np.unravel_index(flat, res.shape)

@@ -1,13 +1,17 @@
 """JSON encoding for spaces, maps, canonical forms, reports, and certificates.
 
 Matrices travel as {"rows", "cols", "field", "data"} with row-major
-[real, imag] entry pairs, so the format is field-agnostic and lossless at
-double precision. Documents produced by the command line's `generate` carry
-"space", "form", and "maps" keys and are accepted anywhere a tuple of maps is
-expected.
+[real, imag] entry pairs (a bare number reads as [x, 0]), so the format is
+field-agnostic and lossless at double precision. Documents produced by the
+command line's `generate` carry "space", "form", and "maps" keys and are
+accepted anywhere a tuple of maps is expected. `encode_document` writes a
+document as one line of compact, strict JSON.
 """
 from __future__ import annotations
 
+import itertools
+import json
+import math
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -28,7 +32,7 @@ def encode_matrix(M) -> dict:
         raise InvalidParameterError(f"can only encode 2-d matrices, got ndim={M.ndim}")
     real = not np.iscomplexobj(M) or float(np.max(np.abs(M.imag), initial=0.0)) == 0.0
     Mc = M.astype(np.complex128, copy=False)
-    data = [[float(z.real), float(z.imag)] for z in Mc.reshape(-1)]
+    data = np.stack((Mc.real, Mc.imag), -1).reshape(-1, 2).tolist()
     return {
         "rows": int(M.shape[0]),
         "cols": int(M.shape[1]),
@@ -70,6 +74,21 @@ def _integer(obj, key: str) -> int:
     return value
 
 
+def _entries(data) -> np.ndarray:
+    """The complex entries of a matrix's "data", each a number or a
+    [real, imag] pair, validated and converted in one pass over all of them."""
+    pairs = [z if isinstance(z, (list, tuple)) else (z, 0) for z in data]
+    # lazily, so no flat list of every number is built; bool is not an int here
+    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
+        raise ValueError("every entry must be a number or a [real, imag] pair of numbers")
+    try:
+        flat = np.array(pairs, dtype=np.float64)
+    except OverflowError as exc:  # an integer literal beyond double range
+        raise ValueError(f"number out of range: {exc}") from exc
+    # a pair without exactly two numbers leaves the wrong count of them
+    return flat.reshape(len(pairs), 2).view(np.complex128)[:, 0]
+
+
 def decode_matrix(obj) -> np.ndarray:
     try:
         rows, cols = _integer(obj, "rows"), _integer(obj, "cols")
@@ -79,7 +98,7 @@ def decode_matrix(obj) -> np.ndarray:
         field = obj["field"]
         if field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-        M = np.array([_number(z) for z in data], dtype=np.complex128).reshape(rows, cols)
+        M = _entries(data).reshape(rows, cols)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed matrix object: {exc}") from exc
     if field == "complex":
@@ -164,17 +183,31 @@ def decode_form(obj):
     return cls(**kwargs)
 
 
+def _residual(x: float) -> float | None:
+    """A residual as a JSON value: null when it is NaN or infinite, which
+    JSON numbers cannot express."""
+    return x if math.isfinite(x) else None
+
+
 def encode_report(report: PreservationReport) -> dict:
     return {
         "m": report.m,
         "spaces": [encode_space(s) for s in report.spaces],
         "mode": report.mode.value,
         "trials": report.trials,
-        "max_residual": report.max_residual,
+        "max_residual": _residual(report.max_residual),
         "worst_tuple": [encode_matrix(A) for A in report.worst_tuple],
         "tol": report.tol,
         "pass": report.passed,
     }
+
+
+def encode_error(exc: Exception) -> dict:
+    """The document a command prints when it fails; a failed precondition
+    check adds its residual as context."""
+    report = getattr(exc, "report", None)
+    context = {} if report is None else {"max_residual": _residual(report.max_residual)}
+    return {"error": {"code": type(exc).__name__, "message": str(exc), "context": context}}
 
 
 def encode_certificate(cert: InfeasibilityCertificate) -> dict:
@@ -208,6 +241,30 @@ def encode_generated(gen: Generated, family: str) -> dict:
         "form": encode_form(gen.form),
         "maps": [encode_linmap(f) for f in gen.maps],
     }
+
+
+_text = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def encode_document(doc: dict, fh) -> None:
+    """Write `doc` to the text file `fh` as one line of compact JSON and a newline.
+
+    The text equals `json.dumps(doc, separators=(",", ":"), allow_nan=False)`,
+    built one top-level value, and one item of a top-level list, at a time:
+    each piece takes CPython's C encoder, and at most one map's text is held
+    in memory. A NaN or infinite number raises ValueError.
+    """
+    fh.write("{")
+    for i, (key, value) in enumerate(doc.items()):
+        fh.write(("," if i else "") + _text(key) + ":")
+        if isinstance(value, list):
+            fh.write("[")
+            for j, item in enumerate(value):
+                fh.write(("," if j else "") + _text(item))
+            fh.write("]")
+        else:
+            fh.write(_text(value))
+    fh.write("}\n")
 
 
 def decode_maps_document(obj) -> tuple[list, SpaceTag | None]:

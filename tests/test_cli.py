@@ -12,10 +12,20 @@ from traceprod.jsonio import decode_maps_document, encode_linmap, encode_space
 from conftest import move_first_transfer
 
 
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def _parse(out: str):
+    """The one document a command printed: one line of strict JSON."""
+    assert out.endswith("\n") and out.count("\n") == 1
+    return json.loads(out, parse_constant=_strict)
+
+
 def _run(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip() else None
+    return code, _parse(out) if out.strip() else None
 
 
 def _write(tmp_path, name, doc):
@@ -195,6 +205,27 @@ def test_check_malformed_matrix_entry_exits_two(tmp_path, capsys, entry):
     assert err["error"]["code"] == "InvalidParameterError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["check", "--mode", "randomized", "--trials", "5"], ["decompose"]],
+    ids=["exhaustive", "randomized", "decompose-precheck"],
+)
+def test_non_finite_residual_prints_null(tmp_path, capsys, argv):
+    # products of transfers scaled by 1e200 overflow, so the residual is not finite
+    gen = generate(GenSpec(family="mn_chain", n=2, m=3, seed=0))
+    docs = [encode_linmap(f) for f in gen.maps]
+    for doc in docs:
+        doc["transfer"]["data"] = [[1e200 * re, 1e200 * im] for re, im in doc["transfer"]["data"]]
+    path = _write(tmp_path, "scaled.json", docs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _run(capsys, [*argv[:1], "--maps", path, *argv[1:]])
+    assert code == 1
+    if argv[0] == "check":
+        assert out["pass"] is False and out["max_residual"] is None
+    else:
+        assert out["error"]["context"] == {"max_residual": None}
+
+
 def test_decompose_rebuild_beyond_tol_exits_one(tmp_path, capsys):
     gen = generate(GenSpec(family="sym_odd", n=4, m=3, field=Field.REAL, seed=0))
     path = _write(tmp_path, "moved.json", [encode_linmap(f) for f in move_first_transfer(gen.maps, 1e-7)])
@@ -231,7 +262,11 @@ def test_console_script_pipeline():
         text=True,
     )
     assert chk.returncode == 0
-    assert json.loads(chk.stdout)["pass"] is True
+    # each prints one line of strict JSON
+    for proc in (gen, chk):
+        assert "NaN" not in proc.stdout and "Infinity" not in proc.stdout
+    _parse(gen.stdout)
+    assert _parse(chk.stdout)["pass"] is True
 
 
 def test_cli_import_leaves_scipy_out():

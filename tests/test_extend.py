@@ -105,6 +105,16 @@ def test_check_randomized_fails_on_overflowing_residuals():
     assert len(report.worst_tuple) == 3
 
 
+def test_check_exhaustive_fails_on_overflowing_residuals():
+    # as in the randomized check, a NaN residual counts as infinite
+    gen = generate(GenSpec(family="mn_chain", n=2, m=3, seed=0))
+    huge = [LinMap(f.domain, f.codomain, 1e200 * f.transfer) for f in gen.maps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_preservation(huge, mode="exhaustive")
+    assert report.passed is False
+    assert report.max_residual == np.inf
+
+
 def test_check_rejects_mismatched_sample_space():
     f = identity_map(H2)
     with pytest.raises(InvalidParameterError):

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from traceprod.jsonio import (
     decode_maps_document,
     decode_matrix,
     decode_space,
+    encode_document,
     encode_form,
     encode_generated,
     encode_linmap,
@@ -57,8 +59,21 @@ def test_matrix_rejects_malformed():
 
 @pytest.mark.parametrize("entry", [[1.0, 0.0, 2.0], "one", True, "1.5", [True, 0.0], pytest.param(10**400, id="huge-int")])
 def test_matrix_rejects_malformed_entry(entry):
-    with pytest.raises(InvalidParameterError):
-        decode_matrix({"rows": 1, "cols": 2, "field": "complex", "data": [entry, [0.0, 0.0]]})
+    # first and last, so that a check reading only some entries fails
+    for position in (0, 8):
+        data = [[0.0, 0.0]] * 9
+        data[position] = entry
+        with pytest.raises(InvalidParameterError):
+            decode_matrix({"rows": 3, "cols": 3, "field": "complex", "data": data})
+
+
+def test_matrix_mixes_bare_numbers_and_pairs():
+    pairs = [[1, 0], [2.5, -0.5], [-0.0, 0], [3, 1e-300]]
+    mixed = [1, [2.5, -0.5], -0.0, [3, 1e-300]]
+    want = decode_matrix({"rows": 2, "cols": 2, "field": "complex", "data": pairs})
+    got = decode_matrix({"rows": 2, "cols": 2, "field": "complex", "data": mixed})
+    assert np.array_equal(got, want)
+    assert np.array_equal(want, [[1, 2.5 - 0.5j], [0, 3 + 1e-300j]])
 
 
 @pytest.mark.parametrize(
@@ -190,6 +205,21 @@ def test_generated_document_decodes_to_maps(tmp_path):
     maps, space = decode_maps_document(doc)
     assert space == gen.space
     for f, g in zip(maps, gen.maps):
+        assert np.array_equal(f.transfer, g.transfer)
+
+
+@pytest.mark.parametrize("family,n,m,field", ROUND_TRIP_CASES)
+def test_encoded_document_decodes_to_generated_maps(family, n, m, field):
+    gen = generate(GenSpec(family=family, n=n, m=m, field=field, seed=3))
+    doc = encode_generated(gen, family)
+    fh = io.StringIO()
+    encode_document(doc, fh)
+    text = fh.getvalue()
+    assert text == json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
+    maps, space = decode_maps_document(json.loads(text))
+    assert space == gen.space
+    for f, g in zip(maps, gen.maps, strict=True):
+        assert f.transfer.dtype == g.transfer.dtype
         assert np.array_equal(f.transfer, g.transfer)
 
 
