@@ -4,7 +4,8 @@ Every subcommand prints exactly one JSON document to stdout, as one line of
 compact JSON ending in a newline (`jsonio.encode_document`); a NaN or
 infinite residual is written as null. Diagnostics go to stderr. Exit codes:
 0 success (and, for checks, the identity holds), 1 the identity fails or the
-maps lack the expected canonical structure, 2 usage or input errors.
+maps lack the expected canonical structure, 2 usage or input errors (a
+non-finite `--tol` among them).
 `generate` output pipes straight into `check`, `decompose`, `extend`, and
 `weighted` via `--maps -`.
 """
@@ -12,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .decompose import decompose, verify_weighted
 from .errors import (
     CanonicalStructureError,
+    InvalidParameterError,
     NotApplicableError,
     PreservationError,
     TraceProdError,
@@ -225,6 +228,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not math.isfinite(getattr(args, "tol", 0.0)):
+            raise InvalidParameterError(f"--tol must be finite, got {args.tol}")
         return _HANDLERS[args.command](args)
     except PreservationError as exc:
         _emit(encode_error(exc))

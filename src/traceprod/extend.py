@@ -72,6 +72,11 @@ class PreservationReport:
     tol: float
     passed: bool
 
+    def __post_init__(self):
+        # with tol = inf an overflowing tuple (residual inf) would pass
+        if not np.isfinite(self.tol):
+            raise InvalidParameterError(f"tol must be finite, got {self.tol}")
+
 
 def _validate_tuple(maps) -> tuple[int, int]:
     if not maps:

@@ -41,31 +41,6 @@ def encode_matrix(M) -> dict:
     }
 
 
-def _float(x) -> float:
-    """A JSON number within double range: never a boolean or a numeric string."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"expected a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError as exc:  # an integer literal beyond double range
-        raise ValueError(f"number out of range: {exc}") from exc
-
-
-def _number(z) -> complex:
-    """A matrix entry or scalar written as a number or a [real, imag] pair."""
-    if isinstance(z, (list, tuple)):
-        re, im = z
-        return complex(_float(re), _float(im))
-    return complex(_float(z), 0.0)
-
-
-def _real(z) -> float:
-    z = _number(z)
-    if z.imag != 0:
-        raise ValueError(f"scalar {z} must be real")
-    return z.real
-
-
 def _integer(obj, key: str) -> int:
     """A size field, which must be a JSON integer: never truncated, and not a boolean."""
     value = obj[key]
@@ -75,8 +50,9 @@ def _integer(obj, key: str) -> int:
 
 
 def _entries(data) -> np.ndarray:
-    """The complex entries of a matrix's "data", each a number or a
-    [real, imag] pair, validated and converted in one pass over all of them."""
+    """The complex entries of a matrix's "data" or a form's scalars, each a
+    number or a [real, imag] pair, validated and converted in one pass over
+    all of them."""
     pairs = [z if isinstance(z, (list, tuple)) else (z, 0) for z in data]
     # lazily, so no flat list of every number is built; bool is not an int here
     if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
@@ -137,6 +113,12 @@ def decode_linmap(obj) -> LinMap:
     return LinMap(dom, cod, T)
 
 
+def _real_scalars(z: np.ndarray) -> tuple:
+    if np.any(z.imag != 0):
+        raise ValueError(f"scalars {z.tolist()} must be real")
+    return tuple(z.real.tolist())
+
+
 def _pairs(values) -> list:
     return [[float(z.real), float(z.imag)] for z in map(complex, values)]
 
@@ -148,8 +130,8 @@ _PARAM_CODECS = {
         lambda mats: [encode_matrix(M) for M in mats],
         lambda objs: tuple(decode_matrix(M) for M in objs),
     ),
-    "tuple[float, ...]": (_pairs, lambda values: tuple(_real(z) for z in values)),
-    "tuple[complex, ...]": (_pairs, lambda values: tuple(_number(z) for z in values)),
+    "tuple[float, ...]": (_pairs, lambda values: _real_scalars(_entries(values))),
+    "tuple[complex, ...]": (_pairs, lambda values: tuple(_entries(values).tolist())),
     "bool": (bool, lambda value: value),  # the form class rejects a non-boolean
 }
 

@@ -226,6 +226,17 @@ def test_non_finite_residual_prints_null(tmp_path, capsys, argv):
         assert out["error"]["context"] == {"max_residual": None}
 
 
+@pytest.mark.parametrize("command", ["check", "dualize", "decompose", "extend", "weighted"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+def test_non_finite_tol_exits_two(tmp_path, capsys, command, tol):
+    code, doc = _run(capsys, ["generate", "--family", "pn_pair", "--n", "2", "--m", "2", "--seed", "3"])
+    path = _write(tmp_path, "pair.json", doc)
+    extra = ["--alpha", "1,1", "--beta", "1,1"] if command == "weighted" else []
+    code, err = _run(capsys, [command, "--maps", path, f"--tol={tol}", *extra])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+
+
 def test_decompose_rebuild_beyond_tol_exits_one(tmp_path, capsys):
     gen = generate(GenSpec(family="sym_odd", n=4, m=3, field=Field.REAL, seed=0))
     path = _write(tmp_path, "moved.json", [encode_linmap(f) for f in move_first_transfer(gen.maps, 1e-7)])

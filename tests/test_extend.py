@@ -30,6 +30,7 @@ from traceprod import (
     space_basis,
     span_dim,
     transpose_map,
+    verify_weighted,
 )
 from traceprod.extend import _null_space
 from conftest import basis_stack, map_from_action
@@ -113,6 +114,16 @@ def test_check_exhaustive_fails_on_overflowing_residuals():
         report = check_preservation(huge, mode="exhaustive")
     assert report.passed is False
     assert report.max_residual == np.inf
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan])
+def test_check_rejects_non_finite_tol(tol):
+    # with tol = inf an overflowing tuple, whose residual is inf, would pass
+    gen = generate(GenSpec(family="mn_chain", n=2, m=3, seed=0))
+    with pytest.raises(InvalidParameterError):
+        check_preservation(gen.maps, tol=tol)
+    with pytest.raises(InvalidParameterError):
+        verify_weighted(gen.maps[:2], [1, 1], [1, 1], trials=8, tol=tol)
 
 
 def test_check_rejects_mismatched_sample_space():

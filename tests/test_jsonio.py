@@ -180,6 +180,28 @@ def test_form_decoder_rejects_complex_hermitian_scalars():
         decode_form(doc)
 
 
+@pytest.mark.parametrize("family,field", [("herm_odd", Field.COMPLEX), ("sym_even", Field.COMPLEX)])
+@pytest.mark.parametrize("entry", [[1.0, 0.0, 2.0], "one", True, "1.5", [True, 0.0], pytest.param(10**400, id="huge-int")])
+def test_form_decoder_rejects_malformed_scalar(family, field, entry):
+    # herm_odd's scalars are real, sym_even's complex; both go through the matrix entry decoder
+    gen = generate(GenSpec(family=family, n=2, m=4 if family == "sym_even" else 3, field=field, seed=1))
+    doc = json.loads(json.dumps(encode_form(gen.form)))
+    for position in (0, -1):
+        bad = json.loads(json.dumps(doc))
+        bad["params"]["c"][position] = entry
+        with pytest.raises(InvalidParameterError):
+            decode_form(bad)
+
+
+def test_form_decoder_reads_bare_scalars():
+    gen = generate(GenSpec(family="herm_odd", n=2, m=3, seed=1))
+    doc = json.loads(json.dumps(encode_form(gen.form)))
+    doc["params"]["c"] = [re for re, _ in doc["params"]["c"]]
+    back = decode_form(doc)
+    assert back.c == gen.form.c
+    assert all(type(c) is float for c in back.c)
+
+
 @pytest.mark.parametrize("value", [True, False])
 def test_form_decoder_keeps_json_booleans(value):
     gen = generate(GenSpec(family="pn_pair", n=2, m=2, seed=1))
