@@ -5,7 +5,7 @@ compact JSON ending in a newline (`jsonio.encode_document`); a NaN or
 infinite residual is written as null. Diagnostics go to stderr. Exit codes:
 0 success (and, for checks, the identity holds), 1 the identity fails or the
 maps lack the expected canonical structure, 2 usage or input errors (a
-non-finite `--tol` among them).
+non-finite or negative `--tol` and a negative `--seed` among them).
 `generate` output pipes straight into `check`, `decompose`, `extend`, and
 `weighted` via `--maps -`.
 """
@@ -228,8 +228,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not math.isfinite(getattr(args, "tol", 0.0)):
-            raise InvalidParameterError(f"--tol must be finite, got {args.tol}")
+        tol = getattr(args, "tol", 0.0)
+        if not math.isfinite(tol) or tol < 0:
+            raise InvalidParameterError(f"--tol must be finite and nonnegative, got {tol}")
+        if getattr(args, "seed", 0) < 0:
+            raise InvalidParameterError(f"--seed must be nonnegative, got {args.seed}")
         return _HANDLERS[args.command](args)
     except PreservationError as exc:
         _emit(encode_error(exc))

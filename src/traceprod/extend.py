@@ -31,8 +31,8 @@ from .linmaps import (
     LinMap,
     apply_batch,
     complexify,
-    image_stack,
     is_hermitian_preserving,
+    _apply_batch,
     _span_coords,
 )
 from .spaces import (
@@ -43,10 +43,13 @@ from .spaces import (
     base_field,
     coords_batch,
     gram_matrix,
-    random_batch,
     span_dim,
     span_of,
     _basis_stack,
+    _field_dtype,
+    _random_batch,
+    _random_diagonals,
+    _reassemble,
 )
 
 # beyond this many basis tuples the exhaustive check switches to sampling
@@ -73,9 +76,10 @@ class PreservationReport:
     passed: bool
 
     def __post_init__(self):
-        # with tol = inf an overflowing tuple (residual inf) would pass
-        if not np.isfinite(self.tol):
-            raise InvalidParameterError(f"tol must be finite, got {self.tol}")
+        # with tol = inf an overflowing tuple (residual inf) would pass, and
+        # with tol < 0 no tuple could
+        if not np.isfinite(self.tol) or self.tol < 0:
+            raise InvalidParameterError(f"tol must be finite and nonnegative, got {self.tol}")
 
 
 def _validate_tuple(maps) -> tuple[int, int]:
@@ -123,6 +127,10 @@ def check_preservation(
     otherwise; "exhaustive" and "randomized" force the choice. Residuals are
     |lhs - rhs| / max(1, |rhs|). `sample_space` redirects randomized sampling
     (all slots) to a specific space with the same size, e.g. a definite cone.
+
+    Both checks compute in each matrix's own field: real matrices in float64,
+    a tuple between diagonal spaces on the diagonals alone. The samples are
+    those of `random_batch`, and `worst_tuple` holds complex (n, n) matrices.
     """
     maps = list(maps)
     n, _ = _validate_tuple(maps)
@@ -148,13 +156,24 @@ def check_preservation(
         max_res, worst = _check_exhaustive(maps, dims)
         count = total
     else:
+        diagonal = sample_space is None and all(
+            span_of(s).kind is SpaceKind.DIAGONAL for f in maps for s in (f.domain, f.codomain)
+        )
+        if diagonal:
+            # diagonal coordinates are the diagonal itself
+            lhs_fns = [lambda v, T=f.transfer: v @ T.T for f in maps]
+        else:
+            lhs_fns = [
+                functools.partial(_apply_batch, f, dtype=_field_dtype(f.codomain)) for f in maps
+            ]
         max_res, worst = _randomized_residual(
             [sample_space if sample_space is not None else f.domain for f in maps],
-            [functools.partial(apply_batch, f) for f in maps],
+            lhs_fns,
             [lambda s: s] * m,
             trials,
             seed,
             _BATCH,
+            diagonal=diagonal,
         )
         count = trials
     return PreservationReport(
@@ -169,24 +188,36 @@ def check_preservation(
     )
 
 
+def _pair_traces(stacks: list[np.ndarray], half: int) -> np.ndarray:
+    """tr(L_a R_b) for L_a the products over stacks[:half] and R_b those over
+    stacks[half:] (the identity when there are none), as a (len L, len R) matrix."""
+    left = _product_stack(stacks[:half])
+    if len(stacks) > half:
+        right = _product_stack(stacks[half:])
+    else:
+        k = stacks[0].shape[-1]
+        right = np.eye(k, dtype=stacks[0].dtype)[None, :, :]
+    # tr(L_a R_b) = sum_ij L_a[i, j] R_b[j, i]
+    return left.reshape(len(left), -1) @ right.transpose(0, 2, 1).reshape(len(right), -1).T
+
+
+@functools.lru_cache(maxsize=8)
+def _exhaustive_rhs(domains: tuple) -> np.ndarray:
+    """tr(B_a...B_z) over every tuple of domain basis elements, read-only, in
+    the layout of `_pair_traces`; it depends on the domains alone."""
+    stacks = [_reassemble(d, np.eye(span_dim(d)), _field_dtype(d)) for d in domains]
+    rhs = _pair_traces(stacks, (len(domains) + 1) // 2)
+    rhs.setflags(write=False)
+    return rhs
+
+
 def _check_exhaustive(maps, dims) -> tuple[float, tuple]:
     m = len(maps)
     half = (m + 1) // 2
-    img_stacks = [image_stack(f) for f in maps]
-    dom_stacks = [np.asarray(_basis_stack(f.domain)) for f in maps]
-
-    def pair_traces(stacks):
-        left = _product_stack(stacks[:half])
-        if len(stacks) > half:
-            right = _product_stack(stacks[half:])
-        else:
-            k = stacks[0].shape[-1]
-            right = np.eye(k, dtype=np.complex128)[None, :, :]
-        # tr(L_a R_b) = sum_ij L_a[i, j] R_b[j, i]
-        return left.reshape(len(left), -1) @ right.transpose(0, 2, 1).reshape(len(right), -1).T
-
-    lhs = pair_traces(img_stacks)
-    rhs = pair_traces(dom_stacks)
+    lhs = _pair_traces(
+        [_reassemble(f.codomain, f.transfer.T, _field_dtype(f.codomain)) for f in maps], half
+    )
+    rhs = _exhaustive_rhs(tuple(f.domain for f in maps))
     res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
     res[~np.isfinite(res)] = np.inf  # as in _randomized_residual: it can never pass
     flat = int(np.argmax(res))
@@ -196,35 +227,57 @@ def _check_exhaustive(maps, dims) -> tuple[float, tuple]:
     left_idx = np.unravel_index(idx[0], dims[:half])
     right_idx = np.unravel_index(idx[1], dims[half:]) if m > half else ()
     per_map = tuple(left_idx) + tuple(right_idx)
-    worst = tuple(dom_stacks[i][per_map[i]] for i in range(m))
+    worst = tuple(_basis_stack(f.domain)[i] for f, i in zip(maps, per_map))
     return max_res, worst
 
 
+def _trace_of_product(factors: list[np.ndarray]) -> np.ndarray:
+    """tr(X_1...X_m) per stack index, as the entrywise pairing of the two
+    half-products: m - 2 batched matmuls for m >= 2."""
+    if len(factors) == 1:
+        return np.einsum("tii->t", factors[0])
+    h = len(factors) // 2
+    left = functools.reduce(np.matmul, factors[:h])
+    right = functools.reduce(np.matmul, factors[h:])
+    return np.einsum("tij,tji->t", left, right)
+
+
+def _trace_of_diagonal_product(factors: list[np.ndarray]) -> np.ndarray:
+    """tr(X_1...X_m) per row for diagonal X_i given by (count, n) diagonals."""
+    return functools.reduce(np.multiply, factors).sum(axis=1)
+
+
 def _randomized_residual(
-    spaces, lhs_fns, rhs_fns, trials: int, seed: int, batch: int
+    spaces, lhs_fns, rhs_fns, trials: int, seed: int, batch: int, diagonal: bool = False
 ) -> tuple[float, tuple]:
     """Largest |tr(lhs_1(A_1)...lhs_m(A_m)) - tr(rhs_1(A_1)...rhs_m(A_m))| / max(1, |rhs|)
     over `trials` seeded samples, A_i drawn from spaces[i] `batch` at a time.
 
-    The factor functions act on (count, n, n) stacks. A residual that is NaN or
-    infinite counts as infinite, so it can never pass.
+    The samples are `random_batch`'s, in each space's own field dtype, and the
+    factor functions act on (count, n, n) stacks of them. With `diagonal` the
+    spaces are diagonal and samples and factors are (count, n) diagonals. A
+    residual that is NaN or infinite counts as infinite, so it can never
+    pass. The worst tuple comes back as complex (n, n) matrices.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be positive, got {trials}")
+    draw, trace = (
+        (_random_diagonals, _trace_of_diagonal_product) if diagonal else (_random_batch, _trace_of_product)
+    )
     rng = np.random.default_rng(seed)
     max_res = -1.0
     worst: tuple = ()
     for done in range(0, trials, batch):
         t = min(batch, trials - done)
-        samples = [random_batch(sp, t, rng) for sp in spaces]
-        lhs = np.einsum("tii->t", functools.reduce(np.matmul, [f(s) for f, s in zip(lhs_fns, samples)]))
-        rhs = np.einsum("tii->t", functools.reduce(np.matmul, [f(s) for f, s in zip(rhs_fns, samples)]))
+        samples = [draw(sp, t, rng) for sp in spaces]
+        lhs = trace([f(s) for f, s in zip(lhs_fns, samples)])
+        rhs = trace([f(s) for f, s in zip(rhs_fns, samples)])
         res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
         res[~np.isfinite(res)] = np.inf
         j = int(np.argmax(res))
         if res[j] > max_res:
             max_res = float(res[j])
-            worst = tuple(s[j] for s in samples)
+            worst = tuple(np.array(np.diag(s[j]) if diagonal else s[j], dtype=np.complex128) for s in samples)
     return max_res, worst
 
 

@@ -34,6 +34,7 @@ from .spaces import (
     span_dim,
     span_of,
     _basis_stack,
+    _reassemble,
 )
 
 # parameter matrices this ill-conditioned are rejected outright
@@ -113,8 +114,13 @@ def apply(map_: LinMap, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def apply_batch(map_: LinMap, batch: np.ndarray) -> np.ndarray:
     """Evaluate the map on a (count, n, n) stack without membership checks."""
+    return _apply_batch(map_, batch, np.complex128)
+
+
+def _apply_batch(map_: LinMap, batch: np.ndarray, dtype) -> np.ndarray:
+    """`apply_batch` with the images built in `dtype`."""
     x = coords_batch(map_.domain, batch)
-    return reassemble_batch(map_.codomain, x @ map_.transfer.T)
+    return _reassemble(map_.codomain, x @ map_.transfer.T, dtype)
 
 
 def image_stack(map_: LinMap) -> np.ndarray:

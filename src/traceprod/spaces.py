@@ -184,6 +184,17 @@ def reassemble_batch(space: SpaceTag, x: np.ndarray) -> np.ndarray:
     coordinate lands on both triangles, and in the Hermitian case the skew
     coordinate y adds +iy above and -iy below the diagonal.
     """
+    return _reassemble(space, x, np.complex128)
+
+
+def _field_dtype(space: SpaceTag) -> type:
+    """dtype of the matrices of `space`: float64 over the reals, complex128
+    over the complexes (Hermitian matrices included)."""
+    return np.float64 if space.field is Field.REAL else np.complex128
+
+
+def _reassemble(space: SpaceTag, x: np.ndarray, dtype) -> np.ndarray:
+    """`reassemble_batch` with the matrices built in `dtype`."""
     s = span_of(space)
     n = s.n
     x = np.asarray(x)
@@ -191,8 +202,8 @@ def reassemble_batch(space: SpaceTag, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != d:
         raise DimensionMismatchError(f"expected (count, {d}) coordinates, got shape {x.shape}")
     if s.kind is SpaceKind.FULL:
-        return x.reshape(-1, n, n).astype(np.complex128)
-    out = np.zeros((x.shape[0], n, n), dtype=np.complex128)
+        return x.reshape(-1, n, n).astype(dtype)
+    out = np.zeros((x.shape[0], n, n), dtype=dtype)
     r = np.arange(n)
     out[:, r, r] = x[:, :n]
     if s.kind is not SpaceKind.DIAGONAL:
@@ -297,38 +308,50 @@ def random_batch(space: SpaceTag, count: int, rng=0) -> np.ndarray:
     Gaussian diagonals for diagonal spaces.
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    return _random_batch(space, count, rng).astype(np.complex128, copy=False)
+
+
+def _gaussian(shape: tuple, real: bool, rng: np.random.Generator) -> np.ndarray:
+    """Standard Gaussian draws over the field: float64, or complex128 with
+    real and imaginary parts drawn in that order and scaled by 1/sqrt(2)."""
+    if real:
+        return rng.standard_normal(shape)
+    g = np.empty(shape, dtype=np.complex128)
+    g.real = rng.standard_normal(shape)
+    g.imag = rng.standard_normal(shape)
+    g /= np.sqrt(2.0)
+    return g
+
+
+def _random_diagonals(space: SpaceTag, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The diagonals, (count, n) in the field's dtype, that `random_batch`
+    draws for a diagonal space, from the same calls on `rng`."""
+    return _gaussian((count, space.n), space.field is Field.REAL, rng)
+
+
+def _random_batch(space: SpaceTag, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`random_batch` in the field's dtype (float64 over the reals), from the
+    same calls on `rng` and with the same values."""
     n = space.n
     real = space.field is Field.REAL
-
-    def ginibre() -> np.ndarray:
-        if real:
-            return rng.standard_normal((count, n, n)).astype(np.complex128)
-        g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-        return g / np.sqrt(2.0)
-
     kind = span_of(space).kind if space.kind not in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF) else space.kind
+    if kind is SpaceKind.DIAGONAL:
+        return _reassemble(space, _random_diagonals(space, count, rng), _field_dtype(space))
+    G = _gaussian((count, n, n), real, rng)
     if kind is SpaceKind.FULL:
-        return ginibre()
+        return G
     if kind is SpaceKind.HERMITIAN:
-        G = ginibre()
         return (G + G.conj().transpose(0, 2, 1)) / 2.0
     if kind is SpaceKind.SYMMETRIC:
-        G = ginibre()
         return (G + G.transpose(0, 2, 1)) / 2.0
-    if kind is SpaceKind.DIAGONAL:
-        if real:
-            vals = rng.standard_normal((count, n)).astype(np.complex128)
-        else:
-            vals = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / np.sqrt(2.0)
-        out = np.zeros((count, n, n), dtype=np.complex128)
-        idx = np.arange(n)
-        out[:, idx, idx] = vals
-        return out
-    G = ginibre()
+    if real:
+        # the complex product: a real one sums in another order in BLAS and
+        # would change the samples' last bits
+        G = G.astype(np.complex128)
     gram = G @ G.conj().transpose(0, 2, 1)
     if kind is SpaceKind.POSDEF:
         gram = gram + 0.1 * np.eye(n)[None, :, :]
-    return gram
+    return np.ascontiguousarray(gram.real) if real else gram
 
 
 def random_element(space: SpaceTag, rng=0) -> np.ndarray:

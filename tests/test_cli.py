@@ -237,6 +237,40 @@ def test_non_finite_tol_exits_two(tmp_path, capsys, command, tol):
     assert err["error"]["code"] == "InvalidParameterError"
 
 
+@pytest.mark.parametrize(
+    "command, family",
+    [("check", "mn_chain"), ("dualize", "mn_chain"), ("decompose", "mn_chain"), ("extend", "hadamard"), ("weighted", "pn_chain")],
+)
+def test_negative_tol_exits_two(tmp_path, capsys, command, family):
+    # no residual is below a negative tol: check and weighted failed valid
+    # tuples, decompose failed its rebuild, dualize lifted its condition limit
+    m = "2" if family == "hadamard" else "3"
+    code, doc = _run(capsys, ["generate", "--family", family, "--n", "2", "--m", m])
+    path = _write(tmp_path, "maps.json", doc)
+    extra = ["--alpha", "1,1,1", "--beta", "1,1,1"] if command == "weighted" else []
+    code, err = _run(capsys, [command, "--maps", path, "--tol", "-1", *extra])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--family", "mn_chain", "--n", "2", "--m", "3"],
+        ["certify", "--n", "3", "--k", "2"],
+        ["weighted", "--maps", "{maps}", "--alpha", "1,1", "--beta", "1,1"],
+        ["check", "--maps", "{maps}", "--mode", "randomized"],
+    ],
+    ids=["generate", "certify", "weighted", "check-randomized"],
+)
+def test_negative_seed_exits_two(tmp_path, capsys, argv):
+    code, doc = _run(capsys, ["generate", "--family", "pn_pair", "--n", "2", "--m", "2", "--seed", "3"])
+    path = _write(tmp_path, "pair.json", doc)
+    code, err = _run(capsys, [path if a == "{maps}" else a for a in argv] + ["--seed", "-1"])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+
+
 def test_decompose_rebuild_beyond_tol_exits_one(tmp_path, capsys):
     gen = generate(GenSpec(family="sym_odd", n=4, m=3, field=Field.REAL, seed=0))
     path = _write(tmp_path, "moved.json", [encode_linmap(f) for f in move_first_transfer(gen.maps, 1e-7)])

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,10 @@ from traceprod import (
     transpose_map,
     verify_weighted,
 )
-from traceprod.extend import _null_space
-from conftest import basis_stack, map_from_action
+from traceprod.extend import _BATCH, _exhaustive_rhs, _null_space
+from traceprod.linmaps import apply_batch
+from traceprod.spaces import random_batch
+from conftest import basis_stack, map_from_action, move_first_transfer
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
 R2 = SpaceTag(SpaceKind.FULL, Field.REAL, 2)
@@ -124,6 +128,87 @@ def test_check_rejects_non_finite_tol(tol):
         check_preservation(gen.maps, tol=tol)
     with pytest.raises(InvalidParameterError):
         verify_weighted(gen.maps[:2], [1, 1], [1, 1], trials=8, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300])
+def test_check_rejects_negative_tol(tol):
+    # no residual is below a negative tol, so every tuple would fail
+    gen = generate(GenSpec(family="mn_chain", n=2, m=3, seed=0))
+    with pytest.raises(InvalidParameterError):
+        check_preservation(gen.maps, tol=tol)
+    with pytest.raises(InvalidParameterError):
+        verify_weighted(gen.maps[:2], [1, 1], [1, 1], trials=8, tol=tol)
+
+
+def _reference_randomized(maps, trials, seed, sample_space=None):
+    """The randomized check as a plain loop over the same `random_batch`
+    samples: full complex products of the images, then their traces."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for done in range(0, trials, _BATCH):
+        t = min(_BATCH, trials - done)
+        samples = [random_batch(sample_space or f.domain, t, rng) for f in maps]
+        images = [apply_batch(f, A) for f, A in zip(maps, samples)]
+        lhs = np.trace(functools.reduce(np.matmul, images), axis1=1, axis2=2)
+        rhs = np.trace(functools.reduce(np.matmul, samples), axis1=1, axis2=2)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))))
+    return worst
+
+
+def _identity_tuple(kind, n):
+    return [identity_map(SpaceTag(kind, Field.REAL, n))]
+
+
+_FIELD_CASES = {
+    "sym_even-real-m4": lambda: generate(GenSpec(family="sym_even", n=5, m=4, field=Field.REAL, seed=2)).maps,
+    "sym_even-real-m2": lambda: generate(GenSpec(family="sym_even", n=4, m=2, field=Field.REAL, seed=2)).maps,
+    "symmetric-real-m1": lambda: _identity_tuple(SpaceKind.SYMMETRIC, 4),
+    "diag_chain-m3": lambda: generate(GenSpec(family="diag_chain", n=6, m=3, seed=2)).maps,
+    "diag_chain-real-m4": lambda: generate(GenSpec(family="diag_chain", n=6, m=4, field=Field.REAL, seed=2)).maps,
+    "diag_pair-m2": lambda: generate(GenSpec(family="diag_pair", n=5, m=2, seed=2)).maps,
+    "diagonal-real-m1": lambda: _identity_tuple(SpaceKind.DIAGONAL, 5),
+}
+
+
+@pytest.mark.parametrize("perturb", [0.0, 1e-6])
+@pytest.mark.parametrize("case", sorted(_FIELD_CASES))
+def test_field_randomized_check_matches_complex_reference(case, perturb):
+    maps = list(_FIELD_CASES[case]())
+    if perturb:
+        maps = move_first_transfer(maps, perturb)
+    # two batches, the second partial
+    report = check_preservation(maps, mode="randomized", trials=_BATCH + 88, seed=3)
+    want = _reference_randomized(maps, _BATCH + 88, seed=3)
+    assert report.passed == (want <= 1e-9) == (perturb == 0.0)
+    assert np.isclose(report.max_residual, want, rtol=1e-9, atol=1e-12)
+    n = maps[0].domain.n
+    assert len(report.worst_tuple) == len(maps)
+    for A in report.worst_tuple:
+        assert A.dtype == np.complex128 and A.shape == (n, n)
+
+
+def test_field_randomized_check_with_sample_space_matches_reference():
+    maps = move_first_transfer(generate(GenSpec(family="sym_even", n=4, m=4, field=Field.REAL, seed=1)).maps, 1e-6)
+    cone = SpaceTag(SpaceKind.POSDEF, Field.REAL, 4)
+    report = check_preservation(maps, mode="randomized", trials=100, seed=5, sample_space=cone)
+    assert np.isclose(report.max_residual, _reference_randomized(maps, 100, 5, cone), rtol=1e-9, atol=1e-12)
+    assert all(A.dtype == np.complex128 for A in report.worst_tuple)
+
+
+def test_exhaustive_rhs_cached_read_only_and_reports_repeat():
+    maps = move_first_transfer(generate(GenSpec(family="sym_odd", n=3, m=3, field=Field.REAL, seed=1)).maps, 1e-6)
+    first = check_preservation(maps, mode="exhaustive")
+    rhs = _exhaustive_rhs(tuple(f.domain for f in maps))
+    assert not rhs.flags.writeable
+    with pytest.raises(ValueError):
+        rhs[0, 0] = 1.0
+    again = check_preservation(maps, mode="exhaustive")
+    assert _exhaustive_rhs(tuple(f.domain for f in maps)) is rhs
+    assert (again.mode, again.trials, again.passed) == (first.mode, first.trials, first.passed) == ("exhaustive", 6**3, False)
+    assert again.max_residual == first.max_residual > 0
+    for A, B in zip(again.worst_tuple, first.worst_tuple):
+        assert A.dtype == np.complex128 and A.shape == (3, 3)
+        assert np.array_equal(A, B)
 
 
 def test_check_rejects_mismatched_sample_space():

@@ -22,7 +22,7 @@ from traceprod import (
     trace_pair,
 )
 from traceprod.linmaps import image_stack
-from traceprod.spaces import coords_batch, reassemble_batch
+from traceprod.spaces import _random_batch, _random_diagonals, coords_batch, reassemble_batch
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
 H2 = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 2)
@@ -239,6 +239,56 @@ def test_random_batch_members(tag):
     assert batch.shape == (16, tag.n, tag.n)
     for A in batch:
         assert membership(tag, A)
+
+
+def _reference_random_batch(tag, count, rng) -> np.ndarray:
+    """The sampler in complex arithmetic throughout: (a + ib)/sqrt(2) Gaussians
+    over C, every real draw cast to complex before any arithmetic."""
+    n = tag.n
+
+    def gaussian(shape):
+        if tag.field is Field.REAL:
+            return rng.standard_normal(shape).astype(np.complex128)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    kind = tag.kind if tag.kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF) else span_of(tag).kind
+    if kind is SpaceKind.DIAGONAL:
+        out = np.zeros((count, n, n), dtype=np.complex128)
+        out[:, range(n), range(n)] = gaussian((count, n))
+        return out
+    G = gaussian((count, n, n))
+    if kind is SpaceKind.FULL:
+        return G
+    if kind is SpaceKind.HERMITIAN:
+        return (G + G.conj().transpose(0, 2, 1)) / 2.0
+    if kind is SpaceKind.SYMMETRIC:
+        return (G + G.transpose(0, 2, 1)) / 2.0
+    gram = G @ G.conj().transpose(0, 2, 1)
+    return gram + 0.1 * np.eye(n) if kind is SpaceKind.POSDEF else gram
+
+
+# n = 33 reaches BLAS blocking where a real Gram product sums in another
+# order than a complex one
+SAMPLER_TAGS = ALL_TAGS + [SpaceTag(kind, Field.REAL, 33) for kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("tag", SAMPLER_TAGS, ids=lambda t: f"{t.kind.value}-{t.field.value}-{t.n}")
+def test_field_sampler_matches_public_sampler_bitwise(tag, seed):
+    want = _reference_random_batch(tag, 7, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    got = _random_batch(tag, 7, rng)
+    assert got.dtype == (np.float64 if tag.field is Field.REAL else np.complex128)
+    assert np.array_equal(got, want)
+    public = random_batch(tag, 7, seed)
+    assert public.dtype == np.complex128 and np.array_equal(public, want)
+    # the same draws, so the generator ends in the same state
+    ref_rng = np.random.default_rng(seed)
+    _reference_random_batch(tag, 7, ref_rng)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+    if span_of(tag).kind is SpaceKind.DIAGONAL:
+        diag = _random_diagonals(tag, 7, np.random.default_rng(seed))
+        assert np.array_equal(diag, np.diagonal(want, axis1=1, axis2=2))
 
 
 def test_random_element_seeded():
