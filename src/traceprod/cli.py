@@ -234,22 +234,10 @@ def run(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise InvalidParameterError(f"--seed must be nonnegative, got {args.seed}")
         return _HANDLERS[args.command](args)
-    except PreservationError as exc:
+    except (TraceProdError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _emit(encode_error(exc))
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CanonicalStructureError as exc:
-        _emit(encode_error(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        _emit(encode_error(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TraceProdError as exc:
-        _emit(encode_error(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (PreservationError, CanonicalStructureError)) else 2
 
 
 def main() -> None:

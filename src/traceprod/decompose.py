@@ -1,11 +1,13 @@
 """Recover canonical parameters from tuples of maps satisfying the trace identity.
 
-Each decomposer takes the tuple of LinMaps, checks the identity actually holds,
-rebuilds the canonical parameters (conjugating matrices, scalars, permutations),
-fixes the gauge freedom deterministically, and reports the reconstruction
-residual. Failures of the structural assumptions raise
+`decompose` runs one pipeline for every family of the table `_DECOMPOSERS`:
+it checks the domain and the tuple length, checks the identity actually
+holds, recovers the canonical parameters (conjugating matrices, scalars,
+permutations) with the family's gauge fixed deterministically, and rebuilds
+the maps from them. Failures of the structural assumptions raise
 CanonicalStructureError; tuples that do not satisfy the identity at all raise
-PreservationError up front.
+PreservationError up front. Each `decompose_<family>` is `decompose` with
+that family.
 
 Also here: positive-definite matrix powers, power-wrapped maps for the weighted
 identity tr(f1(A1)^a1 ... ) = tr(A1^b1 ...), and the rank / best-fit
@@ -14,8 +16,9 @@ diagnostics used as negative controls.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -62,6 +65,7 @@ from .spaces import (
     reassemble,
     span_of,
     _basis_stack,
+    _rng,
 )
 
 PRECHECK_TOL = 1e-6
@@ -78,11 +82,11 @@ class DecompositionResult:
     gauge_note: str
 
 
-def _validate_tuple_on(maps, kinds, field: Field | None = None) -> SpaceTag:
+def _validate_tuple_on(maps, kinds, field: Field | None) -> SpaceTag:
     if not maps:
         raise InvalidParameterError("need at least one map")
     dom = maps[0].domain
-    for i, f in enumerate(maps):
+    for f in maps:
         if f.domain != dom or f.codomain != dom:
             raise DimensionMismatchError("all maps must be endomorphisms of one shared space")
     if span_of(dom).kind not in kinds:
@@ -235,6 +239,21 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _recover_mn_chain(maps, dom: SpaceTag, tol: float) -> tuple:
+    hat = image_stack(maps[1]) @ _invertible(_map_at_identity(maps[1]), "f_2(I)")
+    Ns = [recover_conjugator(hat, tol=max(tol * 10, 1e-6))]
+    for i in range(1, len(maps)):  # N_{i+2} = f_{i+1}(I)^{-1} N_{i+1}; N_{m+1} = N_1 closes the cycle
+        Ns.append(_invertible(_map_at_identity(maps[i]), f"f_{i + 1}(I)") @ Ns[-1])
+    Ns = Ns[-1:] + Ns[:-1]
+
+    t = _phase_fix(Ns[0]) / np.linalg.norm(Ns[0])
+    Ns = [t * N for N in Ns]
+    if dom.field is Field.REAL:
+        Ns = [_realize(N, tol, "a chain matrix") for N in Ns]
+    note = "common scalar fixed: N_1 has unit Frobenius norm and real positive leading entry"
+    return MnChain(tuple(Ns)), note
+
+
 def decompose_mn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
     """Recover N_1..N_m with f_i(A) = N_i A N_{i+1}^{-1} from a chain on M_n.
 
@@ -243,34 +262,7 @@ def decompose_mn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
     is fixed by giving N_1 unit Frobenius norm and a real positive leading
     entry.
     """
-    dom = _validate_tuple_on(maps, {SpaceKind.FULL})
-    m = len(maps)
-    if m < 3:
-        raise NotApplicableError("chains on full matrix spaces need at least 3 maps")
-    _precheck(maps)
-    n = dom.n
-
-    hat = image_stack(maps[1]) @ _invertible(_map_at_identity(maps[1]), "f_2(I)")
-    N2 = recover_conjugator(hat, tol=max(tol * 10, 1e-6))
-
-    Ns: list = [None] * m
-    Ns[1] = N2
-    cur = N2
-    for ci in range(2, m + 1):  # chain index of the map whose value at I we use
-        cur = _invertible(_map_at_identity(maps[ci - 1]), f"f_{ci}(I)") @ cur
-        if ci < m:
-            Ns[ci] = cur
-        else:
-            Ns[0] = cur  # N_{m+1} = N_1 closes the cycle
-
-    t = _phase_fix(Ns[0]) / np.linalg.norm(Ns[0])
-    Ns = [t * N for N in Ns]
-    if dom.field is Field.REAL:
-        Ns = [_realize(N, tol, "a chain matrix") for N in Ns]
-    form = MnChain(tuple(Ns))
-    residual = _rebuild_residual(form, dom, maps, tol)
-    note = "common scalar fixed: N_1 has unit Frobenius norm and real positive leading entry"
-    return DecompositionResult(form, residual, note)
+    return decompose(maps, family="mn_chain", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +316,22 @@ def _normalized_conjugator(maps, images: np.ndarray, tol: float) -> tuple[list, 
     return phiI, N
 
 
+def _recover_hermitian(maps, dom: SpaceTag, tol: float) -> tuple:
+    n = dom.n
+    phiI, N = _normalized_conjugator(maps, image_stack(complexify(maps[0])), tol)
+    if len(maps) % 2 == 0:
+        M, c = _alternating_params(np.linalg.inv(N), phiI, _adjoint)
+        note = "M fixed by unit Frobenius norm and real positive leading entry"
+        return HermEven(M, _realize_scalars(c, tol, "the scalars")), note
+    c = [complex(np.trace(S)) / n for S in phiI]
+    if any(abs(x) < 1e-12 for x in c):
+        raise CanonicalStructureError("some f_i(I) has vanishing trace; not a scaled conjugation")
+    U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix, max(tol * 10, 1e-8), "a unitary")
+    c[-1] = 1.0 / complex(np.prod(c[:-1]))
+    note = f"U fixed up to phase by a real positive leading entry; unitarity deviation {dev:.3g}"
+    return HermOdd(U, _realize_scalars(c, tol, "the scalars")), note
+
+
 def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
     """Recover the canonical form of a chain on Hermitian matrices, m >= 3.
 
@@ -331,34 +339,7 @@ def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
     alternating congruences by one invertible matrix (HermEven). Pairs (m = 2)
     are the positive-definite pair family; use decompose_pn_pair.
     """
-    dom = _validate_tuple_on(maps, {SpaceKind.HERMITIAN}, field=Field.COMPLEX)
-    m = len(maps)
-    if m < 3:
-        raise NotApplicableError(
-            "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair"
-        )
-    _precheck(maps)
-    n = dom.n
-    phiI, N = _normalized_conjugator(maps, image_stack(complexify(maps[0])), tol)
-
-    if m % 2 == 1:
-        c = [complex(np.trace(S)) / n for S in phiI]
-        if any(abs(x) < 1e-12 for x in c):
-            raise CanonicalStructureError("some f_i(I) has vanishing trace; not a scaled conjugation")
-        U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix, max(tol * 10, 1e-8), "a unitary")
-        c[-1] = 1.0 / complex(np.prod(c[:-1]))
-        form = HermOdd(U, _realize_scalars(c, tol, "the scalars"))
-        note = (
-            "U fixed up to phase by a real positive leading entry; "
-            f"unitarity deviation {dev:.3g}"
-        )
-    else:
-        M, c = _alternating_params(np.linalg.inv(N), phiI, _adjoint)
-        form = HermEven(M, _realize_scalars(c, tol, "the scalars"))
-        note = "M fixed by unit Frobenius norm and real positive leading entry"
-
-    residual = _rebuild_residual(form, dom, maps, tol)
-    return DecompositionResult(form, residual, note)
+    return decompose(maps, family="hermitian", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +365,8 @@ def _herm_power_batch(stack: np.ndarray, t: float, tol: float = 1e-12) -> np.nda
     return (V * (w**t)[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2))
 
 
-def decompose_pn_pair(maps, tol: float = 1e-7) -> DecompositionResult:
-    """Recover (M, transpose flag) for a pair preserving traces of products on
-    the positive definite cone: f_1(A) = M*AM or M*A^tM, f_2 its inverse partner.
-
-    f_1(I) must be positive definite. M carries only a phase freedom, fixed by
-    a real positive leading entry.
-    """
-    dom = _validate_tuple_on(maps, {SpaceKind.HERMITIAN}, field=Field.COMPLEX)
-    if len(maps) != 2:
-        raise NotApplicableError("this family is a pair; longer chains go to decompose_pn_chain")
-    _precheck(maps)
+def _recover_pn_pair(maps, dom: SpaceTag, tol: float) -> tuple:
     n = dom.n
-
     S = _map_at_identity(maps[0])
     S = (S + S.conj().T) / 2
     eigs = np.linalg.eigvalsh(S)
@@ -430,10 +400,17 @@ def decompose_pn_pair(maps, tol: float = 1e-7) -> DecompositionResult:
     U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix, max(tol * 10, 1e-8), "a unitary")
     M = U @ Shalf
     M = _phase_fix(M) * M
-    form = PnPair(M, transpose)
-    residual = _rebuild_residual(form, dom, maps, tol)
-    note = f"M fixed up to phase; unitarity deviation {dev:.3g}; {sep_note}"
-    return DecompositionResult(form, residual, note)
+    return PnPair(M, transpose), f"M fixed up to phase; unitarity deviation {dev:.3g}; {sep_note}"
+
+
+def decompose_pn_pair(maps, tol: float = 1e-7) -> DecompositionResult:
+    """Recover (M, transpose flag) for a pair preserving traces of products on
+    the positive definite cone: f_1(A) = M*AM or M*A^tM, f_2 its inverse partner.
+
+    f_1(I) must be positive definite. M carries only a phase freedom, fixed by
+    a real positive leading entry.
+    """
+    return decompose(maps, family="pn_pair", tol=tol)
 
 
 def _require_positive_scalars(c, what: str) -> None:
@@ -453,19 +430,7 @@ def decompose_pn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
     of any length >= 2 are symmetric-space chains with positive scalars and,
     for odd length, a real orthogonal conjugator.
     """
-    dom = _validate_tuple_on(maps, {SpaceKind.HERMITIAN, SpaceKind.SYMMETRIC})
-    m = len(maps)
-    if m < 2:
-        raise NotApplicableError("need at least a pair")
-    if dom.field is Field.COMPLEX:
-        if m == 2:
-            return decompose_pn_pair(maps, tol=tol)
-        result = decompose_hermitian(maps, tol=tol)
-        _require_positive_scalars(result.form.c, "the recovered scalars")
-        return result
-    result = decompose_symmetric(maps, tol=tol)
-    _require_positive_scalars(result.form.c, "the recovered scalars")
-    return result
+    return decompose(maps, family="pn_chain", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -473,22 +438,8 @@ def decompose_pn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
-def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
-    """Recover the canonical form of a chain on symmetric matrices.
-
-    Odd length: scaled conjugations by one (possibly complex) orthogonal
-    matrix (SymOdd). Even length: alternating congruences (SymEven). The
-    recovery normalizes f_1 at the identity; the result is a conjugation
-    A -> N A N^{-1} on the symmetric matrices, and `recover_conjugator` reads
-    N off the images of the symmetric basis and checks it on every one.
-    Guaranteed for length >= 3, and for pairs on the real definite cone.
-    """
-    dom = _validate_tuple_on(maps, {SpaceKind.SYMMETRIC})
-    m = len(maps)
-    if m < 2:
-        raise NotApplicableError("need at least a pair")
-    _precheck(maps)
-    n = dom.n
+def _recover_symmetric(maps, dom: SpaceTag, tol: float) -> tuple:
+    m, n = len(maps), dom.n
     phiI, N = _normalized_conjugator(maps, image_stack(maps[0]), tol)
     W = np.linalg.inv(N)
 
@@ -505,7 +456,6 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
     if dom.field is Field.REAL:
         mat = _realize(mat, tol, what)
         c = _realize_scalars(c, tol, "the scalars")
-    form = cls(mat, tuple(c))
 
     if m == 3:
         # consistency relation specific to length-3 chains:
@@ -518,14 +468,36 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
             note += f"; length-3 anticommutator relation deviation {worst:.3g}"
         except np.linalg.LinAlgError:
             note += "; length-3 anticommutator relation skipped (f_2 not invertible)"
+    return cls(mat, tuple(c)), note
 
-    residual = _rebuild_residual(form, dom, maps, tol)
-    return DecompositionResult(form, residual, note)
+
+def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
+    """Recover the canonical form of a chain on symmetric matrices.
+
+    Odd length: scaled conjugations by one (possibly complex) orthogonal
+    matrix (SymOdd). Even length: alternating congruences (SymEven). The
+    recovery normalizes f_1 at the identity; the result is a conjugation
+    A -> N A N^{-1} on the symmetric matrices, and `recover_conjugator` reads
+    N off the images of the symmetric basis and checks it on every one.
+    Guaranteed for length >= 3, and for pairs on the real definite cone.
+    """
+    return decompose(maps, family="symmetric", tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # diagonal families
 # ---------------------------------------------------------------------------
+
+
+def _recover_diag_pair(maps, dom: SpaceTag, tol: float) -> tuple:
+    N = np.array(maps[0].transfer)
+    partner = _invertible(N, "f_1").T
+    dev = float(np.max(np.abs(maps[1].transfer - partner))) / max(1.0, float(np.max(np.abs(partner))))
+    if dev > max(tol, 1e-9):
+        raise CanonicalStructureError(
+            f"f_2 is not the inverse-transpose partner of f_1 (deviation {dev:.3g})"
+        )
+    return DiagPair(N), "parameters unique: N is the transfer of f_1"
 
 
 def decompose_diag_pair(maps, tol: float = 1e-7) -> DecompositionResult:
@@ -534,20 +506,7 @@ def decompose_diag_pair(maps, tol: float = 1e-7) -> DecompositionResult:
     Every invertible N gives such a pair, so the parameters are unique with no
     gauge freedom: N is literally the transfer of f_1.
     """
-    dom = _validate_tuple_on(maps, {SpaceKind.DIAGONAL})
-    if len(maps) != 2:
-        raise NotApplicableError("diagonal pairs have exactly 2 maps")
-    _precheck(maps)
-    N = np.array(maps[0].transfer)
-    partner = _invertible(N, "f_1").T
-    dev = float(np.max(np.abs(maps[1].transfer - partner))) / max(1.0, float(np.max(np.abs(partner))))
-    if dev > max(tol, 1e-9):
-        raise CanonicalStructureError(
-            f"f_2 is not the inverse-transpose partner of f_1 (deviation {dev:.3g})"
-        )
-    form = DiagPair(N)
-    residual = _rebuild_residual(form, dom, maps, tol)
-    return DecompositionResult(form, residual, "parameters unique: N is the transfer of f_1")
+    return decompose(maps, family="diag_pair", tol=tol)
 
 
 def _permutation_pattern(T: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -558,15 +517,15 @@ def _permutation_pattern(T: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     """
     n = T.shape[0]
     sigma = np.argmax(np.abs(T), axis=0)
-    if len(set(int(s) for s in sigma)) != n:
+    if np.unique(sigma).size != n:
         raise CanonicalStructureError("transfer does not have a permutation pattern")
+    cols = np.arange(n)
     vals = np.zeros(n, dtype=np.complex128)
+    vals[sigma] = T[sigma, cols]
     scale = max(1.0, float(np.max(np.abs(T))))
-    mask = np.zeros_like(T, dtype=bool)
-    for i in range(n):
-        mask[sigma[i], i] = True
-        vals[sigma[i]] = T[sigma[i], i]
-    off = np.max(np.abs(np.where(mask, 0.0, T)))
+    mass = np.abs(T)
+    mass[sigma, cols] = 0.0
+    off = np.max(mass)
     if off > tol * scale:
         raise CanonicalStructureError(
             f"transfer has off-pattern mass {off:.3g}; not a scaled permutation"
@@ -576,56 +535,105 @@ def _permutation_pattern(T: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     return sigma, vals
 
 
+def _recover_diag_chain(maps, dom: SpaceTag, tol: float) -> tuple:
+    sigma, vals = _permutation_pattern(np.asarray(maps[0].transfer), max(tol, 1e-9))
+    diags = [vals]
+    for f in maps[1:]:
+        sig, vals = _permutation_pattern(np.asarray(f.transfer), max(tol, 1e-9))
+        if not np.array_equal(sig, sigma):
+            raise CanonicalStructureError("maps do not share one permutation")
+        diags.append(vals)
+    C = np.array(diags)  # row i is the diagonal of C_i
+    if np.max(np.abs(np.prod(C, axis=0) - 1.0)) > max(tol * 10, 1e-6):
+        raise CanonicalStructureError("product of the diagonal scalings is not the identity")
+    C[-1] = 1.0 / np.prod(C[:-1], axis=0)
+    if dom.field is Field.REAL:
+        C = [_realize(c, tol, "a diagonal scaling") for c in C]
+    form = DiagChain(np.eye(dom.n)[sigma], tuple(np.diag(c) for c in C))
+    return form, "parameters unique: permutation and scalings are pinned"
+
+
 def decompose_diag_chain(maps, tol: float = 1e-7) -> DecompositionResult:
     """Recover (P, C_1..C_m) with f_i(A) = C_i P^t A P on diagonal matrices,
     the C_i diagonal with product I. Parameters are unique: no gauge freedom.
     """
-    dom = _validate_tuple_on(maps, {SpaceKind.DIAGONAL})
-    m = len(maps)
-    if m < 3:
-        raise NotApplicableError("diagonal chains need at least 3 maps; pairs go to decompose_diag_pair")
-    _precheck(maps)
-    n = dom.n
-
-    sigma0, vals0 = _permutation_pattern(np.asarray(maps[0].transfer), max(tol, 1e-9))
-    P = np.zeros((n, n))
-    for i in range(n):
-        P[i, sigma0[i]] = 1.0
-    Cs = [np.diag(vals0)]
-    for f in maps[1:]:
-        sig, vals = _permutation_pattern(np.asarray(f.transfer), max(tol, 1e-9))
-        if not np.array_equal(sig, sigma0):
-            raise CanonicalStructureError("maps do not share one permutation")
-        Cs.append(np.diag(vals))
-    prod = Cs[0].copy()
-    for C in Cs[1:]:
-        prod = prod @ C
-    if np.max(np.abs(prod - np.eye(n))) > max(tol * 10, 1e-6):
-        raise CanonicalStructureError("product of the diagonal scalings is not the identity")
-    last = np.eye(n, dtype=np.complex128)
-    for C in Cs[:-1]:
-        last = last @ C
-    Cs[-1] = np.diag(1.0 / np.diag(last))
-    if dom.field is Field.REAL:
-        Cs = [_realize(C, tol, "a diagonal scaling") for C in Cs]
-    form = DiagChain(P, tuple(Cs))
-    residual = _rebuild_residual(form, dom, maps, tol)
-    return DecompositionResult(form, residual, "parameters unique: permutation and scalings are pinned")
+    return decompose(maps, family="diag_chain", tol=tol)
 
 
 # ---------------------------------------------------------------------------
-# dispatcher
+# the pipeline
 # ---------------------------------------------------------------------------
 
-_FAMILY_DECOMPOSERS = {
-    "mn_chain": decompose_mn_chain,
-    "hermitian": decompose_hermitian,
-    "pn_pair": decompose_pn_pair,
-    "pn_chain": decompose_pn_chain,
-    "symmetric": decompose_symmetric,
-    "diag_pair": decompose_diag_pair,
-    "diag_chain": decompose_diag_chain,
+
+@dataclass(frozen=True)
+class _Family:
+    """A decompose family: the span kinds and field its maps need, its length
+    rule with the error that breaks it, and the recovery
+    `(maps, domain, tol) -> (form, gauge_note)` of its form. pn_chain has no
+    recovery of its own: `_resolve` routes it to another family."""
+
+    kinds: frozenset
+    field: Field | None
+    length: Callable[[int], bool]
+    length_error: str
+    recover: Callable | None
+
+
+_DECOMPOSERS = {
+    "mn_chain": _Family(
+        frozenset({SpaceKind.FULL}), None, lambda m: m >= 3,
+        "chains on full matrix spaces need at least 3 maps", _recover_mn_chain,
+    ),
+    "hermitian": _Family(
+        frozenset({SpaceKind.HERMITIAN}), Field.COMPLEX, lambda m: m >= 3,
+        "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair", _recover_hermitian,
+    ),
+    "pn_pair": _Family(
+        frozenset({SpaceKind.HERMITIAN}), Field.COMPLEX, lambda m: m == 2,
+        "this family is a pair; longer chains go to decompose_pn_chain", _recover_pn_pair,
+    ),
+    "pn_chain": _Family(
+        frozenset({SpaceKind.HERMITIAN, SpaceKind.SYMMETRIC}), None, lambda m: m >= 2,
+        "need at least a pair", None,
+    ),
+    "symmetric": _Family(
+        frozenset({SpaceKind.SYMMETRIC}), None, lambda m: m >= 2,
+        "need at least a pair", _recover_symmetric,
+    ),
+    "diag_pair": _Family(
+        frozenset({SpaceKind.DIAGONAL}), None, lambda m: m == 2,
+        "diagonal pairs have exactly 2 maps", _recover_diag_pair,
+    ),
+    "diag_chain": _Family(
+        frozenset({SpaceKind.DIAGONAL}), None, lambda m: m >= 3,
+        "diagonal chains need at least 3 maps; pairs go to decompose_diag_pair", _recover_diag_chain,
+    ),
 }
+
+# the family "auto" picks on each span kind, for pairs and for longer tuples
+_AUTO = {
+    SpaceKind.FULL: ("mn_chain", "mn_chain"),
+    SpaceKind.HERMITIAN: ("pn_pair", "hermitian"),
+    SpaceKind.SYMMETRIC: ("symmetric", "symmetric"),
+    SpaceKind.DIAGONAL: ("diag_pair", "diag_chain"),
+}
+
+
+def _resolve(family: str, dom: SpaceTag, m: int) -> str:
+    """The family that "auto" or "pn_chain" stands for on an m-tuple on `dom`.
+
+    "auto" sends a definite cone to pn_chain and any other domain to the
+    `_AUTO` family of its span. pn_chain goes to the `_AUTO` family of the
+    cone's span: pn_pair or hermitian over C, symmetric over R.
+    """
+    if family == "pn_chain":
+        kind = SpaceKind.HERMITIAN if dom.field is Field.COMPLEX else SpaceKind.SYMMETRIC
+    elif dom.kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF):
+        return "pn_chain"
+    else:
+        kind = span_of(dom).kind
+    pair, longer = _AUTO[kind]
+    return pair if m == 2 else longer
 
 
 def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionResult:
@@ -633,31 +641,39 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
     family == "auto": definite cones dispatch by field and length, Hermitian
     pairs to the definite pair family, longer Hermitian/full/symmetric tuples
     to their chains, diagonal tuples by length.
+
+    The checks run in a fixed order: `tol` (finite, nonnegative) and the
+    family name, the domain (one shared space of the family's span kinds and
+    field; for pn_chain also those of the family it routes to) and the
+    length, then the identity check (PreservationError),
+    then the recovery and the rebuild within `tol` (CanonicalStructureError).
+    pn_chain's Hermitian and symmetric chains must have positive scalars.
     """
-    if family != "auto":
-        if family not in _FAMILY_DECOMPOSERS:
-            raise InvalidParameterError(
-                f"unknown family {family!r}; expected one of {sorted(_FAMILY_DECOMPOSERS)} or 'auto'"
-            )
-        return _FAMILY_DECOMPOSERS[family](maps, tol=tol)
+    if not math.isfinite(tol) or tol < 0:
+        raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol}")
+    if family != "auto" and family not in _DECOMPOSERS:
+        raise InvalidParameterError(
+            f"unknown family {family!r}; expected one of {sorted(_DECOMPOSERS)} or 'auto'"
+        )
     if not maps:
         raise InvalidParameterError("need at least one map")
-    dom = maps[0].domain
     m = len(maps)
-    kind = dom.kind
-    if kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF):
-        return decompose_pn_chain(maps, tol=tol)
-    if span_of(dom).kind is SpaceKind.HERMITIAN:
-        if m == 2:
-            return decompose_pn_pair(maps, tol=tol)
-        return decompose_hermitian(maps, tol=tol)
-    if span_of(dom).kind is SpaceKind.FULL:
-        return decompose_mn_chain(maps, tol=tol)
-    if span_of(dom).kind is SpaceKind.SYMMETRIC:
-        return decompose_symmetric(maps, tol=tol)
-    if m == 2:
-        return decompose_diag_pair(maps, tol=tol)
-    return decompose_diag_chain(maps, tol=tol)
+    name = _resolve(family, maps[0].domain, m) if family == "auto" else family
+    cone = False
+    while True:
+        spec = _DECOMPOSERS[name]
+        dom = _validate_tuple_on(maps, spec.kinds, spec.field)
+        if not spec.length(m):
+            raise NotApplicableError(spec.length_error)
+        if spec.recover is not None:
+            break
+        name, cone = _resolve(name, dom, m), True  # pn_chain, whose chains need positive scalars
+    _precheck(maps)
+    form, note = spec.recover(maps, dom, tol)
+    residual = _rebuild_residual(form, dom, maps, tol)
+    if cone and name != "pn_pair":
+        _require_positive_scalars(form.c, "the recovered scalars")
+    return DecompositionResult(form, residual, note)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +813,7 @@ def weighted_reduction(maps, alpha, beta, tol: float = 1e-8, seed: int = 0) -> l
     if any(b == 0 for b in beta):
         raise InvalidParameterError("beta weights must be nonzero")
     out = []
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for i in range(m):
         span = span_of(maps[i].domain)
         n = span.n
@@ -845,8 +861,10 @@ def nonextendable_best_fit_residual(form_or_x, trials: int = 20, seed: int = 0) 
         X = form_or_x.X
     else:
         X = np.asarray(form_or_x, dtype=np.complex128)
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be positive, got {trials}")
     n = X.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     lefts = []
     rights = []
     per_pair = []

@@ -50,6 +50,7 @@ from .spaces import (
     _random_batch,
     _random_diagonals,
     _reassemble,
+    _rng,
 )
 
 # beyond this many basis tuples the exhaustive check switches to sampling
@@ -264,7 +265,7 @@ def _randomized_residual(
     draw, trace = (
         (_random_diagonals, _trace_of_diagonal_product) if diagonal else (_random_batch, _trace_of_product)
     )
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     max_res = -1.0
     worst: tuple = ()
     for done in range(0, trials, batch):
@@ -527,7 +528,7 @@ def infeasibility_certificate(
     d, Dk = span_dim(dom), span_dim(cod)
     H = np.asarray(_span_gram(dom))
     rhs_rank = int(np.linalg.matrix_rank(H))
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     real = field is Field.REAL
 
     best_rank = -1

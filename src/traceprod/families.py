@@ -26,7 +26,7 @@ from .linmaps import (
     SymOdd,
     from_canonical,
 )
-from .spaces import Field, SpaceKind, SpaceTag, random_batch
+from .spaces import Field, SpaceKind, SpaceTag, _rng, random_batch
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def gen_space_sample(space: SpaceTag, count: int, seed: int = 0) -> np.ndarray:
     """Seeded random elements of a space, shape (count, n, n)."""
     if count < 1:
         raise InvalidParameterError("count must be positive")
-    return random_batch(space, count, np.random.default_rng(seed))
+    return random_batch(space, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -295,5 +295,5 @@ def generate(spec: GenSpec) -> Generated:
     """Generate the canonical form and maps named by `spec`, deterministically."""
     family = _FAMILY_TABLE[spec.family]
     space = SpaceTag(family.kind, spec.field, spec.n)
-    form = family.sample(np.random.default_rng(spec.seed), spec.n, spec.m, spec.field, spec.condition_bound)
+    form = family.sample(_rng(spec.seed), spec.n, spec.m, spec.field, spec.condition_bound)
     return Generated(form=form, maps=tuple(from_canonical(form, space)), space=space)

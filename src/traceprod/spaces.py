@@ -307,8 +307,19 @@ def random_batch(space: SpaceTag, count: int, rng=0) -> np.ndarray:
     Hermitian and symmetric, G G* + 0.1 I for PosDef (G G* for PosSemiDef),
     Gaussian diagonals for diagonal spaces.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    return _random_batch(space, count, rng).astype(np.complex128, copy=False)
+    return _random_batch(space, count, _rng(rng)).astype(np.complex128, copy=False)
+
+
+def _rng(seed) -> np.random.Generator:
+    """`np.random.default_rng(seed)`, which hands a Generator back as it is.
+
+    Every seeded function of the package draws through here, so a seed numpy
+    refuses, such as a negative integer, is an InvalidParameterError.
+    """
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed!r}") from None
 
 
 def _gaussian(shape: tuple, real: bool, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import traceprod
 from traceprod import (
     CanonicalStructureError,
     apply,
@@ -30,6 +33,7 @@ from traceprod import (
     decompose_diag_chain,
     decompose_diag_pair,
     decompose_mn_chain,
+    decompose_pn_chain,
     decompose_pn_pair,
     from_canonical,
     generate,
@@ -308,6 +312,91 @@ def test_decompose_precheck_rejects_rebuild_within_tol():
     gen = generate(GenSpec(family="mn_chain", n=16, m=3, field=Field.COMPLEX, seed=0))
     with pytest.raises(PreservationError):
         decompose(move_first_transfer(gen.maps, 1e-8))
+
+
+# per decompose family: (generator family, field, m) of a tuple it decomposes,
+# a tuple length its length rule refuses, and the start of that refusal
+_FAMILY_CASES = {
+    "mn_chain": ("mn_chain", Field.COMPLEX, 3, 2, "chains on full matrix spaces need at least 3"),
+    "hermitian": ("herm_odd", Field.COMPLEX, 3, 2, "Hermitian chains need at least 3"),
+    "pn_pair": ("pn_pair", Field.COMPLEX, 2, 3, "this family is a pair"),
+    "pn_chain": ("pn_chain", Field.COMPLEX, 3, 1, "need at least a pair"),
+    "symmetric": ("sym_even", Field.REAL, 4, 1, "need at least a pair"),
+    "diag_pair": ("diag_pair", Field.COMPLEX, 2, 3, "diagonal pairs have exactly 2"),
+    "diag_chain": ("diag_chain", Field.REAL, 3, 2, "diagonal chains need at least 3"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_CASES))
+def test_decompose_family_is_its_decomposer_and_checks_length_before_identity(family):
+    gen_family, field, m, wrong_m, length_error = _FAMILY_CASES[family]
+    maps = generate(GenSpec(family=gen_family, n=3, m=m, field=field, seed=1)).maps
+    via_table = decompose(maps, family=family)
+    direct = getattr(traceprod, f"decompose_{family}")(maps)
+    assert type(via_table.form) is type(direct.form)
+    for param in dataclasses.fields(direct.form):
+        np.testing.assert_array_equal(
+            np.asarray(getattr(via_table.form, param.name)), np.asarray(getattr(direct.form, param.name))
+        )
+    assert via_table.reconstruction_residual == direct.reconstruction_residual
+    assert via_table.gauge_note == direct.gauge_note
+
+    # doubled maps of the wrong length: the length error wins over the identity's
+    broken = [LinMap(f.domain, f.codomain, 2.0 * f.transfer) for f in (list(maps) * 2)[:wrong_m]]
+    assert not check_preservation(broken, mode="randomized", trials=16).passed
+    with pytest.raises(NotApplicableError, match=length_error):
+        decompose(broken, family=family)
+
+
+@pytest.mark.parametrize(
+    "gen_family, kinds",
+    [("mn_chain", r"\['Hermitian', 'Symmetric'\]"), ("sym_odd", r"\['Hermitian'\]")],
+)
+def test_decompose_pn_chain_checks_its_kinds_then_its_routes_kinds(gen_family, kinds):
+    # pn_chain takes symmetric spans, but over C its tuples go to the Hermitian families
+    maps = generate(GenSpec(family=gen_family, n=3, m=3, field=Field.COMPLEX, seed=0)).maps
+    with pytest.raises(InvalidParameterError, match=f"expected one of {kinds}"):
+        decompose_pn_chain(maps)
+
+
+def test_decompose_pn_chain_needs_positive_scalars():
+    U = generate(GenSpec(family="herm_odd", n=3, m=3, seed=2)).form.U
+    maps = from_canonical(HermOdd(U, (-1.0, -1.0, 1.0)), SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 3))
+    assert isinstance(decompose(maps, family="hermitian").form, HermOdd)
+    with pytest.raises(CanonicalStructureError, match="must be positive to preserve the definite cone"):
+        decompose_pn_chain(maps)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_diag_chain_recovery_matches_loop_reference(field):
+    # the recovery reads the pattern and the product with array ops; the
+    # reference reads them entry by entry and multiplies diagonal matrices
+    gen = generate(GenSpec(family="diag_chain", n=8, m=4, field=field, seed=2))
+    form = decompose_diag_chain(gen.maps).form
+    n = 8
+    transfers = [np.asarray(f.transfer) for f in gen.maps]
+    sigma = [int(np.argmax(np.abs(transfers[0][:, i]))) for i in range(n)]
+    P = np.zeros((n, n))
+    Cs = [np.zeros((n, n), dtype=np.complex128) for _ in transfers]
+    for i in range(n):
+        P[i, sigma[i]] = 1.0
+        for C, T in zip(Cs, transfers):
+            C[sigma[i], sigma[i]] = T[sigma[i], i]
+    last = np.eye(n, dtype=np.complex128)
+    for C in Cs[:-1]:
+        last = last @ C
+    Cs[-1] = np.diag(1.0 / np.diag(last))
+    np.testing.assert_array_equal(form.P, P)
+    for got, want in zip(form.C, Cs):
+        np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_decompose_rejects_negative_or_non_finite_tol(tol):
+    # -1 used to fail the rebuild gate, nan the conjugator and inf skipped the gate
+    maps = generate(GenSpec(family="mn_chain", n=2, m=3, seed=0)).maps
+    with pytest.raises(InvalidParameterError, match="tol must be finite and nonnegative"):
+        decompose(maps, tol=tol)
 
 
 def test_herm_power():

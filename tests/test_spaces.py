@@ -6,13 +6,20 @@ from hypothesis import strategies as st
 from traceprod import (
     DimensionMismatchError,
     Field,
+    GenSpec,
+    InvalidParameterError,
     LinMap,
     SpaceKind,
     SpaceTag,
     base_field,
+    check_preservation,
     coords,
+    gen_space_sample,
+    generate,
     gram_matrix,
+    infeasibility_certificate,
     membership,
+    nonextendable_best_fit_residual,
     random_batch,
     random_element,
     reassemble,
@@ -20,6 +27,8 @@ from traceprod import (
     span_dim,
     span_of,
     trace_pair,
+    verify_weighted,
+    weighted_reduction,
 )
 from traceprod.linmaps import image_stack
 from traceprod.spaces import _random_batch, _random_diagonals, coords_batch, reassemble_batch
@@ -366,3 +375,32 @@ def test_coordinate_shapes_are_checked():
         reassemble(S2, np.zeros(4))
     with pytest.raises(DimensionMismatchError):
         reassemble_batch(S2, np.zeros((2, 4)))
+
+
+def _pn_pair():
+    return generate(GenSpec(family="pn_chain", n=2, m=2, seed=0)).maps
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: check_preservation(
+                generate(GenSpec(family="mn_chain", n=2, m=3)).maps, mode="randomized", seed=-1
+            ),
+            id="check_preservation",
+        ),
+        pytest.param(lambda: verify_weighted(_pn_pair(), [1, 1], [1, 1], seed=-1), id="verify_weighted"),
+        pytest.param(lambda: generate(GenSpec(family="mn_chain", n=2, m=3, seed=-1)), id="generate"),
+        pytest.param(lambda: infeasibility_certificate(3, 2, seed=-1), id="infeasibility_certificate"),
+        pytest.param(lambda: weighted_reduction(_pn_pair(), [1, 1], [1, 1], seed=-1), id="weighted_reduction"),
+        pytest.param(lambda: gen_space_sample(C2, 2, seed=-1), id="gen_space_sample"),
+        pytest.param(lambda: random_batch(C2, 2, -1), id="random_batch"),
+        pytest.param(lambda: nonextendable_best_fit_residual(np.eye(2), seed=-1), id="best_fit-seed"),
+        pytest.param(lambda: nonextendable_best_fit_residual(np.eye(2), trials=0), id="best_fit-trials"),
+    ],
+)
+def test_negative_seed_or_no_trials_is_an_input_error(call):
+    # numpy's ValueError before: "expected non-negative integer", "need at least one array"
+    with pytest.raises(InvalidParameterError):
+        call()
