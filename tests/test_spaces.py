@@ -392,6 +392,11 @@ def _pn_pair():
         ),
         pytest.param(lambda: verify_weighted(_pn_pair(), [1, 1], [1, 1], seed=-1), id="verify_weighted"),
         pytest.param(lambda: generate(GenSpec(family="mn_chain", n=2, m=3, seed=-1)), id="generate"),
+        pytest.param(lambda: GenSpec(family="mn_chain", n=2, m=3, seed=-1), id="GenSpec"),
+        pytest.param(
+            lambda: check_preservation(generate(GenSpec(family="mn_chain", n=2, m=3)).maps, seed=-1),
+            id="check_preservation-exhaustive",
+        ),
         pytest.param(lambda: infeasibility_certificate(3, 2, seed=-1), id="infeasibility_certificate"),
         pytest.param(lambda: weighted_reduction(_pn_pair(), [1, 1], [1, 1], seed=-1), id="weighted_reduction"),
         pytest.param(lambda: gen_space_sample(C2, 2, seed=-1), id="gen_space_sample"),
