@@ -1,13 +1,16 @@
 """Recover canonical parameters from tuples of maps satisfying the trace identity.
 
 `decompose` runs one pipeline for every family of the table `_DECOMPOSERS`:
-it checks the domain and the tuple length, checks the identity actually
-holds, recovers the canonical parameters (conjugating matrices, scalars,
-permutations) with the family's gauge fixed deterministically, and rebuilds
-the maps from them. Failures of the structural assumptions raise
-CanonicalStructureError; tuples that do not satisfy the identity at all raise
-PreservationError up front. Each `decompose_<family>` is `decompose` with
-that family.
+it checks the domain and the tuple length, recovers the canonical parameters
+(conjugating matrices, scalars, permutations) with the family's gauge fixed
+deterministically, and rebuilds the maps from them. Every tuple of canonical
+shape satisfies the identity, so a rebuild within rounding (`CERTIFY_TOL`) of
+the input, from a form that meets its own invariants, certifies the tuple.
+Only a tuple the rebuild does not certify, or whose recovery fails, pays for
+the randomized identity check; a tuple that fails it raises
+PreservationError, and failures of the structural assumptions raise
+CanonicalStructureError. Each `decompose_<family>` is `decompose` with that
+family.
 
 Also here: positive-definite matrix powers, power-wrapped maps for the weighted
 identity tr(f1(A1)^a1 ... ) = tr(A1^b1 ...), and the rank / best-fit
@@ -17,8 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -71,16 +74,26 @@ from .spaces import (
 
 PRECHECK_TOL = 1e-6
 PRECHECK_TRIALS = 512
+# largest rebuild miss and invariant deviation that certify a tuple without the precheck
+CERTIFY_TOL = 1e-10
 _WEIGHTED_BATCH = 256
 
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """A recovered canonical form with its reconstruction quality."""
+    """A recovered canonical form with its reconstruction quality.
+
+    `diagnostics` holds the certificate's numbers: `rebuild_delta`, the
+    largest Frobenius miss of a rebuilt transfer relative to its input;
+    `invariant_deviation`, how far the form is from its own invariants;
+    `precheck_ran`, whether the randomized identity check ran; and, when it
+    did, its `max_residual`.
+    """
 
     form: object
     reconstruction_residual: float
     gauge_note: str
+    diagnostics: Mapping = field(default_factory=dict)
 
 
 def _validate_tuple_on(maps, kinds, field: Field | None) -> SpaceTag:
@@ -151,20 +164,41 @@ def _invertible(M: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(M)
 
 
-def _rebuild_residual(form, space: SpaceTag, maps, tol: float) -> float:
-    """Worst relative entry error of the maps rebuilt from `form`; raises
-    CanonicalStructureError when it exceeds `tol`, so no decomposer returns a
-    form that does not reproduce its input."""
-    rec = from_canonical(form, space, tol=1e-5)
-    worst = 0.0
-    for f, g in zip(maps, rec):
-        scale = max(1.0, float(np.max(np.abs(f.transfer))))
-        worst = max(worst, float(np.max(np.abs(f.transfer - g.transfer))) / scale)
-    if worst > tol:
-        raise CanonicalStructureError(
-            f"the recovered {type(form).__name__} rebuilds the maps only to {worst:.3g}, above tol {tol:.3g}"
-        )
-    return worst
+def _rebuild(form, space: SpaceTag, maps) -> tuple[float, float]:
+    """Rebuild the maps from `form` once and measure the miss twice: the
+    certificate's largest Frobenius error relative to the input transfer, and
+    the `tol` gate's worst entry error relative to max(1, largest entry)."""
+    rebuilt = from_canonical(form, space, tol=1e-5)
+    delta, worst = [], []
+    for f, g in zip(maps, rebuilt):
+        diff = f.transfer - g.transfer
+        delta.append(np.linalg.norm(diff) / np.linalg.norm(f.transfer))
+        worst.append(np.max(np.abs(diff)) / max(1.0, np.max(np.abs(f.transfer))))
+    return float(np.max(delta)), float(np.max(worst))  # np.max keeps a NaN
+
+
+def _invariant_deviation(form) -> float:
+    """How far `form` misses the invariants that make its maps preservers:
+    |prod c_i - 1| for scalars c, max|U* U - I| for HermOdd's unitary U,
+    max|O^t O - I| for SymOdd's orthogonal O, max|prod C_i - I| for
+    DiagChain's diagonals; 0 for forms without one."""
+    devs = [0.0]
+    if hasattr(form, "c"):
+        devs.append(abs(np.prod(np.asarray(form.c, dtype=np.complex128)) - 1.0))
+    if isinstance(form, HermOdd):
+        devs.append(np.max(np.abs(_adjoint(form.U) @ form.U - np.eye(len(form.U)))))
+    if isinstance(form, SymOdd):
+        devs.append(np.max(np.abs(form.O.T @ form.O - np.eye(len(form.O)))))
+    if isinstance(form, DiagChain):
+        devs.append(np.max(np.abs(np.prod(np.array(form.C), axis=0) - np.eye(form.P.shape[0]))))
+    return float(np.max(devs))
+
+
+def _precheck(maps) -> PreservationReport:
+    """The randomized (or exhaustive) identity check; PreservationError when it fails."""
+    report = check_preservation(maps, tol=PRECHECK_TOL, mode="auto", trials=PRECHECK_TRIALS, seed=7)
+    _require_passed(report, "maps")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +385,8 @@ def _herm_power_batch(stack: np.ndarray, t: float, tol: float = 1e-12) -> np.nda
     w, V = np.linalg.eigh(stack)
     if w.min() <= tol:
         raise PositivityError(f"matrix power {t} needs positive definite inputs (min eig {w.min():.3g})")
-    return (V * (w**t)[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power reads as an infinite residual
+        return (V * (w**t)[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2))
 
 
 def _recover_pn_pair(maps, dom: SpaceTag, tol: float) -> tuple:
@@ -634,9 +669,16 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
     The checks run in a fixed order: `tol` (finite, nonnegative) and the
     family name, the domain (one shared space of the family's span kinds and
     field; for pn_chain also those of the family it routes to) and the
-    length, then the identity check (PreservationError),
-    then the recovery and the rebuild within `tol` (CanonicalStructureError).
+    length. Then the form is recovered and rebuilt once. When recovery or
+    the rebuild fails, the identity check runs first, so a tuple that breaks
+    the identity raises PreservationError, and any other tuple raises the
+    recovery's own error. The tuple is certified when each rebuilt transfer
+    is within `CERTIFY_TOL` of its input in relative Frobenius norm and the
+    form meets its invariants (scalar product 1, unitarity or orthogonality)
+    to `CERTIFY_TOL`; otherwise the identity check runs (PreservationError).
+    Then the rebuild must be within `tol` (CanonicalStructureError), and
     pn_chain's Hermitian and symmetric chains must have positive scalars.
+    The result's `diagnostics` record the certificate and the check.
     """
     if not math.isfinite(tol) or tol < 0:
         raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol}")
@@ -657,14 +699,28 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
         if spec.recover is not None:
             break
         name, cone = _resolve(name, dom, m), True  # pn_chain, whose chains need positive scalars
-    _require_passed(
-        check_preservation(maps, tol=PRECHECK_TOL, mode="auto", trials=PRECHECK_TRIALS, seed=7), "maps"
-    )
-    form, note = spec.recover(maps, dom, tol)
-    residual = _rebuild_residual(form, dom, maps, tol)
+    # a tuple far from any preserver may overflow here; its residual reads inf
+    with np.errstate(all="ignore"):
+        try:
+            form, note = spec.recover(maps, dom, tol)
+            delta, worst = _rebuild(form, dom, maps)
+        except Exception:
+            _precheck(maps)
+            raise
+        deviation = _invariant_deviation(form)
+        report = None
+        if not (delta <= CERTIFY_TOL and deviation <= CERTIFY_TOL):
+            report = _precheck(maps)
+    if not worst <= tol:
+        raise CanonicalStructureError(
+            f"the recovered {type(form).__name__} rebuilds the maps only to {worst:.3g}, above tol {tol:.3g}"
+        )
     if cone and name != "pn_pair":
         _require_positive_scalars(form.c, "the recovered scalars")
-    return DecompositionResult(form, residual, note)
+    diagnostics = {"rebuild_delta": delta, "invariant_deviation": deviation, "precheck_ran": report is not None}
+    if report is not None:
+        diagnostics["max_residual"] = report.max_residual
+    return DecompositionResult(form, worst, note, diagnostics)
 
 
 # ---------------------------------------------------------------------------

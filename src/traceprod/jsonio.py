@@ -212,6 +212,9 @@ def encode_decomposition(result: DecompositionResult, space: SpaceTag) -> dict:
         "form": encode_form(result.form),
         "reconstruction_residual": result.reconstruction_residual,
         "gauge_note": result.gauge_note,
+        "diagnostics": {
+            k: _residual(v) if isinstance(v, float) else v for k, v in result.diagnostics.items()
+        },
     }
 
 

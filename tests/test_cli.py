@@ -2,11 +2,12 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from traceprod import Field, GenSpec, SpaceKind, SpaceTag, generate, identity_map
+from traceprod import Field, GenSpec, HermOdd, SpaceKind, SpaceTag, from_canonical, generate, identity_map
 from traceprod.cli import run
 from traceprod.jsonio import decode_maps_document, encode_linmap, encode_space
 from conftest import move_first_transfer
@@ -77,6 +78,20 @@ def test_decompose_pipe(tmp_path, capsys):
     assert code == 0
     assert result["form"]["form"] == "DiagChain"
     assert result["reconstruction_residual"] <= 1e-7
+
+
+def test_decompose_prints_its_diagnostics(tmp_path, capsys):
+    gen = generate(GenSpec(family="herm_odd", n=3, m=3, seed=3))
+    off = from_canonical(HermOdd(gen.form.U * (1 + 1e-9), (2.0, 0.5, 1.0)), gen.space)
+    keys = ["space", "form", "reconstruction_residual", "gauge_note", "diagnostics"]
+    for maps, ran in ((gen.maps, False), (off, True)):
+        path = _write(tmp_path, "maps.json", [encode_linmap(f) for f in maps])
+        code, result = _run(capsys, ["decompose", "--maps", path])
+        assert code == 0 and list(result) == keys
+        diagnostics = result["diagnostics"]
+        assert diagnostics["precheck_ran"] is ran and ("max_residual" in diagnostics) is ran
+        assert (diagnostics["rebuild_delta"] <= 1e-10) is not ran
+        assert diagnostics["invariant_deviation"] <= 1e-10
 
 
 def test_decompose_family_override(tmp_path, capsys):
@@ -224,6 +239,19 @@ def test_non_finite_residual_prints_null(tmp_path, capsys, argv):
         assert out["pass"] is False and out["max_residual"] is None
     else:
         assert out["error"]["context"] == {"max_residual": None}
+
+
+def test_weighted_overflow_warns_nothing(tmp_path, capsys):
+    # an overflowing weighted power reads as an infinite residual, without numpy's warnings
+    gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))
+    docs = [encode_linmap(f) for f in gen.maps]
+    docs[0]["transfer"]["data"] = [[1e200 * re, 1e200 * im] for re, im in docs[0]["transfer"]["data"]]
+    path = _write(tmp_path, "scaled.json", docs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(capsys, ["weighted", "--maps", path, "--alpha", "2,0.5,0.5", "--beta", "2,0.5,0.5"])
+    assert code == 1 and out["pass"] is False and out["max_residual"] is None
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("command", ["check", "dualize", "decompose", "extend", "weighted"])

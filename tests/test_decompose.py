@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -48,7 +50,14 @@ from traceprod import (
     weighted_canonical_maps,
     weighted_reduction,
 )
-from traceprod.decompose import PRECHECK_TOL, PRECHECK_TRIALS, _unit_columns
+from traceprod.decompose import (
+    CERTIFY_TOL,
+    PRECHECK_TOL,
+    PRECHECK_TRIALS,
+    DecompositionResult,
+    _invariant_deviation,
+    _unit_columns,
+)
 from conftest import basis_stack, move_first_transfer
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
@@ -346,6 +355,125 @@ def test_decompose_family_is_its_decomposer_and_checks_length_before_identity(fa
     assert not check_preservation(broken, mode="randomized", trials=16).passed
     with pytest.raises(NotApplicableError, match=length_error):
         decompose(broken, family=family)
+
+
+# `traceprod.decompose` is the function; the pipeline's globals live in the module
+_DECOMPOSE = importlib.import_module("traceprod.decompose")
+
+
+def _count_prechecks(monkeypatch) -> list:
+    """Route decompose's precheck through a counter; returns its list of reports."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(check_preservation(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(_DECOMPOSE, "check_preservation", counted)
+    return calls
+
+
+def _no_precheck(*args, **kwargs):
+    raise AssertionError("a certified tuple must not run the precheck")
+
+
+@pytest.mark.parametrize(
+    "family, gen_family, field, n, m, seed",
+    [(family, gen, field, 3, m, 1) for family, (gen, field, m, _, _) in sorted(_FAMILY_CASES.items())]
+    + [("auto", "sym_even", Field.REAL, 24, 6, 0)],
+)
+def test_decompose_certifies_clean_tuples_without_precheck(monkeypatch, family, gen_family, field, n, m, seed):
+    # sym_even real n = 24, m = 6 is the worst rebuild known: about 2e-11
+    maps = generate(GenSpec(family=gen_family, n=n, m=m, field=field, seed=seed)).maps
+    monkeypatch.setattr(_DECOMPOSE, "check_preservation", _no_precheck)
+    diagnostics = decompose(maps, family=family).diagnostics
+    assert diagnostics["precheck_ran"] is False and "max_residual" not in diagnostics
+    assert diagnostics["rebuild_delta"] <= CERTIFY_TOL
+    assert diagnostics["invariant_deviation"] <= CERTIFY_TOL
+
+
+def test_decompose_certifies_valid_tuple_the_precheck_fails():
+    # Generated and so valid, but the 512-trial precheck reads 1.92e-6 here,
+    # above PRECHECK_TOL, from rounding the chain amplifies. Its rebuild
+    # misses by 2.2e-11, so the certificate decides and the precheck never runs.
+    gen = generate(GenSpec(family="sym_even", n=24, m=8, field=Field.REAL, seed=0))
+    res = decompose(gen.maps)
+    assert isinstance(res.form, SymEven) and res.diagnostics["precheck_ran"] is False
+
+
+@pytest.mark.parametrize(
+    "gen_family, field, n, m",
+    [("mn_chain", Field.COMPLEX, 16, 3), ("sym_even", Field.REAL, 16, 4)],
+)
+def test_decompose_perturbed_tuple_falls_back_to_one_precheck(monkeypatch, gen_family, field, n, m):
+    # mn_chain recovers and misses its rebuild by 1e-6; sym_even fails recovery
+    maps = move_first_transfer(generate(GenSpec(family=gen_family, n=n, m=m, field=field, seed=0)).maps, 1e-6)
+    calls = _count_prechecks(monkeypatch)
+    with pytest.raises(PreservationError):
+        decompose(maps)
+    assert len(calls) == 1 and not calls[0].passed
+
+
+def _off_unitary_tuple():
+    """A HermOdd form whose U is off unitary by 2e-9, and its maps."""
+    U = generate(GenSpec(family="herm_odd", n=4, m=3, seed=3)).form.U
+    form = HermOdd(U * (1 + 1e-9), (2.0, 0.5, 1.0))
+    return form, from_canonical(form, SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 4))
+
+
+def test_decompose_rebuild_beyond_certify_tol_runs_precheck(monkeypatch):
+    # the recovered scalars absorb (1 + 1e-9)^2 each, and forcing their
+    # product to 1 misses f_3's rebuild by about 6e-9
+    _, maps = _off_unitary_tuple()
+    calls = _count_prechecks(monkeypatch)
+    res = decompose(maps)
+    assert isinstance(res.form, HermOdd) and len(calls) == 1
+    assert res.diagnostics["rebuild_delta"] > CERTIFY_TOL
+    assert res.diagnostics["precheck_ran"] is True
+    assert res.diagnostics["max_residual"] == calls[0].max_residual <= PRECHECK_TOL
+
+
+def test_decompose_form_off_its_invariants_runs_precheck(monkeypatch):
+    # a recovery returning the very form the maps came from rebuilds them
+    # exactly, but that U is not unitary, so the rebuild certifies nothing
+    form, maps = _off_unitary_tuple()
+    spec = dataclasses.replace(_DECOMPOSE._DECOMPOSERS["hermitian"], recover=lambda maps, dom, tol: (form, "given"))
+    monkeypatch.setitem(_DECOMPOSE._DECOMPOSERS, "hermitian", spec)
+    calls = _count_prechecks(monkeypatch)
+    res = decompose(maps)
+    assert res.diagnostics["rebuild_delta"] == 0.0
+    assert res.diagnostics["invariant_deviation"] == pytest.approx(2e-9, rel=1e-3)
+    assert res.diagnostics["precheck_ran"] is True and len(calls) == 1
+
+
+def test_invariant_deviation_of_each_invariant():
+    U = generate(GenSpec(family="herm_odd", n=4, m=3, seed=3)).form.U
+    O = generate(GenSpec(family="sym_odd", n=4, m=3, field=Field.REAL, seed=3)).form.O
+    assert _invariant_deviation(HermOdd(U, (2.0, 0.5, 1.0))) <= 1e-14
+    assert _invariant_deviation(HermOdd(U, (2.0, 0.5, 1.0 + 1e-9))) == pytest.approx(1e-9, rel=1e-6)
+    assert _invariant_deviation(SymOdd(O, (1.0, 1.0, 1.0))) <= 1e-14
+    assert _invariant_deviation(SymOdd(O * (1 + 1e-9), (1.0, 1.0, 1.0))) == pytest.approx(2e-9, rel=1e-3)
+    assert _invariant_deviation(SymEven(np.eye(2), (2.0, 0.5 * (1 + 1e-9)))) == pytest.approx(1e-9, rel=1e-6)
+    C = (np.diag([2.0, 3.0]), np.diag([0.5, 1 / 3 + 1e-9]))
+    assert _invariant_deviation(DiagChain(np.eye(2), C)) == pytest.approx(3e-9, rel=1e-6)
+    assert _invariant_deviation(MnChain((np.eye(2), 2 * np.eye(2), np.eye(2)))) == 0.0
+
+
+def test_decompose_overflowing_tuple_warns_nothing():
+    # recovery runs before the precheck rejects this tuple; neither may
+    # print numpy's RuntimeWarnings
+    gen = generate(GenSpec(family="mn_chain", n=2, m=3, seed=0))
+    maps = [LinMap(f.domain, f.codomain, 1e200 * f.transfer) for f in gen.maps]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(PreservationError):
+            decompose(maps)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_decomposition_result_diagnostics_default_to_empty():
+    res = DecompositionResult(MnChain((np.eye(2),) * 3), 0.0, "note")
+    assert res.diagnostics == {}
 
 
 @pytest.mark.parametrize(
