@@ -97,8 +97,6 @@ class DecompositionResult:
 
 
 def _validate_tuple_on(maps, kinds, field: Field | None) -> SpaceTag:
-    if not maps:
-        raise InvalidParameterError("need at least one map")
     dom = maps[0].domain
     for f in maps:
         if f.domain != dom or f.codomain != dom:
@@ -263,9 +261,10 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 
 
 def _recover_mn_chain(maps, dom: SpaceTag, tol: float) -> tuple:
-    hat = image_stack(maps[1]) @ _invertible(_map_at_identity(maps[1]), "f_2(I)")
-    Ns = [recover_conjugator(hat, tol=max(tol * 10, 1e-6))]
-    for i in range(1, len(maps)):  # N_{i+2} = f_{i+1}(I)^{-1} N_{i+1}; N_{m+1} = N_1 closes the cycle
+    inv = _invertible(_map_at_identity(maps[1]), "f_2(I)")
+    Ns = [recover_conjugator(image_stack(maps[1]) @ inv, tol=max(tol * 10, 1e-6))]
+    Ns.append(inv @ Ns[0])
+    for i in range(2, len(maps)):  # N_{i+2} = f_{i+1}(I)^{-1} N_{i+1}; N_{m+1} = N_1 closes the cycle
         Ns.append(_invertible(_map_at_identity(maps[i]), f"f_{i + 1}(I)") @ Ns[-1])
     Ns = Ns[-1:] + Ns[:-1]
 
@@ -385,19 +384,16 @@ def _herm_power_batch(stack: np.ndarray, t: float, tol: float = 1e-12) -> np.nda
     w, V = np.linalg.eigh(stack)
     if w.min() <= tol:
         raise PositivityError(f"matrix power {t} needs positive definite inputs (min eig {w.min():.3g})")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power reads as an infinite residual
-        return (V * (w**t)[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2))
+    return (V * (w**t)[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2))
 
 
 def _recover_pn_pair(maps, dom: SpaceTag, tol: float) -> tuple:
     n = dom.n
     S = _map_at_identity(maps[0])
-    S = (S + S.conj().T) / 2
-    eigs = np.linalg.eigvalsh(S)
-    if eigs.min() <= 1e-12:
+    w, V = np.linalg.eigh((S + S.conj().T) / 2)
+    if w.min() <= 1e-12:
         raise CanonicalStructureError("f_1(I) is not positive definite")
-    Sneg = herm_power(S, -0.5)
-    Shalf = herm_power(S, 0.5)
+    Sneg, Shalf = ((V * w**t) @ _adjoint(V) for t in (-0.5, 0.5))
     units = Sneg @ image_stack(complexify(maps[0])) @ Sneg
 
     if n == 1:
@@ -730,7 +726,13 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
 
 @dataclass(frozen=True)
 class PowerMap:
-    """scale * (core(A^pre))^post on positive definite inputs."""
+    """scale * (core(A^pre))^post on positive definite inputs.
+
+    Its image raised to a power a is evaluated as
+    scale^a * H(core(A^pre))^(post * a), with H the Hermitian part, since
+    (X^p)^q = X^(pq) for positive definite X: one matrix power on each side
+    of `core`, whatever a is.
+    """
 
     core: LinMap
     pre: float = 1.0
@@ -746,24 +748,23 @@ MapLike = Union[LinMap, PowerMap]
 
 
 def power_map_apply(map_: MapLike, A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Evaluate a LinMap or PowerMap on one positive definite matrix."""
-    return _power_map_apply_batch(map_, np.asarray(A, dtype=np.complex128)[None], tol)[0]
+    """Evaluate a LinMap or PowerMap on one positive definite matrix, as
+    scale * H(core(A^pre))^post with H the Hermitian part."""
+    return _weighted_image(map_, np.asarray(A, dtype=np.complex128)[None], tol=tol)[0]
 
 
-def _power_map_apply_batch(map_: MapLike, batch: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _weighted_image(
+    map_: MapLike, batch: np.ndarray, a: float = 1.0, b: float = 1.0, tol: float = 1e-12
+) -> np.ndarray:
+    """f(A^(1/b))^a on a stack of positive definite A, as
+    scale^a * H(core(A^(pre/b)))^(post * a); a LinMap has pre = post = scale = 1."""
     if isinstance(map_, LinMap):
-        return apply_batch(map_, batch)
-    inner = _herm_power_batch(batch, map_.pre, tol)
-    mid = apply_batch(map_.core, inner)
-    if map_.post != 1:
-        mid = (mid + np.conjugate(np.swapaxes(mid, -1, -2))) / 2
-    return map_.scale * _herm_power_batch(mid, map_.post, tol)
-
-
-def _weighted_image(map_: MapLike, a: float, batch: np.ndarray) -> np.ndarray:
-    """f(A)^a on a stack of positive definite A, with f(A) made Hermitian first."""
-    out = _power_map_apply_batch(map_, batch)
-    return _herm_power_batch((out + np.conjugate(np.swapaxes(out, -1, -2))) / 2, a)
+        map_ = PowerMap(map_)
+    if map_.scale <= 0 and a not in (0, 1):  # scale * X is not positive definite, so it has no power a
+        raise PositivityError(f"matrix power {a} needs positive definite inputs (scale {map_.scale:.3g})")
+    out = apply_batch(map_.core, _herm_power_batch(batch, map_.pre / b, tol))
+    out = (out + np.conjugate(np.swapaxes(out, -1, -2))) / 2
+    return map_.scale**a * _herm_power_batch(out, map_.post * a, tol)
 
 
 def _weights(alpha, beta, m: int) -> tuple[list, list]:
@@ -801,7 +802,7 @@ def verify_weighted(
 
     max_res, worst = _randomized_residual(
         [pd] * m,
-        [functools.partial(_weighted_image, f, a) for f, a in zip(maps, alpha)],
+        [functools.partial(_weighted_image, f, a=a) for f, a in zip(maps, alpha)],
         [functools.partial(_herm_power_batch, t=b) for b in beta],
         trials,
         seed,
@@ -836,9 +837,9 @@ def weighted_canonical_maps(form, alpha, beta, space: SpaceTag) -> list:
         raise InvalidParameterError("scalars must be positive for the weighted family")
 
     if isinstance(form, HermOdd):
-        base = from_canonical(HermOdd(form.U, (1.0,) * m), space)
+        [core] = from_canonical(HermOdd(form.U, (1.0,)), space)
         return [
-            PowerMap(core=base[i], pre=beta[i] / alpha[i], post=1.0, scale=float(c[i]) ** (1.0 / alpha[i]))
+            PowerMap(core=core, pre=beta[i] / alpha[i], post=1.0, scale=float(c[i]) ** (1.0 / alpha[i]))
             for i in range(m)
         ]
     base = from_canonical(form, space)
@@ -864,7 +865,7 @@ def weighted_reduction(maps, alpha, beta, tol: float = 1e-8, seed: int = 0) -> l
         n = span.n
         extras = random_batch(SpaceTag(SpaceKind.POSDEF, span.field, n), 3, rng)
         A = np.concatenate([_basis_stack(span) + 2 * np.eye(n), extras])
-        img = _weighted_image(maps[i], alpha[i], _herm_power_batch(A, 1.0 / beta[i]))
+        img = _weighted_image(maps[i], A, alpha[i], beta[i])
         out.append(extend_from_subset(span, span, zip(A, img), tol=max(tol * 10, 1e-6)))
     return out
 

@@ -240,6 +240,8 @@ def _exhaustive_rhs(domains: tuple) -> np.ndarray:
     return rhs
 
 
+# an overflow in the products reads as an infinite residual, so it warns nothing
+@np.errstate(over="ignore", invalid="ignore")
 def _check_exhaustive(maps, dims) -> tuple[float, tuple]:
     m = len(maps)
     half = (m + 1) // 2
@@ -275,6 +277,7 @@ def _trace_of_diagonal_product(factors: list[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.multiply, factors).sum(axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in _check_exhaustive
 def _randomized_residual(
     spaces, lhs_fns, rhs_fns, trials: int, seed: int, batch: int, diagonal: bool = False
 ) -> tuple[float, tuple]:

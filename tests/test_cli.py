@@ -232,9 +232,11 @@ def test_non_finite_residual_prints_null(tmp_path, capsys, argv):
     for doc in docs:
         doc["transfer"]["data"] = [[1e200 * re, 1e200 * im] for re, im in doc["transfer"]["data"]]
     path = _write(tmp_path, "scaled.json", docs)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, out = _run(capsys, [*argv[:1], "--maps", path, *argv[1:]])
     assert code == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if argv[0] == "check":
         assert out["pass"] is False and out["max_residual"] is None
     else:

@@ -557,6 +557,15 @@ def test_power_map_apply():
     assert np.allclose(power_map_apply(pm, A), want)
 
 
+@pytest.mark.parametrize("scale", [-2.0, 0.0])
+def test_weighted_power_of_non_positive_scale_raises(scale):
+    # a scale <= 0 leaves the cone, so no power other than 0 and 1 is defined
+    gen = generate(GenSpec(family="pn_chain", n=3, m=2, seed=12))
+    pm = PowerMap(core=gen.maps[0], pre=2.0, post=0.5, scale=scale)
+    with pytest.raises(PositivityError):
+        verify_weighted([pm, gen.maps[1]], (2.0, 1.0), (1.0, 1.0), trials=20)
+
+
 def test_verify_weighted_trivial_weights_reduce_to_plain_check():
     gen = generate(GenSpec(family="pn_chain", n=3, m=3, seed=14))
     report = verify_weighted(list(gen.maps), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), trials=200, seed=0)
@@ -579,7 +588,7 @@ def test_verify_weighted_rejects_zero_trials():
 
 @pytest.mark.parametrize(
     "alpha,beta",
-    [((2.0, 0.5), (1.0, 1.0)), ((-1.0, 1.0), (0.5, 2.0)), ((0.5, 0.5), (-1.0, -1.0))],
+    [((2.0, 0.5), (1.0, 1.0)), ((-1.0, 1.0), (0.5, 2.0)), ((0.5, 0.5), (-1.0, -1.0)), ((0.5, 2.0), (2.0, -1.0))],
 )
 def test_weighted_canonical_pairs(alpha, beta):
     rng = np.random.default_rng(15)
@@ -590,6 +599,8 @@ def test_weighted_canonical_pairs(alpha, beta):
     wmaps = weighted_canonical_maps(form, alpha, beta, tag)
     report = verify_weighted(wmaps, alpha, beta, trials=300, seed=1, tol=1e-8)
     assert report.passed
+    # f_i(A^b)^(1/a) raised to a is f_i(A^b) itself, evaluated with no outer power
+    assert report.max_residual <= 1e-13
 
 
 def test_weighted_odd_scaled_conjugations():
