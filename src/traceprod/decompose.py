@@ -53,6 +53,7 @@ from .linmaps import (
     SymEven,
     SymOdd,
     _adjoint,
+    _congruence_images,
     apply_batch,
     complexify,
     from_canonical,
@@ -235,9 +236,8 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     kind = SpaceKind.FULL if d == n * n else SpaceKind.SYMMETRIC
     space = SpaceTag(kind, Field.COMPLEX, n)
     col = _unit_columns(space)
-    basis = _basis_stack(space)
     scale = max(1.0, float(np.max(np.abs(images))))
-    last_residual = None
+    best = math.inf
     for j in range(n):
         w, V = np.linalg.eig(images[col[j, j]])
         pick = int(np.argmin(np.abs(w - 1.0)))
@@ -248,10 +248,11 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
         cN = np.linalg.cond(N)
         if not np.isfinite(cN) or cN > COND_LIMIT:
             continue
-        last_residual = float(np.max(np.abs(images - N @ basis @ np.linalg.inv(N)))) / scale
-        if last_residual <= tol:
+        residual = float(np.max(np.abs(images - _congruence_images(space, N, np.linalg.inv(N))))) / scale
+        if residual <= tol:
             return N
-    detail = f" (best residual {last_residual:.3g})" if last_residual is not None else ""
+        best = min(best, residual)
+    detail = f" (best residual {best:.3g})" if best < math.inf else ""
     raise CanonicalStructureError(f"map is not a conjugation by an invertible matrix{detail}")
 
 
@@ -822,9 +823,12 @@ def weighted_canonical_maps(form, alpha, beta, space: SpaceTag) -> list:
     """PowerMaps solving the weighted identity from a Hermitian canonical form.
 
     For scaled unitary conjugations (HermOdd) the i-th map is
-    c_i^(1/a_i) U* A^(b_i/a_i) U; for alternating congruences (HermEven) it is
-    (f_i(A^b_i))^(1/a_i) with f_i the unweighted canonical map. Scalars must be
-    positive so the fractional powers stay on the definite cone.
+    c_i^(1/a_i) U* A^(b_i/a_i) U, held as c_i^(1/a_i) (U* A^b_i U)^(1/a_i)
+    since (U* X U)^q = U* X^q U; for alternating congruences (HermEven) it is
+    (f_i(A^b_i))^(1/a_i) with f_i the unweighted canonical map. Either way a
+    factor's power a_i cancels the outer 1/a_i, so `verify_weighted` takes one
+    matrix power per side of the core. Scalars must be positive so the
+    fractional powers stay on the definite cone.
     """
     if not isinstance(form, (HermOdd, HermEven)):
         raise InvalidParameterError("weighted maps are built from HermOdd or HermEven forms")
@@ -839,7 +843,7 @@ def weighted_canonical_maps(form, alpha, beta, space: SpaceTag) -> list:
     if isinstance(form, HermOdd):
         [core] = from_canonical(HermOdd(form.U, (1.0,)), space)
         return [
-            PowerMap(core=core, pre=beta[i] / alpha[i], post=1.0, scale=float(c[i]) ** (1.0 / alpha[i]))
+            PowerMap(core=core, pre=beta[i], post=1.0 / alpha[i], scale=float(c[i]) ** (1.0 / alpha[i]))
             for i in range(m)
         ]
     base = from_canonical(form, space)

@@ -29,10 +29,11 @@ from .errors import (
 from .linmaps import (
     COND_LIMIT,
     LinMap,
-    apply_batch,
     complexify,
     is_hermitian_preserving,
     _apply_batch,
+    _gather,
+    _herm_change,
     _span_coords,
 )
 from .spaces import (
@@ -453,10 +454,13 @@ def _extend_pair_core(phi1: LinMap, phi2: LinMap) -> tuple[LinMap, LinMap]:
 
 
 def _restrict_to_hermitian(map_: LinMap) -> LinMap:
-    """Real-linear restriction of a Hermitian-preserving map to Hermitian parts."""
+    """Real-linear restriction of a Hermitian-preserving map to Hermitian parts:
+    the real part of S_cod^-1 T S_dom, S the Hermitian basis change, built as
+    one column and one row gather."""
     hdom = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, map_.domain.n)
     hcod = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, map_.codomain.n)
-    return LinMap(hdom, hcod, coords_batch(hcod, apply_batch(map_, _basis_stack(hdom))).T)
+    on_basis = _gather(_herm_change(hdom.n).S_cols, map_.transfer, axis=1)
+    return LinMap(hdom, hcod, _gather(_herm_change(hcod.n).S_inv_rows, on_basis, axis=0).real)
 
 
 def embed_extend_pair(phi1: LinMap, phi2: LinMap, tol: float = 1e-8) -> tuple[LinMap, LinMap]:

@@ -6,13 +6,20 @@ coordinates). Canonical parametrized families (conjugation chains, scaled
 congruences, permutation-scaling chains, diagonal pairs, Hadamard multipliers,
 rank-one frames, and the non-extendable corner triple) are realized through
 `from_canonical`.
+
+Congruences A -> c L op(A) R are built from the (at most two) nonzero entries
+of each basis element, read off the cached basis stack of `spaces`, as sums of
+outer products of columns of L and rows of R: no product with the basis
+stack. The change between Hermitian coordinates and matrix entries
+(`complexify`) is a row and a column gather with weights 1, +-i and 1/2; no
+dense change-of-basis matrix is built.
 """
 from __future__ import annotations
 
 import functools
 import warnings
 from dataclasses import dataclass, fields
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -178,15 +185,90 @@ def is_hermitian_preserving(map_: LinMap, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(img - img.conj().transpose(0, 2, 1))) <= tol)
 
 
+def _row_terms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, w) with M[r, idx[r, t]] = w[r, t]: the nonzero entries of each
+    row of M in column order, padded with zero weights to the longest row's
+    count (two at most for the bases here). w is real when every entry is."""
+    r, c = np.nonzero(M)
+    slot = np.arange(r.size) - np.searchsorted(r, r)  # rank of each entry in its row
+    t = int(np.max(slot, initial=0)) + 1
+    idx = np.zeros((M.shape[0], t), dtype=np.intp)
+    w = np.zeros((M.shape[0], t), dtype=M.dtype)
+    idx[r, slot], w[r, slot] = c, M[r, c]
+    if not np.iscomplex(w).any():
+        w = w.real.copy()
+    idx.setflags(write=False)
+    w.setflags(write=False)
+    return idx, w
+
+
+def _gather(terms: tuple, Y: np.ndarray, axis: int) -> np.ndarray:
+    """P @ Y (axis 0) or Y @ P^t (axis 1) for the matrix P whose rows
+    `_row_terms` gave as (idx, w): one weighted gather per term."""
+    idx, w = terms
+    if axis == 0:
+        w = w[:, :, None]
+    out = np.take(Y, idx[:, 0], axis=axis) * w[:, 0]
+    for t in range(1, idx.shape[1]):
+        out += np.take(Y, idx[:, t], axis=axis) * w[:, t]
+    return out
+
+
 @functools.lru_cache(maxsize=None)
-def _herm_to_full_change(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Change of basis: Hermitian canonical basis as a complex basis of M_n."""
+def _basis_terms(space: SpaceTag) -> tuple:
+    """(idx, w): basis element k of the span of `space` is the sum over t of
+    w[k, t] times the matrix unit at flat row-major entry idx[k, t]. Read off
+    the cached basis stack, so the index kernels of `spaces` keep the order."""
+    n = space.n
+    st = _basis_stack(space)
+    return _row_terms(st.reshape(len(st), n * n))
+
+
+class _HermChange(NamedTuple):
+    """The change S from the Hermitian coordinates of M_n to its entries
+    (column k of S is vec(H_k)) and its inverse S^-1 = D^-1 S^*, D the squared
+    norms of the H_k, as `_row_terms` of S, S^-1 and their transposes: the
+    columns of a matrix are the rows of its transpose."""
+
+    S_rows: tuple
+    S_cols: tuple
+    S_inv_rows: tuple
+    S_inv_cols: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _herm_change(n: int) -> _HermChange:
+    """`_HermChange` for M_n: weights 1, +-i and 1/2 and no dense n^2 x n^2
+    change of basis kept."""
     herm = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, n)
-    S = _basis_stack(herm).reshape(n * n, n * n).T  # column k is vec(H_k)
-    Sinv = np.linalg.inv(S)
-    S.setflags(write=False)
-    Sinv.setflags(write=False)
-    return S, Sinv
+    idx, w = _basis_terms(herm)
+    entry_idx, entry_w = _row_terms(_basis_stack(herm).reshape(n * n, n * n).T)
+    norms = np.sum(np.abs(w) ** 2, axis=1)
+    inv_rows, inv_cols = w.conj() / norms[:, None], entry_w.conj() / norms[entry_idx]
+    inv_rows.setflags(write=False)
+    inv_cols.setflags(write=False)
+    return _HermChange((entry_idx, entry_w), (idx, w), (idx, inv_rows), (entry_idx, inv_cols))
+
+
+def _congruence_images(space: SpaceTag, L, R, c=1.0, transpose: bool = False) -> np.ndarray:
+    """The images c L op(B_k) R of the basis elements B_k of `space`, op(B) =
+    B^t when `transpose`; L and R are matrices or stacks with one matrix per
+    basis element.
+
+    B_k is the sum over its (at most two) entries w E_ij, so its image is the
+    sum of the outer products w L[:, i] R[j, :]: O(d n^2) work, no product
+    with the basis stack. Real L, R and c keep the stack real on every span
+    but the Hermitian one, whose skew elements carry +-i.
+    """
+    idx, w = _basis_terms(space)
+    rows, cols = np.divmod(idx, space.n)
+    if transpose:
+        rows, cols = cols, rows
+    d, n = w.shape[0], space.n
+    k = np.arange(d)[:, None]
+    left = np.broadcast_to(L, (d, n, n))[k, :, rows]  # (d, t, n): column i of L
+    right = np.broadcast_to(R, (d, n, n))[k, cols]  # (d, t, n): row j of R
+    return np.matmul(((c * w)[..., None] * left).transpose(0, 2, 1), right)
 
 
 def complexify(map_: LinMap) -> LinMap:
@@ -194,15 +276,15 @@ def complexify(map_: LinMap) -> LinMap:
 
     A real-linear map on Hermitian n x n matrices extends uniquely to a
     complex-linear map on all of M_n via A+iB -> f(A)+i f(B); the Hermitian
-    basis is also a complex basis of M_n, so this is a change of coordinates.
+    basis is also a complex basis of M_n, so this is the change of
+    coordinates S_cod T S_dom^-1, built as one row and one column gather.
     """
     dom = span_of(map_.domain)
     cod = span_of(map_.codomain)
     if dom.kind is not SpaceKind.HERMITIAN or cod.kind is not SpaceKind.HERMITIAN:
         raise InvalidParameterError("complexify expects Hermitian-kind domain and codomain")
-    S_dom, S_dom_inv = _herm_to_full_change(dom.n)
-    S_cod, _ = _herm_to_full_change(cod.n)
-    T_full = S_cod @ map_.transfer @ S_dom_inv
+    rows = _gather(_herm_change(cod.n).S_rows, map_.transfer, axis=0)
+    T_full = _gather(_herm_change(dom.n).S_inv_cols, rows, axis=1)
     full_dom = SpaceTag(SpaceKind.FULL, Field.COMPLEX, dom.n)
     full_cod = SpaceTag(SpaceKind.FULL, Field.COMPLEX, cod.n)
     return LinMap(full_dom, full_cod, T_full)
@@ -286,10 +368,8 @@ def _congruence(space: SpaceTag, L, R, c=1.0, transpose: bool = False, tol: floa
 
     L and R are matrices or stacks with one matrix per basis element.
     """
-    st = _basis_stack(space)
-    if transpose:
-        st = st.transpose(0, 2, 1)
-    return linmap_from_images(space, space, c * (L @ st @ R), tol=max(tol, 1e-7))
+    images = _congruence_images(space, L, R, c, transpose)
+    return linmap_from_images(space, space, images, tol=max(tol, 1e-7))
 
 
 def _scaled_isometry(space: SpaceTag, U, adjoint, c, tol: float, what: str) -> list[LinMap]:
@@ -493,7 +573,7 @@ class NonextendableTriple(_Form):
             Z[:, n:, n:] = bottom
             return linmap_from_images(space, big, Z, tol=max(tol, 1e-7))
 
-        return [corner(0.0), corner(st), corner(X @ st @ X.conj().T)]
+        return [corner(0.0), corner(st), corner(_congruence_images(space, X, X.conj().T))]
 
 
 # Every canonical form; its JSON tag is the class name. A new form is one

@@ -128,12 +128,15 @@ def coords(space: SpaceTag, A: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _upper(n: int) -> tuple:
-    """Row and column indices of the strict upper triangle, row-major."""
-    iu = np.triu_indices(n, 1)
-    for a in iu:
+def _flat_indices(n: int) -> tuple:
+    """Flat row-major indices into an n x n matrix of its diagonal, of its
+    strict upper triangle (row-major) and of the mirror image of each upper
+    entry below the diagonal."""
+    iu, ju = np.triu_indices(n, 1)
+    flat = (np.arange(n) * (n + 1), iu * n + ju, ju * n + iu)
+    for a in flat:
         a.setflags(write=False)
-    return iu
+    return flat
 
 
 def coords_batch(space: SpaceTag, batch: np.ndarray) -> np.ndarray:
@@ -143,29 +146,33 @@ def coords_batch(space: SpaceTag, batch: np.ndarray) -> np.ndarray:
     row-major, diagonal spaces the diagonal. Symmetric and Hermitian spaces read
     the diagonal, then per i<j pair the mean (A_ij + A_ji)/2, followed in the
     Hermitian case by Im(A_ij - A_ji)/2. Real coordinates keep the real part.
+    Each gather writes straight into the returned array, which never shares
+    memory with the input.
     """
     s = span_of(space)
     n = s.n
     A = np.asarray(batch)
     if A.ndim != 3 or A.shape[1:] != (n, n):
         raise DimensionMismatchError(f"expected a (count, {n}, {n}) stack, got shape {A.shape}")
+    real = base_field(space) is Field.REAL
+    entries = A.reshape(A.shape[0], n * n)
+    flat = entries.real if real else entries
+    out = np.empty((A.shape[0], span_dim(s)), dtype=np.float64 if real else np.complex128)
     if s.kind is SpaceKind.FULL:
-        x = A.reshape(A.shape[0], n * n)
-    else:
-        x = np.diagonal(A, axis1=1, axis2=2)
-        if s.kind is not SpaceKind.DIAGONAL:
-            iu, ju = _upper(n)
-            upper, lower = A[:, iu, ju], A[:, ju, iu]
-            if s.kind is SpaceKind.SYMMETRIC:
-                off = (upper + lower) / 2
-            else:
-                off = np.stack([(upper + lower).real / 2, (upper - lower).imag / 2], axis=2)
-                off = off.reshape(A.shape[0], -1)
-            x = np.concatenate([x, off], axis=1)
-    # always a fresh array: the gathers above may be views of the input
-    if base_field(space) is Field.REAL:
-        return np.array(x.real, dtype=np.float64, order="C")
-    return np.array(x, dtype=np.complex128, order="C")
+        out[...] = flat
+        return out
+    diag, up, lo = _flat_indices(n)
+    out[:, :n] = flat[:, diag]
+    if s.kind is SpaceKind.SYMMETRIC:
+        # the mean in the input's dtype first: dividing a complex sum by 2
+        # fixes the signed zeros of its real part
+        mean = (entries[:, up] + entries[:, lo]) / 2
+        out[:, n:] = mean.real if real else mean
+    elif s.kind is SpaceKind.HERMITIAN:
+        imag = entries.imag
+        out[:, n::2] = (flat[:, up] + flat[:, lo]) / 2
+        out[:, n + 1 :: 2] = (imag[:, up] - imag[:, lo]) / 2
+    return out
 
 
 def reassemble(space: SpaceTag, x: np.ndarray) -> np.ndarray:
@@ -194,7 +201,8 @@ def _field_dtype(space: SpaceTag) -> type:
 
 
 def _reassemble(space: SpaceTag, x: np.ndarray, dtype) -> np.ndarray:
-    """`reassemble_batch` with the matrices built in `dtype`."""
+    """`reassemble_batch` with the matrices built in `dtype`: the scatter
+    writes straight into the flat entries of the zeroed output."""
     s = span_of(space)
     n = s.n
     x = np.asarray(x)
@@ -204,16 +212,18 @@ def _reassemble(space: SpaceTag, x: np.ndarray, dtype) -> np.ndarray:
     if s.kind is SpaceKind.FULL:
         return x.reshape(-1, n, n).astype(dtype)
     out = np.zeros((x.shape[0], n, n), dtype=dtype)
-    r = np.arange(n)
-    out[:, r, r] = x[:, :n]
-    if s.kind is not SpaceKind.DIAGONAL:
-        iu, ju = _upper(n)
-        if s.kind is SpaceKind.SYMMETRIC:
-            out[:, iu, ju] = out[:, ju, iu] = x[:, n:]
-        else:
-            sym, skew = x[:, n::2], 1j * x[:, n + 1 :: 2]
-            out[:, iu, ju] = sym + skew
-            out[:, ju, iu] = sym - skew
+    flat = out.reshape(x.shape[0], n * n)
+    diag, up, lo = _flat_indices(n)
+    flat[:, diag] = x[:, :n]
+    if s.kind is SpaceKind.SYMMETRIC:
+        flat[:, up] = flat[:, lo] = x[:, n:]
+    elif s.kind is SpaceKind.HERMITIAN:
+        # sym +- i y written part by part; the zero terms give the signed
+        # zeros that the complex sums sym +- 1j * y give
+        sym, y = x[:, n::2], x[:, n + 1 :: 2]
+        zero = 0.0 * y
+        flat.real[:, up], flat.real[:, lo] = sym + zero, sym - zero
+        flat.imag[:, up], flat.imag[:, lo] = 0.0 + y, 0.0 - y
     return out
 
 

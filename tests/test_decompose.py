@@ -145,6 +145,29 @@ def test_recover_conjugator_checks_every_basis_image(kind):
         recover_conjugator(images)
 
 
+def test_recover_conjugator_reports_smallest_residual():
+    # every candidate column misses the images by about 1e-3, the last one
+    # by more than the best; the reference loop checks each candidate with
+    # the product N B N^{-1} over the whole basis
+    rng = np.random.default_rng(4)
+    W = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    basis = basis_stack(C3)
+    images = W @ basis @ np.linalg.inv(W) + 1e-3 * rng.standard_normal((9, 3, 3))
+    col = _unit_columns(C3)
+    scale = max(1.0, np.max(np.abs(images)))
+    residuals = []
+    for j in range(3):
+        w, V = np.linalg.eig(images[col[j, j]])
+        pick = int(np.argmin(np.abs(w - 1.0)))
+        N = (images[col[:, j]] @ V[:, pick]).T
+        if abs(w[pick] - 1.0) <= 0.1 and np.linalg.cond(N) <= 1e6:
+            residuals.append(np.max(np.abs(images - N @ basis @ np.linalg.inv(N))) / scale)
+    assert len(residuals) == 3 and min(residuals) < residuals[-1]
+    with pytest.raises(CanonicalStructureError) as info:
+        recover_conjugator(images)
+    assert f"(best residual {min(residuals):.3g})" in str(info.value)
+
+
 def test_recover_conjugator_rejects_image_count():
     with pytest.raises(DimensionMismatchError):
         recover_conjugator(np.zeros((5, 3, 3)))
@@ -600,6 +623,20 @@ def test_weighted_canonical_pairs(alpha, beta):
     report = verify_weighted(wmaps, alpha, beta, trials=300, seed=1, tol=1e-8)
     assert report.passed
     # f_i(A^b)^(1/a) raised to a is f_i(A^b) itself, evaluated with no outer power
+    assert report.max_residual <= 1e-13
+
+
+def test_weighted_herm_odd_takes_one_power():
+    # criterion 8's worst HermOdd triple, a = 0.5 and b = 2: held as
+    # c^(1/a) (U* A^b U)^(1/a), each factor raised to a is c U* A^b U with one
+    # matrix power, so the residual sits with the HermEven grid's 1.1e-14
+    # (2.5e-14 measured) where the core used to see A^(b/a) = A^4 (1.1e-11)
+    gen = generate(GenSpec(family="pn_chain", n=4, m=3, seed=1063))
+    alpha, beta = (0.5,) * 3, (2.0,) * 3
+    wmaps = weighted_canonical_maps(gen.form, alpha, beta, gen.space)
+    assert [(f.pre, f.post) for f in wmaps] == [(2.0, 2.0)] * 3
+    report = verify_weighted(wmaps, alpha, beta, trials=1000, seed=263, tol=1e-8)
+    assert report.passed
     assert report.max_residual <= 1e-13
 
 

@@ -17,6 +17,7 @@ from traceprod import (
     SpaceKind,
     SpaceTag,
     apply,
+    apply_batch,
     complexify,
     compose,
     from_canonical,
@@ -27,7 +28,10 @@ from traceprod import (
     space_basis,
     transpose_map,
 )
-from conftest import map_from_action
+from traceprod.extend import _restrict_to_hermitian
+from traceprod.linmaps import _congruence, _congruence_images
+from traceprod.spaces import coords_batch, span_dim
+from conftest import basis_stack, map_from_action
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
 C3 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 3)
@@ -246,3 +250,92 @@ def test_apply_is_linear(seed):
     lhs = apply(f, a * A + b * B)
     rhs = a * apply(f, A) + b * apply(f, B)
     assert np.allclose(lhs, rhs)
+
+
+def _gaussian_matrices(rng, shape, real):
+    G = rng.standard_normal(shape)
+    return G if real else G + 1j * rng.standard_normal(shape)
+
+
+CONGRUENCE_SPACES = [
+    SpaceTag(kind, field, n)
+    for kind in (SpaceKind.FULL, SpaceKind.HERMITIAN, SpaceKind.SYMMETRIC, SpaceKind.DIAGONAL)
+    for field in Field
+    for n in (1, 2, 4)
+    if not (kind is SpaceKind.HERMITIAN and field is Field.REAL)
+]
+
+
+def _span_preserving_sides(rng, space, stacked):
+    """L and R such that L op(B) R stays in the span: independent on M_n,
+    diagonal on diagonal spans, each the adjoint (Hermitian) or transpose
+    (symmetric) of the other otherwise. The side `stacked` names is a stack
+    with a matrix per basis element, and on Hermitian and symmetric spans so
+    is the other side, which follows it."""
+    n, d = space.n, span_dim(space)
+    real = space.field is Field.REAL
+    shapes = {side: (d, n, n) if stacked == side else (n, n) for side in "LR"}
+    if space.kind in (SpaceKind.FULL, SpaceKind.DIAGONAL):
+        mask = 1.0 if space.kind is SpaceKind.FULL else np.eye(n)
+        return (_gaussian_matrices(rng, shapes[side], real) * mask for side in "LR")
+    adjoint = np.conj if space.kind is SpaceKind.HERMITIAN else np.asarray
+    X = _gaussian_matrices(rng, (d, n, n) if stacked != "none" else (n, n), real)
+    Y = adjoint(X.swapaxes(-1, -2))
+    return (Y, X) if stacked == "R" else (X, Y)
+
+
+@pytest.mark.parametrize("stacked", ["none", "L", "R"])
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("space", CONGRUENCE_SPACES, ids=str)
+def test_gathered_congruence_matches_basis_products(space, transpose, stacked):
+    # the reference is the product with the whole basis stack, c L op(B_k) R
+    L, R = _span_preserving_sides(np.random.default_rng(space.n), space, stacked)
+    c = 1.5 if space.field is Field.REAL else 0.5 - 2.0j
+    if space.kind is SpaceKind.HERMITIAN:
+        c = -0.75  # a real scalar keeps the images Hermitian
+    st = basis_stack(space)
+    ref = c * (L @ (st.transpose(0, 2, 1) if transpose else st) @ R)
+    eps = np.finfo(float).eps
+    images = _congruence_images(space, L, R, c, transpose)
+    assert np.max(np.abs(images - ref)) <= 4 * eps * np.max(np.abs(ref))
+    got = _congruence(space, L, R, c, transpose).transfer
+    want = linmap_from_images(space, space, ref).transfer
+    assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", [SpaceKind.FULL, SpaceKind.SYMMETRIC, SpaceKind.DIAGONAL])
+def test_gathered_congruence_stays_real_on_real_spans(kind):
+    space = SpaceTag(kind, Field.REAL, 3)
+    rng = np.random.default_rng(0)
+    L, R = rng.standard_normal((2, 3, 3))
+    assert _congruence_images(space, L, R, 2.0).dtype == np.float64
+    assert _congruence_images(space, L, R.astype(complex)).dtype == np.complex128
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (3, 3), (2, 4), (4, 3)])
+def test_complexify_matches_dense_change_of_basis(n, k):
+    # the reference is S_cod T S_dom^-1 with S the dense Hermitian basis
+    # change, column j of S being vec(H_j)
+    rng = np.random.default_rng(10 * n + k)
+    hdom = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, n)
+    hcod = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, k)
+    f = LinMap(hdom, hcod, rng.standard_normal((k * k, n * n)))
+    S_dom = basis_stack(hdom).reshape(n * n, n * n).T
+    S_cod = basis_stack(hcod).reshape(k * k, k * k).T
+    np.testing.assert_array_equal(complexify(f).transfer, S_cod @ f.transfer @ np.linalg.inv(S_dom))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (3, 3), (4, 5)])
+def test_restrict_to_hermitian_matches_basis_images(n, k):
+    # the reference applies the map to the Hermitian basis and reads the
+    # Hermitian coordinates of the images
+    rng = np.random.default_rng(n + k)
+    f = LinMap(
+        SpaceTag(SpaceKind.FULL, Field.COMPLEX, n),
+        SpaceTag(SpaceKind.FULL, Field.COMPLEX, k),
+        _gaussian_matrices(rng, (k * k, n * n), False),
+    )
+    hdom = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, n)
+    hcod = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, k)
+    ref = coords_batch(hcod, apply_batch(f, basis_stack(hdom))).T
+    np.testing.assert_array_equal(_restrict_to_hermitian(f).transfer, ref)

@@ -409,3 +409,65 @@ def test_negative_seed_or_no_trials_is_an_input_error(call):
     # numpy's ValueError before: "expected non-negative integer", "need at least one array"
     with pytest.raises(InvalidParameterError):
         call()
+
+
+def _pair_index_coords(space, A):
+    """`coords_batch` as fancy indexing with (iu, ju) pairs and a concatenate,
+    the reference for the flat-index gathers."""
+    s = span_of(space)
+    n = s.n
+    if s.kind is SpaceKind.FULL:
+        x = A.reshape(A.shape[0], n * n)
+    else:
+        x = np.diagonal(A, axis1=1, axis2=2)
+        if s.kind is not SpaceKind.DIAGONAL:
+            iu, ju = np.triu_indices(n, 1)
+            upper, lower = A[:, iu, ju], A[:, ju, iu]
+            if s.kind is SpaceKind.SYMMETRIC:
+                off = (upper + lower) / 2
+            else:
+                off = np.stack([(upper + lower).real / 2, (upper - lower).imag / 2], axis=2)
+                off = off.reshape(A.shape[0], -1)
+            x = np.concatenate([x, off], axis=1)
+    if base_field(space) is Field.REAL:
+        return np.array(x.real, dtype=np.float64, order="C")
+    return np.array(x, dtype=np.complex128, order="C")
+
+
+def _pair_index_reassemble(space, x):
+    """`reassemble_batch` as a scatter through (iu, ju) pairs."""
+    s = span_of(space)
+    n = s.n
+    if s.kind is SpaceKind.FULL:
+        return x.reshape(-1, n, n).astype(np.complex128)
+    out = np.zeros((x.shape[0], n, n), dtype=np.complex128)
+    r = np.arange(n)
+    out[:, r, r] = x[:, :n]
+    if s.kind is not SpaceKind.DIAGONAL:
+        iu, ju = np.triu_indices(n, 1)
+        if s.kind is SpaceKind.SYMMETRIC:
+            out[:, iu, ju] = out[:, ju, iu] = x[:, n:]
+        else:
+            sym, skew = x[:, n::2], 1j * x[:, n + 1 :: 2]
+            out[:, iu, ju] = sym + skew
+            out[:, ju, iu] = sym - skew
+    return out
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_flat_index_kernels_match_pair_index_kernels_bitwise(tag):
+    rng = np.random.default_rng(tag.n)
+    n, d = tag.n, span_dim(tag)
+    A = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+    A[0] = 0.0
+    A[1] = -0.0  # signed zeros must come out as the reference writes them
+    A[2, ::2] = -A[2, ::2].conj()
+    x = rng.standard_normal((7, d))
+    if base_field(tag) is Field.COMPLEX:
+        x = x + 1j * rng.standard_normal((7, d))
+    x[0], x[1, ::2] = 0.0, -0.0
+    for stack in (A, A.real, A.transpose(0, 2, 1)):
+        got, ref = coords_batch(tag, stack), _pair_index_coords(tag, stack)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    got, ref = reassemble_batch(tag, x), _pair_index_reassemble(tag, x)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
