@@ -5,7 +5,8 @@ compact JSON ending in a newline (`jsonio.encode_document`); a NaN or
 infinite residual is written as null. Diagnostics go to stderr. Exit codes:
 0 success (and, for checks, the identity holds), 1 the identity fails or the
 maps lack the expected canonical structure, 2 usage or input errors (a
-non-finite or negative `--tol` and a negative `--seed` among them).
+non-finite or negative `--tol` and a negative `--seed` among them) and a
+stdout closed by its reader, which gets nothing more written to it.
 `generate` output pipes straight into `check`, `decompose`, `extend`, and
 `weighted` via `--maps -`.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .decompose import decompose, verify_weighted
@@ -33,9 +35,8 @@ from .jsonio import (
     encode_document,
     encode_error,
     encode_generated,
-    encode_linmap,
+    encode_maps,
     encode_report,
-    encode_space,
 )
 from .spaces import Field, SpaceKind, SpaceTag, span_of
 
@@ -166,13 +167,7 @@ def _cmd_dualize(args) -> int:
         raise NotApplicableError(f"document has {len(maps)} maps; index {args.index} is out of range")
     f = maps[args.index]
     psi = dualize(f, tol=args.tol)
-    _emit(
-        {
-            "space": encode_space(space if space is not None else f.domain),
-            "m": 2,
-            "maps": [encode_linmap(f), encode_linmap(psi)],
-        }
-    )
+    _emit(encode_maps(space if space is not None else f.domain, [f, psi]))
     return 0
 
 
@@ -188,13 +183,7 @@ def _cmd_extend(args) -> int:
     if len(maps) != 2:
         raise NotApplicableError(f"extension needs exactly 2 maps, got {len(maps)}")
     psi1, psi2 = embed_extend_pair(maps[0], maps[1], tol=args.tol)
-    _emit(
-        {
-            "space": encode_space(span_of(psi1.domain)),
-            "m": 2,
-            "maps": [encode_linmap(psi1), encode_linmap(psi2)],
-        }
-    )
+    _emit(encode_maps(span_of(psi1.domain), [psi1, psi2]))
     return 0
 
 
@@ -233,6 +222,9 @@ def run(argv=None) -> int:
         if not math.isfinite(tol) or tol < 0:
             raise InvalidParameterError(f"--tol must be finite and nonnegative, got {tol}")
         return _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        # the reader closed stdout: an error document there would break again
+        return 2
     except (TraceProdError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         _emit(encode_error(exc))
         print(f"error: {exc}", file=sys.stderr)
@@ -240,7 +232,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    status = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, or the interpreter's own flush at exit
+        # reports the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 2
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -116,20 +116,26 @@ def _map_at_identity(map_: LinMap) -> np.ndarray:
     return apply_batch(map_, np.eye(map_.domain.n)[None])[0]
 
 
-def _phase_fix(M: np.ndarray) -> complex:
-    """Unit scalar u making the largest-magnitude entry of u*M real positive."""
+def _gauge_entry(M: np.ndarray) -> complex:
+    """The first entry of M, in row-major order, whose magnitude is within a
+    relative 1e-12 of the largest. Entries of equal magnitude, such as those of
+    a 2 x 2 unitary, are told apart by position, not by rounding."""
     flat = M.reshape(-1)
-    j = int(np.argmax(np.abs(flat)))
-    z = complex(flat[j])
+    mag = np.abs(flat)
+    return complex(flat[int(np.argmax(mag >= (1 - 1e-12) * np.max(mag)))])
+
+
+def _phase_fix(M: np.ndarray) -> complex:
+    """Unit scalar u making the gauge entry (`_gauge_entry`) of u*M real positive."""
+    z = _gauge_entry(M)
     if z == 0:
         return 1.0
     return np.conj(z) / abs(z)
 
 
 def _sign_fix(M: np.ndarray) -> float:
-    """+-1 making the largest-magnitude entry of the result lie in the right half plane."""
-    flat = M.reshape(-1)
-    z = complex(flat[int(np.argmax(np.abs(flat)))])
+    """+-1 making the gauge entry (`_gauge_entry`) of the result lie in the right half plane."""
+    z = _gauge_entry(M)
     if z.real < 0 or (z.real == 0 and z.imag < 0):
         return -1.0
     return 1.0

@@ -218,6 +218,11 @@ def encode_decomposition(result: DecompositionResult, space: SpaceTag) -> dict:
     }
 
 
+def encode_maps(space: SpaceTag, maps) -> dict:
+    """A bare maps document: the space and the encoded maps."""
+    return {"space": encode_space(space), "m": len(maps), "maps": [encode_linmap(f) for f in maps]}
+
+
 def encode_generated(gen: Generated, family: str) -> dict:
     return {
         "family": family,

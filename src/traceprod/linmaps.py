@@ -13,6 +13,14 @@ outer products of columns of L and rows of R: no product with the basis
 stack. The change between Hermitian coordinates and matrix entries
 (`complexify`) is a row and a column gather with weights 1, +-i and 1/2; no
 dense change-of-basis matrix is built.
+
+Span membership is checked where matrices come from outside:
+`linmap_from_images`, `apply` and `extend.extend_from_subset`. Realised maps
+(canonical forms, `transpose_map`) are written straight from their images'
+coordinates: a congruence by (M*, M) or (M^t, M) keeps Hermitian and symmetric
+matrices so, one by a permutation with diagonal scalings keeps diagonal ones,
+and a full codomain holds every image, so those images lie in the span by
+construction.
 """
 from __future__ import annotations
 
@@ -152,7 +160,10 @@ def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float 
     """Build the map sending the k-th canonical basis element to images[k].
 
     Each image must lie in the span of the codomain within tol (relative to its
-    own scale); that is what makes the transfer faithful.
+    own scale); that is what makes the transfer faithful. This is the checked
+    constructor for images from outside. Canonical forms and `transpose_map`
+    write their images' coordinates directly, unchecked, as their images lie
+    in the span by construction.
     """
     d = span_dim(domain)
     if len(images) != d:
@@ -162,6 +173,13 @@ def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float 
     if images.shape[1:] != (k, k):
         raise DimensionMismatchError(f"images must be {k} x {k}, got shape {images.shape[1:]}")
     return LinMap(domain, codomain, _span_coords(codomain, images, tol, "image").T)
+
+
+def _realised(domain: SpaceTag, codomain: SpaceTag, images: np.ndarray) -> LinMap:
+    """The map sending the k-th basis element of `domain` to images[k], written
+    straight from the images' coordinates, for images in the span of `codomain`
+    by construction: no membership check."""
+    return LinMap(domain, codomain, coords_batch(codomain, images).T)
 
 
 def _hermitian_spanning_stack(space: SpaceTag) -> np.ndarray:
@@ -294,7 +312,7 @@ def transpose_map(space: SpaceTag) -> LinMap:
     """A -> A^t on a full matrix space."""
     if span_of(space).kind is not SpaceKind.FULL:
         raise InvalidParameterError("transpose_map expects a full matrix space")
-    return linmap_from_images(space, space, _basis_stack(space).transpose(0, 2, 1))
+    return _realised(space, space, _basis_stack(space).transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +381,13 @@ def _check_scalar_product(c, tol: float) -> None:
         raise InvalidParameterError(f"scalar product must be 1, got {prod}")
 
 
-def _congruence(space: SpaceTag, L, R, c=1.0, transpose: bool = False, tol: float = 1e-6) -> LinMap:
+def _congruence(space: SpaceTag, L, R, c=1.0, transpose: bool = False) -> LinMap:
     """The map A -> c L op(A) R on the span of `space`, op(A) = A^t when `transpose`.
 
-    L and R are matrices or stacks with one matrix per basis element.
+    L and R are matrices or stacks with one matrix per basis element. Every
+    caller passes sides that keep the span, so the images are not checked.
     """
-    images = _congruence_images(space, L, R, c, transpose)
-    return linmap_from_images(space, space, images, tol=max(tol, 1e-7))
+    return _realised(space, space, _congruence_images(space, L, R, c, transpose))
 
 
 def _scaled_isometry(space: SpaceTag, U, adjoint, c, tol: float, what: str) -> list[LinMap]:
@@ -377,7 +395,7 @@ def _scaled_isometry(space: SpaceTag, U, adjoint, c, tol: float, what: str) -> l
     if np.max(np.abs(adjoint(U) @ U - np.eye(space.n))) > max(tol, 1e-9):
         raise InvalidParameterError(f"{what} within tolerance")
     _check_scalar_product(c, tol)
-    return [_congruence(space, adjoint(U), U, ci, tol=tol) for ci in c]
+    return [_congruence(space, adjoint(U), U, ci) for ci in c]
 
 
 def _alternating(space: SpaceTag, M, adjoint, c, tol: float, transpose: bool = False) -> list[LinMap]:
@@ -385,9 +403,7 @@ def _alternating(space: SpaceTag, M, adjoint, c, tol: float, transpose: bool = F
     Minv = _inverse(M, "M")
     _check_scalar_product(c, tol)
     sides = ((adjoint(M), M), (Minv, adjoint(Minv)))
-    return [
-        _congruence(space, *sides[i % 2], ci, transpose=transpose, tol=tol) for i, ci in enumerate(c)
-    ]
+    return [_congruence(space, *sides[i % 2], ci, transpose=transpose) for i, ci in enumerate(c)]
 
 
 @dataclass(frozen=True)
@@ -400,7 +416,7 @@ class MnChain(_Form):
     def maps(self, space, tol):
         invs = [_inverse(N, f"N[{i}]") for i, N in enumerate(self.N)]
         m = len(self.N)
-        return [_congruence(space, N, invs[(i + 1) % m], tol=tol) for i, N in enumerate(self.N)]
+        return [_congruence(space, N, invs[(i + 1) % m]) for i, N in enumerate(self.N)]
 
 
 @dataclass(frozen=True)
@@ -486,8 +502,8 @@ class DiagChain(_Form):
     kinds = frozenset({SpaceKind.DIAGONAL})
 
     def maps(self, space, tol):
-        n, P = space.n, self.P
-        if np.max(np.abs(P - np.round(P.real))) > max(tol, 1e-9) or not _is_permutation(np.round(P.real)):
+        n, P = space.n, np.round(self.P.real)
+        if np.max(np.abs(self.P - P)) > max(tol, 1e-9) or not _is_permutation(P):
             raise InvalidParameterError("P must be a permutation matrix")
         prod = np.eye(n, dtype=np.complex128)
         for i, C in enumerate(self.C):
@@ -499,7 +515,9 @@ class DiagChain(_Form):
             prod = prod @ C
         if np.max(np.abs(prod - np.eye(n))) > max(tol, 1e-6):
             raise InvalidParameterError("the product of the C_i must be the identity")
-        return [_congruence(space, C @ P.T, P, tol=tol) for C in self.C]
+        # realised from the structure just validated, the rounded P and the
+        # diagonals of the C_i, so the images are diagonal exactly
+        return [_congruence(space, np.diag(np.diag(C)) @ P.T, P) for C in self.C]
 
 
 @dataclass(frozen=True)
@@ -548,7 +566,7 @@ class RankOneFrame(_Form):
         # basis order is E_ij row-major: element (i, j) sits at index i*n + j
         rows, cols = np.divmod(np.arange(n * n), n)
         eye = np.eye(n)
-        return [_congruence(space, eye, A[rows], tol=tol), _congruence(space, Ainv[cols], eye, tol=tol)]
+        return [_congruence(space, eye, A[rows]), _congruence(space, Ainv[cols], eye)]
 
 
 @dataclass(frozen=True)
@@ -571,7 +589,7 @@ class NonextendableTriple(_Form):
             Z = np.zeros((len(st), 2 * n, 2 * n), dtype=np.complex128)
             Z[:, :n, :n] = st
             Z[:, n:, n:] = bottom
-            return linmap_from_images(space, big, Z, tol=max(tol, 1e-7))
+            return _realised(space, big, Z)
 
         return [corner(0.0), corner(st), corner(_congruence_images(space, X, X.conj().T))]
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -366,3 +367,32 @@ def test_exhaustive_check_leaves_numpy_random_out():
     probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "False"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_two_writing_nothing_more(monkeypatch, capsys):
+    # the handler used to emit an error document into the same closed stdout
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run(["generate", "--family", "mn_chain", "--n", "3", "--m", "3"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_stdout_closed_after_ten_bytes_exits_two_without_traceback(unbuffered):
+    # buffered, the closed pipe shows first in the interpreter's flush at exit
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "traceprod.cli", "generate", "--family", "mn_chain", "--n", "8", "--m", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert "Traceback" not in err and "Exception ignored" not in err

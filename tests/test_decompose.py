@@ -542,6 +542,28 @@ def test_diag_chain_recovery_matches_loop_reference(field):
         np.testing.assert_allclose(got, want, rtol=8 * np.finfo(float).eps, atol=0)
 
 
+@pytest.mark.parametrize(
+    "family, field",
+    [("herm_odd", Field.COMPLEX), ("pn_chain", Field.COMPLEX), ("sym_odd", Field.REAL)],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_n2_gauge_is_stable_under_rounding(family, field, seed):
+    # every 2 x 2 unitary or orthogonal matrix has two entries of equal
+    # magnitude; picking the largest one by argmax let rounding choose the
+    # gauge, and ulp-level nudges of the transfers moved U or O by up to 2
+    gen = generate(GenSpec(family=family, n=2, m=3, field=field, seed=seed))
+    name = "U" if isinstance(gen.form, HermOdd) else "O"
+    base = getattr(decompose(gen.maps).form, name)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        nudged = [
+            LinMap(f.domain, f.codomain, f.transfer * (1 + 4e-16 * rng.standard_normal(f.transfer.shape)))
+            for f in gen.maps
+        ]
+        got = getattr(decompose(nudged).form, name)
+        assert np.linalg.norm(got - base) <= 1e-13 * np.linalg.norm(base)
+
+
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
 def test_decompose_rejects_negative_or_non_finite_tol(tol):
     # -1 used to fail the rebuild gate, nan the conjugator and inf skipped the gate

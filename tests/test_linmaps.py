@@ -28,8 +28,25 @@ from traceprod import (
     space_basis,
     transpose_map,
 )
+from traceprod import linmaps
 from traceprod.extend import _restrict_to_hermitian
-from traceprod.linmaps import _congruence, _congruence_images
+from traceprod.families import (
+    _diag_scalings,
+    complex_orthogonal,
+    haar_orthogonal,
+    haar_unitary,
+    random_invertible,
+    random_permutation,
+)
+from traceprod.linmaps import (
+    FORMS,
+    HermEven,
+    RankOneFrame,
+    SymEven,
+    SymOdd,
+    _congruence,
+    _congruence_images,
+)
 from traceprod.spaces import coords_batch, span_dim
 from conftest import basis_stack, map_from_action
 
@@ -339,3 +356,115 @@ def test_restrict_to_hermitian_matches_basis_images(n, k):
     hcod = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, k)
     ref = coords_batch(hcod, apply_batch(f, basis_stack(hdom))).T
     np.testing.assert_array_equal(_restrict_to_hermitian(f).transfer, ref)
+
+
+def _valid_form(cls, field, n, rng):
+    """A valid instance of the canonical form `cls` over `field` at size n."""
+    inv = lambda: random_invertible(rng, n, field)  # noqa: E731
+    real = field is Field.REAL
+    if cls is HermOdd:
+        return HermOdd(haar_unitary(rng, n), (2.0, 0.5, 1.0))
+    if cls is SymOdd:
+        return SymOdd(haar_orthogonal(rng, n) if real else complex_orthogonal(rng, n), (2.0, 0.5, 1.0))
+    if cls in (HermEven, SymEven):
+        return cls(inv(), (2.0, 0.5, 4.0, 0.25))
+    if cls is PnPair:
+        return PnPair(inv(), transpose=bool(n % 2))
+    if cls is DiagChain:
+        return DiagChain(random_permutation(rng, n), _diag_scalings(rng, n, 3, field))
+    if cls is Hadamard:
+        G = rng.standard_normal((n, n))
+        return Hadamard(1.0 + np.abs(G + G.T))
+    if cls is MnChain:
+        return MnChain((inv(), inv(), inv()))
+    if cls is RankOneFrame:  # its sides are stacks, one matrix per basis element
+        return RankOneFrame(tuple(inv() for _ in range(n)))
+    return cls(inv())  # DiagPair, NonextendableTriple
+
+
+# every form on every span kind it accepts; a 1 x 1 X is scalar, so the
+# non-extendable triple needs n >= 2
+REALISATION_CASES = [
+    (cls, SpaceTag(kind, field, n))
+    for cls in FORMS
+    for field in Field
+    for kind in SpaceKind
+    for n in (1, 2, 3, 5)
+    if not (cls.complex_only and field is Field.REAL)
+    and linmaps.span_of(SpaceTag(kind, field, n)).kind in cls.kinds
+    and not (cls is NonextendableTriple and n == 1)
+]
+
+
+def _spy_realisations(monkeypatch) -> list:
+    """Record each (domain, codomain, images, map) that `_realised` writes."""
+    seen, realised = [], linmaps._realised
+
+    def spy(domain, codomain, images):
+        out = realised(domain, codomain, images)
+        seen.append((domain, codomain, images, out))
+        return out
+
+    monkeypatch.setattr(linmaps, "_realised", spy)
+    return seen
+
+
+def _assert_checked_path_agrees(seen) -> None:
+    # the reference is the checked constructor every realisation used to go
+    # through: it accepts the images, and its transfer matches bit for bit
+    for domain, codomain, images, out in seen:
+        want = linmap_from_images(domain, codomain, images).transfer
+        assert out.transfer.dtype == want.dtype
+        assert out.transfer.tobytes() == want.tobytes()
+
+
+def _case_id(v) -> str:
+    return v.__name__ if isinstance(v, type) else f"{v.kind.value}-{v.field.value}-{v.n}"
+
+
+@pytest.mark.parametrize("cls, space", REALISATION_CASES, ids=_case_id)
+def test_realised_images_pass_the_membership_check(cls, space, monkeypatch):
+    form = _valid_form(cls, space.field, space.n, np.random.default_rng(space.n))
+    seen = _spy_realisations(monkeypatch)
+    maps = from_canonical(form, space)
+    if cls in (DiagPair, Hadamard):
+        assert seen == []  # their parameters are the transfers: nothing to realise
+    else:
+        assert len(seen) == len(maps) and all(out is f for (*_, out), f in zip(seen, maps))
+    _assert_checked_path_agrees(seen)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("field", list(Field))
+def test_transpose_map_images_pass_the_membership_check(field, n, monkeypatch):
+    seen = _spy_realisations(monkeypatch)
+    f = transpose_map(SpaceTag(SpaceKind.FULL, field, n))
+    assert len(seen) == 1 and seen[0][3] is f
+    _assert_checked_path_agrees(seen)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("field", list(Field))
+def test_diag_chain_off_structure_realises_its_exact_structure(field, n, monkeypatch):
+    # P and the C_i up to tol off a permutation and diagonals: the maps are
+    # those of the exact form, and their images are diagonal exactly
+    space = SpaceTag(SpaceKind.DIAGONAL, field, n)
+    rng = np.random.default_rng(n)
+    exact = _valid_form(DiagChain, field, n, rng)
+    real = field is Field.REAL
+    tol, off = 1e-6, 1.0 - np.eye(n)
+
+    def move():  # entries of magnitude below 1
+        X = rng.uniform(-1, 1, (n, n))
+        return X if real else (X + 1j * rng.uniform(-1, 1, (n, n))) / np.sqrt(2)
+
+    P = exact.P + 0.9 * tol * move()
+    Cs = tuple(C + 1e-7 * off * move() for C in exact.C)
+    assert np.max(np.abs(P - exact.P)) > 0
+    seen = _spy_realisations(monkeypatch)
+    maps = from_canonical(DiagChain(P, Cs), space, tol=tol)
+    for f, g in zip(maps, from_canonical(exact, space)):
+        assert f.transfer.tobytes() == g.transfer.tobytes()
+    for *_, images, _ in seen:
+        assert not np.any(images * off)
+    _assert_checked_path_agrees(seen)
