@@ -35,6 +35,7 @@ from .errors import (
 from .extend import (
     CheckMode,
     PreservationReport,
+    _check_trials,
     _randomized_residual,
     _require_passed,
     check_preservation,
@@ -794,6 +795,7 @@ def verify_weighted(
     """Randomized check of tr(f1(A1)^a1 ... fm(Am)^am) = tr(A1^b1 ... Am^bm)
     over positive definite samples. Maps may be plain LinMaps or PowerMaps.
     """
+    _check_trials(trials)
     maps = list(maps)
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)
@@ -913,12 +915,11 @@ def nonextendable_best_fit_residual(form_or_x, trials: int = 20, seed: int = 0) 
     extending the corner triple to a bijective one. Accepts the triple's form
     or a bare matrix X, so scalar controls can be measured too.
     """
+    _check_trials(trials)
     if isinstance(form_or_x, NonextendableTriple):
         X = form_or_x.X
     else:
         X = np.asarray(form_or_x, dtype=np.complex128)
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be positive, got {trials}")
     n = X.shape[0]
     rng = _rng(seed)
     lefts = []

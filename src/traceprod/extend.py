@@ -51,14 +51,15 @@ from .spaces import (
     _field_dtype,
     _gaussian,
     _random_batch,
-    _random_diagonals,
     _reassemble,
     _rng,
 )
 
 # beyond this many basis tuples the exhaustive check switches to sampling
 EXHAUSTIVE_CAP = 10**6
+# a randomized grid block spans at most this many slot-1 samples and tuples
 _BATCH = 512
+_GRID_TUPLES = 2**15
 
 
 class CheckMode(str, enum.Enum):
@@ -110,6 +111,12 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return res
 
 
+def _check_trials(trials) -> None:
+    """Refuse a trial count that is not a positive int; a bool is no count."""
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise InvalidParameterError(f"trials must be a positive integer, got {trials!r}")
+
+
 def _validate_tuple(maps) -> tuple[int, int]:
     if not maps:
         raise InvalidParameterError("need at least one map")
@@ -150,17 +157,27 @@ def check_preservation(
 ) -> PreservationReport:
     """Check tr(f1(A1)...fm(Am)) = tr(A1...Am) over the maps' domains.
 
-    mode "auto" runs the exhaustive basis-tuple check when the tuple count
-    prod(dim) stays at or below 10**6 and falls back to seeded random trials
-    otherwise; "exhaustive" and "randomized" force the choice. Residuals are
-    |lhs - rhs| / max(1, |rhs|). `sample_space` redirects randomized sampling
-    (all slots) to a specific space with the same size, e.g. a definite cone.
+    mode "auto" runs the exhaustive check when the basis-tuple count
+    prod(dim) stays at or below 10**6 and the randomized one otherwise;
+    "exhaustive" and "randomized" force the choice. Residuals are
+    |lhs - rhs| / max(1, |rhs|), with NaN or inf read as inf. `sample_space`
+    redirects randomized sampling (all slots) to a specific space with the
+    same span, e.g. a definite cone.
 
-    Both checks compute in each matrix's own field: real matrices in float64,
-    a tuple between diagonal spaces on the diagonals alone. The samples are
-    those of `random_batch`, and `worst_tuple` holds complex (n, n) matrices.
+    Both modes check a product grid: every tuple (A1, ..., Am) with Ai taken
+    from a stack for slot i. The exhaustive stacks are the domain bases. The
+    randomized ones are k = ceil(trials**(1/m)) seeded samples per slot,
+    drawn as `random_batch` draws them, slots 2..m first and slot 1 last;
+    `trials` counts the grid tuples checked, the first ones in row-major order
+    (slot 1 slowest). The identity is multilinear, so any grid tuple of
+    independent generic samples detects a non-preserver as a tuple of fresh
+    samples would, while each map is applied to at most k samples, not to
+    `trials`.
+    Products are taken in each matrix's own field (float64 for real ones),
+    and `worst_tuple` holds complex (n, n) matrices.
     """
     _check_seed(seed)
+    _check_trials(trials)
     maps = list(maps)
     n, _ = _validate_tuple(maps)
     if sample_space is not None:
@@ -171,7 +188,6 @@ def check_preservation(
                 raise InvalidParameterError(
                     "sample_space must span the same space as every map's domain"
                 )
-    m = len(maps)
     dims = [span_dim(f.domain) for f in maps]
     total = 1
     for d in dims:
@@ -188,25 +204,8 @@ def check_preservation(
         max_res, worst = _check_exhaustive(maps, dims)
         count = total
     else:
-        diagonal = sample_space is None and all(
-            span_of(s).kind is SpaceKind.DIAGONAL for f in maps for s in (f.domain, f.codomain)
-        )
-        if diagonal:
-            # diagonal coordinates are the diagonal itself
-            lhs_fns = [lambda v, T=f.transfer: v @ T.T for f in maps]
-        else:
-            lhs_fns = [
-                functools.partial(_apply_batch, f, dtype=_field_dtype(f.codomain)) for f in maps
-            ]
-        max_res, worst = _randomized_residual(
-            [sample_space if sample_space is not None else f.domain for f in maps],
-            lhs_fns,
-            [lambda s: s] * m,
-            trials,
-            seed,
-            _BATCH,
-            diagonal=diagonal,
-        )
+        spaces = [sample_space if sample_space is not None else f.domain for f in maps]
+        max_res, worst = _check_randomized(maps, spaces, trials, seed)
         count = trials
     return PreservationReport(
         spaces=tuple(f.domain for f in maps),
@@ -241,24 +240,69 @@ def _exhaustive_rhs(domains: tuple) -> np.ndarray:
     return rhs
 
 
+def _worst(lhs: np.ndarray, rhs: np.ndarray, count: int) -> tuple[float, int]:
+    """The largest `_residuals` over the first `count` entries of two
+    `_pair_traces` grids, and its flat (row-major) index."""
+    res = _residuals(lhs.reshape(-1)[:count], rhs.reshape(-1)[:count])
+    j = int(np.argmax(res))
+    return float(res[j]), j
+
+
 # an overflow in the products reads as an infinite residual, so it warns nothing
 @np.errstate(over="ignore", invalid="ignore")
 def _check_exhaustive(maps, dims) -> tuple[float, tuple]:
-    m = len(maps)
-    half = (m + 1) // 2
     lhs = _pair_traces(
-        [_reassemble(f.codomain, f.transfer.T, _field_dtype(f.codomain)) for f in maps], half
+        [_reassemble(f.codomain, f.transfer.T, _field_dtype(f.codomain)) for f in maps], (len(maps) + 1) // 2
     )
     rhs = _exhaustive_rhs(tuple(f.domain for f in maps))
-    res = _residuals(lhs, rhs)
-    flat = int(np.argmax(res))
-    max_res = float(res.reshape(-1)[flat])
-    idx = np.unravel_index(flat, res.shape)
-    # recover per-map basis indices from the two grouped axes
-    left_idx = np.unravel_index(idx[0], dims[:half])
-    right_idx = np.unravel_index(idx[1], dims[half:]) if m > half else ()
-    per_map = tuple(left_idx) + tuple(right_idx)
+    max_res, flat = _worst(lhs, rhs, rhs.size)
+    # the grid is row-major over the per-map basis indices
+    per_map = np.unravel_index(flat, dims)
     worst = tuple(_basis_stack(f.domain)[i] for f, i in zip(maps, per_map))
+    return max_res, worst
+
+
+def _grid_shape(trials: int, m: int) -> tuple[int, int, int]:
+    """(k, need, block) of a randomized grid check of `trials` tuples over m
+    slots: k = ceil(trials**(1/m)) samples for each of slots 2..m, the `need`
+    samples of slot 1 that the first `trials` tuples use, and the slot-1
+    samples drawn at a time: at most _BATCH, and at most _GRID_TUPLES tuples'
+    worth unless one sample alone spans more."""
+    k = max(1, round(trials ** (1.0 / m)))
+    while k**m < trials:
+        k += 1
+    while k > 1 and (k - 1) ** m >= trials:
+        k -= 1
+    per = k ** (m - 1)  # tuples per slot-1 sample
+    need = -(-trials // per)
+    return k, need, min(need, _BATCH, max(1, _GRID_TUPLES // per))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as in _check_exhaustive
+def _check_randomized(maps, spaces, trials: int, seed: int) -> tuple[float, tuple]:
+    """The largest residual over the first `trials` tuples of a seeded sample
+    grid, and that tuple as complex (n, n) matrices. Slots 2..m are drawn and
+    mapped once, then slot 1 a block at a time, so memory does not grow with
+    `trials`."""
+    m = len(maps)
+    half = (m + 1) // 2
+    k, need, block = _grid_shape(trials, m)
+    rng = _rng(seed)
+    rest = [_random_batch(sp, k, rng) for sp in spaces[1:]]
+    images = [_apply_batch(f, A, dtype=_field_dtype(f.codomain)) for f, A in zip(maps[1:], rest)]
+    per = k ** (m - 1)
+    max_res = -1.0
+    worst: tuple = ()
+    for start in range(0, need, block):
+        first = _random_batch(spaces[0], min(block, need - start), rng)
+        mapped = _apply_batch(maps[0], first, dtype=_field_dtype(maps[0].codomain))
+        lhs = _pair_traces([mapped, *images], half)
+        rhs = _pair_traces([first, *rest], half)
+        res, flat = _worst(lhs, rhs, trials - start * per)
+        if res > max_res:
+            max_res = res
+            idx = np.unravel_index(flat, (len(first),) + (k,) * (m - 1))
+            worst = tuple(np.array(A[i], dtype=np.complex128) for A, i in zip([first, *rest], idx))
     return max_res, worst
 
 
@@ -273,42 +317,29 @@ def _trace_of_product(factors: list[np.ndarray]) -> np.ndarray:
     return np.einsum("tij,tji->t", left, right)
 
 
-def _trace_of_diagonal_product(factors: list[np.ndarray]) -> np.ndarray:
-    """tr(X_1...X_m) per row for diagonal X_i given by (count, n) diagonals."""
-    return functools.reduce(np.multiply, factors).sum(axis=1)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # as in _check_exhaustive
-def _randomized_residual(
-    spaces, lhs_fns, rhs_fns, trials: int, seed: int, batch: int, diagonal: bool = False
-) -> tuple[float, tuple]:
+def _randomized_residual(spaces, lhs_fns, rhs_fns, trials: int, seed: int, batch: int) -> tuple[float, tuple]:
     """Largest `_residuals` of tr(lhs_1(A_1)...lhs_m(A_m)) against
-    tr(rhs_1(A_1)...rhs_m(A_m)) over `trials` seeded samples, A_i drawn from
-    spaces[i] `batch` at a time.
+    tr(rhs_1(A_1)...rhs_m(A_m)) over `trials` tuples of independent seeded
+    samples, A_i drawn from spaces[i] `batch` at a time.
 
     The samples are `random_batch`'s, in each space's own field dtype, and the
-    factor functions act on (count, n, n) stacks of them. With `diagonal` the
-    spaces are diagonal and samples and factors are (count, n) diagonals. The
-    worst tuple comes back as complex (n, n) matrices.
+    factor functions act on (count, n, n) stacks of them. The worst tuple
+    comes back as complex (n, n) matrices.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be positive, got {trials}")
-    draw, trace = (
-        (_random_diagonals, _trace_of_diagonal_product) if diagonal else (_random_batch, _trace_of_product)
-    )
     rng = _rng(seed)
     max_res = -1.0
     worst: tuple = ()
     for done in range(0, trials, batch):
         t = min(batch, trials - done)
-        samples = [draw(sp, t, rng) for sp in spaces]
-        lhs = trace([f(s) for f, s in zip(lhs_fns, samples)])
-        rhs = trace([f(s) for f, s in zip(rhs_fns, samples)])
+        samples = [_random_batch(sp, t, rng) for sp in spaces]
+        lhs = _trace_of_product([f(s) for f, s in zip(lhs_fns, samples)])
+        rhs = _trace_of_product([f(s) for f, s in zip(rhs_fns, samples)])
         res = _residuals(lhs, rhs)
         j = int(np.argmax(res))
         if res[j] > max_res:
             max_res = float(res[j])
-            worst = tuple(np.array(np.diag(s[j]) if diagonal else s[j], dtype=np.complex128) for s in samples)
+            worst = tuple(np.array(s[j], dtype=np.complex128) for s in samples)
     return max_res, worst
 
 
@@ -544,13 +575,12 @@ def infeasibility_certificate(
     cutoff `cutoff_factor * sigma_max`; every rank is at most k^2 by the
     factorization bound, while matching tr(A B) would need rank n^2.
     """
+    _check_trials(trials)
     field = Field(field)
     if n <= k:
         raise NotApplicableError(
             f"pairs M_{n} -> M_{k} with n <= k exist, so there is nothing to certify"
         )
-    if trials < 1:
-        raise InvalidParameterError("trials must be positive")
     dom = SpaceTag(SpaceKind.FULL, field, n)
     cod = SpaceTag(SpaceKind.FULL, field, k)
     d, Dk = span_dim(dom), span_dim(cod)

@@ -8,7 +8,6 @@ import time
 import zlib
 
 import numpy as np
-import pytest
 
 from traceprod import (
     FAMILIES,
@@ -36,7 +35,6 @@ from traceprod import (
     is_hermitian_preserving,
     linmap_from_images,
     nonextendable_best_fit_residual,
-    space_basis,
     span_dim,
     verify_weighted,
     weighted_canonical_maps,

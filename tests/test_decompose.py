@@ -25,7 +25,6 @@ from traceprod import (
     PositivityError,
     PowerMap,
     PreservationError,
-    RankOneFrame,
     SpaceKind,
     SpaceTag,
     SymEven,
@@ -41,7 +40,6 @@ from traceprod import (
     generate,
     herm_power,
     identity_map,
-    image_stack,
     nonextendable_best_fit_residual,
     power_map_apply,
     recover_conjugator,

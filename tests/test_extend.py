@@ -1,4 +1,6 @@
 import functools
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,12 +33,13 @@ from traceprod import (
     infeasibility_certificate,
     is_hermitian_preserving,
     linmap_from_images,
-    space_basis,
+    nonextendable_best_fit_residual,
     span_dim,
     transpose_map,
     verify_weighted,
 )
-from traceprod.extend import _BATCH, _exhaustive_rhs, _null_space, _span_gram
+from traceprod import extend
+from traceprod.extend import _exhaustive_rhs, _grid_shape, _null_space, _span_gram
 from traceprod.linmaps import apply_batch
 from traceprod.spaces import random_batch
 from conftest import basis_stack, map_from_action, move_first_transfer
@@ -166,18 +169,28 @@ def test_check_rejects_negative_tol(tol):
 
 
 def _reference_randomized(maps, trials, seed, sample_space=None):
-    """The randomized check as a plain loop over the same `random_batch`
-    samples: full complex products of the images, then their traces."""
+    """The randomized check as a plain loop over the same grid tuples: the
+    `random_batch` samples drawn as the check draws them (slots 2..m, then
+    slot 1 block by block), and for each of the first `trials` tuples in
+    row-major order the traces of the full complex products. Returns the
+    largest residual and its tuple."""
+    m = len(maps)
+    k, need, block = _grid_shape(trials, m)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for done in range(0, trials, _BATCH):
-        t = min(_BATCH, trials - done)
-        samples = [random_batch(sample_space or f.domain, t, rng) for f in maps]
-        images = [apply_batch(f, A) for f, A in zip(maps, samples)]
-        lhs = np.trace(functools.reduce(np.matmul, images), axis1=1, axis2=2)
-        rhs = np.trace(functools.reduce(np.matmul, samples), axis1=1, axis2=2)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))))
-    return worst
+    spaces = [sample_space or f.domain for f in maps]
+    rest = [random_batch(sp, k, rng) for sp in spaces[1:]]
+    first = np.concatenate([random_batch(spaces[0], min(block, need - s), rng) for s in range(0, need, block)])
+    samples = [first, *rest]
+    images = [apply_batch(f, A) for f, A in zip(maps, samples)]
+    worst, worst_tuple = -1.0, ()
+    grid = itertools.product(*(range(len(A)) for A in samples))
+    for idx in itertools.islice(grid, trials):
+        lhs = np.trace(functools.reduce(np.matmul, [F[i] for F, i in zip(images, idx)]))
+        rhs = np.trace(functools.reduce(np.matmul, [A[i] for A, i in zip(samples, idx)]))
+        res = abs(lhs - rhs) / max(1.0, abs(rhs))
+        if res > worst:
+            worst, worst_tuple = res, tuple(A[i] for A, i in zip(samples, idx))
+    return worst, worst_tuple
 
 
 def _identity_tuple(kind, n):
@@ -201,23 +214,171 @@ def test_field_randomized_check_matches_complex_reference(case, perturb):
     maps = list(_FIELD_CASES[case]())
     if perturb:
         maps = move_first_transfer(maps, perturb)
-    # two batches, the second partial
-    report = check_preservation(maps, mode="randomized", trials=_BATCH + 88, seed=3)
-    want = _reference_randomized(maps, _BATCH + 88, seed=3)
+    # a grid that 600 tuples do not fill
+    report = check_preservation(maps, mode="randomized", trials=600, seed=3)
+    want, want_tuple = _reference_randomized(maps, 600, seed=3)
     assert report.passed == (want <= 1e-9) == (perturb == 0.0)
     assert np.isclose(report.max_residual, want, rtol=1e-9, atol=1e-12)
     n = maps[0].domain.n
     assert len(report.worst_tuple) == len(maps)
     for A in report.worst_tuple:
         assert A.dtype == np.complex128 and A.shape == (n, n)
+    if perturb:  # a clean tuple's residuals are rounding, so its argmax is arbitrary
+        for A, B in zip(report.worst_tuple, want_tuple):
+            assert np.array_equal(A, B)
 
 
 def test_field_randomized_check_with_sample_space_matches_reference():
     maps = move_first_transfer(generate(GenSpec(family="sym_even", n=4, m=4, field=Field.REAL, seed=1)).maps, 1e-6)
     cone = SpaceTag(SpaceKind.POSDEF, Field.REAL, 4)
     report = check_preservation(maps, mode="randomized", trials=100, seed=5, sample_space=cone)
-    assert np.isclose(report.max_residual, _reference_randomized(maps, 100, 5, cone), rtol=1e-9, atol=1e-12)
+    assert np.isclose(report.max_residual, _reference_randomized(maps, 100, 5, cone)[0], rtol=1e-9, atol=1e-12)
     assert all(A.dtype == np.complex128 for A in report.worst_tuple)
+
+
+def _spy_on_residuals(monkeypatch) -> list:
+    """The number of tuples each `_residuals` call of the check sees, as a
+    list that fills while the check runs."""
+    seen = []
+    residuals = extend._residuals
+
+    def spy(lhs, rhs):
+        seen.append(len(lhs))
+        return residuals(lhs, rhs)
+
+    monkeypatch.setattr(extend, "_residuals", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["diag_chain-m3", "sym_even-real-m4"])
+def test_randomized_check_in_several_slot_one_blocks_matches_reference(case, monkeypatch):
+    # slot 1 drawn 3 samples at a time: 600 tuples need 8 of k = 9 samples
+    # at m = 3 (blocks 3, 3, 2) and 5 of k = 5 at m = 4 (blocks 3, 2)
+    monkeypatch.setattr(extend, "_BATCH", 3)
+    maps = move_first_transfer(list(_FIELD_CASES[case]()), 1e-6)
+    k, need, block = _grid_shape(600, len(maps))
+    assert block == 3
+    seen = _spy_on_residuals(monkeypatch)
+    report = check_preservation(maps, mode="randomized", trials=600, seed=3)
+    # whole blocks of 3 samples, then the rest of the 600 tuples
+    per = k ** (len(maps) - 1)
+    assert seen[:-1] == [3 * per] * (len(seen) - 1) and sum(seen) == 600
+    want, want_tuple = _reference_randomized(maps, 600, seed=3)
+    assert not report.passed
+    assert np.isclose(report.max_residual, want, rtol=1e-9, atol=1e-12)
+    for A, B in zip(report.worst_tuple, want_tuple):
+        assert np.array_equal(A, B)
+
+
+@pytest.mark.parametrize(
+    "trials,m,shape",
+    [(1, 1, (1, 1, 1)), (10**6, 1, (10**6, 10**6, 512)), (5, 3, (2, 2, 2)), (8, 3, (2, 2, 2)),
+     (9, 3, (3, 1, 1)), (10_000, 3, (22, 21, 21)), (512, 6, (3, 3, 3)), (10**6, 2, (1000, 1000, 32))],
+)
+def test_grid_shape(trials, m, shape):
+    # k = ceil(trials**(1/m)) in integers; slot 1 draws only what the first
+    # `trials` tuples use, at most 512 samples and 2**15 tuples a block
+    assert _grid_shape(trials, m) == shape
+
+
+def test_randomized_check_evaluates_exactly_trials_tuples(monkeypatch):
+    # trials = 5 at m = 3: a 2 x 2 x 2 grid, of which the first 5 tuples count
+    seen = _spy_on_residuals(monkeypatch)
+    maps = move_first_transfer(generate(GenSpec(family="mn_chain", n=3, m=3, seed=0)).maps, 1e-6)
+    report = check_preservation(maps, mode="randomized", trials=5, seed=0)
+    assert seen == [5]
+    assert report.trials == 5
+    assert np.isclose(report.max_residual, _reference_randomized(maps, 5, seed=0)[0], rtol=1e-9, atol=1e-12)
+
+
+def test_randomized_check_maps_each_sample_once(monkeypatch):
+    rows = []
+    apply_rows = extend._apply_batch
+
+    def spy(map_, batch, dtype):
+        rows.append(len(batch))
+        return apply_rows(map_, batch, dtype=dtype)
+
+    monkeypatch.setattr(extend, "_apply_batch", spy)
+    gen = generate(GenSpec(family="mn_chain", n=4, m=3, seed=0))
+    report = check_preservation(gen.maps, mode="randomized", trials=10_000, seed=0)
+    # k = 22 samples for slots 2 and 3, each mapped once; slot 1 needs only
+    # ceil(10 000 / 22**2) = 21 of its 22, against 3 * 10 000 rows before
+    assert rows == [22, 22, 21]
+    assert report.trials == 10_000 and report.passed
+
+
+@pytest.mark.parametrize(
+    "maps,trials",
+    [
+        # slot 1 unblocked would hold 20 000 complex 8 x 8 samples, 20 MB
+        pytest.param(lambda: [transpose_map(_full_tag(8))], 20_000, id="m1"),
+        pytest.param(lambda: generate(GenSpec(family="pn_pair", n=8, m=2, seed=0)).maps, 10**6, id="m2"),
+        pytest.param(lambda: generate(GenSpec(family="mn_chain", n=8, m=3, seed=0)).maps, 10**6, id="m3"),
+    ],
+)
+def test_randomized_check_memory_does_not_grow_with_trials(maps, trials):
+    maps = maps()
+    tracemalloc.start()
+    try:
+        report = check_preservation(maps, mode="randomized", trials=trials, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.trials == trials
+    assert peak < 16 * 2**20
+
+
+_DETECTION_FAMILIES = [
+    ("mn_chain", Field.COMPLEX),
+    ("herm_odd", Field.COMPLEX),
+    ("herm_even", Field.COMPLEX),
+    ("sym_even", Field.REAL),
+    ("sym_odd", Field.REAL),
+    ("diag_chain", Field.COMPLEX),
+    ("pn_pair", Field.COMPLEX),
+]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("family,field", _DETECTION_FAMILIES)
+def test_randomized_grid_passes_preservers_and_fails_moved_maps(family, field, n):
+    # every grid tuple of generic samples tells a preserver from a tuple whose
+    # f1 moved, as a tuple of fresh samples does: the identity is multilinear
+    lengths = []
+    for m in range(2, 7):
+        try:
+            spec = GenSpec(family=family, n=n, m=m, field=field, seed=0)
+        except InvalidParameterError:
+            continue
+        lengths.append(m)
+        maps = generate(spec).maps
+        for rel in (0.0, 1e-6, 1e-8):
+            moved = move_first_transfer(maps, rel) if rel else maps
+            report = check_preservation(moved, tol=1e-9, mode="randomized", trials=512, seed=0)
+            assert report.passed == (rel == 0.0), (m, rel, report.max_residual)
+    assert lengths
+
+
+@pytest.mark.parametrize("trials", [2.5, "8", True, 0, -3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda t: check_preservation([identity_map(C2)] * 2, mode="randomized", trials=t), id="check_preservation"
+        ),
+        pytest.param(
+            lambda t: check_preservation([identity_map(C2)] * 2, mode="exhaustive", trials=t), id="check-exhaustive"
+        ),
+        pytest.param(lambda t: verify_weighted([identity_map(H2)] * 2, [1, 1], [1, 1], trials=t), id="verify_weighted"),
+        pytest.param(lambda t: infeasibility_certificate(3, 2, trials=t), id="infeasibility_certificate"),
+        pytest.param(lambda t: nonextendable_best_fit_residual(np.eye(2), trials=t), id="best_fit"),
+    ],
+)
+def test_trials_must_be_a_positive_int(call, trials):
+    # 2.5 and "8" raised a bare TypeError, and True ran one trial reported as `trials: True`
+    with pytest.raises(InvalidParameterError, match="trials must be a positive integer"):
+        call(trials)
 
 
 def test_exhaustive_rhs_cached_read_only_and_reports_repeat():

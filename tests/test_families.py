@@ -6,7 +6,6 @@ from traceprod import (
     Field,
     GenSpec,
     InvalidParameterError,
-    SpaceKind,
     check_preservation,
     gen_space_sample,
     generate,
