@@ -1,0 +1,53 @@
+#!/usr/bin/env bash
+# The documented CLI pipelines, run with the `traceprod` and `python` found on
+# PATH; the first one that misbehaves stops the script with a nonzero exit.
+#
+#   bash ci/runtime_pipelines.sh
+set -eo pipefail
+
+err=$(mktemp)
+trap 'rm -f "$err"' EXIT
+
+python -c "import sys, traceprod.cli; assert 'scipy' not in sys.modules, 'traceprod.cli imports scipy'"
+traceprod generate --family sym_odd --n 4 --m 3 | traceprod check --maps -
+traceprod generate --family pn_pair --n 4 --m 2 | traceprod dualize --maps - | traceprod check --maps -
+traceprod generate --family diag_chain --n 4 --m 3 | traceprod check --maps - --mode randomized --trials 64
+traceprod generate --family sym_even --field real --n 4 --m 4 | traceprod check --maps - --mode randomized --trials 64
+# 144**3 basis tuples exceed 10**6, so the default check samples a grid on a full space
+traceprod generate --family mn_chain --n 12 --m 3 | traceprod check --maps -
+# and it must fail (exit 1) once one transfer entry moves by 1e-6
+status=0
+traceprod generate --family mn_chain --n 12 --m 3 \
+  | python -c "import json, sys; d = json.load(sys.stdin); d['maps'][0]['transfer']['data'][0][0] += 1e-6; json.dump(d, sys.stdout)" \
+  | traceprod check --maps - || status=$?
+test "$status" -eq 1
+traceprod generate --family mn_chain --n 4 --m 3 | traceprod decompose --maps -
+traceprod generate --family pn_chain --field real --n 4 --m 3 | traceprod decompose --maps -
+# a unitary (herm_odd), a scalar product (herm_even), a bare pair and diagonal scalings certify the rebuild
+traceprod generate --family herm_odd --n 4 --m 3 | traceprod decompose --maps -
+traceprod generate --family herm_even --n 4 --m 4 | traceprod decompose --maps -
+traceprod generate --family pn_pair --n 4 --m 2 | traceprod decompose --maps -
+traceprod generate --family diag_chain --n 4 --m 3 | traceprod decompose --maps -
+traceprod generate --family pn_chain --n 4 --m 3 | traceprod weighted --maps - --alpha 2,2,2 --beta 2,2,2
+traceprod certify --n 3 --k 2
+# the corner pair of the non-extendable triple preserves Hermitian matrices, so extend takes the complexify route
+traceprod generate --family nonextendable --n 2 --m 3 \
+  | python -c "import json, sys; d = json.load(sys.stdin); d['maps'] = d['maps'][:2]; json.dump(d, sys.stdout)" \
+  | traceprod extend --maps - | traceprod check --maps -
+# a failing identity must exit 1; a `!`-negated pipeline would not trip `set -e`
+status=0
+traceprod generate --family pn_chain --n 4 --m 3 | traceprod weighted --maps - --alpha 2,0.5,3 --beta 2,0.5,3 || status=$?
+test "$status" -eq 1
+# a reader that closes the pipe early gets exit 2 and no traceback
+status=0
+traceprod generate --family mn_chain --n 12 --m 3 2>"$err" | head -c 100 >/dev/null || status=$?
+test "$status" -eq 2
+if grep -q Traceback "$err"; then exit 1; fi
+# a document nested 5000 lists deep is an input error: exit 2 and no traceback
+for command in check decompose; do
+  status=0
+  python -c 'print("[" * 5000 + "]" * 5000)' | traceprod "$command" --maps - 2>"$err" || status=$?
+  test "$status" -eq 2
+  if grep -q Traceback "$err"; then exit 1; fi
+done
+echo "runtime pipelines passed"

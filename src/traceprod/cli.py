@@ -47,7 +47,10 @@ def _read_maps(path: str):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return decode_maps_document(json.loads(text))
+    try:
+        return decode_maps_document(json.loads(text))
+    except RecursionError:
+        raise InvalidParameterError("the maps document is nested too deeply") from None
 
 
 def _emit(doc) -> None:

@@ -55,6 +55,7 @@ from .linmaps import (
     SymOdd,
     _adjoint,
     _congruence_images,
+    _inverse,
     apply_batch,
     complexify,
     from_canonical,
@@ -162,14 +163,6 @@ def _realize_scalars(c, tol: float, what: str):
     return tuple(float(x) for x in arr)
 
 
-def _invertible(M: np.ndarray, what: str) -> np.ndarray:
-    """inv(M), or CanonicalStructureError if M is singular or badly conditioned."""
-    c = np.linalg.cond(M)
-    if not np.isfinite(c) or c > COND_LIMIT:
-        raise CanonicalStructureError(f"{what} is not invertible")
-    return np.linalg.inv(M)
-
-
 def _rebuild(form, space: SpaceTag, maps) -> tuple[float, float]:
     """Rebuild the maps from `form` once and measure the miss twice: the
     certificate's largest Frobenius error relative to the input transfer, and
@@ -181,23 +174,6 @@ def _rebuild(form, space: SpaceTag, maps) -> tuple[float, float]:
         delta.append(np.linalg.norm(diff) / np.linalg.norm(f.transfer))
         worst.append(np.max(np.abs(diff)) / max(1.0, np.max(np.abs(f.transfer))))
     return float(np.max(delta)), float(np.max(worst))  # np.max keeps a NaN
-
-
-def _invariant_deviation(form) -> float:
-    """How far `form` misses the invariants that make its maps preservers:
-    |prod c_i - 1| for scalars c, max|U* U - I| for HermOdd's unitary U,
-    max|O^t O - I| for SymOdd's orthogonal O, max|prod C_i - I| for
-    DiagChain's diagonals; 0 for forms without one."""
-    devs = [0.0]
-    if hasattr(form, "c"):
-        devs.append(abs(np.prod(np.asarray(form.c, dtype=np.complex128)) - 1.0))
-    if isinstance(form, HermOdd):
-        devs.append(np.max(np.abs(_adjoint(form.U) @ form.U - np.eye(len(form.U)))))
-    if isinstance(form, SymOdd):
-        devs.append(np.max(np.abs(form.O.T @ form.O - np.eye(len(form.O)))))
-    if isinstance(form, DiagChain):
-        devs.append(np.max(np.abs(np.prod(np.array(form.C), axis=0) - np.eye(form.P.shape[0]))))
-    return float(np.max(devs))
 
 
 def _precheck(maps) -> PreservationReport:
@@ -269,11 +245,11 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 
 
 def _recover_mn_chain(maps, dom: SpaceTag, tol: float) -> tuple:
-    inv = _invertible(_map_at_identity(maps[1]), "f_2(I)")
+    inv = _inverse(_map_at_identity(maps[1]), "f_2(I)", CanonicalStructureError)
     Ns = [recover_conjugator(image_stack(maps[1]) @ inv, tol=max(tol * 10, 1e-6))]
     Ns.append(inv @ Ns[0])
     for i in range(2, len(maps)):  # N_{i+2} = f_{i+1}(I)^{-1} N_{i+1}; N_{m+1} = N_1 closes the cycle
-        Ns.append(_invertible(_map_at_identity(maps[i]), f"f_{i + 1}(I)") @ Ns[-1])
+        Ns.append(_inverse(_map_at_identity(maps[i]), f"f_{i + 1}(I)", CanonicalStructureError) @ Ns[-1])
     Ns = Ns[-1:] + Ns[:-1]
 
     t = _phase_fix(Ns[0]) / np.linalg.norm(Ns[0])
@@ -342,7 +318,7 @@ def _normalized_conjugator(maps, images: np.ndarray, tol: float) -> tuple[list, 
     recovered from `images`, the basis images of f_1.
     """
     phiI = [_map_at_identity(f) for f in maps]
-    N = recover_conjugator(_invertible(phiI[0], "f_1(I)") @ images, tol=max(tol * 10, 1e-6))
+    N = recover_conjugator(_inverse(phiI[0], "f_1(I)", CanonicalStructureError) @ images, tol=max(tol * 10, 1e-6))
     return phiI, N
 
 
@@ -519,7 +495,7 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
 
 def _recover_diag_pair(maps, dom: SpaceTag, tol: float) -> tuple:
     N = np.array(maps[0].transfer)
-    partner = _invertible(N, "f_1").T
+    partner = _inverse(N, "f_1", CanonicalStructureError).T
     dev = float(np.max(np.abs(maps[1].transfer - partner))) / max(1.0, float(np.max(np.abs(partner))))
     if dev > max(tol, 1e-9):
         raise CanonicalStructureError(
@@ -678,8 +654,8 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
     the identity raises PreservationError, and any other tuple raises the
     recovery's own error. The tuple is certified when each rebuilt transfer
     is within `CERTIFY_TOL` of its input in relative Frobenius norm and the
-    form meets its invariants (scalar product 1, unitarity or orthogonality)
-    to `CERTIFY_TOL`; otherwise the identity check runs (PreservationError).
+    form meets its own `invariants` to `CERTIFY_TOL`; otherwise the identity
+    check runs (PreservationError).
     Then the rebuild must be within `tol` (CanonicalStructureError), and
     pn_chain's Hermitian and symmetric chains must have positive scalars.
     The result's `diagnostics` record the certificate and the check.
@@ -711,7 +687,7 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
         except Exception:
             _precheck(maps)
             raise
-        deviation = _invariant_deviation(form)
+        deviation = float(np.max([0.0, *(dev for _, dev, _ in form.invariants())]))
         report = None
         if not (delta <= CERTIFY_TOL and deviation <= CERTIFY_TOL):
             report = _precheck(maps)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,9 +190,7 @@ def check_preservation(
                     "sample_space must span the same space as every map's domain"
                 )
     dims = [span_dim(f.domain) for f in maps]
-    total = 1
-    for d in dims:
-        total *= d
+    total = math.prod(dims)
     if mode == "auto":
         chosen = CheckMode.EXHAUSTIVE if total <= EXHAUSTIVE_CAP else CheckMode.RANDOMIZED
     else:
@@ -200,13 +199,22 @@ def check_preservation(
         except ValueError:
             raise InvalidParameterError(f"mode must be auto, exhaustive or randomized, got {mode!r}") from None
 
-    if chosen is CheckMode.EXHAUSTIVE:
-        max_res, worst = _check_exhaustive(maps, dims)
-        count = total
-    else:
-        spaces = [sample_space if sample_space is not None else f.domain for f in maps]
-        max_res, worst = _check_randomized(maps, spaces, trials, seed)
-        count = trials
+    # an overflow in the products reads as an infinite residual, so it warns nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        if chosen is CheckMode.EXHAUSTIVE:
+            # the whole grid is one block; each side's stacks are dropped once paired
+            half = (len(maps) + 1) // 2
+            lhs = _pair_traces(
+                [_reassemble(f.codomain, f.transfer.T, _field_dtype(f.codomain)) for f in maps], half
+            )
+            rhs = _pair_traces(
+                [_reassemble(f.domain, np.eye(d), _field_dtype(f.domain)) for f, d in zip(maps, dims)], half
+            )
+            blocks, count = [(lhs, rhs, [_basis_stack(f.domain) for f in maps])], total
+        else:
+            spaces = [sample_space if sample_space is not None else f.domain for f in maps]
+            blocks, count = _sample_blocks(maps, spaces, trials, seed), trials
+        max_res, worst = _check_grid(blocks, count)
     return PreservationReport(
         spaces=tuple(f.domain for f in maps),
         mode=chosen,
@@ -230,38 +238,6 @@ def _pair_traces(stacks: list[np.ndarray], half: int) -> np.ndarray:
     return left.reshape(len(left), -1) @ right.transpose(0, 2, 1).reshape(len(right), -1).T
 
 
-@functools.lru_cache(maxsize=8)
-def _exhaustive_rhs(domains: tuple) -> np.ndarray:
-    """tr(B_a...B_z) over every tuple of domain basis elements, read-only, in
-    the layout of `_pair_traces`; it depends on the domains alone."""
-    stacks = [_reassemble(d, np.eye(span_dim(d)), _field_dtype(d)) for d in domains]
-    rhs = _pair_traces(stacks, (len(domains) + 1) // 2)
-    rhs.setflags(write=False)
-    return rhs
-
-
-def _worst(lhs: np.ndarray, rhs: np.ndarray, count: int) -> tuple[float, int]:
-    """The largest `_residuals` over the first `count` entries of two
-    `_pair_traces` grids, and its flat (row-major) index."""
-    res = _residuals(lhs.reshape(-1)[:count], rhs.reshape(-1)[:count])
-    j = int(np.argmax(res))
-    return float(res[j]), j
-
-
-# an overflow in the products reads as an infinite residual, so it warns nothing
-@np.errstate(over="ignore", invalid="ignore")
-def _check_exhaustive(maps, dims) -> tuple[float, tuple]:
-    lhs = _pair_traces(
-        [_reassemble(f.codomain, f.transfer.T, _field_dtype(f.codomain)) for f in maps], (len(maps) + 1) // 2
-    )
-    rhs = _exhaustive_rhs(tuple(f.domain for f in maps))
-    max_res, flat = _worst(lhs, rhs, rhs.size)
-    # the grid is row-major over the per-map basis indices
-    per_map = np.unravel_index(flat, dims)
-    worst = tuple(_basis_stack(f.domain)[i] for f, i in zip(maps, per_map))
-    return max_res, worst
-
-
 def _grid_shape(trials: int, m: int) -> tuple[int, int, int]:
     """(k, need, block) of a randomized grid check of `trials` tuples over m
     slots: k = ceil(trials**(1/m)) samples for each of slots 2..m, the `need`
@@ -278,31 +254,39 @@ def _grid_shape(trials: int, m: int) -> tuple[int, int, int]:
     return k, need, min(need, _BATCH, max(1, _GRID_TUPLES // per))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as in _check_exhaustive
-def _check_randomized(maps, spaces, trials: int, seed: int) -> tuple[float, tuple]:
-    """The largest residual over the first `trials` tuples of a seeded sample
-    grid, and that tuple as complex (n, n) matrices. Slots 2..m are drawn and
-    mapped once, then slot 1 a block at a time, so memory does not grow with
-    `trials`."""
-    m = len(maps)
-    half = (m + 1) // 2
-    k, need, block = _grid_shape(trials, m)
+def _sample_blocks(maps, spaces, trials: int, seed: int):
+    """The blocks of a seeded sample grid of `trials` tuples, as `_check_grid`
+    reads them. Slots 2..m are drawn and mapped once, then slot 1 a block at
+    a time, so memory does not grow with `trials`."""
+    k, need, block = _grid_shape(trials, len(maps))
+    half = (len(maps) + 1) // 2
     rng = _rng(seed)
     rest = [_random_batch(sp, k, rng) for sp in spaces[1:]]
     images = [_apply_batch(f, A, dtype=_field_dtype(f.codomain)) for f, A in zip(maps[1:], rest)]
-    per = k ** (m - 1)
-    max_res = -1.0
-    worst: tuple = ()
     for start in range(0, need, block):
         first = _random_batch(spaces[0], min(block, need - start), rng)
         mapped = _apply_batch(maps[0], first, dtype=_field_dtype(maps[0].codomain))
-        lhs = _pair_traces([mapped, *images], half)
-        rhs = _pair_traces([first, *rest], half)
-        res, flat = _worst(lhs, rhs, trials - start * per)
-        if res > max_res:
-            max_res = res
-            idx = np.unravel_index(flat, (len(first),) + (k,) * (m - 1))
-            worst = tuple(np.array(A[i], dtype=np.complex128) for A, i in zip([first, *rest], idx))
+        yield _pair_traces([mapped, *images], half), _pair_traces([first, *rest], half), [first, *rest]
+
+
+def _check_grid(blocks, count: int) -> tuple[float, tuple]:
+    """The largest `_residuals` over the first `count` tuples of a product
+    grid, and that tuple as complex (n, n) matrices.
+
+    Each block is (lhs, rhs, stacks): the `_pair_traces` grids of the two
+    sides over `stacks`, one stack per slot, where slot 1 holds the block's
+    run of the grid's slot-1 matrices; the blocks follow each other in
+    row-major order.
+    """
+    max_res, worst, done = -1.0, (), 0
+    for lhs, rhs, stacks in blocks:
+        res = _residuals(lhs.reshape(-1)[: count - done], rhs.reshape(-1)[: count - done])
+        j = int(np.argmax(res))
+        if res[j] > max_res:
+            max_res = float(res[j])
+            idx = np.unravel_index(j, [len(A) for A in stacks])
+            worst = tuple(np.array(A[i], dtype=np.complex128) for A, i in zip(stacks, idx))
+        done += lhs.size
     return max_res, worst
 
 
@@ -317,7 +301,7 @@ def _trace_of_product(factors: list[np.ndarray]) -> np.ndarray:
     return np.einsum("tij,tji->t", left, right)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as in _check_exhaustive
+@np.errstate(over="ignore", invalid="ignore")  # as in check_preservation
 def _randomized_residual(spaces, lhs_fns, rhs_fns, trials: int, seed: int, batch: int) -> tuple[float, tuple]:
     """Largest `_residuals` of tr(lhs_1(A_1)...lhs_m(A_m)) against
     tr(rhs_1(A_1)...rhs_m(A_m)) over `trials` tuples of independent seeded

@@ -65,10 +65,11 @@ def _as_param(M, name: str) -> np.ndarray:
     return M
 
 
-def _inverse(M: np.ndarray, name: str) -> np.ndarray:
+def _inverse(M: np.ndarray, name: str, error: type) -> np.ndarray:
+    """inv(M), or `error` when M is singular or worse conditioned than COND_LIMIT."""
     c = np.linalg.cond(M)
     if not np.isfinite(c) or c > COND_LIMIT:
-        raise SingularMatrixError(f"{name} is singular or has condition number above {COND_LIMIT:g} ({c:.3g})")
+        raise error(f"{name} is singular or has condition number above {COND_LIMIT:g} ({c:.3g})")
     return np.linalg.inv(M)
 
 
@@ -355,7 +356,8 @@ class _Form:
     `kinds` are the span kinds the form acts on and `complex_only` says whether
     it exists only over the complex field. `from_canonical` checks those, the
     parameter size and real parameters on a real space; `maps` checks the
-    form's own invariants and realises it.
+    parameters' structure and realises the form, and `invariants` states what
+    makes its maps preservers.
     """
 
     kinds: ClassVar[frozenset] = frozenset()
@@ -368,17 +370,25 @@ class _Form:
     def maps(self, space: SpaceTag, tol: float) -> list[LinMap]:
         raise NotImplementedError
 
+    def invariants(self) -> tuple:
+        """(requirement, deviation, floor) for each invariant of the
+        parameters: `from_canonical` rejects a deviation above max(tol,
+        floor), and `decompose` certifies a rebuild only when each is tiny."""
+        return ()
+
 
 def _adjoint(M: np.ndarray) -> np.ndarray:
     return M.conj().T
 
 
-def _check_scalar_product(c, tol: float) -> None:
-    if any(x == 0 for x in c):
-        raise InvalidParameterError("scalars must be nonzero")
-    prod = np.prod(np.asarray(c, dtype=np.complex128))
-    if abs(prod - 1.0) > max(tol, 1e-6):
-        raise InvalidParameterError(f"scalar product must be 1, got {prod}")
+def _scalar_invariant(c) -> tuple:
+    """The invariant of scalars c_i: their product is 1."""
+    return "the scalar product must be 1", abs(np.prod(np.asarray(c, dtype=np.complex128)) - 1.0), 1e-6
+
+
+def _isometry_invariant(what: str, U: np.ndarray, adjoint) -> tuple:
+    """The invariant adjoint(U) U = I of a unitary or orthogonal U."""
+    return what, np.max(np.abs(adjoint(U) @ U - np.eye(len(U)))), 1e-9
 
 
 def _congruence(space: SpaceTag, L, R, c=1.0, transpose: bool = False) -> LinMap:
@@ -390,20 +400,17 @@ def _congruence(space: SpaceTag, L, R, c=1.0, transpose: bool = False) -> LinMap
     return _realised(space, space, _congruence_images(space, L, R, c, transpose))
 
 
-def _scaled_isometry(space: SpaceTag, U, adjoint, c, tol: float, what: str) -> list[LinMap]:
-    """c_i adjoint(U) A U, for U with adjoint(U) U = I and scalars of product 1."""
-    if np.max(np.abs(adjoint(U) @ U - np.eye(space.n))) > max(tol, 1e-9):
-        raise InvalidParameterError(f"{what} within tolerance")
-    _check_scalar_product(c, tol)
-    return [_congruence(space, adjoint(U), U, ci) for ci in c]
+def _scaled_congruences(space: SpaceTag, sides, c, transpose: bool) -> list[LinMap]:
+    """c_i L op(A) R with (L, R) = sides[i % len(sides)], for finite nonzero c_i."""
+    if not all(np.isfinite(x) and x != 0 for x in c):
+        raise InvalidParameterError("scalars must be finite and nonzero")
+    return [_congruence(space, *sides[i % len(sides)], ci, transpose) for i, ci in enumerate(c)]
 
 
-def _alternating(space: SpaceTag, M, adjoint, c, tol: float, transpose: bool = False) -> list[LinMap]:
+def _alternating(space: SpaceTag, M, adjoint, c, transpose: bool = False) -> list[LinMap]:
     """c_i adjoint(M) op(A) M on odd slots, c_i M^{-1} op(A) adjoint(M^{-1}) on even slots."""
-    Minv = _inverse(M, "M")
-    _check_scalar_product(c, tol)
-    sides = ((adjoint(M), M), (Minv, adjoint(Minv)))
-    return [_congruence(space, *sides[i % 2], ci, transpose=transpose) for i, ci in enumerate(c)]
+    Minv = _inverse(M, "M", SingularMatrixError)
+    return _scaled_congruences(space, ((adjoint(M), M), (Minv, adjoint(Minv))), c, transpose)
 
 
 @dataclass(frozen=True)
@@ -414,7 +421,7 @@ class MnChain(_Form):
     kinds = frozenset({SpaceKind.FULL})
 
     def maps(self, space, tol):
-        invs = [_inverse(N, f"N[{i}]") for i, N in enumerate(self.N)]
+        invs = [_inverse(N, f"N[{i}]", SingularMatrixError) for i, N in enumerate(self.N)]
         m = len(self.N)
         return [_congruence(space, N, invs[(i + 1) % m]) for i, N in enumerate(self.N)]
 
@@ -429,7 +436,10 @@ class HermOdd(_Form):
     complex_only = True
 
     def maps(self, space, tol):
-        return _scaled_isometry(space, self.U, _adjoint, self.c, tol, "U must be unitary")
+        return _scaled_congruences(space, ((_adjoint(self.U), self.U),), self.c, False)
+
+    def invariants(self):
+        return _isometry_invariant("U must be unitary", self.U, _adjoint), _scalar_invariant(self.c)
 
 
 @dataclass(frozen=True)
@@ -442,7 +452,10 @@ class HermEven(_Form):
     complex_only = True
 
     def maps(self, space, tol):
-        return _alternating(space, self.M, _adjoint, self.c, tol)
+        return _alternating(space, self.M, _adjoint, self.c)
+
+    def invariants(self):
+        return (_scalar_invariant(self.c),)
 
 
 @dataclass(frozen=True)
@@ -455,7 +468,7 @@ class PnPair(_Form):
     complex_only = True
 
     def maps(self, space, tol):
-        return _alternating(space, self.M, _adjoint, (1.0, 1.0), tol, self.transpose)
+        return _alternating(space, self.M, _adjoint, (1.0, 1.0), self.transpose)
 
 
 @dataclass(frozen=True)
@@ -467,7 +480,10 @@ class SymOdd(_Form):
     kinds = frozenset({SpaceKind.SYMMETRIC})
 
     def maps(self, space, tol):
-        return _scaled_isometry(space, self.O, np.transpose, self.c, tol, "O must be orthogonal")
+        return _scaled_congruences(space, ((self.O.T, self.O),), self.c, False)
+
+    def invariants(self):
+        return _isometry_invariant("O must be orthogonal", self.O, np.transpose), _scalar_invariant(self.c)
 
 
 @dataclass(frozen=True)
@@ -479,7 +495,10 @@ class SymEven(_Form):
     kinds = frozenset({SpaceKind.SYMMETRIC})
 
     def maps(self, space, tol):
-        return _alternating(space, self.M, np.transpose, self.c, tol)
+        return _alternating(space, self.M, np.transpose, self.c)
+
+    def invariants(self):
+        return (_scalar_invariant(self.c),)
 
 
 @dataclass(frozen=True)
@@ -490,7 +509,7 @@ class DiagPair(_Form):
     kinds = frozenset({SpaceKind.DIAGONAL})
 
     def maps(self, space, tol):
-        return [LinMap(space, space, self.N), LinMap(space, space, _inverse(self.N, "N").T)]
+        return [LinMap(space, space, self.N), LinMap(space, space, _inverse(self.N, "N", SingularMatrixError).T)]
 
 
 @dataclass(frozen=True)
@@ -502,22 +521,23 @@ class DiagChain(_Form):
     kinds = frozenset({SpaceKind.DIAGONAL})
 
     def maps(self, space, tol):
-        n, P = space.n, np.round(self.P.real)
+        P = np.round(self.P.real)
         if np.max(np.abs(self.P - P)) > max(tol, 1e-9) or not _is_permutation(P):
             raise InvalidParameterError("P must be a permutation matrix")
-        prod = np.eye(n, dtype=np.complex128)
         for i, C in enumerate(self.C):
             if np.max(np.abs(C - np.diag(np.diag(C)))) > max(tol, 1e-9):
                 raise InvalidParameterError(f"C[{i}] must be diagonal")
             d = np.abs(np.diag(C))
             if np.min(d) == 0 or np.max(d) / np.min(d) > COND_LIMIT:
                 raise SingularMatrixError(f"C[{i}] must be invertible")
-            prod = prod @ C
-        if np.max(np.abs(prod - np.eye(n))) > max(tol, 1e-6):
-            raise InvalidParameterError("the product of the C_i must be the identity")
         # realised from the structure just validated, the rounded P and the
         # diagonals of the C_i, so the images are diagonal exactly
         return [_congruence(space, np.diag(np.diag(C)) @ P.T, P) for C in self.C]
+
+    def invariants(self):
+        # on the diagonals, which are all that the realised maps use
+        prod = np.prod([np.diag(C) for C in self.C], axis=0)
+        return (("the product of the C_i must be the identity", np.max(np.abs(prod - 1.0)), 1e-6),)
 
 
 @dataclass(frozen=True)
@@ -562,7 +582,7 @@ class RankOneFrame(_Form):
         if len(self.A) != n:
             raise DimensionMismatchError(f"RankOneFrame needs n={n} matrices, got {len(self.A)}")
         A = np.stack(self.A)
-        Ainv = np.stack([_inverse(Ai, f"A[{i}]") for i, Ai in enumerate(self.A)])
+        Ainv = np.stack([_inverse(Ai, f"A[{i}]", SingularMatrixError) for i, Ai in enumerate(self.A)])
         # basis order is E_ij row-major: element (i, j) sits at index i*n + j
         rows, cols = np.divmod(np.arange(n * n), n)
         eye = np.eye(n)
@@ -616,9 +636,11 @@ CanonicalForm = Union[FORMS]
 def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = 1e-6) -> list[LinMap]:
     """Realize a canonical form as the tuple of linear maps it denotes.
 
-    Validates the form's invariants (unitarity/orthogonality, permutation
-    structure, scalar products, invertibility with condition number at most
-    1e6) against `tol` where a tolerance applies.
+    Validates the parameters' structure (permutation, diagonal, invertible
+    with condition number at most 1e6) and the form's `invariants` (scalar
+    product, unitarity or orthogonality, product of the diagonals), each
+    against max(tol, its floor) where a tolerance applies; a miss of an
+    invariant is an InvalidParameterError that names it.
     """
     name = type(form).__name__
     if type(form) not in FORMS:
@@ -635,7 +657,12 @@ def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = 1e-6) -> l
             )
         if space.field is Field.REAL and value.size and np.max(np.abs(value.imag)) > tol:
             raise InvalidParameterError(f"{name} over a real space needs a real {f.name}")
-    return form.maps(space, tol)
+    maps = form.maps(space, tol)
+    # after the structure checks, whose error classes come first
+    for what, dev, floor in form.invariants():
+        if dev > max(tol, floor):
+            raise InvalidParameterError(f"{name}: {what} (deviation {dev:.3g})")
+    return maps
 
 
 def _is_permutation(P: np.ndarray) -> bool:

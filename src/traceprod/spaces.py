@@ -352,12 +352,6 @@ def _gaussian(shape: tuple, real: bool, rng: np.random.Generator) -> np.ndarray:
     return g
 
 
-def _random_diagonals(space: SpaceTag, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The diagonals, (count, n) in the field's dtype, that `random_batch`
-    draws for a diagonal space, from the same calls on `rng`."""
-    return _gaussian((count, space.n), space.field is Field.REAL, rng)
-
-
 def _random_batch(space: SpaceTag, count: int, rng: np.random.Generator) -> np.ndarray:
     """`random_batch` in the field's dtype (float64 over the reals), from the
     same calls on `rng` and with the same values."""
@@ -365,7 +359,7 @@ def _random_batch(space: SpaceTag, count: int, rng: np.random.Generator) -> np.n
     real = space.field is Field.REAL
     kind = span_of(space).kind if space.kind not in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF) else space.kind
     if kind is SpaceKind.DIAGONAL:
-        return _reassemble(space, _random_diagonals(space, count, rng), _field_dtype(space))
+        return _reassemble(space, _gaussian((count, n), real, rng), _field_dtype(space))
     G = _gaussian((count, n, n), real, rng)
     if kind is SpaceKind.FULL:
         return G

@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,6 +184,15 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     code, err = _run(capsys, ["check", "--maps", str(p)])
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["check", "decompose"])
+def test_deeply_nested_json_exits_two(capsys, monkeypatch, command):
+    # json.loads raised RecursionError, a traceback with exit 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 5000 + "]" * 5000))
+    code, err = _run(capsys, [command, "--maps", "-"])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
 
 
 def test_non_utf8_maps_file_exits_two(tmp_path, capsys):
@@ -396,3 +407,75 @@ def test_stdout_closed_after_ten_bytes_exits_two_without_traceback(unbuffered):
     err = proc.stderr.read().decode()
     assert proc.wait() == 2
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def _paths(tree, path=()):
+    """The path of every node below the root of a JSON tree."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def _mutate(doc, rng) -> str:
+    """One seeded mutation of a document, as JSON text: a deleted key or
+    entry, a value of another type, a non-finite or out-of-range number,
+    truncated text, or a value nested thousands of lists deep."""
+    doc = copy.deepcopy(doc)
+    kind = int(rng.integers(5))
+    paths = list(_paths(doc))
+    if kind == 2:  # numbers go where numbers were
+        paths = [p for p in paths if type(_at(doc, p)) in (int, float)]
+    path = paths[int(rng.integers(len(paths)))]
+    parent, key = _at(doc, path[:-1]), path[-1]
+    if kind == 0:
+        del parent[key]
+    elif kind == 1:
+        parent[key] = [None, True, "x", [], {}, 3, 0.5, [[1.0, 0.0]]][int(rng.integers(8))]
+    elif kind == 2:
+        parent[key] = [math.nan, math.inf, -math.inf, 1e308, -1, 10**30, 0, 2.5][int(rng.integers(8))]
+    elif kind == 4:
+        parent[key] = "DEEP"
+    text = json.dumps(doc)
+    if kind == 3:
+        return text[: int(rng.integers(len(text)))]
+    depth = int(rng.choice([60, 900, 5000]))
+    return text.replace('"DEEP"', "[" * depth + "]" * depth)
+
+
+def test_cli_fuzz_mutated_documents_exit_cleanly(capsys, monkeypatch):
+    # every mutation of a generated document ends in exit 0, 1 or 2 with one
+    # JSON line on stdout; an escaping exception fails the test with its traceback
+    docs = []
+    for family, n, m in (("herm_odd", 2, 3), ("mn_chain", 2, 3), ("pn_pair", 2, 2), ("diag_chain", 2, 3)):
+        _, doc = _run(capsys, ["generate", "--family", family, "--n", str(n), "--m", str(m)])
+        docs.append(doc)
+    commands = [
+        ["check"],
+        ["check", "--mode", "randomized", "--trials", "16"],
+        ["decompose"],
+        ["dualize"],
+        ["extend"],
+        ["weighted", "--alpha", "1,1", "--beta", "1,1", "--trials", "16"],
+    ]
+    rng = np.random.default_rng(2026)
+    codes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i in range(300):
+            text = _mutate(docs[i % len(docs)], rng)
+            argv = commands[int(rng.integers(len(commands)))]
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code = run([argv[0], "--maps", "-", *argv[1:]])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (i, argv, text[:200])
+            assert out.endswith("\n") and out.count("\n") == 1, (i, argv, out)
+            assert "Traceback" not in err
+            codes.append(code)
+    assert codes.count(2) > 0 and codes.count(0) + codes.count(1) > 0

@@ -53,7 +53,6 @@ from traceprod.decompose import (
     PRECHECK_TOL,
     PRECHECK_TRIALS,
     DecompositionResult,
-    _invariant_deviation,
     _unit_columns,
 )
 from conftest import basis_stack, move_first_transfer
@@ -468,16 +467,19 @@ def test_decompose_form_off_its_invariants_runs_precheck(monkeypatch):
 
 
 def test_invariant_deviation_of_each_invariant():
+    def deviation(form):
+        return max((dev for _, dev, _ in form.invariants()), default=0.0)
+
     U = generate(GenSpec(family="herm_odd", n=4, m=3, seed=3)).form.U
     O = generate(GenSpec(family="sym_odd", n=4, m=3, field=Field.REAL, seed=3)).form.O
-    assert _invariant_deviation(HermOdd(U, (2.0, 0.5, 1.0))) <= 1e-14
-    assert _invariant_deviation(HermOdd(U, (2.0, 0.5, 1.0 + 1e-9))) == pytest.approx(1e-9, rel=1e-6)
-    assert _invariant_deviation(SymOdd(O, (1.0, 1.0, 1.0))) <= 1e-14
-    assert _invariant_deviation(SymOdd(O * (1 + 1e-9), (1.0, 1.0, 1.0))) == pytest.approx(2e-9, rel=1e-3)
-    assert _invariant_deviation(SymEven(np.eye(2), (2.0, 0.5 * (1 + 1e-9)))) == pytest.approx(1e-9, rel=1e-6)
+    assert deviation(HermOdd(U, (2.0, 0.5, 1.0))) <= 1e-14
+    assert deviation(HermOdd(U, (2.0, 0.5, 1.0 + 1e-9))) == pytest.approx(1e-9, rel=1e-6)
+    assert deviation(SymOdd(O, (1.0, 1.0, 1.0))) <= 1e-14
+    assert deviation(SymOdd(O * (1 + 1e-9), (1.0, 1.0, 1.0))) == pytest.approx(2e-9, rel=1e-3)
+    assert deviation(SymEven(np.eye(2), (2.0, 0.5 * (1 + 1e-9)))) == pytest.approx(1e-9, rel=1e-6)
     C = (np.diag([2.0, 3.0]), np.diag([0.5, 1 / 3 + 1e-9]))
-    assert _invariant_deviation(DiagChain(np.eye(2), C)) == pytest.approx(3e-9, rel=1e-6)
-    assert _invariant_deviation(MnChain((np.eye(2), 2 * np.eye(2), np.eye(2)))) == 0.0
+    assert deviation(DiagChain(np.eye(2), C)) == pytest.approx(3e-9, rel=1e-6)
+    assert deviation(MnChain((np.eye(2), 2 * np.eye(2), np.eye(2)))) == 0.0
 
 
 def test_decompose_overflowing_tuple_warns_nothing():
