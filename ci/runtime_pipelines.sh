@@ -28,6 +28,13 @@ traceprod generate --family herm_odd --n 4 --m 3 | traceprod decompose --maps -
 traceprod generate --family herm_even --n 4 --m 4 | traceprod decompose --maps -
 traceprod generate --family pn_pair --n 4 --m 2 | traceprod decompose --maps -
 traceprod generate --family diag_chain --n 4 --m 3 | traceprod decompose --maps -
+# f_2 of a diag_pair moved by 1e-6 is no longer f_1's partner: the rebuild refuses it, exit 1 and no traceback
+status=0
+traceprod generate --family diag_pair --n 4 --m 2 \
+  | python -c "import json, sys; d = json.load(sys.stdin); d['maps'][1]['transfer']['data'][0][0] += 1e-6; json.dump(d, sys.stdout)" \
+  | traceprod decompose --maps - 2>"$err" || status=$?
+test "$status" -eq 1
+if grep -q Traceback "$err"; then exit 1; fi
 traceprod generate --family pn_chain --n 4 --m 3 | traceprod weighted --maps - --alpha 2,2,2 --beta 2,2,2
 traceprod certify --n 3 --k 2
 # the corner pair of the non-extendable triple preserves Hermitian matrices, so extend takes the complexify route

@@ -31,6 +31,7 @@ from .errors import (
     InvalidParameterError,
     NotApplicableError,
     PositivityError,
+    SingularMatrixError,
 )
 from .extend import (
     CheckMode,
@@ -42,7 +43,6 @@ from .extend import (
     extend_from_subset,
 )
 from .linmaps import (
-    COND_LIMIT,
     DiagChain,
     DiagPair,
     HermEven,
@@ -228,10 +228,11 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
             continue
         v = V[:, pick]
         N = (images[col[:, j]] @ v).T  # column i is Phi(B) v with B e_j = e_i
-        cN = np.linalg.cond(N)
-        if not np.isfinite(cN) or cN > COND_LIMIT:
+        try:
+            Ninv = _inverse(N, "N")
+        except SingularMatrixError:
             continue
-        residual = float(np.max(np.abs(images - _congruence_images(space, N, np.linalg.inv(N))))) / scale
+        residual = float(np.max(np.abs(images - _congruence_images(space, N, Ninv)))) / scale
         if residual <= tol:
             return N
         best = min(best, residual)
@@ -245,11 +246,11 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 
 
 def _recover_mn_chain(maps, dom: SpaceTag, tol: float) -> tuple:
-    inv = _inverse(_map_at_identity(maps[1]), "f_2(I)", CanonicalStructureError)
+    inv = _inverse(_map_at_identity(maps[1]), "f_2(I)")
     Ns = [recover_conjugator(image_stack(maps[1]) @ inv, tol=max(tol * 10, 1e-6))]
     Ns.append(inv @ Ns[0])
     for i in range(2, len(maps)):  # N_{i+2} = f_{i+1}(I)^{-1} N_{i+1}; N_{m+1} = N_1 closes the cycle
-        Ns.append(_inverse(_map_at_identity(maps[i]), f"f_{i + 1}(I)", CanonicalStructureError) @ Ns[-1])
+        Ns.append(_inverse(_map_at_identity(maps[i]), f"f_{i + 1}(I)") @ Ns[-1])
     Ns = Ns[-1:] + Ns[:-1]
 
     t = _phase_fix(Ns[0]) / np.linalg.norm(Ns[0])
@@ -276,20 +277,17 @@ def decompose_mn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
-def _isometry(W: np.ndarray, adjoint, gauge, tol: float, what: str) -> tuple[np.ndarray, float]:
+def _isometry(W: np.ndarray, adjoint, gauge) -> tuple[np.ndarray, float]:
     """Strip the free scalar off W = s V with adjoint(V) V = I.
 
     Returns (gauge(V) V, deviation of adjoint(V) V from I); `gauge` picks the
-    unit scalar that fixes the remaining phase or sign.
+    unit scalar that fixes the remaining phase or sign. Whether V is close
+    enough to an isometry is the rebuild's verdict, not this function's.
     """
     n = W.shape[0]
     G = adjoint(W) @ W
     lam = complex(np.trace(G)) / n
-    if abs(lam) < 1e-12:
-        raise CanonicalStructureError("conjugator has a vanishing or isotropic scale")
     dev = float(np.max(np.abs(G / lam - np.eye(n))))
-    if dev > tol:
-        raise CanonicalStructureError(f"conjugator is not a scalar multiple of {what} (deviation {dev:.3g})")
     V = W / np.sqrt(lam)
     return gauge(V) * V, dev
 
@@ -318,7 +316,7 @@ def _normalized_conjugator(maps, images: np.ndarray, tol: float) -> tuple[list, 
     recovered from `images`, the basis images of f_1.
     """
     phiI = [_map_at_identity(f) for f in maps]
-    N = recover_conjugator(_inverse(phiI[0], "f_1(I)", CanonicalStructureError) @ images, tol=max(tol * 10, 1e-6))
+    N = recover_conjugator(_inverse(phiI[0], "f_1(I)") @ images, tol=max(tol * 10, 1e-6))
     return phiI, N
 
 
@@ -330,9 +328,7 @@ def _recover_hermitian(maps, dom: SpaceTag, tol: float) -> tuple:
         note = "M fixed by unit Frobenius norm and real positive leading entry"
         return HermEven(M, _realize_scalars(c, tol, "the scalars")), note
     c = [complex(np.trace(S)) / n for S in phiI]
-    if any(abs(x) < 1e-12 for x in c):
-        raise CanonicalStructureError("some f_i(I) has vanishing trace; not a scaled conjugation")
-    U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix, max(tol * 10, 1e-8), "a unitary")
+    U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix)
     c[-1] = 1.0 / complex(np.prod(c[:-1]))
     note = f"U fixed up to phase by a real positive leading entry; unitarity deviation {dev:.3g}"
     return HermOdd(U, _realize_scalars(c, tol, "the scalars")), note
@@ -401,7 +397,7 @@ def _recover_pn_pair(maps, dom: SpaceTag, tol: float) -> tuple:
     if transpose:
         units = units.reshape(n, n, n, n).swapaxes(0, 1).reshape(n * n, n, n)
     N = recover_conjugator(units, tol=max(tol * 10, 1e-6))
-    U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix, max(tol * 10, 1e-8), "a unitary")
+    U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix)
     M = U @ Shalf
     M = _phase_fix(M) * M
     return PnPair(M, transpose), f"M fixed up to phase; unitarity deviation {dev:.3g}; {sep_note}"
@@ -448,7 +444,7 @@ def _recover_symmetric(maps, dom: SpaceTag, tol: float) -> tuple:
     W = np.linalg.inv(N)
 
     if m % 2 == 1:
-        mat, dev = _isometry(W, np.transpose, _sign_fix, max(tol * 10, 1e-8), "an orthogonal matrix")
+        mat, dev = _isometry(W, np.transpose, _sign_fix)
         c = [complex(np.trace(S)) / n for S in phiI]
         c[-1] = 1.0 / complex(np.prod(c[:-1]))
         cls, what = SymOdd, "the orthogonal conjugator"
@@ -494,14 +490,7 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
 
 
 def _recover_diag_pair(maps, dom: SpaceTag, tol: float) -> tuple:
-    N = np.array(maps[0].transfer)
-    partner = _inverse(N, "f_1", CanonicalStructureError).T
-    dev = float(np.max(np.abs(maps[1].transfer - partner))) / max(1.0, float(np.max(np.abs(partner))))
-    if dev > max(tol, 1e-9):
-        raise CanonicalStructureError(
-            f"f_2 is not the inverse-transpose partner of f_1 (deviation {dev:.3g})"
-        )
-    return DiagPair(N), "parameters unique: N is the transfer of f_1"
+    return DiagPair(np.array(maps[0].transfer)), "parameters unique: N is the transfer of f_1"
 
 
 def decompose_diag_pair(maps, tol: float = 1e-7) -> DecompositionResult:
@@ -513,47 +502,17 @@ def decompose_diag_pair(maps, tol: float = 1e-7) -> DecompositionResult:
     return decompose(maps, family="diag_pair", tol=tol)
 
 
-def _permutation_pattern(T: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split T = diag(vals) @ P^t with P a permutation; returns (sigma, vals).
-
-    sigma[i] is the row carrying column i's single nonzero entry; vals are read
-    off at those positions, indexed by row.
-    """
-    n = T.shape[0]
-    sigma = np.argmax(np.abs(T), axis=0)
-    if np.unique(sigma).size != n:
-        raise CanonicalStructureError("transfer does not have a permutation pattern")
-    cols = np.arange(n)
-    vals = np.zeros(n, dtype=np.complex128)
-    vals[sigma] = T[sigma, cols]
-    scale = max(1.0, float(np.max(np.abs(T))))
-    mass = np.abs(T)
-    mass[sigma, cols] = 0.0
-    off = np.max(mass)
-    if off > tol * scale:
-        raise CanonicalStructureError(
-            f"transfer has off-pattern mass {off:.3g}; not a scaled permutation"
-        )
-    if np.min(np.abs(vals)) <= tol * scale:
-        raise CanonicalStructureError("some permutation entry vanishes")
-    return sigma, vals
-
-
 def _recover_diag_chain(maps, dom: SpaceTag, tol: float) -> tuple:
-    sigma, vals = _permutation_pattern(np.asarray(maps[0].transfer), max(tol, 1e-9))
-    diags = [vals]
-    for f in maps[1:]:
-        sig, vals = _permutation_pattern(np.asarray(f.transfer), max(tol, 1e-9))
-        if not np.array_equal(sig, sigma):
-            raise CanonicalStructureError("maps do not share one permutation")
-        diags.append(vals)
-    C = np.array(diags)  # row i is the diagonal of C_i
-    if np.max(np.abs(np.prod(C, axis=0) - 1.0)) > max(tol * 10, 1e-6):
-        raise CanonicalStructureError("product of the diagonal scalings is not the identity")
+    # f_1's largest entry in column i sits in row sigma[i]; every C_i is read
+    # at that pattern, and the rebuild judges whether the pattern holds
+    n = dom.n
+    sigma = np.argmax(np.abs(maps[0].transfer), axis=0)
+    C = np.zeros((len(maps), n), dtype=np.complex128)  # row i is the diagonal of C_i
+    C[:, sigma] = [f.transfer[sigma, np.arange(n)] for f in maps]
     C[-1] = 1.0 / np.prod(C[:-1], axis=0)
     if dom.field is Field.REAL:
         C = [_realize(c, tol, "a diagonal scaling") for c in C]
-    form = DiagChain(np.eye(dom.n)[sigma], tuple(np.diag(c) for c in C))
+    form = DiagChain(np.eye(n)[sigma], tuple(np.diag(c) for c in C))
     return form, "parameters unique: permutation and scalings are pinned"
 
 
@@ -649,13 +608,16 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
     The checks run in a fixed order: `tol` (finite, nonnegative) and the
     family name, the domain (one shared space of the family's span kinds and
     field; for pn_chain also those of the family it routes to) and the
-    length. Then the form is recovered and rebuilt once. When recovery or
-    the rebuild fails, the identity check runs first, so a tuple that breaks
-    the identity raises PreservationError, and any other tuple raises the
-    recovery's own error. The tuple is certified when each rebuilt transfer
-    is within `CERTIFY_TOL` of its input in relative Frobenius norm and the
-    form meets its own `invariants` to `CERTIFY_TOL`; otherwise the identity
-    check runs (PreservationError).
+    length. Then the form is recovered and rebuilt once: recovery reads the
+    parameters off the maps and leaves every structural verdict to the
+    rebuild. When recovery or the rebuild fails, the identity check runs
+    first, so a tuple that breaks the identity raises PreservationError. Any
+    other tuple raises CanonicalStructureError, also when a parameter is one
+    that `from_canonical` refuses (singular, too ill-conditioned, or off an
+    invariant); the message names that parameter. The tuple is certified
+    when each rebuilt transfer is within `CERTIFY_TOL` of its input in
+    relative Frobenius norm and the form meets its own `invariants` to
+    `CERTIFY_TOL`; otherwise the identity check runs (PreservationError).
     Then the rebuild must be within `tol` (CanonicalStructureError), and
     pn_chain's Hermitian and symmetric chains must have positive scalars.
     The result's `diagnostics` record the certificate and the check.
@@ -684,8 +646,11 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
         try:
             form, note = spec.recover(maps, dom, tol)
             delta, worst = _rebuild(form, dom, maps)
-        except Exception:
+        except Exception as exc:
             _precheck(maps)
+            if isinstance(exc, (InvalidParameterError, SingularMatrixError)):
+                # a refused parameter: no canonical form fits the tuple
+                raise CanonicalStructureError(str(exc)) from exc
             raise
         deviation = float(np.max([0.0, *(dev for _, dev, _ in form.invariants())]))
         report = None
@@ -752,11 +717,13 @@ def _weighted_image(
 
 
 def _weights(alpha, beta, m: int) -> tuple[list, list]:
-    """The exponents as floats, one of each per map."""
+    """The exponents as finite floats, one of each per map."""
     alpha = [float(a) for a in alpha]
     beta = [float(b) for b in beta]
     if len(alpha) != m or len(beta) != m:
         raise DimensionMismatchError("alpha and beta must have one entry per map")
+    if not all(map(math.isfinite, alpha + beta)):
+        raise InvalidParameterError(f"alpha and beta must be finite, got {alpha} and {beta}")
     return alpha, beta
 
 

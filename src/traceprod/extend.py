@@ -28,13 +28,13 @@ from .errors import (
     SingularMatrixError,
 )
 from .linmaps import (
-    COND_LIMIT,
     LinMap,
     complexify,
     is_hermitian_preserving,
     _apply_batch,
     _gather,
     _herm_change,
+    _inverse,
     _span_coords,
 )
 from .spaces import (
@@ -451,11 +451,7 @@ def _extend_pair_core(phi1: LinMap, phi2: LinMap) -> tuple[LinMap, LinMap]:
     # Im phi2; psi2 sends it into X1. The remaining requirement is the Gram
     # match tr(E_i F_j) = tr(C_i C_j) on complement elements.
     H = G[np.ix_(comp, comp)]
-    K = Z2.T @ G @ Z1
-    c = np.linalg.cond(K)
-    if not np.isfinite(c) or c > COND_LIMIT:
-        raise SingularMatrixError(f"complement pairing is numerically degenerate (condition {c:.3g})")
-    W = np.linalg.solve(K, H)
+    W = _inverse(Z2.T @ G @ Z1, "the complement pairing") @ H
     F = Z1 @ W  # coordinates of psi2's complement images
 
     dt = np.float64 if base_field(cod) is Field.REAL else np.complex128
@@ -503,9 +499,7 @@ def embed_extend_pair(phi1: LinMap, phi2: LinMap, tol: float = 1e-8) -> tuple[Li
     _require_passed(check_preservation([phi1, phi2], tol=max(tol, 1e-8), mode="exhaustive"), "inputs")
     if n == k:
         for name, f in (("phi1", phi1), ("phi2", phi2)):
-            c = np.linalg.cond(f.transfer)
-            if not np.isfinite(c) or c > COND_LIMIT:
-                raise SingularMatrixError(f"{name} is not invertible, so it cannot be the extension")
+            _inverse(f.transfer, name)  # the extension must be invertible
         return phi1, phi2
 
     hermitian_route = (

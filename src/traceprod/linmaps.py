@@ -65,11 +65,12 @@ def _as_param(M, name: str) -> np.ndarray:
     return M
 
 
-def _inverse(M: np.ndarray, name: str, error: type) -> np.ndarray:
-    """inv(M), or `error` when M is singular or worse conditioned than COND_LIMIT."""
+def _inverse(M: np.ndarray, name: str) -> np.ndarray:
+    """inv(M); SingularMatrixError naming M as `name` when M is singular or
+    worse conditioned than COND_LIMIT."""
     c = np.linalg.cond(M)
     if not np.isfinite(c) or c > COND_LIMIT:
-        raise error(f"{name} is singular or has condition number above {COND_LIMIT:g} ({c:.3g})")
+        raise SingularMatrixError(f"{name} is singular or has condition number above {COND_LIMIT:g} ({c:.3g})")
     return np.linalg.inv(M)
 
 
@@ -409,7 +410,7 @@ def _scaled_congruences(space: SpaceTag, sides, c, transpose: bool) -> list[LinM
 
 def _alternating(space: SpaceTag, M, adjoint, c, transpose: bool = False) -> list[LinMap]:
     """c_i adjoint(M) op(A) M on odd slots, c_i M^{-1} op(A) adjoint(M^{-1}) on even slots."""
-    Minv = _inverse(M, "M", SingularMatrixError)
+    Minv = _inverse(M, "M")
     return _scaled_congruences(space, ((adjoint(M), M), (Minv, adjoint(Minv))), c, transpose)
 
 
@@ -421,7 +422,7 @@ class MnChain(_Form):
     kinds = frozenset({SpaceKind.FULL})
 
     def maps(self, space, tol):
-        invs = [_inverse(N, f"N[{i}]", SingularMatrixError) for i, N in enumerate(self.N)]
+        invs = [_inverse(N, f"N[{i}]") for i, N in enumerate(self.N)]
         m = len(self.N)
         return [_congruence(space, N, invs[(i + 1) % m]) for i, N in enumerate(self.N)]
 
@@ -509,7 +510,7 @@ class DiagPair(_Form):
     kinds = frozenset({SpaceKind.DIAGONAL})
 
     def maps(self, space, tol):
-        return [LinMap(space, space, self.N), LinMap(space, space, _inverse(self.N, "N", SingularMatrixError).T)]
+        return [LinMap(space, space, self.N), LinMap(space, space, _inverse(self.N, "N").T)]
 
 
 @dataclass(frozen=True)
@@ -529,7 +530,7 @@ class DiagChain(_Form):
                 raise InvalidParameterError(f"C[{i}] must be diagonal")
             d = np.abs(np.diag(C))
             if np.min(d) == 0 or np.max(d) / np.min(d) > COND_LIMIT:
-                raise SingularMatrixError(f"C[{i}] must be invertible")
+                raise SingularMatrixError(f"C[{i}] is singular or has condition number above {COND_LIMIT:g}")
         # realised from the structure just validated, the rounded P and the
         # diagonals of the C_i, so the images are diagonal exactly
         return [_congruence(space, np.diag(np.diag(C)) @ P.T, P) for C in self.C]
@@ -582,7 +583,7 @@ class RankOneFrame(_Form):
         if len(self.A) != n:
             raise DimensionMismatchError(f"RankOneFrame needs n={n} matrices, got {len(self.A)}")
         A = np.stack(self.A)
-        Ainv = np.stack([_inverse(Ai, f"A[{i}]", SingularMatrixError) for i, Ai in enumerate(self.A)])
+        Ainv = np.stack([_inverse(Ai, f"A[{i}]") for i, Ai in enumerate(self.A)])
         # basis order is E_ij row-major: element (i, j) sits at index i*n + j
         rows, cols = np.divmod(np.arange(n * n), n)
         eye = np.eye(n)

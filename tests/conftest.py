@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from traceprod import LinMap, linmap_from_images, space_basis
+from traceprod import Field, LinMap, SpaceKind, SpaceTag, linmap_from_images, space_basis
 
 ACCEPTANCE_LINES: list = []
 
@@ -41,3 +41,19 @@ def move_first_transfer(maps, rel: float) -> list:
         G = G + 1j * rng.standard_normal(T.shape)
     moved = T + G * (rel * np.linalg.norm(T) / np.linalg.norm(G))
     return [LinMap(f.domain, f.codomain, moved), *maps[1:]]
+
+
+def ill_conditioned_diag_preservers() -> dict:
+    """Preservers on real diagonal 3 x 3 matrices, built by hand, whose
+    parameters are worse conditioned than `from_canonical` accepts: a
+    diag_chain with permutation [1, 2, 0], C_1 = diag(1e-4, 1, 1e3),
+    C_2 = diag(2, 0.5, 1) and C_3 closing the product, and a diag_pair with
+    N = diag(1e-4, 1, 1e3)."""
+    tag = SpaceTag(SpaceKind.DIAGONAL, Field.REAL, 3)
+    P = np.eye(3)[[1, 2, 0]]  # on diagonal vectors, A -> P^t A P acts as P^t
+    c1, c2 = np.array([1e-4, 1.0, 1e3]), np.array([2.0, 0.5, 1.0])
+    N = np.diag(c1)
+    return {
+        "diag_chain": [LinMap(tag, tag, np.diag(c) @ P.T) for c in (c1, c2, 1 / (c1 * c2))],
+        "diag_pair": [LinMap(tag, tag, N), LinMap(tag, tag, np.linalg.inv(N).T)],
+    }

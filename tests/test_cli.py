@@ -13,7 +13,7 @@ import pytest
 from traceprod import Field, GenSpec, HermOdd, SpaceKind, SpaceTag, from_canonical, generate, identity_map
 from traceprod.cli import run
 from traceprod.jsonio import decode_maps_document, encode_linmap, encode_space
-from conftest import move_first_transfer
+from conftest import ill_conditioned_diag_preservers, move_first_transfer
 
 
 def _strict(constant):
@@ -176,6 +176,26 @@ def test_weighted_mismatch_exits_one(tmp_path, capsys):
     code, report = _run(capsys, ["weighted", "--maps", path, "--alpha", "1,1", "--beta", "2,2", "--trials", "100"])
     assert code == 1
     assert report["pass"] is False
+
+
+@pytest.mark.parametrize("alpha, beta", [("nan,2,2", "2,2,2"), ("2,2,2", "nan,2,2")])
+def test_weighted_non_finite_exponent_exits_two(tmp_path, capsys, alpha, beta):
+    # a NaN exponent used to run the check and exit 1 with max residual inf
+    code, doc = _run(capsys, ["generate", "--family", "pn_chain", "--n", "2", "--m", "3"])
+    path = _write(tmp_path, "pn.json", doc)
+    code, err = _run(capsys, ["weighted", "--maps", path, "--alpha", alpha, "--beta", beta])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+
+
+@pytest.mark.parametrize("family", ["diag_chain", "diag_pair"])
+def test_decompose_ill_conditioned_preserver_exits_one(tmp_path, capsys, family):
+    # a preserver whose parameters from_canonical refuses: the chain exited 2
+    maps = ill_conditioned_diag_preservers()[family]
+    path = _write(tmp_path, "maps.json", [encode_linmap(f) for f in maps])
+    code, err = _run(capsys, ["decompose", "--maps", path])
+    assert code == 1
+    assert err["error"]["code"] == "CanonicalStructureError"
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):

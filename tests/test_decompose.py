@@ -55,7 +55,7 @@ from traceprod.decompose import (
     DecompositionResult,
     _unit_columns,
 )
-from conftest import basis_stack, move_first_transfer
+from conftest import basis_stack, ill_conditioned_diag_preservers, move_first_transfer
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
 C3 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 3)
@@ -326,12 +326,40 @@ def test_decompose_precheck_rejects_broken_tuple():
         decompose(maps)
 
 
-def test_decompose_rejects_rebuild_beyond_tol():
-    gen = generate(GenSpec(family="sym_odd", n=4, m=3, field=Field.REAL, seed=0))
-    maps = move_first_transfer(gen.maps, 1e-7)
+@pytest.mark.parametrize(
+    "gen_family, field, n, m, seed, rel",
+    [
+        ("sym_odd", Field.REAL, 4, 3, 0, 1e-7),
+        ("diag_pair", Field.COMPLEX, 2, 2, 1, 1e-6),
+        ("diag_chain", Field.REAL, 5, 3, 0, 1e-6),
+        ("herm_odd", Field.COMPLEX, 8, 3, 0, 1e-6),
+        ("diag_chain", Field.REAL, 3, 3, 0, None),
+    ],
+)
+def test_decompose_rejects_rebuild_beyond_tol(gen_family, field, n, m, seed, rel):
+    # the rebuild is the one structural verdict: no recovery re-checks a
+    # partner, a permutation pattern, a product or a unitary on its own
+    gen = generate(GenSpec(family=gen_family, n=n, m=m, field=field, seed=seed))
+    if rel is None:  # f_2 on another permutation than f_1 and f_3
+        f = gen.maps[1]
+        maps = [gen.maps[0], LinMap(f.domain, f.codomain, np.roll(f.transfer, 1, axis=0)), *gen.maps[2:]]
+        error, match = PreservationError, None
+    else:  # f_1 moved by rel
+        maps, error, match = move_first_transfer(gen.maps, rel), CanonicalStructureError, "rebuilds the maps only to"
     precheck = check_preservation(maps, tol=PRECHECK_TOL, trials=PRECHECK_TRIALS, seed=7)
-    assert precheck.passed  # only the rebuild gate stands between this tuple and a SymOdd
-    with pytest.raises(CanonicalStructureError, match="rebuilds the maps only to"):
+    # only the rebuild gate stands between a moved tuple and its form
+    assert precheck.passed is (error is CanonicalStructureError)
+    with pytest.raises(error, match=match):
+        decompose(maps)
+
+
+@pytest.mark.parametrize("family", ["diag_chain", "diag_pair"])
+def test_decompose_refuses_ill_conditioned_preserver(family):
+    # a preserver whose parameters from_canonical refuses is a structure
+    # error; the chain raised SingularMatrixError out of the rebuild
+    maps = ill_conditioned_diag_preservers()[family]
+    assert check_preservation(maps).passed
+    with pytest.raises(CanonicalStructureError, match="is singular or has condition number above 1e"):
         decompose(maps)
 
 
@@ -629,6 +657,23 @@ def test_verify_weighted_rejects_zero_trials():
     tag = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 2)
     with pytest.raises(InvalidParameterError):
         verify_weighted([identity_map(tag)] * 2, (1.0, 1.0), (1.0, 1.0), trials=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+def test_weighted_functions_reject_non_finite_exponents(which, bad):
+    # a NaN exponent ran the check and failed it with max residual inf
+    gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))
+    weights = {"alpha": [2.0, 2.0, 2.0], "beta": [2.0, 2.0, 2.0]}
+    weights[which][0] = bad
+    calls = [
+        lambda: verify_weighted(gen.maps, weights["alpha"], weights["beta"], trials=10),
+        lambda: weighted_canonical_maps(gen.form, weights["alpha"], weights["beta"], gen.space),
+        lambda: weighted_reduction(gen.maps, weights["alpha"], weights["beta"]),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="alpha and beta must be finite"):
+            call()
 
 
 @pytest.mark.parametrize(

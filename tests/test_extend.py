@@ -572,15 +572,30 @@ def test_embed_extend_pair(n, k, hermitian):
         assert is_hermitian_preserving(psi1) and is_hermitian_preserving(psi2)
 
 
-def test_embed_extend_square_case_returns_bijection():
-    rng = np.random.default_rng(8)
-    N = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + np.eye(3)
+def _square_pair(N):
+    """A -> N A and A -> A N^-1 on M_3: a preserving pair with n = k."""
     tag = _full_tag(3)
-    f1 = map_from_action(tag, tag, lambda A: N @ A)
-    f2 = map_from_action(tag, tag, lambda A: A @ np.linalg.inv(N))
+    return map_from_action(tag, tag, lambda A: N @ A), map_from_action(tag, tag, lambda A: A @ np.linalg.inv(N))
+
+
+@pytest.mark.parametrize("case", ["random", "cond-1e4"])
+def test_embed_extend_square_case_returns_bijection(case):
+    if case == "random":
+        rng = np.random.default_rng(8)
+        N = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + np.eye(3)
+    else:
+        N = np.diag([1.0, 1.0, 1e4])
+    f1, f2 = _square_pair(N)
     psi1, psi2 = embed_extend_pair(f1, f2)
-    assert np.allclose(psi1.transfer, f1.transfer)
-    assert np.allclose(psi2.transfer, f2.transfer)
+    assert psi1 is f1 and psi2 is f2
+
+
+def test_embed_extend_square_case_refuses_ill_conditioned_pair():
+    # the pair preserves the identity, but phi1's condition number 1e7 is above COND_LIMIT
+    f1, f2 = _square_pair(np.diag([1.0, 1.0, 1e7]))
+    assert check_preservation([f1, f2], mode="exhaustive").passed
+    with pytest.raises(SingularMatrixError, match=r"phi1 is singular or has condition number above 1e\+06"):
+        embed_extend_pair(f1, f2)
 
 
 def test_embed_extend_rejects_shrinking():
