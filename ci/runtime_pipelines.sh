@@ -35,6 +35,19 @@ traceprod generate --family diag_pair --n 4 --m 2 \
   | traceprod decompose --maps - 2>"$err" || status=$?
 test "$status" -eq 1
 if grep -q Traceback "$err"; then exit 1; fi
+# one entry moved by 1e-3 in the map that decompose reads the conjugator off (f_2 of
+# mn_chain, f_1 of sym_even): the identity check refuses the tuple, exit 1 and no traceback
+for case in "1 mn_chain --n 8 --m 3" "0 sym_even --field real --n 8 --m 4"; do
+  read -r index args <<<"$case"
+  status=0
+  # shellcheck disable=SC2086 # $args holds several generate options
+  traceprod generate --family $args \
+    | python -c "import json, sys; d = json.load(sys.stdin); d['maps'][$index]['transfer']['data'][0][0] += 1e-3; json.dump(d, sys.stdout)" \
+    | traceprod decompose --maps - 2>"$err" || status=$?
+  test "$status" -eq 1
+  grep -q "maps do not satisfy the trace-product identity" "$err"
+  if grep -q Traceback "$err"; then exit 1; fi
+done
 traceprod generate --family pn_chain --n 4 --m 3 | traceprod weighted --maps - --alpha 2,2,2 --beta 2,2,2
 traceprod certify --n 3 --k 2
 # the corner pair of the non-extendable triple preserves Hermitian matrices, so extend takes the complexify route

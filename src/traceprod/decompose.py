@@ -3,14 +3,16 @@
 `decompose` runs one pipeline for every family of the table `_DECOMPOSERS`:
 it checks the domain and the tuple length, recovers the canonical parameters
 (conjugating matrices, scalars, permutations) with the family's gauge fixed
-deterministically, and rebuilds the maps from them. Every tuple of canonical
-shape satisfies the identity, so a rebuild within rounding (`CERTIFY_TOL`) of
-the input, from a form that meets its own invariants, certifies the tuple.
-Only a tuple the rebuild does not certify, or whose recovery fails, pays for
-the randomized identity check; a tuple that fails it raises
-PreservationError, and failures of the structural assumptions raise
-CanonicalStructureError. Each `decompose_<family>` is `decompose` with that
-family.
+deterministically, and rebuilds the maps from them. A conjugator N is read
+off the n images of one unit column (`_read_conjugator`), not the whole
+basis; the rebuild, the one full-basis pass, verifies it. Every tuple of
+canonical shape satisfies the identity, so a rebuild within rounding
+(`CERTIFY_TOL`) of the input, from a form that meets its own invariants,
+certifies the tuple. Only a tuple the rebuild does not certify, or whose
+recovery fails, pays for the randomized identity check; a tuple that fails
+it raises PreservationError, and failures of the structural assumptions
+raise CanonicalStructureError. Each `decompose_<family>` is `decompose` with
+that family.
 
 Also here: positive-definite matrix powers, power-wrapped maps for the weighted
 identity tr(f1(A1)^a1 ... ) = tr(A1^b1 ...), and the rank / best-fit
@@ -54,10 +56,10 @@ from .linmaps import (
     SymEven,
     SymOdd,
     _adjoint,
+    _complexified,
     _congruence_images,
     _inverse,
     apply_batch,
-    complexify,
     from_canonical,
     image_stack,
 )
@@ -69,6 +71,7 @@ from .spaces import (
     coords_batch,
     random_batch,
     reassemble,
+    reassemble_batch,
     span_of,
     _basis_stack,
     _gaussian,
@@ -143,24 +146,15 @@ def _sign_fix(M: np.ndarray) -> float:
     return 1.0
 
 
-def _realize(M: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Cast to real after checking the imaginary part is numerical noise."""
+def _realize(M: np.ndarray) -> np.ndarray:
+    """The real part of a parameter read off real maps. Whether the dropped
+    imaginary part was rounding is the rebuild's verdict."""
     M = np.asarray(M)
-    if not np.iscomplexobj(M):
-        return M
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-    if np.max(np.abs(M.imag)) > max(tol, 1e-10) * scale:
-        raise CanonicalStructureError(
-            f"{what} should be real for a real-field space but has imaginary part "
-            f"{np.max(np.abs(M.imag)):.3g}"
-        )
-    return np.ascontiguousarray(M.real)
+    return np.ascontiguousarray(M.real) if np.iscomplexobj(M) else M
 
 
-def _realize_scalars(c, tol: float, what: str):
-    arr = np.asarray(c, dtype=np.complex128)
-    arr = _realize(arr, tol, what)
-    return tuple(float(x) for x in arr)
+def _realize_scalars(c) -> tuple:
+    return tuple(float(x) for x in _realize(np.asarray(c, dtype=np.complex128)))
 
 
 def _rebuild(form, space: SpaceTag, maps) -> tuple[float, float]:
@@ -201,15 +195,48 @@ def _unit_columns(space: SpaceTag) -> np.ndarray:
     return col
 
 
+def _conjugators(space: SpaceTag, images_at: Callable):
+    """Candidates (N, N^{-1}), one per usable unit column j, for a map with
+    Phi(X) = N X N^{-1} on the span of `space` (full or symmetric), whose
+    basis images `images_at(ks)` gives as a (len(ks), n, n) stack.
+
+    For column j it asks only for the n images Phi(B) with B e_j = e_i.
+    Phi(E_jj) is a rank-one idempotent whose eigenvector v for eigenvalue 1
+    is the j-th column of N up to scale; column i is Phi(B) v. A column
+    whose eigenvalue is not near 1, or whose N `_inverse` refuses, is
+    skipped. Whether N fits the other images is the caller's question.
+    """
+    col = _unit_columns(space)
+    for j in range(space.n):
+        images = images_at(col[:, j])
+        w, V = np.linalg.eig(images[j])  # Phi(E_jj)
+        pick = int(np.argmin(np.abs(w - 1.0)))
+        if abs(w[pick] - 1.0) > 0.1:
+            continue
+        N = (images @ V[:, pick]).T  # column i is Phi(B) v with B e_j = e_i
+        try:
+            Ninv = _inverse(N, "N")
+        except SingularMatrixError:
+            continue
+        yield N, Ninv
+
+
+def _read_conjugator(space: SpaceTag, images_at: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """The first of `_conjugators`, unchecked: the rebuild is the verdict."""
+    for pair in _conjugators(space, images_at):
+        return pair
+    raise CanonicalStructureError("map is not a conjugation by an invertible matrix")
+
+
 def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Given the images Phi(B) of the basis of M_n (n^2 images) or of the
     symmetric matrices (n(n+1)/2 images), in `space_basis` order, of a map
     with Phi(X) = N X N^{-1} on that span, find N up to a scalar.
 
-    Phi(E_jj) is a rank-one idempotent whose eigenvector v for eigenvalue 1
-    is the j-th column of N up to scale; column i is Phi(B) v for the basis
-    element B with B e_j = e_i. Each candidate j is verified on every basis
-    element and the first consistent one wins.
+    Each candidate of `_conjugators`, read off the n images of one unit
+    column, is verified on every basis element and the first consistent one
+    wins. `decompose` reads only the first candidate and leaves the check to
+    its rebuild.
     """
     images = np.asarray(images, dtype=np.complex128)
     d = images.shape[0]
@@ -218,20 +245,9 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
         raise DimensionMismatchError("need n^2 or n(n+1)/2 images of shape (n, n)")
     kind = SpaceKind.FULL if d == n * n else SpaceKind.SYMMETRIC
     space = SpaceTag(kind, Field.COMPLEX, n)
-    col = _unit_columns(space)
     scale = max(1.0, float(np.max(np.abs(images))))
     best = math.inf
-    for j in range(n):
-        w, V = np.linalg.eig(images[col[j, j]])
-        pick = int(np.argmin(np.abs(w - 1.0)))
-        if abs(w[pick] - 1.0) > 0.1:
-            continue
-        v = V[:, pick]
-        N = (images[col[:, j]] @ v).T  # column i is Phi(B) v with B e_j = e_i
-        try:
-            Ninv = _inverse(N, "N")
-        except SingularMatrixError:
-            continue
+    for N, Ninv in _conjugators(space, images.__getitem__):
         residual = float(np.max(np.abs(images - _congruence_images(space, N, Ninv)))) / scale
         if residual <= tol:
             return N
@@ -240,15 +256,25 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     raise CanonicalStructureError(f"map is not a conjugation by an invertible matrix{detail}")
 
 
+def _column_images(map_: LinMap, ks) -> np.ndarray:
+    """The images of the basis elements `ks` of the map's span; on a
+    Hermitian span, of the matrix units `ks` under `complexify(map_)`. Only
+    the transfer columns they need are reassembled."""
+    dom = span_of(map_.domain)
+    if dom.kind is SpaceKind.HERMITIAN:
+        return reassemble_batch(SpaceTag(SpaceKind.FULL, Field.COMPLEX, dom.n), _complexified(map_, ks).T)
+    return reassemble_batch(dom, map_.transfer[:, ks].T)
+
+
 # ---------------------------------------------------------------------------
 # full matrix chains
 # ---------------------------------------------------------------------------
 
 
-def _recover_mn_chain(maps, dom: SpaceTag, tol: float) -> tuple:
+def _recover_mn_chain(maps, dom: SpaceTag) -> tuple:
     inv = _inverse(_map_at_identity(maps[1]), "f_2(I)")
-    Ns = [recover_conjugator(image_stack(maps[1]) @ inv, tol=max(tol * 10, 1e-6))]
-    Ns.append(inv @ Ns[0])
+    N, _ = _read_conjugator(dom, lambda ks: _column_images(maps[1], ks) @ inv)
+    Ns = [N, inv @ N]
     for i in range(2, len(maps)):  # N_{i+2} = f_{i+1}(I)^{-1} N_{i+1}; N_{m+1} = N_1 closes the cycle
         Ns.append(_inverse(_map_at_identity(maps[i]), f"f_{i + 1}(I)") @ Ns[-1])
     Ns = Ns[-1:] + Ns[:-1]
@@ -256,7 +282,7 @@ def _recover_mn_chain(maps, dom: SpaceTag, tol: float) -> tuple:
     t = _phase_fix(Ns[0]) / np.linalg.norm(Ns[0])
     Ns = [t * N for N in Ns]
     if dom.field is Field.REAL:
-        Ns = [_realize(N, tol, "a chain matrix") for N in Ns]
+        Ns = [_realize(N) for N in Ns]
     note = "common scalar fixed: N_1 has unit Frobenius norm and real positive leading entry"
     return MnChain(tuple(Ns)), note
 
@@ -311,27 +337,26 @@ def _alternating_params(W: np.ndarray, phiI, adjoint) -> tuple[np.ndarray, list]
     return M, c
 
 
-def _normalized_conjugator(maps, images: np.ndarray, tol: float) -> tuple[list, np.ndarray]:
-    """The f_i(I), and N with f_1(I)^{-1} f_1(A) = N A N^{-1} on the span,
-    recovered from `images`, the basis images of f_1.
-    """
+def _normalized_conjugator(maps, space: SpaceTag) -> tuple[list, np.ndarray, np.ndarray]:
+    """The f_i(I), and N with f_1(I)^{-1} f_1(A) = N A N^{-1} on the span of
+    `space`, with its inverse: read off f_1's images of one unit column."""
     phiI = [_map_at_identity(f) for f in maps]
-    N = recover_conjugator(_inverse(phiI[0], "f_1(I)") @ images, tol=max(tol * 10, 1e-6))
-    return phiI, N
+    inv = _inverse(phiI[0], "f_1(I)")
+    return (phiI, *_read_conjugator(space, lambda ks: inv @ _column_images(maps[0], ks)))
 
 
-def _recover_hermitian(maps, dom: SpaceTag, tol: float) -> tuple:
+def _recover_hermitian(maps, dom: SpaceTag) -> tuple:
     n = dom.n
-    phiI, N = _normalized_conjugator(maps, image_stack(complexify(maps[0])), tol)
+    phiI, N, Ninv = _normalized_conjugator(maps, SpaceTag(SpaceKind.FULL, Field.COMPLEX, n))
     if len(maps) % 2 == 0:
-        M, c = _alternating_params(np.linalg.inv(N), phiI, _adjoint)
+        M, c = _alternating_params(Ninv, phiI, _adjoint)
         note = "M fixed by unit Frobenius norm and real positive leading entry"
-        return HermEven(M, _realize_scalars(c, tol, "the scalars")), note
+        return HermEven(M, _realize_scalars(c)), note
     c = [complex(np.trace(S)) / n for S in phiI]
     U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix)
     c[-1] = 1.0 / complex(np.prod(c[:-1]))
     note = f"U fixed up to phase by a real positive leading entry; unitarity deviation {dev:.3g}"
-    return HermOdd(U, _realize_scalars(c, tol, "the scalars")), note
+    return HermOdd(U, _realize_scalars(c)), note
 
 
 def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
@@ -367,23 +392,25 @@ def _herm_power_batch(stack: np.ndarray, t: float, tol: float = 1e-12) -> np.nda
     return (V * (w**t)[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2))
 
 
-def _recover_pn_pair(maps, dom: SpaceTag, tol: float) -> tuple:
+def _recover_pn_pair(maps, dom: SpaceTag) -> tuple:
     n = dom.n
     S = _map_at_identity(maps[0])
     w, V = np.linalg.eigh((S + S.conj().T) / 2)
     if w.min() <= 1e-12:
         raise CanonicalStructureError("f_1(I) is not positive definite")
     Sneg, Shalf = ((V * w**t) @ _adjoint(V) for t in (-0.5, 0.5))
-    units = Sneg @ image_stack(complexify(maps[0])) @ Sneg
+
+    def units(ks):  # the images of the matrix units E_k under S^{-1/2} f_1(.) S^{-1/2}
+        return Sneg @ _column_images(maps[0], ks) @ Sneg
 
     if n == 1:
         transpose = False
         sep_note = "n = 1: branches coincide"
     else:
-        if n >= 3:
-            a, b, target = units[0 * n + 1], units[1 * n + 2], units[0 * n + 2]
-        else:
-            a, b, target = units[0 * n + 1], units[1 * n + 0], units[0 * n + 0]
+        # E_01 E_1k = E_0k, with k = 2 (or 0 when n = 2): the direct branch keeps
+        # the order of the product and the transpose reverses it
+        k = 2 if n >= 3 else 0
+        a, b, target = units([1, n + k, k])
         d_mult = float(np.linalg.norm(a @ b - target))
         d_anti = float(np.linalg.norm(b @ a - target))
         lo, hi = sorted((d_mult, d_anti))
@@ -394,9 +421,9 @@ def _recover_pn_pair(maps, dom: SpaceTag, tol: float) -> tuple:
         transpose = d_anti < d_mult
         sep_note = f"branch deviations {d_mult:.3g} (direct) vs {d_anti:.3g} (transpose)"
 
-    if transpose:
-        units = units.reshape(n, n, n, n).swapaxes(0, 1).reshape(n * n, n, n)
-    N = recover_conjugator(units, tol=max(tol * 10, 1e-6))
+    full = SpaceTag(SpaceKind.FULL, Field.COMPLEX, n)
+    # on the transpose branch, the map A -> f_1(A^t) conjugates: E_ij is read at E_ji
+    N, _ = _read_conjugator(full, lambda ks: units(ks % n * n + ks // n if transpose else ks))
     U, dev = _isometry(_adjoint(N), _adjoint, _phase_fix)
     M = U @ Shalf
     M = _phase_fix(M) * M
@@ -438,24 +465,22 @@ def decompose_pn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
-def _recover_symmetric(maps, dom: SpaceTag, tol: float) -> tuple:
+def _recover_symmetric(maps, dom: SpaceTag) -> tuple:
     m, n = len(maps), dom.n
-    phiI, N = _normalized_conjugator(maps, image_stack(maps[0]), tol)
-    W = np.linalg.inv(N)
+    phiI, _, W = _normalized_conjugator(maps, dom)
 
     if m % 2 == 1:
         mat, dev = _isometry(W, np.transpose, _sign_fix)
         c = [complex(np.trace(S)) / n for S in phiI]
         c[-1] = 1.0 / complex(np.prod(c[:-1]))
-        cls, what = SymOdd, "the orthogonal conjugator"
+        cls = SymOdd
         note = f"O fixed up to sign; orthogonality deviation {dev:.3g}"
     else:
         mat, c = _alternating_params(W, phiI, np.transpose)
-        cls, what = SymEven, "the congruence matrix"
+        cls = SymEven
         note = "M fixed by unit Frobenius norm and real positive leading entry"
     if dom.field is Field.REAL:
-        mat = _realize(mat, tol, what)
-        c = _realize_scalars(c, tol, "the scalars")
+        mat, c = _realize(mat), _realize_scalars(c)
 
     if m == 3:
         # consistency relation specific to length-3 chains:
@@ -477,9 +502,10 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
     Odd length: scaled conjugations by one (possibly complex) orthogonal
     matrix (SymOdd). Even length: alternating congruences (SymEven). The
     recovery normalizes f_1 at the identity; the result is a conjugation
-    A -> N A N^{-1} on the symmetric matrices, and `recover_conjugator` reads
-    N off the images of the symmetric basis and checks it on every one.
-    Guaranteed for length >= 3, and for pairs on the real definite cone.
+    A -> N A N^{-1} on the symmetric matrices. N is read off the images of
+    the n basis elements E_ij + E_ji that send e_j to e_i, for one j, and
+    the rebuild checks it on the whole basis. Guaranteed for length >= 3, and
+    for pairs on the real definite cone.
     """
     return decompose(maps, family="symmetric", tol=tol)
 
@@ -489,7 +515,7 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
-def _recover_diag_pair(maps, dom: SpaceTag, tol: float) -> tuple:
+def _recover_diag_pair(maps, dom: SpaceTag) -> tuple:
     return DiagPair(np.array(maps[0].transfer)), "parameters unique: N is the transfer of f_1"
 
 
@@ -502,7 +528,7 @@ def decompose_diag_pair(maps, tol: float = 1e-7) -> DecompositionResult:
     return decompose(maps, family="diag_pair", tol=tol)
 
 
-def _recover_diag_chain(maps, dom: SpaceTag, tol: float) -> tuple:
+def _recover_diag_chain(maps, dom: SpaceTag) -> tuple:
     # f_1's largest entry in column i sits in row sigma[i]; every C_i is read
     # at that pattern, and the rebuild judges whether the pattern holds
     n = dom.n
@@ -511,7 +537,7 @@ def _recover_diag_chain(maps, dom: SpaceTag, tol: float) -> tuple:
     C[:, sigma] = [f.transfer[sigma, np.arange(n)] for f in maps]
     C[-1] = 1.0 / np.prod(C[:-1], axis=0)
     if dom.field is Field.REAL:
-        C = [_realize(c, tol, "a diagonal scaling") for c in C]
+        C = [_realize(c) for c in C]
     form = DiagChain(np.eye(n)[sigma], tuple(np.diag(c) for c in C))
     return form, "parameters unique: permutation and scalings are pinned"
 
@@ -532,7 +558,7 @@ def decompose_diag_chain(maps, tol: float = 1e-7) -> DecompositionResult:
 class _Family:
     """A decompose family: the span kinds and field its maps need, its length
     rule with the error that breaks it, and the recovery
-    `(maps, domain, tol) -> (form, gauge_note)` of its form. pn_chain has no
+    `(maps, domain) -> (form, gauge_note)` of its form. pn_chain has no
     recovery of its own: `_resolve` routes it to another family."""
 
     kinds: frozenset
@@ -644,7 +670,7 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
     # a tuple far from any preserver may overflow here; its residual reads inf
     with np.errstate(all="ignore"):
         try:
-            form, note = spec.recover(maps, dom, tol)
+            form, note = spec.recover(maps, dom)
             delta, worst = _rebuild(form, dom, maps)
         except Exception as exc:
             _precheck(maps)

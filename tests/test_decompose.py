@@ -53,6 +53,7 @@ from traceprod.decompose import (
     PRECHECK_TOL,
     PRECHECK_TRIALS,
     DecompositionResult,
+    _read_conjugator,
     _unit_columns,
 )
 from conftest import basis_stack, ill_conditioned_diag_preservers, move_first_transfer
@@ -168,6 +169,43 @@ def test_recover_conjugator_reports_smallest_residual():
 def test_recover_conjugator_rejects_image_count():
     with pytest.raises(DimensionMismatchError):
         recover_conjugator(np.zeros((5, 3, 3)))
+
+
+def _conjugation_cases() -> dict:
+    """The conjugated basis images that the `test_recover_conjugator*` cases
+    above accept, on full and symmetric spans."""
+    def conjugated(space, W, Winv):
+        return space, W @ basis_stack(space) @ Winv
+
+    N = _rand_inv(np.random.default_rng(0), 3)
+    cases = {"full": conjugated(C3, N, np.linalg.inv(N))}
+    for n in (2, 4):
+        O, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+        cases[f"orthogonal-n{n}"] = conjugated(SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, n), O, O.T)
+    W = _rand_inv(np.random.default_rng(5), 3)
+    cases["complex-symmetric"] = conjugated(SpaceTag(SpaceKind.SYMMETRIC, Field.COMPLEX, 3), W, np.linalg.inv(W))
+    W = _rand_inv(np.random.default_rng(6), 3)
+    for kind in (SpaceKind.FULL, SpaceKind.SYMMETRIC):
+        cases[f"every-image-{kind.value}"] = conjugated(SpaceTag(kind, Field.COMPLEX, 3), W, np.linalg.inv(W))
+    return cases
+
+
+@pytest.mark.parametrize("space, images", _conjugation_cases().values(), ids=_conjugation_cases().keys())
+def test_read_conjugator_is_recover_conjugators_first_candidate(space, images):
+    # decompose reads N off the images of unit column 0 alone and leaves
+    # the check over the whole basis to its rebuild
+    images = images.astype(np.complex128)
+    space = SpaceTag(space.kind, Field.COMPLEX, space.n)
+    asked = []
+
+    def images_at(ks):
+        asked.append(ks)
+        return images[ks]
+
+    N, Ninv = _read_conjugator(space, images_at)
+    assert np.array_equal(N, recover_conjugator(images))
+    assert np.array_equal(Ninv, np.linalg.inv(N))
+    assert len(asked) == 1 and np.array_equal(asked[0], _unit_columns(space)[:, 0])
 
 
 @pytest.mark.parametrize("field", [Field.COMPLEX, Field.REAL])
@@ -451,15 +489,73 @@ def test_decompose_certifies_valid_tuple_the_precheck_fails():
 
 @pytest.mark.parametrize(
     "gen_family, field, n, m",
-    [("mn_chain", Field.COMPLEX, 16, 3), ("sym_even", Field.REAL, 16, 4)],
+    [
+        ("mn_chain", Field.COMPLEX, 16, 3),
+        ("sym_even", Field.REAL, 16, 4),
+        ("herm_odd", Field.COMPLEX, 16, 3),
+        ("herm_even", Field.COMPLEX, 16, 4),
+        ("sym_odd", Field.REAL, 16, 3),
+        ("pn_pair", Field.COMPLEX, 16, 2),
+    ],
 )
 def test_decompose_perturbed_tuple_falls_back_to_one_precheck(monkeypatch, gen_family, field, n, m):
-    # mn_chain recovers and misses its rebuild by 1e-6; sym_even fails recovery
+    # each recovers a form, whose rebuild misses by 1e-6 (mn_chain) to 3e-3
+    # (herm_even); the one precheck then refuses the tuple
     maps = move_first_transfer(generate(GenSpec(family=gen_family, n=n, m=m, field=field, seed=0)).maps, 1e-6)
     calls = _count_prechecks(monkeypatch)
     with pytest.raises(PreservationError):
         decompose(maps)
     assert len(calls) == 1 and not calls[0].passed
+
+
+_LINMAPS = importlib.import_module("traceprod.linmaps")
+
+
+@pytest.mark.parametrize(
+    "gen_family, field, m, extra",
+    [
+        ("mn_chain", Field.COMPLEX, 3, 0),
+        ("herm_odd", Field.COMPLEX, 3, 0),
+        ("herm_even", Field.COMPLEX, 4, 0),
+        # m = 5: the length-3 anticommutator note reassembles f_2's and f_3's whole stacks
+        ("sym_odd", Field.REAL, 5, 0),
+        ("sym_even", Field.REAL, 4, 0),
+        # pn_pair also reads the three units of its branch test
+        ("pn_pair", Field.COMPLEX, 2, 3),
+    ],
+)
+def test_decompose_reads_one_unit_column_and_checks_only_in_the_rebuild(monkeypatch, gen_family, field, m, extra):
+    n = 6
+    maps = generate(GenSpec(family=gen_family, n=n, m=m, field=field, seed=0)).maps
+    rebuilding, congruences, rows = [], [], []
+    from_canonical_, congruence_images, reassemble = (
+        _DECOMPOSE.from_canonical, _LINMAPS._congruence_images, _LINMAPS._reassemble
+    )
+
+    def from_canonical_spy(*args, **kwargs):
+        rebuilding.append(True)
+        try:
+            return from_canonical_(*args, **kwargs)
+        finally:
+            rebuilding.pop()
+
+    def congruence_spy(*args, **kwargs):
+        congruences.append(bool(rebuilding))
+        return congruence_images(*args, **kwargs)
+
+    def reassemble_spy(space, x, dtype):
+        rows.append(len(x))
+        return reassemble(space, x, dtype)
+
+    monkeypatch.setattr(_DECOMPOSE, "from_canonical", from_canonical_spy)
+    for module in (_DECOMPOSE, _LINMAPS):
+        monkeypatch.setattr(module, "_congruence_images", congruence_spy)
+    for module in ("spaces", "linmaps", "extend"):  # every caller of the reassembly kernel
+        monkeypatch.setattr(importlib.import_module(f"traceprod.{module}"), "_reassemble", reassemble_spy)
+    assert decompose(maps).diagnostics["precheck_ran"] is False
+    assert congruences and all(congruences)
+    # at most one image of I per map, and the n images of one unit column
+    assert sum(rows) <= m + n + extra
 
 
 def _off_unitary_tuple():
@@ -485,7 +581,7 @@ def test_decompose_form_off_its_invariants_runs_precheck(monkeypatch):
     # a recovery returning the very form the maps came from rebuilds them
     # exactly, but that U is not unitary, so the rebuild certifies nothing
     form, maps = _off_unitary_tuple()
-    spec = dataclasses.replace(_DECOMPOSE._DECOMPOSERS["hermitian"], recover=lambda maps, dom, tol: (form, "given"))
+    spec = dataclasses.replace(_DECOMPOSE._DECOMPOSERS["hermitian"], recover=lambda maps, dom: (form, "given"))
     monkeypatch.setitem(_DECOMPOSE._DECOMPOSERS, "hermitian", spec)
     calls = _count_prechecks(monkeypatch)
     res = decompose(maps)
