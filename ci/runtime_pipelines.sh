@@ -23,6 +23,7 @@ traceprod generate --family mn_chain --n 12 --m 3 \
 test "$status" -eq 1
 traceprod generate --family mn_chain --n 4 --m 3 | traceprod decompose --maps -
 traceprod generate --family pn_chain --field real --n 4 --m 3 | traceprod decompose --maps -
+traceprod generate --family sym_odd --field real --n 4 --m 3 | traceprod decompose --maps -
 # a unitary (herm_odd), a scalar product (herm_even), a bare pair and diagonal scalings certify the rebuild
 traceprod generate --family herm_odd --n 4 --m 3 | traceprod decompose --maps -
 traceprod generate --family herm_even --n 4 --m 4 | traceprod decompose --maps -

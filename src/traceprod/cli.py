@@ -5,8 +5,9 @@ compact JSON ending in a newline (`jsonio.encode_document`); a NaN or
 infinite residual is written as null. Diagnostics go to stderr. Exit codes:
 0 success (and, for checks, the identity holds), 1 the identity fails or the
 maps lack the expected canonical structure, 2 usage or input errors (a
-non-finite or negative `--tol` and a negative `--seed` among them) and a
-stdout closed by its reader, which gets nothing more written to it.
+non-finite or negative `--tol`, a negative `--seed` and a size too large to
+allocate among them) and a stdout closed by its reader, which gets nothing
+more written to it.
 `generate` output pipes straight into `check`, `decompose`, `extend`, and
 `weighted` via `--maps -`.
 """
@@ -228,7 +229,7 @@ def run(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout: an error document there would break again
         return 2
-    except (TraceProdError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (TraceProdError, json.JSONDecodeError, UnicodeDecodeError, OSError, MemoryError) as exc:
         _emit(encode_error(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (PreservationError, CanonicalStructureError)) else 2

@@ -290,43 +290,6 @@ def _check_grid(blocks, count: int) -> tuple[float, tuple]:
     return max_res, worst
 
 
-def _trace_of_product(factors: list[np.ndarray]) -> np.ndarray:
-    """tr(X_1...X_m) per stack index, as the entrywise pairing of the two
-    half-products: m - 2 batched matmuls for m >= 2."""
-    if len(factors) == 1:
-        return np.einsum("tii->t", factors[0])
-    h = len(factors) // 2
-    left = functools.reduce(np.matmul, factors[:h])
-    right = functools.reduce(np.matmul, factors[h:])
-    return np.einsum("tij,tji->t", left, right)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # as in check_preservation
-def _randomized_residual(spaces, lhs_fns, rhs_fns, trials: int, seed: int, batch: int) -> tuple[float, tuple]:
-    """Largest `_residuals` of tr(lhs_1(A_1)...lhs_m(A_m)) against
-    tr(rhs_1(A_1)...rhs_m(A_m)) over `trials` tuples of independent seeded
-    samples, A_i drawn from spaces[i] `batch` at a time.
-
-    The samples are `random_batch`'s, in each space's own field dtype, and the
-    factor functions act on (count, n, n) stacks of them. The worst tuple
-    comes back as complex (n, n) matrices.
-    """
-    rng = _rng(seed)
-    max_res = -1.0
-    worst: tuple = ()
-    for done in range(0, trials, batch):
-        t = min(batch, trials - done)
-        samples = [_random_batch(sp, t, rng) for sp in spaces]
-        lhs = _trace_of_product([f(s) for f, s in zip(lhs_fns, samples)])
-        rhs = _trace_of_product([f(s) for f, s in zip(rhs_fns, samples)])
-        res = _residuals(lhs, rhs)
-        j = int(np.argmax(res))
-        if res[j] > max_res:
-            max_res = float(res[j])
-            worst = tuple(np.array(s[j], dtype=np.complex128) for s in samples)
-    return max_res, worst
-
-
 @functools.lru_cache(maxsize=None)
 def _span_gram(space: SpaceTag) -> np.ndarray:
     G = gram_matrix(space)

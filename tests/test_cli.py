@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from traceprod import Field, GenSpec, HermOdd, SpaceKind, SpaceTag, from_canonical, generate, identity_map
+from traceprod import cli
 from traceprod.cli import run
 from traceprod.jsonio import decode_maps_document, encode_linmap, encode_space
 from conftest import ill_conditioned_diag_preservers, move_first_transfer
@@ -160,6 +161,18 @@ def test_certify_rejects_nonshrinking(capsys):
     code, err = _run(capsys, ["certify", "--n", "2", "--k", "3"])
     assert code == 2
     assert err["error"]["code"] == "NotApplicableError"
+
+
+def test_certify_size_too_large_to_allocate_exits_two(capsys, monkeypatch):
+    # stands in for numpy failing to allocate at a huge --n, which a real call
+    # would reach only after touching gigabytes on a host that overcommits
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "infeasibility_certificate", refuse)
+    code, err = _run(capsys, ["certify", "--n", "1000", "--k", "1"])
+    assert code == 2
+    assert err["error"]["code"] == "MemoryError"
 
 
 def test_weighted_command(tmp_path, capsys):

@@ -517,7 +517,8 @@ _LINMAPS = importlib.import_module("traceprod.linmaps")
         ("mn_chain", Field.COMPLEX, 3, 0),
         ("herm_odd", Field.COMPLEX, 3, 0),
         ("herm_even", Field.COMPLEX, 4, 0),
-        # m = 5: the length-3 anticommutator note reassembles f_2's and f_3's whole stacks
+        # no tuple length adds reads of its own, length 3 included
+        ("sym_odd", Field.REAL, 3, 0),
         ("sym_odd", Field.REAL, 5, 0),
         ("sym_even", Field.REAL, 4, 0),
         # pn_pair also reads the three units of its branch test
