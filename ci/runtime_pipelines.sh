@@ -6,7 +6,8 @@
 set -eo pipefail
 
 err=$(mktemp)
-trap 'rm -f "$err"' EXIT
+doc=$(mktemp)
+trap 'rm -f "$err" "$doc"' EXIT
 
 python -c "import sys, traceprod.cli; assert 'scipy' not in sys.modules, 'traceprod.cli imports scipy'"
 traceprod generate --family sym_odd --n 4 --m 3 | traceprod check --maps -
@@ -29,6 +30,13 @@ traceprod generate --family herm_odd --n 4 --m 3 | traceprod decompose --maps -
 traceprod generate --family herm_even --n 4 --m 4 | traceprod decompose --maps -
 traceprod generate --family pn_pair --n 4 --m 2 | traceprod decompose --maps -
 traceprod generate --family diag_chain --n 4 --m 3 | traceprod decompose --maps -
+# pn_pair's branch is read off one skew basis image: seed 0 draws the transpose branch, seed 1 the direct one
+for case in "0 True" "1 False"; do
+  read -r seed flag <<<"$case"
+  traceprod generate --family pn_pair --n 4 --m 2 --seed "$seed" >"$doc"
+  traceprod decompose --maps "$doc" \
+    | python -c "import json, sys; g = json.load(open(sys.argv[1])); d = json.load(sys.stdin); assert g['form']['params']['transpose'] is d['form']['params']['transpose'] is $flag" "$doc"
+done
 # f_2 of a diag_pair moved by 1e-6 is no longer f_1's partner: the rebuild refuses it, exit 1 and no traceback
 status=0
 traceprod generate --family diag_pair --n 4 --m 2 \
@@ -37,8 +45,8 @@ traceprod generate --family diag_pair --n 4 --m 2 \
 test "$status" -eq 1
 if grep -q Traceback "$err"; then exit 1; fi
 # one entry moved by 1e-3 in the map that decompose reads the conjugator off (f_2 of
-# mn_chain, f_1 of sym_even): the identity check refuses the tuple, exit 1 and no traceback
-for case in "1 mn_chain --n 8 --m 3" "0 sym_even --field real --n 8 --m 4"; do
+# mn_chain, f_1 of the others): the identity check refuses the tuple, exit 1 and no traceback
+for case in "1 mn_chain --n 8 --m 3" "0 sym_even --field real --n 8 --m 4" "0 herm_odd --n 8 --m 3" "0 pn_pair --n 8 --m 2"; do
   read -r index args <<<"$case"
   status=0
   # shellcheck disable=SC2086 # $args holds several generate options
@@ -51,6 +59,11 @@ for case in "1 mn_chain --n 8 --m 3" "0 sym_even --field real --n 8 --m 4"; do
 done
 traceprod generate --family pn_chain --n 4 --m 3 | traceprod weighted --maps - --alpha 2,2,2 --beta 2,2,2
 traceprod certify --n 3 --k 2
+# a size numpy refuses to allocate is an input error: exit 2 and no traceback
+status=0
+traceprod certify --n 100000 --k 1 >/dev/null 2>"$err" || status=$?
+test "$status" -eq 2
+if grep -q Traceback "$err"; then exit 1; fi
 # the corner pair of the non-extendable triple preserves Hermitian matrices, so extend takes the complexify route
 traceprod generate --family nonextendable --n 2 --m 3 \
   | python -c "import json, sys; d = json.load(sys.stdin); d['maps'] = d['maps'][:2]; json.dump(d, sys.stdout)" \

@@ -230,9 +230,20 @@ def run(argv=None) -> int:
         # the reader closed stdout: an error document there would break again
         return 2
     except (TraceProdError, json.JSONDecodeError, UnicodeDecodeError, OSError, MemoryError) as exc:
-        _emit(encode_error(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, (PreservationError, CanonicalStructureError)) else 2
+        return _failed(exc)
+    except ValueError as exc:
+        # numpy refuses an array whose size or byte count overflows before touching any memory
+        if not str(exc).startswith(("array is too big", "Maximum allowed dimension exceeded")):
+            raise
+        return _failed(exc)
+
+
+def _failed(exc: Exception) -> int:
+    """Print the error document; exit status 1 for a tuple that breaks the
+    identity or the canonical structure, 2 for any other error."""
+    _emit(encode_error(exc))
+    print(f"error: {exc}", file=sys.stderr)
+    return 1 if isinstance(exc, (PreservationError, CanonicalStructureError)) else 2
 
 
 def main() -> None:

@@ -6,8 +6,10 @@ it checks the domain and the tuple length, recovers the canonical parameters
 deterministically, and rebuilds the maps from them. Each recovery only reads:
 its gauge note states the gauge it fixed, and every verdict and deviation
 comes from the rebuild and the result's `diagnostics`. A conjugator N is read
-off the n images of one unit column (`_read_conjugator`), not the whole
-basis; the rebuild, the one full-basis pass, verifies it. Every tuple of
+off the n images of one unit column of the maps' own span, full, Hermitian or
+symmetric (`_read_conjugator`), not the whole basis; the rebuild, the one
+full-basis pass, verifies it. Hermitian and symmetric chains share one
+recovery, and no map is read through `complexify`. Every tuple of
 canonical shape satisfies the identity, so a rebuild within rounding
 (`CERTIFY_TOL`) of the input, from a form that meets its own invariants,
 certifies the tuple. Only a tuple the rebuild does not certify, or whose
@@ -58,7 +60,6 @@ from .linmaps import (
     SymEven,
     SymOdd,
     _adjoint,
-    _complexified,
     _congruence_images,
     _inverse,
     apply_batch,
@@ -185,8 +186,9 @@ def _precheck(maps) -> PreservationReport:
 @functools.lru_cache(maxsize=None)
 def _unit_columns(space: SpaceTag) -> np.ndarray:
     """col[i, j] indexes the basis element B of `space` with B e_j = e_i:
-    E_ij on M_n, E_ij + E_ji on the symmetric span. Read off the coordinates
-    of the matrix units, so the basis order stays in the index kernels.
+    E_ij on M_n, E_jj and E_ij + E_ji on the Hermitian or symmetric span.
+    Read off the coordinates of the matrix units, so the basis order stays
+    in the index kernels.
     """
     n = space.n
     units = np.eye(n * n).reshape(n * n, n, n)
@@ -197,8 +199,9 @@ def _unit_columns(space: SpaceTag) -> np.ndarray:
 
 def _conjugators(space: SpaceTag, images_at: Callable):
     """Candidates (N, N^{-1}), one per usable unit column j, for a map with
-    Phi(X) = N X N^{-1} on the span of `space` (full or symmetric), whose
-    basis images `images_at(ks)` gives as a (len(ks), n, n) stack.
+    Phi(X) = N X N^{-1} on the span of `space` (full, Hermitian or
+    symmetric), whose basis images `images_at(ks)` gives as a (len(ks), n, n)
+    stack.
 
     For column j it asks only for the n images Phi(B) with B e_j = e_i.
     Phi(E_jj) is a rank-one idempotent whose eigenvector v for eigenvalue 1
@@ -257,13 +260,9 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 
 
 def _column_images(map_: LinMap, ks) -> np.ndarray:
-    """The images of the basis elements `ks` of the map's span; on a
-    Hermitian span, of the matrix units `ks` under `complexify(map_)`. Only
-    the transfer columns they need are reassembled."""
-    dom = span_of(map_.domain)
-    if dom.kind is SpaceKind.HERMITIAN:
-        return reassemble_batch(SpaceTag(SpaceKind.FULL, Field.COMPLEX, dom.n), _complexified(map_, ks).T)
-    return reassemble_batch(dom, map_.transfer[:, ks].T)
+    """The images of the basis elements `ks` of the map's span: one
+    reassembly of just those transfer columns."""
+    return reassemble_batch(map_.codomain, map_.transfer[:, ks].T)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def decompose_mn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian chains
+# Hermitian and symmetric chains
 # ---------------------------------------------------------------------------
 
 
@@ -341,17 +340,27 @@ def _normalized_conjugator(maps, space: SpaceTag) -> tuple[list, np.ndarray, np.
     return (phiI, *_read_conjugator(space, lambda ks: inv @ _column_images(maps[0], ks)))
 
 
-def _recover_hermitian(maps, dom: SpaceTag) -> tuple:
-    n = dom.n
-    phiI, N, Ninv = _normalized_conjugator(maps, SpaceTag(SpaceKind.FULL, Field.COMPLEX, n))
-    if len(maps) % 2 == 0:
-        M, c = _alternating_params(Ninv, phiI, _adjoint)
+def _recover_chain(maps, dom: SpaceTag) -> tuple:
+    # the span picks the adjoint, the gauge and the forms; N^{-1} is the
+    # isometry (odd length) or the congruence M (even length) up to scale
+    herm = span_of(dom).kind is SpaceKind.HERMITIAN
+    adjoint = _adjoint if herm else np.transpose
+    phiI, _, W = _normalized_conjugator(maps, dom)
+    if len(maps) % 2 == 1:
+        mat = _isometry(W, adjoint, _phase_fix if herm else _sign_fix)
+        c = [complex(np.trace(S)) / dom.n for S in phiI]
+        c[-1] = 1.0 / complex(np.prod(c[:-1]))
+        cls = HermOdd if herm else SymOdd
+        note = "U fixed up to phase by a real positive leading entry" if herm else "O fixed up to sign"
+    else:
+        mat, c = _alternating_params(W, phiI, adjoint)
+        cls = HermEven if herm else SymEven
         note = "M fixed by unit Frobenius norm and real positive leading entry"
-        return HermEven(M, _realize_scalars(c)), note
-    c = [complex(np.trace(S)) / n for S in phiI]
-    U = _isometry(_adjoint(N), _adjoint, _phase_fix)
-    c[-1] = 1.0 / complex(np.prod(c[:-1]))
-    return HermOdd(U, _realize_scalars(c)), "U fixed up to phase by a real positive leading entry"
+    if dom.field is Field.REAL:
+        mat = _realize(mat)
+    if dom.field is Field.REAL or herm:
+        c = _realize_scalars(c)
+    return cls(mat, tuple(c)), note
 
 
 def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
@@ -359,9 +368,27 @@ def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
 
     Odd m gives scaled conjugations by one unitary (HermOdd); even m gives
     alternating congruences by one invertible matrix (HermEven). Pairs (m = 2)
-    are the positive-definite pair family; use decompose_pn_pair.
+    are the positive-definite pair family; use decompose_pn_pair. The
+    recovery is `decompose_symmetric`'s: N is read off the images of the
+    basis elements E_jj and E_ij + E_ji, which lie in both spans, as on
+    every span, full, Hermitian or symmetric.
     """
     return decompose(maps, family="hermitian", tol=tol)
+
+
+def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
+    """Recover the canonical form of a chain on symmetric matrices.
+
+    Odd length: scaled conjugations by one (possibly complex) orthogonal
+    matrix (SymOdd). Even length: alternating congruences (SymEven). The
+    recovery normalizes f_1 at the identity; the result is a conjugation
+    A -> N A N^{-1} on the symmetric matrices. N is read off the images of
+    the n basis elements E_ij + E_ji that send e_j to e_i, for one j, as on
+    every span, full, Hermitian or symmetric, and the rebuild checks it on
+    the whole basis. Guaranteed for length >= 3, and for pairs on the real
+    definite cone.
+    """
+    return decompose(maps, family="symmetric", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -395,26 +422,24 @@ def _recover_pn_pair(maps, dom: SpaceTag) -> tuple:
         raise CanonicalStructureError("f_1(I) is not positive definite")
     Sneg, Shalf = ((V * w**t) @ _adjoint(V) for t in (-0.5, 0.5))
 
-    def units(ks):  # the images of the matrix units E_k under S^{-1/2} f_1(.) S^{-1/2}
+    def images_at(ks):  # the images of the basis elements ks under S^{-1/2} f_1(.) S^{-1/2}
         return Sneg @ _column_images(maps[0], ks) @ Sneg
 
+    # both branches conjugate the symmetric basis elements that N is read off alike
+    N, Ninv = _read_conjugator(dom, images_at)
     if n == 1:
         transpose = False
         sep_note = "n = 1: branches coincide"
     else:
-        # E_01 E_1k = E_0k, with k = 2 (or 0 when n = 2): the direct branch keeps
-        # the order of the product and the transpose reverses it; the nearer
-        # branch is taken, and the rebuild judges it
-        k = 2 if n >= 3 else 0
-        a, b, target = units([1, n + k, k])
-        d_mult = float(np.linalg.norm(a @ b - target))
-        d_anti = float(np.linalg.norm(b @ a - target))
+        # K = i(E_01 - E_10), basis element n + 1, has K^t = -K: its image is
+        # N K N^{-1} on the direct branch and -N K N^{-1} on the transpose; the
+        # nearer branch is taken, and the rebuild judges it
+        image, NKN = images_at([n + 1])[0], N @ _basis_stack(dom)[n + 1] @ Ninv
+        d_mult = float(np.linalg.norm(image - NKN))
+        d_anti = float(np.linalg.norm(image + NKN))
         transpose = d_anti < d_mult
         sep_note = f"branch deviations {d_mult:.3g} (direct) vs {d_anti:.3g} (transpose)"
 
-    full = SpaceTag(SpaceKind.FULL, Field.COMPLEX, n)
-    # on the transpose branch, the map A -> f_1(A^t) conjugates: E_ij is read at E_ji
-    N, _ = _read_conjugator(full, lambda ks: units(ks % n * n + ks // n if transpose else ks))
     M = _isometry(_adjoint(N), _adjoint, _phase_fix) @ Shalf
     M = _phase_fix(M) * M
     return PnPair(M, transpose), f"M fixed up to phase; {sep_note}"
@@ -448,42 +473,6 @@ def decompose_pn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
     for odd length, a real orthogonal conjugator.
     """
     return decompose(maps, family="pn_chain", tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# symmetric chains
-# ---------------------------------------------------------------------------
-
-
-def _recover_symmetric(maps, dom: SpaceTag) -> tuple:
-    phiI, _, W = _normalized_conjugator(maps, dom)
-    if len(maps) % 2 == 1:
-        mat = _isometry(W, np.transpose, _sign_fix)
-        c = [complex(np.trace(S)) / dom.n for S in phiI]
-        c[-1] = 1.0 / complex(np.prod(c[:-1]))
-        cls = SymOdd
-        note = "O fixed up to sign"
-    else:
-        mat, c = _alternating_params(W, phiI, np.transpose)
-        cls = SymEven
-        note = "M fixed by unit Frobenius norm and real positive leading entry"
-    if dom.field is Field.REAL:
-        mat, c = _realize(mat), _realize_scalars(c)
-    return cls(mat, tuple(c)), note
-
-
-def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
-    """Recover the canonical form of a chain on symmetric matrices.
-
-    Odd length: scaled conjugations by one (possibly complex) orthogonal
-    matrix (SymOdd). Even length: alternating congruences (SymEven). The
-    recovery normalizes f_1 at the identity; the result is a conjugation
-    A -> N A N^{-1} on the symmetric matrices. N is read off the images of
-    the n basis elements E_ij + E_ji that send e_j to e_i, for one j, and
-    the rebuild checks it on the whole basis. Guaranteed for length >= 3, and
-    for pairs on the real definite cone.
-    """
-    return decompose(maps, family="symmetric", tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +542,7 @@ _DECOMPOSERS = {
     ),
     "hermitian": _Family(
         frozenset({SpaceKind.HERMITIAN}), Field.COMPLEX, lambda m: m >= 3,
-        "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair", _recover_hermitian,
+        "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair", _recover_chain,
     ),
     "pn_pair": _Family(
         frozenset({SpaceKind.HERMITIAN}), Field.COMPLEX, lambda m: m == 2,
@@ -565,7 +554,7 @@ _DECOMPOSERS = {
     ),
     "symmetric": _Family(
         frozenset({SpaceKind.SYMMETRIC}), None, lambda m: m >= 2,
-        "need at least a pair", _recover_symmetric,
+        "need at least a pair", _recover_chain,
     ),
     "diag_pair": _Family(
         frozenset({SpaceKind.DIAGONAL}), None, lambda m: m == 2,

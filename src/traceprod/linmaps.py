@@ -305,22 +305,8 @@ def complexify(map_: LinMap) -> LinMap:
         raise InvalidParameterError("complexify expects Hermitian-kind domain and codomain")
     full_dom = SpaceTag(SpaceKind.FULL, Field.COMPLEX, dom.n)
     full_cod = SpaceTag(SpaceKind.FULL, Field.COMPLEX, cod.n)
-    return LinMap(full_dom, full_cod, _complexified(map_))
-
-
-def _complexified(map_: LinMap, cols=None) -> np.ndarray:
-    """The transfer of `complexify(map_)`, or only its columns `cols`: the
-    images of the matrix units at those flat entries. The row gather runs on
-    just the transfer columns those entries read, so each entry comes out as
-    in the whole transfer."""
-    idx, w = _herm_change(map_.domain.n).S_inv_cols
-    T = map_.transfer
-    if cols is not None:
-        idx, w = idx[cols], w[cols]
-        read = np.unique(idx)
-        T, idx = T[:, read], np.searchsorted(read, idx)
-    rows = _gather(_herm_change(map_.codomain.n).S_rows, T, axis=0)
-    return _gather((idx, w), rows, axis=1)
+    rows = _gather(_herm_change(cod.n).S_rows, map_.transfer, axis=0)
+    return LinMap(full_dom, full_cod, _gather(_herm_change(dom.n).S_inv_cols, rows, axis=1))
 
 
 def transpose_map(space: SpaceTag) -> LinMap:

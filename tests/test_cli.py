@@ -175,6 +175,23 @@ def test_certify_size_too_large_to_allocate_exits_two(capsys, monkeypatch):
     assert err["error"]["code"] == "MemoryError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "100000", "--k", "1"],
+        ["certify", "--n", "10000000000", "--k", "1"],
+        ["generate", "--family", "mn_chain", "--n", "10000000000", "--m", "3"],
+    ],
+)
+def test_size_numpy_refuses_to_allocate_exits_two(capsys, argv):
+    # numpy refuses these arrays by arithmetic on their size or byte count,
+    # before touching memory; the refusal used to end in a traceback, exit 1
+    code, err = _run(capsys, argv)
+    assert code == 2
+    assert err["error"]["code"] == "ValueError"
+    assert err["error"]["message"].startswith(("array is too big", "Maximum allowed dimension exceeded"))
+
+
 def test_weighted_command(tmp_path, capsys):
     code, doc = _run(capsys, ["generate", "--family", "pn_chain", "--n", "3", "--m", "2", "--seed", "6"])
     path = _write(tmp_path, "pn.json", doc)

@@ -251,7 +251,7 @@ def test_herm_even_round_trip():
 
 
 @pytest.mark.parametrize("transpose", [False, True])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 16])
 def test_pn_pair_round_trip_and_branch(n, transpose):
     rng = np.random.default_rng(100 * n + transpose)
     tag = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, n)
@@ -521,16 +521,16 @@ _LINMAPS = importlib.import_module("traceprod.linmaps")
         ("sym_odd", Field.REAL, 3, 0),
         ("sym_odd", Field.REAL, 5, 0),
         ("sym_even", Field.REAL, 4, 0),
-        # pn_pair also reads the three units of its branch test
-        ("pn_pair", Field.COMPLEX, 2, 3),
+        # pn_pair also reads the skew basis element of its branch test
+        ("pn_pair", Field.COMPLEX, 2, 1),
     ],
 )
 def test_decompose_reads_one_unit_column_and_checks_only_in_the_rebuild(monkeypatch, gen_family, field, m, extra):
     n = 6
     maps = generate(GenSpec(family=gen_family, n=n, m=m, field=field, seed=0)).maps
-    rebuilding, congruences, rows = [], [], []
-    from_canonical_, congruence_images, reassemble = (
-        _DECOMPOSE.from_canonical, _LINMAPS._congruence_images, _LINMAPS._reassemble
+    rebuilding, congruences, rows, herm_changes = [], [], [], []
+    from_canonical_, congruence_images, reassemble, herm_change = (
+        _DECOMPOSE.from_canonical, _LINMAPS._congruence_images, _LINMAPS._reassemble, _LINMAPS._herm_change
     )
 
     def from_canonical_spy(*args, **kwargs):
@@ -548,12 +548,20 @@ def test_decompose_reads_one_unit_column_and_checks_only_in_the_rebuild(monkeypa
         rows.append(len(x))
         return reassemble(space, x, dtype)
 
+    def herm_change_spy(n):
+        herm_changes.append(n)
+        return herm_change(n)
+
     monkeypatch.setattr(_DECOMPOSE, "from_canonical", from_canonical_spy)
     for module in (_DECOMPOSE, _LINMAPS):
         monkeypatch.setattr(module, "_congruence_images", congruence_spy)
     for module in ("spaces", "linmaps", "extend"):  # every caller of the reassembly kernel
         monkeypatch.setattr(importlib.import_module(f"traceprod.{module}"), "_reassemble", reassemble_spy)
+    for module in ("linmaps", "extend"):  # every holder of the Hermitian change of coordinates
+        monkeypatch.setattr(importlib.import_module(f"traceprod.{module}"), "_herm_change", herm_change_spy)
     assert decompose(maps).diagnostics["precheck_ran"] is False
+    # a Hermitian span is read in its own coordinates, never through complexify
+    assert herm_changes == []
     assert congruences and all(congruences)
     # at most one image of I per map, and the n images of one unit column
     assert sum(rows) <= m + n + extra
