@@ -12,6 +12,11 @@ trap 'rm -f "$err" "$doc"' EXIT
 python -c "import sys, traceprod.cli; assert 'scipy' not in sys.modules, 'traceprod.cli imports scipy'"
 traceprod generate --family sym_odd --n 4 --m 3 | traceprod check --maps -
 traceprod generate --family pn_pair --n 4 --m 2 | traceprod dualize --maps - | traceprod check --maps -
+# dualize reads the trace Gram matrix off the basis terms: diagonal, symmetric and full spans over both fields
+for args in "diag_pair --n 4 --m 2" "sym_even --field real --n 4 --m 2" "mn_chain --field real --n 3 --m 3" "sym_odd --n 3 --m 3"; do
+  # shellcheck disable=SC2086 # $args holds several generate options
+  traceprod generate --family $args | traceprod dualize --maps - | traceprod check --maps -
+done
 traceprod generate --family diag_chain --n 4 --m 3 | traceprod check --maps - --mode randomized --trials 64
 traceprod generate --family sym_even --field real --n 4 --m 4 | traceprod check --maps - --mode randomized --trials 64
 # 144**3 basis tuples exceed 10**6, so the default check samples a grid on a full space

@@ -69,11 +69,11 @@ from .spaces import (
     Field,
     SpaceKind,
     SpaceTag,
-    coords_batch,
     random_batch,
     reassemble_batch,
     span_of,
     _basis_stack,
+    _entry_terms,
     _gaussian,
     _random_batch,
     _rng,
@@ -183,18 +183,11 @@ def _precheck(maps) -> PreservationReport:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def _unit_columns(space: SpaceTag) -> np.ndarray:
     """col[i, j] indexes the basis element B of `space` with B e_j = e_i:
     E_ij on M_n, E_jj and E_ij + E_ji on the Hermitian or symmetric span.
-    Read off the coordinates of the matrix units, so the basis order stays
-    in the index kernels.
-    """
-    n = space.n
-    units = np.eye(n * n).reshape(n * n, n, n)
-    col = np.argmax(np.abs(coords_batch(space, units)), axis=1).reshape(n, n)
-    col.setflags(write=False)
-    return col
+    It is the first entry term of (i, j)."""
+    return _entry_terms(space)[0][:, 0].reshape(space.n, space.n)
 
 
 def _conjugators(space: SpaceTag, images_at: Callable):
@@ -434,7 +427,7 @@ def _recover_pn_pair(maps, dom: SpaceTag) -> tuple:
         # K = i(E_01 - E_10), basis element n + 1, has K^t = -K: its image is
         # N K N^{-1} on the direct branch and -N K N^{-1} on the transpose; the
         # nearer branch is taken, and the rebuild judges it
-        image, NKN = images_at([n + 1])[0], N @ _basis_stack(dom)[n + 1] @ Ninv
+        image, NKN = images_at([n + 1])[0], N @ reassemble_batch(dom, np.eye(1, n * n, n + 1))[0] @ Ninv
         d_mult = float(np.linalg.norm(image - NKN))
         d_anti = float(np.linalg.norm(image + NKN))
         transpose = d_anti < d_mult

@@ -11,14 +11,12 @@ into a smaller matrix algebra can satisfy the identity.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    CanonicalStructureError,
     DimensionMismatchError,
     InvalidParameterError,
     NotApplicableError,
@@ -43,14 +41,13 @@ from .spaces import (
     SpaceKind,
     SpaceTag,
     base_field,
-    coords_batch,
-    gram_matrix,
     span_dim,
     span_of,
-    _basis_stack,
+    _basis_terms,
     _check_seed,
     _field_dtype,
     _gaussian,
+    _per_span,
     _random_batch,
     _reassemble,
     _rng,
@@ -202,15 +199,13 @@ def check_preservation(
     # an overflow in the products reads as an infinite residual, so it warns nothing
     with np.errstate(over="ignore", invalid="ignore"):
         if chosen is CheckMode.EXHAUSTIVE:
-            # the whole grid is one block; each side's stacks are dropped once paired
+            # the whole grid is one block; the image stacks are dropped once paired
             half = (len(maps) + 1) // 2
             lhs = _pair_traces(
                 [_reassemble(f.codomain, f.transfer.T, _field_dtype(f.codomain)) for f in maps], half
             )
-            rhs = _pair_traces(
-                [_reassemble(f.domain, np.eye(d), _field_dtype(f.domain)) for f, d in zip(maps, dims)], half
-            )
-            blocks, count = [(lhs, rhs, [_basis_stack(f.domain) for f in maps])], total
+            bases = [_reassemble(f.domain, np.eye(d), _field_dtype(f.domain)) for f, d in zip(maps, dims)]
+            blocks, count = [(lhs, _pair_traces(bases, half), bases)], total
         else:
             spaces = [sample_space if sample_space is not None else f.domain for f in maps]
             blocks, count = _sample_blocks(maps, spaces, trials, seed), trials
@@ -290,11 +285,17 @@ def _check_grid(blocks, count: int) -> tuple[float, tuple]:
     return max_res, worst
 
 
-@functools.lru_cache(maxsize=None)
+@_per_span
 def _span_gram(space: SpaceTag) -> np.ndarray:
-    G = gram_matrix(space)
-    if base_field(space) is Field.REAL:
-        G = np.ascontiguousarray(G.real)
+    """`gram_matrix` of the span's basis in its coordinates' dtype: the squared
+    norms of its orthogonal, Hermitian or real symmetric elements, on the
+    diagonal but on a full span, where E_ij pairs with E_ji. G is allocated
+    first, so that numpy refuses a size too large before any index array."""
+    d = span_dim(space)
+    G = np.zeros((d, d), dtype=np.float64 if base_field(space) is Field.REAL else np.complex128)
+    k = np.arange(d)
+    partner = k.reshape(space.n, space.n).T.ravel() if space.kind is SpaceKind.FULL else k
+    G[k, partner] = np.sum(np.abs(_basis_terms(space)[1]) ** 2, axis=1)
     G.setflags(write=False)
     return G
 
@@ -361,21 +362,11 @@ def extend_from_subset(domain: SpaceTag, codomain: SpaceTag, samples, tol: float
 
 
 def _corner_index_map(dom_span: SpaceTag, cod_span: SpaceTag) -> np.ndarray:
-    """Index of each padded domain basis element inside the codomain basis.
-
-    Both basis orderings embed unit-for-unit, so each padded element is exactly
-    one codomain basis element.
-    """
-    st = _basis_stack(dom_span)
-    n, k = dom_span.n, cod_span.n
-    pad = np.zeros((len(st), k, k), dtype=np.complex128)
-    pad[:, :n, :n] = st
-    x = coords_batch(cod_span, pad)
-    idx = np.argmax(np.abs(x), axis=1)
-    x[np.arange(len(idx)), idx] -= 1.0
-    if np.max(np.abs(x)) > 1e-12:
-        raise CanonicalStructureError("corner embedding did not land on a single basis element")
-    return idx
+    """Index of each domain basis element, padded into the top-left corner,
+    inside the codomain basis: the codomain elements whose entries all lie in
+    the corner. Both basis orders embed unit for unit and keep their order."""
+    rows, cols = np.divmod(_basis_terms(cod_span)[0], cod_span.n)
+    return np.flatnonzero(np.all(np.maximum(rows, cols) < dom_span.n, axis=1))
 
 
 def _null_space(R: np.ndarray) -> np.ndarray:
@@ -433,7 +424,7 @@ def _restrict_to_hermitian(map_: LinMap) -> LinMap:
     one column and one row gather."""
     hdom = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, map_.domain.n)
     hcod = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, map_.codomain.n)
-    on_basis = _gather(_herm_change(hdom.n).S_cols, map_.transfer, axis=1)
+    on_basis = _gather(_basis_terms(hdom), map_.transfer, axis=1)
     return LinMap(hdom, hcod, _gather(_herm_change(hcod.n).S_inv_rows, on_basis, axis=0).real)
 
 

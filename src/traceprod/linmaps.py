@@ -8,11 +8,11 @@ rank-one frames, and the non-extendable corner triple) are realized through
 `from_canonical`.
 
 Congruences A -> c L op(A) R are built from the (at most two) nonzero entries
-of each basis element, read off the cached basis stack of `spaces`, as sums of
-outer products of columns of L and rows of R: no product with the basis
-stack. The change between Hermitian coordinates and matrix entries
-(`complexify`) is a row and a column gather with weights 1, +-i and 1/2; no
-dense change-of-basis matrix is built.
+of each basis element, `spaces._basis_terms`, as sums of outer products of
+columns of L and rows of R. The change between Hermitian coordinates and
+matrix entries (`complexify`) is a row and a column gather of those terms and
+of `spaces._entry_terms`, with weights 1, +-i and 1/2. Of the paths here only
+`transpose_map` reads the dense basis stack.
 
 Span membership is checked where matrices come from outside:
 `linmap_from_images`, `apply` and `extend.extend_from_subset`. Realised maps
@@ -49,6 +49,8 @@ from .spaces import (
     span_dim,
     span_of,
     _basis_stack,
+    _basis_terms,
+    _entry_terms,
     _reassemble,
 )
 
@@ -184,47 +186,25 @@ def _realised(domain: SpaceTag, codomain: SpaceTag, images: np.ndarray) -> LinMa
     return LinMap(domain, codomain, coords_batch(codomain, images).T)
 
 
-def _hermitian_spanning_stack(space: SpaceTag) -> np.ndarray:
-    """Basis of the Hermitian part of the span, as a real vector space."""
-    s = span_of(space)
-    if s.kind is SpaceKind.FULL:
-        kind = SpaceKind.HERMITIAN if s.field is Field.COMPLEX else SpaceKind.SYMMETRIC
-        return _basis_stack(SpaceTag(kind, s.field, s.n))
-    # Hermitian/symmetric/diagonal basis elements are themselves Hermitian and
-    # real-span the Hermitian part
-    return _basis_stack(s)
-
-
 def is_hermitian_preserving(map_: LinMap, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the map sends Hermitian matrices to Hermitian matrices.
+    """Whether the map sends Hermitian matrices to Hermitian matrices, within
+    tol times max(1, largest image entry), as `apply` judges membership.
 
-    Hermitian elements of the domain span are real combinations of a Hermitian
-    spanning set, so checking that set suffices.
+    It checks a Hermitian spanning set of the domain span: the span's own
+    basis, or on a full span the Hermitian (over R the symmetric) basis,
+    gathered from its terms.
     """
-    img = apply_batch(map_, _hermitian_spanning_stack(map_.domain))
-    return bool(np.max(np.abs(img - img.conj().transpose(0, 2, 1))) <= tol)
-
-
-def _row_terms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, w) with M[r, idx[r, t]] = w[r, t]: the nonzero entries of each
-    row of M in column order, padded with zero weights to the longest row's
-    count (two at most for the bases here). w is real when every entry is."""
-    r, c = np.nonzero(M)
-    slot = np.arange(r.size) - np.searchsorted(r, r)  # rank of each entry in its row
-    t = int(np.max(slot, initial=0)) + 1
-    idx = np.zeros((M.shape[0], t), dtype=np.intp)
-    w = np.zeros((M.shape[0], t), dtype=M.dtype)
-    idx[r, slot], w[r, slot] = c, M[r, c]
-    if not np.iscomplex(w).any():
-        w = w.real.copy()
-    idx.setflags(write=False)
-    w.setflags(write=False)
-    return idx, w
+    dom, x = span_of(map_.domain), map_.transfer.T
+    if dom.kind is SpaceKind.FULL:
+        x = _gather(_basis_terms(SpaceTag(SpaceKind.HERMITIAN, dom.field, dom.n)), map_.transfer, axis=1).T
+    img = reassemble_batch(map_.codomain, x)
+    scale = max(1.0, float(np.max(np.abs(img))))
+    return bool(np.max(np.abs(img - img.conj().transpose(0, 2, 1))) <= tol * scale)
 
 
 def _gather(terms: tuple, Y: np.ndarray, axis: int) -> np.ndarray:
     """P @ Y (axis 0) or Y @ P^t (axis 1) for the matrix P whose rows
-    `_row_terms` gave as (idx, w): one weighted gather per term."""
+    `spaces._row_terms` gave as (idx, w): one weighted gather per term."""
     idx, w = terms
     if axis == 0:
         w = w[:, :, None]
@@ -234,24 +214,12 @@ def _gather(terms: tuple, Y: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _basis_terms(space: SpaceTag) -> tuple:
-    """(idx, w): basis element k of the span of `space` is the sum over t of
-    w[k, t] times the matrix unit at flat row-major entry idx[k, t]. Read off
-    the cached basis stack, so the index kernels of `spaces` keep the order."""
-    n = space.n
-    st = _basis_stack(space)
-    return _row_terms(st.reshape(len(st), n * n))
-
-
 class _HermChange(NamedTuple):
-    """The change S from the Hermitian coordinates of M_n to its entries
-    (column k of S is vec(H_k)) and its inverse S^-1 = D^-1 S^*, D the squared
-    norms of the H_k, as `_row_terms` of S, S^-1 and their transposes: the
-    columns of a matrix are the rows of its transpose."""
+    """Row terms of the inverse S^-1 = D^-1 S^* of the change S from the
+    Hermitian coordinates of M_n to its entries (column k is vec(H_k)), D the
+    squared norms of the H_k, and of its transpose. The rows and columns of S
+    are `_entry_terms` and `_basis_terms` of the Hermitian span."""
 
-    S_rows: tuple
-    S_cols: tuple
     S_inv_rows: tuple
     S_inv_cols: tuple
 
@@ -261,13 +229,12 @@ def _herm_change(n: int) -> _HermChange:
     """`_HermChange` for M_n: weights 1, +-i and 1/2 and no dense n^2 x n^2
     change of basis kept."""
     herm = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, n)
-    idx, w = _basis_terms(herm)
-    entry_idx, entry_w = _row_terms(_basis_stack(herm).reshape(n * n, n * n).T)
+    (idx, w), (entry_idx, entry_w) = _basis_terms(herm), _entry_terms(herm)
     norms = np.sum(np.abs(w) ** 2, axis=1)
     inv_rows, inv_cols = w.conj() / norms[:, None], entry_w.conj() / norms[entry_idx]
     inv_rows.setflags(write=False)
     inv_cols.setflags(write=False)
-    return _HermChange((entry_idx, entry_w), (idx, w), (idx, inv_rows), (entry_idx, inv_cols))
+    return _HermChange((idx, inv_rows), (entry_idx, inv_cols))
 
 
 def _congruence_images(space: SpaceTag, L, R, c=1.0, transpose: bool = False) -> np.ndarray:
@@ -305,7 +272,7 @@ def complexify(map_: LinMap) -> LinMap:
         raise InvalidParameterError("complexify expects Hermitian-kind domain and codomain")
     full_dom = SpaceTag(SpaceKind.FULL, Field.COMPLEX, dom.n)
     full_cod = SpaceTag(SpaceKind.FULL, Field.COMPLEX, cod.n)
-    rows = _gather(_herm_change(cod.n).S_rows, map_.transfer, axis=0)
+    rows = _gather(_entry_terms(cod), map_.transfer, axis=0)
     return LinMap(full_dom, full_cod, _gather(_herm_change(dom.n).S_inv_cols, rows, axis=1))
 
 
@@ -603,7 +570,7 @@ class NonextendableTriple(_Form):
         if np.linalg.norm(X - tr_part) <= max(tol, 1e-9) * max(1.0, np.linalg.norm(X)):
             raise InvalidParameterError("X must not be a scalar matrix")
         big = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2 * n)
-        st = _basis_stack(space)
+        st = reassemble_batch(space, np.eye(n * n))
 
         def corner(bottom) -> LinMap:
             Z = np.zeros((len(st), 2 * n, 2 * n), dtype=np.complex128)

@@ -7,10 +7,12 @@ trace pairing tr(AB), and seeded random sampling. Everything downstream (linear
 maps, preservation checks, decompositions) works in these coordinates.
 
 Coordinates and reassembly are index gathers and scatters on the matrix
-entries; they never touch a basis stack. These index kernels are the one place
-the basis order is written down: the basis stack behind `space_basis` is the
-reassembly of the unit coordinate vectors, built once per tag and cached
-read-only, so concurrent readers share it safely.
+entries. `_reassemble` is the one place the basis order is written down:
+`_entry_terms` and `_basis_terms`, the at most two weighted entries of each
+basis element, are read off one reassembly of coordinate labels in O(n^2),
+and every program path works from them. The dense (d, n, n) `_basis_stack`
+serves only `space_basis`, `gram_matrix` of a tag, `transpose_map` and the
+samples of `weighted_reduction`. All are cached read-only once per span.
 """
 from __future__ import annotations
 
@@ -227,13 +229,63 @@ def _reassemble(space: SpaceTag, x: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+def _per_span(fn):
+    """`fn` of a space, cached once per span: a cone shares its span's entry."""
+    cached = functools.lru_cache(maxsize=None)(fn)
+    by_span = functools.wraps(fn)(lambda space: cached(span_of(space)))
+    by_span.cache_info, by_span.cache_clear = cached.cache_info, cached.cache_clear
+    return by_span
+
+
+@_per_span
 def _basis_stack(space: SpaceTag) -> np.ndarray:
     """The canonical basis as one read-only (d, n, n) stack: the reassembly of
     the unit coordinate vectors, so the index kernels alone fix the order."""
     stack = reassemble_batch(space, np.eye(span_dim(space)))
     stack.setflags(write=False)
     return stack
+
+
+def _row_terms(rows, cols, vals, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, w) with M[r, idx[r, t]] = w[r, t] for the `count`-row matrix M
+    whose nonzero entries are the triplets (rows, cols, vals): each row's
+    entries in column order, padded with zero weights to the longest row's
+    count (two at most for the bases here). w is real when every entry is."""
+    order = np.lexsort((cols, rows))
+    r, c, v = rows[order], cols[order], vals[order]
+    slot = np.arange(r.size) - np.searchsorted(r, r)  # rank of each entry in its row
+    idx = np.zeros((count, int(np.max(slot, initial=0)) + 1), dtype=np.intp)
+    w = np.zeros(idx.shape, dtype=v.dtype)
+    idx[r, slot], w[r, slot] = c, v
+    if not np.iscomplex(w).any():
+        w = w.real.copy()
+    idx.setflags(write=False)
+    w.setflags(write=False)
+    return idx, w
+
+
+@_per_span
+def _entry_terms(space: SpaceTag) -> tuple:
+    """(idx, w): flat row-major entry e of the matrix with coordinates x is
+    the sum over t of w[e, t] x[idx[e, t]], read off one reassembly of the
+    labels 1..d: an entry holds the label of its unit or mirrored-pair
+    coordinate, plus +-i times the label of its skew coordinate."""
+    E = reassemble_batch(space, np.arange(1.0, span_dim(space) + 1)[None]).reshape(-1)
+    re, im = np.flatnonzero(E.real), np.flatnonzero(E.imag)
+    w = np.zeros(re.size + im.size, dtype=np.complex128)
+    w.real[: re.size], w.imag[re.size :] = 1.0, np.sign(E.imag[im])
+    labels = np.concatenate([E.real[re], np.abs(E.imag[im])]).astype(np.intp) - 1
+    return _row_terms(np.concatenate([re, im]), labels, w, E.size)
+
+
+@_per_span
+def _basis_terms(space: SpaceTag) -> tuple:
+    """(idx, w): basis element k of the span is the sum over t of w[k, t]
+    times the matrix unit at flat row-major entry idx[k, t]; the transpose of
+    `_entry_terms`."""
+    idx, w = _entry_terms(space)
+    e, t = np.nonzero(w)
+    return _row_terms(idx[e, t], e, w[e, t], span_dim(space))
 
 
 def membership(space: SpaceTag, A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

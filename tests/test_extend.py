@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import tracemalloc
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from traceprod import (
+    FAMILIES,
     CheckMode,
     DiagPair,
     Field,
@@ -15,6 +17,7 @@ from traceprod import (
     InvalidParameterError,
     LinMap,
     MembershipError,
+    MnChain,
     NotApplicableError,
     PreservationError,
     PreservationReport,
@@ -22,26 +25,32 @@ from traceprod import (
     SingularMatrixError,
     SpaceKind,
     SpaceTag,
+    TraceProdError,
     apply,
+    base_field,
     check_preservation,
+    decompose,
     dualize,
     embed_extend_pair,
     extend_from_subset,
     from_canonical,
     generate,
+    gram_matrix,
     identity_map,
     infeasibility_certificate,
     is_hermitian_preserving,
     linmap_from_images,
     nonextendable_best_fit_residual,
+    space_basis,
     span_dim,
+    span_of,
     transpose_map,
     verify_weighted,
 )
-from traceprod import extend
-from traceprod.extend import _grid_shape, _null_space, _span_gram
+from traceprod import extend, spaces
+from traceprod.extend import _corner_index_map, _grid_shape, _null_space, _span_gram
 from traceprod.linmaps import apply_batch
-from traceprod.spaces import random_batch
+from traceprod.spaces import coords_batch, random_batch
 from conftest import basis_stack, map_from_action, move_first_transfer
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
@@ -514,6 +523,102 @@ def _corner_pair(n, k, seed, hermitian=True):
     f1 = linmap_from_images(dom, cod, list(S @ pad @ T))
     f2 = linmap_from_images(dom, cod, list(Tinv @ pad @ Sinv))
     return f1, f2
+
+
+def _scaled_conjugation_pair(n, seed):
+    """A -> M* A M on M_n with M = 1e-3 (G + iG'), G and G' drawn from
+    default_rng(seed), and its dual partner B -> M^-1 B M^-*, whose entries
+    reach 1e6-1e7."""
+    rng = np.random.default_rng(seed)
+    M = 1e-3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    [f] = from_canonical(MnChain((M.conj().T, np.linalg.inv(M))), _full_tag(n))[:1]
+    return f, dualize(f)
+
+
+def _in_corner(f, k):
+    """f with its images padded into the top-left corner of M_k."""
+    n = f.domain.n
+    T = np.zeros((k * k, n * n), dtype=f.transfer.dtype)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    T[rows * k + cols] = f.transfer
+    return LinMap(f.domain, _full_tag(k, f.domain.field), T)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (4, 0), (4, 1), (4, 2)])
+def test_large_scale_hermitian_preserving_pair_takes_the_hermitian_route(n, seed, monkeypatch):
+    # the partner's Hermitian images deviate from Hermitian by rounding, about
+    # 1e-8 at their scale of 1e6-1e7: an absolute deviation against tol read
+    # that as not Hermitian preserving, and the extension left its route
+    f, g = _scaled_conjugation_pair(n, seed)
+    assert check_preservation([f, g]).passed
+    assert is_hermitian_preserving(f) and is_hermitian_preserving(g)
+    # the deviation is judged relative to that scale, not forgiven: i times
+    # the partner maps Hermitian matrices to skew-Hermitian ones
+    assert not is_hermitian_preserving(LinMap(g.domain, g.codomain, 1j * g.transfer))
+    restricted = []
+    restrict = extend._restrict_to_hermitian
+    monkeypatch.setattr(extend, "_restrict_to_hermitian", lambda f: restricted.append(f) or restrict(f))
+    psi1, psi2 = embed_extend_pair(_in_corner(f, n + 1), _in_corner(g, n + 1))
+    assert len(restricted) == 2
+    assert is_hermitian_preserving(psi1) and is_hermitian_preserving(psi2)
+
+
+@pytest.mark.parametrize("kind", [SpaceKind.FULL, SpaceKind.HERMITIAN, SpaceKind.SYMMETRIC, SpaceKind.DIAGONAL])
+@pytest.mark.parametrize("field", list(Field))
+@pytest.mark.parametrize("n, k", [(n, k) for k in range(1, 5) for n in range(1, k + 1)])
+def test_corner_index_map_matches_padded_coordinates(kind, field, n, k):
+    # the reference pads each domain basis element into the top-left corner
+    # of the codomain and reads the one coordinate it lands on
+    dom, cod = SpaceTag(kind, field, n), SpaceTag(kind, field, k)
+    pad = np.zeros((span_dim(dom), k, k), dtype=np.complex128)
+    pad[:, :n, :n] = basis_stack(dom)
+    x = coords_batch(cod, pad)
+    want = np.argmax(np.abs(x), axis=1)
+    assert np.array_equal(x, np.eye(span_dim(cod))[want])
+    assert np.array_equal(_corner_index_map(span_of(dom), span_of(cod)), want)
+
+
+@pytest.mark.parametrize(
+    "tag", [SpaceTag(kind, field, n) for kind in SpaceKind for field in Field for n in (1, 2, 3, 5, 8)], ids=str
+)
+def test_span_gram_is_the_gram_matrix_of_the_basis(tag):
+    want = gram_matrix(space_basis(tag).elements)
+    if base_field(tag) is Field.REAL:
+        want = want.real
+    got = _span_gram(tag)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not got.flags.writeable
+    assert _span_gram(span_of(tag)) is got
+
+
+def test_program_paths_build_no_basis_stack():
+    # every path below reads the index terms of `spaces`; the dense basis
+    # stack serves only space_basis, gram_matrix of a tag, transpose_map and
+    # weighted_reduction's samples
+    def stack_calls():
+        info = spaces._basis_stack.cache_info()
+        return info.hits + info.misses
+
+    corner_pairs = [_corner_pair(2, 3, seed=0, hermitian=hermitian) for hermitian in (True, False)]
+    before = stack_calls()
+    for family, field, m in itertools.product(FAMILIES, Field, (2, 3, 4)):
+        try:
+            maps = generate(GenSpec(family=family, n=3, m=m, field=field, seed=1)).maps
+        except TraceProdError:
+            continue
+        check_preservation(maps, mode="exhaustive")
+        check_preservation(maps, mode="randomized", trials=16)
+        with contextlib.suppress(TraceProdError):
+            decompose(maps)
+        if maps[0].codomain == maps[0].domain:
+            dualize(maps[0])
+        if family == "nonextendable":
+            embed_extend_pair(*maps[:2])
+    for pair in corner_pairs:
+        embed_extend_pair(*pair)
+    for field in Field:
+        infeasibility_certificate(3, 2, field=field, trials=2)
+    assert stack_calls() == before
 
 
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])

@@ -31,7 +31,14 @@ from traceprod import (
     weighted_reduction,
 )
 from traceprod.linmaps import image_stack
-from traceprod.spaces import _random_batch, coords_batch, reassemble_batch
+from traceprod.spaces import (
+    _basis_stack,
+    _basis_terms,
+    _entry_terms,
+    _random_batch,
+    coords_batch,
+    reassemble_batch,
+)
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
 H2 = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 2)
@@ -110,6 +117,39 @@ def test_space_basis_matches_reference(tag):
     want = _reference_basis(tag)
     assert els.dtype == want.dtype
     assert np.array_equal(els, want)
+
+
+def _dense_rows(terms, shape) -> np.ndarray:
+    """The matrix of `shape` whose row r holds w[r, t] at column idx[r, t]."""
+    idx, w = terms
+    M = np.zeros(shape, dtype=np.complex128)
+    np.add.at(M, (np.arange(shape[0])[:, None], idx), w)
+    return M
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind.value}-{t.field.value}-{t.n}")
+def test_entry_and_basis_terms_reproduce_space_basis(tag):
+    # the entry view holds the rows of the (n^2, d) matrix whose column k is
+    # vec(B_k), the basis view its columns. Each is padded to its longest
+    # row's nonzero count, which is 1 wherever no row has two entries (every
+    # span at n = 1), and its weights stay real unless a skew element's +-i
+    # is among them
+    n = tag.n
+    S = np.stack(space_basis(tag).elements).reshape(-1, n * n).T
+    for (idx, w), M in ((_entry_terms(tag), S), (_basis_terms(tag), S.T)):
+        assert np.array_equal(_dense_rows((idx, w), M.shape), M)
+        assert idx.shape == w.shape == (len(M), max(1, int(np.count_nonzero(M, axis=1).max())))
+        assert idx.dtype == np.intp
+        assert w.dtype == (np.complex128 if np.iscomplex(M).any() else np.float64)
+        assert not idx.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("kind", [SpaceKind.POSDEF, SpaceKind.POSSEMIDEF])
+@pytest.mark.parametrize("field", list(Field))
+def test_a_cone_and_its_span_share_each_cached_basis(kind, field):
+    cone = SpaceTag(kind, field, 3)
+    for cached in (_basis_stack, _entry_terms, _basis_terms):
+        assert cached(cone) is cached(span_of(cone))
 
 
 def test_full_basis_order_row_major():
