@@ -18,6 +18,13 @@ for args in "diag_pair --n 4 --m 2" "sym_even --field real --n 4 --m 2" "mn_chai
   traceprod generate --family $args | traceprod dualize --maps - | traceprod check --maps -
 done
 traceprod generate --family diag_chain --n 4 --m 3 | traceprod check --maps - --mode randomized --trials 64
+# the realisation paths beside the pipelines above: Hadamard multipliers and rank-one frame blocks written directly, one Hermitian side scaled five times
+for args in "hadamard --n 3 --m 2" "rank_one_frame --n 3 --m 2" "herm_odd --n 3 --m 5"; do
+  # shellcheck disable=SC2086 # $args holds several generate options
+  traceprod generate --family $args | traceprod check --maps -
+done
+# a complex symmetric span, realised from the adjoint images and rebuilt side by side
+traceprod generate --family sym_even --n 3 --m 4 | traceprod decompose --maps -
 traceprod generate --family sym_even --field real --n 4 --m 4 | traceprod check --maps - --mode randomized --trials 64
 # 144**3 basis tuples exceed 10**6, so the default check samples a grid on a full space
 traceprod generate --family mn_chain --n 12 --m 3 | traceprod check --maps -

@@ -60,8 +60,11 @@ from .linmaps import (
     SymEven,
     SymOdd,
     _adjoint,
-    _congruence_images,
+    _congruence_transfer,
+    _gather,
     _inverse,
+    _scaled_slot,
+    _validated,
     apply_batch,
     from_canonical,
 )
@@ -71,8 +74,9 @@ from .spaces import (
     SpaceTag,
     random_batch,
     reassemble_batch,
+    span_dim,
     span_of,
-    _basis_stack,
+    _basis_terms,
     _entry_terms,
     _gaussian,
     _random_batch,
@@ -83,6 +87,8 @@ PRECHECK_TOL = 1e-6
 PRECHECK_TRIALS = 512
 # largest rebuild miss and invariant deviation that certify a tuple without the precheck
 CERTIFY_TOL = 1e-10
+# entries of a side's transfer that the rebuild realises at a time
+_BLOCK_ENTRIES = 2**15
 _WEIGHTED_BATCH = 256
 
 
@@ -158,16 +164,48 @@ def _realize_scalars(c) -> tuple:
     return tuple(float(x) for x in _realize(np.asarray(c, dtype=np.complex128)))
 
 
+def _block_miss(F: np.ndarray, c, T: np.ndarray) -> tuple:
+    """(|D|^2, max |D|, |F|^2, max |F|) for the rows F of an input transfer
+    and the same rows T of its side, with D = F - c T the one block written.
+    A rebuilt block that is not finite raises as `from_canonical` does."""
+    rebuilt = _scaled_slot(c, T)
+    D = F - T if rebuilt is T else np.subtract(F, rebuilt, out=rebuilt)
+    top = np.max(np.abs(D))
+    if not np.isfinite(top) and not np.all(np.isfinite(_scaled_slot(c, T))):
+        raise InvalidParameterError("transfer has non-finite entries")
+    return np.vdot(D, D).real, top, np.vdot(F, F).real, np.max(np.abs(F))
+
+
 def _rebuild(form, space: SpaceTag, maps) -> tuple[float, float]:
-    """Rebuild the maps from `form` once and measure the miss twice: the
+    """The miss of the maps that `form` rebuilds, measured twice: the
     certificate's largest Frobenius error relative to the input transfer, and
-    the `tol` gate's worst entry error relative to max(1, largest entry)."""
-    rebuilt = from_canonical(form, space, tol=1e-5)
-    delta, worst = [], []
-    for f, g in zip(maps, rebuilt):
-        diff = f.transfer - g.transfer
-        delta.append(np.linalg.norm(diff) / np.linalg.norm(f.transfer))
-        worst.append(np.max(np.abs(diff)) / max(1.0, np.max(np.abs(f.transfer))))
+    the `tol` gate's worst entry error relative to max(1, largest entry).
+
+    It runs `from_canonical`'s checks at tol 1e-5, then takes the miss in
+    one pass with no rebuilt tuple held: one side of the form at a time, a
+    block of about `_BLOCK_ENTRIES` entries of its transfer at a time, and
+    for each map that scales the side one difference block, which adds to
+    that map's squared norms and largest moduli. Blocks that small are
+    reused by the allocator, where a fresh full-size array would be mapped
+    and faulted in page by page. A difference that overflows reads inf, and
+    a NaN stays NaN.
+    """
+    plan = _validated(form, space, tol=1e-5)
+    n, d = space.n, span_dim(space)
+    step = n * max(1, _BLOCK_ENTRIES // (n * d))  # whole rows of L on M_n
+    slots = [(c, j, f.transfer) for (c, j), f in zip(plan.slots, maps)]
+    misses = [(0.0, 0.0, 0.0, 0.0)] * len(slots)
+    for k, side in enumerate(plan.sides):
+        for start in range(0, d, step):
+            rows = slice(start, start + step)
+            T = side(rows)
+            for i, (c, j, F) in enumerate(slots):
+                if j == k:
+                    sq, top, f_sq, f_top = _block_miss(F[rows], c, T)
+                    a, b, e, g = misses[i]
+                    misses[i] = (a + sq, np.maximum(b, top), e + f_sq, np.maximum(g, f_top))
+    delta = [np.sqrt(sq) / np.sqrt(f_sq) for sq, _, f_sq, _ in misses]
+    worst = [top / max(1.0, f_top) for _, top, _, f_top in misses]
     return float(np.max(delta)), float(np.max(worst))  # np.max keeps a NaN
 
 
@@ -243,8 +281,11 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     space = SpaceTag(kind, Field.COMPLEX, n)
     scale = max(1.0, float(np.max(np.abs(images))))
     best = math.inf
+    full = SpaceTag(SpaceKind.FULL, Field.COMPLEX, n)
     for N, Ninv in _conjugators(space, images.__getitem__):
-        residual = float(np.max(np.abs(images - _congruence_images(space, N, Ninv)))) / scale
+        # N B N^{-1} for each basis element B: columns of the transfer on M_n
+        rebuilt = _gather(_basis_terms(space), _congruence_transfer(full, N, Ninv), axis=1).T.reshape(d, n, n)
+        residual = float(np.max(np.abs(images - rebuilt))) / scale
         if residual <= tol:
             return N
         best = min(best, residual)
@@ -396,15 +437,28 @@ def herm_power(A: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
 
 
 def _herm_power_batch(stack: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
-    if t == 1:
-        return stack
+    return _herm_powers(stack, (t,), tol)[0]
+
+
+def _herm_powers(stack: np.ndarray, ts, tol: float = 1e-12) -> list:
+    """The power A**t of a stack of positive definite A for each t in ts;
+    t = 1 is the stack itself and t = 0 identities, and the other powers
+    share one eigendecomposition."""
     n = stack.shape[-1]
-    if t == 0:
-        return np.broadcast_to(np.eye(n, dtype=np.complex128), stack.shape).copy()
-    w, V = np.linalg.eigh(stack)
-    if w.min() <= tol:
-        raise PositivityError(f"matrix power {t} needs positive definite inputs (min eig {w.min():.3g})")
-    return (V * (w**t)[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2))
+    out, eig = [], None
+    for t in ts:
+        if t == 1:
+            out.append(stack)
+        elif t == 0:
+            out.append(np.broadcast_to(np.eye(n, dtype=np.complex128), stack.shape).copy())
+        else:
+            if eig is None:
+                eig = np.linalg.eigh(stack)
+            w, V = eig
+            if w.min() <= tol:
+                raise PositivityError(f"matrix power {t} needs positive definite inputs (min eig {w.min():.3g})")
+            out.append((V * (w**t)[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2)))
+    return out
 
 
 def _recover_pn_pair(maps, dom: SpaceTag) -> tuple:
@@ -693,11 +747,23 @@ def _weighted_image(
 ) -> np.ndarray:
     """f(A^(1/b))^a on a stack of positive definite A, as
     scale^a * H(core(A^(pre/b)))^(post * a); a LinMap has pre = post = scale = 1."""
-    if isinstance(map_, LinMap):
-        map_ = PowerMap(map_)
+    map_ = _as_power_map(map_)
+    _check_scale(map_, a)
+    return _image_of_power(map_, _herm_power_batch(batch, map_.pre / b, tol), a, tol)
+
+
+def _as_power_map(map_: MapLike) -> PowerMap:
+    return PowerMap(map_) if isinstance(map_, LinMap) else map_
+
+
+def _check_scale(map_: PowerMap, a: float) -> None:
     if map_.scale <= 0 and a not in (0, 1):  # scale * X is not positive definite, so it has no power a
         raise PositivityError(f"matrix power {a} needs positive definite inputs (scale {map_.scale:.3g})")
-    out = apply_batch(map_.core, _herm_power_batch(batch, map_.pre / b, tol))
+
+
+def _image_of_power(map_: PowerMap, powered: np.ndarray, a: float, tol: float = 1e-12) -> np.ndarray:
+    """scale^a * H(core(P))^(post * a) on the stack P = A^pre."""
+    out = apply_batch(map_.core, powered)
     out = (out + np.conjugate(np.swapaxes(out, -1, -2))) / 2
     return map_.scale**a * _herm_power_batch(out, map_.post * a, tol)
 
@@ -736,7 +802,8 @@ def verify_weighted(
     over positive definite samples. Maps may be plain LinMaps or PowerMaps.
 
     Each of the `trials` tuples holds m independent seeded samples, drawn
-    `_WEIGHTED_BATCH` tuples at a time, slot by slot. Residuals are
+    `_WEIGHTED_BATCH` tuples at a time, slot by slot. A sample's A^pre and
+    A^beta share one eigendecomposition. Residuals are
     `check_preservation`'s, and the worst tuple comes back as complex (n, n)
     matrices.
     """
@@ -760,8 +827,14 @@ def verify_weighted(
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, trials, _WEIGHTED_BATCH):
             samples = [_random_batch(pd, min(_WEIGHTED_BATCH, trials - done), rng) for _ in maps]
-            lhs = _trace_of_product([_weighted_image(f, A, a) for f, A, a in zip(maps, samples, alpha)])
-            rhs = _trace_of_product([_herm_power_batch(A, b) for A, b in zip(samples, beta)])
+            images, powers = [], []
+            for f, A, a, b in zip(maps, samples, alpha, beta):
+                f = _as_power_map(f)
+                _check_scale(f, a)
+                pre, power = _herm_powers(A, (float(f.pre), b))
+                images.append(_image_of_power(f, pre, a))
+                powers.append(power)
+            lhs, rhs = _trace_of_product(images), _trace_of_product(powers)
             res = _residuals(lhs, rhs)
             j = int(np.argmax(res))
             if res[j] > max_res:
@@ -826,7 +899,7 @@ def weighted_reduction(maps, alpha, beta, tol: float = 1e-8, seed: int = 0) -> l
         span = span_of(maps[i].domain)
         n = span.n
         extras = random_batch(SpaceTag(SpaceKind.POSDEF, span.field, n), 3, rng)
-        A = np.concatenate([_basis_stack(span) + 2 * np.eye(n), extras])
+        A = np.concatenate([reassemble_batch(span, np.eye(span_dim(span))) + 2 * np.eye(n), extras])
         img = _weighted_image(maps[i], A, alpha[i], beta[i])
         out.append(extend_from_subset(span, span, zip(A, img), tol=max(tol * 10, 1e-6)))
     return out

@@ -293,11 +293,31 @@ def _span_gram(space: SpaceTag) -> np.ndarray:
     first, so that numpy refuses a size too large before any index array."""
     d = span_dim(space)
     G = np.zeros((d, d), dtype=np.float64 if base_field(space) is Field.REAL else np.complex128)
-    k = np.arange(d)
-    partner = k.reshape(space.n, space.n).T.ravel() if space.kind is SpaceKind.FULL else k
-    G[k, partner] = np.sum(np.abs(_basis_terms(space)[1]) ** 2, axis=1)
+    partner, norms = _gram_pairs(space)
+    G[np.arange(d), partner] = norms
     G.setflags(write=False)
     return G
+
+
+def _gram_pairs(space: SpaceTag) -> tuple[np.ndarray, np.ndarray]:
+    """(partner, norms): basis element k pairs under the trace only with
+    element partner[k] (E_ij with E_ji on a full span, itself otherwise), to
+    the squared norm norms[k]. partner is an involution."""
+    k = np.arange(span_dim(space))
+    partner = k.reshape(space.n, space.n).T.ravel() if space.kind is SpaceKind.FULL else k
+    return partner, np.sum(np.abs(_basis_terms(space)[1]) ** 2, axis=1)
+
+
+def _times_span_gram(X: np.ndarray, space: SpaceTag) -> np.ndarray:
+    """X @ _span_gram(space), exactly, as one column gather and scaling:
+    column l of the product is norms[partner[l]] times column partner[l] of
+    X. The + 0.0 gives a zero the sign that the product's sum of zero terms
+    gives it."""
+    partner, norms = _gram_pairs(span_of(space))
+    out = np.take(X, partner, axis=1)
+    out *= norms[partner]
+    out += 0.0
+    return out
 
 
 def dualize(map_: LinMap, tol: float = DEFAULT_TOL) -> LinMap:
@@ -311,7 +331,7 @@ def dualize(map_: LinMap, tol: float = DEFAULT_TOL) -> LinMap:
     if span_dim(map_.codomain) != d:
         raise InvalidParameterError("dualize needs equal domain and codomain span dimensions")
     # G[a, l] = tr(f(B_a) C_l), H[a, b] = tr(B_a B_b)
-    G = map_.transfer.T @ _span_gram(map_.codomain)
+    G = _times_span_gram(map_.transfer.T, map_.codomain)
     H = _span_gram(map_.domain)
     c = np.linalg.cond(G)
     if not np.isfinite(c) or c > 1.0 / max(tol, 1e-15):

@@ -7,17 +7,25 @@ congruences, permutation-scaling chains, diagonal pairs, Hadamard multipliers,
 rank-one frames, and the non-extendable corner triple) are realized through
 `from_canonical`.
 
-Congruences A -> c L op(A) R are built from the (at most two) nonzero entries
-of each basis element, `spaces._basis_terms`, as sums of outer products of
-columns of L and rows of R. The change between Hermitian coordinates and
-matrix entries (`complexify`) is a row and a column gather of those terms and
-of `spaces._entry_terms`, with weights 1, +-i and 1/2. Of the paths here only
-`transpose_map` reads the dense basis stack.
+Every canonical form states its validated sides and, for each map of its
+tuple, a scalar c_i and the side it scales (`_Realisation`); each side is
+realised once and map i is c_i times that side's transfer. One kernel,
+`_congruence_transfer`, writes the transfer of A -> L op(A) R straight in
+(codomain, domain) order. On M_n in row-major coordinates it is the
+Kronecker product L (x) R^t, one broadcast multiply; on diagonals it is
+L * R^t read on the diagonal. On Hermitian and symmetric spans it reads the
+transfer of the adjoint map, whose images are sums of at most two outer
+products, off their coordinates (`spaces._basis_terms`) and rescales it by
+the basis norms^2, 1 or 2, exactly. `transpose_map` is the kernel with
+identity sides. The change between Hermitian coordinates and matrix entries
+(`complexify`) is a row and a column gather of the basis terms and of
+`spaces._entry_terms`, with weights 1, +-i and 1/2. No path here reads the
+dense basis stack.
 
 Span membership is checked where matrices come from outside:
 `linmap_from_images`, `apply` and `extend.extend_from_subset`. Realised maps
-(canonical forms, `transpose_map`) are written straight from their images'
-coordinates: a congruence by (M*, M) or (M^t, M) keeps Hermitian and symmetric
+(canonical forms, `transpose_map`) are written straight from their
+transfers: a congruence by (M*, M) or (M^t, M) keeps Hermitian and symmetric
 matrices so, one by a permutation with diagonal scalings keeps diagonal ones,
 and a full codomain holds every image, so those images lie in the span by
 construction.
@@ -48,7 +56,6 @@ from .spaces import (
     reassemble_batch,
     span_dim,
     span_of,
-    _basis_stack,
     _basis_terms,
     _entry_terms,
     _reassemble,
@@ -95,18 +102,24 @@ class LinMap:
         shape = (span_dim(self.codomain), span_dim(self.domain))
         if T.shape != shape:
             raise DimensionMismatchError(f"transfer must have shape {shape}, got {T.shape}")
-        if bf_dom is Field.REAL:
-            if np.iscomplexobj(T):
-                if T.size and np.max(np.abs(T.imag)) > 1e-12 * max(1.0, np.max(np.abs(T))):
-                    raise InvalidParameterError("transfer for real-coordinate spaces must be real")
-                T = T.real
-            T = np.ascontiguousarray(T, dtype=np.float64)
-        else:
-            T = np.ascontiguousarray(T, dtype=np.complex128)
+        T = _in_field(bf_dom, T)
         if not np.all(np.isfinite(T)):
             raise InvalidParameterError("transfer has non-finite entries")
         T.setflags(write=False)
         object.__setattr__(self, "transfer", T)
+
+
+def _in_field(field: Field, T: np.ndarray) -> np.ndarray:
+    """T as a contiguous float64 (real `field`) or complex128 array, copied
+    only when it is neither; a real field refuses imaginary parts above
+    1e-12 times max(1, largest entry)."""
+    if field is Field.REAL:
+        if np.iscomplexobj(T):
+            if T.size and np.max(np.abs(T.imag)) > 1e-12 * max(1.0, np.max(np.abs(T))):
+                raise InvalidParameterError("transfer for real-coordinate spaces must be real")
+            T = T.real
+        return np.ascontiguousarray(T, dtype=np.float64)
+    return np.ascontiguousarray(T, dtype=np.complex128)
 
 
 def identity_map(space: SpaceTag) -> LinMap:
@@ -166,8 +179,8 @@ def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float 
     Each image must lie in the span of the codomain within tol (relative to its
     own scale); that is what makes the transfer faithful. This is the checked
     constructor for images from outside. Canonical forms and `transpose_map`
-    write their images' coordinates directly, unchecked, as their images lie
-    in the span by construction.
+    write their transfers directly, unchecked, as their images lie in the
+    span by construction.
     """
     d = span_dim(domain)
     if len(images) != d:
@@ -177,13 +190,6 @@ def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float 
     if images.shape[1:] != (k, k):
         raise DimensionMismatchError(f"images must be {k} x {k}, got shape {images.shape[1:]}")
     return LinMap(domain, codomain, _span_coords(codomain, images, tol, "image").T)
-
-
-def _realised(domain: SpaceTag, codomain: SpaceTag, images: np.ndarray) -> LinMap:
-    """The map sending the k-th basis element of `domain` to images[k], written
-    straight from the images' coordinates, for images in the span of `codomain`
-    by construction: no membership check."""
-    return LinMap(domain, codomain, coords_batch(codomain, images).T)
 
 
 def is_hermitian_preserving(map_: LinMap, tol: float = DEFAULT_TOL) -> bool:
@@ -237,25 +243,54 @@ def _herm_change(n: int) -> _HermChange:
     return _HermChange((idx, inv_rows), (entry_idx, inv_cols))
 
 
-def _congruence_images(space: SpaceTag, L, R, c=1.0, transpose: bool = False) -> np.ndarray:
-    """The images c L op(B_k) R of the basis elements B_k of `space`, op(B) =
-    B^t when `transpose`; L and R are matrices or stacks with one matrix per
-    basis element.
+def _congruence_transfer(
+    space: SpaceTag, L: np.ndarray, R: np.ndarray, transpose: bool = False, rows: slice = slice(None)
+) -> np.ndarray:
+    """Rows `rows` (all by default) of the transfer of A -> L op(A) R on the
+    span of `space`, op(A) = A^t when `transpose`, as a new writeable array
+    in the coordinates' dtype. On M_n the row bounds must be multiples of n.
+    The sides must keep the span; a real span reads their real parts.
 
-    B_k is the sum over its (at most two) entries w E_ij, so its image is the
-    sum of the outer products w L[:, i] R[j, :]: O(d n^2) work, no product
-    with the basis stack. Real L, R and c keep the stack real on every span
-    but the Hermitian one, whose skew elements carry +-i.
+    - M_n, row-major: T[(i, j), (p, q)] = L[i, p] R[q, j], the Kronecker
+      product L (x) R^t (op swaps p and q), one broadcast multiply.
+    - Diagonals: T[a, k] = L[a, k] R[k, a].
+    - Hermitian and symmetric spans: coordinate a of f(B_k) is <B_a, f(B_k)>
+      over g_a = <B_a, B_a>, so T[a, k] = X[a, k] g_k / g_a, where row a of X
+      holds the coordinates of f*(B_a) = adj(L) B_a adj(R), with adj the
+      adjoint (Hermitian) or the transpose (symmetric). Each f*(B_a) is a sum
+      of at most two outer products of basis terms, and g is 1 on the
+      diagonal units and 2 on the pairs, so the rescaling is exact. On a
+      Hermitian span op fixes the diagonal and symmetric elements and
+      negates the skew ones; on a symmetric span it is the identity.
     """
-    idx, w = _basis_terms(space)
-    rows, cols = np.divmod(idx, space.n)
-    if transpose:
-        rows, cols = cols, rows
-    d, n = w.shape[0], space.n
-    k = np.arange(d)[:, None]
-    left = np.broadcast_to(L, (d, n, n))[k, :, rows]  # (d, t, n): column i of L
-    right = np.broadcast_to(R, (d, n, n))[k, cols]  # (d, t, n): row j of R
-    return np.matmul(((c * w)[..., None] * left).transpose(0, 2, 1), right)
+    s = span_of(space)
+    n = s.n
+    start, stop, _ = rows.indices(span_dim(s))
+    if s.field is Field.REAL:
+        L, R = L.real, R.real
+    dtype = np.float64 if base_field(s) is Field.REAL else np.complex128
+    if s.kind is SpaceKind.DIAGONAL:
+        return np.multiply(L[start:stop], R.T[start:stop], dtype=dtype)
+    if s.kind is SpaceKind.FULL:
+        Li, Rt = L[start // n : stop // n], np.ascontiguousarray(R.T)
+        T = np.empty((len(Li), n, n, n), dtype=dtype)
+        if transpose:
+            np.multiply(Li[:, None, None, :], Rt[None, :, :, None], out=T)
+        else:
+            np.multiply(Li[:, None, :, None], Rt[None, :, None, :], out=T)
+        return T.reshape(stop - start, n * n)
+    herm = s.kind is SpaceKind.HERMITIAN
+    idx, w = (terms[start:stop] for terms in _basis_terms(s))
+    i, j = np.divmod(idx, n)
+    # (count, t, n): column i of adj(L) is row i of L, conjugated on a Hermitian span, and so for R
+    left, right = (L.conj(), R.T.conj()) if herm else (L, R.T)
+    T = coords_batch(s, np.matmul((w[..., None] * left[i]).transpose(0, 2, 1), right[j]))
+    pairs = max(0, n - start)  # the local row where the pair elements begin
+    T[:pairs, n:] *= 2.0
+    T[pairs:, :n] *= 0.5
+    if herm and transpose:
+        T[:, n + 1 :: 2] *= -1.0
+    return T
 
 
 def complexify(map_: LinMap) -> LinMap:
@@ -280,7 +315,8 @@ def transpose_map(space: SpaceTag) -> LinMap:
     """A -> A^t on a full matrix space."""
     if span_of(space).kind is not SpaceKind.FULL:
         raise InvalidParameterError("transpose_map expects a full matrix space")
-    return _realised(space, space, _basis_stack(space).transpose(0, 2, 1))
+    eye = np.eye(space.n, dtype=np.float64 if space.field is Field.REAL else np.complex128)
+    return LinMap(space, space, _congruence_transfer(space, eye, eye, transpose=True))
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +352,26 @@ _NORMALIZE = {
 }
 
 
+class _Realisation(NamedTuple):
+    """A validated form, ready to realise: map i of its tuple is
+    `slots[i][0]` times the transfer of side `slots[i][1]`. A side is a
+    callable that returns the rows `rows` of its transfer (a slice, all
+    rows by default) and is realised once, however many maps scale it."""
+
+    codomain: SpaceTag
+    sides: tuple
+    slots: tuple
+
+
 @dataclass(frozen=True)
 class _Form:
     """What every canonical form shares.
 
     `kinds` are the span kinds the form acts on and `complex_only` says whether
     it exists only over the complex field. `from_canonical` checks those, the
-    parameter size and real parameters on a real space; `maps` checks the
-    parameters' structure and realises the form, and `invariants` states what
-    makes its maps preservers.
+    parameter size and real parameters on a real space; `realisation` checks
+    the parameters' structure and states the form's sides and slots, and
+    `invariants` states what makes its maps preservers.
     """
 
     kinds: ClassVar[frozenset] = frozenset()
@@ -334,7 +381,7 @@ class _Form:
         for f in fields(self):
             object.__setattr__(self, f.name, _NORMALIZE[f.type](getattr(self, f.name), f.name))
 
-    def maps(self, space: SpaceTag, tol: float) -> list[LinMap]:
+    def realisation(self, space: SpaceTag, tol: float) -> _Realisation:
         raise NotImplementedError
 
     def invariants(self) -> tuple:
@@ -358,26 +405,42 @@ def _isometry_invariant(what: str, U: np.ndarray, adjoint) -> tuple:
     return what, np.max(np.abs(adjoint(U) @ U - np.eye(len(U)))), 1e-9
 
 
-def _congruence(space: SpaceTag, L, R, c=1.0, transpose: bool = False) -> LinMap:
-    """The map A -> c L op(A) R on the span of `space`, op(A) = A^t when `transpose`.
-
-    L and R are matrices or stacks with one matrix per basis element. Every
-    caller passes sides that keep the span, so the images are not checked.
-    """
-    return _realised(space, space, _congruence_images(space, L, R, c, transpose))
+def _congruences(space: SpaceTag, sides, slots, transpose: bool = False) -> _Realisation:
+    """The realisation of the congruences A -> L op(A) R, one side per (L, R)."""
+    return _Realisation(
+        space, tuple(functools.partial(_congruence_transfer, space, L, R, transpose) for L, R in sides), slots
+    )
 
 
-def _scaled_congruences(space: SpaceTag, sides, c, transpose: bool) -> list[LinMap]:
-    """c_i L op(A) R with (L, R) = sides[i % len(sides)], for finite nonzero c_i."""
+def _scaled(space: SpaceTag, sides, c, transpose: bool = False) -> _Realisation:
+    """c_i L op(A) R with (L, R) = sides[i % len(sides)], for finite nonzero
+    c_i; a real span reads their real parts."""
     if not all(np.isfinite(x) and x != 0 for x in c):
         raise InvalidParameterError("scalars must be finite and nonzero")
-    return [_congruence(space, *sides[i % len(sides)], ci, transpose) for i, ci in enumerate(c)]
+    if base_field(space) is Field.REAL:
+        c = [float(np.real(x)) for x in c]
+    return _congruences(space, sides, tuple((x, i % len(sides)) for i, x in enumerate(c)), transpose)
 
 
-def _alternating(space: SpaceTag, M, adjoint, c, transpose: bool = False) -> list[LinMap]:
+def _alternating(space: SpaceTag, M, adjoint, c, transpose: bool = False) -> _Realisation:
     """c_i adjoint(M) op(A) M on odd slots, c_i M^{-1} op(A) adjoint(M^{-1}) on even slots."""
     Minv = _inverse(M, "M")
-    return _scaled_congruences(space, ((adjoint(M), M), (Minv, adjoint(Minv))), c, transpose)
+    return _scaled(space, ((adjoint(M), M), (Minv, adjoint(Minv))), c, transpose)
+
+
+def _given(T: np.ndarray):
+    """The side whose transfer is T."""
+    return lambda rows=slice(None): T[rows]
+
+
+def _unscaled(count: int) -> tuple:
+    """The slots of a tuple whose map i is side i."""
+    return tuple((1.0, i) for i in range(count))
+
+
+def _scaled_slot(c, T: np.ndarray) -> np.ndarray:
+    """Map transfer c T of a side's transfer T; T itself when c is 1."""
+    return T if c == 1 else c * T
 
 
 @dataclass(frozen=True)
@@ -387,10 +450,10 @@ class MnChain(_Form):
     N: tuple[np.ndarray, ...]
     kinds = frozenset({SpaceKind.FULL})
 
-    def maps(self, space, tol):
+    def realisation(self, space, tol):
         invs = [_inverse(N, f"N[{i}]") for i, N in enumerate(self.N)]
         m = len(self.N)
-        return [_congruence(space, N, invs[(i + 1) % m]) for i, N in enumerate(self.N)]
+        return _congruences(space, [(N, invs[(i + 1) % m]) for i, N in enumerate(self.N)], _unscaled(m))
 
 
 @dataclass(frozen=True)
@@ -402,8 +465,8 @@ class HermOdd(_Form):
     kinds = frozenset({SpaceKind.HERMITIAN})
     complex_only = True
 
-    def maps(self, space, tol):
-        return _scaled_congruences(space, ((_adjoint(self.U), self.U),), self.c, False)
+    def realisation(self, space, tol):
+        return _scaled(space, ((_adjoint(self.U), self.U),), self.c)
 
     def invariants(self):
         return _isometry_invariant("U must be unitary", self.U, _adjoint), _scalar_invariant(self.c)
@@ -418,7 +481,7 @@ class HermEven(_Form):
     kinds = frozenset({SpaceKind.HERMITIAN})
     complex_only = True
 
-    def maps(self, space, tol):
+    def realisation(self, space, tol):
         return _alternating(space, self.M, _adjoint, self.c)
 
     def invariants(self):
@@ -434,7 +497,7 @@ class PnPair(_Form):
     kinds = frozenset({SpaceKind.HERMITIAN})
     complex_only = True
 
-    def maps(self, space, tol):
+    def realisation(self, space, tol):
         return _alternating(space, self.M, _adjoint, (1.0, 1.0), self.transpose)
 
 
@@ -446,8 +509,8 @@ class SymOdd(_Form):
     c: tuple[complex, ...]
     kinds = frozenset({SpaceKind.SYMMETRIC})
 
-    def maps(self, space, tol):
-        return _scaled_congruences(space, ((self.O.T, self.O),), self.c, False)
+    def realisation(self, space, tol):
+        return _scaled(space, ((self.O.T, self.O),), self.c)
 
     def invariants(self):
         return _isometry_invariant("O must be orthogonal", self.O, np.transpose), _scalar_invariant(self.c)
@@ -461,7 +524,7 @@ class SymEven(_Form):
     c: tuple[complex, ...]
     kinds = frozenset({SpaceKind.SYMMETRIC})
 
-    def maps(self, space, tol):
+    def realisation(self, space, tol):
         return _alternating(space, self.M, np.transpose, self.c)
 
     def invariants(self):
@@ -475,8 +538,11 @@ class DiagPair(_Form):
     N: np.ndarray
     kinds = frozenset({SpaceKind.DIAGONAL})
 
-    def maps(self, space, tol):
-        return [LinMap(space, space, self.N), LinMap(space, space, _inverse(self.N, "N").T)]
+    def realisation(self, space, tol):
+        field = base_field(space)
+        N = _in_field(field, self.N)
+        partner = _in_field(field, _inverse(self.N, "N").T)
+        return _Realisation(space, (_given(N), _given(partner)), _unscaled(2))
 
 
 @dataclass(frozen=True)
@@ -487,8 +553,8 @@ class DiagChain(_Form):
     C: tuple[np.ndarray, ...]
     kinds = frozenset({SpaceKind.DIAGONAL})
 
-    def maps(self, space, tol):
-        P = np.round(self.P.real)
+    def realisation(self, space, tol):
+        P = np.round(self.P.real) + 0.0  # + 0.0 turns the -0 of a small negative entry into 0
         if np.max(np.abs(self.P - P)) > max(tol, 1e-9) or not _is_permutation(P):
             raise InvalidParameterError("P must be a permutation matrix")
         for i, C in enumerate(self.C):
@@ -498,8 +564,10 @@ class DiagChain(_Form):
             if np.min(d) == 0 or np.max(d) / np.min(d) > COND_LIMIT:
                 raise SingularMatrixError(f"C[{i}] is singular or has condition number above {COND_LIMIT:g}")
         # realised from the structure just validated, the rounded P and the
-        # diagonals of the C_i, so the images are diagonal exactly
-        return [_congruence(space, np.diag(np.diag(C)) @ P.T, P) for C in self.C]
+        # diagonals of the C_i (their real parts on a real span, as the kernel
+        # reads it), so the images are diagonal exactly
+        diags = [np.diag(C).real if space.field is Field.REAL else np.diag(C) for C in self.C]
+        return _congruences(space, [(d[:, None] * P.T, P) for d in diags], _unscaled(len(diags)))
 
     def invariants(self):
         # on the diagonals, which are all that the realised maps use
@@ -519,7 +587,7 @@ class Hadamard(_Form):
         """True when C is real symmetric, the exactly characterized family."""
         return bool(np.max(np.abs(self.C.imag)) <= 1e-12)
 
-    def maps(self, space, tol):
+    def realisation(self, space, tol):
         C = self.C
         if np.max(np.abs(C - C.T)) > max(tol, 1e-9):
             raise InvalidParameterError("C must be symmetric")
@@ -531,10 +599,15 @@ class Hadamard(_Form):
             warnings.warn(
                 "complex symmetric Hadamard parameter: outside the exactly characterized "
                 "real-symmetric family",
-                stacklevel=3,
+                stacklevel=4,
             )
         flat = C.reshape(-1)
-        return [LinMap(space, space, np.diag(flat)), LinMap(space, space, np.diag(1.0 / flat))]
+
+        def multiplier(v, rows=slice(None)) -> np.ndarray:
+            return _in_field(base_field(space), np.diag(v)[rows])
+
+        sides = (functools.partial(multiplier, flat), functools.partial(multiplier, 1.0 / flat))
+        return _Realisation(space, sides, _unscaled(2))
 
 
 @dataclass(frozen=True)
@@ -544,16 +617,28 @@ class RankOneFrame(_Form):
     A: tuple[np.ndarray, ...]
     kinds = frozenset({SpaceKind.FULL})
 
-    def maps(self, space, tol):
+    def realisation(self, space, tol):
         n = space.n
         if len(self.A) != n:
             raise DimensionMismatchError(f"RankOneFrame needs n={n} matrices, got {len(self.A)}")
         A = np.stack(self.A)
         Ainv = np.stack([_inverse(Ai, f"A[{i}]") for i, Ai in enumerate(self.A)])
-        # basis order is E_ij row-major: element (i, j) sits at index i*n + j
-        rows, cols = np.divmod(np.arange(n * n), n)
-        eye = np.eye(n)
-        return [_congruence(space, eye, A[rows]), _congruence(space, Ainv[cols], eye)]
+        if space.field is Field.REAL:
+            A, Ainv = A.real, Ainv.real
+        r = np.arange(n)
+
+        def blocks(phi: bool, rows=slice(None)) -> np.ndarray:
+            # row-major T[(p, q), (i, j)]: phi(E_ij) = e_i (row j of A_i) fills
+            # T[i, :, i, :] with A_i^t, psi(E_ij) = (column i of A_j^{-1}) e_j^t
+            # fills T[:, j, :, j] with A_j^{-1}
+            T = np.zeros((n, n, n, n), dtype=A.dtype)
+            if phi:
+                T[r, :, r, :] = A.transpose(0, 2, 1)
+            else:
+                T[:, r, :, r] = Ainv
+            return T.reshape(n * n, n * n)[rows]
+
+        return _Realisation(space, (functools.partial(blocks, True), functools.partial(blocks, False)), _unscaled(2))
 
 
 @dataclass(frozen=True)
@@ -564,21 +649,25 @@ class NonextendableTriple(_Form):
     kinds = frozenset({SpaceKind.FULL})
     complex_only = True
 
-    def maps(self, space, tol):
+    def realisation(self, space, tol):
         n, X = space.n, self.X
         tr_part = (np.trace(X) / n) * np.eye(n)
         if np.linalg.norm(X - tr_part) <= max(tol, 1e-9) * max(1.0, np.linalg.norm(X)):
             raise InvalidParameterError("X must not be a scalar matrix")
         big = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2 * n)
-        st = reassemble_batch(space, np.eye(n * n))
+        d = n * n
 
-        def corner(bottom) -> LinMap:
-            Z = np.zeros((len(st), 2 * n, 2 * n), dtype=np.complex128)
-            Z[:, :n, :n] = st
-            Z[:, n:, n:] = bottom
-            return _realised(space, big, Z)
+        def corner(bottom, rows=slice(None)) -> np.ndarray:
+            # the image of B is B in the top-left block and, with coordinates
+            # `bottom` (a transfer on M_n, or none), in the bottom-right one
+            T = np.zeros((2 * n, 2 * n, d), dtype=np.complex128)
+            T[:n, :n] = np.eye(d).reshape(n, n, d)
+            if bottom is not None:
+                T[n:, n:] = bottom().reshape(n, n, d)
+            return T.reshape(4 * d, d)[rows]
 
-        return [corner(0.0), corner(st), corner(_congruence_images(space, X, X.conj().T))]
+        bottoms = (None, functools.partial(np.eye, d), functools.partial(_congruence_transfer, space, X, X.conj().T))
+        return _Realisation(big, tuple(functools.partial(corner, b) for b in bottoms), _unscaled(3))
 
 
 # Every canonical form; its JSON tag is the class name. A new form is one
@@ -600,15 +689,8 @@ FORMS = (
 CanonicalForm = Union[FORMS]
 
 
-def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = 1e-6) -> list[LinMap]:
-    """Realize a canonical form as the tuple of linear maps it denotes.
-
-    Validates the parameters' structure (permutation, diagonal, invertible
-    with condition number at most 1e6) and the form's `invariants` (scalar
-    product, unitarity or orthogonality, product of the diagonals), each
-    against max(tol, its floor) where a tolerance applies; a miss of an
-    invariant is an InvalidParameterError that names it.
-    """
+def _validated(form: CanonicalForm, space: SpaceTag, tol: float) -> _Realisation:
+    """`from_canonical`'s checks, in its order, and the form's realisation."""
     name = type(form).__name__
     if type(form) not in FORMS:
         raise InvalidParameterError(f"unknown canonical form {name}")
@@ -624,12 +706,27 @@ def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = 1e-6) -> l
             )
         if space.field is Field.REAL and value.size and np.max(np.abs(value.imag)) > tol:
             raise InvalidParameterError(f"{name} over a real space needs a real {f.name}")
-    maps = form.maps(space, tol)
+    plan = form.realisation(space, tol)
     # after the structure checks, whose error classes come first
     for what, dev, floor in form.invariants():
         if dev > max(tol, floor):
             raise InvalidParameterError(f"{name}: {what} (deviation {dev:.3g})")
-    return maps
+    return plan
+
+
+def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = 1e-6) -> list[LinMap]:
+    """Realize a canonical form as the tuple of linear maps it denotes.
+
+    Validates the parameters' structure (permutation, diagonal, invertible
+    with condition number at most 1e6) and the form's `invariants` (scalar
+    product, unitarity or orthogonality, product of the diagonals), each
+    against max(tol, its floor) where a tolerance applies; a miss of an
+    invariant is an InvalidParameterError that names it. Then each side of
+    the form is realised once, and each map is its scalar times its side.
+    """
+    plan = _validated(form, space, tol)
+    sides = [side() for side in plan.sides]
+    return [LinMap(space, plan.codomain, _scaled_slot(c, sides[k])) for c, k in plan.slots]
 
 
 def _is_permutation(P: np.ndarray) -> bool:

@@ -11,8 +11,8 @@ entries. `_reassemble` is the one place the basis order is written down:
 `_entry_terms` and `_basis_terms`, the at most two weighted entries of each
 basis element, are read off one reassembly of coordinate labels in O(n^2),
 and every program path works from them. The dense (d, n, n) `_basis_stack`
-serves only `space_basis`, `gram_matrix` of a tag, `transpose_map` and the
-samples of `weighted_reduction`. All are cached read-only once per span.
+serves only the public `space_basis` and `gram_matrix` of a tag. All are
+cached read-only once per span.
 """
 from __future__ import annotations
 

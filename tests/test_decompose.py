@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -529,20 +530,20 @@ def test_decompose_reads_one_unit_column_and_checks_only_in_the_rebuild(monkeypa
     n = 6
     maps = generate(GenSpec(family=gen_family, n=n, m=m, field=field, seed=0)).maps
     rebuilding, congruences, rows, herm_changes = [], [], [], []
-    from_canonical_, congruence_images, reassemble, herm_change = (
-        _DECOMPOSE.from_canonical, _LINMAPS._congruence_images, _LINMAPS._reassemble, _LINMAPS._herm_change
+    rebuild, congruence_transfer, reassemble, herm_change = (
+        _DECOMPOSE._rebuild, _LINMAPS._congruence_transfer, _LINMAPS._reassemble, _LINMAPS._herm_change
     )
 
-    def from_canonical_spy(*args, **kwargs):
+    def rebuild_spy(*args, **kwargs):
         rebuilding.append(True)
         try:
-            return from_canonical_(*args, **kwargs)
+            return rebuild(*args, **kwargs)
         finally:
             rebuilding.pop()
 
     def congruence_spy(*args, **kwargs):
         congruences.append(bool(rebuilding))
-        return congruence_images(*args, **kwargs)
+        return congruence_transfer(*args, **kwargs)
 
     def reassemble_spy(space, x, dtype):
         rows.append(len(x))
@@ -552,9 +553,9 @@ def test_decompose_reads_one_unit_column_and_checks_only_in_the_rebuild(monkeypa
         herm_changes.append(n)
         return herm_change(n)
 
-    monkeypatch.setattr(_DECOMPOSE, "from_canonical", from_canonical_spy)
+    monkeypatch.setattr(_DECOMPOSE, "_rebuild", rebuild_spy)
     for module in (_DECOMPOSE, _LINMAPS):
-        monkeypatch.setattr(module, "_congruence_images", congruence_spy)
+        monkeypatch.setattr(module, "_congruence_transfer", congruence_spy)
     for module in ("spaces", "linmaps", "extend"):  # every caller of the reassembly kernel
         monkeypatch.setattr(importlib.import_module(f"traceprod.{module}"), "_reassemble", reassemble_spy)
     for module in ("linmaps", "extend"):  # every holder of the Hermitian change of coordinates
@@ -892,3 +893,137 @@ def test_decomposition_result_reports_gauge():
     gen = generate(GenSpec(family="mn_chain", n=3, m=3, seed=24))
     res = decompose(gen.maps)
     assert isinstance(res.gauge_note, str) and res.gauge_note
+
+
+# ---------------------------------------------------------------------------
+# the streamed rebuild
+# ---------------------------------------------------------------------------
+
+
+def _dense_rebuild(form, space, maps) -> tuple[float, float]:
+    """The reference: the whole rebuilt tuple from `from_canonical`, then
+    each miss read off one whole difference."""
+    delta, worst = [], []
+    for f, g in zip(maps, from_canonical(form, space, tol=1e-5)):
+        diff = f.transfer - g.transfer
+        delta.append(np.linalg.norm(diff) / np.linalg.norm(f.transfer))
+        worst.append(np.max(np.abs(diff)) / max(1.0, np.max(np.abs(f.transfer))))
+    return max(delta), max(worst)
+
+
+def _generates(family, field, n, m) -> bool:
+    try:
+        GenSpec(family=family, n=n, m=m, field=field, seed=0)
+    except InvalidParameterError:
+        return False
+    return True
+
+
+# every decompose family and field, at sizes that take one block and two
+REBUILD_CASES = [
+    (family, field, n, m)
+    for family in ("mn_chain", "herm_odd", "herm_even", "pn_pair", "pn_chain", "sym_odd", "sym_even", "diag_pair", "diag_chain")
+    for field in Field
+    for n in (2, 5, 16)
+    for m in (2, 3, 4)
+    if _generates(family, field, n, m)
+]
+
+
+@pytest.mark.parametrize("block_entries", [None, 1], ids=["default-blocks", "one-row-group-blocks"])
+@pytest.mark.parametrize("family, field, n, m", REBUILD_CASES, ids=lambda v: getattr(v, "value", v))
+def test_streamed_rebuild_matches_the_whole_rebuilt_tuple(monkeypatch, family, field, n, m, block_entries):
+    gen = generate(GenSpec(family=family, n=n, m=m, field=field, seed=0))
+    if block_entries is not None:
+        monkeypatch.setattr(_DECOMPOSE, "_BLOCK_ENTRIES", block_entries)
+    for rel in (0.0, 1e-10, 1e-6):
+        maps = move_first_transfer(gen.maps, rel) if rel else list(gen.maps)
+        delta, worst = _DECOMPOSE._rebuild(gen.form, gen.space, maps)
+        want_delta, want_worst = _dense_rebuild(gen.form, gen.space, maps)
+        assert abs(delta - want_delta) <= 1e-14 and abs(worst - want_worst) <= 1e-14
+        if rel:
+            assert delta == pytest.approx(rel, rel=0.5)
+
+
+def _scaled_sym_even(scale: float):
+    """A SymEven form on real symmetric 3 x 3 matrices whose M is `scale`
+    times an orthogonal matrix, and the identity tuple it is compared to."""
+    tag = SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, 3)
+    O = generate(GenSpec(family="sym_odd", n=3, m=3, field=Field.REAL, seed=0)).form.O
+    return SymEven(scale * O, (1.0, 1.0)), tag, [identity_map(tag), identity_map(tag)]
+
+
+def test_rebuild_that_overflows_raises_as_from_canonical():
+    # M^t A M with |M| = 1e160 overflows to inf: from_canonical refuses the
+    # transfer, and the streamed rebuild refuses it with the same error
+    form, tag, maps = _scaled_sym_even(1e160)
+    with np.errstate(all="ignore"):
+        with pytest.raises(InvalidParameterError, match="transfer has non-finite entries"):
+            from_canonical(form, tag, tol=1e-5)
+        with pytest.raises(InvalidParameterError, match="transfer has non-finite entries"):
+            _DECOMPOSE._rebuild(form, tag, maps)
+
+
+def test_rebuild_whose_difference_overflows_never_certifies(monkeypatch):
+    # both transfers are finite, but the input -N minus the rebuilt N
+    # overflows: the miss reads inf, so decompose runs the identity check
+    tag = SpaceTag(SpaceKind.DIAGONAL, Field.REAL, 3)
+    N = 1e308 * np.eye(3)
+    form, maps = DiagPair(N), [LinMap(tag, tag, -N), LinMap(tag, tag, np.linalg.inv(N))]
+    with np.errstate(all="ignore"):
+        delta, worst = _DECOMPOSE._rebuild(form, tag, maps)
+    # |F|_F overflows too, and inf / inf is NaN, as np.linalg.norm reads it
+    assert np.isnan(delta) and worst == np.inf
+    spec = dataclasses.replace(_DECOMPOSE._DECOMPOSERS["diag_pair"], recover=lambda maps, dom: (form, "given"))
+    monkeypatch.setitem(_DECOMPOSE._DECOMPOSERS, "diag_pair", spec)
+    calls = _count_prechecks(monkeypatch)
+    with pytest.raises(PreservationError):
+        decompose(maps)
+    assert len(calls) == 1
+
+
+def test_rebuild_of_a_nan_difference_never_certifies(monkeypatch):
+    # np.max keeps a NaN: a miss that reads NaN is not a miss within any bound
+    form, tag, maps = _scaled_sym_even(1.0)
+    monkeypatch.setattr(_DECOMPOSE, "_block_miss", lambda F, c, T: (np.nan, np.nan, 1.0, 1.0))
+    delta, worst = _DECOMPOSE._rebuild(form, tag, maps)
+    assert np.isnan(delta) and np.isnan(worst)
+
+
+def test_decompose_peak_memory_stays_below_its_input():
+    # the rebuild holds no second tuple: the tracemalloc peak of decompose on
+    # a 3 x 8 MB input stays below the input's own transfer bytes
+    maps = generate(GenSpec(family="mn_chain", n=32, m=3, field=Field.REAL, seed=0)).maps
+    decompose(maps)  # warm the basis caches
+    tracemalloc.start()
+    try:
+        res = decompose(maps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.diagnostics["precheck_ran"] is False
+    assert peak <= sum(f.transfer.nbytes for f in maps)
+
+
+def test_verify_weighted_shares_one_eigendecomposition_per_factor(monkeypatch):
+    # A^pre and A^beta of each sample share eigh(A); with the outer power of
+    # post * alpha = 0.5, each factor takes 2 eigendecompositions per batch, not 3
+    tag = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 3)
+    maps = [PowerMap(core=identity_map(tag), pre=2.0, post=0.5)] * 2
+    alpha, beta = (1.0, 1.0), (3.0, 2.0)
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(A):
+        calls.append(A.shape)
+        return eigh(A)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    report = verify_weighted(maps, alpha, beta, trials=_DECOMPOSE._WEIGHTED_BATCH, seed=3)
+    assert len(calls) == 2 * len(maps)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    # the reference decomposes each sample once for A^pre and again for A^beta
+    rng = _DECOMPOSE._rng(3)
+    samples = [_DECOMPOSE._random_batch(SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 3), 256, rng) for _ in maps]
+    lhs = _DECOMPOSE._trace_of_product([_DECOMPOSE._weighted_image(f, A, a) for f, A, a in zip(maps, samples, alpha)])
+    rhs = _DECOMPOSE._trace_of_product([_DECOMPOSE._herm_power_batch(A, b) for A, b in zip(samples, beta)])
+    assert report.max_residual == float(np.max(_DECOMPOSE._residuals(lhs, rhs)))

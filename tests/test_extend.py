@@ -46,9 +46,10 @@ from traceprod import (
     span_of,
     transpose_map,
     verify_weighted,
+    weighted_reduction,
 )
 from traceprod import extend, spaces
-from traceprod.extend import _corner_index_map, _grid_shape, _null_space, _span_gram
+from traceprod.extend import _corner_index_map, _grid_shape, _null_space, _span_gram, _times_span_gram
 from traceprod.linmaps import apply_batch
 from traceprod.spaces import coords_batch, random_batch
 from conftest import basis_stack, map_from_action, move_first_transfer
@@ -591,10 +592,26 @@ def test_span_gram_is_the_gram_matrix_of_the_basis(tag):
     assert _span_gram(span_of(tag)) is got
 
 
+@pytest.mark.parametrize(
+    "tag", [SpaceTag(kind, field, n) for kind in SpaceKind for field in Field for n in (1, 2, 3, 5)], ids=str
+)
+def test_times_span_gram_is_the_dense_product_bit_for_bit(tag):
+    # dualize's G = T^t Gram as a gather, against the dense product on a
+    # Gaussian transfer, on its negation and, over the reals, on it with its
+    # negative entries made -0, which the product sums to +0
+    rng = np.random.default_rng(tag.n)
+    d, real = span_dim(tag), base_field(tag) is Field.REAL
+    T = rng.standard_normal((d, d)) if real else rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for X in (T, -T, np.where(T < 0, -0.0, T)) if real else (T, -T):
+        f = LinMap(tag, tag, X)
+        want = f.transfer.T @ _span_gram(tag)
+        got = _times_span_gram(f.transfer.T, tag)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_program_paths_build_no_basis_stack():
     # every path below reads the index terms of `spaces`; the dense basis
-    # stack serves only space_basis, gram_matrix of a tag, transpose_map and
-    # weighted_reduction's samples
+    # stack serves only space_basis and gram_matrix of a tag
     def stack_calls():
         info = spaces._basis_stack.cache_info()
         return info.hits + info.misses
@@ -618,6 +635,9 @@ def test_program_paths_build_no_basis_stack():
         embed_extend_pair(*pair)
     for field in Field:
         infeasibility_certificate(3, 2, field=field, trials=2)
+        transpose_map(SpaceTag(SpaceKind.FULL, field, 3))
+    pn_chain = generate(GenSpec(family="pn_chain", n=2, m=2, seed=0)).maps
+    weighted_reduction(pn_chain, [1.0, 1.0], [1.0, 1.0], seed=0)
     assert stack_calls() == before
 
 

@@ -44,10 +44,9 @@ from traceprod.linmaps import (
     RankOneFrame,
     SymEven,
     SymOdd,
-    _congruence,
-    _congruence_images,
+    _scaled_slot,
 )
-from traceprod.spaces import coords_batch, span_dim
+from traceprod.spaces import coords_batch
 from conftest import basis_stack, map_from_action
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
@@ -278,55 +277,79 @@ CONGRUENCE_SPACES = [
     SpaceTag(kind, field, n)
     for kind in (SpaceKind.FULL, SpaceKind.HERMITIAN, SpaceKind.SYMMETRIC, SpaceKind.DIAGONAL)
     for field in Field
-    for n in (1, 2, 4)
+    for n in (1, 2, 3, 5, 8)
     if not (kind is SpaceKind.HERMITIAN and field is Field.REAL)
 ]
 
 
-def _span_preserving_sides(rng, space, stacked):
+def _span_preserving_sides(rng, space):
     """L and R such that L op(B) R stays in the span: independent on M_n,
     diagonal on diagonal spans, each the adjoint (Hermitian) or transpose
-    (symmetric) of the other otherwise. The side `stacked` names is a stack
-    with a matrix per basis element, and on Hermitian and symmetric spans so
-    is the other side, which follows it."""
-    n, d = space.n, span_dim(space)
-    real = space.field is Field.REAL
-    shapes = {side: (d, n, n) if stacked == side else (n, n) for side in "LR"}
+    (symmetric) of the other otherwise."""
+    n, real = space.n, space.field is Field.REAL
     if space.kind in (SpaceKind.FULL, SpaceKind.DIAGONAL):
         mask = 1.0 if space.kind is SpaceKind.FULL else np.eye(n)
-        return (_gaussian_matrices(rng, shapes[side], real) * mask for side in "LR")
+        return (_gaussian_matrices(rng, (n, n), real) * mask for _ in "LR")
     adjoint = np.conj if space.kind is SpaceKind.HERMITIAN else np.asarray
-    X = _gaussian_matrices(rng, (d, n, n) if stacked != "none" else (n, n), real)
-    Y = adjoint(X.swapaxes(-1, -2))
-    return (Y, X) if stacked == "R" else (X, Y)
+    X = _gaussian_matrices(rng, (n, n), real)
+    return X, adjoint(X.T)
 
 
-@pytest.mark.parametrize("stacked", ["none", "L", "R"])
+def _assert_transfer_near(got, images, space):
+    # the reference reads the coordinates of the basis-stack products c L op(B_k) R
+    want = linmap_from_images(space, space, images).transfer
+    assert got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("transpose", [False, True])
 @pytest.mark.parametrize("space", CONGRUENCE_SPACES, ids=str)
-def test_gathered_congruence_matches_basis_products(space, transpose, stacked):
-    # the reference is the product with the whole basis stack, c L op(B_k) R
-    L, R = _span_preserving_sides(np.random.default_rng(space.n), space, stacked)
+def test_congruence_transfer_matches_basis_products(space, transpose):
+    L, R = _span_preserving_sides(np.random.default_rng(space.n), space)
     c = 1.5 if space.field is Field.REAL else 0.5 - 2.0j
     if space.kind is SpaceKind.HERMITIAN:
         c = -0.75  # a real scalar keeps the images Hermitian
     st = basis_stack(space)
     ref = c * (L @ (st.transpose(0, 2, 1) if transpose else st) @ R)
-    eps = np.finfo(float).eps
-    images = _congruence_images(space, L, R, c, transpose)
-    assert np.max(np.abs(images - ref)) <= 4 * eps * np.max(np.abs(ref))
-    got = _congruence(space, L, R, c, transpose).transfer
-    want = linmap_from_images(space, space, ref).transfer
-    assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
+    T = linmaps._congruence_transfer(space, L, R, transpose)
+    assert T.flags.c_contiguous and T.flags.writeable
+    _assert_transfer_near(_scaled_slot(c, T), ref, space)
+    # c = 1 hands the side's transfer itself to its maps
+    assert _scaled_slot(1.0, T) is T
+    # the rebuild's row blocks, whole rows of L on M_n, are those rows bit for bit
+    for rows in (slice(0, space.n), slice(space.n, 3 * space.n), slice(2 * space.n, None)):
+        assert linmaps._congruence_transfer(space, L, R, transpose, rows).tobytes() == T[rows].tobytes()
+
+
+@pytest.mark.parametrize("field", list(Field))
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_rank_one_frame_blocks_match_stacked_side_products(field, n):
+    # RankOneFrame's sides are stacks, one matrix per basis element E_ij:
+    # phi(E_ij) = I E_ij A_i and psi(E_ij) = A_j^{-1} E_ij I
+    space = SpaceTag(SpaceKind.FULL, field, n)
+    form = _valid_form(RankOneFrame, field, n, np.random.default_rng(n))
+    A = np.stack(form.A)
+    Ainv = np.linalg.inv(A)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    st = basis_stack(space)
+    phi, psi = from_canonical(form, space)
+    _assert_transfer_near(phi.transfer, st @ A[rows], space)
+    _assert_transfer_near(psi.transfer, Ainv[cols] @ st, space)
 
 
 @pytest.mark.parametrize("kind", [SpaceKind.FULL, SpaceKind.SYMMETRIC, SpaceKind.DIAGONAL])
-def test_gathered_congruence_stays_real_on_real_spans(kind):
+def test_congruence_transfer_stays_real_on_real_spans(kind):
+    # in the coordinates' dtype: a real span reads the real parts of its
+    # sides, which from_canonical has checked, and a complex one is complex
     space = SpaceTag(kind, Field.REAL, 3)
     rng = np.random.default_rng(0)
     L, R = rng.standard_normal((2, 3, 3))
-    assert _congruence_images(space, L, R, 2.0).dtype == np.float64
-    assert _congruence_images(space, L, R.astype(complex)).dtype == np.complex128
+    assert linmaps._congruence_transfer(space, L, R).dtype == np.float64
+    assert linmaps._congruence_transfer(space, L, R.astype(complex)).dtype == np.float64
+    complex_space = SpaceTag(kind, Field.COMPLEX, 3)
+    assert linmaps._congruence_transfer(complex_space, L, R).dtype == np.complex128
+    hermitian = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 3)
+    assert linmaps._congruence_transfer(hermitian, L.astype(complex), L.T.astype(complex)).dtype == np.float64
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (3, 3), (2, 4), (4, 3)])
@@ -396,26 +419,40 @@ REALISATION_CASES = [
 ]
 
 
-def _spy_realisations(monkeypatch) -> list:
-    """Record each (domain, codomain, images, map) that `_realised` writes."""
-    seen, realised = [], linmaps._realised
+def _spy_kernel(monkeypatch) -> list:
+    """Record each (space, L, R, transpose, transfer) that the congruence
+    kernel writes."""
+    seen, kernel = [], linmaps._congruence_transfer
 
-    def spy(domain, codomain, images):
-        out = realised(domain, codomain, images)
-        seen.append((domain, codomain, images, out))
+    def spy(space, L, R, transpose=False):
+        out = kernel(space, L, R, transpose)
+        seen.append((space, L, R, transpose, out))
         return out
 
-    monkeypatch.setattr(linmaps, "_realised", spy)
+    monkeypatch.setattr(linmaps, "_congruence_transfer", spy)
     return seen
 
 
-def _assert_checked_path_agrees(seen) -> None:
-    # the reference is the checked constructor every realisation used to go
-    # through: it accepts the images, and its transfer matches bit for bit
-    for domain, codomain, images, out in seen:
-        want = linmap_from_images(domain, codomain, images).transfer
-        assert out.transfer.dtype == want.dtype
-        assert out.transfer.tobytes() == want.tobytes()
+def _assert_round_trips(maps) -> None:
+    # the reference is the checked constructor: it accepts the reassembled
+    # images of every realised transfer and gives the transfer back bit for bit
+    for f in maps:
+        want = linmap_from_images(f.domain, f.codomain, image_stack(f)).transfer
+        assert f.transfer.dtype == want.dtype
+        assert f.transfer.tobytes() == want.tobytes()
+
+
+def _kernel_sides(form) -> int:
+    """How many sides `form` realises through the kernel, each once."""
+    if isinstance(form, MnChain):
+        return len(form.N)
+    if isinstance(form, DiagChain):
+        return len(form.C)
+    if isinstance(form, (HermOdd, SymOdd, NonextendableTriple)):
+        return 1
+    if isinstance(form, (HermEven, SymEven, PnPair)):
+        return 2
+    return 0  # DiagPair, Hadamard and RankOneFrame write their transfers directly
 
 
 def _case_id(v) -> str:
@@ -423,31 +460,41 @@ def _case_id(v) -> str:
 
 
 @pytest.mark.parametrize("cls, space", REALISATION_CASES, ids=_case_id)
-def test_realised_images_pass_the_membership_check(cls, space, monkeypatch):
+def test_realised_transfers_round_trip_through_the_checked_constructor(cls, space, monkeypatch):
     form = _valid_form(cls, space.field, space.n, np.random.default_rng(space.n))
-    seen = _spy_realisations(monkeypatch)
+    seen = _spy_kernel(monkeypatch)
     maps = from_canonical(form, space)
-    if cls in (DiagPair, Hadamard):
-        assert seen == []  # their parameters are the transfers: nothing to realise
-    else:
-        assert len(seen) == len(maps) and all(out is f for (*_, out), f in zip(seen, maps))
-    _assert_checked_path_agrees(seen)
+    assert len(seen) == _kernel_sides(form)
+    if seen and cls is not NonextendableTriple:
+        # map i is c_i times side i mod the side count, realised once
+        sides = [out for *_, out in seen]
+        real = linmaps.base_field(space) is Field.REAL
+        for i, f in enumerate(maps):
+            c = getattr(form, "c", (1.0,) * len(maps))[i]
+            want = _scaled_slot(float(np.real(c)) if real else c, sides[i % len(sides)])
+            assert f.transfer.tobytes() == want.tobytes()
+    _assert_round_trips(maps)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("field", list(Field))
-def test_transpose_map_images_pass_the_membership_check(field, n, monkeypatch):
-    seen = _spy_realisations(monkeypatch)
-    f = transpose_map(SpaceTag(SpaceKind.FULL, field, n))
-    assert len(seen) == 1 and seen[0][3] is f
-    _assert_checked_path_agrees(seen)
+def test_transpose_map_is_the_kernel_with_identity_sides(field, n, monkeypatch):
+    space = SpaceTag(SpaceKind.FULL, field, n)
+    seen = _spy_kernel(monkeypatch)
+    f = transpose_map(space)
+    [(_, L, R, transpose, out)] = seen
+    assert transpose and np.array_equal(L, np.eye(n)) and np.array_equal(R, np.eye(n))
+    assert np.shares_memory(f.transfer, out)  # written straight, not copied
+    want = linmap_from_images(space, space, basis_stack(space).transpose(0, 2, 1)).transfer
+    assert f.transfer.tobytes() == want.tobytes()
+    _assert_round_trips([f])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("field", list(Field))
 def test_diag_chain_off_structure_realises_its_exact_structure(field, n, monkeypatch):
     # P and the C_i up to tol off a permutation and diagonals: the maps are
-    # those of the exact form, and their images are diagonal exactly
+    # those of the exact form, realised from the rounded P and the diagonals
     space = SpaceTag(SpaceKind.DIAGONAL, field, n)
     rng = np.random.default_rng(n)
     exact = _valid_form(DiagChain, field, n, rng)
@@ -461,10 +508,13 @@ def test_diag_chain_off_structure_realises_its_exact_structure(field, n, monkeyp
     P = exact.P + 0.9 * tol * move()
     Cs = tuple(C + 1e-7 * off * move() for C in exact.C)
     assert np.max(np.abs(P - exact.P)) > 0
-    seen = _spy_realisations(monkeypatch)
+    seen = _spy_kernel(monkeypatch)
     maps = from_canonical(DiagChain(P, Cs), space, tol=tol)
+    # each side is a scaled copy of the exact permutation and the permutation itself
+    assert len(seen) == len(Cs)
+    for _, L, R, _, _ in seen:
+        assert np.array_equal(R, exact.P)
+        assert not np.any(L[exact.P.T == 0])
     for f, g in zip(maps, from_canonical(exact, space)):
         assert f.transfer.tobytes() == g.transfer.tobytes()
-    for *_, images, _ in seen:
-        assert not np.any(images * off)
-    _assert_checked_path_agrees(seen)
+    _assert_round_trips(maps)
