@@ -69,6 +69,15 @@ for case in "1 mn_chain --n 8 --m 3" "0 sym_even --field real --n 8 --m 4" "0 he
   grep -q "maps do not satisfy the trace-product identity" "$err"
   if grep -q Traceback "$err"; then exit 1; fi
 done
+# a document whose "space" is not what its maps act on is an input error: exit 2 and no traceback
+for command in decompose dualize; do
+  status=0
+  traceprod generate --family mn_chain --n 8 --m 3 \
+    | python -c "import json, sys; d = json.load(sys.stdin); d['space'] = {'kind': 'Hermitian', 'field': 'real', 'n': 3}; json.dump(d, sys.stdout)" \
+    | traceprod "$command" --maps - 2>"$err" || status=$?
+  test "$status" -eq 2
+  if grep -q Traceback "$err"; then exit 1; fi
+done
 traceprod generate --family pn_chain --n 4 --m 3 | traceprod weighted --maps - --alpha 2,2,2 --beta 2,2,2
 traceprod certify --n 3 --k 2
 # a size numpy refuses to allocate is an input error: exit 2 and no traceback

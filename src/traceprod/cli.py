@@ -14,6 +14,7 @@ more written to it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -247,6 +248,13 @@ def _failed(exc: Exception) -> int:
 
 
 def main() -> None:
+    # Everything imported so far lives as long as the process. Frozen into the
+    # permanent generation, it is no longer traversed by the collections that
+    # decoding or encoding a large document triggers, nor by the one at
+    # interpreter shutdown, whose walk over numpy's import-time objects was
+    # most of the time a stage spent exiting. `run` and the library never
+    # touch the collector.
+    gc.freeze()
     status = run()
     try:
         sys.stdout.flush()

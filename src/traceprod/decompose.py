@@ -63,6 +63,7 @@ from .linmaps import (
     _congruence_transfer,
     _gather,
     _inverse,
+    _row_blocks,
     _scaled_slot,
     _validated,
     apply_batch,
@@ -87,8 +88,6 @@ PRECHECK_TOL = 1e-6
 PRECHECK_TRIALS = 512
 # largest rebuild miss and invariant deviation that certify a tuple without the precheck
 CERTIFY_TOL = 1e-10
-# entries of a side's transfer that the rebuild realises at a time
-_BLOCK_ENTRIES = 2**15
 _WEIGHTED_BATCH = 256
 
 
@@ -183,21 +182,18 @@ def _rebuild(form, space: SpaceTag, maps) -> tuple[float, float]:
 
     It runs `from_canonical`'s checks at tol 1e-5, then takes the miss in
     one pass with no rebuilt tuple held: one side of the form at a time, a
-    block of about `_BLOCK_ENTRIES` entries of its transfer at a time, and
-    for each map that scales the side one difference block, which adds to
-    that map's squared norms and largest moduli. Blocks that small are
-    reused by the allocator, where a fresh full-size array would be mapped
-    and faulted in page by page. A difference that overflows reads inf, and
-    a NaN stays NaN.
+    block of its transfer at a time (`linmaps._row_blocks`), and for each
+    map that scales the side one difference block, which adds to that map's
+    squared norms and largest moduli. Blocks that small are reused by the
+    allocator, where a fresh full-size array would be mapped and faulted in
+    page by page. A difference that overflows reads inf, and a NaN stays
+    NaN.
     """
     plan = _validated(form, space, tol=1e-5)
-    n, d = space.n, span_dim(space)
-    step = n * max(1, _BLOCK_ENTRIES // (n * d))  # whole rows of L on M_n
     slots = [(c, j, f.transfer) for (c, j), f in zip(plan.slots, maps)]
     misses = [(0.0, 0.0, 0.0, 0.0)] * len(slots)
     for k, side in enumerate(plan.sides):
-        for start in range(0, d, step):
-            rows = slice(start, start + step)
+        for rows in _row_blocks(space):
             T = side(rows)
             for i, (c, j, F) in enumerate(slots):
                 if j == k:

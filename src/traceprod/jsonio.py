@@ -21,7 +21,7 @@ from .errors import InvalidParameterError
 from .extend import InfeasibilityCertificate, PreservationReport
 from .families import Generated
 from .linmaps import FORMS, LinMap
-from .spaces import SpaceTag
+from .spaces import SpaceTag, span_of
 
 
 def encode_matrix(M) -> dict:
@@ -260,8 +260,9 @@ def encode_document(doc: dict, fh) -> None:
 def decode_maps_document(obj) -> tuple[list, SpaceTag | None]:
     """Read a tuple of maps from a bare list of map objects or any document
     with a "maps" key (for example `generate` output). Returns the maps and
-    the document's space tag when it carries one. A "form" the document
-    carries is decoded too, so a malformed one is an input error.
+    the document's space tag when it carries one; it must span what every
+    map's domain spans. A "form" the document carries is decoded too, so a
+    malformed one is an input error.
     """
     space = None
     if isinstance(obj, dict):
@@ -279,4 +280,14 @@ def decode_maps_document(obj) -> tuple[list, SpaceTag | None]:
     if not isinstance(items, list) or not items:
         raise InvalidParameterError("maps must be a nonempty list")
     maps = [decode_linmap(it) for it in items]
+    if space is not None:
+        # the space is copied into the output beside the maps, so it must be theirs
+        want = span_of(space)
+        for i, f in enumerate(maps):
+            got = span_of(f.domain)
+            if got != want:
+                raise InvalidParameterError(
+                    f'the document\'s "space" spans {want.kind.value} {want.field.value} matrices of size '
+                    f"{want.n}, but map {i} acts on {got.kind.value} {got.field.value} matrices of size {got.n}"
+                )
     return maps, space

@@ -63,6 +63,9 @@ from .spaces import (
 
 # parameter matrices this ill-conditioned are rejected outright
 COND_LIMIT = 1e6
+# entries of a side's transfer that the rebuild, and the kernel on a Hermitian or
+# symmetric span, realise at a time
+_BLOCK_ENTRIES = 2**15
 
 
 def _as_param(M, name: str) -> np.ndarray:
@@ -243,6 +246,16 @@ def _herm_change(n: int) -> _HermChange:
     return _HermChange((idx, inv_rows), (entry_idx, inv_cols))
 
 
+def _row_blocks(space: SpaceTag, rows: int | None = None) -> list[slice]:
+    """Slices of about `_BLOCK_ENTRIES` entries each that cover `rows` rows
+    (all of them by default) of a transfer on the span of `space`, each a
+    whole number of rows of L on M_n: the one block rule of the realisation
+    kernel and of `decompose`'s rebuild."""
+    n, d = space.n, span_dim(space)
+    step = n * max(1, _BLOCK_ENTRIES // (n * d))
+    return [slice(start, start + step) for start in range(0, d if rows is None else rows, step)]
+
+
 def _congruence_transfer(
     space: SpaceTag, L: np.ndarray, R: np.ndarray, transpose: bool = False, rows: slice = slice(None)
 ) -> np.ndarray:
@@ -261,7 +274,9 @@ def _congruence_transfer(
       of at most two outer products of basis terms, and g is 1 on the
       diagonal units and 2 on the pairs, so the rescaling is exact. On a
       Hermitian span op fixes the diagonal and symmetric elements and
-      negates the skew ones; on a symmetric span it is the identity.
+      negates the skew ones; on a symmetric span it is the identity. The
+      rows are written into the result in `_row_blocks`, since a whole
+      side's (d, n, n) image stack outgrows the cache.
     """
     s = span_of(space)
     n = s.n
@@ -284,7 +299,9 @@ def _congruence_transfer(
     i, j = np.divmod(idx, n)
     # (count, t, n): column i of adj(L) is row i of L, conjugated on a Hermitian span, and so for R
     left, right = (L.conj(), R.T.conj()) if herm else (L, R.T)
-    T = coords_batch(s, np.matmul((w[..., None] * left[i]).transpose(0, 2, 1), right[j]))
+    T = np.empty((stop - start, span_dim(s)), dtype=dtype)
+    for b in _row_blocks(s, stop - start):
+        T[b] = coords_batch(s, np.matmul((w[b, :, None] * left[i[b]]).transpose(0, 2, 1), right[j[b]]))
     pairs = max(0, n - start)  # the local row where the pair elements begin
     T[:pairs, n:] *= 2.0
     T[pairs:, :n] *= 0.5

@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import json
 import math
@@ -124,6 +125,18 @@ def test_dualize_roundtrip_through_check(tmp_path, capsys):
     path2 = _write(tmp_path, "dual.json", dual_doc)
     code, report = _run(capsys, ["check", "--maps", path2])
     assert code == 0 and report["pass"]
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "dualize"])
+def test_document_space_other_than_its_maps_domain_exits_two(tmp_path, capsys, command):
+    # decompose and dualize used to copy the space into their output, beside
+    # 8 x 8 MnChain parameters or maps, and exit 0
+    code, doc = _run(capsys, ["generate", "--family", "mn_chain", "--n", "8", "--m", "3"])
+    doc["space"] = {"kind": "Hermitian", "field": "real", "n": 3}
+    code, err = _run(capsys, [command, "--maps", _write(tmp_path, "edited.json", doc)])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+    assert '"space" spans Symmetric real matrices of size 3' in err["error"]["message"]
 
 
 def test_extend_command(tmp_path, capsys):
@@ -428,6 +441,34 @@ def test_exhaustive_check_leaves_numpy_random_out():
     probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "False"
+
+
+def test_run_leaves_the_collector_alone(tmp_path, capsys):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    code, doc = _run(capsys, ["generate", "--family", "mn_chain", "--n", "3", "--m", "3"])
+    assert code == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    code, _ = _run(capsys, ["check", "--maps", _write(tmp_path, "maps.json", doc)])
+    assert code == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+    doc["maps"][0]["transfer"]["data"][0][0] += 1e-3
+    code, _ = _run(capsys, ["check", "--maps", _write(tmp_path, "moved.json", doc)])
+    assert code == 1
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+def test_main_freezes_the_import_heap_before_it_runs():
+    # importing the command line touches no collector state; main() freezes
+    # the import-time heap before it dispatches to run()
+    code = (
+        "import gc; from traceprod import cli; "
+        "print(gc.get_freeze_count() == 0 and gc.isenabled()); "
+        "cli.run = lambda: print(gc.get_freeze_count() > 0 and gc.isenabled()) or 0; "
+        "cli.main()"
+    )
+    probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["True", "True"]
 
 
 class _ClosedPipe(io.StringIO):

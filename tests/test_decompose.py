@@ -935,7 +935,7 @@ REBUILD_CASES = [
 def test_streamed_rebuild_matches_the_whole_rebuilt_tuple(monkeypatch, family, field, n, m, block_entries):
     gen = generate(GenSpec(family=family, n=n, m=m, field=field, seed=0))
     if block_entries is not None:
-        monkeypatch.setattr(_DECOMPOSE, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(_LINMAPS, "_BLOCK_ENTRIES", block_entries)
     for rel in (0.0, 1e-10, 1e-6):
         maps = move_first_transfer(gen.maps, rel) if rel else list(gen.maps)
         delta, worst = _DECOMPOSE._rebuild(gen.form, gen.space, maps)

@@ -245,6 +245,24 @@ def test_encoded_document_decodes_to_generated_maps(family, n, m, field):
         assert np.array_equal(f.transfer, g.transfer)
 
 
+def test_maps_document_space_must_span_every_maps_domain():
+    gen = generate(GenSpec(family="herm_odd", n=3, m=3, seed=5))
+    doc = json.loads(json.dumps(encode_generated(gen, "herm_odd")))
+    # a cone spans the Hermitian matrices its maps act on
+    doc["space"] = {"kind": "PosDef", "field": "complex", "n": 3}
+    maps, space = decode_maps_document(doc)
+    assert space == SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 3) and len(maps) == 3
+    for other in ({"kind": "Hermitian", "field": "real", "n": 3}, {"kind": "Hermitian", "field": "complex", "n": 4}):
+        doc["space"] = other
+        with pytest.raises(InvalidParameterError, match='"space" spans .* but map 0 acts on Hermitian complex'):
+            decode_maps_document(doc)
+    # every map is held to it, not only the first
+    doc["space"] = {"kind": "Hermitian", "field": "complex", "n": 3}
+    doc["maps"][2] = encode_linmap(generate(GenSpec(family="herm_odd", n=4, m=3, seed=5)).maps[2])
+    with pytest.raises(InvalidParameterError, match="but map 2 acts on Hermitian complex matrices of size 4"):
+        decode_maps_document(doc)
+
+
 def test_bare_list_document():
     gen = generate(GenSpec(family="diag_pair", n=2, m=2, seed=6))
     doc = [encode_linmap(f) for f in gen.maps]

@@ -31,8 +31,12 @@ from traceprod import (
 from traceprod import linmaps
 from traceprod.extend import _restrict_to_hermitian
 from traceprod.families import (
+    FAMILIES,
+    _FAMILY_TABLE,
+    GenSpec,
     _diag_scalings,
     complex_orthogonal,
+    generate,
     haar_orthogonal,
     haar_unitary,
     random_invertible,
@@ -518,3 +522,41 @@ def test_diag_chain_off_structure_realises_its_exact_structure(field, n, monkeyp
     for f, g in zip(maps, from_canonical(exact, space)):
         assert f.transfer.tobytes() == g.transfer.tobytes()
     _assert_round_trips(maps)
+
+
+def _shortest_spec(family: str, field: Field, n: int):
+    """The GenSpec of the shortest tuple, m <= 4, that `family` generates at
+    size n over `field`, or None."""
+    for m in range(1, 5):
+        try:
+            return GenSpec(family=family, n=n, m=m, field=field, seed=0)
+        except InvalidParameterError:
+            pass
+    return None
+
+
+BLOCK_SPECS = [
+    spec
+    for family in FAMILIES
+    for field in Field
+    for n in (1, 2, 3, 8, 16, 33)
+    # only Hermitian and symmetric sides are blocked; a full side at n = 33 costs a tenth of a second
+    if n < 33 or _FAMILY_TABLE[family].kind in (SpaceKind.HERMITIAN, SpaceKind.SYMMETRIC)
+    if (spec := _shortest_spec(family, field, n)) is not None
+]
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=lambda s: f"{s.family}-{s.field.value}-n{s.n}-m{s.m}")
+def test_generate_in_row_blocks_matches_one_whole_block(monkeypatch, spec):
+    # a Hermitian or symmetric side is filled in row blocks: by default 2 at
+    # n = 16 and 33 at n = 33, and below n = 16, where the default is one
+    # block, a block per n rows; one block of every row is the whole
+    # realisation, and both must give the same bits on every family
+    if spec.n < 16:
+        monkeypatch.setattr(linmaps, "_BLOCK_ENTRIES", 1)
+    blocked = generate(spec).maps
+    monkeypatch.setattr(linmaps, "_BLOCK_ENTRIES", 2**62)
+    whole = generate(spec).maps
+    for f, g in zip(blocked, whole, strict=True):
+        assert f.transfer.dtype == g.transfer.dtype
+        assert f.transfer.tobytes() == g.transfer.tobytes()
