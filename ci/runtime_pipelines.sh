@@ -79,6 +79,12 @@ for command in decompose dualize; do
   if grep -q Traceback "$err"; then exit 1; fi
 done
 traceprod generate --family pn_chain --n 4 --m 3 | traceprod weighted --maps - --alpha 2,2,2 --beta 2,2,2
+# beta = 0 leaves the reduced identity B = A^beta undefined: exit 2 and no traceback
+status=0
+traceprod generate --family pn_chain --n 4 --m 3 \
+  | traceprod weighted --maps - --alpha 2,2,2 --beta 0,2,2 2>"$err" || status=$?
+test "$status" -eq 2
+if grep -q Traceback "$err"; then exit 1; fi
 traceprod certify --n 3 --k 2
 # a size numpy refuses to allocate is an input error: exit 2 and no traceback
 status=0

@@ -78,6 +78,7 @@ from .spaces import (
     span_dim,
     span_of,
     _basis_terms,
+    _check_tol,
     _entry_terms,
     _gaussian,
     _random_batch,
@@ -268,6 +269,7 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     wins. `decompose` reads only the first candidate and leaves the check to
     its rebuild.
     """
+    _check_tol(tol)
     images = np.asarray(images, dtype=np.complex128)
     d = images.shape[0]
     n = images.shape[-1]
@@ -428,33 +430,22 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
 
 def herm_power(A: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
     """A**t for Hermitian positive definite A through its eigendecomposition."""
+    _check_tol(tol)
     # np.array copies, so t == 1 never hands back a view of A
     return _herm_power_batch(np.array(A, dtype=np.complex128)[None], t, tol)[0]
 
 
 def _herm_power_batch(stack: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
-    return _herm_powers(stack, (t,), tol)[0]
-
-
-def _herm_powers(stack: np.ndarray, ts, tol: float = 1e-12) -> list:
-    """The power A**t of a stack of positive definite A for each t in ts;
-    t = 1 is the stack itself and t = 0 identities, and the other powers
-    share one eigendecomposition."""
-    n = stack.shape[-1]
-    out, eig = [], None
-    for t in ts:
-        if t == 1:
-            out.append(stack)
-        elif t == 0:
-            out.append(np.broadcast_to(np.eye(n, dtype=np.complex128), stack.shape).copy())
-        else:
-            if eig is None:
-                eig = np.linalg.eigh(stack)
-            w, V = eig
-            if w.min() <= tol:
-                raise PositivityError(f"matrix power {t} needs positive definite inputs (min eig {w.min():.3g})")
-            out.append((V * (w**t)[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2)))
-    return out
+    """A**t for a stack of positive definite A: the stack itself for t = 1,
+    identities for t = 0, and otherwise one eigendecomposition."""
+    if t == 1:
+        return stack
+    if t == 0:
+        return np.broadcast_to(np.eye(stack.shape[-1], dtype=np.complex128), stack.shape).copy()
+    w, V = np.linalg.eigh(stack)
+    if w.min() <= tol:
+        raise PositivityError(f"matrix power {t} needs positive definite inputs (min eig {w.min():.3g})")
+    return (V * (w**t)[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2))
 
 
 def _recover_pn_pair(maps, dom: SpaceTag) -> tuple:
@@ -658,8 +649,7 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
     pn_chain's Hermitian and symmetric chains must have positive scalars.
     The result's `diagnostics` record the certificate and the check.
     """
-    if not math.isfinite(tol) or tol < 0:
-        raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol}")
+    _check_tol(tol)
     if family != "auto" and family not in _DECOMPOSERS:
         raise InvalidParameterError(
             f"unknown family {family!r}; expected one of {sorted(_DECOMPOSERS)} or 'auto'"
@@ -735,31 +725,21 @@ MapLike = Union[LinMap, PowerMap]
 def power_map_apply(map_: MapLike, A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Evaluate a LinMap or PowerMap on one positive definite matrix, as
     scale * H(core(A^pre))^post with H the Hermitian part."""
+    _check_tol(tol)
     return _weighted_image(map_, np.asarray(A, dtype=np.complex128)[None], tol=tol)[0]
 
 
 def _weighted_image(
     map_: MapLike, batch: np.ndarray, a: float = 1.0, b: float = 1.0, tol: float = 1e-12
 ) -> np.ndarray:
-    """f(A^(1/b))^a on a stack of positive definite A, as
-    scale^a * H(core(A^(pre/b)))^(post * a); a LinMap has pre = post = scale = 1."""
-    map_ = _as_power_map(map_)
-    _check_scale(map_, a)
-    return _image_of_power(map_, _herm_power_batch(batch, map_.pre / b, tol), a, tol)
-
-
-def _as_power_map(map_: MapLike) -> PowerMap:
-    return PowerMap(map_) if isinstance(map_, LinMap) else map_
-
-
-def _check_scale(map_: PowerMap, a: float) -> None:
+    """f(B^(1/b))^a on a stack of positive definite B, as
+    scale^a * H(core(B^(pre/b)))^(post * a) with H the Hermitian part; a
+    LinMap has pre = post = scale = 1. The one evaluation of a weighted factor."""
+    if isinstance(map_, LinMap):
+        map_ = PowerMap(map_)
     if map_.scale <= 0 and a not in (0, 1):  # scale * X is not positive definite, so it has no power a
         raise PositivityError(f"matrix power {a} needs positive definite inputs (scale {map_.scale:.3g})")
-
-
-def _image_of_power(map_: PowerMap, powered: np.ndarray, a: float, tol: float = 1e-12) -> np.ndarray:
-    """scale^a * H(core(P))^(post * a) on the stack P = A^pre."""
-    out = apply_batch(map_.core, powered)
+    out = apply_batch(map_.core, _herm_power_batch(batch, map_.pre / b, tol))
     out = (out + np.conjugate(np.swapaxes(out, -1, -2))) / 2
     return map_.scale**a * _herm_power_batch(out, map_.post * a, tol)
 
@@ -776,13 +756,16 @@ def _trace_of_product(factors: list[np.ndarray]) -> np.ndarray:
 
 
 def _weights(alpha, beta, m: int) -> tuple[list, list]:
-    """The exponents as finite floats, one of each per map."""
+    """The exponents as finite floats, one of each per map; a zero beta leaves
+    the reduced identity on B_i = A_i^beta_i undefined."""
     alpha = [float(a) for a in alpha]
     beta = [float(b) for b in beta]
     if len(alpha) != m or len(beta) != m:
         raise DimensionMismatchError("alpha and beta must have one entry per map")
     if not all(map(math.isfinite, alpha + beta)):
         raise InvalidParameterError(f"alpha and beta must be finite, got {alpha} and {beta}")
+    if 0 in beta:
+        raise InvalidParameterError(f"beta weights must be nonzero, got {beta}")
     return alpha, beta
 
 
@@ -797,45 +780,39 @@ def verify_weighted(
     """Randomized check of tr(f1(A1)^a1 ... fm(Am)^am) = tr(A1^b1 ... Am^bm)
     over positive definite samples. Maps may be plain LinMaps or PowerMaps.
 
-    Each of the `trials` tuples holds m independent seeded samples, drawn
-    `_WEIGHTED_BATCH` tuples at a time, slot by slot. A sample's A^pre and
-    A^beta share one eigendecomposition. Residuals are
-    `check_preservation`'s, and the worst tuple comes back as complex (n, n)
-    matrices.
+    The check runs on the reduced side B_i = A_i^b_i, so every b_i must be
+    nonzero: each of the `trials` tuples holds m independent seeded samples
+    B_i, drawn `_WEIGHTED_BATCH` tuples at a time, slot by slot; the factor
+    g_i(B_i) = f_i(B_i^(1/b_i))^a_i is `_weighted_image`, the map that
+    `weighted_reduction` fits, and the right side is tr(B_1 ... B_m).
+    Residuals are `check_preservation`'s, and `worst_tuple` holds the
+    complex (n, n) matrices A_i = B_i^(1/b_i).
     """
+    _check_tol(tol)
     _check_trials(trials)
     maps = list(maps)
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)
     if m == 0:
         raise InvalidParameterError("need at least one map")
-    doms = [f.domain for f in maps]
-    n = doms[0].n
-    field = doms[0].field
-    for d in doms:
-        if d.n != n:
-            raise DimensionMismatchError("maps must share one matrix size")
+    n, field = maps[0].domain.n, maps[0].domain.field
+    if any(f.domain.n != n for f in maps):
+        raise DimensionMismatchError("maps must share one matrix size")
     pd = SpaceTag(SpaceKind.POSDEF, field, n)
 
     rng = _rng(seed)
-    max_res, worst = -1.0, ()
+    max_res = -1.0
     # an overflow reads as an infinite residual, so it warns nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, trials, _WEIGHTED_BATCH):
             samples = [_random_batch(pd, min(_WEIGHTED_BATCH, trials - done), rng) for _ in maps]
-            images, powers = [], []
-            for f, A, a, b in zip(maps, samples, alpha, beta):
-                f = _as_power_map(f)
-                _check_scale(f, a)
-                pre, power = _herm_powers(A, (float(f.pre), b))
-                images.append(_image_of_power(f, pre, a))
-                powers.append(power)
-            lhs, rhs = _trace_of_product(images), _trace_of_product(powers)
-            res = _residuals(lhs, rhs)
+            lhs = _trace_of_product([_weighted_image(f, B, a, b) for f, B, a, b in zip(maps, samples, alpha, beta)])
+            res = _residuals(lhs, _trace_of_product(samples))
             j = int(np.argmax(res))
             if res[j] > max_res:
                 max_res = float(res[j])
-                worst = tuple(np.array(A[j], dtype=np.complex128) for A in samples)
+                worst_B = [B[j] for B in samples]
+        worst = tuple(herm_power(B, 1.0 / b) for B, b in zip(worst_B, beta))
     return PreservationReport(
         spaces=(pd,) * m,
         mode=CheckMode.RANDOMIZED,
@@ -853,17 +830,18 @@ def weighted_canonical_maps(form, alpha, beta, space: SpaceTag) -> list:
     c_i^(1/a_i) U* A^(b_i/a_i) U, held as c_i^(1/a_i) (U* A^b_i U)^(1/a_i)
     since (U* X U)^q = U* X^q U; for alternating congruences (HermEven) it is
     (f_i(A^b_i))^(1/a_i) with f_i the unweighted canonical map. Either way a
-    factor's power a_i cancels the outer 1/a_i, so `verify_weighted` takes one
-    matrix power per side of the core. Scalars must be positive so the
-    fractional powers stay on the definite cone.
+    factor's power a_i cancels the outer 1/a_i, and `verify_weighted`, which
+    samples B_i = A^b_i, finds pre / b_i = 1: a factor takes no matrix power.
+    Weights must be nonzero, and scalars positive so the fractional powers
+    stay on the definite cone.
     """
     if not isinstance(form, (HermOdd, HermEven)):
         raise InvalidParameterError("weighted maps are built from HermOdd or HermEven forms")
     c = form.c
     m = len(c)
     alpha, beta = _weights(alpha, beta, m)
-    if any(a == 0 for a in alpha) or any(b == 0 for b in beta):
-        raise InvalidParameterError("weights must be nonzero")
+    if 0 in alpha:
+        raise InvalidParameterError(f"alpha weights must be nonzero, got {alpha}")
     if any(x <= 0 for x in np.asarray(c).real) or np.max(np.abs(np.asarray(c).imag)) > 1e-12:
         raise InvalidParameterError("scalars must be positive for the weighted family")
 
@@ -882,13 +860,13 @@ def weighted_reduction(maps, alpha, beta, tol: float = 1e-8, seed: int = 0) -> l
     satisfy the plain trace-product identity whenever the weighted one holds.
 
     The g_i are linear on the Hermitian span; they are reconstructed from
-    their values on a spanning positive definite sample.
+    their values on a spanning positive definite sample. Every beta must be
+    nonzero.
     """
+    _check_tol(tol)
     maps = list(maps)
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)
-    if any(b == 0 for b in beta):
-        raise InvalidParameterError("beta weights must be nonzero")
     out = []
     rng = _rng(seed)
     for i in range(m):

@@ -45,6 +45,7 @@ from .spaces import (
     span_of,
     _basis_terms,
     _check_seed,
+    _check_tol,
     _field_dtype,
     _gaussian,
     _per_span,
@@ -83,10 +84,7 @@ class PreservationReport:
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        # with tol = inf an overflowing tuple (residual inf) would pass, and
-        # with tol < 0 no tuple could
-        if not np.isfinite(self.tol) or self.tol < 0:
-            raise InvalidParameterError(f"tol must be finite and nonnegative, got {self.tol}")
+        _check_tol(self.tol)
         object.__setattr__(self, "m", len(self.spaces))
         object.__setattr__(self, "passed", bool(self.max_residual <= self.tol))
 
@@ -174,6 +172,7 @@ def check_preservation(
     Products are taken in each matrix's own field (float64 for real ones),
     and `worst_tuple` holds complex (n, n) matrices.
     """
+    _check_tol(tol)
     _check_seed(seed)
     _check_trials(trials)
     maps = list(maps)
@@ -327,6 +326,7 @@ def dualize(map_: LinMap, tol: float = DEFAULT_TOL) -> LinMap:
     the defining identity are bilinear, so matching them on basis pairs pins
     psi down. Applying dualize twice returns the original map.
     """
+    _check_tol(tol)
     d = span_dim(map_.domain)
     if span_dim(map_.codomain) != d:
         raise InvalidParameterError("dualize needs equal domain and codomain span dimensions")
@@ -347,6 +347,7 @@ def extend_from_subset(domain: SpaceTag, codomain: SpaceTag, samples, tol: float
     InconsistentSamplesError when no linear map reproduces the outputs within
     tol (relative per-sample deviation); the error carries the worst sample.
     """
+    _check_tol(tol)
     pairs = list(samples)
     if not pairs:
         raise InvalidParameterError("no samples given")
@@ -459,6 +460,7 @@ def embed_extend_pair(phi1: LinMap, phi2: LinMap, tol: float = 1e-8) -> tuple[Li
     such pair exists; see infeasibility_certificate) and PreservationError when
     the inputs do not satisfy the identity on M_n.
     """
+    _check_tol(tol)
     for name, f in (("phi1", phi1), ("phi2", phi2)):
         if span_of(f.domain).kind is not SpaceKind.FULL or span_of(f.codomain).kind is not SpaceKind.FULL:
             raise InvalidParameterError(f"{name} must map a full matrix space into a full matrix space")
@@ -526,7 +528,11 @@ def infeasibility_certificate(
     Samples `trials` random map pairs and ranks their Gram matrices at the
     cutoff `cutoff_factor * sigma_max`; every rank is at most k^2 by the
     factorization bound, while matching tr(A B) would need rank n^2.
+    `cutoff_factor` lies in (0, 1): at 0 or below, every singular value
+    counts, and at 1 or above, or NaN, none does.
     """
+    if not 0 < cutoff_factor < 1:
+        raise InvalidParameterError(f"cutoff_factor must lie in the open interval (0, 1), got {cutoff_factor}")
     _check_trials(trials)
     field = Field(field)
     if n <= k:

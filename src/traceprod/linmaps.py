@@ -57,6 +57,7 @@ from .spaces import (
     span_dim,
     span_of,
     _basis_terms,
+    _check_tol,
     _entry_terms,
     _reassemble,
 )
@@ -140,9 +141,12 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
 
 def apply(map_: LinMap, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Evaluate the map on A, checking that A lies in the span of the domain."""
+    _check_tol(tol)
     A = np.asarray(A, dtype=np.complex128)
     scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
-    if not membership(span_of(map_.domain), A, tol * scale):
+    # membership refuses a non-finite A at any tol, so a scaled tol that is
+    # NaN (0 * inf) or overflows may stand in as a finite one
+    if not membership(span_of(map_.domain), A, float(np.nan_to_num(float(tol) * scale, nan=0.0))):
         raise MembershipError(f"input is not in the span of {map_.domain} within tolerance")
     return apply_batch(map_, A[None])[0]
 
@@ -185,6 +189,7 @@ def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float 
     write their transfers directly, unchecked, as their images lie in the
     span by construction.
     """
+    _check_tol(tol)
     d = span_dim(domain)
     if len(images) != d:
         raise DimensionMismatchError(f"need {d} images, got {len(images)}")
@@ -203,6 +208,7 @@ def is_hermitian_preserving(map_: LinMap, tol: float = DEFAULT_TOL) -> bool:
     basis, or on a full span the Hermitian (over R the symmetric) basis,
     gathered from its terms.
     """
+    _check_tol(tol)
     dom, x = span_of(map_.domain), map_.transfer.T
     if dom.kind is SpaceKind.FULL:
         x = _gather(_basis_terms(SpaceTag(SpaceKind.HERMITIAN, dom.field, dom.n)), map_.transfer, axis=1).T
@@ -741,6 +747,7 @@ def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = 1e-6) -> l
     invariant is an InvalidParameterError that names it. Then each side of
     the form is realised once, and each map is its scalar times its side.
     """
+    _check_tol(tol)
     plan = _validated(form, space, tol)
     sides = [side() for side in plan.sides]
     return [LinMap(space, plan.codomain, _scaled_slot(c, sides[k])) for c, k in plan.slots]

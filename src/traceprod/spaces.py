@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,8 +296,7 @@ def membership(space: SpaceTag, A: np.ndarray, tol: float = DEFAULT_TOL) -> bool
     parts over the reals) are measured entrywise; definiteness by eigenvalue:
     strictly greater than tol for PosDef, at least -tol for PosSemiDef.
     """
-    if tol < 0:
-        raise InvalidParameterError("tol must be nonnegative")
+    _check_tol(tol)
     A = np.asarray(A)
     if A.shape != (space.n, space.n):
         return False
@@ -390,6 +390,14 @@ def _check_seed(seed) -> None:
     6 MB of RSS and 12 ms (numpy 2.4 on x86_64)."""
     if not (isinstance(seed, int) and seed >= 0):
         _rng(seed)
+
+
+def _check_tol(tol) -> None:
+    """Refuse a tolerance that is not finite and nonnegative: a test
+    `deviation > tol` is never true at a NaN or infinite tol, so the check
+    it guards would pass anything, and at a negative tol nothing passes."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol}")
 
 
 def _gaussian(shape: tuple, real: bool, rng: np.random.Generator) -> np.ndarray:

@@ -231,6 +231,16 @@ def test_weighted_non_finite_exponent_exits_two(tmp_path, capsys, alpha, beta):
     assert err["error"]["code"] == "InvalidParameterError"
 
 
+def test_weighted_zero_beta_exits_two(tmp_path, capsys):
+    # beta = 0 leaves the reduced identity undefined; it ran and exited 1 with max residual 629
+    code, doc = _run(capsys, ["generate", "--family", "pn_chain", "--n", "8", "--m", "3"])
+    path = _write(tmp_path, "pn.json", doc)
+    code, err = _run(capsys, ["weighted", "--maps", path, "--alpha", "2,2,2", "--beta", "0,2,2"])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+    assert "beta weights must be nonzero" in err["error"]["message"]
+
+
 @pytest.mark.parametrize("family", ["diag_chain", "diag_pair"])
 def test_decompose_ill_conditioned_preserver_exits_one(tmp_path, capsys, family):
     # a preserver whose parameters from_canonical refuses: the chain exited 2

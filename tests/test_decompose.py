@@ -1005,25 +1005,105 @@ def test_decompose_peak_memory_stays_below_its_input():
     assert peak <= sum(f.transfer.nbytes for f in maps)
 
 
-def test_verify_weighted_shares_one_eigendecomposition_per_factor(monkeypatch):
-    # A^pre and A^beta of each sample share eigh(A); with the outer power of
-    # post * alpha = 0.5, each factor takes 2 eigendecompositions per batch, not 3
-    tag = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 3)
-    maps = [PowerMap(core=identity_map(tag), pre=2.0, post=0.5)] * 2
-    alpha, beta = (1.0, 1.0), (3.0, 2.0)
+def test_verify_weighted_checks_the_reduced_identity_through_weighted_image():
+    # the seeded draws stand for B_i = A_i^beta_i: each factor is
+    # f_i(B_i^(1/b_i))^a_i and the right side is tr(B_1 ... B_m), bit for bit
+    gen = generate(GenSpec(family="pn_chain", n=3, m=3, seed=20))
+    maps = [PowerMap(core=gen.maps[0], pre=2.0, post=0.5), gen.maps[1], PowerMap(core=gen.maps[2], scale=1.5)]
+    alpha, beta = (1.0, 2.0, 0.5), (3.0, 2.0, -1.0)
+    batch = _DECOMPOSE._WEIGHTED_BATCH
+    report = verify_weighted(maps, alpha, beta, trials=batch + 44, seed=3)
+    rng, pd = _DECOMPOSE._rng(3), SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 3)
+    res = []
+    for size in (batch, 44):
+        samples = [_DECOMPOSE._random_batch(pd, size, rng) for _ in maps]
+        images = [_DECOMPOSE._weighted_image(f, B, a, b) for f, B, a, b in zip(maps, samples, alpha, beta)]
+        res.append(_DECOMPOSE._residuals(_DECOMPOSE._trace_of_product(images), _DECOMPOSE._trace_of_product(samples)))
+    assert report.max_residual == float(np.max(np.concatenate(res)))
+
+
+def _batched_eigh_calls(monkeypatch, batch):
     eigh, calls = np.linalg.eigh, []
 
     def counted(A):
-        calls.append(A.shape)
+        if A.ndim == 3 and A.shape[0] == batch:
+            calls.append(A.shape)
         return eigh(A)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    report = verify_weighted(maps, alpha, beta, trials=_DECOMPOSE._WEIGHTED_BATCH, seed=3)
-    assert len(calls) == 2 * len(maps)
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    # the reference decomposes each sample once for A^pre and again for A^beta
-    rng = _DECOMPOSE._rng(3)
-    samples = [_DECOMPOSE._random_batch(SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 3), 256, rng) for _ in maps]
-    lhs = _DECOMPOSE._trace_of_product([_DECOMPOSE._weighted_image(f, A, a) for f, A, a in zip(maps, samples, alpha)])
-    rhs = _DECOMPOSE._trace_of_product([_DECOMPOSE._herm_power_batch(A, b) for A, b in zip(samples, beta)])
-    assert report.max_residual == float(np.max(_DECOMPOSE._residuals(lhs, rhs)))
+    return calls
+
+
+@pytest.mark.parametrize("m", [3, 4], ids=["HermOdd", "HermEven"])
+@pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
+def test_canonical_weighted_factors_take_no_batched_eigh(monkeypatch, m, a):
+    # the canonical PowerMaps have pre = beta and post * alpha = 1, so on the
+    # reduced side neither power around the core is taken
+    gen = generate(GenSpec(family="pn_chain", n=3, m=m, seed=21))
+    alpha, beta = (a,) * m, (2.0, -1.0, 0.5, 2.0)[:m]
+    wmaps = weighted_canonical_maps(gen.form, alpha, beta, gen.space)
+    batch = _DECOMPOSE._WEIGHTED_BATCH
+    calls = _batched_eigh_calls(monkeypatch, batch)
+    report = verify_weighted(wmaps, alpha, beta, trials=batch, seed=3)
+    assert report.passed
+    assert calls == []
+
+
+def test_weighted_factor_takes_one_batched_eigh_per_power_it_needs(monkeypatch):
+    # pre / b = 2/3 and 2/2 = 1, post * a = 0.5 on both: 1 + 0 inner, 2 outer
+    tag = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 3)
+    maps = [PowerMap(core=identity_map(tag), pre=2.0, post=0.5)] * 2
+    batch = _DECOMPOSE._WEIGHTED_BATCH
+    calls = _batched_eigh_calls(monkeypatch, batch)
+    verify_weighted(maps, (1.0, 1.0), (3.0, 2.0), trials=batch, seed=3)
+    assert len(calls) == 3
+
+
+def _weighted_residual(maps, alpha, beta, As):
+    """The weighted identity's residual at one tuple (A_1, ..., A_m), through
+    the public single-matrix functions."""
+    lhs = np.trace(np.linalg.multi_dot([herm_power(power_map_apply(f, A), a) for f, A, a in zip(maps, As, alpha)]))
+    rhs = np.trace(np.linalg.multi_dot([herm_power(A, b) for A, b in zip(As, beta)]))
+    return abs(lhs - rhs) / max(1.0, abs(rhs))
+
+
+def test_worst_tuple_reproduces_the_max_residual():
+    # worst_tuple holds A_i = B_i^(1/b_i), so the identity evaluated there gives
+    # max_residual back to rounding, for a failing and a passing tuple of maps
+    gen = generate(GenSpec(family="pn_chain", n=3, m=3, seed=22))
+    weights = ((0.5, 2.0, -1.0), (2.0, -1.0, 0.5))
+    cases = [
+        ([identity_map(H3)] * 2, (1.0, 1.0), (2.0, 2.0)),
+        (weighted_canonical_maps(gen.form, *weights, gen.space), *weights),
+    ]
+    for maps, alpha, beta in cases:
+        report = verify_weighted(maps, alpha, beta, trials=300, seed=5)
+        assert [A.dtype for A in report.worst_tuple] == [np.complex128] * len(maps)
+        again = _weighted_residual(maps, alpha, beta, report.worst_tuple)
+        assert again == pytest.approx(report.max_residual, rel=1e-9, abs=1e-13)
+    assert report.passed and report.max_residual <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda maps, form, space: verify_weighted(maps, (2, 2, 2), (0, 2, 2)), id="verify_weighted"),
+        pytest.param(lambda maps, form, space: weighted_reduction(maps, (2, 2, 2), (2, 0, 2)), id="weighted_reduction"),
+        pytest.param(
+            lambda maps, form, space: weighted_canonical_maps(form, (2, 2, 2), (2, 2, 0), space),
+            id="weighted_canonical_maps",
+        ),
+    ],
+)
+def test_zero_beta_is_refused(call):
+    # B = A^0 is the identity for every A, so the reduced identity is undefined;
+    # verify_weighted ran it and failed with max residual in the hundreds
+    gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))
+    with pytest.raises(InvalidParameterError, match="beta weights must be nonzero"):
+        call(gen.maps, gen.form, gen.space)
+
+
+def test_weighted_canonical_maps_refuses_zero_alpha():
+    gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))
+    with pytest.raises(InvalidParameterError, match="alpha weights must be nonzero"):
+        weighted_canonical_maps(gen.form, (2, 0, 2), (2, 2, 2), gen.space)

@@ -11,6 +11,7 @@ from traceprod import (
     HermOdd,
     InvalidParameterError,
     LinMap,
+    MembershipError,
     MnChain,
     NonextendableTriple,
     PnPair,
@@ -85,6 +86,17 @@ def test_apply_checks_membership():
     f = identity_map(H2)
     with pytest.raises(Exception):
         apply(f, np.array([[1.0, 1.0], [0.0, 1.0]]))  # not Hermitian
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 1e10])
+def test_apply_scales_its_tolerance_without_leaving_the_finite_range(tol):
+    # tol * max|A| read inf or NaN for an infinite entry, or past 1.8e308, and
+    # membership refused it as a tolerance rather than A as off the span
+    f = identity_map(C2)
+    with pytest.raises(MembershipError):
+        apply(f, np.array([[np.inf, 0.0], [0.0, 1.0]]), tol)
+    A = np.array([[1e300, 0.0], [0.0, 1.0]])
+    assert np.array_equal(apply(f, A, tol), A)
 
 
 def test_compose_matches_sequential_apply():

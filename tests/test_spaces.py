@@ -7,22 +7,35 @@ from traceprod import (
     DimensionMismatchError,
     Field,
     GenSpec,
+    HermOdd,
     InvalidParameterError,
     LinMap,
     SpaceKind,
     SpaceTag,
+    apply,
     base_field,
     check_preservation,
     coords,
+    decompose,
+    dualize,
+    embed_extend_pair,
+    extend_from_subset,
+    from_canonical,
     gen_space_sample,
     generate,
     gram_matrix,
+    herm_power,
+    identity_map,
     infeasibility_certificate,
+    is_hermitian_preserving,
+    linmap_from_images,
     membership,
     nonextendable_best_fit_residual,
+    power_map_apply,
     random_batch,
     random_element,
     reassemble,
+    recover_conjugator,
     space_basis,
     span_dim,
     span_of,
@@ -446,6 +459,48 @@ def test_negative_seed_or_no_trials_is_an_input_error(call):
     # numpy's ValueError before: "expected non-negative integer", "need at least one array"
     with pytest.raises(InvalidParameterError):
         call()
+
+
+def _gaussian_pairs(count):
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((count, 2, 2, 2)) + 1j * rng.standard_normal((count, 2, 2, 2))
+    return list(zip(G[:, 0], G[:, 1]))
+
+
+_TOL_CALLS = {
+    "membership": lambda tol: membership(C2, np.eye(2), tol),
+    "apply": lambda tol: apply(identity_map(C2), np.eye(2), tol),
+    "linmap_from_images": lambda tol: linmap_from_images(H2, H2, np.tile(np.triu(np.ones((2, 2)), 1), (4, 1, 1)), tol),
+    "is_hermitian_preserving": lambda tol: is_hermitian_preserving(identity_map(C2), tol),
+    "from_canonical": lambda tol: from_canonical(HermOdd(np.diag([2.0, 1.0]), (1.0, 1.0, 1.0)), H2, tol),
+    "check_preservation": lambda tol: check_preservation([identity_map(C2)] * 2, tol),
+    "dualize": lambda tol: dualize(identity_map(C2), tol),
+    "extend_from_subset": lambda tol: extend_from_subset(C2, C2, _gaussian_pairs(6), tol),
+    "embed_extend_pair": lambda tol: embed_extend_pair(identity_map(C2), identity_map(C2), tol),
+    "decompose": lambda tol: decompose(generate(GenSpec(family="mn_chain", n=2, m=3)).maps, tol=tol),
+    "recover_conjugator": lambda tol: recover_conjugator(space_basis(C2), tol),
+    "herm_power": lambda tol: herm_power(2.0 * np.eye(2), 0.5, tol),
+    "power_map_apply": lambda tol: power_map_apply(identity_map(H2), 2.0 * np.eye(2), tol),
+    "verify_weighted": lambda tol: verify_weighted(_pn_pair(), [1, 1], [1, 1], tol=tol),
+    "weighted_reduction": lambda tol: weighted_reduction([identity_map(H2)] * 2, [1, 1], [2, 2], tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("call", list(_TOL_CALLS.values()), ids=list(_TOL_CALLS))
+def test_tolerance_not_finite_and_nonnegative_is_an_input_error(call, tol):
+    # a NaN tol turned off the check it sets: every `deviation > tol` read false,
+    # so off-span images, inconsistent samples and a non-unitary U all passed
+    with pytest.raises(InvalidParameterError, match="tol must be finite and nonnegative"):
+        call(tol)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), 2.0, 1.0, 0.0, -1.0])
+def test_certificate_cutoff_factor_outside_the_unit_interval_is_an_input_error(factor):
+    # nan, inf and 2.0 ranked every Gram at 0 and certified with no rank evidence;
+    # -1 counted every singular value and refused to certify a theorem
+    with pytest.raises(InvalidParameterError, match="cutoff_factor"):
+        infeasibility_certificate(3, 2, cutoff_factor=factor)
 
 
 def _pair_index_coords(space, A):
