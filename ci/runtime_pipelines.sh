@@ -85,6 +85,19 @@ traceprod generate --family pn_chain --n 4 --m 3 \
   | traceprod weighted --maps - --alpha 2,2,2 --beta 0,2,2 2>"$err" || status=$?
 test "$status" -eq 2
 if grep -q Traceback "$err"; then exit 1; fi
+# each slot of the weighted check samples its own map's cone: identity maps on complex Hermitian and
+# real symmetric n = 3 pass in either order, and a complex diagonal domain holds no such cone (exit 2)
+maps_doc='import json, sys; from traceprod import SpaceTag, identity_map; from traceprod.jsonio import encode_linmap
+print(json.dumps([encode_linmap(identity_map(SpaceTag(*s.split(":"), 3))) for s in sys.argv[1:]]))'
+for pair in "Hermitian:complex Symmetric:real" "Symmetric:real Hermitian:complex"; do
+  # shellcheck disable=SC2086 # $pair holds two spaces
+  python -c "$maps_doc" $pair | traceprod weighted --maps - --alpha 1,1 --beta 1,1
+done
+status=0
+python -c "$maps_doc" Hermitian:complex Diagonal:complex \
+  | traceprod weighted --maps - --alpha 1,1 --beta 1,1 2>"$err" || status=$?
+test "$status" -eq 2
+if grep -q Traceback "$err"; then exit 1; fi
 traceprod certify --n 3 --k 2
 # a size numpy refuses to allocate is an input error: exit 2 and no traceback
 status=0

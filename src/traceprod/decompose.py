@@ -70,6 +70,7 @@ from .linmaps import (
     from_canonical,
 )
 from .spaces import (
+    DEFAULT_TOL,
     Field,
     SpaceKind,
     SpaceTag,
@@ -83,6 +84,7 @@ from .spaces import (
     _gaussian,
     _random_batch,
     _rng,
+    _span_coords,
 )
 
 PRECHECK_TOL = 1e-6
@@ -275,11 +277,12 @@ def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     n = images.shape[-1]
     if images.shape[1:] != (n, n) or d not in (n * n, n * (n + 1) // 2):
         raise DimensionMismatchError("need n^2 or n(n+1)/2 images of shape (n, n)")
+    full = SpaceTag(SpaceKind.FULL, Field.COMPLEX, n)
+    _span_coords(full, images, DEFAULT_TOL, "image")  # on M_n, refuses only a non-finite image
     kind = SpaceKind.FULL if d == n * n else SpaceKind.SYMMETRIC
     space = SpaceTag(kind, Field.COMPLEX, n)
     scale = max(1.0, float(np.max(np.abs(images))))
     best = math.inf
-    full = SpaceTag(SpaceKind.FULL, Field.COMPLEX, n)
     for N, Ninv in _conjugators(space, images.__getitem__):
         # N B N^{-1} for each basis element B: columns of the transfer on M_n
         rebuilt = _gather(_basis_terms(space), _congruence_transfer(full, N, Ninv), axis=1).T.reshape(d, n, n)
@@ -428,11 +431,25 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
-def herm_power(A: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
-    """A**t for Hermitian positive definite A through its eigendecomposition."""
-    _check_tol(tol)
+def _hermitian_input(A) -> np.ndarray:
+    """A as a complex (1, n, n) stack, refused with MembershipError unless it
+    lies in the Hermitian span within `apply`'s rule: DEFAULT_TOL times
+    max(1, largest entry of A). An eigendecomposition reads one triangle
+    only, so an unchecked A would be judged by half its entries."""
     # np.array copies, so t == 1 never hands back a view of A
-    return _herm_power_batch(np.array(A, dtype=np.complex128)[None], t, tol)[0]
+    A = np.array(A, dtype=np.complex128)
+    if A.ndim != 2:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
+    _span_coords(SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, A.shape[-1]), A[None], DEFAULT_TOL, "input")
+    return A[None]
+
+
+def herm_power(A: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
+    """A**t for Hermitian positive definite A through its eigendecomposition.
+    A must be Hermitian as `_hermitian_input` judges it; tol is the
+    eigenvalue floor, at or below which a power raises PositivityError."""
+    _check_tol(tol)
+    return _herm_power_batch(_hermitian_input(A), t, tol)[0]
 
 
 def _herm_power_batch(stack: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
@@ -724,9 +741,10 @@ MapLike = Union[LinMap, PowerMap]
 
 def power_map_apply(map_: MapLike, A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Evaluate a LinMap or PowerMap on one positive definite matrix, as
-    scale * H(core(A^pre))^post with H the Hermitian part."""
+    scale * H(core(A^pre))^post with H the Hermitian part. A must be
+    Hermitian as `_hermitian_input` judges it; tol is the eigenvalue floor."""
     _check_tol(tol)
-    return _weighted_image(map_, np.asarray(A, dtype=np.complex128)[None], tol=tol)[0]
+    return _weighted_image(map_, _hermitian_input(A), tol=tol)[0]
 
 
 def _weighted_image(
@@ -779,6 +797,9 @@ def verify_weighted(
 ) -> PreservationReport:
     """Randomized check of tr(f1(A1)^a1 ... fm(Am)^am) = tr(A1^b1 ... Am^bm)
     over positive definite samples. Maps may be plain LinMaps or PowerMaps.
+    Slot i samples the positive definite cone over the field of f_i's
+    domain, whose span must be full or that cone's: a diagonal or complex
+    symmetric domain does not hold the cone, an InvalidParameterError.
 
     The check runs on the reduced side B_i = A_i^b_i, so every b_i must be
     nonzero: each of the `trials` tuples holds m independent seeded samples
@@ -795,17 +816,24 @@ def verify_weighted(
     alpha, beta = _weights(alpha, beta, m)
     if m == 0:
         raise InvalidParameterError("need at least one map")
-    n, field = maps[0].domain.n, maps[0].domain.field
+    n = maps[0].domain.n
     if any(f.domain.n != n for f in maps):
         raise DimensionMismatchError("maps must share one matrix size")
-    pd = SpaceTag(SpaceKind.POSDEF, field, n)
+    cones = tuple(SpaceTag(SpaceKind.POSDEF, f.domain.field, n) for f in maps)
+    for i, (f, cone) in enumerate(zip(maps, cones)):
+        dom = span_of(f.domain)
+        if dom.kind is not SpaceKind.FULL and dom != span_of(cone):
+            raise InvalidParameterError(
+                f"map {i} acts on {dom.kind.value} {dom.field.value} matrices, which do not hold the positive "
+                "definite cone its slot samples"
+            )
 
     rng = _rng(seed)
     max_res = -1.0
     # an overflow reads as an infinite residual, so it warns nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, trials, _WEIGHTED_BATCH):
-            samples = [_random_batch(pd, min(_WEIGHTED_BATCH, trials - done), rng) for _ in maps]
+            samples = [_random_batch(cone, min(_WEIGHTED_BATCH, trials - done), rng) for cone in cones]
             lhs = _trace_of_product([_weighted_image(f, B, a, b) for f, B, a, b in zip(maps, samples, alpha, beta)])
             res = _residuals(lhs, _trace_of_product(samples))
             j = int(np.argmax(res))
@@ -814,7 +842,7 @@ def verify_weighted(
                 worst_B = [B[j] for B in samples]
         worst = tuple(herm_power(B, 1.0 / b) for B, b in zip(worst_B, beta))
     return PreservationReport(
-        spaces=(pd,) * m,
+        spaces=cones,
         mode=CheckMode.RANDOMIZED,
         trials=trials,
         max_residual=max_res,

@@ -33,7 +33,6 @@ from .linmaps import (
     _gather,
     _herm_change,
     _inverse,
-    _span_coords,
 )
 from .spaces import (
     DEFAULT_TOL,
@@ -52,6 +51,7 @@ from .spaces import (
     _random_batch,
     _reassemble,
     _rng,
+    _span_coords,
 )
 
 # beyond this many basis tuples the exhaustive check switches to sampling

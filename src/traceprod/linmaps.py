@@ -22,8 +22,9 @@ identity sides. The change between Hermitian coordinates and matrix entries
 `spaces._entry_terms`, with weights 1, +-i and 1/2. No path here reads the
 dense basis stack.
 
-Span membership is checked where matrices come from outside:
-`linmap_from_images`, `apply` and `extend.extend_from_subset`. Realised maps
+Span membership is checked where matrices come from outside, by
+`spaces._span_coords`: `linmap_from_images`, `apply` and
+`extend.extend_from_subset`. Realised maps
 (canonical forms, `transpose_map`) are written straight from their
 transfers: a congruence by (M*, M) or (M^t, M) keeps Hermitian and symmetric
 matrices so, one by a permutation with diagonal scalings keeps diagonal ones,
@@ -42,7 +43,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
-    MembershipError,
     SingularMatrixError,
 )
 from .spaces import (
@@ -52,7 +52,6 @@ from .spaces import (
     SpaceTag,
     base_field,
     coords_batch,
-    membership,
     reassemble_batch,
     span_dim,
     span_of,
@@ -60,6 +59,8 @@ from .spaces import (
     _check_tol,
     _entry_terms,
     _reassemble,
+    _span_coords,
+    _span_deviation,
 )
 
 # parameter matrices this ill-conditioned are rejected outright
@@ -140,15 +141,11 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
 
 
 def apply(map_: LinMap, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Evaluate the map on A, checking that A lies in the span of the domain."""
+    """Evaluate the map on A, which must lie in the span of the domain within
+    tol times max(1, largest entry of A) (`spaces._span_coords`)."""
     _check_tol(tol)
-    A = np.asarray(A, dtype=np.complex128)
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
-    # membership refuses a non-finite A at any tol, so a scaled tol that is
-    # NaN (0 * inf) or overflows may stand in as a finite one
-    if not membership(span_of(map_.domain), A, float(np.nan_to_num(float(tol) * scale, nan=0.0))):
-        raise MembershipError(f"input is not in the span of {map_.domain} within tolerance")
-    return apply_batch(map_, A[None])[0]
+    x = _span_coords(map_.domain, np.asarray(A, dtype=np.complex128)[None], tol, "input")
+    return reassemble_batch(map_.codomain, x @ map_.transfer.T)[0]
 
 
 def apply_batch(map_: LinMap, batch: np.ndarray) -> np.ndarray:
@@ -165,19 +162,6 @@ def _apply_batch(map_: LinMap, batch: np.ndarray, dtype) -> np.ndarray:
 def image_stack(map_: LinMap) -> np.ndarray:
     """(d, k, k) images of the domain's canonical basis elements."""
     return reassemble_batch(map_.codomain, map_.transfer.T)
-
-
-def _span_coords(space: SpaceTag, stack: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Coordinates of a (count, n, n) stack whose every matrix must lie in the
-    span of `space` within tol, relative to its own scale; the MembershipError
-    names the first one that does not as `what` and its index."""
-    x = coords_batch(space, stack)
-    dev = np.max(np.abs(reassemble_batch(space, x) - stack), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
-    off_span = np.flatnonzero(dev > tol * scale)
-    if off_span.size:
-        raise MembershipError(f"{what} {off_span[0]} is not in the span of {span_of(space)} within tolerance")
-    return x
 
 
 def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float = 1e-7) -> LinMap:
@@ -201,8 +185,9 @@ def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float 
 
 
 def is_hermitian_preserving(map_: LinMap, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the map sends Hermitian matrices to Hermitian matrices, within
-    tol times max(1, largest image entry), as `apply` judges membership.
+    """Whether the map sends Hermitian matrices to Hermitian matrices: each
+    image within tol times max(1, largest entry of any image) of the
+    Hermitian span, by `spaces._span_deviation`.
 
     It checks a Hermitian spanning set of the domain span: the span's own
     basis, or on a full span the Hermitian (over R the symmetric) basis,
@@ -214,7 +199,8 @@ def is_hermitian_preserving(map_: LinMap, tol: float = DEFAULT_TOL) -> bool:
         x = _gather(_basis_terms(SpaceTag(SpaceKind.HERMITIAN, dom.field, dom.n)), map_.transfer, axis=1).T
     img = reassemble_batch(map_.codomain, x)
     scale = max(1.0, float(np.max(np.abs(img))))
-    return bool(np.max(np.abs(img - img.conj().transpose(0, 2, 1))) <= tol * scale)
+    _, dev = _span_deviation(SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, map_.codomain.n), img)
+    return bool(np.max(dev) <= tol * scale)
 
 
 def _gather(terms: tuple, Y: np.ndarray, axis: int) -> np.ndarray:

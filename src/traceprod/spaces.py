@@ -2,7 +2,7 @@
 
 Space tags name the classical sets: all n x n matrices, Hermitian, symmetric,
 positive (semi)definite, diagonal. Each tag carries a canonical ordered basis of
-its linear span, coordinates with respect to that basis, a membership test, the
+its linear span, coordinates with respect to that basis, one span test, the
 trace pairing tr(AB), and seeded random sampling. Everything downstream (linear
 maps, preservation checks, decompositions) works in these coordinates.
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError, MembershipError
 
 DEFAULT_TOL = 1e-9
 
@@ -289,40 +289,48 @@ def _basis_terms(space: SpaceTag) -> tuple:
     return _row_terms(idx[e, t], e, w[e, t], span_dim(space))
 
 
-def membership(space: SpaceTag, A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Whether A lies in the set named by `space`, within absolute deviation tol.
+def _span_deviation(space: SpaceTag, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, dev): the coordinates x of a (count, n, n) stack in the span of
+    `space` and each matrix's largest entry distance from their reassembly,
+    its projection onto the span; inf for a matrix with a non-finite entry
+    or coordinate. The one measure of how far a matrix lies from a span."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = coords_batch(space, stack)
+        dev = np.max(np.abs(reassemble_batch(space, x) - stack), axis=(1, 2))
+    dev[~np.isfinite(stack).all(axis=(1, 2))] = np.inf
+    return x, dev
 
-    Structural deviations (hermiticity, symmetry, off-diagonal mass, imaginary
-    parts over the reals) are measured entrywise; definiteness by eigenvalue:
-    strictly greater than tol for PosDef, at least -tol for PosSemiDef.
+
+def _span_coords(space: SpaceTag, stack: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Coordinates of a (count, n, n) stack whose every matrix must lie at a
+    finite `_span_deviation` of at most tol times max(1, its largest entry);
+    the MembershipError names the first one that does not as `what` and its
+    index."""
+    x, dev = _span_deviation(space, stack)
+    scale = np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # tol * scale past the float range, or 0 * inf
+        off_span = np.flatnonzero(np.isinf(dev) | (dev > tol * scale))
+    if off_span.size:
+        raise MembershipError(f"{what} {off_span[0]} is not in the span of {span_of(space)} within tolerance")
+    return x
+
+
+def membership(space: SpaceTag, A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Whether A lies in the set named by `space`: within absolute distance
+    tol of its span (`_span_deviation`) and, on the definite cones, with the
+    projection's eigenvalues above tol (PosDef) or at least -tol (PosSemiDef).
     """
     _check_tol(tol)
     A = np.asarray(A)
     if A.shape != (space.n, space.n):
         return False
-    A = A.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(A)):
+    x, dev = _span_deviation(space, A.astype(np.complex128, copy=False)[None])
+    if dev[0] > tol:
         return False
-    if space.field is Field.REAL and np.max(np.abs(A.imag)) > tol:
-        return False
-    kind = space.kind
-    if kind is SpaceKind.FULL:
+    if space.kind not in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF):
         return True
-    if kind is SpaceKind.DIAGONAL:
-        off = A - np.diag(np.diag(A))
-        return np.max(np.abs(off)) <= tol if off.size else True
-    hermitian_dev = np.max(np.abs(A - A.conj().T))
-    symmetric_dev = np.max(np.abs(A - A.T))
-    if kind is SpaceKind.HERMITIAN:
-        # real Hermitian == real symmetric; the imaginary check above covers it
-        return hermitian_dev <= tol
-    if kind is SpaceKind.SYMMETRIC:
-        return symmetric_dev <= tol
-    # definite cones: Hermitian structure first, then the spectrum
-    if hermitian_dev > tol:
-        return False
-    eigs = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
-    if kind is SpaceKind.POSDEF:
+    eigs = np.linalg.eigvalsh(reassemble_batch(space, x)[0])
+    if space.kind is SpaceKind.POSDEF:
         return bool(eigs.min() > tol)
     return bool(eigs.min() >= -tol)
 

@@ -759,6 +759,30 @@ def test_verify_weighted_control_fails():
     assert report.max_residual >= 1e-2
 
 
+_HERM3 = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 3)
+_SYM3_REAL = SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, 3)
+
+
+@pytest.mark.parametrize("tags", [(_HERM3, _SYM3_REAL), (_SYM3_REAL, _HERM3)], ids=["complex-first", "real-first"])
+def test_verify_weighted_samples_each_slot_from_its_own_cone(tags):
+    # every slot drew from the first map's cone: the real symmetric identity
+    # took the real parts of complex samples and failed at 1.22
+    report = verify_weighted([identity_map(t) for t in tags], (1.0, 1.0), (1.0, 1.0))
+    assert report.passed
+    assert report.spaces == tuple(SpaceTag(SpaceKind.POSDEF, t.field, 3) for t in tags)
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [(SpaceKind.DIAGONAL, Field.COMPLEX), (SpaceKind.DIAGONAL, Field.REAL), (SpaceKind.SYMMETRIC, Field.COMPLEX)],
+)
+def test_verify_weighted_refuses_a_domain_that_does_not_hold_its_cone(kind, field):
+    # the complex diagonal identity projected the Hermitian samples and failed at 1.78
+    maps = [identity_map(_HERM3), identity_map(SpaceTag(kind, field, 3))]
+    with pytest.raises(InvalidParameterError, match="map 1 acts on"):
+        verify_weighted(maps, (1.0, 1.0), (1.0, 1.0))
+
+
 def test_verify_weighted_rejects_zero_trials():
     tag = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 2)
     with pytest.raises(InvalidParameterError):

@@ -10,6 +10,7 @@ from traceprod import (
     HermOdd,
     InvalidParameterError,
     LinMap,
+    MembershipError,
     SpaceKind,
     SpaceTag,
     apply,
@@ -45,6 +46,7 @@ from traceprod import (
 )
 from traceprod.linmaps import image_stack
 from traceprod.spaces import (
+    DEFAULT_TOL,
     _basis_stack,
     _basis_terms,
     _entry_terms,
@@ -493,6 +495,132 @@ def test_tolerance_not_finite_and_nonnegative_is_an_input_error(call, tol):
     # so off-span images, inconsistent samples and a non-unitary U all passed
     with pytest.raises(InvalidParameterError, match="tol must be finite and nonnegative"):
         call(tol)
+
+
+def _unit(n, i, j):
+    E = np.zeros((n, n))
+    E[i, j] = 1.0
+    return E
+
+
+# each kind of deviation from a span, as a direction of largest entry 1
+_DEVIATIONS = {
+    "asymmetry": lambda n: _unit(n, 0, 1),
+    "imaginary-diagonal": lambda n: 1j * _unit(n, n - 1, n - 1),
+    "off-diagonal-mass": lambda n: _unit(n, 0, 1) + _unit(n, 1, 0),
+    "imaginary-part": lambda n: 1j * np.ones((n, n)),
+}
+_SPAN_CASES = [
+    pytest.param(SpaceTag(kind, field, n), deviation, id=f"{kind.value}-{field.value}-{n}-{deviation}")
+    for kind in (SpaceKind.FULL, SpaceKind.HERMITIAN, SpaceKind.SYMMETRIC, SpaceKind.DIAGONAL)
+    for field in Field
+    for n in (1, 2, 3)
+    for deviation in _DEVIATIONS
+    if n > 1 or deviation not in ("asymmetry", "off-diagonal-mass")
+]
+
+
+def _span_distance(tag, D):
+    """Largest entry of D minus its orthogonal projection onto the span of
+    `tag`, written densely: the real part over the reals, then the diagonal,
+    the Hermitian part or the symmetric part."""
+    s = span_of(tag)
+    P = D.real + 0j if s.field is Field.REAL else D + 0j
+    if s.kind is SpaceKind.DIAGONAL:
+        P = np.diag(np.diag(P))
+    elif s.kind is SpaceKind.HERMITIAN:
+        P = (P + P.conj().T) / 2
+    elif s.kind is SpaceKind.SYMMETRIC:
+        P = (P + P.T) / 2
+    return float(np.max(np.abs(D - P)))
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except MembershipError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize("factor", [0.5, 1.5, 2.5])
+@pytest.mark.parametrize("tag, deviation", _SPAN_CASES)
+def test_every_span_test_gives_one_verdict(tag, deviation, factor, scale):
+    # membership and apply measured the entrywise asymmetry, twice the distance
+    # the checked constructors measure, and refused at 1.5 what they accepted
+    n, tol = tag.n, DEFAULT_TOL
+    D = _DEVIATIONS[deviation](n)
+    A = scale * np.eye(n) + factor * tol * scale * D
+    P = reassemble_batch(tag, coords_batch(tag, A[None]))[0]
+    basis = list(space_basis(tag).elements)
+    verdicts = {
+        "membership": membership(tag, A, tol * scale),
+        "apply": _accepts(lambda: apply(identity_map(tag), A, tol)),
+        "linmap_from_images": _accepts(lambda: linmap_from_images(tag, tag, [A] + basis[1:], tol)),
+        "extend_from_subset-input": _accepts(lambda: extend_from_subset(tag, tag, [*zip(basis, basis), (A, P)], tol)),
+        "extend_from_subset-output": _accepts(lambda: extend_from_subset(tag, tag, [*zip(basis, basis), (P, A)], tol)),
+    }
+    if span_of(tag) == span_of(SpaceTag(SpaceKind.HERMITIAN, tag.field, n)) and (
+        tag.field is Field.COMPLEX or np.isrealobj(D)
+    ):
+        # the map sends E_00, the first Hermitian basis element, to A and the others to 0
+        full = SpaceTag(SpaceKind.FULL, tag.field, n)
+        T = np.zeros((n * n, n * n), dtype=A.dtype)
+        T[:, 0] = A.reshape(-1)
+        verdicts["is_hermitian_preserving"] = is_hermitian_preserving(LinMap(full, full, T), tol)
+    want = _span_distance(tag, D) * factor <= 1.0
+    assert verdicts == dict.fromkeys(verdicts, want)
+
+
+def _with_entry(M, value, index):
+    M = np.array(M, dtype=np.complex128)
+    M[index] = value
+    return M
+
+
+def _sample_with_entry(side, value):
+    pairs = _gaussian_pairs(6)
+    pair = list(pairs[2])
+    pair[side] = _with_entry(pair[side], value, (0, 1))
+    pairs[2] = tuple(pair)
+    return pairs
+
+
+_NON_FINITE_CALLS = {
+    "extend_from_subset-input": lambda v: extend_from_subset(C2, C2, _sample_with_entry(0, v)),
+    "extend_from_subset-output": lambda v: extend_from_subset(C2, C2, _sample_with_entry(1, v)),
+    "linmap_from_images": lambda v: linmap_from_images(
+        C2, C2, _with_entry(space_basis(C2).elements, v, (1, 0, 0))
+    ),
+    "herm_power": lambda v: herm_power(np.diag([v, 1.0]), 0.5),
+    "power_map_apply": lambda v: power_map_apply(identity_map(H2), np.diag([v, 1.0])),
+    "recover_conjugator": lambda v: recover_conjugator(_with_entry(space_basis(C2).elements, v, (1, 0, 0))),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", list(_NON_FINITE_CALLS.values()), ids=list(_NON_FINITE_CALLS))
+def test_non_finite_input_lies_off_every_span(call, value):
+    # a NaN distance never exceeded tol: numpy's LinAlgError, an InvalidParameterError
+    # from the transfer, or NaN results with RuntimeWarnings
+    with pytest.raises(MembershipError):
+        call(value)
+
+
+def test_herm_power_and_power_map_apply_check_the_whole_matrix():
+    # herm_power read the lower triangle only and returned the identity
+    with pytest.raises(MembershipError):
+        herm_power([[1.0, 5.0], [0.0, 1.0]], 0.5)
+    with pytest.raises(MembershipError):
+        power_map_apply(identity_map(H2), [[1.0, 5.0], [0.0, 1.0]])
+
+
+def test_apply_refuses_a_wrong_shape_as_coords_does():
+    for A in (np.eye(3), np.ones(4), 1.0):
+        with pytest.raises(DimensionMismatchError):
+            apply(identity_map(H2), A)
 
 
 @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 2.0, 1.0, 0.0, -1.0])
