@@ -69,6 +69,21 @@ for case in "1 mn_chain --n 8 --m 3" "0 sym_even --field real --n 8 --m 4" "0 he
   grep -q "maps do not satisfy the trace-product identity" "$err"
   if grep -q Traceback "$err"; then exit 1; fi
 done
+# HermEven with a congruence M of condition number 1e4, which from_canonical accepts: f_1(I) = M*M reads
+# 1e8, and the recovery only reads it, so the rebuild certifies the tuple without the precheck
+python -c 'import json, numpy as np; from traceprod import HermEven, SpaceTag, from_canonical; from traceprod.jsonio import encode_maps
+space = SpaceTag("Hermitian", "complex", 4)
+M = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0] @ np.diag([1.0, 1.0, 1.0, 1e4])
+print(json.dumps(encode_maps(space, from_canonical(HermEven(M, (1.0,) * 4), space))))' \
+  | traceprod decompose --maps - | grep -q '"precheck_ran":false'
+# a singular map has no trace dual: exit 2 and no traceback
+status=0
+python -c 'import json, numpy as np; from traceprod import LinMap, SpaceTag; from traceprod.jsonio import encode_linmap
+space = SpaceTag("FullMatrix", "complex", 2)
+print(json.dumps([encode_linmap(LinMap(space, space, np.diag([1.0, 0.0, 0.0, 0.0])))]))' \
+  | traceprod dualize --maps - 2>"$err" || status=$?
+test "$status" -eq 2
+if grep -q Traceback "$err"; then exit 1; fi
 # a document whose "space" is not what its maps act on is an input error: exit 2 and no traceback
 for command in decompose dualize; do
   status=0

@@ -4,19 +4,19 @@
 it checks the domain and the tuple length, recovers the canonical parameters
 (conjugating matrices, scalars, permutations) with the family's gauge fixed
 deterministically, and rebuilds the maps from them. Each recovery only reads:
-its gauge note states the gauge it fixed, and every verdict and deviation
-comes from the rebuild and the result's `diagnostics`. A conjugator N is read
-off the n images of one unit column of the maps' own span, full, Hermitian or
-symmetric (`_read_conjugator`), not the whole basis; the rebuild, the one
-full-basis pass, verifies it. Hermitian and symmetric chains share one
-recovery, and no map is read through `complexify`. Every tuple of
-canonical shape satisfies the identity, so a rebuild within rounding
-(`CERTIFY_TOL`) of the input, from a form that meets its own invariants,
-certifies the tuple. Only a tuple the rebuild does not certify, or whose
-recovery fails, pays for the randomized identity check; a tuple that fails
-it raises PreservationError, and failures of the structural assumptions
-raise CanonicalStructureError. Each `decompose_<family>` is `decompose` with
-that family.
+it inverts f_i(I) plainly, since the parameters behind it are judged by
+`from_canonical` inside the rebuild, and refuses only a tuple with no usable
+conjugator column or, on pn_pair, an f_1(I) with no positive square root.
+Every other verdict and deviation comes from the rebuild and the result's
+`diagnostics`; the gauge note states the gauge fixed. A conjugator N is read
+off the n images of one unit column of the maps' own span (`_read_conjugator`),
+and the rebuild, the one full-basis pass, verifies it. Hermitian and symmetric
+chains share one recovery. A rebuild within rounding (`CERTIFY_TOL`) of the
+input, from a form that meets its own invariants, certifies the tuple, since
+every tuple of canonical shape satisfies the identity. Only a tuple the rebuild
+does not certify, or whose recovery fails, pays for the randomized identity
+check (PreservationError); other failures raise CanonicalStructureError.
+Each `decompose_<family>` is `decompose` with that family.
 
 Also here: positive-definite matrix powers, power-wrapped maps for the weighted
 identity tr(f1(A1)^a1 ... ) = tr(A1^b1 ...), and the rank / best-fit
@@ -43,6 +43,7 @@ from .extend import (
     CheckMode,
     PreservationReport,
     _check_trials,
+    _require_maps,
     _require_passed,
     _residuals,
     check_preservation,
@@ -60,6 +61,7 @@ from .linmaps import (
     SymEven,
     SymOdd,
     _adjoint,
+    _as_param,
     _congruence_transfer,
     _gather,
     _inverse,
@@ -306,11 +308,11 @@ def _column_images(map_: LinMap, ks) -> np.ndarray:
 
 
 def _recover_mn_chain(maps, dom: SpaceTag) -> tuple:
-    inv = _inverse(_map_at_identity(maps[1]), "f_2(I)")
+    inv = np.linalg.inv(_map_at_identity(maps[1]))
     N, _ = _read_conjugator(dom, lambda ks: _column_images(maps[1], ks) @ inv)
     Ns = [N, inv @ N]
     for i in range(2, len(maps)):  # N_{i+2} = f_{i+1}(I)^{-1} N_{i+1}; N_{m+1} = N_1 closes the cycle
-        Ns.append(_inverse(_map_at_identity(maps[i]), f"f_{i + 1}(I)") @ Ns[-1])
+        Ns.append(np.linalg.inv(_map_at_identity(maps[i])) @ Ns[-1])
     Ns = Ns[-1:] + Ns[:-1]
 
     t = _phase_fix(Ns[0]) / np.linalg.norm(Ns[0])
@@ -371,7 +373,7 @@ def _normalized_conjugator(maps, space: SpaceTag) -> tuple[list, np.ndarray, np.
     """The f_i(I), and N with f_1(I)^{-1} f_1(A) = N A N^{-1} on the span of
     `space`, with its inverse: read off f_1's images of one unit column."""
     phiI = [_map_at_identity(f) for f in maps]
-    inv = _inverse(phiI[0], "f_1(I)")
+    inv = np.linalg.inv(phiI[0])
     return (phiI, *_read_conjugator(space, lambda ks: inv @ _column_images(maps[0], ks)))
 
 
@@ -431,25 +433,30 @@ def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_input(A) -> np.ndarray:
+def _definite_input(A, tol: float) -> np.ndarray:
     """A as a complex (1, n, n) stack, refused with MembershipError unless it
     lies in the Hermitian span within `apply`'s rule: DEFAULT_TOL times
-    max(1, largest entry of A). An eigendecomposition reads one triangle
-    only, so an unchecked A would be judged by half its entries."""
+    max(1, largest entry of A), and then with PositivityError unless its
+    smallest eigenvalue is above the floor `tol`, whatever power is taken. An
+    eigendecomposition reads one triangle only, so an unchecked A would be
+    judged by half its entries."""
     # np.array copies, so t == 1 never hands back a view of A
     A = np.array(A, dtype=np.complex128)
     if A.ndim != 2:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
     _span_coords(SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, A.shape[-1]), A[None], DEFAULT_TOL, "input")
+    low = np.linalg.eigvalsh(A)[0]
+    if not low > tol:
+        raise PositivityError(f"input must be positive definite (min eig {low:.3g})")
     return A[None]
 
 
 def herm_power(A: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
     """A**t for Hermitian positive definite A through its eigendecomposition.
-    A must be Hermitian as `_hermitian_input` judges it; tol is the
-    eigenvalue floor, at or below which a power raises PositivityError."""
+    A must be Hermitian and positive definite as `_definite_input` judges
+    it, at every t; tol is the eigenvalue floor."""
     _check_tol(tol)
-    return _herm_power_batch(_hermitian_input(A), t, tol)[0]
+    return _herm_power_batch(_definite_input(A, tol), t, tol)[0]
 
 
 def _herm_power_batch(stack: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
@@ -469,7 +476,7 @@ def _recover_pn_pair(maps, dom: SpaceTag) -> tuple:
     n = dom.n
     S = _map_at_identity(maps[0])
     w, V = np.linalg.eigh((S + S.conj().T) / 2)
-    if w.min() <= 1e-12:
+    if not w.min() > 0:  # the square roots need it
         raise CanonicalStructureError("f_1(I) is not positive definite")
     Sneg, Shalf = ((V * w**t) @ _adjoint(V) for t in (-0.5, 0.5))
 
@@ -656,12 +663,12 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
     parameters off the maps and leaves every structural verdict to the
     rebuild. When recovery or the rebuild fails, the identity check runs
     first, so a tuple that breaks the identity raises PreservationError. Any
-    other tuple raises CanonicalStructureError, also when a parameter is one
-    that `from_canonical` refuses (singular, too ill-conditioned, or off an
-    invariant); the message names that parameter. The tuple is certified
-    when each rebuilt transfer is within `CERTIFY_TOL` of its input in
-    relative Frobenius norm and the form meets its own `invariants` to
-    `CERTIFY_TOL`; otherwise the identity check runs (PreservationError).
+    other tuple raises CanonicalStructureError, also when an f_i(I) is
+    singular or `from_canonical` refuses a parameter (singular, too
+    ill-conditioned, or off an invariant; the message names it). The tuple
+    is certified when each rebuilt transfer is within `CERTIFY_TOL` of its
+    input in relative Frobenius norm and the form meets its own `invariants`
+    to `CERTIFY_TOL`; otherwise the identity check runs (PreservationError).
     Then the rebuild must be within `tol` (CanonicalStructureError), and
     pn_chain's Hermitian and symmetric chains must have positive scalars.
     The result's `diagnostics` record the certificate and the check.
@@ -671,8 +678,7 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
         raise InvalidParameterError(
             f"unknown family {family!r}; expected one of {sorted(_DECOMPOSERS)} or 'auto'"
         )
-    if not maps:
-        raise InvalidParameterError("need at least one map")
+    _require_maps(maps)
     m = len(maps)
     name = _resolve(family, maps[0].domain, m) if family == "auto" else family
     cone = False
@@ -691,8 +697,8 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
             delta, worst = _rebuild(form, dom, maps)
         except Exception as exc:
             _precheck(maps)
-            if isinstance(exc, (InvalidParameterError, SingularMatrixError)):
-                # a refused parameter: no canonical form fits the tuple
+            if isinstance(exc, (InvalidParameterError, SingularMatrixError, np.linalg.LinAlgError)):
+                # a refused parameter, or an exactly singular f_i(I): no canonical form fits the tuple
                 raise CanonicalStructureError(str(exc)) from exc
             raise
         deviation = float(np.max([0.0, *(dev for _, dev, _ in form.invariants())]))
@@ -742,9 +748,10 @@ MapLike = Union[LinMap, PowerMap]
 def power_map_apply(map_: MapLike, A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Evaluate a LinMap or PowerMap on one positive definite matrix, as
     scale * H(core(A^pre))^post with H the Hermitian part. A must be
-    Hermitian as `_hermitian_input` judges it; tol is the eigenvalue floor."""
+    Hermitian and positive definite as `_definite_input` judges it, whatever
+    pre is; tol is the eigenvalue floor."""
     _check_tol(tol)
-    return _weighted_image(map_, _hermitian_input(A), tol=tol)[0]
+    return _weighted_image(map_, _definite_input(A, tol), tol=tol)[0]
 
 
 def _weighted_image(
@@ -814,8 +821,7 @@ def verify_weighted(
     maps = list(maps)
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)
-    if m == 0:
-        raise InvalidParameterError("need at least one map")
+    _require_maps(maps, (LinMap, PowerMap), "a LinMap or PowerMap")
     n = maps[0].domain.n
     if any(f.domain.n != n for f in maps):
         raise DimensionMismatchError("maps must share one matrix size")
@@ -895,6 +901,7 @@ def weighted_reduction(maps, alpha, beta, tol: float = 1e-8, seed: int = 0) -> l
     maps = list(maps)
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)
+    _require_maps(maps, (LinMap, PowerMap), "a LinMap or PowerMap")
     out = []
     rng = _rng(seed)
     for i in range(m):
@@ -917,7 +924,12 @@ def reshuffled_transfer_rank(map_: LinMap, rtol: float = 1e-9) -> int:
 
     A map of the two-sided form A -> X A Y reshuffles to a rank-one matrix;
     entrywise multipliers reshuffle to the rank of their multiplier matrix.
+    A singular value counts when it is above `rtol` times the largest, so
+    `rtol` lies in (0, 1): at 0 or below every one counts, and at 1 or above,
+    or NaN, none does.
     """
+    if not 0 < rtol < 1:
+        raise InvalidParameterError(f"rtol must lie in the open interval (0, 1), got {rtol}")
     dom = span_of(map_.domain)
     cod = span_of(map_.codomain)
     if dom.kind is not SpaceKind.FULL or cod.kind is not SpaceKind.FULL:
@@ -938,13 +950,14 @@ def nonextendable_best_fit_residual(form_or_x, trials: int = 20, seed: int = 0) 
     A scalar X makes this solvable (residual at rounding level); any other X
     leaves every sampled pair far from solvable, which is the obstruction to
     extending the corner triple to a bijective one. Accepts the triple's form
-    or a bare matrix X, so scalar controls can be measured too.
+    or a bare matrix X, finite and square, so scalar controls can be measured
+    too.
     """
     _check_trials(trials)
     if isinstance(form_or_x, NonextendableTriple):
         X = form_or_x.X
     else:
-        X = np.asarray(form_or_x, dtype=np.complex128)
+        X = _as_param(form_or_x, "X")
     n = X.shape[0]
     rng = _rng(seed)
     lefts = []

@@ -23,7 +23,6 @@ from .errors import (
     PreservationError,
     RankDeficientError,
     InconsistentSamplesError,
-    SingularMatrixError,
 )
 from .linmaps import (
     LinMap,
@@ -113,14 +112,20 @@ def _check_trials(trials) -> None:
         raise InvalidParameterError(f"trials must be a positive integer, got {trials!r}")
 
 
-def _validate_tuple(maps) -> tuple[int, int]:
+def _require_maps(maps, kinds=LinMap, what: str = "a LinMap") -> None:
+    """Refuse an empty tuple, or one holding anything but instances of `kinds`."""
     if not maps:
         raise InvalidParameterError("need at least one map")
+    for i, f in enumerate(maps):
+        if not isinstance(f, kinds):
+            raise InvalidParameterError(f"maps[{i}] is not {what}")
+
+
+def _validate_tuple(maps) -> tuple[int, int]:
+    _require_maps(maps)
     n = maps[0].domain.n
     k = maps[0].codomain.n
     for i, f in enumerate(maps):
-        if not isinstance(f, LinMap):
-            raise InvalidParameterError(f"maps[{i}] is not a LinMap")
         if f.domain.n != n:
             raise DimensionMismatchError(f"maps[{i}] has domain size {f.domain.n}, expected {n}")
         if f.codomain.n != k:
@@ -324,20 +329,18 @@ def dualize(map_: LinMap, tol: float = DEFAULT_TOL) -> LinMap:
 
     Requires the map to be a bijection onto its codomain span; both sides of
     the defining identity are bilinear, so matching them on basis pairs pins
-    psi down. Applying dualize twice returns the original map.
+    psi down: with G[a, l] = tr(f(B_a) C_l), the transfer is G^{-1} times the
+    trace Gram matrix [tr(B_a B_b)], by `linmaps._inverse` at the limit
+    1/max(tol, 1e-15) and one column gather. Applying dualize twice returns
+    the original map.
     """
     _check_tol(tol)
     d = span_dim(map_.domain)
     if span_dim(map_.codomain) != d:
         raise InvalidParameterError("dualize needs equal domain and codomain span dimensions")
-    # G[a, l] = tr(f(B_a) C_l), H[a, b] = tr(B_a B_b)
     G = _times_span_gram(map_.transfer.T, map_.codomain)
-    H = _span_gram(map_.domain)
-    c = np.linalg.cond(G)
-    if not np.isfinite(c) or c > 1.0 / max(tol, 1e-15):
-        raise SingularMatrixError(f"map is not invertible enough to dualize (condition {c:.3g})")
-    T = np.linalg.solve(G, H)
-    return LinMap(map_.domain, map_.codomain, T)
+    Ginv = _inverse(G, "the map's trace pairing", limit=1.0 / max(tol, 1e-15))
+    return LinMap(map_.domain, map_.codomain, _times_span_gram(Ginv, map_.domain))
 
 
 def extend_from_subset(domain: SpaceTag, codomain: SpaceTag, samples, tol: float = 1e-7) -> LinMap:

@@ -79,12 +79,12 @@ def _as_param(M, name: str) -> np.ndarray:
     return M
 
 
-def _inverse(M: np.ndarray, name: str) -> np.ndarray:
-    """inv(M); SingularMatrixError naming M as `name` when M is singular or
-    worse conditioned than COND_LIMIT."""
+def _inverse(M: np.ndarray, name: str, limit: float = COND_LIMIT) -> np.ndarray:
+    """inv(M); SingularMatrixError naming M as `name` when M is singular or its
+    2-norm condition number is above `limit` (`extend.dualize` sets its own)."""
     c = np.linalg.cond(M)
-    if not np.isfinite(c) or c > COND_LIMIT:
-        raise SingularMatrixError(f"{name} is singular or has condition number above {COND_LIMIT:g} ({c:.3g})")
+    if not np.isfinite(c) or c > limit:
+        raise SingularMatrixError(f"{name} is singular or has condition number above {limit:g} ({c:.3g})")
     return np.linalg.inv(M)
 
 

@@ -41,10 +41,12 @@ from traceprod import (
     generate,
     herm_power,
     identity_map,
+    linmap_from_images,
     nonextendable_best_fit_residual,
     power_map_apply,
     recover_conjugator,
     reshuffled_transfer_rank,
+    space_basis,
     verify_weighted,
     weighted_canonical_maps,
     weighted_reduction,
@@ -57,6 +59,7 @@ from traceprod.decompose import (
     _read_conjugator,
     _unit_columns,
 )
+from traceprod.families import haar_orthogonal, haar_unitary
 from conftest import basis_stack, ill_conditioned_diag_preservers, move_first_transfer
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
@@ -488,6 +491,57 @@ def test_decompose_certifies_valid_tuple_the_precheck_fails():
     assert isinstance(res.form, SymEven) and res.diagnostics["precheck_ran"] is False
 
 
+def _recovery_reproducers() -> dict:
+    """Tuples that `from_canonical` realises from parameters it accepts,
+    whose f_i(I) the recoveries used to judge: its condition number is the
+    square (HermEven, SymEven: f_1(I) = M*M with cond M = k) or the product
+    (MnChain: f_2(I) = N_2 N_3^{-1}, 1e8) of the parameters', and pn_pair's
+    f_1(I) = s^2 I fell below an absolute eigenvalue floor of 1e-12. At
+    k = 1e3, cond f_1(I) is 1e6 up to rounding; seed 5 draws a Q and an O
+    that put it above COND_LIMIT."""
+    rng = np.random.default_rng(5)
+    Q, O, U = haar_unitary(rng, 4), haar_orthogonal(rng, 4), haar_unitary(rng, 3)
+    cases = {"mn_chain": (MnChain((np.eye(3), np.diag([1, 1, 1e4]), np.diag([1e4, 1, 1]))), C3)}
+    for k in (1e3, 2e3, 1e4, 1e5):
+        D = np.diag([1, 1, 1, k])
+        cases[f"herm_even-{k:g}"] = (HermEven(Q @ D, (1.0,) * 4), SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 4))
+        cases[f"sym_even-{k:g}"] = (SymEven(O @ D, (1.0,) * 4), SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, 4))
+    for s in (1e-6, 1e-7, 1e-8):
+        cases[f"pn_pair-{s:g}"] = (PnPair(s * U, False), SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 3))
+    return cases
+
+
+_RECOVERY_REPRODUCERS = _recovery_reproducers()
+
+
+@pytest.mark.parametrize("form, space", _RECOVERY_REPRODUCERS.values(), ids=list(_RECOVERY_REPRODUCERS))
+def test_recoveries_refuse_nothing_from_canonical_accepts(monkeypatch, form, space):
+    # each recovery refused these as "f_i(I) is singular or has condition
+    # number above 1e+06" or "f_1(I) is not positive definite"; the rebuild,
+    # which judges the parameters themselves, certifies every one
+    maps = from_canonical(form, space)
+    monkeypatch.setattr(_DECOMPOSE, "check_preservation", _no_precheck)
+    result = decompose(maps)
+    assert type(result.form) is type(form)
+    assert result.diagnostics["precheck_ran"] is False
+    assert result.diagnostics["rebuild_delta"] <= CERTIFY_TOL
+
+
+@pytest.mark.parametrize("gen_family, slot", [("mn_chain", 1), ("herm_odd", 0)], ids=["mn_chain-f_2", "herm_odd-f_1"])
+def test_exactly_singular_f_at_identity_breaks_the_identity_not_the_program(gen_family, slot):
+    # f(A) = P A P with P = diag(1, 1, 0) in the slot the recovery inverts at
+    # the identity: numpy's inv raises LinAlgError there, the precheck runs
+    # first, and the tuple breaks the identity
+    maps = list(generate(GenSpec(family=gen_family, n=3, m=3, seed=1)).maps)
+    space = maps[0].domain
+    P = np.diag([1.0, 1.0, 0.0])
+    maps[slot] = linmap_from_images(space, space, [P @ B @ P for B in space_basis(space).elements])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(apply(maps[slot], np.eye(3)))
+    with pytest.raises(PreservationError):
+        decompose(maps)
+
+
 @pytest.mark.parametrize(
     "gen_family, field, n, m",
     [
@@ -759,6 +813,7 @@ def test_verify_weighted_control_fails():
     assert report.max_residual >= 1e-2
 
 
+_HERM2 = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 2)
 _HERM3 = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 3)
 _SYM3_REAL = SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, 3)
 
@@ -911,6 +966,63 @@ def test_nonextendable_best_fit_gap():
     assert nonextendable_best_fit_residual(gen.form, trials=16, seed=0) > 1e-3
     # scalar X admits the trivial extension, so the best fit is essentially exact
     assert nonextendable_best_fit_residual(1.7 * np.eye(2, dtype=complex), trials=16, seed=0) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: herm_power(-np.eye(2), 1.0), id="herm_power-t1"),
+        pytest.param(lambda: herm_power(-np.eye(2), 0.0), id="herm_power-t0"),
+        pytest.param(lambda: herm_power(-np.eye(2), 0.5), id="herm_power-t0.5"),
+        pytest.param(lambda: herm_power(np.diag([1.0, 1e-13]), 1.0), id="herm_power-below-floor"),
+        pytest.param(lambda: power_map_apply(identity_map(_HERM2), -np.eye(2)), id="power_map_apply-linmap"),
+        pytest.param(lambda: power_map_apply(PowerMap(identity_map(_HERM2), pre=2.0), -np.eye(2)), id="power_map_apply-pre2"),
+    ],
+)
+def test_matrix_powers_refuse_an_indefinite_input_at_every_power(call):
+    # at t = 1 and t = 0 the power took no eigendecomposition: herm_power
+    # returned -I and I, and power_map_apply of a LinMap returned -I
+    with pytest.raises(PositivityError, match="input must be positive definite"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: decompose([1, 2, 3]), r"maps\[0\] is not a LinMap", id="decompose-ints"),
+        pytest.param(
+            lambda: decompose([PowerMap(identity_map(_HERM2))] * 3), r"maps\[0\] is not a LinMap", id="decompose-powermaps"
+        ),
+        pytest.param(lambda: verify_weighted([1], [1], [1]), r"maps\[0\] is not a LinMap or PowerMap", id="verify_weighted"),
+        pytest.param(lambda: weighted_reduction([], [], []), "need at least one map", id="weighted_reduction-empty"),
+        pytest.param(
+            lambda: weighted_reduction([1], [1], [1]), r"maps\[0\] is not a LinMap or PowerMap", id="weighted_reduction-int"
+        ),
+    ],
+)
+def test_tuple_functions_refuse_what_is_not_a_map(call, match):
+    # decompose and verify_weighted raised AttributeError, and the empty
+    # weighted_reduction returned []
+    with pytest.raises(InvalidParameterError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("rtol", [float("nan"), -1.0, 0.0, 1.0, 2.0])
+def test_reshuffled_rank_refuses_rtol_outside_the_open_unit_interval(rtol):
+    # NaN read rank 0 and -1 read rank 4: no or every singular value counted
+    with pytest.raises(InvalidParameterError, match=r"rtol must lie in the open interval \(0, 1\)"):
+        reshuffled_transfer_rank(identity_map(C2), rtol=rtol)
+
+
+@pytest.mark.parametrize(
+    "X, match",
+    [(np.full((2, 2), np.nan), "X has non-finite entries"), (np.ones((2, 3)), "X must be a square matrix")],
+    ids=["nan", "non-square"],
+)
+def test_best_fit_residual_refuses_a_bad_bare_matrix(X, match):
+    # a NaN X returned a NaN residual
+    with pytest.raises(InvalidParameterError, match=match):
+        nonextendable_best_fit_residual(X, trials=4)
 
 
 def test_decomposition_result_reports_gauge():

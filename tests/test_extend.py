@@ -472,6 +472,29 @@ def test_dualize_singular_map_rejected():
         dualize(LinMap(C2, C2, T))
 
 
+@pytest.mark.parametrize("tol, limit", [(None, r"1e\+09"), (1e-6, r"1e\+06"), (0.0, r"1e\+15")])
+def test_dualize_refusal_names_its_limit(tol, limit):
+    # dualize's condition test is `_inverse`'s at the limit 1/max(tol, 1e-15)
+    T = np.zeros((4, 4))
+    T[0, 0] = 1.0
+    with pytest.raises(SingularMatrixError, match=f"condition number above {limit} "):
+        dualize(LinMap(C2, C2, T), *([] if tol is None else [tol]))
+
+
+@pytest.mark.parametrize("tag", [SpaceTag(kind, field, 3) for kind in SpaceKind for field in Field], ids=str)
+def test_dualize_is_the_solve_against_the_span_gram(tag):
+    # G^{-1} gathered and scaled is the solve of G against the trace Gram
+    # matrix, entry for entry
+    rng = np.random.default_rng(3)
+    d, real = span_dim(tag), base_field(tag) is Field.REAL
+    T = rng.standard_normal((d, d)) + 2 * d * np.eye(d)
+    if not real:
+        T = T + 1j * rng.standard_normal((d, d))
+    f = LinMap(tag, tag, T)
+    want = np.linalg.solve(_times_span_gram(f.transfer.T, tag), _span_gram(tag))
+    assert np.array_equal(dualize(f).transfer, want)
+
+
 def test_extend_from_subset_recovers_map():
     rng = np.random.default_rng(4)
     T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + np.eye(4)
