@@ -821,7 +821,7 @@ def verify_weighted(
     maps = list(maps)
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)
-    _require_maps(maps, (LinMap, PowerMap), "a LinMap or PowerMap")
+    _require_maps(maps, (LinMap, PowerMap))
     n = maps[0].domain.n
     if any(f.domain.n != n for f in maps):
         raise DimensionMismatchError("maps must share one matrix size")
@@ -901,7 +901,7 @@ def weighted_reduction(maps, alpha, beta, tol: float = 1e-8, seed: int = 0) -> l
     maps = list(maps)
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)
-    _require_maps(maps, (LinMap, PowerMap), "a LinMap or PowerMap")
+    _require_maps(maps, (LinMap, PowerMap))
     out = []
     rng = _rng(seed)
     for i in range(m):

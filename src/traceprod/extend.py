@@ -112,13 +112,13 @@ def _check_trials(trials) -> None:
         raise InvalidParameterError(f"trials must be a positive integer, got {trials!r}")
 
 
-def _require_maps(maps, kinds=LinMap, what: str = "a LinMap") -> None:
+def _require_maps(maps, kinds: tuple = (LinMap,)) -> None:
     """Refuse an empty tuple, or one holding anything but instances of `kinds`."""
     if not maps:
         raise InvalidParameterError("need at least one map")
     for i, f in enumerate(maps):
         if not isinstance(f, kinds):
-            raise InvalidParameterError(f"maps[{i}] is not {what}")
+            raise InvalidParameterError(f"maps[{i}] is not a {' or '.join(k.__name__ for k in kinds)}")
 
 
 def _validate_tuple(maps) -> tuple[int, int]:

@@ -976,7 +976,9 @@ def test_nonextendable_best_fit_gap():
         pytest.param(lambda: herm_power(-np.eye(2), 0.5), id="herm_power-t0.5"),
         pytest.param(lambda: herm_power(np.diag([1.0, 1e-13]), 1.0), id="herm_power-below-floor"),
         pytest.param(lambda: power_map_apply(identity_map(_HERM2), -np.eye(2)), id="power_map_apply-linmap"),
-        pytest.param(lambda: power_map_apply(PowerMap(identity_map(_HERM2), pre=2.0), -np.eye(2)), id="power_map_apply-pre2"),
+        pytest.param(
+            lambda: power_map_apply(PowerMap(identity_map(_HERM2), pre=2.0), -np.eye(2)), id="power_map_apply-pre2"
+        ),
     ],
 )
 def test_matrix_powers_refuse_an_indefinite_input_at_every_power(call):
@@ -986,17 +988,18 @@ def test_matrix_powers_refuse_an_indefinite_input_at_every_power(call):
         call()
 
 
+_NOT_A_LINMAP = r"maps\[0\] is not a LinMap"
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
-        pytest.param(lambda: decompose([1, 2, 3]), r"maps\[0\] is not a LinMap", id="decompose-ints"),
-        pytest.param(
-            lambda: decompose([PowerMap(identity_map(_HERM2))] * 3), r"maps\[0\] is not a LinMap", id="decompose-powermaps"
-        ),
-        pytest.param(lambda: verify_weighted([1], [1], [1]), r"maps\[0\] is not a LinMap or PowerMap", id="verify_weighted"),
+        pytest.param(lambda: decompose([1, 2, 3]), _NOT_A_LINMAP, id="decompose-ints"),
+        pytest.param(lambda: decompose([PowerMap(identity_map(_HERM2))] * 3), _NOT_A_LINMAP, id="decompose-powermaps"),
+        pytest.param(lambda: verify_weighted([1], [1], [1]), _NOT_A_LINMAP + " or PowerMap", id="verify_weighted"),
         pytest.param(lambda: weighted_reduction([], [], []), "need at least one map", id="weighted_reduction-empty"),
         pytest.param(
-            lambda: weighted_reduction([1], [1], [1]), r"maps\[0\] is not a LinMap or PowerMap", id="weighted_reduction-int"
+            lambda: weighted_reduction([1], [1], [1]), _NOT_A_LINMAP + " or PowerMap", id="weighted_reduction-int"
         ),
     ],
 )
