@@ -26,6 +26,10 @@ done
 # a complex symmetric span, realised from the adjoint images and rebuilt side by side
 traceprod generate --family sym_even --n 3 --m 4 | traceprod decompose --maps -
 traceprod generate --family sym_even --field real --n 4 --m 4 | traceprod check --maps - --mode randomized --trials 64
+# 100**3 basis tuples are the cap: the default check runs the whole basis grid, in runs of slot-1 elements
+traceprod generate --family mn_chain --n 10 --m 3 | traceprod check --maps - >"$doc"
+grep -q '"mode":"exhaustive"' "$doc"
+grep -q '"trials":1000000' "$doc"
 # 144**3 basis tuples exceed 10**6, so the default check samples a grid on a full space
 traceprod generate --family mn_chain --n 12 --m 3 | traceprod check --maps -
 # and it must fail (exit 1) once one transfer entry moves by 1e-6
@@ -49,12 +53,23 @@ for case in "0 True" "1 False"; do
   traceprod decompose --maps "$doc" \
     | python -c "import json, sys; g = json.load(open(sys.argv[1])); d = json.load(sys.stdin); assert g['form']['params']['transpose'] is d['form']['params']['transpose'] is $flag" "$doc"
 done
-# f_2 of a diag_pair moved by 1e-6 is no longer f_1's partner: the rebuild refuses it, exit 1 and no traceback
+# f_2 of a diag_pair moved by 1e-6 is no longer f_1's partner: the identity check passes inside the rebuild,
+# which runs on and refuses it by its full miss, exit 1 and no traceback
 status=0
 traceprod generate --family diag_pair --n 4 --m 2 \
   | python -c "import json, sys; d = json.load(sys.stdin); d['maps'][1]['transfer']['data'][0][0] += 1e-6; json.dump(d, sys.stdout)" \
   | traceprod decompose --maps - 2>"$err" || status=$?
 test "$status" -eq 1
+grep -q "rebuilds the maps only to" "$err"
+if grep -q Traceback "$err"; then exit 1; fi
+# at n = 16 a side spans two rebuild blocks: f_1 moved by 1e-6 fails the identity check that its first block
+# calls for, exit 1 and no traceback
+status=0
+traceprod generate --family mn_chain --n 16 --m 3 \
+  | python -c "import json, sys; d = json.load(sys.stdin); d['maps'][0]['transfer']['data'][0][0] += 1e-6; json.dump(d, sys.stdout)" \
+  | traceprod decompose --maps - 2>"$err" || status=$?
+test "$status" -eq 1
+grep -q "maps do not satisfy the trace-product identity" "$err"
 if grep -q Traceback "$err"; then exit 1; fi
 # one entry moved by 1e-3 in the map that decompose reads the conjugator off (f_2 of
 # mn_chain, f_1 of the others): the identity check refuses the tuple, exit 1 and no traceback

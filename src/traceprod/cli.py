@@ -31,13 +31,13 @@ from .errors import (
 from .extend import check_preservation, dualize, embed_extend_pair, infeasibility_certificate
 from .families import FAMILIES, GenSpec, generate
 from .jsonio import (
+    _generated_document,
+    _maps_document,
     decode_maps_document,
     encode_certificate,
     encode_decomposition,
     encode_document,
     encode_error,
-    encode_generated,
-    encode_maps,
     encode_report,
 )
 from .spaces import Field, SpaceKind, SpaceTag, span_of
@@ -145,7 +145,7 @@ def _cmd_generate(args) -> int:
         condition_bound=args.condition_bound,
     )
     gen = generate(spec)
-    _emit(encode_generated(gen, args.family))
+    _emit(_generated_document(gen, args.family, stream=True))
     return 0
 
 
@@ -172,7 +172,7 @@ def _cmd_dualize(args) -> int:
         raise NotApplicableError(f"document has {len(maps)} maps; index {args.index} is out of range")
     f = maps[args.index]
     psi = dualize(f, tol=args.tol)
-    _emit(encode_maps(space if space is not None else f.domain, [f, psi]))
+    _emit(_maps_document(space if space is not None else f.domain, [f, psi], stream=True))
     return 0
 
 
@@ -188,7 +188,7 @@ def _cmd_extend(args) -> int:
     if len(maps) != 2:
         raise NotApplicableError(f"extension needs exactly 2 maps, got {len(maps)}")
     psi1, psi2 = embed_extend_pair(maps[0], maps[1], tol=args.tol)
-    _emit(encode_maps(span_of(psi1.domain), [psi1, psi2]))
+    _emit(_maps_document(span_of(psi1.domain), [psi1, psi2], stream=True))
     return 0
 
 

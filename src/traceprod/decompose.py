@@ -15,7 +15,9 @@ chains share one recovery. A rebuild within rounding (`CERTIFY_TOL`) of the
 input, from a form that meets its own invariants, certifies the tuple, since
 every tuple of canonical shape satisfies the identity. Only a tuple the rebuild
 does not certify, or whose recovery fails, pays for the randomized identity
-check (PreservationError); other failures raise CanonicalStructureError.
+check (PreservationError); other failures raise CanonicalStructureError. The
+check runs at the first rebuild block whose miss rules out the certificate,
+so a tuple that fails it is never rebuilt in full.
 Each `decompose_<family>` is `decompose` with that family.
 
 Also here: positive-definite matrix powers, power-wrapped maps for the weighted
@@ -37,6 +39,7 @@ from .errors import (
     InvalidParameterError,
     NotApplicableError,
     PositivityError,
+    PreservationError,
     SingularMatrixError,
 )
 from .extend import (
@@ -180,7 +183,7 @@ def _block_miss(F: np.ndarray, c, T: np.ndarray) -> tuple:
     return np.vdot(D, D).real, top, np.vdot(F, F).real, np.max(np.abs(F))
 
 
-def _rebuild(form, space: SpaceTag, maps) -> tuple[float, float]:
+def _rebuild(form, space: SpaceTag, maps, on_miss: Callable | None = None) -> tuple[float, float]:
     """The miss of the maps that `form` rebuilds, measured twice: the
     certificate's largest Frobenius error relative to the input transfer, and
     the `tol` gate's worst entry error relative to max(1, largest entry).
@@ -193,18 +196,42 @@ def _rebuild(form, space: SpaceTag, maps) -> tuple[float, float]:
     allocator, where a fresh full-size array would be mapped and faulted in
     page by page. A difference that overflows reads inf, and a NaN stays
     NaN.
+
+    `on_miss`, when given, is called once, after the first block at which
+    some map's miss so far rules out the certificate; the rebuild then runs
+    on to its end. A sum of squares only grows, so a miss so far above
+    `CERTIFY_TOL` of the whole input transfer's norm is a final miss above
+    it. That norm is summed block by block, exactly as the final quotient's
+    denominator, and only for a map whose miss so far already exceeds
+    `CERTIFY_TOL` of the rows read, whose norm is at most the whole one.
     """
     plan = _validated(form, space, tol=1e-5)
     slots = [(c, j, f.transfer) for (c, j), f in zip(plan.slots, maps)]
     misses = [(0.0, 0.0, 0.0, 0.0)] * len(slots)
+    blocks = _row_blocks(space)
+    norms = {}
+
+    def rules_out(i: int) -> bool:
+        sq, _, f_sq, _ = misses[i]
+        if not np.sqrt(sq) / np.sqrt(f_sq) > CERTIFY_TOL:
+            return False
+        if i not in norms:
+            F = slots[i][2]
+            norms[i] = sum((np.vdot(F[rows], F[rows]).real for rows in blocks), 0.0)
+        return np.sqrt(sq) / np.sqrt(norms[i]) > CERTIFY_TOL
+
     for k, side in enumerate(plan.sides):
-        for rows in _row_blocks(space):
+        mine = [i for i, (_, j, _) in enumerate(slots) if j == k]
+        for rows in blocks:
             T = side(rows)
-            for i, (c, j, F) in enumerate(slots):
-                if j == k:
-                    sq, top, f_sq, f_top = _block_miss(F[rows], c, T)
-                    a, b, e, g = misses[i]
-                    misses[i] = (a + sq, np.maximum(b, top), e + f_sq, np.maximum(g, f_top))
+            for i in mine:
+                c, _, F = slots[i]
+                sq, top, f_sq, f_top = _block_miss(F[rows], c, T)
+                a, b, e, g = misses[i]
+                misses[i] = (a + sq, np.maximum(b, top), e + f_sq, np.maximum(g, f_top))
+            if on_miss is not None and any(rules_out(i) for i in mine):
+                on_miss()
+                on_miss = None
     delta = [np.sqrt(sq) / np.sqrt(f_sq) for sq, _, f_sq, _ in misses]
     worst = [top / max(1.0, f_top) for _, top, _, f_top in misses]
     return float(np.max(delta)), float(np.max(worst))  # np.max keeps a NaN
@@ -668,7 +695,10 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
     ill-conditioned, or off an invariant; the message names it). The tuple
     is certified when each rebuilt transfer is within `CERTIFY_TOL` of its
     input in relative Frobenius norm and the form meets its own `invariants`
-    to `CERTIFY_TOL`; otherwise the identity check runs (PreservationError).
+    to `CERTIFY_TOL`; otherwise the identity check runs (PreservationError),
+    once: inside the rebuild, at the first block whose miss already exceeds
+    `CERTIFY_TOL`, or after it. A passing check lets the rebuild run on, so
+    the result and its diagnostics do not depend on where the check ran.
     Then the rebuild must be within `tol` (CanonicalStructureError), and
     pn_chain's Hermitian and symmetric chains must have positive scalars.
     The result's `diagnostics` record the certificate and the check.
@@ -690,13 +720,18 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
         if spec.recover is not None:
             break
         name, cone = _resolve(name, dom, m), True  # pn_chain, whose chains need positive scalars
+    # the one identity check: the rebuild runs it at the first block that
+    # rules out the certificate, and a later call reads the same report
+    precheck = functools.cache(lambda: _precheck(maps))
     # a tuple far from any preserver may overflow here; its residual reads inf
     with np.errstate(all="ignore"):
         try:
             form, note = spec.recover(maps, dom)
-            delta, worst = _rebuild(form, dom, maps)
+            delta, worst = _rebuild(form, dom, maps, precheck)
+        except PreservationError:
+            raise  # from the rebuild's check, which a second call would repeat
         except Exception as exc:
-            _precheck(maps)
+            precheck()
             if isinstance(exc, (InvalidParameterError, SingularMatrixError, np.linalg.LinAlgError)):
                 # a refused parameter, or an exactly singular f_i(I): no canonical form fits the tuple
                 raise CanonicalStructureError(str(exc)) from exc
@@ -704,7 +739,7 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
         deviation = float(np.max([0.0, *(dev for _, dev, _ in form.invariants())]))
         report = None
         if not (delta <= CERTIFY_TOL and deviation <= CERTIFY_TOL):
-            report = _precheck(maps)
+            report = precheck()
     if not worst <= tol:
         raise CanonicalStructureError(
             f"the recovered {type(form).__name__} rebuilds the maps only to {worst:.3g}, above tol {tol:.3g}"

@@ -55,7 +55,8 @@ from .spaces import (
 
 # beyond this many basis tuples the exhaustive check switches to sampling
 EXHAUSTIVE_CAP = 10**6
-# a randomized grid block spans at most this many slot-1 samples and tuples
+# a randomized grid block spans at most _BATCH slot-1 samples; a grid block
+# of either mode spans at most _GRID_TUPLES tuples, unless one slot-1 matrix does
 _BATCH = 512
 _GRID_TUPLES = 2**15
 
@@ -166,7 +167,9 @@ def check_preservation(
     same span, e.g. a definite cone.
 
     Both modes check a product grid: every tuple (A1, ..., Am) with Ai taken
-    from a stack for slot i. The exhaustive stacks are the domain bases. The
+    from a stack for slot i. The exhaustive stacks are the domain bases,
+    checked in runs of slot-1 basis elements of at most `_GRID_TUPLES` grid
+    tuples each (`_basis_blocks`), so memory does not grow with the grid. The
     randomized ones are k = ceil(trials**(1/m)) seeded samples per slot,
     drawn as `random_batch` draws them, slots 2..m first and slot 1 last;
     `trials` counts the grid tuples checked, the first ones in row-major order
@@ -203,13 +206,7 @@ def check_preservation(
     # an overflow in the products reads as an infinite residual, so it warns nothing
     with np.errstate(over="ignore", invalid="ignore"):
         if chosen is CheckMode.EXHAUSTIVE:
-            # the whole grid is one block; the image stacks are dropped once paired
-            half = (len(maps) + 1) // 2
-            lhs = _pair_traces(
-                [_reassemble(f.codomain, f.transfer.T, _field_dtype(f.codomain)) for f in maps], half
-            )
-            bases = [_reassemble(f.domain, np.eye(d), _field_dtype(f.domain)) for f, d in zip(maps, dims)]
-            blocks, count = [(lhs, _pair_traces(bases, half), bases)], total
+            blocks, count = _basis_blocks(maps, dims), total
         else:
             spaces = [sample_space if sample_space is not None else f.domain for f in maps]
             blocks, count = _sample_blocks(maps, spaces, trials, seed), trials
@@ -251,6 +248,22 @@ def _grid_shape(trials: int, m: int) -> tuple[int, int, int]:
     per = k ** (m - 1)  # tuples per slot-1 sample
     need = -(-trials // per)
     return k, need, min(need, _BATCH, max(1, _GRID_TUPLES // per))
+
+
+def _basis_blocks(maps, dims: list[int]):
+    """The blocks of the exhaustive grid over the domain bases, as
+    `_check_grid` reads them: runs of slot-1 basis elements, each at most
+    `_GRID_TUPLES` tuples' worth unless one element alone spans more. The
+    basis and image stacks are built once, so memory does not grow with the
+    grid."""
+    half = (len(maps) + 1) // 2
+    images = [_reassemble(f.codomain, f.transfer.T, _field_dtype(f.codomain)) for f in maps]
+    bases = [_reassemble(f.domain, np.eye(d), _field_dtype(f.domain)) for f, d in zip(maps, dims)]
+    step = max(1, _GRID_TUPLES // math.prod(dims[1:]))
+    for start in range(0, dims[0], step):
+        first = bases[0][start : start + step]
+        mapped = images[0][start : start + step]
+        yield _pair_traces([mapped, *images[1:]], half), _pair_traces([first, *bases[1:]], half), [first, *bases[1:]]
 
 
 def _sample_blocks(maps, spaces, trials: int, seed: int):

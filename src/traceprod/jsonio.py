@@ -5,7 +5,9 @@ Matrices travel as {"rows", "cols", "field", "data"} with row-major
 field-agnostic and lossless at double precision. Documents produced by the
 command line's `generate` carry "space", "form", and "maps" keys and are
 accepted anywhere a tuple of maps is expected. `encode_document` writes a
-document as one line of compact, strict JSON.
+document as one line of compact, strict JSON; the command line's
+`generate`, `dualize` and `extend` have it write each transfer's entries
+straight from the array, a block of rows at a time.
 """
 from __future__ import annotations
 
@@ -25,20 +27,54 @@ from .spaces import SpaceTag, span_of
 
 
 def encode_matrix(M) -> dict:
+    return _matrix(M, stream=False)
+
+
+def _matrix(M, stream: bool) -> dict:
+    """`encode_matrix`'s object; with `stream`, its "data" is M itself, which
+    `encode_document` writes a block of rows at a time (`_Rows`)."""
     M = np.asarray(M)
     if M.ndim == 1:
         M = np.diag(M)
     if M.ndim != 2:
         raise InvalidParameterError(f"can only encode 2-d matrices, got ndim={M.ndim}")
     real = not np.iscomplexobj(M) or float(np.max(np.abs(M.imag), initial=0.0)) == 0.0
-    Mc = M.astype(np.complex128, copy=False)
-    data = np.stack((Mc.real, Mc.imag), -1).reshape(-1, 2).tolist()
     return {
         "rows": int(M.shape[0]),
         "cols": int(M.shape[1]),
         "field": "real" if real else "complex",
-        "data": data,
+        "data": _Rows(M) if stream else _entry_pairs(M),
     }
+
+
+def _entry_pairs(M: np.ndarray) -> list:
+    """The row-major [real, imag] pairs of the entries of M."""
+    Mc = M.astype(np.complex128, copy=False)
+    return np.stack((Mc.real, Mc.imag), -1).reshape(-1, 2).tolist()
+
+
+# entries per block of rows that `_Rows` writes
+_ROW_ENTRIES = 2**12
+
+
+class _Rows:
+    """A matrix's "data" list, held as the matrix until `encode_document`
+    writes it: the text of `_entry_pairs` of a block of rows at a time, so
+    that no list of every entry is built."""
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+
+    def write(self, fh) -> None:
+        step = max(1, _ROW_ENTRIES // max(1, self.M.shape[1]))
+        sep = ""
+        fh.write("[")
+        for start in range(0, len(self.M), step):
+            text = _text(_entry_pairs(self.M[start : start + step]))[1:-1]
+            if text:
+                fh.write(sep + text)
+                sep = ","
+        fh.write("]")
 
 
 def _integer(obj, key: str) -> int:
@@ -96,10 +132,14 @@ def decode_space(obj) -> SpaceTag:
 
 
 def encode_linmap(map_: LinMap) -> dict:
+    return _linmap(map_, stream=False)
+
+
+def _linmap(map_: LinMap, stream: bool) -> dict:
     return {
         "domain": encode_space(map_.domain),
         "codomain": encode_space(map_.codomain),
-        "transfer": encode_matrix(map_.transfer),
+        "transfer": _matrix(map_.transfer, stream),
     }
 
 
@@ -220,16 +260,28 @@ def encode_decomposition(result: DecompositionResult, space: SpaceTag) -> dict:
 
 def encode_maps(space: SpaceTag, maps) -> dict:
     """A bare maps document: the space and the encoded maps."""
-    return {"space": encode_space(space), "m": len(maps), "maps": [encode_linmap(f) for f in maps]}
+    return _maps_document(space, maps, stream=False)
+
+
+def _maps_document(space: SpaceTag, maps, stream: bool) -> dict:
+    """`encode_maps`'s document; with `stream`, `encode_document` writes each
+    transfer's data straight from its array."""
+    return {"space": encode_space(space), "m": len(maps), "maps": [_linmap(f, stream) for f in maps]}
 
 
 def encode_generated(gen: Generated, family: str) -> dict:
+    return _generated_document(gen, family, stream=False)
+
+
+def _generated_document(gen: Generated, family: str, stream: bool) -> dict:
+    """`encode_generated`'s document; with `stream`, `encode_document` writes
+    each transfer's data straight from its array."""
     return {
         "family": family,
         "space": encode_space(gen.space),
         "m": len(gen.maps),
         "form": encode_form(gen.form),
-        "maps": [encode_linmap(f) for f in gen.maps],
+        "maps": [_linmap(f, stream) for f in gen.maps],
     }
 
 
@@ -240,21 +292,35 @@ def encode_document(doc: dict, fh) -> None:
     """Write `doc` to the text file `fh` as one line of compact JSON and a newline.
 
     The text equals `json.dumps(doc, separators=(",", ":"), allow_nan=False)`,
-    built one top-level value, and one item of a top-level list, at a time:
-    each piece takes CPython's C encoder, and at most one map's text is held
-    in memory. A NaN or infinite number raises ValueError.
+    built one piece at a time: objects, and lists of objects, are written
+    item by item, and any other value takes CPython's C encoder whole. The
+    documents of `_maps_document` and `_generated_document` with `stream`
+    hold each transfer's data as its array (`_Rows`), which is written a
+    block of rows at a time, so no list of its entries is built. A NaN or
+    infinite number raises ValueError.
     """
-    fh.write("{")
-    for i, (key, value) in enumerate(doc.items()):
-        fh.write(("," if i else "") + _text(key) + ":")
-        if isinstance(value, list):
-            fh.write("[")
-            for j, item in enumerate(value):
-                fh.write(("," if j else "") + _text(item))
-            fh.write("]")
-        else:
-            fh.write(_text(value))
-    fh.write("}\n")
+    _write(doc, fh)
+    fh.write("\n")
+
+
+def _write(value, fh) -> None:
+    if isinstance(value, dict):
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(("," if i else "") + _text(key) + ":")
+            _write(item, fh)
+        fh.write("}")
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        fh.write("[")
+        for i, item in enumerate(value):
+            if i:
+                fh.write(",")
+            _write(item, fh)
+        fh.write("]")
+    elif isinstance(value, _Rows):
+        value.write(fh)
+    else:
+        fh.write(_text(value))
 
 
 def decode_maps_document(obj) -> tuple[list, SpaceTag | None]:

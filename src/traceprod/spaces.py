@@ -148,7 +148,9 @@ def coords_batch(space: SpaceTag, batch: np.ndarray) -> np.ndarray:
     Index gathers in the order of `space_basis`: full spaces read all entries
     row-major, diagonal spaces the diagonal. Symmetric and Hermitian spaces read
     the diagonal, then per i<j pair the mean (A_ij + A_ji)/2, followed in the
-    Hermitian case by Im(A_ij - A_ji)/2. Real coordinates keep the real part.
+    Hermitian case by Im(A_ij - A_ji)/2, each taken as a sum of halves, which
+    does not overflow where the entries are finite. Real coordinates keep the
+    real part.
     Each gather writes straight into the returned array, which never shares
     memory with the input.
     """
@@ -166,16 +168,34 @@ def coords_batch(space: SpaceTag, batch: np.ndarray) -> np.ndarray:
         return out
     diag, up, lo = _flat_indices(n)
     out[:, :n] = flat[:, diag]
-    if s.kind is SpaceKind.SYMMETRIC:
-        # the mean in the input's dtype first: dividing a complex sum by 2
-        # fixes the signed zeros of its real part
-        mean = (entries[:, up] + entries[:, lo]) / 2
-        out[:, n:] = mean.real if real else mean
-    elif s.kind is SpaceKind.HERMITIAN:
-        imag = entries.imag
-        out[:, n::2] = (flat[:, up] + flat[:, lo]) / 2
-        out[:, n + 1 :: 2] = (imag[:, up] - imag[:, lo]) / 2
+    if s.kind is SpaceKind.DIAGONAL:
+        return out
+    # each entry of a mirrored pair is halved before the two are added, so
+    # that two entries near the largest double do not overflow
+    upper, lower = _halves(entries, up), _halves(entries, lo)
+    if s.kind is SpaceKind.HERMITIAN:
+        # x + iy = A_ij/2 + conj(A_ji)/2, written through a complex view of
+        # the interleaved (x, y) coordinates
+        np.add(upper, np.conjugate(lower, out=lower), out=out[:, n:].view(np.complex128))
+        return out
+    upper += lower
+    if np.iscomplexobj(upper):
+        # a complex division by 1 adds the zero cross terms that fix the
+        # signed zeros of each part as dividing the sum by 2 did
+        upper /= 1
+    out[:, n:] = upper.real if real else upper
     return out
+
+
+def _halves(entries: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns `cols` of `entries` as a new array in their floating precision
+    (float64 for integers), each real and imaginary part halved exactly."""
+    z = np.take(entries, cols, axis=1)
+    if z.dtype.kind in "biu":
+        z = z.astype(np.float64)
+    parts = z.view(z.real.dtype)
+    parts *= 0.5
+    return z
 
 
 def reassemble(space: SpaceTag, x: np.ndarray) -> np.ndarray:

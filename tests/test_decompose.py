@@ -654,6 +654,129 @@ def test_decompose_form_off_its_invariants_runs_precheck(monkeypatch):
     assert res.diagnostics["precheck_ran"] is True and len(calls) == 1
 
 
+def _recovered(maps):
+    """The form that decompose, with family "auto", recovers from `maps`."""
+    dom, m = maps[0].domain, len(maps)
+    family = _DECOMPOSE._resolve("auto", dom, m)
+    if family == "pn_chain":
+        family = _DECOMPOSE._resolve(family, dom, m)
+    return _DECOMPOSE._DECOMPOSERS[family].recover(maps, dom)[0]
+
+
+def _blocks_before_precheck(monkeypatch) -> tuple[list, list]:
+    """Count decompose's rebuild blocks, and record at each precheck how many
+    had been read and whether the check passed."""
+    blocks, prechecks = [], []
+    block_miss = _DECOMPOSE._block_miss
+
+    def counted_block(*args):
+        blocks.append(True)
+        return block_miss(*args)
+
+    def counted_check(*args, **kwargs):
+        report = check_preservation(*args, **kwargs)
+        prechecks.append((len(blocks), report.passed))
+        return report
+
+    monkeypatch.setattr(_DECOMPOSE, "_block_miss", counted_block)
+    monkeypatch.setattr(_DECOMPOSE, "check_preservation", counted_check)
+    return blocks, prechecks
+
+
+@pytest.mark.parametrize(
+    "gen_family, m, before, full",
+    [("mn_chain", 3, 1, 6), ("herm_even", 4, 2, 8), ("pn_pair", 2, 1, 4)],
+)
+def test_perturbed_tuple_runs_precheck_at_the_first_block_beyond_certify_tol(monkeypatch, gen_family, m, before, full):
+    # n = 16 spans two blocks a side. A 1e-6 move of map 0 misses by far
+    # more than CERTIFY_TOL in its first block, where the one precheck runs
+    # and refuses the tuple; the rest of the rebuild (`full` blocks in all,
+    # each map's block of each side) is never realised
+    maps = move_first_transfer(generate(GenSpec(family=gen_family, n=16, m=m, seed=0)).maps, 1e-6)
+    blocks, prechecks = _blocks_before_precheck(monkeypatch)
+    with pytest.raises(PreservationError):
+        decompose(maps)
+    assert prechecks == [(before, False)] and len(blocks) == before
+    blocks.clear()
+    _DECOMPOSE._rebuild(_recovered(maps), maps[0].domain, maps)
+    assert len(blocks) == full
+
+
+_MOVED_ERRORS = {("diag_chain", 2, 2): CanonicalStructureError}
+
+
+@pytest.mark.parametrize("rel", [1e-10, 1e-6])
+@pytest.mark.parametrize("last", [False, True], ids=["first-map", "last-map"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "gen_family, field, m",
+    [
+        ("mn_chain", Field.COMPLEX, 3),
+        ("herm_odd", Field.COMPLEX, 3),
+        ("herm_even", Field.COMPLEX, 4),
+        ("pn_pair", Field.COMPLEX, 2),
+        ("pn_chain", Field.REAL, 3),
+        ("sym_odd", Field.REAL, 3),
+        ("sym_even", Field.REAL, 4),
+        ("sym_even", Field.COMPLEX, 4),
+        ("diag_pair", Field.REAL, 2),
+        ("diag_chain", Field.COMPLEX, 3),
+    ],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_moved_small_tuple_runs_the_one_precheck_its_full_rebuild_calls_for(monkeypatch, gen_family, field, m, n, last, rel):
+    # a 1e-10 move sits at CERTIFY_TOL, and some of these tuples still certify.
+    # The precheck runs exactly when the full rebuild (`_rebuild` without a
+    # callback) or the invariants miss CERTIFY_TOL, and runs once
+    i = m - 1 if last else 0
+    maps = list(generate(GenSpec(family=gen_family, n=n, m=m, field=field, seed=0)).maps)
+    maps[i] = move_first_transfer([maps[i]], rel)[0]
+    form = _recovered(maps)
+    delta, _ = _DECOMPOSE._rebuild(form, maps[0].domain, maps)
+    deviation = max([0.0, *(dev for _, dev, _ in form.invariants())])
+    certified = delta <= CERTIFY_TOL and deviation <= CERTIFY_TOL
+    calls = _count_prechecks(monkeypatch)
+    if rel == 1e-10:
+        res = decompose(maps)
+        assert res.diagnostics["precheck_ran"] is (not certified) and len(calls) == (not certified)
+        assert res.diagnostics["rebuild_delta"] == delta
+    else:
+        error = _MOVED_ERRORS.get((gen_family, n, i), PreservationError)
+        with pytest.raises(error):
+            decompose(maps)
+        assert not certified and len(calls) == 1 and calls[0].passed is (error is CanonicalStructureError)
+
+
+def test_precheck_that_passes_inside_the_rebuild_lets_it_finish(monkeypatch):
+    # f_2 of a diag_pair with one entry moved by 1e-6 is no longer f_1's
+    # partner, yet the identity check at this size passes: the rebuild runs
+    # on to its end, and the tol gate reads the full miss
+    maps = list(generate(GenSpec(family="diag_pair", n=4, m=2, seed=0)).maps)
+    moved = maps[1].transfer.copy()
+    moved[0, 0] += 1e-6
+    maps[1] = LinMap(maps[1].domain, maps[1].codomain, moved)
+    delta, worst = _DECOMPOSE._rebuild(_recovered(maps), maps[0].domain, maps)
+    blocks, prechecks = _blocks_before_precheck(monkeypatch)
+    with pytest.raises(CanonicalStructureError, match=f"rebuilds the maps only to {worst:.3g}, above tol 1e-07"):
+        decompose(maps)
+    assert f"{worst:.3g}" == "4.08e-07" and delta > CERTIFY_TOL
+    # the one check ran inside the rebuild, at f_2's block, and passed
+    assert prechecks == [(2, True)] and len(blocks) == 2
+
+
+def test_rebuild_delta_after_an_early_precheck_is_the_full_rebuilds(monkeypatch):
+    # one-row-group blocks split the one side into four: the check passes at
+    # the first, and the rebuild reads the other three before it reports
+    monkeypatch.setattr(_LINMAPS, "_BLOCK_ENTRIES", 1)
+    _, maps = _off_unitary_tuple()
+    full_delta, full_worst = _DECOMPOSE._rebuild(_recovered(maps), maps[0].domain, maps)
+    blocks, prechecks = _blocks_before_precheck(monkeypatch)
+    res = decompose(maps)
+    assert prechecks == [(3, True)] and len(blocks) == 12
+    assert res.diagnostics["rebuild_delta"] == full_delta > CERTIFY_TOL
+    assert res.reconstruction_residual == full_worst
+
+
 def test_invariant_deviation_of_each_invariant():
     def deviation(form):
         return max((dev for _, dev, _ in form.invariants()), default=0.0)

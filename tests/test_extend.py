@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -337,6 +338,36 @@ def test_randomized_check_memory_does_not_grow_with_trials(maps, trials):
         tracemalloc.stop()
     assert report.passed and report.trials == trials
     assert peak < 16 * 2**20
+
+
+def test_exhaustive_check_memory_does_not_grow_with_the_grid():
+    # 100**3 basis tuples, the cap: the grid as one block peaked at 56.5 MB
+    # of tracemalloc; runs of slot-1 basis elements peak at 3.8 MB
+    maps = generate(GenSpec(family="mn_chain", n=10, m=3, seed=0)).maps
+    check_preservation(maps)  # warm the basis caches
+    tracemalloc.start()
+    try:
+        report = check_preservation(maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mode.value == "exhaustive" and report.trials == 10**6 and report.passed
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("run", [2, 3, 5])
+def test_exhaustive_runs_report_what_the_whole_grid_reports(monkeypatch, run):
+    # the worst tuple and its residual do not depend on how the grid is cut
+    # into runs of two or more slot-1 basis elements
+    for family, m in (("mn_chain", 3), ("herm_even", 4), ("pn_pair", 2), ("diag_chain", 3)):
+        maps = move_first_transfer(generate(GenSpec(family=family, n=2, m=m, seed=0)).maps, 1e-6)
+        per = math.prod(span_dim(f.domain) for f in maps[1:])
+        monkeypatch.setattr(extend, "_GRID_TUPLES", run * per)
+        report = check_preservation(maps, mode="exhaustive")
+        monkeypatch.setattr(extend, "_GRID_TUPLES", 10**9)
+        reference = check_preservation(maps, mode="exhaustive")
+        assert report.max_residual == reference.max_residual > 0
+        assert all(np.array_equal(a, b) for a, b in zip(report.worst_tuple, reference.worst_tuple, strict=True))
 
 
 _DETECTION_FAMILIES = [

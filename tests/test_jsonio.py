@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from traceprod import Field, GenSpec, InvalidParameterError, SpaceKind, SpaceTag, from_canonical, generate
+from traceprod import jsonio
 from traceprod.jsonio import (
     decode_form,
     decode_linmap,
@@ -15,6 +16,7 @@ from traceprod.jsonio import (
     encode_form,
     encode_generated,
     encode_linmap,
+    encode_maps,
     encode_matrix,
     encode_space,
 )
@@ -274,3 +276,31 @@ def test_bare_list_document():
 def test_maps_document_rejects_garbage():
     with pytest.raises(InvalidParameterError):
         decode_maps_document({"nothing": "here"})
+
+
+@pytest.mark.parametrize("row_entries", [1, 7, 2**12], ids=["one-row-blocks", "odd-blocks", "default-blocks"])
+def test_streamed_documents_write_the_public_encoders_text(monkeypatch, row_entries):
+    monkeypatch.setattr(jsonio, "_ROW_ENTRIES", row_entries)
+    for family, n, m, field in ROUND_TRIP_CASES:
+        gen = generate(GenSpec(family=family, n=n, m=m, field=field, seed=3))
+        for streamed, plain in (
+            (jsonio._generated_document(gen, family, stream=True), encode_generated(gen, family)),
+            (jsonio._maps_document(gen.space, gen.maps, stream=True), encode_maps(gen.space, gen.maps)),
+        ):
+            fh = io.StringIO()
+            encode_document(streamed, fh)
+            assert fh.getvalue() == json.dumps(plain, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (5, 2)])
+def test_streamed_matrix_of_any_shape(shape):
+    M = np.arange(np.prod(shape), dtype=float).reshape(shape) - 1.5
+    for A in (M, M + 1j * M[::-1] if M.size else M.astype(complex)):
+        fh = io.StringIO()
+        encode_document({"m": jsonio._matrix(A, stream=True)}, fh)
+        assert fh.getvalue() == json.dumps({"m": encode_matrix(A)}, separators=(",", ":")) + "\n"
+
+
+def test_streamed_matrix_refuses_nan_as_text_does():
+    with pytest.raises(ValueError):
+        encode_document({"m": jsonio._matrix(np.array([[1.0, np.nan]]), stream=True)}, io.StringIO())

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,44 @@ def test_membership_positive_cases():
     P = np.array([[1.0, 1.0], [1.0, 1.0]])
     assert membership(SpaceTag(SpaceKind.POSSEMIDEF, Field.REAL, 2), P)
     assert not membership(SpaceTag(SpaceKind.POSDEF, Field.REAL, 2), P)
+
+
+_HUGE = 1e308  # twice it overflows
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "tag, A, x",
+    [
+        (S2, [[0.0, _HUGE], [_HUGE, 0.0]], [0.0, 0.0, _HUGE]),
+        (S2, [[-_HUGE, -_HUGE], [-_HUGE, _HUGE]], [-_HUGE, _HUGE, -_HUGE]),
+        (SpaceTag(SpaceKind.SYMMETRIC, Field.COMPLEX, 2), [[0, _HUGE * (1 - 1j)], [_HUGE * (1 - 1j), 0]], [0, 0, _HUGE * (1 - 1j)]),
+        (H2, [[0, _HUGE], [_HUGE, 0]], [0.0, 0.0, _HUGE, 0.0]),
+        (H2, [[0, _HUGE * (1 + 1j)], [_HUGE * (1 - 1j), 0]], [0.0, 0.0, _HUGE, _HUGE]),
+    ],
+    ids=["real-symmetric", "real-symmetric-negative", "complex-symmetric", "hermitian", "hermitian-skew"],
+)
+def test_mirrored_pairs_near_the_largest_double_do_not_overflow(tag, A, x):
+    # (A_ij + A_ji)/2 overflowed to inf, so these matrices read as off their span
+    A = np.array(A)
+    got = coords(tag, A)
+    assert np.array_equal(got, np.array(x, dtype=got.dtype))
+    assert membership(tag, A)
+    assert np.array_equal(reassemble(tag, got), A)
+
+
+@pytest.mark.parametrize("tag", [S2, H2, SpaceTag(SpaceKind.SYMMETRIC, Field.COMPLEX, 2)], ids=str)
+def test_mirrored_pair_mean_keeps_each_signed_zero(tag):
+    # every pair of entries from {+-0, +-1, 2.5} in both parts, against the
+    # mean of the sum in the input's dtype, as `_pair_index_coords` takes it
+    values = [0.0, -0.0, 1.0, -1.0, 2.5]
+    parts = [complex(a, b) for a in values for b in values]
+    pairs = np.array(list(itertools.product(parts, parts)))
+    A = np.zeros((len(pairs), 2, 2), dtype=np.complex128)
+    A[:, 0, 1], A[:, 1, 0] = pairs[:, 0], pairs[:, 1]
+    for stack in (A, A.real):
+        got, ref = coords_batch(tag, stack), _pair_index_coords(tag, stack)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_membership_negative_cases():
