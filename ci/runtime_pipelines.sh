@@ -99,6 +99,16 @@ print(json.dumps([encode_linmap(LinMap(space, space, np.diag([1.0, 0.0, 0.0, 0.0
   | traceprod dualize --maps - 2>"$err" || status=$?
 test "$status" -eq 2
 if grep -q Traceback "$err"; then exit 1; fi
+# the trace pairing of a diagonal map of 1-norm condition number 1e10 is above dualize's limit 1e9 at the
+# default tol: exit 2, no traceback, and stderr names the norm
+status=0
+python -c 'import json, numpy as np; from traceprod import LinMap, SpaceTag; from traceprod.jsonio import encode_linmap
+space = SpaceTag("Diagonal", "real", 2)
+print(json.dumps([encode_linmap(LinMap(space, space, np.diag([1.0, 1e10])))]))' \
+  | traceprod dualize --maps - 2>"$err" || status=$?
+test "$status" -eq 2
+grep -q "1-norm condition number" "$err"
+if grep -q Traceback "$err"; then exit 1; fi
 # a document whose "space" is not what its maps act on is an input error: exit 2 and no traceback
 for command in decompose dualize; do
   status=0
@@ -132,6 +142,11 @@ traceprod certify --n 3 --k 2
 # a size numpy refuses to allocate is an input error: exit 2 and no traceback
 status=0
 traceprod certify --n 100000 --k 1 >/dev/null 2>"$err" || status=$?
+test "$status" -eq 2
+if grep -q Traceback "$err"; then exit 1; fi
+# 10**12 maps whose transfers cannot fit in physical memory are refused before any sampling: exit 2 at once
+status=0
+timeout 10 traceprod generate --family mn_chain --n 3 --m 1000000000000 >/dev/null 2>"$err" || status=$?
 test "$status" -eq 2
 if grep -q Traceback "$err"; then exit 1; fi
 # the corner pair of the non-extendable triple preserves Hermitian matrices, so extend takes the complexify route

@@ -79,6 +79,7 @@ from .spaces import (
     Field,
     SpaceKind,
     SpaceTag,
+    coords_batch,
     random_batch,
     reassemble_batch,
     span_dim,
@@ -87,7 +88,9 @@ from .spaces import (
     _check_tol,
     _entry_terms,
     _gaussian,
+    _per_span,
     _random_batch,
+    _reassemble,
     _rng,
     _span_coords,
 )
@@ -131,8 +134,18 @@ def _validate_tuple_on(maps, kinds, field: Field | None) -> SpaceTag:
     return dom
 
 
+@_per_span
+def _identity_coords(space: SpaceTag) -> np.ndarray:
+    """The coordinates of I in the span of `space`, as one read-only row."""
+    x = coords_batch(space, np.eye(space.n)[None])
+    x.setflags(write=False)
+    return x
+
+
 def _map_at_identity(map_: LinMap) -> np.ndarray:
-    return apply_batch(map_, np.eye(map_.domain.n)[None])[0]
+    """f(I) from the cached coordinates of I, by `apply_batch`'s product and
+    reassembly, so bit for bit its value."""
+    return _reassemble(map_.codomain, _identity_coords(map_.domain) @ map_.transfer.T, np.complex128)[0]
 
 
 def _gauge_entry(M: np.ndarray) -> complex:
@@ -177,10 +190,10 @@ def _block_miss(F: np.ndarray, c, T: np.ndarray) -> tuple:
     A rebuilt block that is not finite raises as `from_canonical` does."""
     rebuilt = _scaled_slot(c, T)
     D = F - T if rebuilt is T else np.subtract(F, rebuilt, out=rebuilt)
-    top = np.max(np.abs(D))
+    top = np.abs(D).max()
     if not np.isfinite(top) and not np.all(np.isfinite(_scaled_slot(c, T))):
         raise InvalidParameterError("transfer has non-finite entries")
-    return np.vdot(D, D).real, top, np.vdot(F, F).real, np.max(np.abs(F))
+    return np.vdot(D, D).real, top, np.vdot(F, F).real, np.abs(F).max()
 
 
 def _rebuild(form, space: SpaceTag, maps, on_miss: Callable | None = None) -> tuple[float, float]:

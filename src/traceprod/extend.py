@@ -343,9 +343,10 @@ def dualize(map_: LinMap, tol: float = DEFAULT_TOL) -> LinMap:
     Requires the map to be a bijection onto its codomain span; both sides of
     the defining identity are bilinear, so matching them on basis pairs pins
     psi down: with G[a, l] = tr(f(B_a) C_l), the transfer is G^{-1} times the
-    trace Gram matrix [tr(B_a B_b)], by `linmaps._inverse` at the limit
-    1/max(tol, 1e-15) and one column gather. Applying dualize twice returns
-    the original map.
+    trace Gram matrix [tr(B_a B_b)], by `linmaps._inverse` and one column
+    gather. SingularMatrixError when G is singular or its 1-norm condition
+    number, taken from that one inverse, is above 1/max(tol, 1e-15). Applying
+    dualize twice returns the original map.
     """
     _check_tol(tol)
     d = span_dim(map_.domain)

@@ -6,6 +6,7 @@ equal specs produce bit-identical output (one PCG64 stream per call).
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -26,7 +27,17 @@ from .linmaps import (
     SymOdd,
     from_canonical,
 )
-from .spaces import Field, SpaceKind, SpaceTag, _check_seed, _gaussian, _rng, random_batch
+from .spaces import (
+    Field,
+    SpaceKind,
+    SpaceTag,
+    _check_seed,
+    _gaussian,
+    _rng,
+    base_field,
+    random_batch,
+    span_dim,
+)
 
 
 @dataclass(frozen=True)
@@ -288,9 +299,39 @@ _FAMILY_TABLE = {
 FAMILIES = tuple(_FAMILY_TABLE)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, where the platform reports them."""
+    try:
+        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return total if total > 0 else None
+
+
+def _require_fits(m: int, space: SpaceTag) -> None:
+    """Refuse a tuple whose m transfers, d x d each, need more bytes than
+    physical memory holds, before anything is drawn: each map alone is small
+    at a large m, so no single allocation would fail, and sampling would run
+    until the machine ran out. An n x n parameter too large for numpy to
+    address is left to numpy, which refuses the first draw by arithmetic
+    (ValueError)."""
+    if space.n * space.n * 16 > np.iinfo(np.intp).max:
+        return
+    need = m * span_dim(space) ** 2 * (8 if base_field(space) is Field.REAL else 16)
+    total = _physical_memory()
+    if total is not None and need > total:
+        raise InvalidParameterError(
+            f"the {m} transfers of this tuple need {need / 1e9:.3g} GB, "
+            f"more than the {total / 1e9:.3g} GB of physical memory"
+        )
+
+
 def generate(spec: GenSpec) -> Generated:
-    """Generate the canonical form and maps named by `spec`, deterministically."""
+    """Generate the canonical form and maps named by `spec`, deterministically.
+    A tuple whose transfers cannot fit in physical memory is refused first
+    (InvalidParameterError)."""
     family = _FAMILY_TABLE[spec.family]
     space = SpaceTag(family.kind, spec.field, spec.n)
+    _require_fits(spec.m, space)
     form = family.sample(_rng(spec.seed), spec.n, spec.m, spec.field, spec.condition_bound)
     return Generated(form=form, maps=tuple(from_canonical(form, space)), space=space)

@@ -63,7 +63,8 @@ from .spaces import (
     _span_deviation,
 )
 
-# parameter matrices this ill-conditioned are rejected outright
+# parameter matrices whose 1-norm condition number (`_inverse`) is above this
+# are rejected outright
 COND_LIMIT = 1e6
 # entries of a side's transfer that the rebuild, and the kernel on a Hermitian or
 # symmetric span, realise at a time
@@ -80,12 +81,26 @@ def _as_param(M, name: str) -> np.ndarray:
 
 
 def _inverse(M: np.ndarray, name: str, limit: float = COND_LIMIT) -> np.ndarray:
-    """inv(M); SingularMatrixError naming M as `name` when M is singular or its
-    2-norm condition number is above `limit` (`extend.dualize` sets its own)."""
-    c = np.linalg.cond(M)
-    if not np.isfinite(c) or c > limit:
-        raise SingularMatrixError(f"{name} is singular or has condition number above {limit:g} ({c:.3g})")
-    return np.linalg.inv(M)
+    """X = inv(M), judged by the 1-norm condition number k1 = |M|_1 |X|_1
+    that the one LU of the inverse gives at O(d^2) more work, with no SVD.
+
+    SingularMatrixError naming M as `name` when M is exactly singular (k1 is
+    inf), when k1 is not finite (a NaN or inf entry) or when it is above
+    `limit`: `COND_LIMIT` for parameters, 1/max(tol, 1e-15) in
+    `extend.dualize`. The 2-norm condition number k2 satisfies
+    k2 <= k1 <= d k2 on d x d matrices, and they agree on diagonal ones.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            X = np.linalg.inv(M)
+            c = np.linalg.norm(M, 1) * np.linalg.norm(X, 1)
+    except np.linalg.LinAlgError:  # an exactly singular M
+        c = np.inf
+    if not c <= limit:  # NaN fails too
+        raise SingularMatrixError(
+            f"{name} is singular or has condition number above {limit:g} (1-norm condition number {c:.3g})"
+        )
+    return X
 
 
 @dataclass(frozen=True)
@@ -727,11 +742,12 @@ def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = 1e-6) -> l
     """Realize a canonical form as the tuple of linear maps it denotes.
 
     Validates the parameters' structure (permutation, diagonal, invertible
-    with condition number at most 1e6) and the form's `invariants` (scalar
-    product, unitarity or orthogonality, product of the diagonals), each
-    against max(tol, its floor) where a tolerance applies; a miss of an
-    invariant is an InvalidParameterError that names it. Then each side of
-    the form is realised once, and each map is its scalar times its side.
+    with 1-norm condition number at most `COND_LIMIT`, 1e6, by `_inverse`)
+    and the form's `invariants` (scalar product, unitarity or orthogonality,
+    product of the diagonals), each against max(tol, its floor) where a
+    tolerance applies; a miss of an invariant is an InvalidParameterError
+    that names it. Then each side of the form is realised once, and each map
+    is its scalar times its side.
     """
     _check_tol(tol)
     plan = _validated(form, space, tol)

@@ -42,6 +42,9 @@ class SpaceKind(str, enum.Enum):
     DIAGONAL = "Diagonal"
 
 
+_KINDS = tuple(SpaceKind)
+
+
 @dataclass(frozen=True)
 class SpaceTag:
     """A named matrix space: structural kind, scalar field, and size."""
@@ -58,20 +61,32 @@ class SpaceTag:
         if int(self.n) != self.n or self.n < 1:
             raise InvalidParameterError(f"space size must be a positive integer, got n={self.n!r}")
         object.__setattr__(self, "n", int(self.n))
+        # taken once, from the members' positions rather than their salted
+        # string hashes, so a pickled tag carries a hash valid in any process;
+        # a tag built from strings is equal to, and hashes as, one built from
+        # members
+        object.__setattr__(self, "_hash", hash((_KINDS.index(self.kind), self.field is Field.COMPLEX, self.n)))
+
+    def __hash__(self):
+        return self._hash
 
 
+@functools.lru_cache(maxsize=None)
 def span_of(space: SpaceTag) -> SpaceTag:
     """The linear space spanned by `space`.
 
     Positive (semi)definite cones span the Hermitian matrices (complex field) or
     the real symmetric matrices (real field). Real Hermitian means real symmetric.
+    Cached once per distinct tag: tags with equal spans share one span tag,
+    which is its own span, so `span_of(t) is span_of(t)` and
+    `span_of(span_of(t)) is span_of(t)`.
     """
     kind, field = space.kind, space.field
     if kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF):
         kind = SpaceKind.HERMITIAN if field is Field.COMPLEX else SpaceKind.SYMMETRIC
     if kind is SpaceKind.HERMITIAN and field is Field.REAL:
         kind = SpaceKind.SYMMETRIC
-    return SpaceTag(kind, field, space.n)
+    return space if kind is space.kind else span_of(SpaceTag(kind, field, space.n))
 
 
 def base_field(space: SpaceTag) -> Field:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -641,3 +642,42 @@ def test_generate_holds_no_list_of_every_entry(capsys):
     finally:
         tracemalloc.stop()
     assert peak < 6e6 + 2 * len(text)  # capsys keeps the text it captured
+
+
+def test_generate_refuses_a_tuple_larger_than_physical_memory(capsys):
+    # m = 10**12 maps, each small: no single allocation fails, so the size
+    # is judged before sampling; one error document, exit 2, within 1 s
+    start = time.perf_counter()
+    code, err = _run(capsys, ["generate", "--family", "mn_chain", "--n", "3", "--m", str(10**12)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+    assert "physical memory" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_maps_documents_decode_with_the_collector_paused(tmp_path, capsys, monkeypatch, collecting):
+    # the parse and the decode run with the cyclic collector off, and the
+    # collector is left as it was found, also when the decode fails
+    gen = generate(GenSpec(family="mn_chain", n=2, m=3, seed=0))
+    path = tmp_path / "maps.json"
+    path.write_text(json.dumps(encode_generated(gen, "mn_chain")))
+    seen = []
+
+    def decode(doc):
+        seen.append(gc.isenabled())
+        return decode_maps_document(doc)
+
+    monkeypatch.setattr(cli, "decode_maps_document", decode)
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        assert _run(capsys, ["check", "--maps", str(path)])[0] == 0
+        assert gc.isenabled() is collecting
+        assert _run(capsys, ["check", "--maps", str(tmp_path / "missing.json")])[0] == 2
+        path.write_text("[" * 5000 + "]" * 5000)
+        assert _run(capsys, ["check", "--maps", str(path)])[0] == 2
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == [False]

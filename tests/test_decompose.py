@@ -37,6 +37,7 @@ from traceprod import (
     decompose_mn_chain,
     decompose_pn_chain,
     decompose_pn_pair,
+    dualize,
     from_canonical,
     generate,
     herm_power,
@@ -1369,3 +1370,33 @@ def test_weighted_canonical_maps_refuses_zero_alpha():
     gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))
     with pytest.raises(InvalidParameterError, match="alpha weights must be nonzero"):
         weighted_canonical_maps(gen.form, (2, 0, 2), (2, 2, 2), gen.space)
+
+
+# the families, fields and lengths of the decompose benchmark, at n = 4
+_BENCHMARK_TUPLES = [
+    ("sym_even", Field.REAL, 4),
+    ("sym_odd", Field.REAL, 3),
+    ("mn_chain", Field.COMPLEX, 3),
+    ("herm_odd", Field.COMPLEX, 3),
+    ("herm_even", Field.COMPLEX, 4),
+    ("pn_pair", Field.COMPLEX, 2),
+    ("diag_chain", Field.COMPLEX, 4),
+]
+
+
+def test_decompose_and_dualize_take_no_svd(monkeypatch):
+    # the one conditioned inverse judges the 1-norm condition number from
+    # its own LU; only the samplers' draw rule still takes np.linalg.cond
+    gens = [generate(GenSpec(family=f, n=4, m=m, field=fd, seed=1)) for f, fd, m in _BENCHMARK_TUPLES]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    monkeypatch.setattr(np.linalg, "cond", refused)
+    for gen in gens:
+        result = decompose(list(gen.maps))
+        assert type(result.form) is type(gen.form)
+        assert result.diagnostics["rebuild_delta"] <= CERTIFY_TOL
+    pair = gens[5].maps
+    assert np.max(np.abs(dualize(pair[0]).transfer - pair[1].transfer)) <= 1e-9

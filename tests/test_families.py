@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,3 +170,18 @@ def test_hadamard_generator_symmetric_nonscalar():
     assert np.allclose(C, C.T)
     assert np.min(np.abs(C)) > 0
     assert gen.form.real_family
+
+
+def test_generate_refuses_a_tuple_larger_than_physical_memory_before_sampling():
+    # 10**12 maps of 9 x 9 complex transfers need 1.3e6 GB; at m = 10**8
+    # the sampler ran for minutes and grew past 3 GB before the refusal
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(InvalidParameterError, match="more than the .* GB of physical memory"):
+            generate(GenSpec(family="mn_chain", n=3, m=10**12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1e6

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +18,14 @@ from traceprod import (
     MnChain,
     NonextendableTriple,
     PnPair,
+    SingularMatrixError,
     SpaceKind,
     SpaceTag,
     apply,
     apply_batch,
     complexify,
     compose,
+    dualize,
     from_canonical,
     identity_map,
     image_stack,
@@ -572,3 +577,56 @@ def test_generate_in_row_blocks_matches_one_whole_block(monkeypatch, spec):
     for f, g in zip(blocked, whole, strict=True):
         assert f.transfer.dtype == g.transfer.dtype
         assert f.transfer.tobytes() == g.transfer.tobytes()
+
+
+def test_inverse_refuses_an_exactly_singular_matrix_as_singular():
+    # numpy's LU raises LinAlgError at an exact zero pivot; the one
+    # conditioned inverse reports it as its own error, at condition inf
+    with pytest.raises(SingularMatrixError, match=r"1-norm condition number inf"):
+        linmaps._inverse(np.diag([1.0, 0.0]), "M")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inverse_refuses_non_finite_entries_without_warnings(bad):
+    M = np.eye(3, dtype=np.complex128)
+    M[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match=r"M is singular or has condition number above 1e\+06 \(1-norm"):
+            linmaps._inverse(M, "M")
+
+
+@pytest.mark.parametrize(
+    "call, limit",
+    [
+        pytest.param(lambda M: linmaps._inverse(M, "M"), linmaps.COND_LIMIT, id="parameters"),
+        pytest.param(lambda M: dualize(LinMap(D2, D2, M)), 1 / 1e-9, id="dualize-default-tol"),
+        pytest.param(lambda M: dualize(LinMap(D2, D2, M), 1e-6), 1 / 1e-6, id="dualize-tol-1e-6"),
+    ],
+)
+def test_inverse_limit_on_a_diagonal_matrix(call, limit):
+    # on diag(1, k) both condition numbers are k exactly, so the limit is
+    # met at k = limit and passed at the next double above it; dualize of a
+    # map on diagonals inverts the transfer itself (its trace Gram is I), at
+    # the limit 1/tol as computed
+    for k in (np.nextafter(limit, 0.0), limit):
+        call(np.diag([1.0, k]))
+    with pytest.raises(SingularMatrixError, match=re.escape(f"above {limit:g} (1-norm condition number")):
+        call(np.diag([1.0, np.nextafter(limit, np.inf)]))
+
+
+def test_inverse_judges_the_one_norm_condition_number():
+    # a 2 x 2 rotation-scaling-rotation with 2-norm condition number 8e5,
+    # below the limit, and 1-norm condition number 1.17e6, above it
+    def rotation(t):
+        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+    M = rotation(1.17) @ np.diag([1.0, 1 / 8e5]) @ rotation(1.19)
+    assert np.linalg.cond(M) < linmaps.COND_LIMIT < np.linalg.cond(M, 1)
+    with pytest.raises(SingularMatrixError, match=r"1-norm condition number 1\.17e\+06"):
+        linmaps._inverse(M, "M")
+
+
+def test_inverse_is_numpys_inverse():
+    M = np.random.default_rng(0).standard_normal((5, 5))
+    assert np.array_equal(linmaps._inverse(M, "M"), np.linalg.inv(M))

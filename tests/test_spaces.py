@@ -1,4 +1,8 @@
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -731,3 +735,40 @@ def test_flat_index_kernels_match_pair_index_kernels_bitwise(tag):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     got, ref = reassemble_batch(tag, x), _pair_index_reassemble(tag, x)
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=str)
+def test_span_of_is_one_cached_tag_per_distinct_tag(tag):
+    s = span_of(tag)
+    assert span_of(tag) is s
+    assert span_of(SpaceTag(tag.kind.value, tag.field.value, tag.n)) is s
+    assert span_of(s) is s
+
+
+def test_string_and_member_tags_are_equal_hash_equal_and_share_cache_entries():
+    from traceprod.decompose import _identity_coords
+
+    by_value = SpaceTag("PosDef", "complex", 4)
+    by_member = SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 4)
+    assert by_value == by_member and hash(by_value) == hash(by_member)
+    assert len({by_value, by_member}) == 1
+    for cached in (_basis_stack, _entry_terms, _basis_terms, _identity_coords):
+        cached.cache_clear()
+        for tag in (by_value, by_member, span_of(by_member), SpaceTag("Hermitian", "complex", 4)):
+            cached(tag)
+        assert cached.cache_info().currsize == 1
+
+
+def test_a_tag_pickled_in_another_process_keeps_its_hash():
+    # the stored hash reads no salted string hash, so a tag pickled under
+    # another PYTHONHASHSEED finds its entry here
+    code = (
+        "import pickle, sys; from traceprod import SpaceTag; "
+        "sys.stdout.buffer.write(pickle.dumps(SpaceTag('Symmetric', 'real', 3)))"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
+    blob = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
+    tag = pickle.loads(blob)
+    here = SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, 3)
+    assert tag == here and hash(tag) == hash(here)
+    assert {here: 1}[tag] == 1
