@@ -173,8 +173,8 @@ def test_hadamard_generator_symmetric_nonscalar():
 
 
 def test_generate_refuses_a_tuple_larger_than_physical_memory_before_sampling():
-    # 10**12 maps of 9 x 9 complex transfers need 1.3e6 GB; at m = 10**8
-    # the sampler ran for minutes and grew past 3 GB before the refusal
+    # 10**12 maps of 9 x 9 complex transfers need 1.3e6 GB; without the
+    # refusal, m = 10**8 sampled for minutes and grew past 3 GB
     tracemalloc.start()
     start = time.perf_counter()
     try:
