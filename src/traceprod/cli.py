@@ -44,26 +44,19 @@ from .spaces import Field, SpaceKind, SpaceTag, span_of
 
 
 def _read_maps(path: str):
-    """The maps and space of a maps document, decoded with the cyclic
-    collector off: the parsed lists hold no cycles, but allocating them keeps
-    triggering collections that find nothing. The text is dropped once
+    """The maps and space of a maps document. The text is dropped once
     parsed, before the decode allocates the transfers."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         doc = json.loads(text)
         del text
         return decode_maps_document(doc)
     except RecursionError:
         raise InvalidParameterError("the maps document is nested too deeply") from None
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def _emit(doc) -> None:
@@ -263,8 +256,8 @@ def main() -> None:
     # permanent generation, it is no longer traversed by the collections that
     # decoding or encoding a large document triggers, nor by the one at
     # interpreter shutdown, whose walk over numpy's import-time objects was
-    # most of the time a stage spent exiting. The library never touches the
-    # collector; `run` only pauses it while it decodes a maps document.
+    # most of the time a stage spent exiting. `run` and the library never
+    # touch the collector.
     gc.freeze()
     status = run()
     try:

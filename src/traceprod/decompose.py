@@ -64,6 +64,7 @@ from .linmaps import (
     SymEven,
     SymOdd,
     _adjoint,
+    _apply_coords,
     _as_param,
     _congruence_transfer,
     _gather,
@@ -90,7 +91,6 @@ from .spaces import (
     _gaussian,
     _per_span,
     _random_batch,
-    _reassemble,
     _rng,
     _span_coords,
 )
@@ -143,9 +143,8 @@ def _identity_coords(space: SpaceTag) -> np.ndarray:
 
 
 def _map_at_identity(map_: LinMap) -> np.ndarray:
-    """f(I) from the cached coordinates of I, by `apply_batch`'s product and
-    reassembly, so bit for bit its value."""
-    return _reassemble(map_.codomain, _identity_coords(map_.domain) @ map_.transfer.T, np.complex128)[0]
+    """f(I) from the cached coordinates of I, bit for bit `apply_batch`'s value."""
+    return _apply_coords(map_, _identity_coords(map_.domain), np.complex128)[0]
 
 
 def _gauge_entry(M: np.ndarray) -> complex:

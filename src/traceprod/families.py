@@ -25,6 +25,7 @@ from .linmaps import (
     RankOneFrame,
     SymEven,
     SymOdd,
+    _inverse,
     from_canonical,
 )
 from .spaces import (
@@ -89,14 +90,28 @@ def _ginibre(rng: np.random.Generator, n: int, field: Field) -> np.ndarray:
     return _gaussian((n, n), field is Field.REAL, rng).astype(np.complex128, copy=False)
 
 
+def _kept(M: np.ndarray, cond_bound: float) -> bool:
+    """Whether a draw is kept: its 2-norm condition number is at most
+    `cond_bound`, and `linmaps._inverse` accepts it as a parameter (1-norm
+    condition number at most `COND_LIMIT`), so `from_canonical` never
+    refuses a draw."""
+    c = np.linalg.cond(M)
+    if not (np.isfinite(c) and c <= cond_bound):
+        return False
+    try:
+        _inverse(M, "M")
+    except SingularMatrixError:
+        return False
+    return True
+
+
 def random_invertible(
     rng: np.random.Generator, n: int, field: Field = Field.COMPLEX, cond_bound: float = 1e3
 ) -> np.ndarray:
-    """Gaussian invertible matrix, resampled until its condition number is modest."""
+    """Gaussian invertible matrix, resampled until `_kept`."""
     for _ in range(100):
         M = _ginibre(rng, n, field)
-        c = np.linalg.cond(M)
-        if np.isfinite(c) and c <= cond_bound:
+        if _kept(M, cond_bound):
             return M
     raise SingularMatrixError(f"could not sample a matrix with condition below {cond_bound:g}")
 
@@ -120,8 +135,7 @@ def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 def complex_orthogonal(
     rng: np.random.Generator, n: int, cond_bound: float = 1e3
 ) -> np.ndarray:
-    """Complex orthogonal matrix (O^t O = I), resampled to keep the condition
-    number modest.
+    """Complex orthogonal matrix (O^t O = I), resampled until `_kept`.
 
     O is the Cayley transform (I + K/2)(I - K/2)^{-1} of a random complex
     skew-symmetric K. The two factors commute, and K^t = -K gives
@@ -132,8 +146,7 @@ def complex_orthogonal(
         G = _ginibre(rng, n, Field.COMPLEX)
         K = 0.4 * (G - G.T)
         O = np.linalg.solve(I - K / 2, I + K / 2)
-        c = np.linalg.cond(O)
-        if np.isfinite(c) and c <= cond_bound:
+        if _kept(O, cond_bound):
             return O
     raise SingularMatrixError(f"could not sample a complex orthogonal matrix below condition {cond_bound:g}")
 
@@ -308,20 +321,33 @@ def _physical_memory() -> int | None:
     return total if total > 0 else None
 
 
+# bytes that every generated map holds beside its transfer's entries: the
+# LinMap, its attribute dict and the transfer's array header. Held per map
+# after `generate`, by tracemalloc, over every family at n <= 3: 264 to
+# 1 060 bytes above the entries.
+_MAP_BYTES = 256
+
+
+def _tuple_bytes(m: int, space: SpaceTag) -> int:
+    """A lower bound on the bytes that a generated tuple of m maps holds."""
+    itemsize = 8 if base_field(space) is Field.REAL else 16
+    return m * (span_dim(space) ** 2 * itemsize + _MAP_BYTES)
+
+
 def _require_fits(m: int, space: SpaceTag) -> None:
-    """Refuse a tuple whose m transfers, d x d each, need more bytes than
-    physical memory holds, before anything is drawn: each map alone is small
-    at a large m, so no single allocation would fail, and sampling would run
+    """Refuse a tuple that needs more bytes than physical memory holds, by
+    `_tuple_bytes`, before anything is drawn: each map alone is small at a
+    large m, so no single allocation would fail, and sampling would run
     until the machine ran out. An n x n parameter too large for numpy to
     address is left to numpy, which refuses the first draw by arithmetic
     (ValueError)."""
     if space.n * space.n * 16 > np.iinfo(np.intp).max:
         return
-    need = m * span_dim(space) ** 2 * (8 if base_field(space) is Field.REAL else 16)
+    need = _tuple_bytes(m, space)
     total = _physical_memory()
     if total is not None and need > total:
         raise InvalidParameterError(
-            f"the {m} transfers of this tuple need {need / 1e9:.3g} GB, "
+            f"the {m} maps of this tuple need {need / 1e9:.3g} GB, "
             f"more than the {total / 1e9:.3g} GB of physical memory"
         )
 

@@ -170,7 +170,12 @@ def apply_batch(map_: LinMap, batch: np.ndarray) -> np.ndarray:
 
 def _apply_batch(map_: LinMap, batch: np.ndarray, dtype) -> np.ndarray:
     """`apply_batch` with the images built in `dtype`."""
-    x = coords_batch(map_.domain, batch)
+    return _apply_coords(map_, coords_batch(map_.domain, batch), dtype)
+
+
+def _apply_coords(map_: LinMap, x: np.ndarray, dtype) -> np.ndarray:
+    """The images, built in `dtype`, of the domain elements whose span
+    coordinates are the rows of x."""
     return _reassemble(map_.codomain, x @ map_.transfer.T, dtype)
 
 

@@ -42,9 +42,6 @@ class SpaceKind(str, enum.Enum):
     DIAGONAL = "Diagonal"
 
 
-_KINDS = tuple(SpaceKind)
-
-
 @dataclass(frozen=True)
 class SpaceTag:
     """A named matrix space: structural kind, scalar field, and size."""
@@ -61,14 +58,6 @@ class SpaceTag:
         if int(self.n) != self.n or self.n < 1:
             raise InvalidParameterError(f"space size must be a positive integer, got n={self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        # taken once, from the members' positions rather than their salted
-        # string hashes, so a pickled tag carries a hash valid in any process;
-        # a tag built from strings is equal to, and hashes as, one built from
-        # members
-        object.__setattr__(self, "_hash", hash((_KINDS.index(self.kind), self.field is Field.COMPLEX, self.n)))
-
-    def __hash__(self):
-        return self._hash
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,13 +9,15 @@ from traceprod import (
     Field,
     GenSpec,
     InvalidParameterError,
+    SpaceTag,
     check_preservation,
     gen_space_sample,
     generate,
     membership,
     span_of,
 )
-from traceprod.families import complex_orthogonal, haar_unitary, random_invertible
+from traceprod import families
+from traceprod.families import _tuple_bytes, complex_orthogonal, haar_unitary, random_invertible
 
 ALL_CASES = [
     ("mn_chain", 3, 3, Field.COMPLEX),
@@ -107,6 +109,24 @@ def test_condition_bound_may_be_infinite():
     assert len(gen.maps) == 3
 
 
+@pytest.mark.parametrize("family, m", [("mn_chain", 3), ("diag_pair", 2)])
+def test_a_draw_that_from_canonical_would_refuse_is_resampled(monkeypatch, family, m):
+    # the first draw has 2-norm condition number 8e5, within the bound, and
+    # 1-norm condition number 1.17e6, above COND_LIMIT: it is drawn again
+    # rather than handed to from_canonical, which would refuse it
+    def rotation(t):
+        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+    bad = (rotation(1.17) @ np.diag([1.0, 1 / 8e5]) @ rotation(1.19)).astype(np.complex128)
+    draws = [bad]
+    real_ginibre = families._ginibre
+    monkeypatch.setattr(families, "_ginibre", lambda *a: draws.pop() if draws else real_ginibre(*a))
+    gen = generate(GenSpec(family=family, n=2, m=m, condition_bound=1e6))
+    assert not draws
+    params = gen.form.N if family == "mn_chain" else (gen.form.N,)
+    assert all(np.linalg.cond(N, 1) <= 1e6 for N in params)
+
+
 def _old_ginibre(rng, n, real):
     # the draw each sampler wrote inline before they shared `spaces._gaussian`
     if real:
@@ -185,3 +205,49 @@ def test_generate_refuses_a_tuple_larger_than_physical_memory_before_sampling():
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
     assert peak < 1e6
+
+
+@pytest.mark.parametrize(
+    "family, kind, n, m", [("diag_chain", "Diagonal", 1, 10**8), ("mn_chain", "FullMatrix", 3, 6 * 10**6)]
+)
+def test_the_size_refusal_counts_what_each_map_holds_beside_its_entries(monkeypatch, family, kind, n, m):
+    # the transfers' entries alone (1.6 and 7.8 GB) fit in 8.42 GB, but each
+    # map holds hundreds of bytes more; judged by the entries, the diagonal
+    # chain passed and its sampler ran through 10**8 draws (asserted first,
+    # so a regression fails here instead of sampling)
+    assert _tuple_bytes(m, SpaceTag(kind, "complex", n)) > 8_420_000_000
+    monkeypatch.setattr("traceprod.families._physical_memory", lambda: 8_420_000_000)
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameterError, match="physical memory"):
+        generate(GenSpec(family=family, n=n, m=m))
+    assert time.perf_counter() - start < 1.0
+
+
+def _longest_small_spec(family, field, n):
+    for m in (65, 64, 3, 2):
+        try:
+            return GenSpec(family=family, n=n, m=m, field=field)
+        except InvalidParameterError:
+            pass
+    return None
+
+
+SMALL_SPECS = [
+    spec
+    for family in FAMILIES
+    for field in Field
+    for n in (1, 2, 3)
+    if (spec := _longest_small_spec(family, field, n)) is not None
+]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: f"{s.family}-{s.field.value}-n{s.n}-m{s.m}")
+def test_the_size_estimate_is_a_lower_bound_on_what_a_tuple_holds(spec):
+    # so the refusal never turns away a tuple that fits
+    tracemalloc.start()
+    try:
+        gen = generate(spec)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held >= _tuple_bytes(spec.m, gen.space)

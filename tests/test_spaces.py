@@ -1,8 +1,4 @@
 import itertools
-import os
-import pickle
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -757,18 +753,3 @@ def test_string_and_member_tags_are_equal_hash_equal_and_share_cache_entries():
         for tag in (by_value, by_member, span_of(by_member), SpaceTag("Hermitian", "complex", 4)):
             cached(tag)
         assert cached.cache_info().currsize == 1
-
-
-def test_a_tag_pickled_in_another_process_keeps_its_hash():
-    # the stored hash reads no salted string hash, so a tag pickled under
-    # another PYTHONHASHSEED finds its entry here
-    code = (
-        "import pickle, sys; from traceprod import SpaceTag; "
-        "sys.stdout.buffer.write(pickle.dumps(SpaceTag('Symmetric', 'real', 3)))"
-    )
-    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(sys.path)}
-    blob = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
-    tag = pickle.loads(blob)
-    here = SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, 3)
-    assert tag == here and hash(tag) == hash(here)
-    assert {here: 1}[tag] == 1
