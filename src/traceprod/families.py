@@ -354,7 +354,7 @@ def _require_fits(m: int, space: SpaceTag) -> None:
 
 def generate(spec: GenSpec) -> Generated:
     """Generate the canonical form and maps named by `spec`, deterministically.
-    A tuple whose transfers cannot fit in physical memory is refused first
+    A tuple whose maps cannot fit in physical memory is refused first
     (InvalidParameterError)."""
     family = _FAMILY_TABLE[spec.family]
     space = SpaceTag(family.kind, spec.field, spec.n)
