@@ -46,6 +46,18 @@ traceprod generate --family herm_odd --n 4 --m 3 | traceprod decompose --maps -
 traceprod generate --family herm_even --n 4 --m 4 | traceprod decompose --maps -
 traceprod generate --family pn_pair --n 4 --m 2 | traceprod decompose --maps -
 traceprod generate --family diag_chain --n 4 --m 3 | traceprod decompose --maps -
+# "auto" routes by the forms each decompose family returns: a real definite pair is a symmetric-span SymEven
+traceprod generate --family pn_chain --field real --n 3 --m 2 | traceprod decompose --maps - | grep -q '"form":"SymEven"'
+# a Hadamard pair has no decompose family: full-space pairs are refused by mn_chain's length rule, exit 2;
+# and a scalar product that leaves double range (herm_even at m = 20000) is an input error with no numpy warning
+status=0
+traceprod generate --family hadamard --n 3 --m 2 | traceprod decompose --maps - >/dev/null 2>"$err" || status=$?
+test "$status" -eq 2
+grep -q "chains on full matrix spaces need at least 3 maps" "$err"
+status=0
+traceprod generate --family herm_even --n 1 --m 20000 >/dev/null 2>"$err" || status=$?
+test "$status" -eq 2
+if grep -q -e Traceback -e RuntimeWarning "$err"; then exit 1; fi
 # pn_pair's branch is read off one skew basis image: seed 0 draws the transpose branch, seed 1 the direct one
 for case in "0 True" "1 False"; do
   read -r seed flag <<<"$case"

@@ -1,7 +1,10 @@
 """Recover canonical parameters from tuples of maps satisfying the trace identity.
 
-`decompose` runs one pipeline for every family of the table `_DECOMPOSERS`:
-it checks the domain and the tuple length, recovers the canonical parameters
+`decompose` runs one pipeline for every family of the table `_DECOMPOSERS`,
+which names the canonical forms each family returns: their `kinds` and
+`complex_only` are the spans and field it takes, and "auto" takes the first
+family on the tuple's span whose length rule admits it. The pipeline checks
+the domain and the tuple length, recovers the canonical parameters
 (conjugating matrices, scalars, permutations) with the family's gauge fixed
 deterministically, and rebuilds the maps from them. Each recovery only reads:
 it inverts f_i(I) plainly, since the parameters behind it are judged by
@@ -618,82 +621,67 @@ def decompose_diag_chain(maps, tol: float = 1e-7) -> DecompositionResult:
 
 @dataclass(frozen=True)
 class _Family:
-    """A decompose family: the span kinds and field its maps need, its length
-    rule with the error that breaks it, and the recovery
-    `(maps, domain) -> (form, gauge_note)` of its form. A recovery checks
-    nothing: its note states the gauge, plus pn_pair's two branch deviations.
-    pn_chain has no recovery of its own: `_resolve` routes it to another
-    family."""
+    """A decompose family: the form classes it returns, its length rule with
+    the error that breaks it, and the recovery `(maps, domain) -> (form,
+    gauge_note)` of its form. A recovery checks nothing: its note states the
+    gauge, plus pn_pair's two branch deviations. pn_chain has no recovery of
+    its own: `_resolve` routes it to another family. The span kinds its maps
+    need (`kinds`, the union of its forms') and the field (`field`, complex
+    when every form is `complex_only`) are worked out once, from the forms."""
 
-    kinds: frozenset
-    field: Field | None
+    forms: tuple
     length: Callable[[int], bool]
     length_error: str
     recover: Callable | None
+    kinds: frozenset = field(init=False)
+    field: Field | None = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kinds", frozenset().union(*(form.kinds for form in self.forms)))
+        object.__setattr__(self, "field", Field.COMPLEX if all(form.complex_only for form in self.forms) else None)
 
 
+# "auto" takes the first family with a recovery on a span whose length rule
+# admits the tuple, so pn_pair comes before hermitian
 _DECOMPOSERS = {
     "mn_chain": _Family(
-        frozenset({SpaceKind.FULL}), None, lambda m: m >= 3,
-        "chains on full matrix spaces need at least 3 maps", _recover_mn_chain,
-    ),
-    "hermitian": _Family(
-        frozenset({SpaceKind.HERMITIAN}), Field.COMPLEX, lambda m: m >= 3,
-        "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair", _recover_chain,
+        (MnChain,), lambda m: m >= 3, "chains on full matrix spaces need at least 3 maps", _recover_mn_chain
     ),
     "pn_pair": _Family(
-        frozenset({SpaceKind.HERMITIAN}), Field.COMPLEX, lambda m: m == 2,
-        "this family is a pair; longer chains go to decompose_pn_chain", _recover_pn_pair,
+        (PnPair,), lambda m: m == 2, "this family is a pair; longer chains go to decompose_pn_chain", _recover_pn_pair
     ),
-    "pn_chain": _Family(
-        frozenset({SpaceKind.HERMITIAN, SpaceKind.SYMMETRIC}), None, lambda m: m >= 2,
-        "need at least a pair", None,
+    "hermitian": _Family(
+        (HermOdd, HermEven), lambda m: m >= 3,
+        "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair", _recover_chain,
     ),
-    "symmetric": _Family(
-        frozenset({SpaceKind.SYMMETRIC}), None, lambda m: m >= 2,
-        "need at least a pair", _recover_chain,
-    ),
-    "diag_pair": _Family(
-        frozenset({SpaceKind.DIAGONAL}), None, lambda m: m == 2,
-        "diagonal pairs have exactly 2 maps", _recover_diag_pair,
-    ),
+    "pn_chain": _Family((PnPair, HermOdd, HermEven, SymOdd, SymEven), lambda m: m >= 2, "need at least a pair", None),
+    "symmetric": _Family((SymOdd, SymEven), lambda m: m >= 2, "need at least a pair", _recover_chain),
+    "diag_pair": _Family((DiagPair,), lambda m: m == 2, "diagonal pairs have exactly 2 maps", _recover_diag_pair),
     "diag_chain": _Family(
-        frozenset({SpaceKind.DIAGONAL}), None, lambda m: m >= 3,
+        (DiagChain,), lambda m: m >= 3,
         "diagonal chains need at least 3 maps; pairs go to decompose_diag_pair", _recover_diag_chain,
     ),
-}
-
-# the family "auto" picks on each span kind, for pairs and for longer tuples
-_AUTO = {
-    SpaceKind.FULL: ("mn_chain", "mn_chain"),
-    SpaceKind.HERMITIAN: ("pn_pair", "hermitian"),
-    SpaceKind.SYMMETRIC: ("symmetric", "symmetric"),
-    SpaceKind.DIAGONAL: ("diag_pair", "diag_chain"),
 }
 
 
 def _resolve(family: str, dom: SpaceTag, m: int) -> str:
     """The family that "auto" or "pn_chain" stands for on an m-tuple on `dom`.
 
-    "auto" sends a definite cone to pn_chain and any other domain to the
-    `_AUTO` family of its span. pn_chain goes to the `_AUTO` family of the
-    cone's span: pn_pair or hermitian over C, symmetric over R.
+    "auto" sends a definite cone to pn_chain. Otherwise it takes the first
+    family with a recovery on the span of `dom` (for pn_chain, the cone's
+    span over its field) whose length rule admits m, or else the last such
+    family, whose length error the caller raises.
     """
-    if family == "pn_chain":
-        kind = SpaceKind.HERMITIAN if dom.field is Field.COMPLEX else SpaceKind.SYMMETRIC
-    elif dom.kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF):
+    if family == "auto" and dom.kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF):
         return "pn_chain"
-    else:
-        kind = span_of(dom).kind
-    pair, longer = _AUTO[kind]
-    return pair if m == 2 else longer
+    kind = span_of(dom if family == "auto" else SpaceTag(SpaceKind.POSDEF, dom.field, dom.n)).kind
+    names = [name for name, spec in _DECOMPOSERS.items() if spec.recover is not None and kind in spec.kinds]
+    return next((name for name in names if _DECOMPOSERS[name].length(m)), names[-1])
 
 
 def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionResult:
-    """Decompose a tuple of maps, inferring the family from the domain when
-    family == "auto": definite cones dispatch by field and length, Hermitian
-    pairs to the definite pair family, longer Hermitian/full/symmetric tuples
-    to their chains, diagonal tuples by length.
+    """Decompose a tuple of maps as `family`, or, when family == "auto", as
+    the family that `_resolve` picks from the domain and the length.
 
     The checks run in a fixed order: `tol` (finite, nonnegative) and the
     family name, the domain (one shared space of the family's span kinds and

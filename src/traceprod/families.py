@@ -6,7 +6,9 @@ equal specs produce bit-identical output (one PCG64 stream per call).
 """
 from __future__ import annotations
 
+import functools
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -151,6 +153,17 @@ def complex_orthogonal(
     raise SingularMatrixError(f"could not sample a complex orthogonal matrix below condition {cond_bound:g}")
 
 
+def _closing(m: int, product: Callable):
+    """1 / product(), which closes the product of an m-tuple's m - 1 draws to
+    1. Magnitudes from [0.5, 2] have a positive mean logarithm, so at an m in
+    the thousands the product leaves double range: refused, with no warning."""
+    with np.errstate(all="ignore"):
+        last = 1.0 / product()
+    if not (np.all(np.isfinite(last)) and np.all(last != 0)):
+        raise InvalidParameterError(f"the product of the scalars drawn for m = {m} left double range")
+    return last
+
+
 def _scalars(
     rng: np.random.Generator,
     m: int,
@@ -161,30 +174,25 @@ def _scalars(
     """m nonzero scalars with product exactly 1."""
     mags = rng.uniform(0.5, 2.0, size=m - 1)
     if complex_phase and field is Field.COMPLEX:
-        ph = np.exp(1j * rng.uniform(0, 2 * np.pi, size=m - 1))
-        vals = list(mags * ph)
-        vals.append(1.0 / np.prod(vals))
-        return tuple(complex(v) for v in vals)
-    signs = np.ones(m - 1) if positive else rng.choice([-1.0, 1.0], size=m - 1)
-    vals = list(mags * signs)
-    vals.append(1.0 / np.prod(vals))
-    return tuple(float(v) for v in vals)
+        cast, vals = complex, list(mags * np.exp(1j * rng.uniform(0, 2 * np.pi, size=m - 1)))
+    else:
+        signs = np.ones(m - 1) if positive else rng.choice([-1.0, 1.0], size=m - 1)
+        cast, vals = float, list(mags * signs)
+    vals.append(_closing(m, lambda: np.prod(vals)))
+    return tuple(cast(v) for v in vals)
 
 
 def _diag_scalings(rng: np.random.Generator, n: int, m: int, field: Field) -> tuple:
     """m invertible diagonal matrices with product exactly the identity."""
-    Cs = []
-    prod = np.ones(n, dtype=np.complex128)
+    ds = []
     for _ in range(m - 1):
         mags = rng.uniform(0.5, 2.0, size=n)
         if field is Field.COMPLEX:
-            d = mags * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
+            ds.append(mags * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n)))
         else:
-            d = mags * rng.choice([-1.0, 1.0], size=n)
-        Cs.append(np.diag(d))
-        prod = prod * d
-    Cs.append(np.diag(1.0 / prod))
-    return tuple(Cs)
+            ds.append(mags * rng.choice([-1.0, 1.0], size=n))
+    last = _closing(m, lambda: functools.reduce(np.multiply, ds, np.ones(n, dtype=np.complex128)))
+    return tuple(np.diag(d) for d in (*ds, last))
 
 
 def random_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -328,13 +336,16 @@ def _physical_memory() -> int | None:
 _MAP_BYTES = 256
 
 
-def _tuple_bytes(m: int, space: SpaceTag) -> int:
-    """A lower bound on the bytes that a generated tuple of m maps holds."""
+def _tuple_bytes(m: int, space: SpaceTag, per_map_parameter: bool = False) -> int:
+    """A lower bound on the bytes that a generated tuple of m maps holds, each
+    with one complex n x n parameter (MnChain.N, DiagChain.C), its entries and
+    its array header, when `per_map_parameter`."""
     itemsize = 8 if base_field(space) is Field.REAL else 16
-    return m * (span_dim(space) ** 2 * itemsize + _MAP_BYTES)
+    parameter = space.n**2 * 16 + sys.getsizeof(np.empty((0, 0), np.complex128)) if per_map_parameter else 0
+    return m * (span_dim(space) ** 2 * itemsize + _MAP_BYTES + parameter)
 
 
-def _require_fits(m: int, space: SpaceTag) -> None:
+def _require_fits(m: int, space: SpaceTag, per_map_parameter: bool = False) -> None:
     """Refuse a tuple that needs more bytes than physical memory holds, by
     `_tuple_bytes`, before anything is drawn: each map alone is small at a
     large m, so no single allocation would fail, and sampling would run
@@ -343,7 +354,7 @@ def _require_fits(m: int, space: SpaceTag) -> None:
     (ValueError)."""
     if space.n * space.n * 16 > np.iinfo(np.intp).max:
         return
-    need = _tuple_bytes(m, space)
+    need = _tuple_bytes(m, space, per_map_parameter)
     total = _physical_memory()
     if total is not None and need > total:
         raise InvalidParameterError(
@@ -358,6 +369,6 @@ def generate(spec: GenSpec) -> Generated:
     (InvalidParameterError)."""
     family = _FAMILY_TABLE[spec.family]
     space = SpaceTag(family.kind, spec.field, spec.n)
-    _require_fits(spec.m, space)
+    _require_fits(spec.m, space, spec.family in ("mn_chain", "diag_chain"))
     form = family.sample(_rng(spec.seed), spec.n, spec.m, spec.field, spec.condition_bound)
     return Generated(form=form, maps=tuple(from_canonical(form, space)), space=space)

@@ -13,6 +13,7 @@ from traceprod import (
     DiagChain,
     DimensionMismatchError,
     DiagPair,
+    FAMILIES,
     Field,
     GenSpec,
     Hadamard,
@@ -450,6 +451,77 @@ def test_decompose_family_is_its_decomposer_and_checks_length_before_identity(fa
 
 # `traceprod.decompose` is the function; the pipeline's globals live in the module
 _DECOMPOSE = importlib.import_module("traceprod.decompose")
+
+_FULL_SHORT = "chains on full matrix spaces need at least 3 maps"
+_SYM_ROUTE = ("need at least a pair", SymEven, SymOdd, SymEven)
+_CONE_ROUTE = ("need at least a pair", PnPair, HermOdd, HermEven)
+_DIAG_ROUTE = ("diagonal chains need at least 3 maps; pairs go to decompose_diag_pair", DiagPair, DiagChain, DiagChain)
+# what "auto" makes of m = 1, 2, 3, 4 identity maps at n = 2: the form class
+# it returns, or the message of the NotApplicableError it raises
+_AUTO_ROUTES = {
+    (SpaceKind.FULL, Field.REAL): (_FULL_SHORT, _FULL_SHORT, MnChain, MnChain),
+    (SpaceKind.FULL, Field.COMPLEX): (_FULL_SHORT, _FULL_SHORT, MnChain, MnChain),
+    (SpaceKind.HERMITIAN, Field.REAL): _SYM_ROUTE,
+    (SpaceKind.HERMITIAN, Field.COMPLEX): (
+        "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair", PnPair, HermOdd, HermEven
+    ),
+    (SpaceKind.SYMMETRIC, Field.REAL): _SYM_ROUTE,
+    (SpaceKind.SYMMETRIC, Field.COMPLEX): _SYM_ROUTE,
+    (SpaceKind.POSDEF, Field.REAL): _SYM_ROUTE,
+    (SpaceKind.POSDEF, Field.COMPLEX): _CONE_ROUTE,
+    (SpaceKind.POSSEMIDEF, Field.REAL): _SYM_ROUTE,
+    (SpaceKind.POSSEMIDEF, Field.COMPLEX): _CONE_ROUTE,
+    (SpaceKind.DIAGONAL, Field.REAL): _DIAG_ROUTE,
+    (SpaceKind.DIAGONAL, Field.COMPLEX): _DIAG_ROUTE,
+}
+
+
+def test_auto_routes_cover_every_space_kind_and_field():
+    assert set(_AUTO_ROUTES) == {(kind, fd) for kind in SpaceKind for fd in Field}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind, fd", list(_AUTO_ROUTES), ids=lambda v: v.value)
+def test_auto_routes_identity_maps_by_span_field_and_length(kind, fd, m):
+    space = SpaceTag(kind, fd, 2)
+    maps = [identity_map(space)] * m
+    expected = _AUTO_ROUTES[kind, fd][m - 1]
+    if isinstance(expected, str):
+        with pytest.raises(NotApplicableError) as err:
+            decompose(maps)
+        assert str(err.value) == expected
+    else:
+        assert type(decompose(maps).form) is expected
+
+
+# the generator families that no decompose family serves, and what "auto"
+# raises on them: full-space pairs break mn_chain's length rule, and the
+# non-extendable triple's maps are not endomorphisms of one space
+_UNSERVED = {
+    "hadamard": NotApplicableError,
+    "rank_one_frame": NotApplicableError,
+    "nonextendable": DimensionMismatchError,
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_auto_returns_the_generated_form_class(family):
+    served = {form for spec in _DECOMPOSE._DECOMPOSERS.values() for form in spec.forms}
+    cases = 0
+    for fd in Field:
+        for m in range(1, 6):
+            try:
+                gen = generate(GenSpec(family=family, n=3, m=m, field=fd, seed=0))
+            except InvalidParameterError:
+                continue
+            cases += 1
+            assert (type(gen.form) in served) is (family not in _UNSERVED)
+            if family in _UNSERVED:
+                with pytest.raises(_UNSERVED[family]):
+                    decompose(gen.maps)
+            else:
+                assert type(decompose(gen.maps).form) is type(gen.form)
+    assert cases > 0
 
 
 def _count_prechecks(monkeypatch) -> list:

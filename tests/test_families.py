@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,46 @@ def test_the_size_refusal_counts_what_each_map_holds_beside_its_entries(monkeypa
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "family, kind, n, m, memory",
+    [("mn_chain", "FullMatrix", 3, 10**6, 1_700_000_000), ("diag_chain", "Diagonal", 1, 10**7, 3_500_000_000)],
+)
+def test_the_size_refusal_counts_one_parameter_per_map_of_a_chain(monkeypatch, family, kind, n, m, memory):
+    # each map's entries plus 256 bytes fit, but MnChain.N and DiagChain.C hold
+    # one n x n parameter per map, which pushes the tuple past the memory
+    space = SpaceTag(kind, "complex", n)
+    assert _tuple_bytes(m, space) < memory < _tuple_bytes(m, space, True)
+    monkeypatch.setattr("traceprod.families._physical_memory", lambda: memory)
+
+    def no_sampling(seed):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr("traceprod.families._rng", no_sampling)
+    with pytest.raises(InvalidParameterError, match="physical memory"):
+        generate(GenSpec(family=family, n=n, m=m))
+
+
+@pytest.mark.parametrize(
+    "family, field, m",
+    [
+        ("herm_even", Field.COMPLEX, 20000),
+        ("herm_odd", Field.COMPLEX, 20001),
+        ("sym_odd", Field.REAL, 20001),
+        ("sym_even", Field.COMPLEX, 20000),
+        ("pn_chain", Field.COMPLEX, 20000),
+        ("pn_chain", Field.REAL, 20001),
+        ("diag_chain", Field.REAL, 10000),
+    ],
+)
+def test_a_product_of_drawn_scalars_out_of_double_range_is_refused_with_no_warning(family, field, m):
+    # the closing scalar is 1 / the product of m - 1 magnitudes from [0.5, 2],
+    # which overflowed with a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=f"drawn for m = {m} left double range"):
+            generate(GenSpec(family=family, n=1, m=m, field=field))
+
+
 def _longest_small_spec(family, field, n):
     for m in (65, 64, 3, 2):
         try:
@@ -251,3 +292,18 @@ def test_the_size_estimate_is_a_lower_bound_on_what_a_tuple_holds(spec):
     finally:
         tracemalloc.stop()
     assert held >= _tuple_bytes(spec.m, gen.space)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec in SMALL_SPECS if spec.family in ("mn_chain", "diag_chain")],
+    ids=lambda s: f"{s.family}-{s.field.value}-n{s.n}-m{s.m}",
+)
+def test_the_size_estimate_with_one_parameter_per_map_is_a_lower_bound(spec):
+    tracemalloc.start()
+    try:
+        gen = generate(spec)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held >= _tuple_bytes(spec.m, gen.space, True)
