@@ -18,6 +18,8 @@ for args in "diag_pair --n 4 --m 2" "sym_even --field real --n 4 --m 2" "mn_chai
   traceprod generate --family $args | traceprod dualize --maps - | traceprod check --maps -
 done
 traceprod generate --family diag_chain --n 4 --m 3 | traceprod check --maps - --mode randomized --trials 64
+# --space redirects the samples to the definite cone, which spans the maps' Hermitian domain
+traceprod generate --family herm_odd --n 3 --m 3 | traceprod check --maps - --space PosDef --mode randomized --trials 64
 # the realisation paths beside the pipelines above: Hadamard multipliers and rank-one frame blocks written directly, one Hermitian side scaled five times
 for args in "hadamard --n 3 --m 2" "rank_one_frame --n 3 --m 2" "herm_odd --n 3 --m 5"; do
   # shellcheck disable=SC2086 # $args holds several generate options
@@ -39,6 +41,11 @@ traceprod generate --family mn_chain --n 12 --m 3 \
   | traceprod check --maps - || status=$?
 test "$status" -eq 1
 traceprod generate --family mn_chain --n 4 --m 3 | traceprod decompose --maps -
+# an option left out takes the library's default: the same bytes as with decompose's defaults spelled out
+traceprod generate --family herm_odd --n 4 --m 3 >"$doc"
+plain=$(traceprod decompose --maps "$doc")
+spelled=$(traceprod decompose --maps "$doc" --family auto --tol 1e-7)
+test "$plain" = "$spelled"
 traceprod generate --family pn_chain --field real --n 4 --m 3 | traceprod decompose --maps -
 traceprod generate --family sym_odd --field real --n 4 --m 3 | traceprod decompose --maps -
 # a unitary (herm_odd), a scalar product (herm_even), a bare pair and diagonal scalings certify the rebuild

@@ -14,6 +14,7 @@ more written to it.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -28,7 +29,7 @@ from .errors import (
     PreservationError,
     TraceProdError,
 )
-from .extend import check_preservation, dualize, embed_extend_pair, infeasibility_certificate
+from .extend import CheckMode, check_preservation, dualize, embed_extend_pair, infeasibility_certificate
 from .families import FAMILIES, GenSpec, generate
 from .jsonio import (
     _generated_document,
@@ -85,89 +86,81 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify, construct, and invert tuples of maps preserving traces of products.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    g = sub.add_parser("generate", help="generate a canonical tuple of maps")
+    g = command("generate", help="generate a canonical tuple of maps")
     g.add_argument("--family", required=True, choices=sorted(FAMILIES))
     g.add_argument("--n", type=int, required=True, help="matrix size")
     g.add_argument("--m", type=int, required=True, help="tuple length")
-    g.add_argument("--field", default="complex", choices=["real", "complex"])
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--condition-bound", type=float, default=1e3)
+    g.add_argument("--field", choices=[f.value for f in Field])
+    g.add_argument("--seed", type=int)
+    g.add_argument("--condition-bound", type=float)
 
-    c = sub.add_parser("check", help="check the trace-of-products identity")
+    c = command("check", help="check the trace-of-products identity")
     c.add_argument("--maps", required=True, help="JSON file of maps, or - for stdin")
-    c.add_argument("--tol", type=float, default=1e-9)
-    c.add_argument("--mode", default="auto", choices=["auto", "exhaustive", "randomized"])
-    c.add_argument("--trials", type=int, default=10000)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--tol", type=float)
+    c.add_argument("--mode", choices=["auto", *(mode.value for mode in CheckMode)])
+    c.add_argument("--trials", type=int)
+    c.add_argument("--seed", type=int)
     c.add_argument(
         "--space",
-        default=None,
+        dest="sample_space",
         choices=sorted(k.value for k in SpaceKind),
         help="sample from this space kind instead of each map's own domain",
     )
 
-    d = sub.add_parser("dualize", help="construct the trace-dual partner of a map")
+    d = command("dualize", help="construct the trace-dual partner of a map")
     d.add_argument("--maps", required=True)
     d.add_argument("--index", type=int, default=0, help="which map of the document to dualize")
-    d.add_argument("--tol", type=float, default=1e-9)
+    d.add_argument("--tol", type=float)
 
-    dc = sub.add_parser("decompose", help="recover canonical parameters of a tuple")
+    dc = command("decompose", help="recover canonical parameters of a tuple")
     dc.add_argument("--maps", required=True)
-    dc.add_argument("--family", default="auto")
-    dc.add_argument("--tol", type=float, default=1e-7)
+    dc.add_argument("--family")
+    dc.add_argument("--tol", type=float)
 
-    e = sub.add_parser("extend", help="extend a corner-supported pair to a bijective pair")
+    e = command("extend", help="extend a corner-supported pair to a bijective pair")
     e.add_argument("--maps", required=True)
-    e.add_argument("--tol", type=float, default=1e-8)
+    e.add_argument("--tol", type=float)
 
-    ce = sub.add_parser("certify", help="certify that no pair into smaller matrices exists")
+    ce = command("certify", help="certify that no pair into smaller matrices exists")
     ce.add_argument("--n", type=int, required=True)
     ce.add_argument("--k", type=int, required=True)
-    ce.add_argument("--field", default="complex", choices=["real", "complex"])
-    ce.add_argument("--trials", type=int, default=20)
-    ce.add_argument("--seed", type=int, default=0)
+    ce.add_argument("--field", choices=[f.value for f in Field])
+    ce.add_argument("--trials", type=int)
+    ce.add_argument("--seed", type=int)
 
-    w = sub.add_parser("weighted", help="check the weighted power identity")
+    w = command("weighted", help="check the weighted power identity")
     w.add_argument("--maps", required=True)
     w.add_argument("--alpha", type=_float_list, required=True, help="comma-separated exponents")
     w.add_argument("--beta", type=_float_list, required=True, help="comma-separated exponents")
-    w.add_argument("--trials", type=int, default=1000)
-    w.add_argument("--seed", type=int, default=0)
-    w.add_argument("--tol", type=float, default=1e-8)
+    w.add_argument("--trials", type=int)
+    w.add_argument("--seed", type=int)
+    w.add_argument("--tol", type=float)
 
     return p
 
 
+def _options(args, *cli_only: str) -> dict:
+    """The options given to a subcommand but `--maps` and `cli_only`: its library
+    call's keywords. One left out is absent (`argparse.SUPPRESS`), so the call
+    applies its own default; only `dualize --index`, a CLI option, has one here."""
+    skip = ("command", "maps", *cli_only)
+    return {k: v for k, v in vars(args).items() if k not in skip}
+
+
 def _cmd_generate(args) -> int:
-    spec = GenSpec(
-        family=args.family,
-        n=args.n,
-        m=args.m,
-        field=Field(args.field),
-        seed=args.seed,
-        condition_bound=args.condition_bound,
-    )
-    gen = generate(spec)
+    gen = generate(GenSpec(**_options(args)))
     _emit(_generated_document(gen, args.family, stream=True))
     return 0
 
 
 def _cmd_check(args) -> int:
     maps, _ = _read_maps(args.maps)
-    sample_space = None
-    if args.space is not None:
-        dom = maps[0].domain
-        sample_space = SpaceTag(SpaceKind(args.space), dom.field, dom.n)
-    report = check_preservation(
-        maps,
-        tol=args.tol,
-        mode=args.mode,
-        trials=args.trials,
-        seed=args.seed,
-        sample_space=sample_space,
-    )
-    return _verdict(report, "identity")
+    opts = _options(args)
+    if "sample_space" in opts:
+        opts["sample_space"] = SpaceTag(opts["sample_space"], maps[0].domain.field, maps[0].domain.n)
+    return _verdict(check_preservation(maps, **opts), "identity")
 
 
 def _cmd_dualize(args) -> int:
@@ -175,14 +168,14 @@ def _cmd_dualize(args) -> int:
     if not 0 <= args.index < len(maps):
         raise NotApplicableError(f"document has {len(maps)} maps; index {args.index} is out of range")
     f = maps[args.index]
-    psi = dualize(f, tol=args.tol)
+    psi = dualize(f, **_options(args, "index"))
     _emit(_maps_document(space if space is not None else f.domain, [f, psi], stream=True))
     return 0
 
 
 def _cmd_decompose(args) -> int:
     maps, space = _read_maps(args.maps)
-    result = decompose(maps, family=args.family, tol=args.tol)
+    result = decompose(maps, **_options(args))
     _emit(encode_decomposition(result, space if space is not None else maps[0].domain))
     return 0
 
@@ -191,25 +184,19 @@ def _cmd_extend(args) -> int:
     maps, _ = _read_maps(args.maps)
     if len(maps) != 2:
         raise NotApplicableError(f"extension needs exactly 2 maps, got {len(maps)}")
-    psi1, psi2 = embed_extend_pair(maps[0], maps[1], tol=args.tol)
+    psi1, psi2 = embed_extend_pair(*maps, **_options(args))
     _emit(_maps_document(span_of(psi1.domain), [psi1, psi2], stream=True))
     return 0
 
 
 def _cmd_certify(args) -> int:
-    cert = infeasibility_certificate(
-        args.n, args.k, field=Field(args.field), trials=args.trials, seed=args.seed
-    )
-    _emit(encode_certificate(cert))
+    _emit(encode_certificate(infeasibility_certificate(**_options(args))))
     return 0
 
 
 def _cmd_weighted(args) -> int:
     maps, _ = _read_maps(args.maps)
-    report = verify_weighted(
-        maps, args.alpha, args.beta, trials=args.trials, seed=args.seed, tol=args.tol
-    )
-    return _verdict(report, "weighted identity")
+    return _verdict(verify_weighted(maps, **_options(args)), "weighted identity")
 
 
 _HANDLERS = {

@@ -1,8 +1,8 @@
 """Recover canonical parameters from tuples of maps satisfying the trace identity.
 
 `decompose` runs one pipeline for every family of the table `_DECOMPOSERS`,
-which names the canonical forms each family returns: their `kinds` and
-`complex_only` are the spans and field it takes, and "auto" takes the first
+which names the canonical forms each family returns: their span `kinds` fix
+its spans and field (a Hermitian span is complex), and "auto" takes the first
 family on the tuple's span whose length rule admits it. The pipeline checks
 the domain and the tuple length, recovers the canonical parameters
 (conjugating matrices, scalars, permutations) with the family's gauge fixed
@@ -46,6 +46,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .extend import (
+    RANK_CUTOFF,
     CheckMode,
     PreservationReport,
     _check_trials,
@@ -102,6 +103,9 @@ PRECHECK_TOL = 1e-6
 PRECHECK_TRIALS = 512
 # largest rebuild miss and invariant deviation that certify a tuple without the precheck
 CERTIFY_TOL = 1e-10
+REBUILD_TOL = 1e-7  # largest entry miss of a rebuilt transfer, relative to max(1, largest entry)
+POWER_FLOOR = 1e-12  # a matrix power needs every eigenvalue of its definite input above this
+WEIGHTED_TOL = 1e-8  # largest residual of the weighted identity that `verify_weighted` passes
 _WEIGHTED_BATCH = 256
 
 
@@ -122,7 +126,7 @@ class DecompositionResult:
     diagnostics: Mapping = field(default_factory=dict)
 
 
-def _validate_tuple_on(maps, kinds, field: Field | None) -> SpaceTag:
+def _validate_tuple_on(maps, kinds) -> SpaceTag:
     dom = maps[0].domain
     for f in maps:
         if f.domain != dom or f.codomain != dom:
@@ -132,8 +136,6 @@ def _validate_tuple_on(maps, kinds, field: Field | None) -> SpaceTag:
             f"maps act on {span_of(dom).kind.value}, expected one of "
             f"{sorted(k.value for k in kinds)}"
         )
-    if field is not None and dom.field is not field:
-        raise InvalidParameterError(f"this decomposition needs the {field.value} field")
     return dom
 
 
@@ -365,7 +367,7 @@ def _recover_mn_chain(maps, dom: SpaceTag) -> tuple:
     return MnChain(tuple(Ns)), note
 
 
-def decompose_mn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
+def decompose_mn_chain(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
     """Recover N_1..N_m with f_i(A) = N_i A N_{i+1}^{-1} from a chain on M_n.
 
     Needs m >= 3: shorter tuples on full spaces admit entrywise-multiplier and
@@ -442,7 +444,7 @@ def _recover_chain(maps, dom: SpaceTag) -> tuple:
     return cls(mat, tuple(c)), note
 
 
-def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
+def decompose_hermitian(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
     """Recover the canonical form of a chain on Hermitian matrices, m >= 3.
 
     Odd m gives scaled conjugations by one unitary (HermOdd); even m gives
@@ -455,7 +457,7 @@ def decompose_hermitian(maps, tol: float = 1e-7) -> DecompositionResult:
     return decompose(maps, family="hermitian", tol=tol)
 
 
-def decompose_symmetric(maps, tol: float = 1e-7) -> DecompositionResult:
+def decompose_symmetric(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
     """Recover the canonical form of a chain on symmetric matrices.
 
     Odd length: scaled conjugations by one (possibly complex) orthogonal
@@ -493,7 +495,7 @@ def _definite_input(A, tol: float) -> np.ndarray:
     return A[None]
 
 
-def herm_power(A: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
+def herm_power(A: np.ndarray, t: float, tol: float = POWER_FLOOR) -> np.ndarray:
     """A**t for Hermitian positive definite A through its eigendecomposition.
     A must be Hermitian and positive definite as `_definite_input` judges
     it, at every t; tol is the eigenvalue floor."""
@@ -501,7 +503,7 @@ def herm_power(A: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
     return _herm_power_batch(_definite_input(A, tol), t, tol)[0]
 
 
-def _herm_power_batch(stack: np.ndarray, t: float, tol: float = 1e-12) -> np.ndarray:
+def _herm_power_batch(stack: np.ndarray, t: float, tol: float = POWER_FLOOR) -> np.ndarray:
     """A**t for a stack of positive definite A: the stack itself for t = 1,
     identities for t = 0, and otherwise one eigendecomposition."""
     if t == 1:
@@ -545,7 +547,7 @@ def _recover_pn_pair(maps, dom: SpaceTag) -> tuple:
     return PnPair(M, transpose), f"M fixed up to phase; {sep_note}"
 
 
-def decompose_pn_pair(maps, tol: float = 1e-7) -> DecompositionResult:
+def decompose_pn_pair(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
     """Recover (M, transpose flag) for a pair preserving traces of products on
     the positive definite cone: f_1(A) = M*AM or M*A^tM, f_2 its inverse partner.
 
@@ -563,7 +565,7 @@ def _require_positive_scalars(c, what: str) -> None:
         )
 
 
-def decompose_pn_chain(maps, tol: float = 1e-7) -> DecompositionResult:
+def decompose_pn_chain(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
     """Recover the canonical form of a chain preserving traces of products of
     positive definite matrices.
 
@@ -584,7 +586,7 @@ def _recover_diag_pair(maps, dom: SpaceTag) -> tuple:
     return DiagPair(np.array(maps[0].transfer)), "parameters unique: N is the transfer of f_1"
 
 
-def decompose_diag_pair(maps, tol: float = 1e-7) -> DecompositionResult:
+def decompose_diag_pair(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
     """Recover N with f_1 acting as N on diagonal coordinates and f_2 as N^{-t}.
 
     Every invertible N gives such a pair, so the parameters are unique with no
@@ -607,7 +609,7 @@ def _recover_diag_chain(maps, dom: SpaceTag) -> tuple:
     return form, "parameters unique: permutation and scalings are pinned"
 
 
-def decompose_diag_chain(maps, tol: float = 1e-7) -> DecompositionResult:
+def decompose_diag_chain(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
     """Recover (P, C_1..C_m) with f_i(A) = C_i P^t A P on diagonal matrices,
     the C_i diagonal with product I. Parameters are unique: no gauge freedom.
     """
@@ -626,19 +628,17 @@ class _Family:
     gauge_note)` of its form. A recovery checks nothing: its note states the
     gauge, plus pn_pair's two branch deviations. pn_chain has no recovery of
     its own: `_resolve` routes it to another family. The span kinds its maps
-    need (`kinds`, the union of its forms') and the field (`field`, complex
-    when every form is `complex_only`) are worked out once, from the forms."""
+    need (`kinds`) are the union of its forms'; a Hermitian span is complex,
+    so they also pin the field of the complex-only forms."""
 
     forms: tuple
     length: Callable[[int], bool]
     length_error: str
     recover: Callable | None
     kinds: frozenset = field(init=False)
-    field: Field | None = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kinds", frozenset().union(*(form.kinds for form in self.forms)))
-        object.__setattr__(self, "field", Field.COMPLEX if all(form.complex_only for form in self.forms) else None)
 
 
 # "auto" takes the first family with a recovery on a span whose length rule
@@ -679,13 +679,13 @@ def _resolve(family: str, dom: SpaceTag, m: int) -> str:
     return next((name for name in names if _DECOMPOSERS[name].length(m)), names[-1])
 
 
-def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionResult:
+def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> DecompositionResult:
     """Decompose a tuple of maps as `family`, or, when family == "auto", as
     the family that `_resolve` picks from the domain and the length.
 
     The checks run in a fixed order: `tol` (finite, nonnegative) and the
-    family name, the domain (one shared space of the family's span kinds and
-    field; for pn_chain also those of the family it routes to) and the
+    family name, the domain (one shared space of the family's span kinds;
+    for pn_chain also those of the family it routes to) and the
     length. Then the form is recovered and rebuilt once: recovery reads the
     parameters off the maps and leaves every structural verdict to the
     rebuild. When recovery or the rebuild fails, the identity check runs
@@ -714,7 +714,7 @@ def decompose(maps, family: str = "auto", tol: float = 1e-7) -> DecompositionRes
     cone = False
     while True:
         spec = _DECOMPOSERS[name]
-        dom = _validate_tuple_on(maps, spec.kinds, spec.field)
+        dom = _validate_tuple_on(maps, spec.kinds)
         if not spec.length(m):
             raise NotApplicableError(spec.length_error)
         if spec.recover is not None:
@@ -780,7 +780,7 @@ class PowerMap:
 MapLike = Union[LinMap, PowerMap]
 
 
-def power_map_apply(map_: MapLike, A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def power_map_apply(map_: MapLike, A: np.ndarray, tol: float = POWER_FLOOR) -> np.ndarray:
     """Evaluate a LinMap or PowerMap on one positive definite matrix, as
     scale * H(core(A^pre))^post with H the Hermitian part. A must be
     Hermitian and positive definite as `_definite_input` judges it, whatever
@@ -790,7 +790,7 @@ def power_map_apply(map_: MapLike, A: np.ndarray, tol: float = 1e-12) -> np.ndar
 
 
 def _weighted_image(
-    map_: MapLike, batch: np.ndarray, a: float = 1.0, b: float = 1.0, tol: float = 1e-12
+    map_: MapLike, batch: np.ndarray, a: float = 1.0, b: float = 1.0, tol: float = POWER_FLOOR
 ) -> np.ndarray:
     """f(B^(1/b))^a on a stack of positive definite B, as
     scale^a * H(core(B^(pre/b)))^(post * a) with H the Hermitian part; a
@@ -835,7 +835,7 @@ def verify_weighted(
     beta,
     trials: int = 1000,
     seed: int = 0,
-    tol: float = 1e-8,
+    tol: float = WEIGHTED_TOL,
 ) -> PreservationReport:
     """Randomized check of tr(f1(A1)^a1 ... fm(Am)^am) = tr(A1^b1 ... Am^bm)
     over positive definite samples. Maps may be plain LinMaps or PowerMaps.
@@ -924,7 +924,7 @@ def weighted_canonical_maps(form, alpha, beta, space: SpaceTag) -> list:
     return [PowerMap(core=base[i], pre=beta[i], post=1.0 / alpha[i], scale=1.0) for i in range(m)]
 
 
-def weighted_reduction(maps, alpha, beta, tol: float = 1e-8, seed: int = 0) -> list:
+def weighted_reduction(maps, alpha, beta, tol: float = WEIGHTED_TOL, seed: int = 0) -> list:
     """Strip the weights: returns LinMaps g_i(A) = f_i(A^(1/b_i))^(a_i), which
     satisfy the plain trace-product identity whenever the weighted one holds.
 
@@ -954,7 +954,7 @@ def weighted_reduction(maps, alpha, beta, tol: float = 1e-8, seed: int = 0) -> l
 # ---------------------------------------------------------------------------
 
 
-def reshuffled_transfer_rank(map_: LinMap, rtol: float = 1e-9) -> int:
+def reshuffled_transfer_rank(map_: LinMap, rtol: float = RANK_CUTOFF) -> int:
     """Rank of the row/column reshuffle of a full-space transfer.
 
     A map of the two-sided form A -> X A Y reshuffles to a rank-one matrix;

@@ -59,6 +59,8 @@ EXHAUSTIVE_CAP = 10**6
 # of either mode spans at most _GRID_TUPLES tuples, unless one slot-1 matrix does
 _BATCH = 512
 _GRID_TUPLES = 2**15
+EXTEND_TOL = 1e-8  # `embed_extend_pair`'s tol, and the floor of the identity check on its inputs
+RANK_CUTOFF = 1e-9  # a singular value counts toward a rank when above this times the largest
 
 
 class CheckMode(str, enum.Enum):
@@ -466,7 +468,7 @@ def _restrict_to_hermitian(map_: LinMap) -> LinMap:
     return LinMap(hdom, hcod, _gather(_herm_change(hcod.n).S_inv_rows, on_basis, axis=0).real)
 
 
-def embed_extend_pair(phi1: LinMap, phi2: LinMap, tol: float = 1e-8) -> tuple[LinMap, LinMap]:
+def embed_extend_pair(phi1: LinMap, phi2: LinMap, tol: float = EXTEND_TOL) -> tuple[LinMap, LinMap]:
     """Extend a trace-product pair on M_n, placed in the top-left corner of M_k,
     to a bijective pair on all of M_k.
 
@@ -489,7 +491,7 @@ def embed_extend_pair(phi1: LinMap, phi2: LinMap, tol: float = 1e-8) -> tuple[Li
         raise NotApplicableError(
             f"no trace-product pair M_{n} -> M_{k} exists for n > k; rank counting forbids it"
         )
-    _require_passed(check_preservation([phi1, phi2], tol=max(tol, 1e-8), mode="exhaustive"), "inputs")
+    _require_passed(check_preservation([phi1, phi2], tol=max(tol, EXTEND_TOL), mode="exhaustive"), "inputs")
     if n == k:
         for name, f in (("phi1", phi1), ("phi2", phi2)):
             _inverse(f.transfer, name)  # the extension must be invertible
@@ -538,7 +540,7 @@ def infeasibility_certificate(
     field: Field = Field.COMPLEX,
     trials: int = 20,
     seed: int = 0,
-    cutoff_factor: float = 1e-9,
+    cutoff_factor: float = RANK_CUTOFF,
 ) -> InfeasibilityCertificate:
     """Certify that no pair of maps M_n -> M_k satisfies the identity when n > k.
 

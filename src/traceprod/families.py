@@ -42,6 +42,8 @@ from .spaces import (
     span_dim,
 )
 
+CONDITION_BOUND = 1e3  # largest 2-norm condition number of a drawn parameter matrix
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -52,7 +54,7 @@ class GenSpec:
     m: int
     field: Field = Field.COMPLEX
     seed: int = 0
-    condition_bound: float = 1e3
+    condition_bound: float = CONDITION_BOUND
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -108,7 +110,7 @@ def _kept(M: np.ndarray, cond_bound: float) -> bool:
 
 
 def random_invertible(
-    rng: np.random.Generator, n: int, field: Field = Field.COMPLEX, cond_bound: float = 1e3
+    rng: np.random.Generator, n: int, field: Field = Field.COMPLEX, cond_bound: float = CONDITION_BOUND
 ) -> np.ndarray:
     """Gaussian invertible matrix, resampled until `_kept`."""
     for _ in range(100):
@@ -135,7 +137,7 @@ def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def complex_orthogonal(
-    rng: np.random.Generator, n: int, cond_bound: float = 1e3
+    rng: np.random.Generator, n: int, cond_bound: float = CONDITION_BOUND
 ) -> np.ndarray:
     """Complex orthogonal matrix (O^t O = I), resampled until `_kept`.
 

@@ -15,15 +15,18 @@ import itertools
 import json
 import math
 from dataclasses import MISSING, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .decompose import DecompositionResult
 from .errors import InvalidParameterError
-from .extend import InfeasibilityCertificate, PreservationReport
-from .families import Generated
 from .linmaps import FORMS, LinMap
 from .spaces import SpaceTag, span_of
+
+if TYPE_CHECKING:  # annotations only: the codec needs none of these modules
+    from .decompose import DecompositionResult
+    from .extend import InfeasibilityCertificate, PreservationReport
+    from .families import Generated
 
 
 def encode_matrix(M) -> dict:

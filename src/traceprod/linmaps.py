@@ -66,6 +66,10 @@ from .spaces import (
 # parameter matrices whose 1-norm condition number (`_inverse`) is above this
 # are rejected outright
 COND_LIMIT = 1e6
+# `from_canonical` allows a parameter a deviation of max(tol, floor) from its structure (permutation,
+# diagonal, symmetric, not scalar, unitary, orthogonal) and from its product invariants (scalars, diagonals)
+STRUCTURE_FLOOR = 1e-9
+PRODUCT_FLOOR = 1e-6
 # entries of a side's transfer that the rebuild, and the kernel on a Hermitian or
 # symmetric span, realise at a time
 _BLOCK_ENTRIES = 2**15
@@ -426,12 +430,12 @@ def _adjoint(M: np.ndarray) -> np.ndarray:
 
 def _scalar_invariant(c) -> tuple:
     """The invariant of scalars c_i: their product is 1."""
-    return "the scalar product must be 1", abs(np.prod(np.asarray(c, dtype=np.complex128)) - 1.0), 1e-6
+    return "the scalar product must be 1", abs(np.prod(np.asarray(c, dtype=np.complex128)) - 1.0), PRODUCT_FLOOR
 
 
 def _isometry_invariant(what: str, U: np.ndarray, adjoint) -> tuple:
     """The invariant adjoint(U) U = I of a unitary or orthogonal U."""
-    return what, np.max(np.abs(adjoint(U) @ U - np.eye(len(U)))), 1e-9
+    return what, np.max(np.abs(adjoint(U) @ U - np.eye(len(U)))), STRUCTURE_FLOOR
 
 
 def _congruences(space: SpaceTag, sides, slots, transpose: bool = False) -> _Realisation:
@@ -584,10 +588,10 @@ class DiagChain(_Form):
 
     def realisation(self, space, tol):
         P = np.round(self.P.real) + 0.0  # + 0.0 turns the -0 of a small negative entry into 0
-        if np.max(np.abs(self.P - P)) > max(tol, 1e-9) or not _is_permutation(P):
+        if np.max(np.abs(self.P - P)) > max(tol, STRUCTURE_FLOOR) or not _is_permutation(P):
             raise InvalidParameterError("P must be a permutation matrix")
         for i, C in enumerate(self.C):
-            if np.max(np.abs(C - np.diag(np.diag(C)))) > max(tol, 1e-9):
+            if np.max(np.abs(C - np.diag(np.diag(C)))) > max(tol, STRUCTURE_FLOOR):
                 raise InvalidParameterError(f"C[{i}] must be diagonal")
             d = np.abs(np.diag(C))
             if np.min(d) == 0 or np.max(d) / np.min(d) > COND_LIMIT:
@@ -601,7 +605,7 @@ class DiagChain(_Form):
     def invariants(self):
         # on the diagonals, which are all that the realised maps use
         prod = np.prod([np.diag(C) for C in self.C], axis=0)
-        return (("the product of the C_i must be the identity", np.max(np.abs(prod - 1.0)), 1e-6),)
+        return (("the product of the C_i must be the identity", np.max(np.abs(prod - 1.0)), PRODUCT_FLOOR),)
 
 
 @dataclass(frozen=True)
@@ -618,7 +622,7 @@ class Hadamard(_Form):
 
     def realisation(self, space, tol):
         C = self.C
-        if np.max(np.abs(C - C.T)) > max(tol, 1e-9):
+        if np.max(np.abs(C - C.T)) > max(tol, STRUCTURE_FLOOR):
             raise InvalidParameterError("C must be symmetric")
         if np.min(np.abs(C)) == 0:
             raise InvalidParameterError("C must have no zero entries")
@@ -681,7 +685,7 @@ class NonextendableTriple(_Form):
     def realisation(self, space, tol):
         n, X = space.n, self.X
         tr_part = (np.trace(X) / n) * np.eye(n)
-        if np.linalg.norm(X - tr_part) <= max(tol, 1e-9) * max(1.0, np.linalg.norm(X)):
+        if np.linalg.norm(X - tr_part) <= max(tol, STRUCTURE_FLOOR) * max(1.0, np.linalg.norm(X)):
             raise InvalidParameterError("X must not be a scalar matrix")
         big = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2 * n)
         d = n * n

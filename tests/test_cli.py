@@ -30,7 +30,7 @@ from traceprod import (
 )
 from traceprod import cli
 from traceprod.cli import run
-from traceprod.jsonio import decode_maps_document, encode_generated, encode_linmap, encode_maps, encode_space
+from traceprod.jsonio import decode_maps_document, decode_matrix, encode_generated, encode_linmap, encode_maps, encode_space
 from conftest import ill_conditioned_diag_preservers, move_first_transfer
 from test_jsonio import ROUND_TRIP_CASES
 
@@ -668,3 +668,87 @@ def test_a_maps_document_text_is_dropped_before_the_decode(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "decode_maps_document", decode)
     assert _run(capsys, ["check", "--maps", str(path)])[0] == 0
     assert holds_text == [False]
+
+
+def _document(tmp_path, family, n, m, keep=None) -> str:
+    gen = generate(GenSpec(family=family, n=n, m=m, seed=0))
+    return _write(tmp_path, f"{family}.json", encode_maps(gen.space, list(gen.maps)[:keep]))
+
+
+# each subcommand's library call: its argv with required options only (DOC is
+# the document `doc` names), the options that may be given, and the keywords
+# each set reaches the call with
+PASS_THROUGH = [
+    ("GenSpec", ["generate", "--family", "sym_odd", "--n", "3", "--m", "3"], None,
+     ["--field", "real", "--seed", "3", "--condition-bound", "50"],
+     {"family": "sym_odd", "n": 3, "m": 3}, {"field": "real", "seed": 3, "condition_bound": 50.0}),
+    ("check_preservation", ["check", "--maps", "DOC"], ("herm_odd", 3, 3),
+     ["--tol", "1e-12", "--mode", "randomized", "--trials", "64", "--seed", "5", "--space", "PosDef"],
+     {}, {"tol": 1e-12, "mode": "randomized", "trials": 64, "seed": 5,
+          "sample_space": SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 3)}),
+    ("dualize", ["dualize", "--maps", "DOC"], ("pn_pair", 2, 2), ["--index", "1", "--tol", "1e-6"], {}, {"tol": 1e-6}),
+    ("decompose", ["decompose", "--maps", "DOC"], ("herm_odd", 3, 3), ["--family", "hermitian", "--tol", "1e-6"],
+     {}, {"family": "hermitian", "tol": 1e-6}),
+    ("embed_extend_pair", ["extend", "--maps", "DOC"], ("nonextendable", 2, 3, 2), ["--tol", "1e-6"], {}, {"tol": 1e-6}),
+    ("infeasibility_certificate", ["certify", "--n", "3", "--k", "2"], None,
+     ["--field", "real", "--trials", "5", "--seed", "4"], {"n": 3, "k": 2}, {"field": "real", "trials": 5, "seed": 4}),
+    ("verify_weighted", ["weighted", "--maps", "DOC", "--alpha", "2,2,2", "--beta", "2,2,2"], ("pn_chain", 3, 3),
+     ["--trials", "50", "--seed", "2", "--tol", "1e-6"],
+     {"alpha": [2.0, 2.0, 2.0], "beta": [2.0, 2.0, 2.0]}, {"trials": 50, "seed": 2, "tol": 1e-6}),
+]
+
+
+@pytest.mark.parametrize("name, argv, doc, options, required, given", PASS_THROUGH, ids=[c[0] for c in PASS_THROUGH])
+def test_options_pass_to_the_library_as_given_and_only_when_given(
+    tmp_path, capsys, monkeypatch, name, argv, doc, options, required, given
+):
+    calls = []
+    real = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    argv = [_document(tmp_path, *doc) if a == "DOC" else a for a in argv]
+    assert run(argv) == 0
+    assert run(argv + options) == 0
+    capsys.readouterr()
+    assert calls == [required, {**required, **given}]
+
+
+def test_check_samples_the_space_it_is_given(tmp_path, capsys):
+    path = _document(tmp_path, "herm_odd", 3, 3)
+    code, report = _run(capsys, ["check", "--maps", path, "--space", "PosDef", "--mode", "randomized", "--trials", "64"])
+    assert code == 0 and report["pass"] and report["mode"] == "randomized"
+    for obj in report["worst_tuple"]:
+        A = decode_matrix(obj)
+        assert np.allclose(A, A.conj().T, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(A)[0] > 0
+
+
+def test_check_refuses_a_space_of_another_span(tmp_path, capsys):
+    path = _document(tmp_path, "herm_odd", 3, 3)
+    code, err = _run(capsys, ["check", "--maps", path, "--space", "Diagonal"])
+    assert code == 2
+    assert err["error"]["message"] == "sample_space must span the same space as every map's domain"
+
+
+def test_dualize_index_out_of_range_exits_two(tmp_path, capsys):
+    path = _document(tmp_path, "pn_pair", 2, 2)
+    code, err = _run(capsys, ["dualize", "--maps", path, "--index", "7"])
+    assert code == 2
+    assert err["error"]["code"] == "NotApplicableError"
+    assert "index 7 is out of range" in err["error"]["message"]
+
+
+def test_weighted_exponents_that_are_not_numbers_are_a_usage_error(tmp_path, capsys):
+    path = _document(tmp_path, "pn_chain", 3, 2)
+    with pytest.raises(SystemExit) as exc:
+        run(["weighted", "--maps", path, "--alpha", "1,x", "--beta", "1,1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: traceprod weighted")
+    assert "argument --alpha: expected comma-separated numbers, got '1,x'" in captured.err
+    assert "Traceback" not in captured.err

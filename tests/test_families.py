@@ -307,3 +307,13 @@ def test_the_size_estimate_with_one_parameter_per_map_is_a_lower_bound(spec):
     finally:
         tracemalloc.stop()
     assert held >= _tuple_bytes(spec.m, gen.space, True)
+
+
+def test_genspec_takes_a_field_by_its_name():
+    # the command line passes --field as given, a string
+    spec = GenSpec(family="sym_odd", n=3, m=3, field="real")
+    assert spec.field is Field.REAL
+    assert spec == GenSpec(family="sym_odd", n=3, m=3, field=Field.REAL)
+    gen = generate(spec)
+    assert gen.space.field is Field.REAL
+    assert all(f.transfer.dtype == np.float64 for f in gen.maps)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from traceprod import (
     DiagChain,
+    DimensionMismatchError,
     DiagPair,
     Field,
     Hadamard,
@@ -630,3 +631,30 @@ def test_inverse_judges_the_one_norm_condition_number():
 def test_inverse_is_numpys_inverse():
     M = np.random.default_rng(0).standard_normal((5, 5))
     assert np.array_equal(linmaps._inverse(M, "M"), np.linalg.inv(M))
+
+
+@pytest.mark.parametrize("c", [(np.nan, 1.0, 1.0), (0.0, 1.0, 1.0)], ids=["nan", "zero"])
+def test_scaled_forms_refuse_a_scalar_that_is_not_finite_and_nonzero(c):
+    # a NaN scalar would pass the product invariant, since NaN > bound is false
+    space = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 2)
+    U = haar_unitary(np.random.default_rng(0), 2)
+    with pytest.raises(InvalidParameterError, match="scalars must be finite and nonzero"):
+        from_canonical(HermOdd(U, c), space)
+
+
+@pytest.mark.parametrize(
+    "form, space, error, message",
+    [
+        pytest.param(object(), SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2), InvalidParameterError,
+                     "unknown canonical form object", id="not-a-form"),
+        pytest.param(NonextendableTriple(np.diag([1.0, 2.0])), SpaceTag(SpaceKind.FULL, Field.REAL, 2),
+                     InvalidParameterError, "NonextendableTriple needs a complex-field space", id="real-triple"),
+        pytest.param(MnChain((np.eye(3),) * 3), SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2), DimensionMismatchError,
+                     "MnChain parameters are 3 x 3 but the space has n=2", id="wrong-size"),
+        pytest.param(MnChain((np.eye(2) * 1j, np.eye(2), np.eye(2))), SpaceTag(SpaceKind.FULL, Field.REAL, 2),
+                     InvalidParameterError, "MnChain over a real space needs a real N", id="complex-on-real"),
+    ],
+)
+def test_from_canonical_refuses_what_is_no_form_on_the_space(form, space, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        from_canonical(form, space)
