@@ -10,6 +10,13 @@ doc=$(mktemp)
 trap 'rm -f "$err" "$doc"' EXIT
 
 python -c "import sys, traceprod.cli; assert 'scipy' not in sys.modules, 'traceprod.cli imports scipy'"
+# a stage imports only what its subcommand runs: generate loads families, and neither decompose nor extend
+python -X importtime -m traceprod.cli generate --family mn_chain --n 3 --m 3 2>"$err" >/dev/null
+grep -q 'traceprod\.families$' "$err"
+if grep -q -e 'traceprod\.decompose$' -e 'traceprod\.extend$' "$err"; then exit 1; fi
+# and the choices of --family, which come from families, are still listed in full
+traceprod generate --help \
+  | python -c "import sys; from traceprod import FAMILIES; assert '{' + ','.join(sorted(FAMILIES)) + '}' in sys.stdin.read()"
 traceprod generate --family sym_odd --n 4 --m 3 | traceprod check --maps -
 traceprod generate --family pn_pair --n 4 --m 2 | traceprod dualize --maps - | traceprod check --maps -
 # dualize reads the trace Gram matrix off the basis terms: diagonal, symmetric and full spans over both fields

@@ -14,14 +14,13 @@ more written to it.
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
-from .decompose import decompose, verify_weighted
 from .errors import (
     CanonicalStructureError,
     InvalidParameterError,
@@ -29,8 +28,6 @@ from .errors import (
     PreservationError,
     TraceProdError,
 )
-from .extend import CheckMode, check_preservation, dualize, embed_extend_pair, infeasibility_certificate
-from .families import FAMILIES, GenSpec, generate
 from .jsonio import (
     _generated_document,
     _maps_document,
@@ -42,6 +39,37 @@ from .jsonio import (
     encode_report,
 )
 from .spaces import Field, SpaceKind, SpaceTag, span_of
+
+# the library names that only some subcommands use, by their module. Each is
+# imported on first use and then kept in this module's namespace, where the
+# handlers call it by its bare name and a test or a tracer may rebind it.
+_LAZY = {
+    "FAMILIES": "families",
+    "GenSpec": "families",
+    "generate": "families",
+    "CheckMode": "extend",
+    "check_preservation": "extend",
+    "dualize": "extend",
+    "embed_extend_pair": "extend",
+    "infeasibility_certificate": "extend",
+    "decompose": "decompose",
+    "verify_weighted": "decompose",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `from .<module> import <name>`, written out so that `-X importtime` reports it
+    value = globals()[name] = getattr(__import__(_LAZY[name], globals(), level=1), name)
+    return value
+
+
+def _load(module: str) -> None:
+    """Import `module` and bind here each of its `_LAZY` names not bound yet."""
+    for name, home in _LAZY.items():
+        if home == module and name not in globals():
+            __getattr__(name)
 
 
 def _read_maps(path: str):
@@ -80,15 +108,26 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="traceprod",
-        description="Verify, construct, and invert tuples of maps preserving traces of products.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
+class _Subcommands(argparse._SubParsersAction):
+    """The subcommands of `_SUBCOMMANDS`. The one being parsed gets its options
+    only then, once its library module is imported: the choices of `generate
+    --family` and `check --mode` come from modules that the other subcommands
+    never load."""
 
-    g = command("generate", help="generate a canonical tuple of maps")
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._built = set()
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        if name in _SUBCOMMANDS and name not in self._built:
+            self._built.add(name)
+            _load(_SUBCOMMANDS[name].module)
+            _SUBCOMMANDS[name].options(self._name_parser_map[name])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _generate_options(g) -> None:
     g.add_argument("--family", required=True, choices=sorted(FAMILIES))
     g.add_argument("--n", type=int, required=True, help="matrix size")
     g.add_argument("--m", type=int, required=True, help="tuple length")
@@ -96,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int)
     g.add_argument("--condition-bound", type=float)
 
-    c = command("check", help="check the trace-of-products identity")
+
+def _check_options(c) -> None:
     c.add_argument("--maps", required=True, help="JSON file of maps, or - for stdin")
     c.add_argument("--tol", type=float)
     c.add_argument("--mode", choices=["auto", *(mode.value for mode in CheckMode)])
@@ -109,28 +149,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample from this space kind instead of each map's own domain",
     )
 
-    d = command("dualize", help="construct the trace-dual partner of a map")
+
+def _dualize_options(d) -> None:
     d.add_argument("--maps", required=True)
     d.add_argument("--index", type=int, default=0, help="which map of the document to dualize")
     d.add_argument("--tol", type=float)
 
-    dc = command("decompose", help="recover canonical parameters of a tuple")
+
+def _decompose_options(dc) -> None:
     dc.add_argument("--maps", required=True)
     dc.add_argument("--family")
     dc.add_argument("--tol", type=float)
 
-    e = command("extend", help="extend a corner-supported pair to a bijective pair")
+
+def _extend_options(e) -> None:
     e.add_argument("--maps", required=True)
     e.add_argument("--tol", type=float)
 
-    ce = command("certify", help="certify that no pair into smaller matrices exists")
+
+def _certify_options(ce) -> None:
     ce.add_argument("--n", type=int, required=True)
     ce.add_argument("--k", type=int, required=True)
     ce.add_argument("--field", choices=[f.value for f in Field])
     ce.add_argument("--trials", type=int)
     ce.add_argument("--seed", type=int)
 
-    w = command("weighted", help="check the weighted power identity")
+
+def _weighted_options(w) -> None:
     w.add_argument("--maps", required=True)
     w.add_argument("--alpha", type=_float_list, required=True, help="comma-separated exponents")
     w.add_argument("--beta", type=_float_list, required=True, help="comma-separated exponents")
@@ -138,6 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--seed", type=int)
     w.add_argument("--tol", type=float)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="traceprod",
+        description="Verify, construct, and invert tuples of maps preserving traces of products.",
+    )
+    sub = p.add_subparsers(dest="command", required=True, action=_Subcommands)
+    for name, subcommand in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=subcommand.help, argument_default=argparse.SUPPRESS)
     return p
 
 
@@ -199,14 +253,36 @@ def _cmd_weighted(args) -> int:
     return _verdict(verify_weighted(maps, **_options(args)), "weighted identity")
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "check": _cmd_check,
-    "dualize": _cmd_dualize,
-    "decompose": _cmd_decompose,
-    "extend": _cmd_extend,
-    "certify": _cmd_certify,
-    "weighted": _cmd_weighted,
+class _Subcommand(NamedTuple):
+    help: str
+    # the module that its `_LAZY` library calls come from
+    module: str
+    options: Callable
+    handler: Callable
+
+
+_SUBCOMMANDS = {
+    "generate": _Subcommand(
+        "generate a canonical tuple of maps", "families", _generate_options, _cmd_generate
+    ),
+    "check": _Subcommand(
+        "check the trace-of-products identity", "extend", _check_options, _cmd_check
+    ),
+    "dualize": _Subcommand(
+        "construct the trace-dual partner of a map", "extend", _dualize_options, _cmd_dualize
+    ),
+    "decompose": _Subcommand(
+        "recover canonical parameters of a tuple", "decompose", _decompose_options, _cmd_decompose
+    ),
+    "extend": _Subcommand(
+        "extend a corner-supported pair to a bijective pair", "extend", _extend_options, _cmd_extend
+    ),
+    "certify": _Subcommand(
+        "certify that no pair into smaller matrices exists", "extend", _certify_options, _cmd_certify
+    ),
+    "weighted": _Subcommand(
+        "check the weighted power identity", "decompose", _weighted_options, _cmd_weighted
+    ),
 }
 
 
@@ -217,7 +293,7 @@ def run(argv=None) -> int:
         tol = getattr(args, "tol", 0.0)
         if not math.isfinite(tol) or tol < 0:
             raise InvalidParameterError(f"--tol must be finite and nonnegative, got {tol}")
-        return _HANDLERS[args.command](args)
+        return _SUBCOMMANDS[args.command].handler(args)
     except BrokenPipeError:
         # the reader closed stdout: an error document there would break again
         return 2
@@ -239,12 +315,16 @@ def _failed(exc: Exception) -> int:
 
 
 def main() -> None:
+    # The subcommand named first (the only place it can stand but after `--`)
+    # has its library module imported now, so that the freeze covers it too.
     # Everything imported so far lives as long as the process. Frozen into the
     # permanent generation, it is no longer traversed by the collections that
     # decoding or encoding a large document triggers, nor by the one at
     # interpreter shutdown, whose walk over numpy's import-time objects was
     # most of the time a stage spent exiting. `run` and the library never
     # touch the collector.
+    if sys.argv[1:2] and sys.argv[1] in _SUBCOMMANDS:
+        _load(_SUBCOMMANDS[sys.argv[1]].module)
     gc.freeze()
     status = run()
     try:
