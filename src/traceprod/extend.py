@@ -46,6 +46,7 @@ from .spaces import (
     _check_tol,
     _field_dtype,
     _gaussian,
+    _member,
     _per_span,
     _random_batch,
     _reassemble,
@@ -553,7 +554,7 @@ def infeasibility_certificate(
     if not 0 < cutoff_factor < 1:
         raise InvalidParameterError(f"cutoff_factor must lie in the open interval (0, 1), got {cutoff_factor}")
     _check_trials(trials)
-    field = Field(field)
+    field = _member(Field, field)
     if n <= k:
         raise NotApplicableError(
             f"pairs M_{n} -> M_{k} with n <= k exist, so there is nothing to certify"

@@ -36,6 +36,7 @@ from .spaces import (
     SpaceTag,
     _check_seed,
     _gaussian,
+    _member,
     _rng,
     base_field,
     random_batch,
@@ -62,7 +63,7 @@ class GenSpec:
                 f"unknown family {self.family!r}; expected one of {FAMILIES}"
             )
         if not isinstance(self.field, Field):
-            object.__setattr__(self, "field", Field(self.field))
+            object.__setattr__(self, "field", _member(Field, self.field))
         if int(self.n) != self.n or self.n < 1:
             raise InvalidParameterError(f"n must be a positive integer, got {self.n!r}")
         if int(self.m) != self.m or self.m < 1:

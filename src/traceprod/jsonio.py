@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .linmaps import FORMS, LinMap
-from .spaces import SpaceTag, span_of
+from .spaces import Field, SpaceKind, SpaceTag, span_of
 
 if TYPE_CHECKING:  # annotations only: the codec needs none of these modules
     from .decompose import DecompositionResult
@@ -129,9 +129,11 @@ def encode_space(space: SpaceTag) -> dict:
 
 def decode_space(obj) -> SpaceTag:
     try:
-        return SpaceTag(obj["kind"], obj["field"], _integer(obj, "n"))
+        kind, field, n = obj["kind"], obj["field"], _integer(obj, "n")
+        kind, field = SpaceKind(kind), Field(field)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed space object: {exc}") from exc
+    return SpaceTag(kind, field, n)
 
 
 def encode_linmap(map_: LinMap) -> dict:

@@ -42,6 +42,14 @@ class SpaceKind(str, enum.Enum):
     DIAGONAL = "Diagonal"
 
 
+def _member(enum_type, value):
+    """`enum_type(value)`; a value that names no member is an InvalidParameterError."""
+    try:
+        return enum_type(value)
+    except ValueError as exc:
+        raise InvalidParameterError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class SpaceTag:
     """A named matrix space: structural kind, scalar field, and size."""
@@ -52,9 +60,9 @@ class SpaceTag:
 
     def __post_init__(self):
         if not isinstance(self.kind, SpaceKind):
-            object.__setattr__(self, "kind", SpaceKind(self.kind))
+            object.__setattr__(self, "kind", _member(SpaceKind, self.kind))
         if not isinstance(self.field, Field):
-            object.__setattr__(self, "field", Field(self.field))
+            object.__setattr__(self, "field", _member(Field, self.field))
         if int(self.n) != self.n or self.n < 1:
             raise InvalidParameterError(f"space size must be a positive integer, got n={self.n!r}")
         object.__setattr__(self, "n", int(self.n))

@@ -832,3 +832,8 @@ def test_infeasibility_needs_strict_shrinking():
 def test_certificate_real_field():
     cert = infeasibility_certificate(3, 2, field=Field.REAL, trials=5, seed=1)
     assert cert.certifies_impossibility
+
+
+def test_infeasibility_certificate_refuses_an_unknown_field_name():
+    with pytest.raises(InvalidParameterError, match="'bogus' is not a valid Field"):
+        infeasibility_certificate(3, 2, field="bogus")

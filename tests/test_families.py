@@ -317,3 +317,8 @@ def test_genspec_takes_a_field_by_its_name():
     gen = generate(spec)
     assert gen.space.field is Field.REAL
     assert all(f.transfer.dtype == np.float64 for f in gen.maps)
+
+
+def test_genspec_refuses_an_unknown_field_name():
+    with pytest.raises(InvalidParameterError, match="'bogus' is not a valid Field"):
+        GenSpec(family="sym_odd", n=3, m=3, field="bogus")

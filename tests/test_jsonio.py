@@ -304,3 +304,19 @@ def test_streamed_matrix_of_any_shape(shape):
 def test_streamed_matrix_refuses_nan_as_text_does():
     with pytest.raises(ValueError):
         encode_document({"m": jsonio._matrix(np.array([[1.0, np.nan]]), stream=True)}, io.StringIO())
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"kind": "bogus", "field": "real", "n": 3}, "malformed space object: 'bogus' is not a valid SpaceKind"),
+        ({"kind": "Hermitian", "field": "bogus", "n": 3}, "malformed space object: 'bogus' is not a valid Field"),
+        ({"kind": "bogus"}, "malformed space object: 'field'"),
+        ({"kind": "bogus", "field": "real", "n": 0}, "malformed space object: 'bogus' is not a valid SpaceKind"),
+        ({"kind": "Hermitian", "field": "real", "n": 0}, "space size must be a positive integer, got n=0"),
+    ],
+)
+def test_decode_space_names_what_is_malformed(obj, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        decode_space(obj)
+    assert str(exc.value) == message

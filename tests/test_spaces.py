@@ -753,3 +753,13 @@ def test_string_and_member_tags_are_equal_hash_equal_and_share_cache_entries():
         for tag in (by_value, by_member, span_of(by_member), SpaceTag("Hermitian", "complex", 4)):
             cached(tag)
         assert cached.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "kind, field, message",
+    [("bogus", "real", "'bogus' is not a valid SpaceKind"), ("Hermitian", "bogus", "'bogus' is not a valid Field")],
+)
+def test_space_tag_refuses_an_unknown_kind_or_field_name(kind, field, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        SpaceTag(kind, field, 3)
+    assert str(exc.value) == message
