@@ -474,7 +474,11 @@ def _random_batch(space: SpaceTag, count: int, rng: np.random.Generator) -> np.n
     gram = G @ G.conj().transpose(0, 2, 1)
     if kind is SpaceKind.POSDEF:
         gram = gram + 0.1 * np.eye(n)[None, :, :]
-    return np.ascontiguousarray(gram.real) if real else gram
+    if real:
+        return np.ascontiguousarray(gram.real)
+    # the complex product is Hermitian only to rounding; the mean with its
+    # conjugate transpose is exactly Hermitian, as the Hermitian samples are
+    return (gram + gram.conj().transpose(0, 2, 1)) / 2.0
 
 
 def random_element(space: SpaceTag, rng=0) -> np.ndarray:

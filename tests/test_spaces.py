@@ -368,7 +368,9 @@ def _reference_random_batch(tag, count, rng) -> np.ndarray:
     if kind is SpaceKind.SYMMETRIC:
         return (G + G.transpose(0, 2, 1)) / 2.0
     gram = G @ G.conj().transpose(0, 2, 1)
-    return gram + 0.1 * np.eye(n) if kind is SpaceKind.POSDEF else gram
+    gram = gram + 0.1 * np.eye(n) if kind is SpaceKind.POSDEF else gram
+    # a complex sample is the mean with its conjugate transpose, which is exactly Hermitian
+    return gram if tag.field is Field.REAL else (gram + gram.conj().transpose(0, 2, 1)) / 2.0
 
 
 # n = 33 reaches BLAS blocking where a real Gram product sums in another
@@ -763,3 +765,12 @@ def test_space_tag_refuses_an_unknown_kind_or_field_name(kind, field, message):
     with pytest.raises(InvalidParameterError) as exc:
         SpaceTag(kind, field, 3)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind", [SpaceKind.POSDEF, SpaceKind.POSSEMIDEF])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_complex_definite_samples_are_exactly_hermitian(kind, n):
+    # G G* alone leaves imaginary diagonals of about 1e-17
+    S = random_batch(SpaceTag(kind, Field.COMPLEX, n), 64, 0)
+    assert np.array_equal(S, S.conj().transpose(0, 2, 1))
+    assert np.linalg.eigvalsh(S).min() > (0.0 if kind is SpaceKind.POSDEF else -1e-12)
