@@ -46,7 +46,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .extend import (
-    RANK_CUTOFF,
     CheckMode,
     PreservationReport,
     _check_trials,
@@ -80,7 +79,8 @@ from .linmaps import (
     from_canonical,
 )
 from .spaces import (
-    DEFAULT_TOL,
+    CERTIFY_TOL, CONJUGATOR_TOL, DEFAULT_TOL, GAUGE_TIE, POWER_FLOOR, PRECHECK_TOL, RANK_CUTOFF, REAL_PARAM_TOL,
+    REBUILD_PARAM_TOL, REBUILD_TOL, REDUCTION_FLOOR, SCALAR_IMAG_TOL, UNIT_EIGEN_WINDOW, WEIGHTED_TOL,
     Field,
     SpaceKind,
     SpaceTag,
@@ -99,13 +99,7 @@ from .spaces import (
     _span_coords,
 )
 
-PRECHECK_TOL = 1e-6
 PRECHECK_TRIALS = 512
-# largest rebuild miss and invariant deviation that certify a tuple without the precheck
-CERTIFY_TOL = 1e-10
-REBUILD_TOL = 1e-7  # largest entry miss of a rebuilt transfer, relative to max(1, largest entry)
-POWER_FLOOR = 1e-12  # a matrix power needs every eigenvalue of its definite input above this
-WEIGHTED_TOL = 1e-8  # largest residual of the weighted identity that `verify_weighted` passes
 _WEIGHTED_BATCH = 256
 
 
@@ -154,11 +148,11 @@ def _map_at_identity(map_: LinMap) -> np.ndarray:
 
 def _gauge_entry(M: np.ndarray) -> complex:
     """The first entry of M, in row-major order, whose magnitude is within a
-    relative 1e-12 of the largest. Entries of equal magnitude, such as those of
-    a 2 x 2 unitary, are told apart by position, not by rounding."""
+    relative `GAUGE_TIE` of the largest. Entries of equal magnitude, such as
+    those of a 2 x 2 unitary, are told apart by position, not by rounding."""
     flat = M.reshape(-1)
     mag = np.abs(flat)
-    return complex(flat[int(np.argmax(mag >= (1 - 1e-12) * np.max(mag)))])
+    return complex(flat[int(np.argmax(mag >= (1 - GAUGE_TIE) * np.max(mag)))])
 
 
 def _phase_fix(M: np.ndarray) -> complex:
@@ -205,14 +199,14 @@ def _rebuild(form, space: SpaceTag, maps, on_miss: Callable | None = None) -> tu
     certificate's largest Frobenius error relative to the input transfer, and
     the `tol` gate's worst entry error relative to max(1, largest entry).
 
-    It runs `from_canonical`'s checks at tol 1e-5, then takes the miss in
-    one pass with no rebuilt tuple held: one side of the form at a time, a
-    block of its transfer at a time (`linmaps._row_blocks`), and for each
-    map that scales the side one difference block, which adds to that map's
-    squared norms and largest moduli. Blocks that small are reused by the
-    allocator, where a fresh full-size array would be mapped and faulted in
-    page by page. A difference that overflows reads inf, and a NaN stays
-    NaN.
+    It runs `from_canonical`'s checks at tol `REBUILD_PARAM_TOL`, then takes
+    the miss in one pass with no rebuilt tuple held: one side of the form at
+    a time, a block of its transfer at a time (`linmaps._row_blocks`), and
+    for each map that scales the side one difference block, which adds to
+    that map's squared norms and largest moduli. Blocks that small are
+    reused by the allocator, where a fresh full-size array would be mapped
+    and faulted in page by page. A difference that overflows reads inf, and
+    a NaN stays NaN.
 
     `on_miss`, when given, is called once, after the first block at which
     some map's miss so far rules out the certificate; the rebuild then runs
@@ -222,7 +216,7 @@ def _rebuild(form, space: SpaceTag, maps, on_miss: Callable | None = None) -> tu
     denominator, and only for a map whose miss so far already exceeds
     `CERTIFY_TOL` of the rows read, whose norm is at most the whole one.
     """
-    plan = _validated(form, space, tol=1e-5)
+    plan = _validated(form, space, tol=REBUILD_PARAM_TOL)
     slots = [(c, j, f.transfer) for (c, j), f in zip(plan.slots, maps)]
     misses = [(0.0, 0.0, 0.0, 0.0)] * len(slots)
     blocks = _row_blocks(space)
@@ -282,15 +276,16 @@ def _conjugators(space: SpaceTag, images_at: Callable):
     For column j it asks only for the n images Phi(B) with B e_j = e_i.
     Phi(E_jj) is a rank-one idempotent whose eigenvector v for eigenvalue 1
     is the j-th column of N up to scale; column i is Phi(B) v. A column
-    whose eigenvalue is not near 1, or whose N `_inverse` refuses, is
-    skipped. Whether N fits the other images is the caller's question.
+    whose eigenvalue is not within `UNIT_EIGEN_WINDOW` of 1, or whose N
+    `_inverse` refuses, is skipped. Whether N fits the other images is the
+    caller's question.
     """
     col = _unit_columns(space)
     for j in range(space.n):
         images = images_at(col[:, j])
         w, V = np.linalg.eig(images[j])  # Phi(E_jj)
         pick = int(np.argmin(np.abs(w - 1.0)))
-        if abs(w[pick] - 1.0) > 0.1:
+        if abs(w[pick] - 1.0) > UNIT_EIGEN_WINDOW:
             continue
         N = (images @ V[:, pick]).T  # column i is Phi(B) v with B e_j = e_i
         try:
@@ -307,7 +302,7 @@ def _read_conjugator(space: SpaceTag, images_at: Callable) -> tuple[np.ndarray, 
     raise CanonicalStructureError("map is not a conjugation by an invertible matrix")
 
 
-def recover_conjugator(images: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def recover_conjugator(images: np.ndarray, tol: float = CONJUGATOR_TOL) -> np.ndarray:
     """Given the images Phi(B) of the basis of M_n (n^2 images) or of the
     symmetric matrices (n(n+1)/2 images), in `space_basis` order, of a map
     with Phi(X) = N X N^{-1} on that span, find N up to a scalar.
@@ -559,7 +554,7 @@ def decompose_pn_pair(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
 
 def _require_positive_scalars(c, what: str) -> None:
     vals = np.asarray(c)
-    if np.any(np.abs(vals.imag) > 1e-9 * np.maximum(1.0, np.abs(vals))) or np.any(vals.real <= 0):
+    if np.any(np.abs(vals.imag) > SCALAR_IMAG_TOL * np.maximum(1.0, np.abs(vals))) or np.any(vals.real <= 0):
         raise CanonicalStructureError(
             f"{what} must be positive to preserve the definite cone, got {tuple(c)}"
         )
@@ -911,7 +906,7 @@ def weighted_canonical_maps(form, alpha, beta, space: SpaceTag) -> list:
     alpha, beta = _weights(alpha, beta, m)
     if 0 in alpha:
         raise InvalidParameterError(f"alpha weights must be nonzero, got {alpha}")
-    if any(x <= 0 for x in np.asarray(c).real) or np.max(np.abs(np.asarray(c).imag)) > 1e-12:
+    if any(x <= 0 for x in np.asarray(c).real) or np.max(np.abs(np.asarray(c).imag)) > REAL_PARAM_TOL:
         raise InvalidParameterError("scalars must be positive for the weighted family")
 
     if isinstance(form, HermOdd):
@@ -945,7 +940,7 @@ def weighted_reduction(maps, alpha, beta, tol: float = WEIGHTED_TOL, seed: int =
         extras = random_batch(SpaceTag(SpaceKind.POSDEF, span.field, n), 3, rng)
         A = np.concatenate([reassemble_batch(span, np.eye(span_dim(span))) + 2 * np.eye(n), extras])
         img = _weighted_image(maps[i], A, alpha[i], beta[i])
-        out.append(extend_from_subset(span, span, zip(A, img), tol=max(tol * 10, 1e-6)))
+        out.append(extend_from_subset(span, span, zip(A, img), tol=max(tol * 10, REDUCTION_FLOOR)))
     return out
 
 

@@ -34,7 +34,7 @@ from .linmaps import (
     _inverse,
 )
 from .spaces import (
-    DEFAULT_TOL,
+    DEFAULT_TOL, DUALIZE_TOL_FLOOR, EXTEND_TOL, RANK_CUTOFF, SAMPLE_FIT_TOL,
     Field,
     SpaceKind,
     SpaceTag,
@@ -60,8 +60,6 @@ EXHAUSTIVE_CAP = 10**6
 # of either mode spans at most _GRID_TUPLES tuples, unless one slot-1 matrix does
 _BATCH = 512
 _GRID_TUPLES = 2**15
-EXTEND_TOL = 1e-8  # `embed_extend_pair`'s tol, and the floor of the identity check on its inputs
-RANK_CUTOFF = 1e-9  # a singular value counts toward a rank when above this times the largest
 
 
 class CheckMode(str, enum.Enum):
@@ -348,19 +346,20 @@ def dualize(map_: LinMap, tol: float = DEFAULT_TOL) -> LinMap:
     psi down: with G[a, l] = tr(f(B_a) C_l), the transfer is G^{-1} times the
     trace Gram matrix [tr(B_a B_b)], by `linmaps._inverse` and one column
     gather. SingularMatrixError when G is singular or its 1-norm condition
-    number, taken from that one inverse, is above 1/max(tol, 1e-15). Applying
-    dualize twice returns the original map.
+    number, taken from that one inverse, is above
+    1/max(tol, `DUALIZE_TOL_FLOOR`). Applying dualize twice returns the
+    original map.
     """
     _check_tol(tol)
     d = span_dim(map_.domain)
     if span_dim(map_.codomain) != d:
         raise InvalidParameterError("dualize needs equal domain and codomain span dimensions")
     G = _times_span_gram(map_.transfer.T, map_.codomain)
-    Ginv = _inverse(G, "the map's trace pairing", limit=1.0 / max(tol, 1e-15))
+    Ginv = _inverse(G, "the map's trace pairing", limit=1.0 / max(tol, DUALIZE_TOL_FLOOR))
     return LinMap(map_.domain, map_.codomain, _times_span_gram(Ginv, map_.domain))
 
 
-def extend_from_subset(domain: SpaceTag, codomain: SpaceTag, samples, tol: float = 1e-7) -> LinMap:
+def extend_from_subset(domain: SpaceTag, codomain: SpaceTag, samples, tol: float = SAMPLE_FIT_TOL) -> LinMap:
     """Rebuild a linear map from (input, output) samples spanning the domain.
 
     Raises RankDeficientError when the inputs do not span, and

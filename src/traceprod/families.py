@@ -31,6 +31,7 @@ from .linmaps import (
     from_canonical,
 )
 from .spaces import (
+    CONDITION_BOUND, NONSCALAR_MARGIN,
     Field,
     SpaceKind,
     SpaceTag,
@@ -42,8 +43,6 @@ from .spaces import (
     random_batch,
     span_dim,
 )
-
-CONDITION_BOUND = 1e3  # largest 2-norm condition number of a drawn parameter matrix
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,7 @@ def _hadamard_form(rng, n, m, fd, cb):
 
 def _nonextendable_form(rng, n, m, fd, cb):
     X = _ginibre(rng, n, fd)
-    while np.linalg.norm(X - (np.trace(X) / n) * np.eye(n)) < 1e-3:
+    while np.linalg.norm(X - (np.trace(X) / n) * np.eye(n)) < NONSCALAR_MARGIN:
         X = _ginibre(rng, n, fd)
     return NonextendableTriple(X)
 

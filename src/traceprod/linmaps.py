@@ -46,7 +46,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .spaces import (
-    DEFAULT_TOL,
+    CANONICAL_TOL, COND_LIMIT, DEFAULT_TOL, IMAGE_SPAN_TOL, PRODUCT_FLOOR, REAL_PARAM_TOL, REAL_TRANSFER_TOL,
+    STRUCTURE_FLOOR,
     Field,
     SpaceKind,
     SpaceTag,
@@ -63,13 +64,6 @@ from .spaces import (
     _span_deviation,
 )
 
-# parameter matrices whose 1-norm condition number (`_inverse`) is above this
-# are rejected outright
-COND_LIMIT = 1e6
-# `from_canonical` allows a parameter a deviation of max(tol, floor) from its structure (permutation,
-# diagonal, symmetric, not scalar, unitary, orthogonal) and from its product invariants (scalars, diagonals)
-STRUCTURE_FLOOR = 1e-9
-PRODUCT_FLOOR = 1e-6
 # entries of a side's transfer that the rebuild, and the kernel on a Hermitian or
 # symmetric span, realise at a time
 _BLOCK_ENTRIES = 2**15
@@ -90,7 +84,7 @@ def _inverse(M: np.ndarray, name: str, limit: float = COND_LIMIT) -> np.ndarray:
 
     SingularMatrixError naming M as `name` when M is exactly singular (k1 is
     inf), when k1 is not finite (a NaN or inf entry) or when it is above
-    `limit`: `COND_LIMIT` for parameters, 1/max(tol, 1e-15) in
+    `limit`: `COND_LIMIT` for parameters, 1/max(tol, `DUALIZE_TOL_FLOOR`) in
     `extend.dualize`. The 2-norm condition number k2 satisfies
     k2 <= k1 <= d k2 on d x d matrices, and they agree on diagonal ones.
     """
@@ -136,10 +130,10 @@ class LinMap:
 def _in_field(field: Field, T: np.ndarray) -> np.ndarray:
     """T as a contiguous float64 (real `field`) or complex128 array, copied
     only when it is neither; a real field refuses imaginary parts above
-    1e-12 times max(1, largest entry)."""
+    `REAL_TRANSFER_TOL` times max(1, largest entry)."""
     if field is Field.REAL:
         if np.iscomplexobj(T):
-            if T.size and np.max(np.abs(T.imag)) > 1e-12 * max(1.0, np.max(np.abs(T))):
+            if T.size and np.max(np.abs(T.imag)) > REAL_TRANSFER_TOL * max(1.0, np.max(np.abs(T))):
                 raise InvalidParameterError("transfer for real-coordinate spaces must be real")
             T = T.real
         return np.ascontiguousarray(T, dtype=np.float64)
@@ -188,7 +182,7 @@ def image_stack(map_: LinMap) -> np.ndarray:
     return reassemble_batch(map_.codomain, map_.transfer.T)
 
 
-def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float = 1e-7) -> LinMap:
+def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float = IMAGE_SPAN_TOL) -> LinMap:
     """Build the map sending the k-th canonical basis element to images[k].
 
     Each image must lie in the span of the codomain within tol (relative to its
@@ -618,7 +612,7 @@ class Hadamard(_Form):
     @property
     def real_family(self) -> bool:
         """True when C is real symmetric, the exactly characterized family."""
-        return bool(np.max(np.abs(self.C.imag)) <= 1e-12)
+        return bool(np.max(np.abs(self.C.imag)) <= REAL_PARAM_TOL)
 
     def realisation(self, space, tol):
         C = self.C
@@ -747,11 +741,11 @@ def _validated(form: CanonicalForm, space: SpaceTag, tol: float) -> _Realisation
     return plan
 
 
-def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = 1e-6) -> list[LinMap]:
+def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = CANONICAL_TOL) -> list[LinMap]:
     """Realize a canonical form as the tuple of linear maps it denotes.
 
     Validates the parameters' structure (permutation, diagonal, invertible
-    with 1-norm condition number at most `COND_LIMIT`, 1e6, by `_inverse`)
+    with 1-norm condition number at most `COND_LIMIT`, by `_inverse`)
     and the form's `invariants` (scalar product, unitarity or orthogonality,
     product of the diagonals), each against max(tol, its floor) where a
     tolerance applies; a miss of an invariant is an InvalidParameterError

@@ -25,7 +25,32 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, MembershipError
 
-DEFAULT_TOL = 1e-9
+# Thresholds, each set here only, with the quantity it bounds; "rel. max(1, x)" scales it by the larger of 1 and x
+DEFAULT_TOL = 1e-9  # default tol: identity residual rel. max(1, |rhs|), span distance rel. max(1, largest entry)
+REAL_TRANSFER_TOL = 1e-12  # imaginary part of a real-field transfer, rel. max(1, its largest entry)
+IMAGE_SPAN_TOL = 1e-7  # `linmap_from_images`' tol: span distance of an image, rel. max(1, its largest entry)
+CANONICAL_TOL = 1e-6  # `from_canonical`'s tol: a parameter's miss of a structure or invariant, vs max(tol, floor)
+STRUCTURE_FLOOR = 1e-9  # least tol of a structure check: entry deviation, absolute (non-scalar X: rel. max(1, |X|))
+PRODUCT_FLOOR = 1e-6  # least tol of a product invariant: deviation from 1 of a product of scalars or diagonals
+COND_LIMIT = 1e6  # largest 1-norm condition number of a parameter matrix that `_inverse` accepts
+REAL_PARAM_TOL = 1e-12  # largest imaginary part, absolute, of a parameter read as real (Hadamard's C, weighted c_i)
+SAMPLE_FIT_TOL = 1e-7  # `extend_from_subset`'s tol: a sample's span distance and fit miss, rel. max(1, largest entry)
+DUALIZE_TOL_FLOOR = 1e-15  # least tol in `dualize`'s limit 1/tol on the trace pairing's 1-norm condition number
+EXTEND_TOL = 1e-8  # `embed_extend_pair`'s tol and least tol of its input check: identity residual, rel. max(1, |rhs|)
+RANK_CUTOFF = 1e-9  # a singular value counts toward a rank when above this times the largest
+PRECHECK_TOL = 1e-6  # `decompose`'s identity check: identity residual, rel. max(1, |rhs|)
+CERTIFY_TOL = 1e-10  # rebuild miss (relative Frobenius) and invariant deviation (absolute) that certify a tuple
+REBUILD_TOL = 1e-7  # `decompose`'s tol: entry miss of a rebuilt transfer, rel. max(1, largest input entry)
+REBUILD_PARAM_TOL = 1e-5  # `from_canonical`'s tol on the parameters that `decompose` reads off the maps
+UNIT_EIGEN_WINDOW = 0.1  # distance from 1, absolute, of the eigenvalue of Phi(E_jj) a conjugator column is read at
+CONJUGATOR_TOL = 1e-6  # `recover_conjugator`'s tol: entry miss of the rebuilt images, rel. max(1, largest image)
+GAUGE_TIE = 1e-12  # gap, relative to the largest, within which entry magnitudes tie for the gauge entry
+SCALAR_IMAG_TOL = 1e-9  # imaginary part of a recovered pn_chain scalar, rel. max(1, its modulus)
+POWER_FLOOR = 1e-12  # smallest eigenvalue, absolute, that a matrix power's definite input must exceed
+WEIGHTED_TOL = 1e-8  # weighted identity residual, rel. max(1, |rhs|): `verify_weighted`, `weighted_reduction`
+REDUCTION_FLOOR = 1e-6  # least tol of `weighted_reduction`'s fit, whose tol is 10 tol above it
+CONDITION_BOUND = 1e3  # largest 2-norm condition number of a drawn parameter matrix
+NONSCALAR_MARGIN = 1e-3  # smallest Frobenius distance, absolute, of a drawn NonextendableTriple X from its trace part
 
 
 class Field(str, enum.Enum):
