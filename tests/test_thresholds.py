@@ -39,7 +39,7 @@ from traceprod.spaces import membership
 _SRC = Path(spaces.__file__).parent
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
-# (function, parameter, table entry, the default's value before the table existed)
+# (function, parameter, table entry, the public default's value)
 _DEFAULTS = [
     (check_preservation, "tol", "DEFAULT_TOL", 1e-9),
     (membership, "tol", "DEFAULT_TOL", 1e-9),
