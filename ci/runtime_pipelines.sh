@@ -97,9 +97,9 @@ traceprod generate --family mn_chain --n 16 --m 3 \
 test "$status" -eq 1
 grep -q "maps do not satisfy the trace-product identity" "$err"
 if grep -q Traceback "$err"; then exit 1; fi
-# one entry moved by 1e-3 in the map that decompose reads the conjugator off (f_2 of
-# mn_chain, f_1 of the others): the identity check refuses the tuple, exit 1 and no traceback
-for case in "1 mn_chain --n 8 --m 3" "0 sym_even --field real --n 8 --m 4" "0 herm_odd --n 8 --m 3" "0 pn_pair --n 8 --m 2"; do
+# one entry moved by 1e-3 in the map that decompose reads the conjugator off (f_1 of
+# every family): the identity check refuses the tuple, exit 1 and no traceback
+for case in "0 mn_chain --n 8 --m 3" "0 sym_even --field real --n 8 --m 4" "0 herm_odd --n 8 --m 3" "0 pn_pair --n 8 --m 2"; do
   read -r index args <<<"$case"
   status=0
   # shellcheck disable=SC2086 # $args holds several generate options

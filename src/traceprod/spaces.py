@@ -42,7 +42,6 @@ PRECHECK_TOL = 1e-6  # `decompose`'s identity check: identity residual, rel. max
 CERTIFY_TOL = 1e-10  # rebuild miss (relative Frobenius) and invariant deviation (absolute) that certify a tuple
 REBUILD_TOL = 1e-7  # `decompose`'s tol: entry miss of a rebuilt transfer, rel. max(1, largest input entry)
 REBUILD_PARAM_TOL = 1e-5  # `from_canonical`'s tol on the parameters that `decompose` reads off the maps
-UNIT_EIGEN_WINDOW = 0.1  # distance from 1, absolute, of the eigenvalue of Phi(E_jj) a conjugator column is read at
 CONJUGATOR_TOL = 1e-6  # `recover_conjugator`'s tol: entry miss of the rebuilt images, rel. max(1, largest image)
 GAUGE_TIE = 1e-12  # gap, relative to the largest, within which entry magnitudes tie for the gauge entry
 SCALAR_IMAG_TOL = 1e-9  # imaginary part of a recovered pn_chain scalar, rel. max(1, its modulus)

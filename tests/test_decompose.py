@@ -1472,3 +1472,95 @@ def test_decompose_and_dualize_take_no_svd(monkeypatch):
         assert result.diagnostics["rebuild_delta"] <= CERTIFY_TOL
     pair = gens[5].maps
     assert np.max(np.abs(dualize(pair[0]).transfer - pair[1].transfer)) <= 1e-9
+
+
+def test_decompose_takes_no_eigensolver(monkeypatch):
+    # a conjugator is read off the largest column of the rank-one Phi(E_jj),
+    # with no eigenvector and no eigenvalue window
+    gens = [generate(GenSpec(family=f, n=4, m=m, field=fd, seed=1)) for f, fd, m in _BENCHMARK_TUPLES]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.eig was called")
+
+    monkeypatch.setattr(np.linalg, "eig", refused)
+    for gen in gens:
+        result = decompose(list(gen.maps))
+        assert type(result.form) is type(gen.form)
+        assert result.diagnostics["precheck_ran"] is False
+        assert result.diagnostics["rebuild_delta"] <= CERTIFY_TOL
+
+
+@pytest.mark.parametrize(
+    "gen_family, field, m",
+    [
+        ("mn_chain", Field.COMPLEX, 3),
+        ("mn_chain", Field.COMPLEX, 4),
+        ("herm_odd", Field.COMPLEX, 3),
+        ("herm_even", Field.COMPLEX, 4),
+        ("sym_odd", Field.REAL, 3),
+        ("sym_even", Field.REAL, 4),
+    ],
+)
+def test_chains_evaluate_only_the_first_m_minus_1_maps_at_identity(monkeypatch, gen_family, field, m):
+    # the last scalar or conjugator closes the chain, so f_m(I) is never needed
+    maps = list(generate(GenSpec(family=gen_family, n=3, m=m, field=field, seed=1)).maps)
+    evaluated = []
+    at_identity = _DECOMPOSE._map_at_identity
+
+    def spied(map_):
+        evaluated.append(map_)
+        return at_identity(map_)
+
+    monkeypatch.setattr(_DECOMPOSE, "_map_at_identity", spied)
+    monkeypatch.setattr(_DECOMPOSE, "check_preservation", _no_precheck)
+    decompose(maps)
+    assert len(evaluated) == m - 1 and all(got is f for got, f in zip(evaluated, maps))
+
+
+def _conditioned(rng, n: int, kappa: float, real: bool = False) -> np.ndarray:
+    """Q_1 diag(logspace(0, log10 kappa, n)) Q_2 with Q_1, Q_2 the Q factors
+    of Gaussian matrices, complex unless `real`: 2-norm condition number kappa."""
+    def q():
+        G = rng.standard_normal((n, n))
+        return np.linalg.qr(G if real else G + 1j * rng.standard_normal((n, n)))[0]
+
+    Q1, Q2 = q(), q()
+    return Q1 @ np.diag(np.logspace(0, np.log10(kappa), n)) @ Q2
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["direct", "transpose"])
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_pn_pair_square_root_normalisation_certifies_ill_conditioned_pairs(monkeypatch, n, transpose):
+    # pn_pair normalises f_1 by f_1(I)^(-1/2) on both sides; an explicit
+    # inverse f_1(I)^{-1} on one side left 10 of these 18 pairs to the precheck
+    rng = np.random.default_rng(n)
+    space = SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, n)
+    monkeypatch.setattr(_DECOMPOSE, "check_preservation", _no_precheck)
+    for _ in range(3):
+        result = decompose(from_canonical(PnPair(_conditioned(rng, n, 1e3), transpose), space))
+        assert isinstance(result.form, PnPair) and result.form.transpose is transpose
+        assert result.diagnostics["rebuild_delta"] <= CERTIFY_TOL
+
+
+_CONDITIONED_CHAINS = {
+    "mn_chain-real": (lambda N: MnChain((N(), N(), N())), SpaceKind.FULL, Field.REAL),
+    "mn_chain-complex": (lambda N: MnChain((N(), N(), N())), SpaceKind.FULL, Field.COMPLEX),
+    "herm_even": (lambda N: HermEven(N(), (1.0,) * 4), SpaceKind.HERMITIAN, Field.COMPLEX),
+    "sym_even-real": (lambda N: SymEven(N(), (1.0,) * 4), SpaceKind.SYMMETRIC, Field.REAL),
+    "definite_pair-real": (lambda N: SymEven(N(), (1.0, 1.0)), SpaceKind.POSDEF, Field.REAL),
+}
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("case", list(_CONDITIONED_CHAINS))
+def test_chains_certify_parameters_of_condition_number_1e3(monkeypatch, case, n):
+    # every chain reads its conjugator off f_1(I)^{-1} f_1, solved against
+    # f_1(I); an explicit inverse there left most of these to the precheck
+    make, kind, field = _CONDITIONED_CHAINS[case]
+    rng = np.random.default_rng(n)
+    monkeypatch.setattr(_DECOMPOSE, "check_preservation", _no_precheck)
+    for _ in range(3):
+        form = make(lambda: _conditioned(rng, n, 1e3, real=field is Field.REAL))
+        result = decompose(from_canonical(form, SpaceTag(kind, field, n)))
+        assert type(result.form) is type(form)
+        assert result.diagnostics["rebuild_delta"] <= CERTIFY_TOL
