@@ -151,6 +151,15 @@ traceprod generate --family pn_chain --n 4 --m 3 \
   | traceprod weighted --maps - --alpha 2,2,2 --beta 0,2,2 2>"$err" || status=$?
 test "$status" -eq 2
 if grep -q Traceback "$err"; then exit 1; fi
+# an integer power takes products once a factorisation finds its inputs definite; an mn_chain map sends
+# definite matrices outside the cone, so the power is refused: exit 2, the PositivityError document, no traceback
+status=0
+traceprod generate --family mn_chain --n 4 --m 3 \
+  | traceprod weighted --maps - --alpha 2,2,2 --beta 1,1,1 >"$doc" 2>"$err" || status=$?
+test "$status" -eq 2
+grep -q '"code":"PositivityError"' "$doc"
+grep -q "matrix power 2.0 needs positive definite inputs (min eig " "$err"
+if grep -q Traceback "$err"; then exit 1; fi
 # each slot of the weighted check samples its own map's cone: identity maps on complex Hermitian and
 # real symmetric n = 3 pass in either order, and a complex diagonal domain holds no such cone (exit 2)
 maps_doc='import json, sys; from traceprod import SpaceTag, identity_map; from traceprod.jsonio import encode_linmap

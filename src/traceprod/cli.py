@@ -13,32 +13,46 @@ more written to it.
 """
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import math
-import os
-import sys
-from typing import Callable, NamedTuple
 
-from .errors import (
-    CanonicalStructureError,
-    InvalidParameterError,
-    NotApplicableError,
-    PreservationError,
-    TraceProdError,
-)
-from .jsonio import (
-    _generated_document,
-    _maps_document,
-    decode_maps_document,
-    encode_certificate,
-    encode_decomposition,
-    encode_document,
-    encode_error,
-    encode_report,
-)
-from .spaces import Field, SpaceKind, SpaceTag, span_of
+# The collector is paused from this module's first import to the end of its
+# body, then left as the caller had it. What numpy and the library create as
+# they load lives as long as the process, so a collection that walks it frees
+# nothing. The first allocation after the pause sets off one collection over
+# all of it, so the pause ends last: under `python -m traceprod.cli`, main()
+# pauses the collector again before anything is allocated, and freezes that heap.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import json
+    import math
+    import os
+    import sys
+    from typing import Callable, NamedTuple
+
+    from .errors import (
+        CanonicalStructureError,
+        InvalidParameterError,
+        NotApplicableError,
+        PreservationError,
+        TraceProdError,
+    )
+    from .jsonio import (
+        _generated_document,
+        _maps_document,
+        decode_maps_document,
+        encode_certificate,
+        encode_decomposition,
+        encode_document,
+        encode_error,
+        encode_report,
+    )
+    from .spaces import Field, SpaceKind, SpaceTag, span_of
+except BaseException:
+    if _collecting:
+        gc.enable()
+    raise
 
 # the library names that only some subcommands use, by their module. Each is
 # imported on first use and then kept in this module's namespace, where the
@@ -317,15 +331,23 @@ def _failed(exc: Exception) -> int:
 def main() -> None:
     # The subcommand named first (the only place it can stand but after `--`)
     # has its library module imported now, so that the freeze covers it too.
+    # As over this module's own imports, the collector is paused while that
+    # import runs and until the freeze, then left as the caller had it.
     # Everything imported so far lives as long as the process. Frozen into the
     # permanent generation, it is no longer traversed by the collections that
     # decoding or encoding a large document triggers, nor by the one at
     # interpreter shutdown, whose walk over numpy's import-time objects was
     # most of the time a stage spent exiting. `run` and the library never
     # touch the collector.
-    if sys.argv[1:2] and sys.argv[1] in _SUBCOMMANDS:
-        _load(_SUBCOMMANDS[sys.argv[1]].module)
-    gc.freeze()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if sys.argv[1:2] and sys.argv[1] in _SUBCOMMANDS:
+            _load(_SUBCOMMANDS[sys.argv[1]].module)
+        gc.freeze()
+    finally:
+        if collecting:
+            gc.enable()
     status = run()
     try:
         sys.stdout.flush()
@@ -336,6 +358,10 @@ def main() -> None:
         status = 2
     sys.exit(status)
 
+
+# the end of the pause begun before the imports
+if _collecting:
+    gc.enable()
 
 if __name__ == "__main__":
     main()

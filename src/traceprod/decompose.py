@@ -105,7 +105,7 @@ PRECHECK_TRIALS = 512
 _WEIGHTED_BATCH = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionResult:
     """A recovered canonical form with its reconstruction quality.
 
@@ -491,20 +491,33 @@ def _definite_input(A, tol: float) -> np.ndarray:
 
 
 def herm_power(A: np.ndarray, t: float, tol: float = POWER_FLOOR) -> np.ndarray:
-    """A**t for Hermitian positive definite A through its eigendecomposition.
-    A must be Hermitian and positive definite as `_definite_input` judges
-    it, at every t; tol is the eigenvalue floor."""
+    """A**t for Hermitian positive definite A, by products for an integer
+    t >= 2 and through its eigendecomposition otherwise. A must be Hermitian
+    and positive definite as `_definite_input` judges it, at every t; tol is
+    the eigenvalue floor."""
     _check_tol(tol)
     return _herm_power_batch(_definite_input(A, tol), t, tol)[0]
 
 
 def _herm_power_batch(stack: np.ndarray, t: float, tol: float = POWER_FLOOR) -> np.ndarray:
     """A**t for a stack of positive definite A: the stack itself for t = 1,
-    identities for t = 0, and otherwise one eigendecomposition."""
+    identities for t = 0, products of A (`matrix_power`'s squarings) for an
+    integer t >= 2, and otherwise one eigendecomposition. Every A needs its
+    smallest eigenvalue above the floor tol. At an integer power a Cholesky
+    factorisation of A - tol I shows that; where it fails, the
+    eigendecomposition runs and judges, as at every other t, and the refusal
+    names the smallest eigenvalue."""
     if t == 1:
         return stack
     if t == 0:
         return np.broadcast_to(np.eye(stack.shape[-1], dtype=np.complex128), stack.shape).copy()
+    if t >= 2 and float(t).is_integer():
+        try:
+            np.linalg.cholesky(stack - tol * np.eye(stack.shape[-1]))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return np.linalg.matrix_power(stack, int(t))
     w, V = np.linalg.eigh(stack)
     if w.min() <= tol:
         raise PositivityError(f"matrix power {t} needs positive definite inputs (min eig {w.min():.3g})")
@@ -753,7 +766,7 @@ def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> Decomposi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerMap:
     """scale * (core(A^pre))^post on positive definite inputs.
 

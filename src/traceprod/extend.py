@@ -67,7 +67,7 @@ class CheckMode(str, enum.Enum):
     RANDOMIZED = "randomized"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreservationReport:
     """Outcome of a preservation check on a tuple of maps.
 
@@ -513,7 +513,7 @@ def embed_extend_pair(phi1: LinMap, phi2: LinMap, tol: float = EXTEND_TOL) -> tu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfeasibilityCertificate:
     """Rank evidence that no trace-product pair M_n -> M_k exists.
 

@@ -76,7 +76,7 @@ class GenSpec:
             raise InvalidParameterError(f"{self.family} needs {_FAMILY_TABLE[self.family].rule}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generated:
     """A generated canonical form, its maps, and the space they act on."""
 

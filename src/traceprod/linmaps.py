@@ -101,7 +101,7 @@ def _inverse(M: np.ndarray, name: str, limit: float = COND_LIMIT) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinMap:
     """A linear map between matrix spaces in canonical coordinates."""
 
@@ -390,7 +390,7 @@ class _Realisation(NamedTuple):
     slots: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Form:
     """What every canonical form shares.
 
@@ -470,7 +470,7 @@ def _scaled_slot(c, T: np.ndarray) -> np.ndarray:
     return T if c == 1 else c * T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MnChain(_Form):
     """phi_i(A) = N_i A N_{i+1}^{-1}, indices cyclic with N_{m+1} = N_1."""
 
@@ -483,7 +483,7 @@ class MnChain(_Form):
         return _congruences(space, [(N, invs[(i + 1) % m]) for i, N in enumerate(self.N)], _unscaled(m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermOdd(_Form):
     """phi_i(A) = c_i U* A U with U unitary and real nonzero c_i, product 1."""
 
@@ -499,7 +499,7 @@ class HermOdd(_Form):
         return _isometry_invariant("U must be unitary", self.U, _adjoint), _scalar_invariant(self.c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermEven(_Form):
     """Alternating c_i M* A M (odd slots) and c_i M^{-1} A M^{-*} (even slots)."""
 
@@ -515,7 +515,7 @@ class HermEven(_Form):
         return (_scalar_invariant(self.c),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PnPair(_Form):
     """phi(A) = M* A M (or M* A^t M) with partner M^{-1} A M^{-*} (resp. with A^t)."""
 
@@ -528,7 +528,7 @@ class PnPair(_Form):
         return _alternating(space, self.M, _adjoint, (1.0, 1.0), self.transpose)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymOdd(_Form):
     """phi_i(A) = c_i O^t A O with O (complex) orthogonal and nonzero c_i, product 1."""
 
@@ -543,7 +543,7 @@ class SymOdd(_Form):
         return _isometry_invariant("O must be orthogonal", self.O, np.transpose), _scalar_invariant(self.c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymEven(_Form):
     """Alternating c_i M^t A M (odd slots) and c_i M^{-1} A M^{-t} (even slots)."""
 
@@ -558,7 +558,7 @@ class SymEven(_Form):
         return (_scalar_invariant(self.c),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagPair(_Form):
     """On diagonals: phi_1 acts as N on the diagonal vector, phi_2 as N^{-t}."""
 
@@ -572,7 +572,7 @@ class DiagPair(_Form):
         return _Realisation(space, (_given(N), _given(partner)), _unscaled(2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagChain(_Form):
     """phi_i(A) = C_i P^t A P with a shared permutation P and diagonal C_i, product I."""
 
@@ -602,7 +602,7 @@ class DiagChain(_Form):
         return (("the product of the C_i must be the identity", np.max(np.abs(prod - 1.0)), PRODUCT_FLOOR),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hadamard(_Form):
     """Entrywise multiplier pair: A -> A o C and A -> A o C^ with C^_ij = 1/C_ij."""
 
@@ -637,7 +637,7 @@ class Hadamard(_Form):
         return _Realisation(space, sides, _unscaled(2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankOneFrame(_Form):
     """phi(E_ij) = E_ij A_i paired with psi(E_ij) = A_j^{-1} E_ij."""
 
@@ -668,7 +668,7 @@ class RankOneFrame(_Form):
         return _Realisation(space, (functools.partial(blocks, True), functools.partial(blocks, False)), _unscaled(2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonextendableTriple(_Form):
     """Corner triple A -> A + 0, B -> B + B, C -> C + X C X* into M_{2n}."""
 

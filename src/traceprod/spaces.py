@@ -133,7 +133,7 @@ def span_dim(space: SpaceTag) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Basis:
     """Ordered canonical basis of a space's span."""
 

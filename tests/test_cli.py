@@ -485,8 +485,8 @@ def test_run_leaves_the_collector_alone(tmp_path, capsys):
 
 
 def test_main_freezes_the_import_heap_before_it_runs():
-    # importing the command line touches no collector state; main() freezes
-    # the import-time heap before it dispatches to run()
+    # importing the command line freezes nothing and leaves the collector
+    # enabled; main() freezes the import-time heap before it dispatches to run()
     code = (
         "import gc; from traceprod import cli; "
         "print(gc.get_freeze_count() == 0 and gc.isenabled()); "
@@ -496,6 +496,86 @@ def test_main_freezes_the_import_heap_before_it_runs():
     probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split() == ["True", "True"]
+
+
+def _probe(code: str) -> list:
+    """The JSON that `code` prints last, run in a fresh interpreter."""
+    probe = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    return json.loads(probe.stdout.splitlines()[-1])
+
+
+def test_cli_import_pauses_the_collector_over_numpy_and_the_library():
+    # an import hook reads the collector's state as each numpy and traceprod
+    # module is found
+    code = (
+        "import gc, importlib.abc, json, sys\n"
+        "found = []\n"
+        "class Spy(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path, target=None):\n"
+        "        if name.split('.')[0] in ('numpy', 'traceprod') and name not in ('traceprod', 'traceprod.cli'):\n"
+        "            found.append([name, gc.isenabled()])\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import traceprod.cli\n"
+        "print(json.dumps(found))"
+    )
+    found = _probe(code)
+    names = {name for name, _ in found}
+    assert {"numpy", "numpy.linalg", "traceprod.errors", "traceprod.spaces", "traceprod.jsonio"} <= names
+    assert [name for name, enabled in found if enabled] == []
+
+
+def test_a_stage_runs_no_collection_over_its_imports():
+    # `python -m traceprod.cli`, as a stage runs, with a gc callback noting
+    # whether numpy was loaded at each collection before the freeze: 35 ran
+    # over numpy's and the library's import-time objects, where now only the
+    # compile of cli.py, before numpy loads, may set one off
+    code = (
+        "import gc, json, runpy, sys\n"
+        "collections, freeze = [], gc.freeze\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and collections.append('numpy' in sys.modules))\n"
+        "gc.freeze = lambda: collections.append('freeze') or freeze()\n"
+        "sys.argv = ['traceprod', 'certify', '--n', '2', '--k', '1']\n"
+        "try:\n    runpy.run_module('traceprod.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n    status = exc.code\n"
+        "print(json.dumps([status, collections[:collections.index('freeze')]]))"
+    )
+    status, before = _probe(code)
+    assert status == 0
+    assert True not in before
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_cli_import_leaves_the_collector_as_the_caller_had_it(enabled):
+    code = (
+        "import gc, json\n"
+        f"gc.enable() if {enabled} else gc.disable()\n"
+        "import traceprod.cli\n"
+        "print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))"
+    )
+    assert _probe(code) == [enabled, 0]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_loads_the_subcommand_module_with_the_collector_paused(enabled):
+    # main() pauses the collector over the subcommand's import and the freeze,
+    # then hands run() the collector as the caller had it
+    code = (
+        "import gc, json, sys\n"
+        "from traceprod import cli\n"
+        f"gc.enable() if {enabled} else gc.disable()\n"
+        "seen, load, freeze = [], cli._load, gc.freeze\n"
+        "cli._load = lambda module: seen.append(['load', module, gc.isenabled()]) or load(module)\n"
+        "gc.freeze = lambda: seen.append(['freeze', gc.isenabled()]) or freeze()\n"
+        "cli.run = lambda: seen.append(['run', gc.isenabled(), 'traceprod.decompose' in sys.modules]) or 0\n"
+        "sys.argv = ['traceprod', 'weighted']\n"
+        "try:\n    cli.main()\nexcept SystemExit as exc:\n    status = exc.code\n"
+        "print(json.dumps([status, seen, gc.isenabled()]))"
+    )
+    status, seen, after = _probe(code)
+    assert status == 0
+    assert seen == [["load", "decompose", False], ["freeze", False], ["run", enabled, True]]
+    assert after is enabled
 
 
 class _ClosedPipe(io.StringIO):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib
 import tracemalloc
 import warnings
@@ -973,6 +974,66 @@ def test_herm_power_one_returns_a_copy():
     B = herm_power(A, 1.0)
     B[0, 0] = 7.0
     assert np.array_equal(A, np.diag([1.0, 2.0, 3.0]))
+
+
+def _definite_stack(n: int, seed: int, count: int = 5) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return G @ np.conj(np.swapaxes(G, -1, -2)) + 0.1 * np.eye(n)
+
+
+def _eigh_power(stack: np.ndarray, t: float) -> np.ndarray:
+    w, V = np.linalg.eigh(stack)
+    return (V * (w**t)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+
+
+def _counted_eigh(monkeypatch) -> list:
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("t", [2.0, 3.0])
+def test_an_integer_power_takes_products_and_no_eigendecomposition(monkeypatch, t, n):
+    stack = _definite_stack(n, seed=70 + n)
+    want = _eigh_power(stack, t)
+    calls = _counted_eigh(monkeypatch)
+    got = _DECOMPOSE._herm_power_batch(stack, t)
+    assert calls == []
+    # in ulps of the largest entry: the eigendecomposition's own error grows
+    # with n (up to 36 at n = 8 over 20 seeds), the products' stays within 2
+    # of the products taken in extended precision
+    ulp = np.spacing(np.abs(want).max())
+    assert np.abs(got - want).max() <= 8 * n * ulp
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        wide = stack.astype(np.clongdouble)
+        exact = functools.reduce(lambda X, Y: np.einsum("kij,kjl->kil", X, Y), [wide] * int(t))
+        assert np.abs(got - exact).max() <= 2 * ulp
+
+
+@pytest.mark.parametrize("t", [2.0, 3.0])
+@pytest.mark.parametrize("low", [-2.5, "floor"])
+def test_an_integer_power_refuses_as_the_eigenvalues_did(t, low):
+    # one matrix of the stack indefinite, or with its smallest eigenvalue at
+    # the floor itself; the message names the stack's smallest eigenvalue
+    low = _DECOMPOSE.POWER_FLOOR if low == "floor" else low
+    stack = _definite_stack(3, seed=7)
+    stack[2] = np.diag([low, 1.0, 2.0])
+    message = f"matrix power {t} needs positive definite inputs (min eig {np.linalg.eigh(stack)[0].min():.3g})"
+    with pytest.raises(PositivityError) as info:
+        _DECOMPOSE._herm_power_batch(stack, t)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("t", [2.5, 0.5, -1.0, -2.0])
+def test_other_powers_still_take_one_eigendecomposition(monkeypatch, t):
+    stack = _definite_stack(4, seed=9)
+    want = _eigh_power(stack, t)
+    calls = _counted_eigh(monkeypatch)
+    got = _DECOMPOSE._herm_power_batch(stack, t)
+    assert calls == [stack.shape]
+    assert np.array_equal(got, want)
 
 
 def test_power_map_apply():
