@@ -160,6 +160,19 @@ test "$status" -eq 2
 grep -q '"code":"PositivityError"' "$doc"
 grep -q "matrix power 2.0 needs positive definite inputs (min eig " "$err"
 if grep -q Traceback "$err"; then exit 1; fi
+# a transfer scaled by 1.7e308 overflows its images: at a power that takes an eigendecomposition, a matrix with an
+# infinite entry has a NaN power, so the check fails (exit 1) with an infinite residual and no traceback
+traceprod generate --family pn_chain --n 3 --m 3 --seed 0 \
+  | python -c "import json, sys; d = json.load(sys.stdin); t = d['maps'][0]['transfer']; t['data'] = [[1.7e308 * x for x in e] for e in t['data']]; json.dump(d, sys.stdout)" \
+  >"$doc"
+for alpha in 2.5,2,2 0.5,2,2 -1,2,2; do
+  status=0
+  report=$(traceprod weighted --maps "$doc" --alpha="$alpha" --beta 1,1,1 --trials 20 2>"$err") || status=$?
+  test "$status" -eq 1
+  printf '%s\n' "$report" | python -c "import json, sys; [line] = sys.stdin; assert json.loads(line)['max_residual'] is None"
+  grep -q "weighted identity fails: max residual inf" "$err"
+  if grep -q Traceback "$err"; then exit 1; fi
+done
 # each slot of the weighted check samples its own map's cone: identity maps on complex Hermitian and
 # real symmetric n = 3 pass in either order, and a complex diagonal domain holds no such cone (exit 2)
 maps_doc='import json, sys; from traceprod import SpaceTag, identity_map; from traceprod.jsonio import encode_linmap

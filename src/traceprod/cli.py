@@ -31,6 +31,7 @@ try:
     import sys
     from typing import Callable, NamedTuple
 
+    from . import _EXPORTS
     from .errors import (
         CanonicalStructureError,
         InvalidParameterError,
@@ -54,35 +55,27 @@ except BaseException:
         gc.enable()
     raise
 
-# the library names that only some subcommands use, by their module. Each is
-# imported on first use and then kept in this module's namespace, where the
-# handlers call it by its bare name and a test or a tracer may rebind it.
-_LAZY = {
-    "FAMILIES": "families",
-    "GenSpec": "families",
-    "generate": "families",
-    "CheckMode": "extend",
-    "check_preservation": "extend",
-    "dualize": "extend",
-    "embed_extend_pair": "extend",
-    "infeasibility_certificate": "extend",
-    "decompose": "decompose",
-    "verify_weighted": "decompose",
-}
+# the library names that only some subcommands use, each imported from its
+# `traceprod._EXPORTS` module on first use and kept here, where the handlers
+# call it by its bare name and a test or a tracer may rebind it
+_LAZY = (
+    "FAMILIES", "GenSpec", "generate", "CheckMode", "check_preservation", "dualize", "embed_extend_pair",
+    "infeasibility_certificate", "decompose", "verify_weighted",
+)
 
 
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # `from .<module> import <name>`, written out so that `-X importtime` reports it
-    value = globals()[name] = getattr(__import__(_LAZY[name], globals(), level=1), name)
+    value = globals()[name] = getattr(__import__(_EXPORTS[name], globals(), level=1), name)
     return value
 
 
 def _load(module: str) -> None:
     """Import `module` and bind here each of its `_LAZY` names not bound yet."""
-    for name, home in _LAZY.items():
-        if home == module and name not in globals():
+    for name in _LAZY:
+        if _EXPORTS[name] == module and name not in globals():
             __getattr__(name)
 
 

@@ -506,11 +506,18 @@ def _herm_power_batch(stack: np.ndarray, t: float, tol: float = POWER_FLOOR) -> 
     smallest eigenvalue above the floor tol. At an integer power a Cholesky
     factorisation of A - tol I shows that; where it fails, the
     eigendecomposition runs and judges, as at every other t, and the refusal
-    names the smallest eigenvalue."""
+    names the smallest eigenvalue. A matrix with a NaN or infinite entry
+    has a NaN power, with no factorisation; each other one gets its own."""
     if t == 1:
         return stack
     if t == 0:
         return np.broadcast_to(np.eye(stack.shape[-1], dtype=np.complex128), stack.shape).copy()
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        out = np.full_like(stack, np.nan)
+        if finite.any():
+            out[finite] = _herm_power_batch(stack[finite], t, tol)
+        return out
     if t >= 2 and float(t).is_integer():
         try:
             np.linalg.cholesky(stack - tol * np.eye(stack.shape[-1]))

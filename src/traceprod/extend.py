@@ -427,13 +427,12 @@ def _extend_pair_core(phi1: LinMap, phi2: LinMap) -> tuple[LinMap, LinMap]:
     cod = span_of(phi1.codomain)
     d = span_dim(dom)
     D = span_dim(cod)
-    G = np.asarray(_span_gram(cod))
     corner = _corner_index_map(dom, cod)
     comp = np.setdiff1d(np.arange(D), corner)
 
     # X_i = orthogonal complement of Im phi_i under the trace pairing
-    R1 = phi1.transfer.T @ G  # rows: pairing of each phi1 image against the basis
-    R2 = phi2.transfer.T @ G
+    R1 = _times_span_gram(phi1.transfer.T, cod)  # rows: pairing of each phi1 image against the basis
+    R2 = _times_span_gram(phi2.transfer.T, cod)
     Z1 = _null_space(R1)
     Z2 = _null_space(R2)
     if Z1.shape[1] != D - d or Z2.shape[1] != D - d:
@@ -443,12 +442,15 @@ def _extend_pair_core(phi1: LinMap, phi2: LinMap) -> tuple[LinMap, LinMap]:
 
     # psi1 sends the complement basis into X2 so it pairs to zero against
     # Im phi2; psi2 sends it into X1. The remaining requirement is the Gram
-    # match tr(E_i F_j) = tr(C_i C_j) on complement elements.
-    H = G[np.ix_(comp, comp)]
-    W = _inverse(Z2.T @ G @ Z1, "the complement pairing") @ H
-    F = Z1 @ W  # coordinates of psi2's complement images
-
+    # match tr(E_i F_j) = tr(C_i C_j) on complement elements: F = Z1 P^-1 H with
+    # P = Z2^t G Z1, G the span Gram and H its complement block. The complement
+    # pairs only with itself, so P^-1 H is P^-1, put in the complement columns,
+    # times G; `take` keeps it row-major, as BLAS must see it (`_null_space`).
     dt = np.float64 if base_field(cod) is Field.REAL else np.complex128
+    Pinv = np.zeros((len(comp), D), dtype=dt)
+    Pinv[:, comp] = _inverse(_times_span_gram(Z2.T, cod) @ Z1, "the complement pairing")
+    F = Z1 @ np.take(_times_span_gram(Pinv, cod), comp, axis=1)  # coordinates of psi2's complement images
+
     T1 = np.zeros((D, D), dtype=dt)
     T2 = np.zeros((D, D), dtype=dt)
     T1[:, corner] = phi1.transfer
@@ -574,7 +576,7 @@ def infeasibility_certificate(
         # Q the k^2 x k^2 pairing Gram
         T1 = _gaussian((Dk, d), real, rng)
         T2 = _gaussian((Dk, d), real, rng)
-        lhs = T1.T @ np.asarray(_span_gram(cod)) @ T2
+        lhs = _times_span_gram(T1.T, cod) @ T2
         sv = np.linalg.svd(lhs, compute_uv=False)
         cut = cutoff_factor * (sv[0] if sv.size else 0.0)
         rank = int(np.sum(sv > cut))

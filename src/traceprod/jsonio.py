@@ -290,7 +290,8 @@ def _generated_document(gen: Generated, family: str, stream: bool) -> dict:
     }
 
 
-_text = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+# the package builds every document, and none holds a cycle: no circular-reference check
+_text = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False).encode
 
 
 def encode_document(doc: dict, fh) -> None:

@@ -404,6 +404,11 @@ class _Form:
     kinds: ClassVar[frozenset] = frozenset()
     complex_only: ClassVar[bool] = False
 
+    def __init_subclass__(cls, **kwargs):
+        # each form is, as this base is, a frozen dataclass compared by identity
+        super().__init_subclass__(**kwargs)
+        dataclass(frozen=True, eq=False)(cls)
+
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _NORMALIZE[f.type](getattr(self, f.name), f.name))
@@ -470,7 +475,6 @@ def _scaled_slot(c, T: np.ndarray) -> np.ndarray:
     return T if c == 1 else c * T
 
 
-@dataclass(frozen=True, eq=False)
 class MnChain(_Form):
     """phi_i(A) = N_i A N_{i+1}^{-1}, indices cyclic with N_{m+1} = N_1."""
 
@@ -483,7 +487,6 @@ class MnChain(_Form):
         return _congruences(space, [(N, invs[(i + 1) % m]) for i, N in enumerate(self.N)], _unscaled(m))
 
 
-@dataclass(frozen=True, eq=False)
 class HermOdd(_Form):
     """phi_i(A) = c_i U* A U with U unitary and real nonzero c_i, product 1."""
 
@@ -499,7 +502,6 @@ class HermOdd(_Form):
         return _isometry_invariant("U must be unitary", self.U, _adjoint), _scalar_invariant(self.c)
 
 
-@dataclass(frozen=True, eq=False)
 class HermEven(_Form):
     """Alternating c_i M* A M (odd slots) and c_i M^{-1} A M^{-*} (even slots)."""
 
@@ -515,7 +517,6 @@ class HermEven(_Form):
         return (_scalar_invariant(self.c),)
 
 
-@dataclass(frozen=True, eq=False)
 class PnPair(_Form):
     """phi(A) = M* A M (or M* A^t M) with partner M^{-1} A M^{-*} (resp. with A^t)."""
 
@@ -528,7 +529,6 @@ class PnPair(_Form):
         return _alternating(space, self.M, _adjoint, (1.0, 1.0), self.transpose)
 
 
-@dataclass(frozen=True, eq=False)
 class SymOdd(_Form):
     """phi_i(A) = c_i O^t A O with O (complex) orthogonal and nonzero c_i, product 1."""
 
@@ -543,7 +543,6 @@ class SymOdd(_Form):
         return _isometry_invariant("O must be orthogonal", self.O, np.transpose), _scalar_invariant(self.c)
 
 
-@dataclass(frozen=True, eq=False)
 class SymEven(_Form):
     """Alternating c_i M^t A M (odd slots) and c_i M^{-1} A M^{-t} (even slots)."""
 
@@ -558,7 +557,6 @@ class SymEven(_Form):
         return (_scalar_invariant(self.c),)
 
 
-@dataclass(frozen=True, eq=False)
 class DiagPair(_Form):
     """On diagonals: phi_1 acts as N on the diagonal vector, phi_2 as N^{-t}."""
 
@@ -572,7 +570,6 @@ class DiagPair(_Form):
         return _Realisation(space, (_given(N), _given(partner)), _unscaled(2))
 
 
-@dataclass(frozen=True, eq=False)
 class DiagChain(_Form):
     """phi_i(A) = C_i P^t A P with a shared permutation P and diagonal C_i, product I."""
 
@@ -602,7 +599,6 @@ class DiagChain(_Form):
         return (("the product of the C_i must be the identity", np.max(np.abs(prod - 1.0)), PRODUCT_FLOOR),)
 
 
-@dataclass(frozen=True, eq=False)
 class Hadamard(_Form):
     """Entrywise multiplier pair: A -> A o C and A -> A o C^ with C^_ij = 1/C_ij."""
 
@@ -637,7 +633,6 @@ class Hadamard(_Form):
         return _Realisation(space, sides, _unscaled(2))
 
 
-@dataclass(frozen=True, eq=False)
 class RankOneFrame(_Form):
     """phi(E_ij) = E_ij A_i paired with psi(E_ij) = A_j^{-1} E_ij."""
 
@@ -668,7 +663,6 @@ class RankOneFrame(_Form):
         return _Realisation(space, (functools.partial(blocks, True), functools.partial(blocks, False)), _unscaled(2))
 
 
-@dataclass(frozen=True, eq=False)
 class NonextendableTriple(_Form):
     """Corner triple A -> A + 0, B -> B + B, C -> C + X C X* into M_{2n}."""
 

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import traceprod
 from traceprod import (
     Field,
     GenSpec,
@@ -345,6 +346,20 @@ def test_non_finite_residual_prints_null(tmp_path, capsys, argv):
         assert out["error"]["context"] == {"max_residual": None}
 
 
+@pytest.mark.parametrize("alpha", ["2.5,2,2", "0.5,2,2", "-1,2,2"])
+def test_weighted_non_finite_image_exits_one_with_an_infinite_residual(tmp_path, capsys, alpha):
+    # the first transfer scaled by 1.7e308 overflows its images at every power,
+    # and numpy's eigh refuses a matrix with an infinite entry
+    gen = generate(GenSpec(family="pn_chain", n=3, m=3, seed=0))
+    docs = [encode_linmap(f) for f in gen.maps]
+    docs[0]["transfer"]["data"] = [[1.7e308 * re, 1.7e308 * im] for re, im in docs[0]["transfer"]["data"]]
+    path = _write(tmp_path, "big.json", docs)
+    code = run(["weighted", "--maps", path, f"--alpha={alpha}", "--beta", "1,1,1", "--trials", "20"])
+    captured = capsys.readouterr()
+    assert code == 1 and _parse(captured.out)["max_residual"] is None
+    assert captured.err == "weighted identity fails: max residual inf\n"
+
+
 def test_weighted_overflow_warns_nothing(tmp_path, capsys):
     # an overflowing weighted power reads as an infinite residual, without numpy's warnings
     gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))
@@ -581,6 +596,21 @@ def test_main_loads_the_subcommand_module_with_the_collector_paused(enabled):
 class _ClosedPipe(io.StringIO):
     def write(self, s):
         raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("name", cli._LAZY)
+def test_each_lazy_name_is_the_object_the_package_exports(name):
+    assert getattr(cli, name) is getattr(traceprod, name)
+
+
+@pytest.mark.parametrize("module", sorted({traceprod._EXPORTS[name] for name in cli._LAZY}))
+def test_load_binds_the_lazy_names_its_module_exports(monkeypatch, module):
+    for name in cli._LAZY:
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    cli._load(module)
+    assert {name for name in cli._LAZY if name in vars(cli)} == {
+        name for name in cli._LAZY if traceprod._EXPORTS[name] == module
+    }
 
 
 def test_closed_stdout_exits_two_writing_nothing_more(monkeypatch, capsys):

@@ -1036,6 +1036,31 @@ def test_other_powers_still_take_one_eigendecomposition(monkeypatch, t):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("t", [2.5, 0.5, -1.0, 2.0])
+def test_a_non_finite_matrix_has_a_nan_power_and_leaves_the_others_alone(monkeypatch, t):
+    # numpy's eigh does not converge on a matrix with an infinite entry; the
+    # stack's other matrices get the bits they get alone
+    stack = _definite_stack(3, seed=12)
+    stack[1, 0, 0] = np.inf
+    stack[3, 2, 1] = np.nan
+    alone = [_DECOMPOSE._herm_power_batch(stack[i : i + 1], t)[0] for i in (0, 2, 4)]
+    factored = []
+    for name in ("eigh", "cholesky"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda A, real=real: factored.append(A) or real(A))
+    got = _DECOMPOSE._herm_power_batch(stack, t)
+    assert factored and all(np.isfinite(A).all() for A in factored)
+    assert np.isnan(got[[1, 3]]).all()
+    assert all(np.array_equal(got[i], want) for i, want in zip((0, 2, 4), alone))
+
+
+def test_verify_weighted_reads_a_non_finite_image_as_an_infinite_residual():
+    gen = generate(GenSpec(family="pn_chain", n=3, m=3, seed=0))
+    maps = [LinMap(gen.maps[0].domain, gen.maps[0].codomain, 1.7e308 * gen.maps[0].transfer), *gen.maps[1:]]
+    report = verify_weighted(maps, alpha=[2.5, 2, 2], beta=[1, 1, 1], trials=20)
+    assert not report.passed and report.max_residual == np.inf
+
+
 def test_power_map_apply():
     gen = generate(GenSpec(family="pn_chain", n=3, m=3, seed=12))
     base = gen.maps[0]

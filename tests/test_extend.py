@@ -663,6 +663,30 @@ def test_times_span_gram_is_the_dense_product_bit_for_bit(tag):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _spied_span_gram(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(extend, "_span_gram", lambda space: calls.append(space) or _span_gram(space))
+    return calls
+
+
+@pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian-route", "full-route"])
+def test_extension_takes_no_dense_span_gram(monkeypatch, hermitian):
+    f1, f2 = _corner_pair(2, 4, seed=3, hermitian=hermitian)
+    calls = _spied_span_gram(monkeypatch)
+    restricted = []
+    restrict = extend._restrict_to_hermitian
+    monkeypatch.setattr(extend, "_restrict_to_hermitian", lambda f: restricted.append(f) or restrict(f))
+    embed_extend_pair(f1, f2, tol=1e-8)
+    assert calls == [] and len(restricted) == (2 if hermitian else 0)
+
+
+@pytest.mark.parametrize("field", list(Field))
+def test_certificate_takes_the_dense_span_gram_only_for_its_target(monkeypatch, field):
+    calls = _spied_span_gram(monkeypatch)
+    infeasibility_certificate(3, 2, field=field, trials=4)
+    assert calls == [_full_tag(3, field)]
+
+
 def test_program_paths_build_no_basis_stack():
     # every path below reads the index terms of `spaces`; the dense basis
     # stack serves only space_basis and gram_matrix of a tag

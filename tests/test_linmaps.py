@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -133,6 +134,14 @@ def test_transpose_map():
     f = transpose_map(C2)
     A = np.array([[1.0, 2.0], [3j, 4.0]])
     assert np.allclose(apply(f, A), A.T)
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda form: form.__name__)
+def test_each_form_is_a_frozen_record_of_its_own_parameters(form):
+    # the base makes each subclass a dataclass; its fields are the annotated
+    # parameters, the class variables kinds and complex_only are not among them
+    assert [f.name for f in dataclasses.fields(form)] == list(form.__annotations__)
+    assert form.__dataclass_params__.frozen and not form.__dataclass_params__.eq
 
 
 def test_mn_chain_realization():
