@@ -17,6 +17,13 @@ if grep -q -e 'traceprod\.decompose$' -e 'traceprod\.extend$' "$err"; then exit 
 # and the choices of --family, which come from families, are still listed in full
 traceprod generate --help \
   | python -c "import sys; from traceprod import FAMILIES; assert '{' + ','.join(sorted(FAMILIES)) + '}' in sys.stdin.read()"
+# options are built for the first argument's subcommand only, as argparse accepts no subcommand behind a
+# leading `--`: exit 2 and nothing on stdout
+status=0
+out=$(traceprod -- generate --family mn_chain --n 2 --m 3 2>"$err") || status=$?
+test "$status" -eq 2
+test -z "$out"
+grep -q "invalid choice: '--'" "$err"
 traceprod generate --family sym_odd --n 4 --m 3 | traceprod check --maps -
 traceprod generate --family pn_pair --n 4 --m 2 | traceprod dualize --maps - | traceprod check --maps -
 # dualize reads the trace Gram matrix off the basis terms: diagonal, symmetric and full spans over both fields
@@ -145,6 +152,8 @@ for command in decompose dualize; do
   if grep -q Traceback "$err"; then exit 1; fi
 done
 traceprod generate --family pn_chain --n 4 --m 3 | traceprod weighted --maps - --alpha 2,2,2 --beta 2,2,2
+# an exponent list that starts with a negative number takes the = spelling
+traceprod generate --family pn_chain --n 3 --m 3 --seed 0 | traceprod weighted --maps - --alpha=-1,-1,-1 --beta=-1,-1,-1
 # beta = 0 leaves the reduced identity B = A^beta undefined: exit 2 and no traceback
 status=0
 traceprod generate --family pn_chain --n 4 --m 3 \

@@ -115,25 +115,6 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-class _Subcommands(argparse._SubParsersAction):
-    """The subcommands of `_SUBCOMMANDS`. The one being parsed gets its options
-    only then, once its library module is imported: the choices of `generate
-    --family` and `check --mode` come from modules that the other subcommands
-    never load."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._built = set()
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        if name in _SUBCOMMANDS and name not in self._built:
-            self._built.add(name)
-            _load(_SUBCOMMANDS[name].module)
-            _SUBCOMMANDS[name].options(self._name_parser_map[name])
-        super().__call__(parser, namespace, values, option_string)
-
-
 def _generate_options(g) -> None:
     g.add_argument("--family", required=True, choices=sorted(FAMILIES))
     g.add_argument("--n", type=int, required=True, help="matrix size")
@@ -191,14 +172,19 @@ def _weighted_options(w) -> None:
     w.add_argument("--tol", type=float)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the options of `command` only
+    (`_command`): the choices of `generate --family` and `check --mode` come
+    from modules that the other subcommands never load."""
     p = argparse.ArgumentParser(
         prog="traceprod",
         description="Verify, construct, and invert tuples of maps preserving traces of products.",
     )
-    sub = p.add_subparsers(dest="command", required=True, action=_Subcommands)
+    sub = p.add_subparsers(dest="command", required=True)
     for name, subcommand in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=subcommand.help, argument_default=argparse.SUPPRESS)
+        parser = sub.add_parser(name, help=subcommand.help, argument_default=argparse.SUPPRESS)
+        if name == command:
+            subcommand.options(parser)
     return p
 
 
@@ -293,9 +279,20 @@ _SUBCOMMANDS = {
 }
 
 
+def _command(argv: list) -> str | None:
+    """The subcommand that `argv` names first, with its library module
+    imported; None when it names none. argparse refuses a leading `--` as a
+    subcommand, so the first argument is the only place one can stand."""
+    if argv[:1] and argv[0] in _SUBCOMMANDS:
+        _load(_SUBCOMMANDS[argv[0]].module)
+        return argv[0]
+    return None
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_command(argv)).parse_args(argv)
     try:
         tol = getattr(args, "tol", 0.0)
         if not math.isfinite(tol) or tol < 0:
@@ -322,8 +319,8 @@ def _failed(exc: Exception) -> int:
 
 
 def main() -> None:
-    # The subcommand named first (the only place it can stand but after `--`)
-    # has its library module imported now, so that the freeze covers it too.
+    # The subcommand named first (`_command`) has its library module imported
+    # now, so that the freeze covers it too.
     # As over this module's own imports, the collector is paused while that
     # import runs and until the freeze, then left as the caller had it.
     # Everything imported so far lives as long as the process. Frozen into the
@@ -335,8 +332,7 @@ def main() -> None:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if sys.argv[1:2] and sys.argv[1] in _SUBCOMMANDS:
-            _load(_SUBCOMMANDS[sys.argv[1]].module)
+        _command(sys.argv[1:])
         gc.freeze()
     finally:
         if collecting:

@@ -35,7 +35,7 @@ def encode_matrix(M) -> dict:
 
 def _matrix(M, stream: bool) -> dict:
     """`encode_matrix`'s object; with `stream`, its "data" is M itself, which
-    `encode_document` writes a block of rows at a time (`_Rows`)."""
+    `encode_document` writes a block of rows at a time (`_write_rows`)."""
     M = np.asarray(M)
     if M.ndim == 1:
         M = np.diag(M)
@@ -46,7 +46,7 @@ def _matrix(M, stream: bool) -> dict:
         "rows": int(M.shape[0]),
         "cols": int(M.shape[1]),
         "field": "real" if real else "complex",
-        "data": _Rows(M) if stream else _entry_pairs(M),
+        "data": M if stream else _entry_pairs(M),
     }
 
 
@@ -56,28 +56,22 @@ def _entry_pairs(M: np.ndarray) -> list:
     return np.stack((Mc.real, Mc.imag), -1).reshape(-1, 2).tolist()
 
 
-# entries per block of rows that `_Rows` writes
+# entries per block of rows that `_write_rows` writes
 _ROW_ENTRIES = 2**12
 
 
-class _Rows:
-    """A matrix's "data" list, held as the matrix until `encode_document`
-    writes it: the text of `_entry_pairs` of a block of rows at a time, so
-    that no list of every entry is built."""
-
-    def __init__(self, M: np.ndarray):
-        self.M = M
-
-    def write(self, fh) -> None:
-        step = max(1, _ROW_ENTRIES // max(1, self.M.shape[1]))
-        sep = ""
-        fh.write("[")
-        for start in range(0, len(self.M), step):
-            text = _text(_entry_pairs(self.M[start : start + step]))[1:-1]
-            if text:
-                fh.write(sep + text)
-                sep = ","
-        fh.write("]")
+def _write_rows(M: np.ndarray, fh) -> None:
+    """Write the text of `_entry_pairs(M)` a block of rows at a time, so that
+    no list of every entry is built."""
+    step = max(1, _ROW_ENTRIES // max(1, M.shape[1]))
+    sep = ""
+    fh.write("[")
+    for start in range(0, len(M), step):
+        text = _text(_entry_pairs(M[start : start + step]))[1:-1]
+        if text:
+            fh.write(sep + text)
+            sep = ","
+    fh.write("]")
 
 
 def _integer(obj, key: str) -> int:
@@ -301,9 +295,9 @@ def encode_document(doc: dict, fh) -> None:
     built one piece at a time: objects, and lists of objects, are written
     item by item, and any other value takes CPython's C encoder whole. The
     documents of `_maps_document` and `_generated_document` with `stream`
-    hold each transfer's data as its array (`_Rows`), which is written a
-    block of rows at a time, so no list of its entries is built. A NaN or
-    infinite number raises ValueError.
+    hold each transfer's data as its array, which is written a block of
+    rows at a time (`_write_rows`), so no list of its entries is built. A
+    NaN or infinite number raises ValueError.
     """
     _write(doc, fh)
     fh.write("\n")
@@ -323,8 +317,8 @@ def _write(value, fh) -> None:
                 fh.write(",")
             _write(item, fh)
         fh.write("]")
-    elif isinstance(value, _Rows):
-        value.write(fh)
+    elif isinstance(value, np.ndarray):
+        _write_rows(value, fh)
     else:
         fh.write(_text(value))
 

@@ -585,6 +585,7 @@ class DiagChain(_Form):
             if np.max(np.abs(C - np.diag(np.diag(C)))) > max(tol, STRUCTURE_FLOOR):
                 raise InvalidParameterError(f"C[{i}] must be diagonal")
             d = np.abs(np.diag(C))
+            # k1 of a diagonal C_i, at O(n): through `_inverse`, decompose of diag_chain n = 32 took ~1.5x as long
             if np.min(d) == 0 or np.max(d) / np.min(d) > COND_LIMIT:
                 raise SingularMatrixError(f"C[{i}] is singular or has condition number above {COND_LIMIT:g}")
         # realised from the structure just validated, the rounded P and the

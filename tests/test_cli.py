@@ -862,3 +862,28 @@ def test_weighted_exponents_that_are_not_numbers_are_a_usage_error(tmp_path, cap
     assert captured.err.startswith("usage: traceprod weighted")
     assert "argument --alpha: expected comma-separated numbers, got '1,x'" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("option, other", [("--alpha", "--beta"), ("--beta", "--alpha")])
+def test_weighted_negative_first_exponent_takes_the_equals_spelling(tmp_path, capsys, option, other):
+    # argparse reads a value that starts with "-" and is not a plain number as an option
+    path = _document(tmp_path, "pn_chain", 3, 3)
+    code, report = _run(capsys, ["weighted", "--maps", path, f"{option}=-1,-1,-1", f"{other}=-1,-1,-1"])
+    assert code == 0 and report["pass"]
+    with pytest.raises(SystemExit) as exc:
+        run(["weighted", "--maps", path, option, "-1,-1,-1", f"{other}=-1,-1,-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: expected one argument" in captured.err
+
+
+def test_a_leading_double_dash_names_no_subcommand(capsys):
+    # `_command` reads the subcommand from the first argument only, since
+    # argparse refuses one behind a leading `--`
+    with pytest.raises(SystemExit) as exc:
+        run(["--", "generate", "--family", "mn_chain", "--n", "2", "--m", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument command: invalid choice: '--'" in captured.err

@@ -292,6 +292,18 @@ def test_streamed_documents_write_the_public_encoders_text(monkeypatch, row_entr
             assert fh.getvalue() == json.dumps(plain, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def test_streamed_documents_hold_each_transfer_array():
+    # no list of entries is built before `encode_document` writes them
+    gen = generate(GenSpec(family="mn_chain", n=3, m=3, seed=0))
+    for doc in (
+        jsonio._generated_document(gen, "mn_chain", stream=True),
+        jsonio._maps_document(gen.space, gen.maps, stream=True),
+    ):
+        assert len(doc["maps"]) == len(gen.maps)
+        for encoded, f in zip(doc["maps"], gen.maps):
+            assert encoded["transfer"]["data"] is f.transfer
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (5, 2)])
 def test_streamed_matrix_of_any_shape(shape):
     M = np.arange(np.prod(shape), dtype=float).reshape(shape) - 1.5

@@ -219,6 +219,29 @@ def test_diag_chain_rejects_non_permutation():
         from_canonical(DiagChain(np.array([[1.0, 1.0], [0.0, 1.0]]), Cs), D2)
 
 
+@pytest.mark.parametrize(
+    "diagonal, refused",
+    [([1.0, 1e7], True), ([1.0, 0.0], True), ([1.0, 5e5], False)],
+    ids=["k1-1e7", "zero-entry", "k1-5e5"],
+)
+def test_diag_chain_refuses_the_c_i_that_inverse_refuses(diagonal, refused):
+    # DiagChain reads k1 off each C_i's diagonal, not through `_inverse`'s LU;
+    # on diagonal C_i the two verdicts agree
+    C = np.diag(diagonal)
+    try:
+        linmaps._inverse(C, "C")
+    except SingularMatrixError:
+        assert refused
+    else:
+        assert not refused
+    form = DiagChain(np.eye(2), (C, np.diag([1.0 / x if x else 1.0 for x in diagonal])))
+    if refused:
+        with pytest.raises(SingularMatrixError, match=r"C\[0\] is singular"):
+            from_canonical(form, D2)
+    else:
+        assert len(from_canonical(form, D2)) == 2
+
+
 def test_pn_pair_congruence_action():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + np.eye(2)
