@@ -14,6 +14,11 @@ python -c "import sys, traceprod.cli; assert 'scipy' not in sys.modules, 'tracep
 python -X importtime -m traceprod.cli generate --family mn_chain --n 3 --m 3 2>"$err" >/dev/null
 grep -q 'traceprod\.families$' "$err"
 if grep -q -e 'traceprod\.decompose$' -e 'traceprod\.extend$' "$err"; then exit 1; fi
+# weighted loads its own module, and none of decompose's recoveries
+traceprod generate --family pn_chain --n 3 --m 3 >"$doc"
+python -X importtime -m traceprod.cli weighted --maps "$doc" --alpha 2,2,2 --beta 2,2,2 2>"$err" >/dev/null
+grep -q 'traceprod\.weighted$' "$err"
+if grep -q 'traceprod\.decompose$' "$err"; then exit 1; fi
 # and the choices of --family, which come from families, are still listed in full
 traceprod generate --help \
   | python -c "import sys; from traceprod import FAMILIES; assert '{' + ','.join(sorted(FAMILIES)) + '}' in sys.stdin.read()"

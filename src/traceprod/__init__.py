@@ -19,11 +19,10 @@ _EXPORTS = {
     name: module
     for module, names in {
         "decompose": (
-            "DecompositionResult", "PowerMap", "decompose", "decompose_diag_chain", "decompose_diag_pair",
+            "DecompositionResult", "decompose", "decompose_diag_chain", "decompose_diag_pair",
             "decompose_hermitian", "decompose_mn_chain", "decompose_pn_chain", "decompose_pn_pair",
-            "decompose_symmetric", "herm_power", "nonextendable_best_fit_residual", "power_map_apply",
-            "recover_conjugator", "reshuffled_transfer_rank", "verify_weighted", "weighted_canonical_maps",
-            "weighted_reduction",
+            "decompose_symmetric", "nonextendable_best_fit_residual", "recover_conjugator",
+            "reshuffled_transfer_rank",
         ),
         "errors": (
             "CanonicalStructureError", "DimensionMismatchError", "InconsistentSamplesError",
@@ -45,6 +44,10 @@ _EXPORTS = {
             "DEFAULT_TOL", "Basis", "Field", "SpaceKind", "SpaceTag", "base_field", "coords", "gram_matrix",
             "membership", "random_batch", "random_element", "reassemble", "space_basis", "span_dim",
             "span_of", "trace_pair",
+        ),
+        "weighted": (
+            "PowerMap", "herm_power", "power_map_apply", "verify_weighted", "weighted_canonical_maps",
+            "weighted_reduction",
         ),
     }.items()
     for name in names

@@ -274,7 +274,7 @@ _SUBCOMMANDS = {
         "certify that no pair into smaller matrices exists", "extend", _certify_options, _cmd_certify
     ),
     "weighted": _Subcommand(
-        "check the weighted power identity", "decompose", _weighted_options, _cmd_weighted
+        "check the weighted power identity", "weighted", _weighted_options, _cmd_weighted
     ),
 }
 

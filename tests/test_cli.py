@@ -582,14 +582,14 @@ def test_main_loads_the_subcommand_module_with_the_collector_paused(enabled):
         "seen, load, freeze = [], cli._load, gc.freeze\n"
         "cli._load = lambda module: seen.append(['load', module, gc.isenabled()]) or load(module)\n"
         "gc.freeze = lambda: seen.append(['freeze', gc.isenabled()]) or freeze()\n"
-        "cli.run = lambda: seen.append(['run', gc.isenabled(), 'traceprod.decompose' in sys.modules]) or 0\n"
+        "cli.run = lambda: seen.append(['run', gc.isenabled(), 'traceprod.weighted' in sys.modules]) or 0\n"
         "sys.argv = ['traceprod', 'weighted']\n"
         "try:\n    cli.main()\nexcept SystemExit as exc:\n    status = exc.code\n"
         "print(json.dumps([status, seen, gc.isenabled()]))"
     )
     status, seen, after = _probe(code)
     assert status == 0
-    assert seen == [["load", "decompose", False], ["freeze", False], ["run", enabled, True]]
+    assert seen == [["load", "weighted", False], ["freeze", False], ["run", enabled, True]]
     assert after is enabled
 
 

@@ -452,6 +452,7 @@ def test_decompose_family_is_its_decomposer_and_checks_length_before_identity(fa
 
 # `traceprod.decompose` is the function; the pipeline's globals live in the module
 _DECOMPOSE = importlib.import_module("traceprod.decompose")
+_WEIGHTED = importlib.import_module("traceprod.weighted")
 
 _FULL_SHORT = "chains on full matrix spaces need at least 3 maps"
 _SYM_ROUTE = ("need at least a pair", SymEven, SymOdd, SymEven)
@@ -969,6 +970,13 @@ def test_herm_power():
         herm_power(np.diag([1.0, -1.0, 2.0]).astype(complex), 0.5)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_herm_power_refuses_a_power_that_is_not_finite(t):
+    # a NaN power returned a NaN matrix, and an infinite one NaN with a numpy RuntimeWarning
+    with pytest.raises(InvalidParameterError, match="power t must be finite"):
+        herm_power(2.0 * np.eye(2), t)
+
+
 def test_herm_power_one_returns_a_copy():
     A = np.diag([1.0, 2.0, 3.0]).astype(complex)
     B = herm_power(A, 1.0)
@@ -999,7 +1007,7 @@ def test_an_integer_power_takes_products_and_no_eigendecomposition(monkeypatch, 
     stack = _definite_stack(n, seed=70 + n)
     want = _eigh_power(stack, t)
     calls = _counted_eigh(monkeypatch)
-    got = _DECOMPOSE._herm_power_batch(stack, t)
+    got = _WEIGHTED._herm_power_batch(stack, t)
     assert calls == []
     # in ulps of the largest entry: the eigendecomposition's own error grows
     # with n (up to 36 at n = 8 over 20 seeds), the products' stays within 2
@@ -1017,12 +1025,12 @@ def test_an_integer_power_takes_products_and_no_eigendecomposition(monkeypatch, 
 def test_an_integer_power_refuses_as_the_eigenvalues_did(t, low):
     # one matrix of the stack indefinite, or with its smallest eigenvalue at
     # the floor itself; the message names the stack's smallest eigenvalue
-    low = _DECOMPOSE.POWER_FLOOR if low == "floor" else low
+    low = _WEIGHTED.POWER_FLOOR if low == "floor" else low
     stack = _definite_stack(3, seed=7)
     stack[2] = np.diag([low, 1.0, 2.0])
     message = f"matrix power {t} needs positive definite inputs (min eig {np.linalg.eigh(stack)[0].min():.3g})"
     with pytest.raises(PositivityError) as info:
-        _DECOMPOSE._herm_power_batch(stack, t)
+        _WEIGHTED._herm_power_batch(stack, t)
     assert str(info.value) == message
 
 
@@ -1031,7 +1039,7 @@ def test_other_powers_still_take_one_eigendecomposition(monkeypatch, t):
     stack = _definite_stack(4, seed=9)
     want = _eigh_power(stack, t)
     calls = _counted_eigh(monkeypatch)
-    got = _DECOMPOSE._herm_power_batch(stack, t)
+    got = _WEIGHTED._herm_power_batch(stack, t)
     assert calls == [stack.shape]
     assert np.array_equal(got, want)
 
@@ -1043,12 +1051,12 @@ def test_a_non_finite_matrix_has_a_nan_power_and_leaves_the_others_alone(monkeyp
     stack = _definite_stack(3, seed=12)
     stack[1, 0, 0] = np.inf
     stack[3, 2, 1] = np.nan
-    alone = [_DECOMPOSE._herm_power_batch(stack[i : i + 1], t)[0] for i in (0, 2, 4)]
+    alone = [_WEIGHTED._herm_power_batch(stack[i : i + 1], t)[0] for i in (0, 2, 4)]
     factored = []
     for name in ("eigh", "cholesky"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda A, real=real: factored.append(A) or real(A))
-    got = _DECOMPOSE._herm_power_batch(stack, t)
+    got = _WEIGHTED._herm_power_batch(stack, t)
     assert factored and all(np.isfinite(A).all() for A in factored)
     assert np.isnan(got[[1, 3]]).all()
     assert all(np.array_equal(got[i], want) for i, want in zip((0, 2, 4), alone))
@@ -1070,6 +1078,27 @@ def test_power_map_apply():
     A = G @ G.conj().T + 0.2 * np.eye(3)
     want = 3.0 * apply(base, herm_power(A, 2.0))
     assert np.allclose(power_map_apply(pm, A), want)
+
+
+@pytest.mark.parametrize("core", [None, np.eye(4)], ids=["None", "array"])
+def test_power_map_refuses_a_core_that_is_not_a_linmap(core):
+    # PowerMap(core=None) was built, and failed later with AttributeError
+    with pytest.raises(InvalidParameterError, match="core must be a LinMap"):
+        PowerMap(core=core)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "x", None])
+@pytest.mark.parametrize("name", ["pre", "post", "scale"])
+def test_power_map_refuses_parameters_that_are_not_finite_reals(name, bad):
+    # post = NaN or scale = NaN made power_map_apply return an all-NaN matrix
+    with pytest.raises(InvalidParameterError, match=f"{name} must be"):
+        PowerMap(identity_map(_HERM2), **{name: bad})
+
+
+def test_power_map_holds_its_parameters_as_floats():
+    pm = PowerMap(identity_map(_HERM2), pre=2, post=np.float32(0.5), scale=-1)
+    assert [type(x) for x in (pm.pre, pm.post, pm.scale)] == [float] * 3
+    assert (pm.pre, pm.post, pm.scale) == (2.0, 0.5, -1.0)
 
 
 @pytest.mark.parametrize("scale", [-2.0, 0.0])
@@ -1140,6 +1169,34 @@ def test_weighted_functions_reject_non_finite_exponents(which, bad):
     ]
     for call in calls:
         with pytest.raises(InvalidParameterError, match="alpha and beta must be finite"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "which, bad, match",
+    [
+        *(
+            pytest.param(which, bad, "alpha and beta must be real numbers", id=f"{which}-{bad!r}")
+            for which in ("alpha", "beta")
+            for bad in ("x", None, 1j)
+        ),
+        pytest.param("beta", 1e-320, "beta weights must have finite reciprocals", id="beta-1e-320"),
+    ],
+)
+def test_weighted_functions_refuse_exponents_they_cannot_take(which, bad, match):
+    # float()'s bare ValueError ("x") or TypeError (None, 1j) escaped; beta =
+    # 1e-320 took B^(1/beta) = B^inf, so every tuple read as failing with max
+    # residual inf, even where alpha = beta makes both sides equal
+    gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))
+    weights = {"alpha": [2.0, 2.0, 2.0], "beta": [2.0, 2.0, 2.0]}
+    weights[which][0] = bad
+    calls = [
+        lambda: verify_weighted(gen.maps, weights["alpha"], weights["beta"], trials=10),
+        lambda: weighted_canonical_maps(gen.form, weights["alpha"], weights["beta"], gen.space),
+        lambda: weighted_reduction(gen.maps, weights["alpha"], weights["beta"]),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match=match):
             call()
 
 
@@ -1432,14 +1489,14 @@ def test_verify_weighted_checks_the_reduced_identity_through_weighted_image():
     gen = generate(GenSpec(family="pn_chain", n=3, m=3, seed=20))
     maps = [PowerMap(core=gen.maps[0], pre=2.0, post=0.5), gen.maps[1], PowerMap(core=gen.maps[2], scale=1.5)]
     alpha, beta = (1.0, 2.0, 0.5), (3.0, 2.0, -1.0)
-    batch = _DECOMPOSE._WEIGHTED_BATCH
+    batch = _WEIGHTED._WEIGHTED_BATCH
     report = verify_weighted(maps, alpha, beta, trials=batch + 44, seed=3)
-    rng, pd = _DECOMPOSE._rng(3), SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 3)
+    rng, pd = _WEIGHTED._rng(3), SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 3)
     res = []
     for size in (batch, 44):
-        samples = [_DECOMPOSE._random_batch(pd, size, rng) for _ in maps]
-        images = [_DECOMPOSE._weighted_image(f, B, a, b) for f, B, a, b in zip(maps, samples, alpha, beta)]
-        res.append(_DECOMPOSE._residuals(_DECOMPOSE._trace_of_product(images), _DECOMPOSE._trace_of_product(samples)))
+        samples = [_WEIGHTED._random_batch(pd, size, rng) for _ in maps]
+        images = [_WEIGHTED._weighted_image(f, B, a, b) for f, B, a, b in zip(maps, samples, alpha, beta)]
+        res.append(_WEIGHTED._residuals(_WEIGHTED._trace_of_product(images), _WEIGHTED._trace_of_product(samples)))
     assert report.max_residual == float(np.max(np.concatenate(res)))
 
 
@@ -1463,7 +1520,7 @@ def test_canonical_weighted_factors_take_no_batched_eigh(monkeypatch, m, a):
     gen = generate(GenSpec(family="pn_chain", n=3, m=m, seed=21))
     alpha, beta = (a,) * m, (2.0, -1.0, 0.5, 2.0)[:m]
     wmaps = weighted_canonical_maps(gen.form, alpha, beta, gen.space)
-    batch = _DECOMPOSE._WEIGHTED_BATCH
+    batch = _WEIGHTED._WEIGHTED_BATCH
     calls = _batched_eigh_calls(monkeypatch, batch)
     report = verify_weighted(wmaps, alpha, beta, trials=batch, seed=3)
     assert report.passed
@@ -1474,7 +1531,7 @@ def test_weighted_factor_takes_one_batched_eigh_per_power_it_needs(monkeypatch):
     # pre / b = 2/3 and 2/2 = 1, post * a = 0.5 on both: 1 + 0 inner, 2 outer
     tag = SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, 3)
     maps = [PowerMap(core=identity_map(tag), pre=2.0, post=0.5)] * 2
-    batch = _DECOMPOSE._WEIGHTED_BATCH
+    batch = _WEIGHTED._WEIGHTED_BATCH
     calls = _batched_eigh_calls(monkeypatch, batch)
     verify_weighted(maps, (1.0, 1.0), (3.0, 2.0), trials=batch, seed=3)
     assert len(calls) == 3

@@ -67,7 +67,7 @@ def test_star_import_binds_every_public_name():
         "import traceprod.decompose\nfrom traceprod import decompose",
         "from traceprod import decompose\nimport traceprod.decompose",
         "import importlib\nimportlib.import_module('traceprod.decompose')\nfrom traceprod import decompose",
-        "from traceprod.decompose import verify_weighted\nfrom traceprod import decompose",
+        "from traceprod.decompose import recover_conjugator\nfrom traceprod import decompose",
         "from traceprod import *",
         "import traceprod.cli\nfrom traceprod.cli import decompose",
     ],
@@ -93,7 +93,7 @@ STAGES = {
     "extend": (["extend", "--maps", "PAIR"], ["extend"]),
     "certify": (["certify", "--n", "3", "--k", "2"], ["extend"]),
     "decompose": (["decompose", "--maps", "DOC"], ["decompose", "extend"]),
-    "weighted": (["weighted", "--maps", "DOC", "--alpha", "2,2,2", "--beta", "2,2,2"], ["decompose", "extend"]),
+    "weighted": (["weighted", "--maps", "DOC", "--alpha", "2,2,2", "--beta", "2,2,2"], ["extend", "weighted"]),
 }
 
 

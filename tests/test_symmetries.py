@@ -1,10 +1,12 @@
-"""Two symmetries of the trace identity, as a standing test of `decompose`.
+"""Three symmetries of the trace identity, as a standing test of `decompose`.
 
 The trace is cyclic, so a preserver (f_1, ..., f_m) rotates to the preserver
 (f_2, ..., f_m, f_1); and tr(X_1 ... X_m) = tr(X_m^t ... X_1^t), so it also
 reverses to (T f_m T, ..., T f_1 T) with T the transpose. Both keep every
 family that `decompose` serves in its own form class, but move a different
-map into slot 1, the slot the conjugator is read from.
+map into slot 1, the slot the conjugator is read from. The trace is linear in
+each factor, so it also rescales to (t_1 f_1, ..., t_m f_m) with t_1 ... t_m
+= 1; positive t_i keep a cone preserver on its cone.
 """
 import numpy as np
 import pytest
@@ -51,7 +53,16 @@ def _reversed_transposed(maps) -> list:
     return [LinMap(space, space, T @ f.transfer @ T) for f in reversed(maps)]
 
 
-@pytest.mark.parametrize("transform", [_rotated, _reversed_transposed], ids=["rotated", "reversed"])
+def _rescaled(maps) -> list:
+    # t_1 ... t_{m-1} drawn from [0.5, 2], and t_m closes the product to 1
+    t = np.random.default_rng(len(maps)).uniform(0.5, 2.0, len(maps) - 1)
+    t = [*t, 1.0 / np.prod(t)]
+    return [LinMap(f.domain, f.codomain, c * f.transfer) for c, f in zip(t, maps)]
+
+
+@pytest.mark.parametrize(
+    "transform", [_rotated, _reversed_transposed, _rescaled], ids=["rotated", "reversed", "rescaled"]
+)
 @pytest.mark.parametrize("spec", _specs())
 def test_transformed_preserver_certifies_in_its_form_class(spec, transform):
     gen = generate(spec)

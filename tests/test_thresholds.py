@@ -18,12 +18,8 @@ from traceprod.decompose import (
     decompose_pn_chain,
     decompose_pn_pair,
     decompose_symmetric,
-    herm_power,
-    power_map_apply,
     recover_conjugator,
     reshuffled_transfer_rank,
-    verify_weighted,
-    weighted_reduction,
 )
 from traceprod.extend import (
     check_preservation,
@@ -35,6 +31,7 @@ from traceprod.extend import (
 from traceprod.families import GenSpec, random_invertible
 from traceprod.linmaps import apply, from_canonical, is_hermitian_preserving, linmap_from_images
 from traceprod.spaces import membership
+from traceprod.weighted import herm_power, power_map_apply, verify_weighted, weighted_reduction
 
 _SRC = Path(spaces.__file__).parent
 _README = Path(__file__).resolve().parents[1] / "README.md"
