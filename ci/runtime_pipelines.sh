@@ -200,7 +200,12 @@ python -c "$maps_doc" Hermitian:complex Diagonal:complex \
   | traceprod weighted --maps - --alpha 1,1 --beta 1,1 2>"$err" || status=$?
 test "$status" -eq 2
 if grep -q Traceback "$err"; then exit 1; fi
-traceprod certify --n 3 --k 2
+# the target rank n^2 = 9 is above the bound k^2 = 4 on either field
+for field in complex real; do
+  cert=$(traceprod certify --n 3 --k 2 --field "$field")
+  printf '%s\n' "$cert" | grep -q '"gram_rhs_rank":9'
+  printf '%s\n' "$cert" | grep -q '"certifies_impossibility":true'
+done
 # a size numpy refuses to allocate is an input error: exit 2 and no traceback
 status=0
 traceprod certify --n 100000 --k 1 >/dev/null 2>"$err" || status=$?

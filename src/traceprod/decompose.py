@@ -332,11 +332,13 @@ def _column_images(map_: LinMap, ks) -> np.ndarray:
 def _normalized_conjugator(maps, space: SpaceTag) -> tuple[list, np.ndarray, np.ndarray]:
     """f_1(I) ... f_{m-1}(I), and N with f_1(I)^{-1} f_1(A) = N A N^{-1} on
     the span of `space`, with its inverse: read off f_1's images of one unit
-    column, solved against f_1(I) (an explicit inverse loses digits on
-    ill-conditioned tuples). The last scalar or conjugator closes the chain,
-    so f_m(I) is not needed."""
+    column, solved side by side against one factorisation of f_1(I) (an
+    explicit inverse loses digits on ill-conditioned tuples). The last scalar
+    or conjugator closes the chain, so f_m(I) is not needed."""
     phiI = [_map_at_identity(f) for f in maps[:-1]]
-    return (phiI, *_read_conjugator(space, lambda ks: np.linalg.solve(phiI[0], _column_images(maps[0], ks))))
+    n = space.n
+    return (phiI, *_read_conjugator(space, lambda ks: np.linalg.solve(
+        phiI[0], np.hstack(_column_images(maps[0], ks))).reshape(n, len(ks), n).transpose(1, 0, 2)))
 
 
 # ---------------------------------------------------------------------------

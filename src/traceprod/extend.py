@@ -47,7 +47,6 @@ from .spaces import (
     _field_dtype,
     _gaussian,
     _member,
-    _per_span,
     _random_batch,
     _reassemble,
     _rng,
@@ -303,20 +302,6 @@ def _check_grid(blocks, count: int) -> tuple[float, tuple]:
     return max_res, worst
 
 
-@_per_span
-def _span_gram(space: SpaceTag) -> np.ndarray:
-    """`gram_matrix` of the span's basis in its coordinates' dtype: the squared
-    norms of its orthogonal, Hermitian or real symmetric elements, on the
-    diagonal but on a full span, where E_ij pairs with E_ji. G is allocated
-    first, so that numpy refuses a size too large before any index array."""
-    d = span_dim(space)
-    G = np.zeros((d, d), dtype=np.float64 if base_field(space) is Field.REAL else np.complex128)
-    partner, norms = _gram_pairs(space)
-    G[np.arange(d), partner] = norms
-    G.setflags(write=False)
-    return G
-
-
 def _gram_pairs(space: SpaceTag) -> tuple[np.ndarray, np.ndarray]:
     """(partner, norms): basis element k pairs under the trace only with
     element partner[k] (E_ij with E_ji on a full span, itself otherwise), to
@@ -327,10 +312,10 @@ def _gram_pairs(space: SpaceTag) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _times_span_gram(X: np.ndarray, space: SpaceTag) -> np.ndarray:
-    """X @ _span_gram(space), exactly, as one column gather and scaling:
-    column l of the product is norms[partner[l]] times column partner[l] of
-    X. The + 0.0 gives a zero the sign that the product's sum of zero terms
-    gives it."""
+    """X @ G, exactly, for G the trace Gram [tr(B_a B_b)] of the span's basis,
+    as one column gather and scaling: column l of the product is
+    norms[partner[l]] times column partner[l] of X. The + 0.0 gives a zero the
+    sign that the product's sum of zero terms gives it."""
     partner, norms = _gram_pairs(span_of(space))
     out = np.take(X, partner, axis=1)
     out *= norms[partner]
@@ -377,10 +362,10 @@ def extend_from_subset(domain: SpaceTag, codomain: SpaceTag, samples, tol: float
     X = _span_coords(domain, A, tol, "input of sample")  # (T, d)
     Y = _span_coords(codomain, B, tol, "output of sample")  # (T, d')
     d = span_dim(domain)
-    rank = np.linalg.matrix_rank(X, tol=None)
+    # lstsq's default cutoff is matrix_rank's, so its rank is the inputs' rank
+    sol, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
     if rank < d:
         raise RankDeficientError(f"inputs span a {rank}-dimensional subspace of a {d}-dimensional space")
-    sol, *_ = np.linalg.lstsq(X, Y, rcond=None)
     T = sol.T  # (d', d)
     # per-sample consistency relative to the sample's own scale
     pred = X @ sol
@@ -548,7 +533,8 @@ def infeasibility_certificate(
 
     Samples `trials` random map pairs and ranks their Gram matrices at the
     cutoff `cutoff_factor * sigma_max`; every rank is at most k^2 by the
-    factorization bound, while matching tr(A B) would need rank n^2.
+    factorization bound, while matching tr(A B) would need rank n^2, exactly:
+    the trace pairs each basis element with one partner, at a positive weight.
     `cutoff_factor` lies in (0, 1): at 0 or below, every singular value
     counts, and at 1 or above, or NaN, none does.
     """
@@ -563,37 +549,32 @@ def infeasibility_certificate(
     dom = SpaceTag(SpaceKind.FULL, field, n)
     cod = SpaceTag(SpaceKind.FULL, field, k)
     d, Dk = span_dim(dom), span_dim(cod)
-    H = np.asarray(_span_gram(dom))
-    rhs_rank = int(np.linalg.matrix_rank(H))
-    rng = _rng(seed)
     real = field is Field.REAL
+    # every trial's Gram goes here; numpy refuses a size too large before any draw
+    lhs = np.empty((d, d), dtype=np.float64 if real else np.complex128)
+    rng = _rng(seed)
 
-    best_rank = -1
-    best_sv = None
-    cutoff_used = 0.0
+    best_rank, best_sv, cutoff_used = -1, None, 0.0
     for _ in range(trials):
         # transfers of a random pair; its lhs Gram factors as T1^t Q T2 with
         # Q the k^2 x k^2 pairing Gram
         T1 = _gaussian((Dk, d), real, rng)
         T2 = _gaussian((Dk, d), real, rng)
-        lhs = _times_span_gram(T1.T, cod) @ T2
+        np.matmul(_times_span_gram(T1.T, cod), T2, out=lhs)
         sv = np.linalg.svd(lhs, compute_uv=False)
         cut = cutoff_factor * (sv[0] if sv.size else 0.0)
         rank = int(np.sum(sv > cut))
         if rank > best_rank:
-            best_rank = rank
-            best_sv = sv
-            cutoff_used = float(cut)
+            best_rank, best_sv, cutoff_used = rank, sv, float(cut)
 
-    bound = Dk
     return InfeasibilityCertificate(
         n=n,
         k=k,
         field=field,
-        gram_rhs_rank=rhs_rank,
+        gram_rhs_rank=d,  # the trace Gram of M_n is a permutation scaled by positive weights
         gram_lhs_rank=best_rank,
-        rank_bound=bound,
+        rank_bound=Dk,
         singular_values=np.asarray(best_sv),
         cutoff=cutoff_used,
-        certifies_impossibility=bool(bound < rhs_rank and best_rank <= bound),
+        certifies_impossibility=bool(Dk < d and best_rank <= Dk),
     )

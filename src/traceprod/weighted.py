@@ -257,6 +257,17 @@ def verify_weighted(
     )
 
 
+def _odd_scale(c: float, a: float, i: int) -> float:
+    """c^(1/a), refused where it overflows or underflows to 0."""
+    try:
+        scale = c ** (1.0 / a)
+    except OverflowError:
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        raise InvalidParameterError(f"scale c_{i + 1}^(1/alpha_{i + 1}) = {c:.4g}^(1/{a:g}) leaves double range")
+    return scale
+
+
 def weighted_canonical_maps(form, alpha, beta, space: SpaceTag) -> list:
     """PowerMaps solving the weighted identity from a Hermitian canonical form.
 
@@ -282,7 +293,7 @@ def weighted_canonical_maps(form, alpha, beta, space: SpaceTag) -> list:
     if isinstance(form, HermOdd):
         [core] = from_canonical(HermOdd(form.U, (1.0,)), space)
         return [
-            PowerMap(core=core, pre=beta[i], post=1.0 / alpha[i], scale=float(c[i]) ** (1.0 / alpha[i]))
+            PowerMap(core=core, pre=beta[i], post=1.0 / alpha[i], scale=_odd_scale(float(c[i]), alpha[i], i))
             for i in range(m)
         ]
     base = from_canonical(form, space)

@@ -1201,6 +1201,28 @@ def test_weighted_functions_refuse_exponents_they_cannot_take(which, bad, match)
 
 
 @pytest.mark.parametrize(
+    "alpha, match",
+    [
+        # 1.315^(1/1e-4) let Python's bare OverflowError escape
+        pytest.param([1e-4, 1, 1], r"c_1\^\(1/alpha_1\) = 1\.315\^\(1/0\.0001\)", id="overflow"),
+        # 0.3996^(1/1e-4) was a silent scale of 0.0, refused only later by
+        # verify_weighted with PositivityError
+        pytest.param([1, 1, 1e-4], r"c_3\^\(1/alpha_3\) = 0\.3996\^\(1/0\.0001\)", id="underflow-to-zero"),
+    ],
+)
+def test_weighted_canonical_maps_refuses_a_scale_out_of_double_range(alpha, match):
+    gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))  # HermOdd, c = (1.315, 1.903, 0.3996)
+    with pytest.raises(InvalidParameterError, match=match):
+        weighted_canonical_maps(gen.form, alpha, [1, 1, 1], gen.space)
+
+
+def test_weighted_canonical_maps_keeps_a_large_scale_within_double_range():
+    gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))
+    wmaps = weighted_canonical_maps(gen.form, [1e-3, 1, 1], [1, 1, 1], gen.space)
+    assert wmaps[0].scale == pytest.approx(1.1754771131705874e119, rel=1e-12)
+
+
+@pytest.mark.parametrize(
     "alpha,beta",
     [((2.0, 0.5), (1.0, 1.0)), ((-1.0, 1.0), (0.5, 2.0)), ((0.5, 0.5), (-1.0, -1.0)), ((0.5, 2.0), (2.0, -1.0))],
 )

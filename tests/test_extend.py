@@ -50,7 +50,7 @@ from traceprod import (
     weighted_reduction,
 )
 from traceprod import extend, spaces
-from traceprod.extend import _corner_index_map, _grid_shape, _null_space, _span_gram, _times_span_gram
+from traceprod.extend import _corner_index_map, _grid_shape, _null_space, _times_span_gram
 from traceprod.linmaps import apply_batch
 from traceprod.spaces import coords_batch, random_batch
 from conftest import basis_stack, map_from_action, move_first_transfer
@@ -512,6 +512,12 @@ def test_dualize_refusal_names_its_limit(tol, limit):
         dualize(LinMap(C2, C2, T), *([] if tol is None else [tol]))
 
 
+def _dense_gram(tag: SpaceTag) -> np.ndarray:
+    """The trace Gram matrix [tr(B_a B_b)] of the span's basis, real over a real base field."""
+    G = gram_matrix(space_basis(tag).elements)
+    return G.real if base_field(tag) is Field.REAL else G
+
+
 @pytest.mark.parametrize("tag", [SpaceTag(kind, field, 3) for kind in SpaceKind for field in Field], ids=str)
 def test_dualize_is_the_solve_against_the_span_gram(tag):
     # G^{-1} gathered and scaled is the solve of G against the trace Gram
@@ -522,7 +528,7 @@ def test_dualize_is_the_solve_against_the_span_gram(tag):
     if not real:
         T = T + 1j * rng.standard_normal((d, d))
     f = LinMap(tag, tag, T)
-    want = np.linalg.solve(_times_span_gram(f.transfer.T, tag), _span_gram(tag))
+    want = np.linalg.solve(_times_span_gram(f.transfer.T, tag), _dense_gram(tag))
     assert np.array_equal(dualize(f).transfer, want)
 
 
@@ -634,19 +640,6 @@ def test_corner_index_map_matches_padded_coordinates(kind, field, n, k):
 
 
 @pytest.mark.parametrize(
-    "tag", [SpaceTag(kind, field, n) for kind in SpaceKind for field in Field for n in (1, 2, 3, 5, 8)], ids=str
-)
-def test_span_gram_is_the_gram_matrix_of_the_basis(tag):
-    want = gram_matrix(space_basis(tag).elements)
-    if base_field(tag) is Field.REAL:
-        want = want.real
-    got = _span_gram(tag)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert not got.flags.writeable
-    assert _span_gram(span_of(tag)) is got
-
-
-@pytest.mark.parametrize(
     "tag", [SpaceTag(kind, field, n) for kind in SpaceKind for field in Field for n in (1, 2, 3, 5)], ids=str
 )
 def test_times_span_gram_is_the_dense_product_bit_for_bit(tag):
@@ -658,33 +651,28 @@ def test_times_span_gram_is_the_dense_product_bit_for_bit(tag):
     T = rng.standard_normal((d, d)) if real else rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     for X in (T, -T, np.where(T < 0, -0.0, T)) if real else (T, -T):
         f = LinMap(tag, tag, X)
-        want = f.transfer.T @ _span_gram(tag)
+        want = f.transfer.T @ _dense_gram(tag)
         got = _times_span_gram(f.transfer.T, tag)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def _spied_span_gram(monkeypatch) -> list:
-    calls = []
-    monkeypatch.setattr(extend, "_span_gram", lambda space: calls.append(space) or _span_gram(space))
-    return calls
+@pytest.mark.parametrize("field", list(Field))
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6) for k in range(1, n)])
+def test_certificate_target_rank_is_the_rank_of_the_trace_gram(n, k, field):
+    # the target rank is read off the pairing's structure, not measured, and
+    # is the rank of the dense trace Gram matrix of M_n
+    cert = infeasibility_certificate(n, k, field=field, trials=1)
+    assert cert.gram_rhs_rank == np.linalg.matrix_rank(gram_matrix(space_basis(_full_tag(n, field)).elements))
 
 
 @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian-route", "full-route"])
-def test_extension_takes_no_dense_span_gram(monkeypatch, hermitian):
+def test_extension_takes_the_route_of_its_inputs(monkeypatch, hermitian):
     f1, f2 = _corner_pair(2, 4, seed=3, hermitian=hermitian)
-    calls = _spied_span_gram(monkeypatch)
     restricted = []
     restrict = extend._restrict_to_hermitian
     monkeypatch.setattr(extend, "_restrict_to_hermitian", lambda f: restricted.append(f) or restrict(f))
     embed_extend_pair(f1, f2, tol=1e-8)
-    assert calls == [] and len(restricted) == (2 if hermitian else 0)
-
-
-@pytest.mark.parametrize("field", list(Field))
-def test_certificate_takes_the_dense_span_gram_only_for_its_target(monkeypatch, field):
-    calls = _spied_span_gram(monkeypatch)
-    infeasibility_certificate(3, 2, field=field, trials=4)
-    assert calls == [_full_tag(3, field)]
+    assert len(restricted) == (2 if hermitian else 0)
 
 
 def test_program_paths_build_no_basis_stack():
@@ -840,7 +828,7 @@ def test_certificate_draws_the_inline_gaussian_formula(field):
     else:
         T1 = (rng.standard_normal((Dk, d)) + 1j * rng.standard_normal((Dk, d))) / np.sqrt(2)
         T2 = (rng.standard_normal((Dk, d)) + 1j * rng.standard_normal((Dk, d))) / np.sqrt(2)
-    lhs = T1.T @ np.asarray(_span_gram(_full_tag(2, field))) @ T2
+    lhs = T1.T @ _dense_gram(_full_tag(2, field)) @ T2
     ref = np.linalg.svd(lhs, compute_uv=False)
     got = infeasibility_certificate(3, 2, field=field, trials=1, seed=4).singular_values
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
