@@ -129,6 +129,15 @@ space = SpaceTag("Hermitian", "complex", 4)
 M = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0] @ np.diag([1.0, 1.0, 1.0, 1e4])
 print(json.dumps(encode_maps(space, from_canonical(HermEven(M, (1.0,) * 4), space))))' \
   | traceprod decompose --maps - | grep -q '"precheck_ran":false'
+# the command line leaves --tol to the library, whose rule refuses a negative one: exit 2, one
+# InvalidParameterError document and no traceback
+status=0
+traceprod generate --family mn_chain --n 2 --m 3 >"$doc"
+out=$(traceprod check --maps "$doc" --tol=-1 2>"$err") || status=$?
+test "$status" -eq 2
+test "$(printf '%s\n' "$out" | wc -l)" -eq 1
+printf '%s\n' "$out" | grep -q '"code":"InvalidParameterError"'
+if grep -q Traceback "$err"; then exit 1; fi
 # a singular map has no trace dual: exit 2 and no traceback
 status=0
 python -c 'import json, numpy as np; from traceprod import LinMap, SpaceTag; from traceprod.jsonio import encode_linmap

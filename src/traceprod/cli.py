@@ -26,7 +26,6 @@ gc.disable()
 try:
     import argparse
     import json
-    import math
     import os
     import sys
     from typing import Callable, NamedTuple
@@ -294,9 +293,6 @@ def run(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser(_command(argv)).parse_args(argv)
     try:
-        tol = getattr(args, "tol", 0.0)
-        if not math.isfinite(tol) or tol < 0:
-            raise InvalidParameterError(f"--tol must be finite and nonnegative, got {tol}")
         return _SUBCOMMANDS[args.command].handler(args)
     except BrokenPipeError:
         # the reader closed stdout: an error document there would break again

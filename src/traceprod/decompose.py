@@ -47,7 +47,6 @@ from .errors import (
 )
 from .extend import (
     PreservationReport,
-    _check_trials,
     _require_maps,
     _require_passed,
     check_preservation,
@@ -84,6 +83,7 @@ from .spaces import (
     span_of,
     _basis_terms,
     _check_tol,
+    _count,
     _entry_terms,
     _gaussian,
     _per_span,
@@ -724,7 +724,7 @@ def reshuffled_transfer_rank(map_: LinMap, rtol: float = RANK_CUTOFF) -> int:
     T = np.asarray(map_.transfer)
     R = T.reshape(k, k, n, n).transpose(0, 2, 1, 3).reshape(k * n, k * n)
     sv = np.linalg.svd(R, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
+    if sv[0] == 0:
         return 0
     return int(np.sum(sv > rtol * sv[0]))
 
@@ -739,7 +739,7 @@ def nonextendable_best_fit_residual(form_or_x, trials: int = 20, seed: int = 0) 
     or a bare matrix X, finite and square, so scalar controls can be measured
     too.
     """
-    _check_trials(trials)
+    trials = _count(trials, "trials")
     if isinstance(form_or_x, NonextendableTriple):
         X = form_or_x.X
     else:

@@ -44,6 +44,7 @@ from .spaces import (
     _basis_terms,
     _check_seed,
     _check_tol,
+    _count,
     _field_dtype,
     _gaussian,
     _member,
@@ -105,12 +106,6 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     res = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
     res[~np.isfinite(res)] = np.inf
     return res
-
-
-def _check_trials(trials) -> None:
-    """Refuse a trial count that is not a positive int; a bool is no count."""
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise InvalidParameterError(f"trials must be a positive integer, got {trials!r}")
 
 
 def _require_maps(maps, kinds: tuple = (LinMap,)) -> None:
@@ -182,7 +177,7 @@ def check_preservation(
     """
     _check_tol(tol)
     _check_seed(seed)
-    _check_trials(trials)
+    trials = _count(trials, "trials")
     maps = list(maps)
     n, _ = _validate_tuple(maps)
     if sample_space is not None:
@@ -540,8 +535,9 @@ def infeasibility_certificate(
     """
     if not 0 < cutoff_factor < 1:
         raise InvalidParameterError(f"cutoff_factor must lie in the open interval (0, 1), got {cutoff_factor}")
-    _check_trials(trials)
+    trials = _count(trials, "trials")
     field = _member(Field, field)
+    n, k = _count(n, "n"), _count(k, "k")
     if n <= k:
         raise NotApplicableError(
             f"pairs M_{n} -> M_{k} with n <= k exist, so there is nothing to certify"
@@ -562,7 +558,7 @@ def infeasibility_certificate(
         T2 = _gaussian((Dk, d), real, rng)
         np.matmul(_times_span_gram(T1.T, cod), T2, out=lhs)
         sv = np.linalg.svd(lhs, compute_uv=False)
-        cut = cutoff_factor * (sv[0] if sv.size else 0.0)
+        cut = cutoff_factor * sv[0]
         rank = int(np.sum(sv > cut))
         if rank > best_rank:
             best_rank, best_sv, cutoff_used = rank, sv, float(cut)

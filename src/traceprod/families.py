@@ -36,6 +36,7 @@ from .spaces import (
     SpaceKind,
     SpaceTag,
     _check_seed,
+    _count,
     _gaussian,
     _member,
     _rng,
@@ -63,12 +64,8 @@ class GenSpec:
             )
         if not isinstance(self.field, Field):
             object.__setattr__(self, "field", _member(Field, self.field))
-        if int(self.n) != self.n or self.n < 1:
-            raise InvalidParameterError(f"n must be a positive integer, got {self.n!r}")
-        if int(self.m) != self.m or self.m < 1:
-            raise InvalidParameterError(f"m must be a positive integer, got {self.m!r}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "n", _count(self.n, "n"))
+        object.__setattr__(self, "m", _count(self.m, "m"))
         if not self.condition_bound >= 1:  # NaN fails too
             raise InvalidParameterError("condition_bound must be at least 1")
         _check_seed(self.seed)
@@ -206,9 +203,7 @@ def random_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def gen_space_sample(space: SpaceTag, count: int, seed: int = 0) -> np.ndarray:
     """Seeded random elements of a space, shape (count, n, n)."""
-    if count < 1:
-        raise InvalidParameterError("count must be positive")
-    return random_batch(space, count, seed)
+    return random_batch(space, _count(count, "count"), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -754,8 +754,6 @@ def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = CANONICAL_
 
 
 def _is_permutation(P: np.ndarray) -> bool:
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        return False
     if not np.all((P == 0) | (P == 1)):
         return False
     return bool(np.all(P.sum(axis=0) == 1) and np.all(P.sum(axis=1) == 1))

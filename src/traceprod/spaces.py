@@ -87,9 +87,7 @@ class SpaceTag:
             object.__setattr__(self, "kind", _member(SpaceKind, self.kind))
         if not isinstance(self.field, Field):
             object.__setattr__(self, "field", _member(Field, self.field))
-        if int(self.n) != self.n or self.n < 1:
-            raise InvalidParameterError(f"space size must be a positive integer, got n={self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _count(self.n, "space size", "n="))
 
 
 @functools.lru_cache(maxsize=None)
@@ -463,6 +461,14 @@ def _check_tol(tol) -> None:
     it guards would pass anything, and at a negative tol nothing passes."""
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol}")
+
+
+def _count(value, what: str, label: str = "") -> int:
+    """`value` as a Python int, when it is an int or a numpy integer of at
+    least 1. A bool, a float (3.0 too), a string or None is no count."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    raise InvalidParameterError(f"{what} must be a positive integer, got {label}{value!r}")
 
 
 def _gaussian(shape: tuple, real: bool, rng: np.random.Generator) -> np.ndarray:

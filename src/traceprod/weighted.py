@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, PositivityError
-from .extend import CheckMode, PreservationReport, _check_trials, _require_maps, _residuals, extend_from_subset
+from .extend import CheckMode, PreservationReport, _require_maps, _residuals, extend_from_subset
 from .linmaps import HermEven, HermOdd, LinMap, apply_batch, from_canonical
 from .spaces import (
     DEFAULT_TOL, POWER_FLOOR, REAL_PARAM_TOL, REDUCTION_FLOOR, WEIGHTED_TOL,
@@ -29,6 +29,7 @@ from .spaces import (
     span_dim,
     span_of,
     _check_tol,
+    _count,
     _random_batch,
     _rng,
     _span_coords,
@@ -217,7 +218,7 @@ def verify_weighted(
     complex (n, n) matrices A_i = B_i^(1/b_i).
     """
     _check_tol(tol)
-    _check_trials(trials)
+    trials = _count(trials, "trials")
     maps = list(maps)
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)

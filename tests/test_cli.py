@@ -91,6 +91,39 @@ def test_check_reads_stdin(capsys, monkeypatch):
     assert code == 0 and report["pass"]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("5", "expected a list of maps or a document with a maps key"), ('{"maps": []}', "maps must be a nonempty list")],
+    ids=["a-number", "no-maps"],
+)
+def test_check_refuses_a_document_that_holds_no_maps(capsys, monkeypatch, text, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, err = _run(capsys, ["check", "--maps", "-"])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+    assert err["error"]["message"] == message
+
+
+def test_decompose_of_a_one_by_one_pn_pair_has_one_branch(tmp_path, capsys):
+    code, doc = _run(capsys, ["generate", "--family", "pn_pair", "--n", "1", "--m", "2"])
+    path = _write(tmp_path, "pair.json", doc)
+    code, result = _run(capsys, ["decompose", "--maps", path])
+    assert code == 0
+    assert result["form"]["form"] == "PnPair" and result["form"]["params"]["transpose"] is False
+    assert "n = 1: branches coincide" in result["gauge_note"]
+    assert result["diagnostics"]["precheck_ran"] is False
+
+
+@pytest.mark.parametrize("family, field", [("mn_chain", "complex"), ("sym_odd", "complex")])
+def test_generate_at_condition_bound_one_exits_two(capsys, family, field):
+    # no drawn matrix but a scalar multiple of a unitary has condition number 1
+    argv = ["generate", "--family", family, "--field", field, "--n", "3", "--m", "3", "--condition-bound", "1"]
+    code, err = _run(capsys, argv)
+    assert code == 2
+    assert err["error"]["code"] == "SingularMatrixError"
+    assert err["error"]["message"].startswith("could not sample a ")
+
+
 def test_decompose_pipe(tmp_path, capsys):
     code, doc = _run(
         capsys,
@@ -382,6 +415,19 @@ def test_non_finite_tol_exits_two(tmp_path, capsys, command, tol):
     code, err = _run(capsys, [command, "--maps", path, f"--tol={tol}", *extra])
     assert code == 2
     assert err["error"]["code"] == "InvalidParameterError"
+
+
+@pytest.mark.parametrize("command", ["check", "dualize", "decompose", "extend", "weighted"])
+def test_a_refused_tol_is_the_library_refusal(tmp_path, capsys, command):
+    # the command line read --tol itself before the library did, as "--tol must be ..."
+    code, doc = _run(capsys, ["generate", "--family", "pn_pair", "--n", "2", "--m", "2"])
+    path = _write(tmp_path, "pair.json", doc)
+    extra = ["--alpha", "1,1", "--beta", "1,1"] if command == "weighted" else []
+    code = run([command, "--maps", path, "--tol=-1", *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert _parse(captured.out)["error"]["message"] == "tol must be finite and nonnegative, got -1.0"
+    assert captured.err == "error: tol must be finite and nonnegative, got -1.0\n"
 
 
 @pytest.mark.parametrize(

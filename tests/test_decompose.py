@@ -1216,6 +1216,37 @@ def test_weighted_canonical_maps_refuses_a_scale_out_of_double_range(alpha, matc
         weighted_canonical_maps(gen.form, alpha, [1, 1, 1], gen.space)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: herm_power(np.ones(3), 1.0), DimensionMismatchError,
+                     "expected a square matrix, got shape (3,)", id="herm_power-vector"),
+        pytest.param(lambda: verify_weighted([identity_map(_HERM2), identity_map(_HERM3)], [1, 1], [1, 1]),
+                     DimensionMismatchError, "maps must share one matrix size", id="verify_weighted-sizes"),
+        pytest.param(lambda: weighted_canonical_maps(MnChain((np.eye(2),) * 3), [1] * 3, [1] * 3, C2),
+                     InvalidParameterError, "weighted maps are built from HermOdd or HermEven forms", id="not-hermitian"),
+        pytest.param(lambda: weighted_canonical_maps(HermOdd(np.eye(2), (-1.0, -1.0, 1.0)), [1] * 3, [1] * 3, _HERM2),
+                     InvalidParameterError, "scalars must be positive for the weighted family", id="negative-scalars"),
+    ],
+)
+def test_weighted_functions_refuse_what_they_cannot_weigh(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_herm_power_zero_is_the_identity():
+    A = np.array([[2.0, 1j], [-1j, 3.0]])
+    assert np.array_equal(herm_power(A, 0), np.eye(2))
+
+
+def test_verify_weighted_of_one_map_compares_single_traces():
+    # tr(A^2) = tr(A^2) holds, tr(A^2) = tr(A) does not
+    maps = [identity_map(_HERM2)]
+    assert verify_weighted(maps, [2.0], [2.0], trials=20).max_residual < 1e-14
+    assert not verify_weighted(maps, [2.0], [1.0], trials=20).passed
+
+
 def test_weighted_canonical_maps_keeps_a_large_scale_within_double_range():
     gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))
     wmaps = weighted_canonical_maps(gen.form, [1e-3, 1, 1], [1, 1, 1], gen.space)
@@ -1387,6 +1418,37 @@ def test_best_fit_residual_refuses_a_bad_bare_matrix(X, match):
     # a NaN X returned a NaN residual
     with pytest.raises(InvalidParameterError, match=match):
         nonextendable_best_fit_residual(X, trials=4)
+
+
+def test_reshuffled_rank_refuses_a_map_off_the_full_spaces():
+    with pytest.raises(InvalidParameterError) as exc:
+        reshuffled_transfer_rank(identity_map(_HERM2))
+    assert str(exc.value) == "reshuffling needs full-space transfers"
+
+
+def test_the_zero_map_reshuffles_to_rank_zero():
+    assert reshuffled_transfer_rank(LinMap(C2, C2, np.zeros((4, 4)))) == 0
+
+
+def test_negated_pn_pair_preserves_and_has_no_definite_f1_at_the_identity():
+    # (-f_1)(A)(-f_2)(B) = f_1(A) f_2(B), so the pair still preserves the trace;
+    # the recovery takes square roots of f_1(I), which is now negative definite
+    maps = [LinMap(f.domain, f.codomain, -f.transfer) for f in generate(GenSpec(family="pn_pair", n=3, m=2)).maps]
+    assert check_preservation(maps).passed
+    with pytest.raises(CanonicalStructureError) as exc:
+        decompose(maps)
+    assert str(exc.value) == "f_1(I) is not positive definite"
+
+
+@pytest.mark.parametrize("field", [Field.COMPLEX, Field.REAL])
+def test_a_trace_map_as_f1_gives_no_conjugator_column(field):
+    # f_1(A) = tr(A) I / n sends every off-diagonal unit to 0, so each column's N
+    # is singular; with no conjugator the identity check names the fault
+    maps = generate(GenSpec(family="mn_chain", n=3, m=3, field=field)).maps
+    dom = maps[0].domain
+    trace_map = linmap_from_images(dom, dom, [np.trace(B) * np.eye(3) / 3 for B in space_basis(dom).elements])
+    with pytest.raises(PreservationError, match="maps do not satisfy the trace-product identity"):
+        decompose([trace_map, *maps[1:]])
 
 
 def test_decomposition_result_reports_gauge():

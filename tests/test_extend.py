@@ -11,6 +11,7 @@ from traceprod import (
     FAMILIES,
     CheckMode,
     DiagPair,
+    DimensionMismatchError,
     Field,
     GenSpec,
     Hadamard,
@@ -420,6 +421,55 @@ def test_trials_must_be_a_positive_int(call, trials):
     # 2.5 and "8" raised a bare TypeError, and True ran one trial reported as `trials: True`
     with pytest.raises(InvalidParameterError, match="trials must be a positive integer"):
         call(trials)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda t: check_preservation([identity_map(C2)] * 2, mode="randomized", trials=t), id="check"),
+        pytest.param(lambda t: verify_weighted([identity_map(H2)] * 2, [1, 1], [1, 1], trials=t), id="verify_weighted"),
+    ],
+)
+def test_a_numpy_integer_trial_count_is_reported_as_a_python_int(call):
+    # np.int64(8) was refused as no count
+    report = call(np.int64(8))
+    assert type(report.trials) is int and report.trials == 8
+    assert report.max_residual == call(8).max_residual
+
+
+_C3 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: check_preservation([identity_map(C2), LinMap(C2, _C3, np.zeros((9, 4)))]),
+            DimensionMismatchError, "maps[1] has codomain size 3, expected 2", id="codomain-size",
+        ),
+        pytest.param(
+            lambda: check_preservation([identity_map(C2)] * 2, sample_space=_C3),
+            DimensionMismatchError, "sample_space has n=3, maps expect 2", id="sample-space-size",
+        ),
+        pytest.param(lambda: extend_from_subset(C2, C2, []), InvalidParameterError, "no samples given", id="no-samples"),
+        pytest.param(
+            lambda: extend_from_subset(C2, C2, [(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))]),
+            DimensionMismatchError, "samples must be (input, output) matrix pairs: ", id="samples-of-two-shapes",
+        ),
+        pytest.param(
+            lambda: embed_extend_pair(identity_map(H2), identity_map(H2)),
+            InvalidParameterError, "phi1 must map a full matrix space into a full matrix space", id="not-full",
+        ),
+        pytest.param(
+            lambda: embed_extend_pair(identity_map(C2), identity_map(R2)),
+            InvalidParameterError, "the two maps must share domain and codomain", id="unshared-spaces",
+        ),
+    ],
+)
+def test_extend_functions_refuse_inputs_of_the_wrong_shape_or_space(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value).startswith(message)
 
 
 def test_exhaustive_check_repeats_bit_identically():

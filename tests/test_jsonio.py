@@ -278,6 +278,19 @@ def test_maps_document_rejects_garbage():
         decode_maps_document({"nothing": "here"})
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: encode_matrix(np.zeros((2, 2, 2))), "can only encode 2-d matrices, got ndim=3", id="3-d"),
+        pytest.param(lambda: encode_form(object()), "cannot encode form of type object", id="not-a-form"),
+    ],
+)
+def test_encoders_refuse_what_has_no_document(call, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("row_entries", [1, 7, 2**12], ids=["one-row-blocks", "odd-blocks", "default-blocks"])
 def test_streamed_documents_write_the_public_encoders_text(monkeypatch, row_entries):
     monkeypatch.setattr(jsonio, "_ROW_ENTRIES", row_entries)

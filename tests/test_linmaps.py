@@ -685,8 +685,43 @@ def test_scaled_forms_refuse_a_scalar_that_is_not_finite_and_nonzero(c):
                      "MnChain parameters are 3 x 3 but the space has n=2", id="wrong-size"),
         pytest.param(MnChain((np.eye(2) * 1j, np.eye(2), np.eye(2))), SpaceTag(SpaceKind.FULL, Field.REAL, 2),
                      InvalidParameterError, "MnChain over a real space needs a real N", id="complex-on-real"),
+        pytest.param(DiagChain(np.eye(2), (np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))), D2,
+                     InvalidParameterError, "C[0] must be diagonal", id="non-diagonal-c"),
+        pytest.param(DiagChain(2 * np.eye(2), (np.eye(2), np.eye(2))), D2,
+                     InvalidParameterError, "P must be a permutation matrix", id="p-entry-not-0-or-1"),
+        # an imaginary part of 1e-9 is within the real-parameter check's tol, outside the real family's
+        pytest.param(Hadamard(np.ones((2, 2)) * (1 + 1e-9j)), R2,
+                     InvalidParameterError, "complex C on a real space", id="complex-hadamard-on-real"),
+        pytest.param(RankOneFrame((np.eye(2),) * 3), C2,
+                     DimensionMismatchError, "RankOneFrame needs n=2 matrices, got 3", id="frame-count"),
     ],
 )
 def test_from_canonical_refuses_what_is_no_form_on_the_space(form, space, error, message):
     with pytest.raises(error, match=re.escape(message)):
         from_canonical(form, space)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: LinMap(H2, C2, np.zeros((4, 4))), InvalidParameterError,
+                     "domain and codomain must share a base field, got real vs complex", id="LinMap-fields"),
+        pytest.param(lambda: compose(identity_map(C2), identity_map(C3)), DimensionMismatchError,
+                     f"cannot compose: domain of f is {C2}, codomain of g is {C3}", id="compose"),
+        pytest.param(lambda: linmap_from_images(C2, C2, np.zeros((3, 2, 2))), DimensionMismatchError,
+                     "need 4 images, got 3", id="image-count"),
+        pytest.param(lambda: linmap_from_images(C2, C2, np.zeros((4, 3, 3))), DimensionMismatchError,
+                     "images must be 2 x 2, got shape (3, 3)", id="image-shape"),
+        pytest.param(lambda: complexify(identity_map(C2)), InvalidParameterError,
+                     "complexify expects Hermitian-kind domain and codomain", id="complexify"),
+        pytest.param(lambda: transpose_map(H2), InvalidParameterError,
+                     "transpose_map expects a full matrix space", id="transpose_map"),
+        pytest.param(lambda: MnChain(()), InvalidParameterError, "N must be nonempty", id="no-matrices"),
+        pytest.param(lambda: MnChain((np.eye(2), np.eye(3), np.eye(2))), DimensionMismatchError,
+                     "N entries must share one size, got [2, 3]", id="matrices-of-two-sizes"),
+    ],
+)
+def test_maps_and_forms_refuse_parts_that_do_not_fit(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message

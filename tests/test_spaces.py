@@ -774,3 +774,41 @@ def test_complex_definite_samples_are_exactly_hermitian(kind, n):
     S = random_batch(SpaceTag(kind, Field.COMPLEX, n), 64, 0)
     assert np.array_equal(S, S.conj().transpose(0, 2, 1))
     assert np.linalg.eigvalsh(S).min() > (0.0 if kind is SpaceKind.POSDEF else -1e-12)
+
+
+_COUNTS = {
+    "SpaceTag-n": (lambda v: SpaceTag(SpaceKind.HERMITIAN, Field.REAL, v), "space size must be a positive integer, got n="),
+    "GenSpec-n": (lambda v: GenSpec(family="mn_chain", n=v, m=3), "n must be a positive integer, got "),
+    "GenSpec-m": (lambda v: GenSpec(family="mn_chain", n=2, m=v), "m must be a positive integer, got "),
+    "gen_space_sample": (lambda v: gen_space_sample(C2, v), "count must be a positive integer, got "),
+    "certificate-n": (lambda v: infeasibility_certificate(v, 1), "n must be a positive integer, got "),
+    "certificate-k": (lambda v: infeasibility_certificate(3, v), "k must be a positive integer, got "),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "abc", None, True, 3.0, 2.5, 0, -1])
+@pytest.mark.parametrize("call, prefix", list(_COUNTS.values()), ids=list(_COUNTS))
+def test_a_count_is_an_integer_of_at_least_one(call, prefix, value):
+    # NaN, inf, "abc" and None escaped as a bare ValueError, OverflowError or
+    # TypeError; True read as 1 and 3.0 as 3; the certificate answered about M_inf
+    with pytest.raises(InvalidParameterError) as exc:
+        call(value)
+    assert str(exc.value) == prefix + repr(value)
+
+
+def test_a_numpy_integer_count_is_read_as_a_python_int():
+    three, two = np.int64(3), np.int64(2)
+    tag = SpaceTag(SpaceKind.HERMITIAN, Field.REAL, three)
+    spec = GenSpec(family="mn_chain", n=three, m=three)
+    cert = infeasibility_certificate(three, two, trials=1)
+    assert [type(x) for x in (tag.n, spec.n, spec.m, cert.n, cert.k)] == [int] * 5
+    assert (tag.n, spec.n, spec.m, cert.n, cert.k) == (3, 3, 3, 3, 2)
+    assert np.array_equal(gen_space_sample(C2, two), gen_space_sample(C2, 2))
+
+
+@pytest.mark.parametrize("tag", [C2, H2, S2, D3], ids=lambda t: f"{t.kind.value}-{t.field.value}")
+def test_coords_batch_of_an_integer_stack_is_that_of_its_float_copy(tag):
+    stack = reassemble_batch(tag, np.arange(2 * span_dim(tag)).reshape(2, -1)).real.astype(np.int64)
+    got = coords_batch(tag, stack)
+    assert np.array_equal(got, coords_batch(tag, stack.astype(np.float64)))
+    assert got.dtype == coords_batch(tag, stack.astype(np.float64)).dtype
