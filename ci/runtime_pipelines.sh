@@ -214,6 +214,9 @@ for field in complex real; do
   cert=$(traceprod certify --n 3 --k 2 --field "$field")
   printf '%s\n' "$cert" | grep -q '"gram_rhs_rank":9'
   printf '%s\n' "$cert" | grep -q '"certifies_impossibility":true'
+  # the first pair reaches the bound k^2 = 25, so the default 20 trials stop where one trial does
+  traceprod certify --n 6 --k 5 --field "$field" >"$doc"
+  traceprod certify --n 6 --k 5 --field "$field" --trials 1 | cmp -s - "$doc"
 done
 # a size numpy refuses to allocate is an input error: exit 2 and no traceback
 status=0

@@ -86,6 +86,7 @@ from .spaces import (
     _count,
     _entry_terms,
     _gaussian,
+    _hermitian_part,
     _per_span,
     _rng,
     _span_coords,
@@ -467,7 +468,7 @@ def _recover_pn_pair(maps, dom: SpaceTag) -> tuple:
     n = dom.n
     # S^{-1/2} on both sides: at cond M = 1e3 it certified 18 of 18 pairs, an explicit S^{-1} on one side 8
     S = _map_at_identity(maps[0])
-    w, V = np.linalg.eigh((S + S.conj().T) / 2)
+    w, V = np.linalg.eigh(_hermitian_part(S))
     if not w.min() > 0:  # the square roots need it
         raise CanonicalStructureError("f_1(I) is not positive definite")
     Sneg, Shalf = ((V * w**t) @ _adjoint(V) for t in (-0.5, 0.5))

@@ -45,6 +45,7 @@ from .spaces import (
     _check_seed,
     _check_tol,
     _count,
+    _dtype_of,
     _field_dtype,
     _gaussian,
     _member,
@@ -426,7 +427,7 @@ def _extend_pair_core(phi1: LinMap, phi2: LinMap) -> tuple[LinMap, LinMap]:
     # P = Z2^t G Z1, G the span Gram and H its complement block. The complement
     # pairs only with itself, so P^-1 H is P^-1, put in the complement columns,
     # times G; `take` keeps it row-major, as BLAS must see it (`_null_space`).
-    dt = np.float64 if base_field(cod) is Field.REAL else np.complex128
+    dt = _dtype_of(base_field(cod))
     Pinv = np.zeros((len(comp), D), dtype=dt)
     Pinv[:, comp] = _inverse(_times_span_gram(Z2.T, cod) @ Z1, "the complement pairing")
     F = Z1 @ np.take(_times_span_gram(Pinv, cod), comp, axis=1)  # coordinates of psi2's complement images
@@ -526,10 +527,10 @@ def infeasibility_certificate(
 ) -> InfeasibilityCertificate:
     """Certify that no pair of maps M_n -> M_k satisfies the identity when n > k.
 
-    Samples `trials` random map pairs and ranks their Gram matrices at the
-    cutoff `cutoff_factor * sigma_max`; every rank is at most k^2 by the
-    factorization bound, while matching tr(A B) would need rank n^2, exactly:
-    the trace pairs each basis element with one partner, at a positive weight.
+    Ranks the Gram matrices of at most `trials` random map pairs at the cutoff
+    `cutoff_factor * sigma_max`, up to the first at rank k^2, the factorization
+    bound; matching tr(A B) would need rank n^2, exactly: the trace pairs each
+    basis element with one partner, at a positive weight.
     `cutoff_factor` lies in (0, 1): at 0 or below, every singular value
     counts, and at 1 or above, or NaN, none does.
     """
@@ -547,7 +548,7 @@ def infeasibility_certificate(
     d, Dk = span_dim(dom), span_dim(cod)
     real = field is Field.REAL
     # every trial's Gram goes here; numpy refuses a size too large before any draw
-    lhs = np.empty((d, d), dtype=np.float64 if real else np.complex128)
+    lhs = np.empty((d, d), dtype=_dtype_of(field))
     rng = _rng(seed)
 
     best_rank, best_sv, cutoff_used = -1, None, 0.0
@@ -562,6 +563,8 @@ def infeasibility_certificate(
         rank = int(np.sum(sv > cut))
         if rank > best_rank:
             best_rank, best_sv, cutoff_used = rank, sv, float(cut)
+        if best_rank >= Dk:  # no later pair can rank higher
+            break
 
     return InfeasibilityCertificate(
         n=n,

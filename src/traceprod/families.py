@@ -37,6 +37,7 @@ from .spaces import (
     SpaceTag,
     _check_seed,
     _count,
+    _dtype_of,
     _gaussian,
     _member,
     _rng,
@@ -203,7 +204,7 @@ def random_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def gen_space_sample(space: SpaceTag, count: int, seed: int = 0) -> np.ndarray:
     """Seeded random elements of a space, shape (count, n, n)."""
-    return random_batch(space, _count(count, "count"), seed)
+    return random_batch(space, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +338,7 @@ def _tuple_bytes(m: int, space: SpaceTag, per_map_parameter: bool = False) -> in
     """A lower bound on the bytes that a generated tuple of m maps holds, each
     with one complex n x n parameter (MnChain.N, DiagChain.C), its entries and
     its array header, when `per_map_parameter`."""
-    itemsize = 8 if base_field(space) is Field.REAL else 16
+    itemsize = np.dtype(_dtype_of(base_field(space))).itemsize
     parameter = space.n**2 * 16 + sys.getsizeof(np.empty((0, 0), np.complex128)) if per_map_parameter else 0
     return m * (span_dim(space) ** 2 * itemsize + _MAP_BYTES + parameter)
 

@@ -58,6 +58,7 @@ from .spaces import (
     span_of,
     _basis_terms,
     _check_tol,
+    _dtype_of,
     _entry_terms,
     _reassemble,
     _span_coords,
@@ -136,14 +137,11 @@ def _in_field(field: Field, T: np.ndarray) -> np.ndarray:
             if T.size and np.max(np.abs(T.imag)) > REAL_TRANSFER_TOL * max(1.0, np.max(np.abs(T))):
                 raise InvalidParameterError("transfer for real-coordinate spaces must be real")
             T = T.real
-        return np.ascontiguousarray(T, dtype=np.float64)
-    return np.ascontiguousarray(T, dtype=np.complex128)
+    return np.ascontiguousarray(T, dtype=_dtype_of(field))
 
 
 def identity_map(space: SpaceTag) -> LinMap:
-    d = span_dim(space)
-    dt = np.float64 if base_field(space) is Field.REAL else np.complex128
-    return LinMap(space, space, np.eye(d, dtype=dt))
+    return LinMap(space, space, np.eye(span_dim(space), dtype=_dtype_of(base_field(space))))
 
 
 def compose(f: LinMap, g: LinMap) -> LinMap:
@@ -293,7 +291,7 @@ def _congruence_transfer(
     start, stop, _ = rows.indices(span_dim(s))
     if s.field is Field.REAL:
         L, R = L.real, R.real
-    dtype = np.float64 if base_field(s) is Field.REAL else np.complex128
+    dtype = _dtype_of(base_field(s))
     if s.kind is SpaceKind.DIAGONAL:
         return np.multiply(L[start:stop], R.T[start:stop], dtype=dtype)
     if s.kind is SpaceKind.FULL:
@@ -342,7 +340,7 @@ def transpose_map(space: SpaceTag) -> LinMap:
     """A -> A^t on a full matrix space."""
     if span_of(space).kind is not SpaceKind.FULL:
         raise InvalidParameterError("transpose_map expects a full matrix space")
-    eye = np.eye(space.n, dtype=np.float64 if space.field is Field.REAL else np.complex128)
+    eye = np.eye(space.n, dtype=_dtype_of(base_field(space)))
     return LinMap(space, space, _congruence_transfer(space, eye, eye, transpose=True))
 
 

@@ -193,10 +193,10 @@ def coords_batch(space: SpaceTag, batch: np.ndarray) -> np.ndarray:
     A = np.asarray(batch)
     if A.ndim != 3 or A.shape[1:] != (n, n):
         raise DimensionMismatchError(f"expected a (count, {n}, {n}) stack, got shape {A.shape}")
-    real = base_field(space) is Field.REAL
+    field = base_field(space)
     entries = A.reshape(A.shape[0], n * n)
-    flat = entries.real if real else entries
-    out = np.empty((A.shape[0], span_dim(s)), dtype=np.float64 if real else np.complex128)
+    flat = entries.real if field is Field.REAL else entries
+    out = np.empty((A.shape[0], span_dim(s)), dtype=_dtype_of(field))
     if s.kind is SpaceKind.FULL:
         out[...] = flat
         return out
@@ -217,7 +217,7 @@ def coords_batch(space: SpaceTag, batch: np.ndarray) -> np.ndarray:
         # a complex division by 1 adds the zero cross terms that fix the
         # signed zeros of each part as dividing the sum by 2 did
         upper /= 1
-    out[:, n:] = upper.real if real else upper
+    out[:, n:] = upper.real if field is Field.REAL else upper
     return out
 
 
@@ -251,10 +251,20 @@ def reassemble_batch(space: SpaceTag, x: np.ndarray) -> np.ndarray:
     return _reassemble(space, x, np.complex128)
 
 
+def _dtype_of(field: Field) -> type:
+    """The one dtype rule: float64 over the reals, complex128 over the complexes."""
+    return np.float64 if field is Field.REAL else np.complex128
+
+
 def _field_dtype(space: SpaceTag) -> type:
-    """dtype of the matrices of `space`: float64 over the reals, complex128
-    over the complexes (Hermitian matrices included)."""
-    return np.float64 if space.field is Field.REAL else np.complex128
+    """dtype of the matrices of `space`, Hermitian matrices included."""
+    return _dtype_of(space.field)
+
+
+def _hermitian_part(X: np.ndarray) -> np.ndarray:
+    """(X + X*)/2 over the last two axes, exactly Hermitian where X is so to rounding. At 256 KiB
+    and up numpy may reuse the conjugate's buffer, so the result is laid out transposed."""
+    return (X + np.conjugate(np.swapaxes(X, -1, -2))) / 2
 
 
 def _reassemble(space: SpaceTag, x: np.ndarray, dtype) -> np.ndarray:
@@ -432,7 +442,7 @@ def random_batch(space: SpaceTag, count: int, rng=0) -> np.ndarray:
     Hermitian and symmetric, G G* + 0.1 I for PosDef (G G* for PosSemiDef),
     Gaussian diagonals for diagonal spaces.
     """
-    return _random_batch(space, count, _rng(rng)).astype(np.complex128, copy=False)
+    return _random_batch(space, _count(count, "count"), _rng(rng)).astype(np.complex128, copy=False)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -495,7 +505,7 @@ def _random_batch(space: SpaceTag, count: int, rng: np.random.Generator) -> np.n
     if kind is SpaceKind.FULL:
         return G
     if kind is SpaceKind.HERMITIAN:
-        return (G + G.conj().transpose(0, 2, 1)) / 2.0
+        return np.ascontiguousarray(_hermitian_part(G))
     if kind is SpaceKind.SYMMETRIC:
         return (G + G.transpose(0, 2, 1)) / 2.0
     if real:
@@ -505,11 +515,7 @@ def _random_batch(space: SpaceTag, count: int, rng: np.random.Generator) -> np.n
     gram = G @ G.conj().transpose(0, 2, 1)
     if kind is SpaceKind.POSDEF:
         gram = gram + 0.1 * np.eye(n)[None, :, :]
-    if real:
-        return np.ascontiguousarray(gram.real)
-    # the complex product is Hermitian only to rounding; the mean with its
-    # conjugate transpose is exactly Hermitian, as the Hermitian samples are
-    return (gram + gram.conj().transpose(0, 2, 1)) / 2.0
+    return np.ascontiguousarray(gram.real if real else _hermitian_part(gram))
 
 
 def random_element(space: SpaceTag, rng=0) -> np.ndarray:

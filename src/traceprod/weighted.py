@@ -30,6 +30,7 @@ from .spaces import (
     span_of,
     _check_tol,
     _count,
+    _hermitian_part,
     _random_batch,
     _rng,
     _span_coords,
@@ -160,8 +161,7 @@ def _weighted_image(
     if map_.scale <= 0 and a not in (0, 1):  # scale * X is not positive definite, so it has no power a
         raise PositivityError(f"matrix power {a} needs positive definite inputs (scale {map_.scale:.3g})")
     out = apply_batch(map_.core, _herm_power_batch(batch, map_.pre / b, tol))
-    out = (out + np.conjugate(np.swapaxes(out, -1, -2))) / 2
-    return map_.scale**a * _herm_power_batch(out, map_.post * a, tol)
+    return map_.scale**a * _herm_power_batch(_hermitian_part(out), map_.post * a, tol)
 
 
 def _trace_of_product(factors: list[np.ndarray]) -> np.ndarray:

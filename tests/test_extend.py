@@ -891,6 +891,20 @@ def test_infeasibility_needs_strict_shrinking():
         infeasibility_certificate(2, 3)
 
 
+@pytest.mark.parametrize("field", [Field.COMPLEX, Field.REAL])
+def test_certificate_stops_at_the_first_pair_of_rank_k_squared(monkeypatch, field):
+    # every one of the 20 default trials took an SVD, though the first already
+    # reached k^2 and no rank can exceed it
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+    cert = infeasibility_certificate(12, 11, field=field)
+    assert len(calls) == 1
+    assert cert.gram_lhs_rank == cert.rank_bound == 121
+    first = infeasibility_certificate(12, 11, field=field, trials=1)
+    assert cert.singular_values.tobytes() == first.singular_values.tobytes() and cert.cutoff == first.cutoff
+
+
 def test_certificate_real_field():
     cert = infeasibility_certificate(3, 2, field=Field.REAL, trials=5, seed=1)
     assert cert.certifies_impossibility

@@ -781,6 +781,7 @@ _COUNTS = {
     "GenSpec-n": (lambda v: GenSpec(family="mn_chain", n=v, m=3), "n must be a positive integer, got "),
     "GenSpec-m": (lambda v: GenSpec(family="mn_chain", n=2, m=v), "m must be a positive integer, got "),
     "gen_space_sample": (lambda v: gen_space_sample(C2, v), "count must be a positive integer, got "),
+    "random_batch": (lambda v: random_batch(C2, v), "count must be a positive integer, got "),
     "certificate-n": (lambda v: infeasibility_certificate(v, 1), "n must be a positive integer, got "),
     "certificate-k": (lambda v: infeasibility_certificate(3, v), "k must be a positive integer, got "),
 }
@@ -790,7 +791,8 @@ _COUNTS = {
 @pytest.mark.parametrize("call, prefix", list(_COUNTS.values()), ids=list(_COUNTS))
 def test_a_count_is_an_integer_of_at_least_one(call, prefix, value):
     # NaN, inf, "abc" and None escaped as a bare ValueError, OverflowError or
-    # TypeError; True read as 1 and 3.0 as 3; the certificate answered about M_inf
+    # TypeError; True read as 1 and 3.0 as 3; the certificate answered about M_inf;
+    # random_batch drew an empty stack at 0
     with pytest.raises(InvalidParameterError) as exc:
         call(value)
     assert str(exc.value) == prefix + repr(value)
