@@ -74,7 +74,6 @@ from .linmaps import (
 )
 from .spaces import (
     CERTIFY_TOL, CONJUGATOR_TOL, DEFAULT_TOL, GAUGE_TIE, PRECHECK_TOL, RANK_CUTOFF, REBUILD_PARAM_TOL, REBUILD_TOL,
-    SCALAR_IMAG_TOL,
     Field,
     SpaceKind,
     SpaceTag,
@@ -150,8 +149,6 @@ def _gauge_entry(M: np.ndarray) -> complex:
 def _phase_fix(M: np.ndarray) -> complex:
     """Unit scalar u making the gauge entry (`_gauge_entry`) of u*M real positive."""
     z = _gauge_entry(M)
-    if z == 0:
-        return 1.0
     return np.conj(z) / abs(z)
 
 
@@ -506,14 +503,6 @@ def decompose_pn_pair(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
     return decompose(maps, family="pn_pair", tol=tol)
 
 
-def _require_positive_scalars(c, what: str) -> None:
-    vals = np.asarray(c)
-    if np.any(np.abs(vals.imag) > SCALAR_IMAG_TOL * np.maximum(1.0, np.abs(vals))) or np.any(vals.real <= 0):
-        raise CanonicalStructureError(
-            f"{what} must be positive to preserve the definite cone, got {tuple(c)}"
-        )
-
-
 def decompose_pn_chain(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
     """Recover the canonical form of a chain preserving traces of products of
     positive definite matrices.
@@ -693,8 +682,11 @@ def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> Decomposi
         raise CanonicalStructureError(
             f"the recovered {type(form).__name__} rebuilds the maps only to {worst:.3g}, above tol {tol:.3g}"
         )
-    if cone and name != "pn_pair":
-        _require_positive_scalars(form.c, "the recovered scalars")
+    # every cone route realises its scalars (SymOdd and SymEven hold them as complex), so only the sign decides
+    if cone and name != "pn_pair" and any(x.real <= 0 for x in form.c):
+        raise CanonicalStructureError(
+            f"the recovered scalars must be positive to preserve the definite cone, got {form.c}"
+        )
     diagnostics = {"rebuild_delta": delta, "invariant_deviation": deviation, "precheck_ran": report is not None}
     if report is not None:
         diagnostics["max_residual"] = report.max_residual

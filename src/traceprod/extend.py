@@ -239,8 +239,6 @@ def _grid_shape(trials: int, m: int) -> tuple[int, int, int]:
     k = max(1, round(trials ** (1.0 / m)))
     while k**m < trials:
         k += 1
-    while k > 1 and (k - 1) ** m >= trials:
-        k -= 1
     per = k ** (m - 1)  # tuples per slot-1 sample
     need = -(-trials // per)
     return k, need, min(need, _BATCH, max(1, _GRID_TUPLES // per))

@@ -71,7 +71,10 @@ _BLOCK_ENTRIES = 2**15
 
 
 def _as_param(M, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=np.complex128)
+    try:
+        M = np.asarray(M, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{name} must be a square matrix of numbers ({exc})") from None
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidParameterError(f"{name} must be a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -350,13 +353,24 @@ def transpose_map(space: SpaceTag) -> LinMap:
 
 
 def _tuple_of_matrices(mats, name: str) -> tuple:
-    out = tuple(_as_param(M, f"{name}[{i}]") for i, M in enumerate(mats))
+    try:
+        out = tuple(_as_param(M, f"{name}[{i}]") for i, M in enumerate(mats))
+    except TypeError as exc:  # from enumerate: `_as_param` raises only InvalidParameterError
+        raise InvalidParameterError(f"{name} must be a sequence of matrices ({exc})") from None
     if not out:
         raise InvalidParameterError(f"{name} must be nonempty")
     sizes = {M.shape[0] for M in out}
     if len(sizes) != 1:
         raise DimensionMismatchError(f"{name} entries must share one size, got {sorted(sizes)}")
     return out
+
+
+def _numbers(kind: type, what: str, values, name: str) -> tuple:
+    """`values` as a tuple of `kind` numbers, refused, naming `name`, unless each is a `what` number."""
+    try:
+        return tuple(kind(x) for x in values)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"{name} must be a sequence of {what} numbers ({exc})") from None
 
 
 def _flag(value, name: str) -> bool:
@@ -371,8 +385,8 @@ def _flag(value, name: str) -> bool:
 _NORMALIZE = {
     "np.ndarray": _as_param,
     "tuple[np.ndarray, ...]": _tuple_of_matrices,
-    "tuple[float, ...]": lambda values, name: tuple(float(x) for x in values),
-    "tuple[complex, ...]": lambda values, name: tuple(complex(x) for x in values),
+    "tuple[float, ...]": functools.partial(_numbers, float, "real"),
+    "tuple[complex, ...]": functools.partial(_numbers, complex, "complex"),
     "bool": _flag,
 }
 
@@ -381,7 +395,9 @@ class _Realisation(NamedTuple):
     """A validated form, ready to realise: map i of its tuple is
     `slots[i][0]` times the transfer of side `slots[i][1]`. A side is a
     callable that returns the rows `rows` of its transfer (a slice, all
-    rows by default) and is realised once, however many maps scale it."""
+    rows by default) and is realised once, however many maps scale it.
+    Only `decompose`'s rebuild asks for rows, so a form that it never
+    rebuilds builds each transfer whole and hands it over by `_given`."""
 
     codomain: SpaceTag
     sides: tuple
@@ -410,9 +426,6 @@ class _Form:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _NORMALIZE[f.type](getattr(self, f.name), f.name))
-
-    def realisation(self, space: SpaceTag, tol: float) -> _Realisation:
-        raise NotImplementedError
 
     def invariants(self) -> tuple:
         """(requirement, deviation, floor) for each invariant of the
@@ -624,12 +637,8 @@ class Hadamard(_Form):
                 stacklevel=4,
             )
         flat = C.reshape(-1)
-
-        def multiplier(v, rows=slice(None)) -> np.ndarray:
-            return _in_field(base_field(space), np.diag(v)[rows])
-
-        sides = (functools.partial(multiplier, flat), functools.partial(multiplier, 1.0 / flat))
-        return _Realisation(space, sides, _unscaled(2))
+        sides = (_given(_in_field(base_field(space), np.diag(v))) for v in (flat, 1.0 / flat))
+        return _Realisation(space, tuple(sides), _unscaled(2))
 
 
 class RankOneFrame(_Form):
@@ -647,19 +656,14 @@ class RankOneFrame(_Form):
         if space.field is Field.REAL:
             A, Ainv = A.real, Ainv.real
         r = np.arange(n)
-
-        def blocks(phi: bool, rows=slice(None)) -> np.ndarray:
-            # row-major T[(p, q), (i, j)]: phi(E_ij) = e_i (row j of A_i) fills
-            # T[i, :, i, :] with A_i^t, psi(E_ij) = (column i of A_j^{-1}) e_j^t
-            # fills T[:, j, :, j] with A_j^{-1}
-            T = np.zeros((n, n, n, n), dtype=A.dtype)
-            if phi:
-                T[r, :, r, :] = A.transpose(0, 2, 1)
-            else:
-                T[:, r, :, r] = Ainv
-            return T.reshape(n * n, n * n)[rows]
-
-        return _Realisation(space, (functools.partial(blocks, True), functools.partial(blocks, False)), _unscaled(2))
+        # row-major T[(p, q), (i, j)]: phi(E_ij) = e_i (row j of A_i) fills
+        # T[i, :, i, :] with A_i^t, psi(E_ij) = (column i of A_j^{-1}) e_j^t
+        # fills T[:, j, :, j] with A_j^{-1}
+        phi, psi = (np.zeros((n, n, n, n), dtype=A.dtype) for _ in range(2))
+        phi[r, :, r, :] = A.transpose(0, 2, 1)
+        psi[:, r, :, r] = Ainv
+        sides = (_given(T.reshape(n * n, n * n)) for T in (phi, psi))
+        return _Realisation(space, tuple(sides), _unscaled(2))
 
 
 class NonextendableTriple(_Form):
@@ -677,17 +681,17 @@ class NonextendableTriple(_Form):
         big = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2 * n)
         d = n * n
 
-        def corner(bottom, rows=slice(None)) -> np.ndarray:
+        def corner(bottom) -> np.ndarray:
             # the image of B is B in the top-left block and, with coordinates
             # `bottom` (a transfer on M_n, or none), in the bottom-right one
             T = np.zeros((2 * n, 2 * n, d), dtype=np.complex128)
             T[:n, :n] = np.eye(d).reshape(n, n, d)
             if bottom is not None:
-                T[n:, n:] = bottom().reshape(n, n, d)
-            return T.reshape(4 * d, d)[rows]
+                T[n:, n:] = bottom.reshape(n, n, d)
+            return T.reshape(4 * d, d)
 
-        bottoms = (None, functools.partial(np.eye, d), functools.partial(_congruence_transfer, space, X, X.conj().T))
-        return _Realisation(big, tuple(functools.partial(corner, b) for b in bottoms), _unscaled(3))
+        bottoms = (None, np.eye(d), _congruence_transfer(space, X, X.conj().T))
+        return _Realisation(big, tuple(_given(corner(b)) for b in bottoms), _unscaled(3))
 
 
 # Every canonical form; its JSON tag is the class name. A new form is one

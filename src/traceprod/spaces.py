@@ -33,7 +33,7 @@ CANONICAL_TOL = 1e-6  # `from_canonical`'s tol: a parameter's miss of a structur
 STRUCTURE_FLOOR = 1e-9  # least tol of a structure check: entry deviation, absolute (non-scalar X: rel. max(1, |X|))
 PRODUCT_FLOOR = 1e-6  # least tol of a product invariant: deviation from 1 of a product of scalars or diagonals
 COND_LIMIT = 1e6  # largest 1-norm condition number of a parameter matrix that `_inverse` accepts
-REAL_PARAM_TOL = 1e-12  # largest imaginary part, absolute, of a parameter read as real (Hadamard's C, weighted c_i)
+REAL_PARAM_TOL = 1e-12  # largest imaginary part, absolute, of a parameter read as real (Hadamard's C)
 SAMPLE_FIT_TOL = 1e-7  # `extend_from_subset`'s tol: a sample's span distance and fit miss, rel. max(1, largest entry)
 DUALIZE_TOL_FLOOR = 1e-15  # least tol in `dualize`'s limit 1/tol on the trace pairing's 1-norm condition number
 EXTEND_TOL = 1e-8  # `embed_extend_pair`'s tol and least tol of its input check: identity residual, rel. max(1, |rhs|)
@@ -44,7 +44,6 @@ REBUILD_TOL = 1e-7  # `decompose`'s tol: entry miss of a rebuilt transfer, rel. 
 REBUILD_PARAM_TOL = 1e-5  # `from_canonical`'s tol on the parameters that `decompose` reads off the maps
 CONJUGATOR_TOL = 1e-6  # `recover_conjugator`'s tol: entry miss of the rebuilt images, rel. max(1, largest image)
 GAUGE_TIE = 1e-12  # gap, relative to the largest, within which entry magnitudes tie for the gauge entry
-SCALAR_IMAG_TOL = 1e-9  # imaginary part of a recovered pn_chain scalar, rel. max(1, its modulus)
 POWER_FLOOR = 1e-12  # smallest eigenvalue, absolute, that a matrix power's definite input must exceed
 WEIGHTED_TOL = 1e-8  # weighted identity residual, rel. max(1, |rhs|): `verify_weighted`, `weighted_reduction`
 REDUCTION_FLOOR = 1e-6  # least tol of `weighted_reduction`'s fit, whose tol is 10 tol above it
@@ -262,9 +261,10 @@ def _field_dtype(space: SpaceTag) -> type:
 
 
 def _hermitian_part(X: np.ndarray) -> np.ndarray:
-    """(X + X*)/2 over the last two axes, exactly Hermitian where X is so to rounding. At 256 KiB
-    and up numpy may reuse the conjugate's buffer, so the result is laid out transposed."""
-    return (X + np.conjugate(np.swapaxes(X, -1, -2))) / 2
+    """(X + X*)/2 over the last two axes, C-ordered, exactly Hermitian where X is so to rounding.
+    From 256 KiB on numpy sums into the conjugate's buffer, so that is built C-ordered; numpy
+    lays a result out otherwise only when all its operands agree on another order."""
+    return (X + np.conjugate(np.swapaxes(X, -1, -2), order="C")) / 2
 
 
 def _reassemble(space: SpaceTag, x: np.ndarray, dtype) -> np.ndarray:
@@ -505,7 +505,7 @@ def _random_batch(space: SpaceTag, count: int, rng: np.random.Generator) -> np.n
     if kind is SpaceKind.FULL:
         return G
     if kind is SpaceKind.HERMITIAN:
-        return np.ascontiguousarray(_hermitian_part(G))
+        return _hermitian_part(G)
     if kind is SpaceKind.SYMMETRIC:
         return (G + G.transpose(0, 2, 1)) / 2.0
     if real:

@@ -20,7 +20,7 @@ from .errors import DimensionMismatchError, InvalidParameterError, PositivityErr
 from .extend import CheckMode, PreservationReport, _require_maps, _residuals, extend_from_subset
 from .linmaps import HermEven, HermOdd, LinMap, apply_batch, from_canonical
 from .spaces import (
-    DEFAULT_TOL, POWER_FLOOR, REAL_PARAM_TOL, REDUCTION_FLOOR, WEIGHTED_TOL,
+    DEFAULT_TOL, POWER_FLOOR, REDUCTION_FLOOR, WEIGHTED_TOL,
     Field,
     SpaceKind,
     SpaceTag,
@@ -288,13 +288,13 @@ def weighted_canonical_maps(form, alpha, beta, space: SpaceTag) -> list:
     alpha, beta = _weights(alpha, beta, m)
     if 0 in alpha:
         raise InvalidParameterError(f"alpha weights must be nonzero, got {alpha}")
-    if any(x <= 0 for x in np.asarray(c).real) or np.max(np.abs(np.asarray(c).imag)) > REAL_PARAM_TOL:
+    if any(x <= 0 for x in c):
         raise InvalidParameterError("scalars must be positive for the weighted family")
 
     if isinstance(form, HermOdd):
         [core] = from_canonical(HermOdd(form.U, (1.0,)), space)
         return [
-            PowerMap(core=core, pre=beta[i], post=1.0 / alpha[i], scale=_odd_scale(float(c[i]), alpha[i], i))
+            PowerMap(core=core, pre=beta[i], post=1.0 / alpha[i], scale=_odd_scale(c[i], alpha[i], i))
             for i in range(m)
         ]
     base = from_canonical(form, space)

@@ -147,6 +147,15 @@ def test_span_arrays_take_the_dtype_of_the_base_field(kind, field):
         assert transpose_map(space).transfer.dtype == dtype
 
 
+def test_the_hermitian_part_of_a_large_stack_is_c_ordered():
+    # 256 KiB, where numpy sums into the conjugate's buffer
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((256, 8, 8)) + 1j * rng.standard_normal((256, 8, 8))
+    H = _hermitian_part(X)
+    assert H.flags.c_contiguous
+    assert H.tobytes() == np.ascontiguousarray((X + X.conj().transpose(0, 2, 1)) / 2).tobytes()
+
+
 def test_the_hermitian_part_is_the_mean_with_the_conjugate_transpose():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))

@@ -904,6 +904,19 @@ def test_decompose_pn_chain_needs_positive_scalars():
         decompose_pn_chain(maps)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_pn_chain_scalars_come_out_exactly_real(field, seed):
+    # every route of pn_chain realises its scalars, so the positivity test
+    # needs no threshold on their imaginary parts; a pair carries none
+    for n in (2, 3, 5):
+        for m in range(2, 6):
+            form = decompose_pn_chain(generate(GenSpec(family="pn_chain", n=n, m=m, field=field, seed=seed)).maps).form
+            if isinstance(form, PnPair):
+                continue
+            assert all(complex(x).imag == 0 for x in form.c), (n, m, form.c)
+
+
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 def test_diag_chain_recovery_matches_loop_reference(field):
     # the recovery reads the pattern and the product with array ops; the

@@ -293,6 +293,15 @@ def test_grid_shape(trials, m, shape):
     assert _grid_shape(trials, m) == shape
 
 
+def test_grid_shape_takes_the_least_k_whose_grid_covers_trials():
+    # k starts at round(trials**(1/m)) <= trials**(1/m) + 1/2 and only steps
+    # up, so k - 1 never covers trials
+    for m in range(1, 7):
+        for trials in range(1, 4097):
+            k = _grid_shape(trials, m)[0]
+            assert k**m >= trials > (k - 1) ** m, (trials, m)
+
+
 def test_randomized_check_evaluates_exactly_trials_tuples(monkeypatch):
     # trials = 5 at m = 3: a 2 x 2 x 2 grid, of which the first 5 tuples count
     seen = _spy_on_residuals(monkeypatch)

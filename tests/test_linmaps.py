@@ -33,6 +33,7 @@ from traceprod import (
     image_stack,
     is_hermitian_preserving,
     linmap_from_images,
+    nonextendable_best_fit_residual,
     space_basis,
     transpose_map,
 )
@@ -725,3 +726,29 @@ def test_maps_and_forms_refuse_parts_that_do_not_fit(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: HermOdd(np.eye(2), (1 + 1j, 1, 1)), "c must be a sequence of real numbers",
+                     id="complex-real-scalar"),
+        pytest.param(lambda: HermOdd(np.eye(2), (None, 1, 1)), "c must be a sequence of real numbers",
+                     id="none-real-scalar"),
+        pytest.param(lambda: HermOdd(np.eye(2), 5), "c must be a sequence of real numbers",
+                     id="scalars-not-a-sequence"),
+        pytest.param(lambda: HermOdd(np.eye(2), ("abc", 1, 1)), "c must be a sequence of real numbers",
+                     id="string-real-scalar"),
+        pytest.param(lambda: SymOdd(np.eye(2), ("abc", 1, 1)), "c must be a sequence of complex numbers",
+                     id="string-complex-scalar"),
+        pytest.param(lambda: MnChain(("x",)), "N[0] must be a square matrix of numbers", id="string-matrix"),
+        pytest.param(lambda: MnChain(5), "N must be a sequence of matrices", id="matrices-not-a-sequence"),
+        pytest.param(lambda: nonextendable_best_fit_residual("abc"), "X must be a square matrix of numbers",
+                     id="best-fit-string"),
+    ],
+)
+def test_form_parameters_that_are_not_numbers_are_invalid_parameters(call, message):
+    # each escaped as a bare TypeError or ValueError of float(), complex() or np.asarray; the
+    # match is on the prefix, since Python's own text in the parentheses differs between versions
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        call()
