@@ -30,7 +30,6 @@ try:
     import sys
     from typing import Callable, NamedTuple
 
-    from . import _EXPORTS
     from .errors import (
         CanonicalStructureError,
         InvalidParameterError,
@@ -54,28 +53,11 @@ except BaseException:
         gc.enable()
     raise
 
-# the library names that only some subcommands use, each imported from its
-# `traceprod._EXPORTS` module on first use and kept here, where the handlers
-# call it by its bare name and a test or a tracer may rebind it
-_LAZY = (
-    "FAMILIES", "GenSpec", "generate", "CheckMode", "check_preservation", "dualize", "embed_extend_pair",
-    "infeasibility_certificate", "decompose", "verify_weighted",
-)
 
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # `from .<module> import <name>`, written out so that `-X importtime` reports it
-    value = globals()[name] = getattr(__import__(_EXPORTS[name], globals(), level=1), name)
-    return value
-
-
-def _load(module: str) -> None:
-    """Import `module` and bind here each of its `_LAZY` names not bound yet."""
-    for name in _LAZY:
-        if _EXPORTS[name] == module and name not in globals():
-            __getattr__(name)
+def _load(module: str):
+    """The library module `module`, imported by the statement's own path,
+    which `-X importtime` reports."""
+    return __import__(module, globals(), level=1)
 
 
 def _read_maps(path: str):
@@ -114,8 +96,8 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _generate_options(g) -> None:
-    g.add_argument("--family", required=True, choices=sorted(FAMILIES))
+def _generate_options(g, lib) -> None:
+    g.add_argument("--family", required=True, choices=sorted(lib.FAMILIES))
     g.add_argument("--n", type=int, required=True, help="matrix size")
     g.add_argument("--m", type=int, required=True, help="tuple length")
     g.add_argument("--field", choices=[f.value for f in Field])
@@ -123,10 +105,10 @@ def _generate_options(g) -> None:
     g.add_argument("--condition-bound", type=float)
 
 
-def _check_options(c) -> None:
+def _check_options(c, lib) -> None:
     c.add_argument("--maps", required=True, help="JSON file of maps, or - for stdin")
     c.add_argument("--tol", type=float)
-    c.add_argument("--mode", choices=["auto", *(mode.value for mode in CheckMode)])
+    c.add_argument("--mode", choices=["auto", *(mode.value for mode in lib.CheckMode)])
     c.add_argument("--trials", type=int)
     c.add_argument("--seed", type=int)
     c.add_argument(
@@ -137,24 +119,24 @@ def _check_options(c) -> None:
     )
 
 
-def _dualize_options(d) -> None:
+def _dualize_options(d, lib) -> None:
     d.add_argument("--maps", required=True)
     d.add_argument("--index", type=int, default=0, help="which map of the document to dualize")
     d.add_argument("--tol", type=float)
 
 
-def _decompose_options(dc) -> None:
+def _decompose_options(dc, lib) -> None:
     dc.add_argument("--maps", required=True)
     dc.add_argument("--family")
     dc.add_argument("--tol", type=float)
 
 
-def _extend_options(e) -> None:
+def _extend_options(e, lib) -> None:
     e.add_argument("--maps", required=True)
     e.add_argument("--tol", type=float)
 
 
-def _certify_options(ce) -> None:
+def _certify_options(ce, lib) -> None:
     ce.add_argument("--n", type=int, required=True)
     ce.add_argument("--k", type=int, required=True)
     ce.add_argument("--field", choices=[f.value for f in Field])
@@ -162,7 +144,7 @@ def _certify_options(ce) -> None:
     ce.add_argument("--seed", type=int)
 
 
-def _weighted_options(w) -> None:
+def _weighted_options(w, lib) -> None:
     w.add_argument("--maps", required=True)
     w.add_argument("--alpha", type=_float_list, required=True, help="comma-separated exponents")
     w.add_argument("--beta", type=_float_list, required=True, help="comma-separated exponents")
@@ -183,7 +165,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     for name, subcommand in _SUBCOMMANDS.items():
         parser = sub.add_parser(name, help=subcommand.help, argument_default=argparse.SUPPRESS)
         if name == command:
-            subcommand.options(parser)
+            subcommand.options(parser, _load(subcommand.module))
     return p
 
 
@@ -195,59 +177,59 @@ def _options(args, *cli_only: str) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def _cmd_generate(args) -> int:
-    gen = generate(GenSpec(**_options(args)))
+def _cmd_generate(lib, args) -> int:
+    gen = lib.generate(lib.GenSpec(**_options(args)))
     _emit(_generated_document(gen, args.family, stream=True))
     return 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(lib, args) -> int:
     maps, _ = _read_maps(args.maps)
     opts = _options(args)
     if "sample_space" in opts:
         opts["sample_space"] = SpaceTag(opts["sample_space"], maps[0].domain.field, maps[0].domain.n)
-    return _verdict(check_preservation(maps, **opts), "identity")
+    return _verdict(lib.check_preservation(maps, **opts), "identity")
 
 
-def _cmd_dualize(args) -> int:
+def _cmd_dualize(lib, args) -> int:
     maps, space = _read_maps(args.maps)
     if not 0 <= args.index < len(maps):
         raise NotApplicableError(f"document has {len(maps)} maps; index {args.index} is out of range")
     f = maps[args.index]
-    psi = dualize(f, **_options(args, "index"))
+    psi = lib.dualize(f, **_options(args, "index"))
     _emit(_maps_document(space if space is not None else f.domain, [f, psi], stream=True))
     return 0
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(lib, args) -> int:
     maps, space = _read_maps(args.maps)
-    result = decompose(maps, **_options(args))
+    result = lib.decompose(maps, **_options(args))
     _emit(encode_decomposition(result, space if space is not None else maps[0].domain))
     return 0
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(lib, args) -> int:
     maps, _ = _read_maps(args.maps)
     if len(maps) != 2:
         raise NotApplicableError(f"extension needs exactly 2 maps, got {len(maps)}")
-    psi1, psi2 = embed_extend_pair(*maps, **_options(args))
+    psi1, psi2 = lib.embed_extend_pair(*maps, **_options(args))
     _emit(_maps_document(span_of(psi1.domain), [psi1, psi2], stream=True))
     return 0
 
 
-def _cmd_certify(args) -> int:
-    _emit(encode_certificate(infeasibility_certificate(**_options(args))))
+def _cmd_certify(lib, args) -> int:
+    _emit(encode_certificate(lib.infeasibility_certificate(**_options(args))))
     return 0
 
 
-def _cmd_weighted(args) -> int:
+def _cmd_weighted(lib, args) -> int:
     maps, _ = _read_maps(args.maps)
-    return _verdict(verify_weighted(maps, **_options(args)), "weighted identity")
+    return _verdict(lib.verify_weighted(maps, **_options(args)), "weighted identity")
 
 
 class _Subcommand(NamedTuple):
     help: str
-    # the module that its `_LAZY` library calls come from
+    # the library module that its options builder and handler take
     module: str
     options: Callable
     handler: Callable
@@ -292,8 +274,9 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(_command(argv)).parse_args(argv)
+    subcommand = _SUBCOMMANDS[args.command]
     try:
-        return _SUBCOMMANDS[args.command].handler(args)
+        return subcommand.handler(_load(subcommand.module), args)
     except BrokenPipeError:
         # the reader closed stdout: an error document there would break again
         return 2

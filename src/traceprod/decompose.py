@@ -86,6 +86,7 @@ from .spaces import (
     _entry_terms,
     _gaussian,
     _hermitian_part,
+    _is_real,
     _per_span,
     _rng,
     _span_coords,
@@ -707,8 +708,8 @@ def reshuffled_transfer_rank(map_: LinMap, rtol: float = RANK_CUTOFF) -> int:
     `rtol` lies in (0, 1): at 0 or below every one counts, and at 1 or above,
     or NaN, none does.
     """
-    if not 0 < rtol < 1:
-        raise InvalidParameterError(f"rtol must lie in the open interval (0, 1), got {rtol}")
+    if not (_is_real(rtol) and 0 < rtol < 1):
+        raise InvalidParameterError(f"rtol must lie in the open interval (0, 1), got {rtol!r}")
     dom = span_of(map_.domain)
     cod = span_of(map_.codomain)
     if dom.kind is not SpaceKind.FULL or cod.kind is not SpaceKind.FULL:

@@ -48,6 +48,7 @@ from .spaces import (
     _dtype_of,
     _field_dtype,
     _gaussian,
+    _is_real,
     _member,
     _random_batch,
     _reassemble,
@@ -532,8 +533,8 @@ def infeasibility_certificate(
     `cutoff_factor` lies in (0, 1): at 0 or below, every singular value
     counts, and at 1 or above, or NaN, none does.
     """
-    if not 0 < cutoff_factor < 1:
-        raise InvalidParameterError(f"cutoff_factor must lie in the open interval (0, 1), got {cutoff_factor}")
+    if not (_is_real(cutoff_factor) and 0 < cutoff_factor < 1):
+        raise InvalidParameterError(f"cutoff_factor must lie in the open interval (0, 1), got {cutoff_factor!r}")
     trials = _count(trials, "trials")
     field = _member(Field, field)
     n, k = _count(n, "n"), _count(k, "k")

@@ -39,6 +39,7 @@ from .spaces import (
     _count,
     _dtype_of,
     _gaussian,
+    _is_real,
     _member,
     _rng,
     base_field,
@@ -67,7 +68,7 @@ class GenSpec:
             object.__setattr__(self, "field", _member(Field, self.field))
         object.__setattr__(self, "n", _count(self.n, "n"))
         object.__setattr__(self, "m", _count(self.m, "m"))
-        if not self.condition_bound >= 1:  # NaN fails too
+        if not (_is_real(self.condition_bound) and self.condition_bound >= 1):  # NaN fails too
             raise InvalidParameterError("condition_bound must be at least 1")
         _check_seed(self.seed)
         if not _FAMILY_TABLE[self.family].admits(self.n, self.m, self.field):

@@ -37,8 +37,6 @@ def _matrix(M, stream: bool) -> dict:
     """`encode_matrix`'s object; with `stream`, its "data" is M itself, which
     `encode_document` writes a block of rows at a time (`_write_rows`)."""
     M = np.asarray(M)
-    if M.ndim == 1:
-        M = np.diag(M)
     if M.ndim != 2:
         raise InvalidParameterError(f"can only encode 2-d matrices, got ndim={M.ndim}")
     real = not np.iscomplexobj(M) or float(np.max(np.abs(M.imag), initial=0.0)) == 0.0
@@ -50,9 +48,9 @@ def _matrix(M, stream: bool) -> dict:
     }
 
 
-def _entry_pairs(M: np.ndarray) -> list:
-    """The row-major [real, imag] pairs of the entries of M."""
-    Mc = M.astype(np.complex128, copy=False)
+def _entry_pairs(M) -> list:
+    """The row-major [real, imag] pairs of the entries of M, an array or a sequence."""
+    Mc = np.asarray(M, dtype=np.complex128)
     return np.stack((Mc.real, Mc.imag), -1).reshape(-1, 2).tolist()
 
 
@@ -158,10 +156,6 @@ def _real_scalars(z: np.ndarray) -> tuple:
     return tuple(z.real.tolist())
 
 
-def _pairs(values) -> list:
-    return [[float(z.real), float(z.imag)] for z in map(complex, values)]
-
-
 # (encode, decode) of a form parameter, keyed by its annotation on the form class
 _PARAM_CODECS = {
     "np.ndarray": (encode_matrix, decode_matrix),
@@ -169,8 +163,8 @@ _PARAM_CODECS = {
         lambda mats: [encode_matrix(M) for M in mats],
         lambda objs: tuple(decode_matrix(M) for M in objs),
     ),
-    "tuple[float, ...]": (_pairs, lambda values: _real_scalars(_entries(values))),
-    "tuple[complex, ...]": (_pairs, lambda values: tuple(_entries(values).tolist())),
+    "tuple[float, ...]": (_entry_pairs, lambda values: _real_scalars(_entries(values))),
+    "tuple[complex, ...]": (_entry_pairs, lambda values: tuple(_entries(values).tolist())),
     "bool": (bool, lambda value: value),  # the form class rejects a non-boolean
 }
 

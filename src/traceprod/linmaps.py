@@ -60,6 +60,7 @@ from .spaces import (
     _check_tol,
     _dtype_of,
     _entry_terms,
+    _is_real,
     _reassemble,
     _span_coords,
     _span_deviation,
@@ -72,9 +73,12 @@ _BLOCK_ENTRIES = 2**15
 
 def _as_param(M, name: str) -> np.ndarray:
     try:
-        M = np.asarray(M, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+        M = np.asarray(M)
+    except (TypeError, ValueError) as exc:  # a ragged nesting, say
         raise InvalidParameterError(f"{name} must be a square matrix of numbers ({exc})") from None
+    if M.dtype.kind not in "iufc":  # a bool, string or object array
+        raise InvalidParameterError(f"{name} must be a square matrix of numbers, got dtype {M.dtype}")
+    M = M.astype(np.complex128, copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidParameterError(f"{name} must be a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -366,11 +370,16 @@ def _tuple_of_matrices(mats, name: str) -> tuple:
 
 
 def _numbers(kind: type, what: str, values, name: str) -> tuple:
-    """`values` as a tuple of `kind` numbers, refused, naming `name`, unless each is a `what` number."""
+    """`values` as a tuple of `kind` numbers, refused, naming `name`, unless each is a `what` number:
+    a real one by `spaces._is_real`, and for a complex `kind` a Python or numpy complex too."""
     try:
-        return tuple(kind(x) for x in values)
-    except (TypeError, ValueError) as exc:
+        values = tuple(values)
+    except TypeError as exc:
         raise InvalidParameterError(f"{name} must be a sequence of {what} numbers ({exc})") from None
+    for x in values:
+        if not (_is_real(x) or kind is complex and isinstance(x, (complex, np.complexfloating))):
+            raise InvalidParameterError(f"{name} must be a sequence of {what} numbers, got {x!r}")
+    return tuple(map(kind, values))
 
 
 def _flag(value, name: str) -> bool:

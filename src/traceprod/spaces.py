@@ -469,8 +469,14 @@ def _check_tol(tol) -> None:
     """Refuse a tolerance that is not finite and nonnegative: a test
     `deviation > tol` is never true at a NaN or infinite tol, so the check
     it guards would pass anything, and at a negative tol nothing passes."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol}")
+    if not (_is_real(tol) and math.isfinite(tol) and tol >= 0):
+        raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether `value` is a real number: an int, a float, or a numpy integer
+    or floating scalar. A bool, a complex, a string or None is none."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _count(value, what: str, label: str = "") -> int:

@@ -31,6 +31,7 @@ from .spaces import (
     _check_tol,
     _count,
     _hermitian_part,
+    _is_real,
     _random_batch,
     _rng,
     _span_coords,
@@ -40,11 +41,10 @@ _WEIGHTED_BATCH = 256
 
 
 def _finite(value, what: str) -> float:
-    """`value` as a float, refused unless it is a finite real number."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"{what} must be a real number, got {value!r}") from None
+    """`value` as a float, refused unless it is a finite real number (`spaces._is_real`)."""
+    if not _is_real(value):
+        raise InvalidParameterError(f"{what} must be a real number, got {value!r}")
+    x = float(value)
     if not math.isfinite(x):
         raise InvalidParameterError(f"{what} must be finite, got {x}")
     return x
@@ -74,7 +74,7 @@ def herm_power(A: np.ndarray, t: float, tol: float = POWER_FLOOR) -> np.ndarray:
     and positive definite as `_definite_input` judges it, at every t; tol is
     the eigenvalue floor, and t must be a finite real number."""
     _check_tol(tol)
-    _finite(t, "power t")
+    t = _finite(t, "power t")
     return _herm_power_batch(_definite_input(A, tol), t, tol)[0]
 
 
@@ -180,10 +180,12 @@ def _weights(alpha, beta, m: int) -> tuple[list, list]:
     the reduced identity on B_i = A_i^beta_i undefined, and so does one whose
     reciprocal, the power of B_i that gives A_i, overflows."""
     try:
-        alpha = [float(a) for a in alpha]
-        beta = [float(b) for b in beta]
-    except (TypeError, ValueError) as exc:
+        alpha, beta = list(alpha), list(beta)
+    except TypeError as exc:
         raise InvalidParameterError(f"alpha and beta must be real numbers ({exc})") from None
+    if not all(map(_is_real, alpha + beta)):
+        raise InvalidParameterError(f"alpha and beta must be real numbers, got {alpha!r} and {beta!r}")
+    alpha, beta = [float(a) for a in alpha], [float(b) for b in beta]
     if len(alpha) != m or len(beta) != m:
         raise DimensionMismatchError("alpha and beta must have one entry per map")
     if not all(map(math.isfinite, alpha + beta)):

@@ -233,7 +233,7 @@ def test_certify_size_too_large_to_allocate_exits_two(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
-    monkeypatch.setattr(cli, "infeasibility_certificate", refuse)
+    monkeypatch.setattr("traceprod.extend.infeasibility_certificate", refuse)
     code, err = _run(capsys, ["certify", "--n", "1000", "--k", "1"])
     assert code == 2
     assert err["error"]["code"] == "MemoryError"
@@ -644,21 +644,6 @@ class _ClosedPipe(io.StringIO):
         raise BrokenPipeError(32, "Broken pipe")
 
 
-@pytest.mark.parametrize("name", cli._LAZY)
-def test_each_lazy_name_is_the_object_the_package_exports(name):
-    assert getattr(cli, name) is getattr(traceprod, name)
-
-
-@pytest.mark.parametrize("module", sorted({traceprod._EXPORTS[name] for name in cli._LAZY}))
-def test_load_binds_the_lazy_names_its_module_exports(monkeypatch, module):
-    for name in cli._LAZY:
-        monkeypatch.delitem(vars(cli), name, raising=False)
-    cli._load(module)
-    assert {name for name in cli._LAZY if name in vars(cli)} == {
-        name for name in cli._LAZY if traceprod._EXPORTS[name] == module
-    }
-
-
 def test_closed_stdout_exits_two_writing_nothing_more(monkeypatch, capsys):
     # the handler used to emit an error document into the same closed stdout
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
@@ -859,13 +844,14 @@ def test_options_pass_to_the_library_as_given_and_only_when_given(
     tmp_path, capsys, monkeypatch, name, argv, doc, options, required, given
 ):
     calls = []
-    real = getattr(cli, name)
+    real = getattr(traceprod, name)
 
     def spy(*args, **kwargs):
         calls.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, spy)
+    # the handler calls the library where it is defined
+    monkeypatch.setattr(sys.modules[real.__module__], name, spy)
     argv = [_document(tmp_path, *doc) if a == "DOC" else a for a in argv]
     assert run(argv) == 0
     assert run(argv + options) == 0

@@ -990,6 +990,13 @@ def test_herm_power_refuses_a_power_that_is_not_finite(t):
         herm_power(2.0 * np.eye(2), t)
 
 
+@pytest.mark.parametrize("t", ["2", True, None, 2j])
+def test_herm_power_refuses_a_power_that_is_not_a_real_number(t):
+    # "2" passed the check and then failed `t >= 2` with a bare TypeError
+    with pytest.raises(InvalidParameterError, match="power t must be a real number"):
+        herm_power(2.0 * np.eye(2), t)
+
+
 def test_herm_power_one_returns_a_copy():
     A = np.diag([1.0, 2.0, 3.0]).astype(complex)
     B = herm_power(A, 1.0)
@@ -1100,10 +1107,12 @@ def test_power_map_refuses_a_core_that_is_not_a_linmap(core):
         PowerMap(core=core)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "x", None])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "x", None, "2", True, np.complex128(2)])
 @pytest.mark.parametrize("name", ["pre", "post", "scale"])
 def test_power_map_refuses_parameters_that_are_not_finite_reals(name, bad):
-    # post = NaN or scale = NaN made power_map_apply return an all-NaN matrix
+    # post = NaN or scale = NaN made power_map_apply return an all-NaN matrix;
+    # "2" and True were read as 2.0 and 1.0, and a numpy complex lost its
+    # imaginary part with only a ComplexWarning
     with pytest.raises(InvalidParameterError, match=f"{name} must be"):
         PowerMap(identity_map(_HERM2), **{name: bad})
 
@@ -1191,13 +1200,14 @@ def test_weighted_functions_reject_non_finite_exponents(which, bad):
         *(
             pytest.param(which, bad, "alpha and beta must be real numbers", id=f"{which}-{bad!r}")
             for which in ("alpha", "beta")
-            for bad in ("x", None, 1j)
+            for bad in ("x", None, 1j, "1", True)
         ),
         pytest.param("beta", 1e-320, "beta weights must have finite reciprocals", id="beta-1e-320"),
     ],
 )
 def test_weighted_functions_refuse_exponents_they_cannot_take(which, bad, match):
-    # float()'s bare ValueError ("x") or TypeError (None, 1j) escaped; beta =
+    # float()'s bare ValueError ("x") or TypeError (None, 1j) escaped, and "1"
+    # and True were read as 1.0; beta =
     # 1e-320 took B^(1/beta) = B^inf, so every tuple read as failing with max
     # residual inf, even where alpha = beta makes both sides equal
     gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))
@@ -1210,6 +1220,20 @@ def test_weighted_functions_refuse_exponents_they_cannot_take(which, bad, match)
     ]
     for call in calls:
         with pytest.raises(InvalidParameterError, match=match):
+            call()
+
+
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+def test_weighted_functions_refuse_exponents_that_are_no_sequence(which):
+    gen = generate(GenSpec(family="pn_chain", n=2, m=3, seed=0))
+    weights = {"alpha": [2.0, 2.0, 2.0], "beta": [2.0, 2.0, 2.0], which: 2.0}
+    calls = [
+        lambda: verify_weighted(gen.maps, weights["alpha"], weights["beta"], trials=10),
+        lambda: weighted_canonical_maps(gen.form, weights["alpha"], weights["beta"], gen.space),
+        lambda: weighted_reduction(gen.maps, weights["alpha"], weights["beta"]),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="alpha and beta must be real numbers"):
             call()
 
 
@@ -1415,9 +1439,10 @@ def test_tuple_functions_refuse_what_is_not_a_map(call, match):
         call()
 
 
-@pytest.mark.parametrize("rtol", [float("nan"), -1.0, 0.0, 1.0, 2.0])
+@pytest.mark.parametrize("rtol", [float("nan"), -1.0, 0.0, 1.0, 2.0, "0.5", None])
 def test_reshuffled_rank_refuses_rtol_outside_the_open_unit_interval(rtol):
-    # NaN read rank 0 and -1 read rank 4: no or every singular value counted
+    # NaN read rank 0 and -1 read rank 4: no or every singular value counted;
+    # a string or None escaped as a bare TypeError
     with pytest.raises(InvalidParameterError, match=r"rtol must lie in the open interval \(0, 1\)"):
         reshuffled_transfer_rank(identity_map(C2), rtol=rtol)
 

@@ -919,6 +919,13 @@ def test_certificate_real_field():
     assert cert.certifies_impossibility
 
 
+@pytest.mark.parametrize("cutoff_factor", [float("nan"), -1.0, 0.0, 1.0, "0.5", None])
+def test_infeasibility_certificate_refuses_a_cutoff_outside_the_open_unit_interval(cutoff_factor):
+    # a string or None escaped as a bare TypeError
+    with pytest.raises(InvalidParameterError, match=r"cutoff_factor must lie in the open interval \(0, 1\)"):
+        infeasibility_certificate(3, 2, cutoff_factor=cutoff_factor)
+
+
 def test_infeasibility_certificate_refuses_an_unknown_field_name():
     with pytest.raises(InvalidParameterError, match="'bogus' is not a valid Field"):
         infeasibility_certificate(3, 2, field="bogus")

@@ -92,6 +92,10 @@ def test_generated_tuple_preserves(family, n, m, field):
         dict(family="mn_chain", n=3, m=3, condition_bound=0.5),
         # NaN passed the old `condition_bound < 1` test and spent 100 resamples
         dict(family="herm_odd", n=2, m=3, condition_bound=float("nan")),
+        # a string or None escaped as a bare TypeError, and True was read as 1
+        dict(family="mn_chain", n=3, m=3, condition_bound="x"),
+        dict(family="mn_chain", n=3, m=3, condition_bound=None),
+        dict(family="mn_chain", n=3, m=3, condition_bound=True),
     ],
 )
 def test_genspec_rejects_invalid(kwargs):

@@ -69,7 +69,7 @@ def test_star_import_binds_every_public_name():
         "import importlib\nimportlib.import_module('traceprod.decompose')\nfrom traceprod import decompose",
         "from traceprod.decompose import recover_conjugator\nfrom traceprod import decompose",
         "from traceprod import *",
-        "import traceprod.cli\nfrom traceprod.cli import decompose",
+        "import traceprod.cli\ntraceprod.cli._load('decompose')\nfrom traceprod import decompose",
     ],
     ids=["submodule-first", "name-first", "import_module", "from-submodule", "star", "cli"],
 )

@@ -282,6 +282,8 @@ def test_maps_document_rejects_garbage():
     "call, message",
     [
         pytest.param(lambda: encode_matrix(np.zeros((2, 2, 2))), "can only encode 2-d matrices, got ndim=3", id="3-d"),
+        # a vector was encoded as the diagonal matrix it holds, which nothing decoded back to it
+        pytest.param(lambda: encode_matrix(np.ones(3)), "can only encode 2-d matrices, got ndim=1", id="1-d"),
         pytest.param(lambda: encode_form(object()), "cannot encode form of type object", id="not-a-form"),
     ],
 )

@@ -742,6 +742,24 @@ def test_maps_and_forms_refuse_parts_that_do_not_fit(call, error, message):
         pytest.param(lambda: SymOdd(np.eye(2), ("abc", 1, 1)), "c must be a sequence of complex numbers",
                      id="string-complex-scalar"),
         pytest.param(lambda: MnChain(("x",)), "N[0] must be a square matrix of numbers", id="string-matrix"),
+        # each of these was read as a number: the imaginary part dropped with
+        # only a ComplexWarning, True as 1, a numeric string by its value
+        pytest.param(lambda: HermOdd(np.eye(2), np.array([1 + 1j, 1, 1])), "c must be a sequence of real numbers",
+                     id="numpy-complex-real-scalar"),
+        pytest.param(lambda: HermOdd(np.eye(2), (True, 1, 1)), "c must be a sequence of real numbers",
+                     id="bool-real-scalar"),
+        pytest.param(lambda: HermOdd(np.eye(2), ("2", "0.5", 1)), "c must be a sequence of real numbers",
+                     id="numeric-string-real-scalar"),
+        pytest.param(lambda: SymOdd(np.eye(2), (True, 1, 1)), "c must be a sequence of complex numbers",
+                     id="bool-complex-scalar"),
+        pytest.param(lambda: SymOdd(np.eye(2), ("2", "0.5", 1)), "c must be a sequence of complex numbers",
+                     id="numeric-string-complex-scalar"),
+        pytest.param(lambda: MnChain(([["1", "0"], ["0", "1"]],)), "N[0] must be a square matrix of numbers",
+                     id="numeric-string-matrix"),
+        pytest.param(lambda: MnChain((np.eye(2, dtype=bool),)), "N[0] must be a square matrix of numbers",
+                     id="bool-matrix"),
+        pytest.param(lambda: MnChain(([[1, 2], [3]],)), "N[0] must be a square matrix of numbers",
+                     id="ragged-matrix"),
         pytest.param(lambda: MnChain(5), "N must be a sequence of matrices", id="matrices-not-a-sequence"),
         pytest.param(lambda: nonextendable_best_fit_residual("abc"), "X must be a square matrix of numbers",
                      id="best-fit-string"),
