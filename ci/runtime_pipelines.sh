@@ -228,6 +228,17 @@ status=0
 timeout 10 traceprod generate --family mn_chain --n 3 --m 1000000000000 >/dev/null 2>"$err" || status=$?
 test "$status" -eq 2
 if grep -q Traceback "$err"; then exit 1; fi
+# a length that no form of the family admits is an input error: exit 2, one InvalidParameterError document
+# and no traceback
+for case in "mn_chain 2" "herm_odd 4" "herm_even 3" "pn_pair 3" "pn_chain 1" "sym_odd 2" "sym_even 3" \
+  "diag_pair 3" "diag_chain 2" "hadamard 3" "rank_one_frame 3" "nonextendable 2"; do
+  read -r family m <<<"$case"
+  status=0
+  traceprod generate --family "$family" --n 3 --m "$m" >"$doc" 2>"$err" || status=$?
+  test "$status" -eq 2
+  python -c "import json, sys; assert json.load(open(sys.argv[1]))['error']['code'] == 'InvalidParameterError'" "$doc"
+  if grep -q Traceback "$err"; then exit 1; fi
+done
 # the corner pair of the non-extendable triple preserves Hermitian matrices, so extend takes the complexify route
 traceprod generate --family nonextendable --n 2 --m 3 \
   | python -c "import json, sys; d = json.load(sys.stdin); d['maps'] = d['maps'][:2]; json.dump(d, sys.stdout)" \

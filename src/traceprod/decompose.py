@@ -2,8 +2,9 @@
 
 `decompose` runs one pipeline for every family of the table `_DECOMPOSERS`,
 which names the canonical forms each family returns: their span `kinds` fix
-its spans and field (a Hermitian span is complex), and "auto" takes the first
-family on the tuple's span whose length rule admits it. The pipeline checks
+its spans and field (a Hermitian span is complex), their `admits` (the
+theorem's hypothesis on length and field) the tuples it takes, and "auto"
+takes the first family on the tuple's span that admits it. The pipeline checks
 the domain and the tuple length, recovers the canonical parameters
 (conjugating matrices, scalars, permutations) with the family's gauge fixed
 deterministically, and rebuilds the maps from them. Each recovery only reads:
@@ -407,20 +408,20 @@ def _alternating_params(W: np.ndarray, phiI, adjoint) -> tuple[np.ndarray, list]
 
 
 def _recover_chain(maps, dom: SpaceTag) -> tuple:
-    # the span picks the adjoint, the gauge and the forms; N^{-1} is the
-    # isometry (odd length) or the congruence M (even length) up to scale
+    # the span picks the adjoint, the gauge and the family, whose form that admits the
+    # tuple picks N^{-1}: the isometry (HermOdd, SymOdd) or the congruence M, up to scale
     herm = span_of(dom).kind is SpaceKind.HERMITIAN
     adjoint = _adjoint if herm else np.transpose
+    forms = _DECOMPOSERS["hermitian" if herm else "symmetric"].forms
+    cls = next(form for form in forms if form.admits(len(maps), dom.field))
     phiI, _, W = _normalized_conjugator(maps, dom)
-    if len(maps) % 2 == 1:
+    if cls in (HermOdd, SymOdd):
         mat = _isometry(W, adjoint, _phase_fix if herm else _sign_fix)
         c = [complex(np.trace(S)) / dom.n for S in phiI]
         c.append(1.0 / complex(np.prod(c)))
-        cls = HermOdd if herm else SymOdd
         note = "U fixed up to phase by a real positive leading entry" if herm else "O fixed up to sign"
     else:
         mat, c = _alternating_params(W, phiI, adjoint)
-        cls = HermEven if herm else SymEven
         note = "M fixed by unit Frobenius norm and real positive leading entry"
     if dom.field is Field.REAL:
         mat = _realize(mat)
@@ -506,12 +507,8 @@ def decompose_pn_pair(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
 
 def decompose_pn_chain(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
     """Recover the canonical form of a chain preserving traces of products of
-    positive definite matrices.
-
-    Complex field: pairs are (M, transpose) pairs; chains of length >= 3 are
-    Hermitian chains whose scalars must come out positive. Real field: chains
-    of any length >= 2 are symmetric-space chains with positive scalars and,
-    for odd length, a real orthogonal conjugator.
+    positive definite matrices: the first of PnPair, HermOdd, HermEven, SymOdd
+    and SymEven that admits the tuple, whose scalars must come out positive.
     """
     return decompose(maps, family="pn_chain", tol=tol)
 
@@ -562,8 +559,8 @@ def decompose_diag_chain(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
 
 @dataclass(frozen=True)
 class _Family:
-    """A decompose family: the form classes it returns, its length rule with
-    the error that breaks it, and the recovery `(maps, domain) -> (form,
+    """A decompose family: the form classes it returns, the error for a tuple
+    that none of them admits, and the recovery `(maps, domain) -> (form,
     gauge_note)` of its form. A recovery checks nothing: its note states the
     gauge, plus pn_pair's two branch deviations. pn_chain has no recovery of
     its own: `_resolve` routes it to another family. The span kinds its maps
@@ -571,7 +568,6 @@ class _Family:
     so they also pin the field of the complex-only forms."""
 
     forms: tuple
-    length: Callable[[int], bool]
     length_error: str
     recover: Callable | None
     kinds: frozenset = field(init=False)
@@ -579,26 +575,24 @@ class _Family:
     def __post_init__(self):
         object.__setattr__(self, "kinds", frozenset().union(*(form.kinds for form in self.forms)))
 
+    def admits(self, m: int, field: Field) -> bool:
+        """Whether one of its forms admits an m-tuple over `field` (`_Form.admits`)."""
+        return any(form.admits(m, field) for form in self.forms)
 
-# "auto" takes the first family with a recovery on a span whose length rule
-# admits the tuple, so pn_pair comes before hermitian
+
+# "auto" takes the first family with a recovery on a span that admits the
+# tuple, so pn_pair comes before hermitian
 _DECOMPOSERS = {
-    "mn_chain": _Family(
-        (MnChain,), lambda m: m >= 3, "chains on full matrix spaces need at least 3 maps", _recover_mn_chain
-    ),
-    "pn_pair": _Family(
-        (PnPair,), lambda m: m == 2, "this family is a pair; longer chains go to decompose_pn_chain", _recover_pn_pair
-    ),
+    "mn_chain": _Family((MnChain,), "chains on full matrix spaces need at least 3 maps", _recover_mn_chain),
+    "pn_pair": _Family((PnPair,), "this family is a pair; longer chains go to decompose_pn_chain", _recover_pn_pair),
     "hermitian": _Family(
-        (HermOdd, HermEven), lambda m: m >= 3,
-        "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair", _recover_chain,
+        (HermOdd, HermEven), "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair", _recover_chain
     ),
-    "pn_chain": _Family((PnPair, HermOdd, HermEven, SymOdd, SymEven), lambda m: m >= 2, "need at least a pair", None),
-    "symmetric": _Family((SymOdd, SymEven), lambda m: m >= 2, "need at least a pair", _recover_chain),
-    "diag_pair": _Family((DiagPair,), lambda m: m == 2, "diagonal pairs have exactly 2 maps", _recover_diag_pair),
+    "pn_chain": _Family((PnPair, HermOdd, HermEven, SymOdd, SymEven), "need at least a pair", None),
+    "symmetric": _Family((SymOdd, SymEven), "need at least a pair", _recover_chain),
+    "diag_pair": _Family((DiagPair,), "diagonal pairs have exactly 2 maps", _recover_diag_pair),
     "diag_chain": _Family(
-        (DiagChain,), lambda m: m >= 3,
-        "diagonal chains need at least 3 maps; pairs go to decompose_diag_pair", _recover_diag_chain,
+        (DiagChain,), "diagonal chains need at least 3 maps; pairs go to decompose_diag_pair", _recover_diag_chain
     ),
 }
 
@@ -608,14 +602,14 @@ def _resolve(family: str, dom: SpaceTag, m: int) -> str:
 
     "auto" sends a definite cone to pn_chain. Otherwise it takes the first
     family with a recovery on the span of `dom` (for pn_chain, the cone's
-    span over its field) whose length rule admits m, or else the last such
-    family, whose length error the caller raises.
+    span over its field) that admits an m-tuple over the field of `dom`, or
+    else the last such family, whose length error the caller raises.
     """
     if family == "auto" and dom.kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF):
         return "pn_chain"
     kind = span_of(dom if family == "auto" else SpaceTag(SpaceKind.POSDEF, dom.field, dom.n)).kind
     names = [name for name, spec in _DECOMPOSERS.items() if spec.recover is not None and kind in spec.kinds]
-    return next((name for name in names if _DECOMPOSERS[name].length(m)), names[-1])
+    return next((name for name in names if _DECOMPOSERS[name].admits(m, dom.field)), names[-1])
 
 
 def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> DecompositionResult:
@@ -654,7 +648,7 @@ def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> Decomposi
     while True:
         spec = _DECOMPOSERS[name]
         dom = _validate_tuple_on(maps, spec.kinds)
-        if not spec.length(m):
+        if not spec.admits(m, dom.field):
             raise NotApplicableError(spec.length_error)
         if spec.recover is not None:
             break

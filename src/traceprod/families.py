@@ -71,8 +71,26 @@ class GenSpec:
         if not (_is_real(self.condition_bound) and self.condition_bound >= 1):  # NaN fails too
             raise InvalidParameterError("condition_bound must be at least 1")
         _check_seed(self.seed)
-        if not _FAMILY_TABLE[self.family].admits(self.n, self.m, self.field):
-            raise InvalidParameterError(f"{self.family} needs {_FAMILY_TABLE[self.family].rule}")
+        forms = _FAMILY_TABLE[self.family].forms
+        if not any(form.admits(self.m, self.field) for form in forms):
+            raise InvalidParameterError(f"{self.family} needs {', or '.join(map(_hypothesis, forms))}")
+        # two rules that are no form's hypothesis: complex symmetric pairs are
+        # not canonical, though decompose takes them as SymEven; and the
+        # triple's X can be other than scalar only for n >= 2
+        if self.family == "sym_even" and self.m == 2 and self.field is Field.COMPLEX:
+            raise InvalidParameterError(
+                "sym_even needs even m >= 4, or m = 2 over the reals (complex pairs are not canonical)"
+            )
+        if self.family == "nonextendable" and self.n < 2:
+            raise InvalidParameterError("nonextendable needs n >= 2 (X must not be scalar)")
+
+
+def _hypothesis(form) -> str:
+    """What `form.admits` asks, in words."""
+    r = form.lengths
+    parity = ("even ", "odd ")[r.start % 2] if r.step == 2 else ""
+    rule = f"m = {r.start}" if len(r) == 1 else f"{parity}m >= {r.start}"
+    return f"the complex field and {rule}" if form.complex_only else rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,107 +231,63 @@ def gen_space_sample(space: SpaceTag, count: int, seed: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pn_chain_form(rng, n, m, fd, cb):
-    """Canonical form of a cone-preserving chain: scalars kept positive."""
-    if fd is Field.COMPLEX:
-        if m == 2:
-            return PnPair(random_invertible(rng, n, fd, cb), bool(rng.integers(0, 2)))
-        if m % 2 == 1:
-            return HermOdd(haar_unitary(rng, n), _scalars(rng, m, fd, positive=True))
-        return HermEven(random_invertible(rng, n, fd, cb), _scalars(rng, m, fd, positive=True))
-    if m % 2 == 1 and m >= 3:
-        return SymOdd(haar_orthogonal(rng, n), _scalars(rng, m, fd, positive=True))
-    return SymEven(random_invertible(rng, n, fd, cb), _scalars(rng, m, fd, positive=True))
-
-
-def _hadamard_form(rng, n, m, fd, cb):
+def _hadamard_form(rng, n, m, fd, cb, pos):
     G = _gaussian((n, n), True, rng)
     S = (G + G.T) / 2
     return Hadamard(np.where(S >= 0, 1.0, -1.0) * (0.3 + np.abs(S)))
 
 
-def _nonextendable_form(rng, n, m, fd, cb):
+def _nonextendable_form(rng, n, m, fd, cb, pos):
     X = _ginibre(rng, n, fd)
     while np.linalg.norm(X - (np.trace(X) / n) * np.eye(n)) < NONSCALAR_MARGIN:
         X = _ginibre(rng, n, fd)
     return NonextendableTriple(X)
 
 
+# one sampler per form class: (rng, n, m, field, condition_bound, pos) -> a
+# form of that class, with positive scalars where `pos` (the cone's)
+_SAMPLERS = {
+    MnChain: lambda rng, n, m, fd, cb, pos: MnChain(tuple(random_invertible(rng, n, fd, cb) for _ in range(m))),
+    HermOdd: lambda rng, n, m, fd, cb, pos: HermOdd(haar_unitary(rng, n), _scalars(rng, m, fd, pos)),
+    HermEven: lambda rng, n, m, fd, cb, pos: HermEven(random_invertible(rng, n, fd, cb), _scalars(rng, m, fd, pos)),
+    PnPair: lambda rng, n, m, fd, cb, pos: PnPair(random_invertible(rng, n, fd, cb), bool(rng.integers(0, 2))),
+    SymOdd: lambda rng, n, m, fd, cb, pos: SymOdd(
+        complex_orthogonal(rng, n, cb) if fd is Field.COMPLEX else haar_orthogonal(rng, n),
+        _scalars(rng, m, fd, pos, complex_phase=True),
+    ),
+    SymEven: lambda rng, n, m, fd, cb, pos: SymEven(
+        random_invertible(rng, n, fd, cb), _scalars(rng, m, fd, pos, complex_phase=True)
+    ),
+    DiagPair: lambda rng, n, m, fd, cb, pos: DiagPair(random_invertible(rng, n, fd, cb)),
+    DiagChain: lambda rng, n, m, fd, cb, pos: DiagChain(random_permutation(rng, n), _diag_scalings(rng, n, m, fd)),
+    Hadamard: _hadamard_form,
+    RankOneFrame: lambda rng, n, m, fd, cb, pos: RankOneFrame([random_invertible(rng, n, fd, cb) for _ in range(n)]),
+    NonextendableTriple: _nonextendable_form,
+}
+
+
 class _Family(NamedTuple):
+    """A generator family: the span kind of its maps and its form classes, of
+    which `generate` draws the first that admits (m, field)."""
+
     kind: SpaceKind
-    rule: str  # what `admits` asks of the spec, for the error message
-    admits: Callable  # (n, m, field) -> bool
-    sample: Callable  # (rng, n, m, field, condition_bound) -> canonical form
+    forms: tuple
+    positive: bool = False  # the definite cone's chains: their scalars are positive
 
 
 _FAMILY_TABLE = {
-    "mn_chain": _Family(
-        SpaceKind.FULL,
-        "m >= 3; shorter tuples admit other families",
-        lambda n, m, fd: m >= 3,
-        lambda rng, n, m, fd, cb: MnChain(tuple(random_invertible(rng, n, fd, cb) for _ in range(m))),
-    ),
-    "herm_odd": _Family(
-        SpaceKind.HERMITIAN,
-        "the complex field and odd m >= 3",
-        lambda n, m, fd: fd is Field.COMPLEX and m >= 3 and m % 2 == 1,
-        lambda rng, n, m, fd, cb: HermOdd(haar_unitary(rng, n), _scalars(rng, m, fd)),
-    ),
-    "herm_even": _Family(
-        SpaceKind.HERMITIAN,
-        "the complex field and even m >= 4",
-        lambda n, m, fd: fd is Field.COMPLEX and m >= 4 and m % 2 == 0,
-        lambda rng, n, m, fd, cb: HermEven(random_invertible(rng, n, fd, cb), _scalars(rng, m, fd)),
-    ),
-    "pn_pair": _Family(
-        SpaceKind.POSDEF,
-        "the complex field and m = 2",
-        lambda n, m, fd: fd is Field.COMPLEX and m == 2,
-        lambda rng, n, m, fd, cb: PnPair(random_invertible(rng, n, fd, cb), bool(rng.integers(0, 2))),
-    ),
-    "pn_chain": _Family(SpaceKind.POSDEF, "m >= 2", lambda n, m, fd: m >= 2, _pn_chain_form),
-    "sym_odd": _Family(
-        SpaceKind.SYMMETRIC,
-        "odd m >= 3",
-        lambda n, m, fd: m >= 3 and m % 2 == 1,
-        lambda rng, n, m, fd, cb: SymOdd(
-            complex_orthogonal(rng, n, cb) if fd is Field.COMPLEX else haar_orthogonal(rng, n),
-            _scalars(rng, m, fd, complex_phase=True),
-        ),
-    ),
-    "sym_even": _Family(
-        SpaceKind.SYMMETRIC,
-        "even m >= 4, or m = 2 over the reals (complex pairs are not canonical)",
-        lambda n, m, fd: (m == 2 and fd is Field.REAL) or (m >= 4 and m % 2 == 0),
-        lambda rng, n, m, fd, cb: SymEven(
-            random_invertible(rng, n, fd, cb), _scalars(rng, m, fd, complex_phase=True)
-        ),
-    ),
-    "diag_pair": _Family(
-        SpaceKind.DIAGONAL,
-        "m = 2",
-        lambda n, m, fd: m == 2,
-        lambda rng, n, m, fd, cb: DiagPair(random_invertible(rng, n, fd, cb)),
-    ),
-    "diag_chain": _Family(
-        SpaceKind.DIAGONAL,
-        "m >= 3; pairs are diag_pair",
-        lambda n, m, fd: m >= 3,
-        lambda rng, n, m, fd, cb: DiagChain(random_permutation(rng, n), _diag_scalings(rng, n, m, fd)),
-    ),
-    "hadamard": _Family(SpaceKind.FULL, "m = 2", lambda n, m, fd: m == 2, _hadamard_form),
-    "rank_one_frame": _Family(
-        SpaceKind.FULL,
-        "m = 2",
-        lambda n, m, fd: m == 2,
-        lambda rng, n, m, fd, cb: RankOneFrame(tuple(random_invertible(rng, n, fd, cb) for _ in range(n))),
-    ),
-    "nonextendable": _Family(
-        SpaceKind.FULL,
-        "the complex field, m = 3 and n >= 2 (X must not be scalar)",
-        lambda n, m, fd: fd is Field.COMPLEX and m == 3 and n >= 2,
-        _nonextendable_form,
-    ),
+    "mn_chain": _Family(SpaceKind.FULL, (MnChain,)),
+    "herm_odd": _Family(SpaceKind.HERMITIAN, (HermOdd,)),
+    "herm_even": _Family(SpaceKind.HERMITIAN, (HermEven,)),
+    "pn_pair": _Family(SpaceKind.POSDEF, (PnPair,)),
+    "pn_chain": _Family(SpaceKind.POSDEF, (PnPair, HermOdd, HermEven, SymOdd, SymEven), positive=True),
+    "sym_odd": _Family(SpaceKind.SYMMETRIC, (SymOdd,)),
+    "sym_even": _Family(SpaceKind.SYMMETRIC, (SymEven,)),
+    "diag_pair": _Family(SpaceKind.DIAGONAL, (DiagPair,)),
+    "diag_chain": _Family(SpaceKind.DIAGONAL, (DiagChain,)),
+    "hadamard": _Family(SpaceKind.FULL, (Hadamard,)),
+    "rank_one_frame": _Family(SpaceKind.FULL, (RankOneFrame,)),
+    "nonextendable": _Family(SpaceKind.FULL, (NonextendableTriple,)),
 }
 
 FAMILIES = tuple(_FAMILY_TABLE)
@@ -367,7 +341,9 @@ def generate(spec: GenSpec) -> Generated:
     A tuple whose maps cannot fit in physical memory is refused first
     (InvalidParameterError)."""
     family = _FAMILY_TABLE[spec.family]
+    form_class = next(form for form in family.forms if form.admits(spec.m, spec.field))
     space = SpaceTag(family.kind, spec.field, spec.n)
-    _require_fits(spec.m, space, spec.family in ("mn_chain", "diag_chain"))
-    form = family.sample(_rng(spec.seed), spec.n, spec.m, spec.field, spec.condition_bound)
+    _require_fits(spec.m, space, form_class in (MnChain, DiagChain))
+    sample = _SAMPLERS[form_class]
+    form = sample(_rng(spec.seed), spec.n, spec.m, spec.field, spec.condition_bound, family.positive)
     return Generated(form=form, maps=tuple(from_canonical(form, space)), space=space)

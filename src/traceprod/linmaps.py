@@ -34,6 +34,8 @@ construction.
 from __future__ import annotations
 
 import functools
+import operator
+import sys
 import warnings
 from dataclasses import dataclass, fields
 from typing import ClassVar, NamedTuple, Union
@@ -421,11 +423,21 @@ class _Form:
     it exists only over the complex field. `from_canonical` checks those, the
     parameter size and real parameters on a real space; `realisation` checks
     the parameters' structure and states the form's sides and slots, and
-    `invariants` states what makes its maps preservers.
+    `invariants` states what makes its maps preservers. Each form's `lengths`
+    are the tuple lengths m at which the paper's theorem gives it (an open
+    range stops at `sys.maxsize`, which no tuple reaches): with
+    `complex_only`, they are its hypothesis, which `admits` asks and both
+    `generate` and `decompose` route by.
     """
 
     kinds: ClassVar[frozenset] = frozenset()
     complex_only: ClassVar[bool] = False
+
+    @classmethod
+    def admits(cls, m: int, field: Field) -> bool:
+        """Whether an m-tuple over `field` meets the form's hypothesis. A range
+        tests a Python int in O(1), and any other number entry by entry."""
+        return operator.index(m) in cls.lengths and (field is Field.COMPLEX or not cls.complex_only)
 
     def __init_subclass__(cls, **kwargs):
         # each form is, as this base is, a frozen dataclass compared by identity
@@ -500,6 +512,7 @@ class MnChain(_Form):
 
     N: tuple[np.ndarray, ...]
     kinds = frozenset({SpaceKind.FULL})
+    lengths = range(3, sys.maxsize)
 
     def realisation(self, space, tol):
         invs = [_inverse(N, f"N[{i}]") for i, N in enumerate(self.N)]
@@ -513,6 +526,7 @@ class HermOdd(_Form):
     U: np.ndarray
     c: tuple[float, ...]
     kinds = frozenset({SpaceKind.HERMITIAN})
+    lengths = range(3, sys.maxsize, 2)
     complex_only = True
 
     def realisation(self, space, tol):
@@ -528,6 +542,7 @@ class HermEven(_Form):
     M: np.ndarray
     c: tuple[float, ...]
     kinds = frozenset({SpaceKind.HERMITIAN})
+    lengths = range(4, sys.maxsize, 2)
     complex_only = True
 
     def realisation(self, space, tol):
@@ -543,6 +558,7 @@ class PnPair(_Form):
     M: np.ndarray
     transpose: bool = False
     kinds = frozenset({SpaceKind.HERMITIAN})
+    lengths = range(2, 3)
     complex_only = True
 
     def realisation(self, space, tol):
@@ -555,6 +571,7 @@ class SymOdd(_Form):
     O: np.ndarray
     c: tuple[complex, ...]
     kinds = frozenset({SpaceKind.SYMMETRIC})
+    lengths = range(3, sys.maxsize, 2)
 
     def realisation(self, space, tol):
         return _scaled(space, ((self.O.T, self.O),), self.c)
@@ -569,6 +586,7 @@ class SymEven(_Form):
     M: np.ndarray
     c: tuple[complex, ...]
     kinds = frozenset({SpaceKind.SYMMETRIC})
+    lengths = range(2, sys.maxsize, 2)
 
     def realisation(self, space, tol):
         return _alternating(space, self.M, np.transpose, self.c)
@@ -582,6 +600,7 @@ class DiagPair(_Form):
 
     N: np.ndarray
     kinds = frozenset({SpaceKind.DIAGONAL})
+    lengths = range(2, 3)
 
     def realisation(self, space, tol):
         field = base_field(space)
@@ -596,6 +615,7 @@ class DiagChain(_Form):
     P: np.ndarray
     C: tuple[np.ndarray, ...]
     kinds = frozenset({SpaceKind.DIAGONAL})
+    lengths = range(3, sys.maxsize)
 
     def realisation(self, space, tol):
         P = np.round(self.P.real) + 0.0  # + 0.0 turns the -0 of a small negative entry into 0
@@ -625,6 +645,7 @@ class Hadamard(_Form):
 
     C: np.ndarray
     kinds = frozenset({SpaceKind.FULL})
+    lengths = range(2, 3)
 
     @property
     def real_family(self) -> bool:
@@ -655,6 +676,7 @@ class RankOneFrame(_Form):
 
     A: tuple[np.ndarray, ...]
     kinds = frozenset({SpaceKind.FULL})
+    lengths = range(2, 3)
 
     def realisation(self, space, tol):
         n = space.n
@@ -680,6 +702,7 @@ class NonextendableTriple(_Form):
 
     X: np.ndarray
     kinds = frozenset({SpaceKind.FULL})
+    lengths = range(3, 4)
     complex_only = True
 
     def realisation(self, space, tol):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -474,9 +475,13 @@ def _check_tol(tol) -> None:
 
 
 def _is_real(value) -> bool:
-    """Whether `value` is a real number: an int, a float, or a numpy integer
-    or floating scalar. A bool, a complex, a string or None is none."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    """Whether `value` is a real number: an int within double range, a float,
+    or a numpy integer or floating scalar. A bool, a complex, a string, None
+    or an int beyond double range, on which float() and math.isfinite raise
+    OverflowError, is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return not isinstance(value, int) or abs(value) <= sys.float_info.max
 
 
 def _count(value, what: str, label: str = "") -> int:

@@ -1107,12 +1107,17 @@ def test_power_map_refuses_a_core_that_is_not_a_linmap(core):
         PowerMap(core=core)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "x", None, "2", True, np.complex128(2)])
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), -float("inf"), "x", None, "2", True, np.complex128(2),
+     pytest.param(10**400, id="huge-int")],
+)
 @pytest.mark.parametrize("name", ["pre", "post", "scale"])
 def test_power_map_refuses_parameters_that_are_not_finite_reals(name, bad):
     # post = NaN or scale = NaN made power_map_apply return an all-NaN matrix;
-    # "2" and True were read as 2.0 and 1.0, and a numpy complex lost its
-    # imaginary part with only a ComplexWarning
+    # "2" and True were read as 2.0 and 1.0, a numpy complex lost its
+    # imaginary part with only a ComplexWarning, and an int beyond double
+    # range escaped as a bare OverflowError
     with pytest.raises(InvalidParameterError, match=f"{name} must be"):
         PowerMap(identity_map(_HERM2), **{name: bad})
 

@@ -848,6 +848,23 @@ def test_embed_extend_square_case_refuses_ill_conditioned_pair():
         embed_extend_pair(f1, f2)
 
 
+@pytest.mark.parametrize("small, refused", [(1e-15, True), (1e-13, False)])
+def test_embed_extend_refuses_a_numerically_rank_deficient_pair(small, refused):
+    # A -> N A and B -> B N^{-1} with N = diag(1, small), in the corner of M_3:
+    # the pair preserves the identity, but at 1e-15 the images of N A fall
+    # below the null-space cutoff, so the annihilator of Im phi1 is too large
+    N = np.diag([1.0, small])
+    tag = _full_tag(2)
+    f1 = _in_corner(map_from_action(tag, tag, lambda A: N @ A), 3)
+    f2 = _in_corner(map_from_action(tag, tag, lambda A: A @ np.linalg.inv(N)), 3)
+    assert check_preservation([f1, f2], mode="exhaustive").passed
+    if refused:
+        with pytest.raises(RankDeficientError, match="the maps are not injective"):
+            embed_extend_pair(f1, f2)
+    else:
+        assert check_preservation(list(embed_extend_pair(f1, f2))).passed
+
+
 def test_embed_extend_rejects_shrinking():
     f = identity_map(_full_tag(3))
     g = identity_map(_full_tag(3))

@@ -96,6 +96,8 @@ def test_generated_tuple_preserves(family, n, m, field):
         dict(family="mn_chain", n=3, m=3, condition_bound="x"),
         dict(family="mn_chain", n=3, m=3, condition_bound=None),
         dict(family="mn_chain", n=3, m=3, condition_bound=True),
+        # an int beyond double range escaped as a bare OverflowError
+        dict(family="mn_chain", n=3, m=3, condition_bound=10**400),
     ],
 )
 def test_genspec_rejects_invalid(kwargs):

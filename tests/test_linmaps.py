@@ -754,6 +754,11 @@ def test_maps_and_forms_refuse_parts_that_do_not_fit(call, error, message):
                      id="bool-complex-scalar"),
         pytest.param(lambda: SymOdd(np.eye(2), ("2", "0.5", 1)), "c must be a sequence of complex numbers",
                      id="numeric-string-complex-scalar"),
+        # an int beyond double range escaped as a bare OverflowError of float() or complex()
+        pytest.param(lambda: HermOdd(np.eye(2), (10**400, 1, 1)), "c must be a sequence of real numbers",
+                     id="huge-int-real-scalar"),
+        pytest.param(lambda: SymOdd(np.eye(2), (10**400, 1, 1)), "c must be a sequence of complex numbers",
+                     id="huge-int-complex-scalar"),
         pytest.param(lambda: MnChain(([["1", "0"], ["0", "1"]],)), "N[0] must be a square matrix of numbers",
                      id="numeric-string-matrix"),
         pytest.param(lambda: MnChain((np.eye(2, dtype=bool),)), "N[0] must be a square matrix of numbers",

@@ -531,13 +531,16 @@ _TOL_CALLS = {
 
 
 @pytest.mark.parametrize(
-    "tol", [float("nan"), float("inf"), -1.0, "1e-9", True, None], ids=["nan", "inf", "negative", "string", "bool", "None"]
+    "tol",
+    [float("nan"), float("inf"), -1.0, "1e-9", True, None, 10**400],
+    ids=["nan", "inf", "negative", "string", "bool", "None", "huge-int"],
 )
 @pytest.mark.parametrize("call", list(_TOL_CALLS.values()), ids=list(_TOL_CALLS))
 def test_tolerance_not_finite_and_nonnegative_is_an_input_error(call, tol):
     # a NaN tol turned off the check it sets: every `deviation > tol` read false,
     # so off-span images, inconsistent samples and a non-unitary U all passed;
-    # a string or None escaped as a bare TypeError, and True was read as 1
+    # a string or None escaped as a bare TypeError, True was read as 1, and an
+    # int beyond double range escaped as a bare OverflowError
     with pytest.raises(InvalidParameterError, match="tol must be finite and nonnegative"):
         call(tol)
 
