@@ -1,10 +1,11 @@
 """Recover canonical parameters from tuples of maps satisfying the trace identity.
 
-`decompose` runs one pipeline for every family of the table `_DECOMPOSERS`,
-which names the canonical forms each family returns: their span `kinds` fix
-its spans and field (a Hermitian span is complex), their `admits` (the
-theorem's hypothesis on length and field) the tuples it takes, and "auto"
-takes the first family on the tuple's span that admits it. The pipeline checks
+`decompose` routes as `generate` does. A family of the table `_DECOMPOSERS`
+names the canonical forms it returns, whose span `kinds` fix its spans and
+field (a Hermitian span is complex); the first of them that `admits` the
+tuple (the theorem's hypothesis on length and field) is recovered by its
+class's one recovery in `_RECOVER`. "auto" picks the family by the tuple's
+span and length (`_resolve`). The pipeline checks
 the domain and the tuple length, recovers the canonical parameters
 (conjugating matrices, scalars, permutations) with the family's gauge fixed
 deterministically, and rebuilds the maps from them. Each recovery only reads:
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .errors import (
 )
 from .extend import (
     PreservationReport,
+    _map_list,
     _require_maps,
     _require_passed,
     check_preservation,
@@ -67,6 +69,7 @@ from .linmaps import (
     _apply_coords,
     _as_param,
     _congruence_transfer,
+    _first_admitting,
     _gather,
     _inverse,
     _row_blocks,
@@ -346,7 +349,7 @@ def _normalized_conjugator(maps, space: SpaceTag) -> tuple[list, np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
-def _recover_mn_chain(maps, dom: SpaceTag) -> tuple:
+def _recover_mn_chain(cls, maps, dom: SpaceTag) -> tuple:
     # f_1(I)^{-1} f_1 conjugates by N_2; N_1 = f_1(I) N_2, N_{i+1} = f_i(I)^{-1} N_i
     phiI, N, _ = _normalized_conjugator(maps, dom)
     Ns = [phiI[0] @ N, N]
@@ -407,13 +410,11 @@ def _alternating_params(W: np.ndarray, phiI, adjoint) -> tuple[np.ndarray, list]
     return M, c
 
 
-def _recover_chain(maps, dom: SpaceTag) -> tuple:
-    # the span picks the adjoint, the gauge and the family, whose form that admits the
-    # tuple picks N^{-1}: the isometry (HermOdd, SymOdd) or the congruence M, up to scale
-    herm = span_of(dom).kind is SpaceKind.HERMITIAN
+def _recover_chain(cls, maps, dom: SpaceTag) -> tuple:
+    # the class picks the adjoint, the gauge and N^{-1}: the isometry (HermOdd,
+    # SymOdd) or the congruence M, up to scale
+    herm = cls in (HermOdd, HermEven)
     adjoint = _adjoint if herm else np.transpose
-    forms = _DECOMPOSERS["hermitian" if herm else "symmetric"].forms
-    cls = next(form for form in forms if form.admits(len(maps), dom.field))
     phiI, _, W = _normalized_conjugator(maps, dom)
     if cls in (HermOdd, SymOdd):
         mat = _isometry(W, adjoint, _phase_fix if herm else _sign_fix)
@@ -463,7 +464,7 @@ def decompose_symmetric(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
-def _recover_pn_pair(maps, dom: SpaceTag) -> tuple:
+def _recover_pn_pair(cls, maps, dom: SpaceTag) -> tuple:
     n = dom.n
     # S^{-1/2} on both sides: at cond M = 1e3 it certified 18 of 18 pairs, an explicit S^{-1} on one side 8
     S = _map_at_identity(maps[0])
@@ -518,7 +519,7 @@ def decompose_pn_chain(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
-def _recover_diag_pair(maps, dom: SpaceTag) -> tuple:
+def _recover_diag_pair(cls, maps, dom: SpaceTag) -> tuple:
     return DiagPair(np.array(maps[0].transfer)), "parameters unique: N is the transfer of f_1"
 
 
@@ -531,7 +532,7 @@ def decompose_diag_pair(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
     return decompose(maps, family="diag_pair", tol=tol)
 
 
-def _recover_diag_chain(maps, dom: SpaceTag) -> tuple:
+def _recover_diag_chain(cls, maps, dom: SpaceTag) -> tuple:
     # f_1's largest entry in column i sits in row sigma[i]; every C_i is read
     # at that pattern, and the rebuild judges whether the pattern holds
     n = dom.n
@@ -557,69 +558,65 @@ def decompose_diag_chain(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """A decompose family: the form classes it returns, the error for a tuple
-    that none of them admits, and the recovery `(maps, domain) -> (form,
-    gauge_note)` of its form. A recovery checks nothing: its note states the
-    gauge, plus pn_pair's two branch deviations. pn_chain has no recovery of
-    its own: `_resolve` routes it to another family. The span kinds its maps
-    need (`kinds`) are the union of its forms'; a Hermitian span is complex,
-    so they also pin the field of the complex-only forms."""
+    that none of them admits, and whether it is the cone's (`positive`, as in
+    `families._Family`), whose chains need positive scalars. The span kinds
+    its maps need (`kinds`) are the union of its forms'; a Hermitian span is
+    complex, so they also pin the field of the complex-only forms."""
 
     forms: tuple
     length_error: str
-    recover: Callable | None
-    kinds: frozenset = field(init=False)
+    positive: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "kinds", frozenset().union(*(form.kinds for form in self.forms)))
-
-    def admits(self, m: int, field: Field) -> bool:
-        """Whether one of its forms admits an m-tuple over `field` (`_Form.admits`)."""
-        return any(form.admits(m, field) for form in self.forms)
+    @property
+    def kinds(self) -> frozenset:
+        return frozenset().union(*(form.kinds for form in self.forms))
 
 
-# "auto" takes the first family with a recovery on a span that admits the
-# tuple, so pn_pair comes before hermitian
 _DECOMPOSERS = {
-    "mn_chain": _Family((MnChain,), "chains on full matrix spaces need at least 3 maps", _recover_mn_chain),
-    "pn_pair": _Family((PnPair,), "this family is a pair; longer chains go to decompose_pn_chain", _recover_pn_pair),
+    "mn_chain": _Family((MnChain,), "chains on full matrix spaces need at least 3 maps"),
+    "pn_pair": _Family((PnPair,), "this family is a pair; longer chains go to decompose_pn_chain"),
     "hermitian": _Family(
-        (HermOdd, HermEven), "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair", _recover_chain
+        (HermOdd, HermEven), "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair"
     ),
-    "pn_chain": _Family((PnPair, HermOdd, HermEven, SymOdd, SymEven), "need at least a pair", None),
-    "symmetric": _Family((SymOdd, SymEven), "need at least a pair", _recover_chain),
-    "diag_pair": _Family((DiagPair,), "diagonal pairs have exactly 2 maps", _recover_diag_pair),
-    "diag_chain": _Family(
-        (DiagChain,), "diagonal chains need at least 3 maps; pairs go to decompose_diag_pair", _recover_diag_chain
-    ),
+    "pn_chain": _Family((PnPair, HermOdd, HermEven, SymOdd, SymEven), "need at least a pair", positive=True),
+    "symmetric": _Family((SymOdd, SymEven), "need at least a pair"),
+    "diag_pair": _Family((DiagPair,), "diagonal pairs have exactly 2 maps"),
+    "diag_chain": _Family((DiagChain,), "diagonal chains need at least 3 maps; pairs go to decompose_diag_pair"),
+}
+
+# one recovery per form class, as `families._SAMPLERS` has one sampler:
+# (cls, maps, domain) -> (form, gauge_note). A recovery checks nothing: its
+# note states the gauge, plus pn_pair's two branch deviations.
+_RECOVER = {
+    MnChain: _recover_mn_chain,
+    PnPair: _recover_pn_pair,
+    **dict.fromkeys((HermOdd, HermEven, SymOdd, SymEven), _recover_chain),
+    DiagPair: _recover_diag_pair,
+    DiagChain: _recover_diag_chain,
 }
 
 
-def _resolve(family: str, dom: SpaceTag, m: int) -> str:
-    """The family that "auto" or "pn_chain" stands for on an m-tuple on `dom`.
-
-    "auto" sends a definite cone to pn_chain. Otherwise it takes the first
-    family with a recovery on the span of `dom` (for pn_chain, the cone's
-    span over its field) that admits an m-tuple over the field of `dom`, or
-    else the last such family, whose length error the caller raises.
-    """
-    if family == "auto" and dom.kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF):
+def _resolve(dom: SpaceTag, m: int) -> str:
+    """The family that "auto" stands for on an m-tuple on `dom`: pn_chain on a
+    definite cone, else the first other family on the span of `dom` that
+    admits the tuple, or the last, whose length error the caller raises."""
+    if dom.kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF):
         return "pn_chain"
-    kind = span_of(dom if family == "auto" else SpaceTag(SpaceKind.POSDEF, dom.field, dom.n)).kind
-    names = [name for name, spec in _DECOMPOSERS.items() if spec.recover is not None and kind in spec.kinds]
-    return next((name for name in names if _DECOMPOSERS[name].admits(m, dom.field)), names[-1])
+    names = [name for name, spec in _DECOMPOSERS.items() if not spec.positive and span_of(dom).kind in spec.kinds]
+    return next((name for name in names if _first_admitting(_DECOMPOSERS[name].forms, m, dom.field)), names[-1])
 
 
 def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> DecompositionResult:
-    """Decompose a tuple of maps as `family`, or, when family == "auto", as
-    the family that `_resolve` picks from the domain and the length.
+    """Decompose a tuple of maps as `family` ("auto": by its domain and
+    length), by the recovery of the family's first form that admits it.
 
-    The checks run in a fixed order: `tol` (finite, nonnegative) and the
-    family name, the domain (one shared space of the family's span kinds;
-    for pn_chain also those of the family it routes to) and the
-    length. Then the form is recovered and rebuilt once: recovery reads the
+    The checks run in a fixed order: `tol` (finite, nonnegative), the
+    family name, the maps (an iterable of LinMaps), the domain (one shared
+    space of the family's span kinds), the length, and the span kinds of the
+    form that admits the tuple (so pn_chain refuses complex symmetric maps).
+    Then the form is recovered and rebuilt once: recovery reads the
     parameters off the maps and leaves every structural verdict to the
     rebuild. When recovery or the rebuild fails, the identity check runs
     first, so a tuple that breaks the identity raises PreservationError. Any
@@ -637,29 +634,26 @@ def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> Decomposi
     The result's `diagnostics` record the certificate and the check.
     """
     _check_tol(tol)
-    if family != "auto" and family not in _DECOMPOSERS:
+    if not (isinstance(family, str) and (family == "auto" or family in _DECOMPOSERS)):
         raise InvalidParameterError(
             f"unknown family {family!r}; expected one of {sorted(_DECOMPOSERS)} or 'auto'"
         )
+    maps = _map_list(maps)
     _require_maps(maps)
     m = len(maps)
-    name = _resolve(family, maps[0].domain, m) if family == "auto" else family
-    cone = False
-    while True:
-        spec = _DECOMPOSERS[name]
-        dom = _validate_tuple_on(maps, spec.kinds)
-        if not spec.admits(m, dom.field):
-            raise NotApplicableError(spec.length_error)
-        if spec.recover is not None:
-            break
-        name, cone = _resolve(name, dom, m), True  # pn_chain, whose chains need positive scalars
+    spec = _DECOMPOSERS[_resolve(maps[0].domain, m) if family == "auto" else family]
+    dom = _validate_tuple_on(maps, spec.kinds)
+    cls = _first_admitting(spec.forms, m, dom.field)
+    if cls is None:
+        raise NotApplicableError(spec.length_error)
+    _validate_tuple_on(maps, cls.kinds)
     # the one identity check: the rebuild runs it at the first block that
     # rules out the certificate, and a later call reads the same report
     precheck = functools.cache(lambda: _precheck(maps))
     # a tuple far from any preserver may overflow here; its residual reads inf
     with np.errstate(all="ignore"):
         try:
-            form, note = spec.recover(maps, dom)
+            form, note = _RECOVER[cls](cls, maps, dom)
             delta, worst = _rebuild(form, dom, maps, precheck)
         except PreservationError:
             raise  # from the rebuild's check, which a second call would repeat
@@ -677,8 +671,9 @@ def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> Decomposi
         raise CanonicalStructureError(
             f"the recovered {type(form).__name__} rebuilds the maps only to {worst:.3g}, above tol {tol:.3g}"
         )
-    # every cone route realises its scalars (SymOdd and SymEven hold them as complex), so only the sign decides
-    if cone and name != "pn_pair" and any(x.real <= 0 for x in form.c):
+    # PnPair has no scalars; every other cone form realises its scalars (SymOdd
+    # and SymEven hold them as complex), so only the sign decides
+    if spec.positive and cls is not PnPair and any(x.real <= 0 for x in form.c):
         raise CanonicalStructureError(
             f"the recovered scalars must be positive to preserve the definite cone, got {form.c}"
         )

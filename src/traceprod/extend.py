@@ -110,6 +110,15 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return res
 
 
+def _map_list(maps) -> list:
+    """`maps`, any iterable of them, as a list; anything else is an InvalidParameterError."""
+    try:
+        items = iter(maps)
+    except TypeError:
+        raise InvalidParameterError(f"maps must be an iterable of maps, got {type(maps).__name__}") from None
+    return list(items)
+
+
 def _require_maps(maps, kinds: tuple = (LinMap,)) -> None:
     """Refuse an empty tuple, or one holding anything but instances of `kinds`."""
     if not maps:
@@ -180,9 +189,11 @@ def check_preservation(
     _check_tol(tol)
     _check_seed(seed)
     trials = _count(trials, "trials")
-    maps = list(maps)
+    maps = _map_list(maps)
     n, _ = _validate_tuple(maps)
     if sample_space is not None:
+        if not isinstance(sample_space, SpaceTag):
+            raise InvalidParameterError(f"sample_space must be a SpaceTag, got {type(sample_space).__name__}")
         if sample_space.n != n:
             raise DimensionMismatchError(f"sample_space has n={sample_space.n}, maps expect {n}")
         for f in maps:

@@ -27,6 +27,7 @@ from .linmaps import (
     RankOneFrame,
     SymEven,
     SymOdd,
+    _first_admitting,
     _inverse,
     from_canonical,
 )
@@ -72,7 +73,7 @@ class GenSpec:
             raise InvalidParameterError("condition_bound must be at least 1")
         _check_seed(self.seed)
         forms = _FAMILY_TABLE[self.family].forms
-        if not any(form.admits(self.m, self.field) for form in forms):
+        if _first_admitting(forms, self.m, self.field) is None:
             raise InvalidParameterError(f"{self.family} needs {', or '.join(map(_hypothesis, forms))}")
         # two rules that are no form's hypothesis: complex symmetric pairs are
         # not canonical, though decompose takes them as SymEven; and the
@@ -341,7 +342,7 @@ def generate(spec: GenSpec) -> Generated:
     A tuple whose maps cannot fit in physical memory is refused first
     (InvalidParameterError)."""
     family = _FAMILY_TABLE[spec.family]
-    form_class = next(form for form in family.forms if form.admits(spec.m, spec.field))
+    form_class = _first_admitting(family.forms, spec.m, spec.field)
     space = SpaceTag(family.kind, spec.field, spec.n)
     _require_fits(spec.m, space, form_class in (MnChain, DiagChain))
     sample = _SAMPLERS[form_class]

@@ -427,7 +427,7 @@ class _Form:
     are the tuple lengths m at which the paper's theorem gives it (an open
     range stops at `sys.maxsize`, which no tuple reaches): with
     `complex_only`, they are its hypothesis, which `admits` asks and both
-    `generate` and `decompose` route by.
+    `generate` and `decompose` route by (`_first_admitting`).
     """
 
     kinds: ClassVar[frozenset] = frozenset()
@@ -743,6 +743,11 @@ FORMS = (
 )
 
 CanonicalForm = Union[FORMS]
+
+
+def _first_admitting(forms, m: int, field: Field):
+    """The first of `forms` that admits an m-tuple over `field`, or None."""
+    return next((form for form in forms if form.admits(m, field)), None)
 
 
 def _validated(form: CanonicalForm, space: SpaceTag, tol: float) -> _Realisation:

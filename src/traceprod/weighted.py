@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, PositivityError
-from .extend import CheckMode, PreservationReport, _require_maps, _residuals, extend_from_subset
+from .extend import CheckMode, PreservationReport, _map_list, _require_maps, _residuals, extend_from_subset
 from .linmaps import HermEven, HermOdd, LinMap, apply_batch, from_canonical
 from .spaces import (
     DEFAULT_TOL, POWER_FLOOR, REDUCTION_FLOOR, WEIGHTED_TOL,
@@ -221,7 +221,7 @@ def verify_weighted(
     """
     _check_tol(tol)
     trials = _count(trials, "trials")
-    maps = list(maps)
+    maps = _map_list(maps)
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)
     _require_maps(maps, (LinMap, PowerMap))
@@ -312,7 +312,7 @@ def weighted_reduction(maps, alpha, beta, tol: float = WEIGHTED_TOL, seed: int =
     nonzero.
     """
     _check_tol(tol)
-    maps = list(maps)
+    maps = _map_list(maps)
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)
     _require_maps(maps, (LinMap, PowerMap))

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import importlib
+import re
 import tracemalloc
 import warnings
 
@@ -50,6 +51,7 @@ from traceprod import (
     recover_conjugator,
     reshuffled_transfer_rank,
     space_basis,
+    span_of,
     verify_weighted,
     weighted_canonical_maps,
     weighted_reduction,
@@ -63,6 +65,7 @@ from traceprod.decompose import (
     _unit_columns,
 )
 from traceprod.families import haar_orthogonal, haar_unitary
+from traceprod.linmaps import _first_admitting
 from conftest import basis_stack, ill_conditioned_diag_preservers, move_first_transfer
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
@@ -364,6 +367,14 @@ def test_decompose_dispatcher_family_override():
         decompose(gen.maps, family="no_such_family")
 
 
+@pytest.mark.parametrize("family", [["x"], {"mn_chain": 1}, ("mn_chain",), None, 3])
+def test_decompose_refuses_a_family_that_is_no_name(family):
+    # an unhashable family raised a bare TypeError from the table lookup
+    maps = generate(GenSpec(family="diag_pair", n=2, m=2, seed=0)).maps
+    with pytest.raises(InvalidParameterError, match=f"^unknown family {re.escape(repr(family))}; expected one of"):
+        decompose(maps, family=family)
+
+
 def test_decompose_precheck_rejects_broken_tuple():
     f = LinMap(C2, C2, 2.0 * np.eye(4))
     maps = [f, identity_map(C2), identity_map(C2)]
@@ -485,15 +496,110 @@ def test_auto_routes_cover_every_space_kind_and_field():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind, fd", list(_AUTO_ROUTES), ids=lambda v: v.value)
 def test_auto_routes_identity_maps_by_span_field_and_length(kind, fd, m):
-    space = SpaceTag(kind, fd, 2)
-    maps = [identity_map(space)] * m
-    expected = _AUTO_ROUTES[kind, fd][m - 1]
+    _assert_route([identity_map(SpaceTag(kind, fd, 2))] * m, "auto", _AUTO_ROUTES[kind, fd][m - 1])
+
+
+def _assert_route(maps, family: str, expected) -> None:
+    """decompose(maps, family) returns a form of the class `expected`, or
+    raises the error `expected`; a message alone is a NotApplicableError's."""
+    if isinstance(expected, type):
+        assert type(decompose(maps, family=family).form) is expected
+        return
     if isinstance(expected, str):
-        with pytest.raises(NotApplicableError) as err:
-            decompose(maps)
-        assert str(err.value) == expected
-    else:
-        assert type(decompose(maps).form) is expected
+        expected = NotApplicableError(expected)
+    with pytest.raises(type(expected)) as err:
+        decompose(maps, family=family)
+    assert type(err.value) is type(expected) and str(err.value) == str(expected)
+
+
+_PAIR_ONLY = "this family is a pair; longer chains go to decompose_pn_chain"
+_HERM_SHORT = "Hermitian chains need at least 3 maps; pairs belong to decompose_pn_pair"
+_DIAG_PAIR_ONLY = "diagonal pairs have exactly 2 maps"
+_DIAG_SHORT = "diagonal chains need at least 3 maps; pairs go to decompose_diag_pair"
+_COMPLEX_HERM = (SpaceKind.HERMITIAN, Field.COMPLEX)
+# the span kinds that each named family's refusal of another span lists
+_NAMED_KINDS = {
+    "mn_chain": "['FullMatrix']",
+    "pn_pair": "['Hermitian']",
+    "hermitian": "['Hermitian']",
+    "pn_chain": "['Hermitian', 'Symmetric']",
+    "symmetric": "['Symmetric']",
+    "diag_pair": "['Diagonal']",
+    "diag_chain": "['Diagonal']",
+}
+# what each named family makes of m = 1, 2, 3, 4 identity maps at n = 2 on
+# each span it takes, keyed by the span's kind and field (`span_of`), as in
+# `_AUTO_ROUTES`. On any other span it raises, at every m, the
+# InvalidParameterError "maps act on <span kind>, expected one of
+# <_NAMED_KINDS[family]>". pn_chain takes complex symmetric maps only to
+# refuse them by the span of the Hermitian form that admits the length.
+_NAMED_ROUTES = {
+    "mn_chain": {(SpaceKind.FULL, fd): (_FULL_SHORT, _FULL_SHORT, MnChain, MnChain) for fd in Field},
+    "pn_pair": {_COMPLEX_HERM: (_PAIR_ONLY, PnPair, _PAIR_ONLY, _PAIR_ONLY)},
+    "hermitian": {_COMPLEX_HERM: (_HERM_SHORT, _HERM_SHORT, HermOdd, HermEven)},
+    "pn_chain": {
+        _COMPLEX_HERM: _CONE_ROUTE,
+        (SpaceKind.SYMMETRIC, Field.REAL): _SYM_ROUTE,
+        (SpaceKind.SYMMETRIC, Field.COMPLEX): (
+            "need at least a pair", *[InvalidParameterError("maps act on Symmetric, expected one of ['Hermitian']")] * 3
+        ),
+    },
+    "symmetric": {(SpaceKind.SYMMETRIC, fd): _SYM_ROUTE for fd in Field},
+    "diag_pair": {(SpaceKind.DIAGONAL, fd): (_DIAG_PAIR_ONLY, DiagPair, _DIAG_PAIR_ONLY, _DIAG_PAIR_ONLY) for fd in Field},
+    "diag_chain": {(SpaceKind.DIAGONAL, fd): (_DIAG_SHORT, _DIAG_SHORT, DiagChain, DiagChain) for fd in Field},
+}
+
+
+def test_named_routes_cover_every_decompose_family():
+    assert set(_NAMED_ROUTES) == set(_NAMED_KINDS) == set(_DECOMPOSE._DECOMPOSERS)
+
+
+@pytest.mark.parametrize("kind, fd", list(_AUTO_ROUTES), ids=lambda v: v.value)
+@pytest.mark.parametrize("family", sorted(_NAMED_ROUTES))
+def test_named_family_routes_identity_maps_by_span_field_and_length(family, kind, fd):
+    space = SpaceTag(kind, fd, 2)
+    span = span_of(space)
+    refusal = InvalidParameterError(f"maps act on {span.kind.value}, expected one of {_NAMED_KINDS[family]}")
+    for m, expected in enumerate(_NAMED_ROUTES[family].get((span.kind, span.field), [refusal] * 4), 1):
+        _assert_route([identity_map(space)] * m, family, expected)
+
+
+def test_every_form_a_family_returns_has_one_recovery():
+    served = {form for spec in _DECOMPOSE._DECOMPOSERS.values() for form in spec.forms}
+    assert set(_DECOMPOSE._RECOVER) == served
+
+
+_CONE = SpaceTag(SpaceKind.POSDEF, Field.COMPLEX, 2)
+# each function that takes a tuple of maps, called on the tuple `maps`
+_MAP_READERS = {
+    "decompose": decompose,
+    **{f"decompose_{name}": getattr(traceprod, f"decompose_{name}") for name in sorted(_DECOMPOSE._DECOMPOSERS)},
+    "check_preservation": lambda maps: check_preservation(maps, trials=8),
+    "verify_weighted": lambda maps: verify_weighted(maps, (1.0, 1.0), (1.0, 1.0), trials=8),
+    "weighted_reduction": lambda maps: weighted_reduction(maps, (1.0, 1.0), (1.0, 1.0)),
+}
+# a tuple of identity maps that each of them takes: a pair on the complex cone unless named here
+_READER_TUPLES = {
+    "decompose_mn_chain": [identity_map(C2)] * 3,
+    "decompose_hermitian": [identity_map(_CONE)] * 3,
+    "decompose_symmetric": [identity_map(SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, 2))] * 2,
+    "decompose_diag_pair": [identity_map(SpaceTag(SpaceKind.DIAGONAL, Field.REAL, 2))] * 2,
+    "decompose_diag_chain": [identity_map(SpaceTag(SpaceKind.DIAGONAL, Field.REAL, 2))] * 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MAP_READERS))
+def test_every_map_reader_takes_an_iterator_and_refuses_a_non_iterable(name):
+    # decompose and its families called len() on an iterator, and all four
+    # functions raised a bare TypeError on a number
+    call = _MAP_READERS[name]
+    maps = _READER_TUPLES.get(name, [identity_map(_CONE)] * 2)
+    listed, streamed = call(list(maps)), call(iter(maps))
+    assert type(streamed) is type(listed)
+    if isinstance(listed, DecompositionResult):
+        assert type(streamed.form) is type(listed.form) and streamed.diagnostics == listed.diagnostics
+    with pytest.raises(InvalidParameterError, match="^maps must be an iterable of maps, got int$"):
+        call(5)
 
 
 # the generator families that no decompose family serves, and what "auto"
@@ -720,8 +826,7 @@ def test_decompose_form_off_its_invariants_runs_precheck(monkeypatch):
     # a recovery returning the very form the maps came from rebuilds them
     # exactly, but that U is not unitary, so the rebuild certifies nothing
     form, maps = _off_unitary_tuple()
-    spec = dataclasses.replace(_DECOMPOSE._DECOMPOSERS["hermitian"], recover=lambda maps, dom: (form, "given"))
-    monkeypatch.setitem(_DECOMPOSE._DECOMPOSERS, "hermitian", spec)
+    monkeypatch.setitem(_DECOMPOSE._RECOVER, HermOdd, lambda cls, maps, dom: (form, "given"))
     calls = _count_prechecks(monkeypatch)
     res = decompose(maps)
     assert res.diagnostics["rebuild_delta"] == 0.0
@@ -732,10 +837,8 @@ def test_decompose_form_off_its_invariants_runs_precheck(monkeypatch):
 def _recovered(maps):
     """The form that decompose, with family "auto", recovers from `maps`."""
     dom, m = maps[0].domain, len(maps)
-    family = _DECOMPOSE._resolve("auto", dom, m)
-    if family == "pn_chain":
-        family = _DECOMPOSE._resolve(family, dom, m)
-    return _DECOMPOSE._DECOMPOSERS[family].recover(maps, dom)[0]
+    cls = _first_admitting(_DECOMPOSE._DECOMPOSERS[_DECOMPOSE._resolve(dom, m)].forms, m, dom.field)
+    return _DECOMPOSE._RECOVER[cls](cls, maps, dom)[0]
 
 
 def _blocks_before_precheck(monkeypatch) -> tuple[list, list]:
@@ -1579,8 +1682,7 @@ def test_rebuild_whose_difference_overflows_never_certifies(monkeypatch):
         delta, worst = _DECOMPOSE._rebuild(form, tag, maps)
     # |F|_F overflows too, and inf / inf is NaN, as np.linalg.norm reads it
     assert np.isnan(delta) and worst == np.inf
-    spec = dataclasses.replace(_DECOMPOSE._DECOMPOSERS["diag_pair"], recover=lambda maps, dom: (form, "given"))
-    monkeypatch.setitem(_DECOMPOSE._DECOMPOSERS, "diag_pair", spec)
+    monkeypatch.setitem(_DECOMPOSE._RECOVER, DiagPair, lambda cls, maps, dom: (form, "given"))
     calls = _count_prechecks(monkeypatch)
     with pytest.raises(PreservationError):
         decompose(maps)

@@ -460,6 +460,10 @@ _C3 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 3)
             lambda: check_preservation([identity_map(C2)] * 2, sample_space=_C3),
             DimensionMismatchError, "sample_space has n=3, maps expect 2", id="sample-space-size",
         ),
+        pytest.param(  # a name was read as a tag, and its missing `n` raised AttributeError
+            lambda: check_preservation([identity_map(C2)] * 2, sample_space="PosDef"),
+            InvalidParameterError, "sample_space must be a SpaceTag, got str", id="sample-space-not-a-tag",
+        ),
         pytest.param(lambda: extend_from_subset(C2, C2, []), InvalidParameterError, "no samples given", id="no-samples"),
         pytest.param(
             lambda: extend_from_subset(C2, C2, [(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))]),
