@@ -29,7 +29,7 @@ def test_identity_grid_prints_one_outcome_per_case_and_repeats_from_a_named_tree
         "NotApplicableError: chains on full matrix spaces need at least 3 maps"
     )
     assert cases["identity Symmetric complex m=2 pn_chain"] == (
-        "InvalidParameterError: maps act on Symmetric, expected one of ['Hermitian']"
+        "InvalidParameterError: maps act on Symmetric, expected one of ['Hermitian'] over the complex field"
     )
     assert re.fullmatch("[0-9a-f]{64}", cases["identity FullMatrix complex m=3 mn_chain"])
     assert _identity_grid("--tree", str(HERE.parent)) == lines

@@ -1,30 +1,31 @@
 """Recover canonical parameters from tuples of maps satisfying the trace identity.
 
 `decompose` routes as `generate` does. A family of the table `_DECOMPOSERS`
-names the canonical forms it returns, whose span `kinds` fix its spans and
-field (a Hermitian span is complex); the first of them that `admits` the
-tuple (the theorem's hypothesis on length and field) is recovered by its
-class's one recovery in `_RECOVER`. "auto" picks the family by the tuple's
-span and length (`_resolve`). The pipeline checks
-the domain and the tuple length, recovers the canonical parameters
-(conjugating matrices, scalars, permutations) with the family's gauge fixed
-deterministically, and rebuilds the maps from them. Each recovery only reads:
-it solves against f_i(I) unjudged, since the parameters behind it are judged by
-`from_canonical` inside the rebuild, and refuses only a tuple with no usable
-conjugator column or, on pn_pair, an f_1(I) with no positive square root.
-Every other verdict and deviation comes from the rebuild and the result's
-`diagnostics`; the gauge note states the gauge fixed. A conjugator N is read
-off the n images of one unit column of the maps' own span (`_read_conjugator`),
-and the rebuild, the one full-basis pass, verifies it. Every chain, on M_n,
-Hermitian or symmetric matrices, reads it off f_1(I)^{-1} f_1
-(`_normalized_conjugator`); Hermitian and symmetric chains share one recovery.
-A rebuild within rounding (`CERTIFY_TOL`) of the input, from a form that meets
-its own invariants, certifies the tuple, since every tuple of canonical shape
-satisfies the identity. Only a tuple the rebuild does not certify, or whose
-recovery fails, pays for the randomized identity check (PreservationError);
-other failures raise CanonicalStructureError. The check runs at the first
-rebuild block whose miss rules out the certificate, so a tuple that fails it is
-never rebuilt in full.
+names the canonical forms it returns and the spans its maps act on
+(`_Family.spans`); the first of its forms that `admits` the tuple (the
+theorem's hypothesis on length and field) is recovered by its class's one
+recovery in `_RECOVER`. "auto" picks the family by the tuple's span and length
+(`_resolve`). The pipeline checks the domain and the tuple length, recovers the
+canonical parameters (conjugating matrices, scalars, permutations) with the
+family's gauge fixed deterministically, and rebuilds the maps from them. Each
+recovery only reads: it solves against f_i(I) unjudged, since the parameters
+behind it are judged by `from_canonical` inside the rebuild, and refuses only a
+tuple with no usable conjugator column or, on pn_pair, an f_1(I) with no
+positive square root. Every other verdict and deviation comes from the rebuild
+and the result's `diagnostics`; the gauge note states the gauge fixed. A
+conjugator N is read off the n images of one unit column of the maps' own span
+(`_read_conjugator`), and the rebuild verifies it on the whole basis. The other
+full-transfer reads, f_1(I) ... f_{m-1}(I), are bit for bit `apply_batch`'s
+value (`_map_at_identity`): an ulp there moves some tuples across
+`CERTIFY_TOL`. Every chain, on M_n, Hermitian or symmetric matrices, reads N
+off f_1(I)^{-1} f_1 (`_normalized_conjugator`); Hermitian and symmetric chains
+share one recovery. A rebuild within rounding (`CERTIFY_TOL`) of the input,
+from a form that meets its own invariants, certifies the tuple, since every
+tuple of canonical shape satisfies the identity. Only a tuple the rebuild does
+not certify, or whose recovery fails, pays for the randomized identity check
+(PreservationError); other failures raise CanonicalStructureError. The check
+runs at the first rebuild block whose miss rules out the certificate, so a
+tuple that fails it is never rebuilt in full.
 Each `decompose_<family>` is `decompose` with that family.
 
 Also here: the rank / best-fit diagnostics used as negative controls. The
@@ -116,15 +117,16 @@ class DecompositionResult:
     diagnostics: Mapping = field(default_factory=dict)
 
 
-def _validate_tuple_on(maps, kinds) -> SpaceTag:
+def _validate_tuple_on(maps, spec: _Family) -> SpaceTag:
     dom = maps[0].domain
     for f in maps:
         if f.domain != dom or f.codomain != dom:
             raise DimensionMismatchError("all maps must be endomorphisms of one shared space")
+    kinds = spec.spans(dom.field)
     if span_of(dom).kind not in kinds:
+        over = f" over the {dom.field.value} field" if spec.positive else ""
         raise InvalidParameterError(
-            f"maps act on {span_of(dom).kind.value}, expected one of "
-            f"{sorted(k.value for k in kinds)}"
+            f"maps act on {span_of(dom).kind.value}, expected one of {sorted(k.value for k in kinds)}{over}"
         )
     return dom
 
@@ -561,16 +563,17 @@ def decompose_diag_chain(maps, tol: float = REBUILD_TOL) -> DecompositionResult:
 class _Family(NamedTuple):
     """A decompose family: the form classes it returns, the error for a tuple
     that none of them admits, and whether it is the cone's (`positive`, as in
-    `families._Family`), whose chains need positive scalars. The span kinds
-    its maps need (`kinds`) are the union of its forms'; a Hermitian span is
-    complex, so they also pin the field of the complex-only forms."""
+    `families._Family`), whose chains need positive scalars. Its maps act on
+    `spans(field)`, the definite cone's span over `field` for the cone's
+    family and else its forms' kinds: every form it returns acts there."""
 
     forms: tuple
     length_error: str
     positive: bool = False
 
-    @property
-    def kinds(self) -> frozenset:
+    def spans(self, field: Field) -> frozenset:
+        if self.positive:
+            return frozenset({span_of(SpaceTag(SpaceKind.POSDEF, field, 1)).kind})
         return frozenset().union(*(form.kinds for form in self.forms))
 
 
@@ -604,7 +607,8 @@ def _resolve(dom: SpaceTag, m: int) -> str:
     admits the tuple, or the last, whose length error the caller raises."""
     if dom.kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF):
         return "pn_chain"
-    names = [name for name, spec in _DECOMPOSERS.items() if not spec.positive and span_of(dom).kind in spec.kinds]
+    kind = span_of(dom).kind
+    names = [name for name, spec in _DECOMPOSERS.items() if not spec.positive and kind in spec.spans(dom.field)]
     return next((name for name in names if _first_admitting(_DECOMPOSERS[name].forms, m, dom.field)), names[-1])
 
 
@@ -614,8 +618,8 @@ def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> Decomposi
 
     The checks run in a fixed order: `tol` (finite, nonnegative), the
     family name, the maps (an iterable of LinMaps), the domain (one shared
-    space of the family's span kinds), the length, and the span kinds of the
-    form that admits the tuple (so pn_chain refuses complex symmetric maps).
+    space of the family's `spans` over its field, so pn_chain refuses complex
+    symmetric maps and names the field) and the length.
     Then the form is recovered and rebuilt once: recovery reads the
     parameters off the maps and leaves every structural verdict to the
     rebuild. When recovery or the rebuild fails, the identity check runs
@@ -642,11 +646,10 @@ def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> Decomposi
     _require_maps(maps)
     m = len(maps)
     spec = _DECOMPOSERS[_resolve(maps[0].domain, m) if family == "auto" else family]
-    dom = _validate_tuple_on(maps, spec.kinds)
+    dom = _validate_tuple_on(maps, spec)
     cls = _first_admitting(spec.forms, m, dom.field)
     if cls is None:
         raise NotApplicableError(spec.length_error)
-    _validate_tuple_on(maps, cls.kinds)
     # the one identity check: the rebuild runs it at the first block that
     # rules out the certificate, and a later call reads the same report
     precheck = functools.cache(lambda: _precheck(maps))

@@ -432,6 +432,7 @@ class _Form:
 
     kinds: ClassVar[frozenset] = frozenset()
     complex_only: ClassVar[bool] = False
+    lengths: ClassVar[range]
 
     @classmethod
     def admits(cls, m: int, field: Field) -> bool:
@@ -621,17 +622,19 @@ class DiagChain(_Form):
         P = np.round(self.P.real) + 0.0  # + 0.0 turns the -0 of a small negative entry into 0
         if np.max(np.abs(self.P - P)) > max(tol, STRUCTURE_FLOOR) or not _is_permutation(P):
             raise InvalidParameterError("P must be a permutation matrix")
+        diags = []
         for i, C in enumerate(self.C):
-            if np.max(np.abs(C - np.diag(np.diag(C)))) > max(tol, STRUCTURE_FLOOR):
+            d = np.diag(C)  # read once: the diagonality check, k1 and the side share it
+            if np.max(np.abs(C - np.diag(d))) > max(tol, STRUCTURE_FLOOR):
                 raise InvalidParameterError(f"C[{i}] must be diagonal")
-            d = np.abs(np.diag(C))
+            a = np.abs(d)
             # k1 of a diagonal C_i, at O(n): through `_inverse`, decompose of diag_chain n = 32 took ~1.5x as long
-            if np.min(d) == 0 or np.max(d) / np.min(d) > COND_LIMIT:
+            if np.min(a) == 0 or np.max(a) / np.min(a) > COND_LIMIT:
                 raise SingularMatrixError(f"C[{i}] is singular or has condition number above {COND_LIMIT:g}")
+            diags.append(d.real if space.field is Field.REAL else d)
         # realised from the structure just validated, the rounded P and the
         # diagonals of the C_i (their real parts on a real span, as the kernel
         # reads it), so the images are diagonal exactly
-        diags = [np.diag(C).real if space.field is Field.REAL else np.diag(C) for C in self.C]
         return _congruences(space, [(d[:, None] * P.T, P) for d in diags], _unscaled(len(diags)))
 
     def invariants(self):

@@ -4,6 +4,7 @@ Each test covers one numbered criterion, runs at the stated tolerances, and
 emits exactly one "criterion N ...: PASS/FAIL" line (echoed again in the
 terminal summary via conftest).
 """
+import dataclasses
 import time
 import zlib
 
@@ -365,8 +366,8 @@ REAL_FAMILIES = ["mn_chain", "pn_chain", "sym_odd", "sym_even", "diag_pair", "di
 
 def _max_imag(form) -> float:
     worst = 0.0
-    for name in form.__dataclass_fields__:
-        value = getattr(form, name)
+    for param in dataclasses.fields(form):
+        value = getattr(form, param.name)
         items = value if isinstance(value, tuple) else [value]
         for item in items:
             arr = np.asarray(item)

@@ -517,33 +517,39 @@ _HERM_SHORT = "Hermitian chains need at least 3 maps; pairs belong to decompose_
 _DIAG_PAIR_ONLY = "diagonal pairs have exactly 2 maps"
 _DIAG_SHORT = "diagonal chains need at least 3 maps; pairs go to decompose_diag_pair"
 _COMPLEX_HERM = (SpaceKind.HERMITIAN, Field.COMPLEX)
-# the span kinds that each named family's refusal of another span lists
+# the span kinds that each named family's refusal of another span lists; the
+# cone family's are the definite cone's span over the maps' field
 _NAMED_KINDS = {
     "mn_chain": "['FullMatrix']",
     "pn_pair": "['Hermitian']",
     "hermitian": "['Hermitian']",
-    "pn_chain": "['Hermitian', 'Symmetric']",
+    "pn_chain": {Field.COMPLEX: "['Hermitian']", Field.REAL: "['Symmetric']"},
     "symmetric": "['Symmetric']",
     "diag_pair": "['Diagonal']",
     "diag_chain": "['Diagonal']",
 }
+
+
+def _span_refusal(family: str, span: SpaceTag) -> InvalidParameterError:
+    """The refusal of maps on `span` by a family that does not take it: "maps
+    act on <span kind>, expected one of <_NAMED_KINDS[family]>", and for the
+    cone family " over the <field> field"."""
+    kinds = _NAMED_KINDS[family]
+    if isinstance(kinds, dict):
+        return InvalidParameterError(
+            f"maps act on {span.kind.value}, expected one of {kinds[span.field]} over the {span.field.value} field"
+        )
+    return InvalidParameterError(f"maps act on {span.kind.value}, expected one of {kinds}")
+
+
 # what each named family makes of m = 1, 2, 3, 4 identity maps at n = 2 on
 # each span it takes, keyed by the span's kind and field (`span_of`), as in
-# `_AUTO_ROUTES`. On any other span it raises, at every m, the
-# InvalidParameterError "maps act on <span kind>, expected one of
-# <_NAMED_KINDS[family]>". pn_chain takes complex symmetric maps only to
-# refuse them by the span of the Hermitian form that admits the length.
+# `_AUTO_ROUTES`. On any other span it raises `_span_refusal` at every m.
 _NAMED_ROUTES = {
     "mn_chain": {(SpaceKind.FULL, fd): (_FULL_SHORT, _FULL_SHORT, MnChain, MnChain) for fd in Field},
     "pn_pair": {_COMPLEX_HERM: (_PAIR_ONLY, PnPair, _PAIR_ONLY, _PAIR_ONLY)},
     "hermitian": {_COMPLEX_HERM: (_HERM_SHORT, _HERM_SHORT, HermOdd, HermEven)},
-    "pn_chain": {
-        _COMPLEX_HERM: _CONE_ROUTE,
-        (SpaceKind.SYMMETRIC, Field.REAL): _SYM_ROUTE,
-        (SpaceKind.SYMMETRIC, Field.COMPLEX): (
-            "need at least a pair", *[InvalidParameterError("maps act on Symmetric, expected one of ['Hermitian']")] * 3
-        ),
-    },
+    "pn_chain": {_COMPLEX_HERM: _CONE_ROUTE, (SpaceKind.SYMMETRIC, Field.REAL): _SYM_ROUTE},
     "symmetric": {(SpaceKind.SYMMETRIC, fd): _SYM_ROUTE for fd in Field},
     "diag_pair": {(SpaceKind.DIAGONAL, fd): (_DIAG_PAIR_ONLY, DiagPair, _DIAG_PAIR_ONLY, _DIAG_PAIR_ONLY) for fd in Field},
     "diag_chain": {(SpaceKind.DIAGONAL, fd): (_DIAG_SHORT, _DIAG_SHORT, DiagChain, DiagChain) for fd in Field},
@@ -559,8 +565,8 @@ def test_named_routes_cover_every_decompose_family():
 def test_named_family_routes_identity_maps_by_span_field_and_length(family, kind, fd):
     space = SpaceTag(kind, fd, 2)
     span = span_of(space)
-    refusal = InvalidParameterError(f"maps act on {span.kind.value}, expected one of {_NAMED_KINDS[family]}")
-    for m, expected in enumerate(_NAMED_ROUTES[family].get((span.kind, span.field), [refusal] * 4), 1):
+    routes = _NAMED_ROUTES[family].get((span.kind, span.field), [_span_refusal(family, span)] * 4)
+    for m, expected in enumerate(routes, 1):
         _assert_route([identity_map(space)] * m, family, expected)
 
 
@@ -988,15 +994,37 @@ def test_decomposition_result_diagnostics_default_to_empty():
     assert res.diagnostics == {}
 
 
-@pytest.mark.parametrize(
-    "gen_family, kinds",
-    [("mn_chain", r"\['Hermitian', 'Symmetric'\]"), ("sym_odd", r"\['Hermitian'\]")],
-)
-def test_decompose_pn_chain_checks_its_kinds_then_its_routes_kinds(gen_family, kinds):
-    # pn_chain takes symmetric spans, but over C its tuples go to the Hermitian families
+@pytest.mark.parametrize("gen_family", ["mn_chain", "sym_odd"])
+def test_decompose_pn_chain_checks_the_cone_span_over_the_maps_field(gen_family):
+    # over C the cone spans only the Hermitian matrices, and the one refusal names the field
     maps = generate(GenSpec(family=gen_family, n=3, m=3, field=Field.COMPLEX, seed=0)).maps
-    with pytest.raises(InvalidParameterError, match=f"expected one of {kinds}"):
+    kind = span_of(maps[0].domain).kind.value
+    with pytest.raises(InvalidParameterError) as err:
         decompose_pn_chain(maps)
+    assert str(err.value) == f"maps act on {kind}, expected one of ['Hermitian'] over the complex field"
+
+
+_OFF_CONE = [(SpaceKind.SYMMETRIC, Field.COMPLEX), *((kind, fd) for kind in (SpaceKind.FULL, SpaceKind.DIAGONAL) for fd in Field)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pn_chain_refuses_off_cone_spans_by_field_at_every_length(m):
+    # complex symmetric maps at m = 1 were a NotApplicableError, and at m >= 2
+    # a refusal by the admitting form's span that named no field
+    for kind, fd in _OFF_CONE:
+        with pytest.raises(InvalidParameterError, match=f", expected one of .* over the {fd.value} field$"):
+            decompose_pn_chain([identity_map(SpaceTag(kind, fd, 2))] * m)
+    _assert_route([identity_map(SpaceTag(SpaceKind.SYMMETRIC, Field.REAL, 2))] * m, "pn_chain", _SYM_ROUTE[m - 1])
+    _assert_route([identity_map(_CONE)] * m, "pn_chain", _CONE_ROUTE[m - 1])
+
+
+def test_every_form_a_family_returns_acts_on_the_family_span():
+    # why decompose checks the span once, before the length
+    for family, spec in _DECOMPOSE._DECOMPOSERS.items():
+        for fd in Field:
+            for m in range(1, 9):
+                cls = _first_admitting(spec.forms, m, fd)
+                assert cls is None or spec.spans(fd) <= cls.kinds, (family, fd, m)
 
 
 def test_decompose_pn_chain_needs_positive_scalars():
