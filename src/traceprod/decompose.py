@@ -51,7 +51,6 @@ from .errors import (
 from .extend import (
     PreservationReport,
     _map_list,
-    _require_maps,
     _require_passed,
     check_preservation,
 )
@@ -73,6 +72,8 @@ from .linmaps import (
     _first_admitting,
     _gather,
     _inverse,
+    _require_map,
+    _require_maps,
     _row_blocks,
     _scaled_slot,
     _validated,
@@ -92,6 +93,7 @@ from .spaces import (
     _gaussian,
     _hermitian_part,
     _is_real,
+    _numeric,
     _per_span,
     _rng,
     _span_coords,
@@ -306,10 +308,9 @@ def recover_conjugator(images: np.ndarray, tol: float = CONJUGATOR_TOL) -> np.nd
     the first candidate and leaves the check to its rebuild.
     """
     _check_tol(tol)
-    images = np.asarray(images, dtype=np.complex128)
-    d = images.shape[0]
-    n = images.shape[-1]
-    if images.shape[1:] != (n, n) or d not in (n * n, n * (n + 1) // 2):
+    images = _numeric(images, "images").astype(np.complex128, copy=False)
+    d, n, cols = images.shape if images.ndim == 3 else (0, 0, None)
+    if cols != n or d not in (n * n, n * (n + 1) // 2):
         raise DimensionMismatchError("need n^2 or n(n+1)/2 images of shape (n, n)")
     full = SpaceTag(SpaceKind.FULL, Field.COMPLEX, n)
     _span_coords(full, images, DEFAULT_TOL, "image")  # on M_n, refuses only a non-finite image
@@ -702,13 +703,13 @@ def reshuffled_transfer_rank(map_: LinMap, rtol: float = RANK_CUTOFF) -> int:
     """
     if not (_is_real(rtol) and 0 < rtol < 1):
         raise InvalidParameterError(f"rtol must lie in the open interval (0, 1), got {rtol!r}")
+    _require_map(map_, "map_")
     dom = span_of(map_.domain)
     cod = span_of(map_.codomain)
     if dom.kind is not SpaceKind.FULL or cod.kind is not SpaceKind.FULL:
         raise InvalidParameterError("reshuffling needs full-space transfers")
     n, k = dom.n, cod.n
-    T = np.asarray(map_.transfer)
-    R = T.reshape(k, k, n, n).transpose(0, 2, 1, 3).reshape(k * n, k * n)
+    R = map_.transfer.reshape(k, k, n, n).transpose(0, 2, 1, 3).reshape(k * n, k * n)
     sv = np.linalg.svd(R, compute_uv=False)
     if sv[0] == 0:
         return 0

@@ -32,6 +32,8 @@ from .linmaps import (
     _gather,
     _herm_change,
     _inverse,
+    _require_map,
+    _require_maps,
 )
 from .spaces import (
     DEFAULT_TOL, DUALIZE_TOL_FLOOR, EXTEND_TOL, RANK_CUTOFF, SAMPLE_FIT_TOL,
@@ -43,7 +45,9 @@ from .spaces import (
     span_of,
     _basis_terms,
     _check_seed,
+    _check_space,
     _check_tol,
+    _complex_stack,
     _count,
     _dtype_of,
     _field_dtype,
@@ -119,15 +123,6 @@ def _map_list(maps) -> list:
     return list(items)
 
 
-def _require_maps(maps, kinds: tuple = (LinMap,)) -> None:
-    """Refuse an empty tuple, or one holding anything but instances of `kinds`."""
-    if not maps:
-        raise InvalidParameterError("need at least one map")
-    for i, f in enumerate(maps):
-        if not isinstance(f, kinds):
-            raise InvalidParameterError(f"maps[{i}] is not a {' or '.join(k.__name__ for k in kinds)}")
-
-
 def _validate_tuple(maps) -> tuple[int, int]:
     _require_maps(maps)
     n = maps[0].domain.n
@@ -192,8 +187,7 @@ def check_preservation(
     maps = _map_list(maps)
     n, _ = _validate_tuple(maps)
     if sample_space is not None:
-        if not isinstance(sample_space, SpaceTag):
-            raise InvalidParameterError(f"sample_space must be a SpaceTag, got {type(sample_space).__name__}")
+        _check_space(sample_space, "sample_space")
         if sample_space.n != n:
             raise DimensionMismatchError(f"sample_space has n={sample_space.n}, maps expect {n}")
         for f in maps:
@@ -342,6 +336,7 @@ def dualize(map_: LinMap, tol: float = DEFAULT_TOL) -> LinMap:
     original map.
     """
     _check_tol(tol)
+    _require_map(map_, "map_")
     d = span_dim(map_.domain)
     if span_dim(map_.codomain) != d:
         raise InvalidParameterError("dualize needs equal domain and codomain span dimensions")
@@ -358,13 +353,26 @@ def extend_from_subset(domain: SpaceTag, codomain: SpaceTag, samples, tol: float
     tol (relative per-sample deviation); the error carries the worst sample.
     """
     _check_tol(tol)
-    pairs = list(samples)
+    _check_space(domain, "domain")
+    _check_space(codomain, "codomain")
+    try:
+        pairs = list(samples)
+    except TypeError:
+        raise InvalidParameterError(
+            f"samples must be an iterable of (input, output) pairs, got {type(samples).__name__}"
+        ) from None
     if not pairs:
         raise InvalidParameterError("no samples given")
-    try:
-        A, B = (np.asarray(side, dtype=np.complex128) for side in zip(*pairs))
-    except ValueError as exc:  # samples that are not pairs of one matrix shape each
-        raise DimensionMismatchError(f"samples must be (input, output) matrix pairs: {exc}") from None
+    mixed = "samples must be (input, output) matrix pairs"
+    inputs, outputs = [], []
+    for i, pair in enumerate(pairs):
+        try:
+            a, b = pair
+        except (TypeError, ValueError):  # no iterable of two
+            raise DimensionMismatchError(f"{mixed}: sample {i} is no pair") from None
+        inputs.append(a)
+        outputs.append(b)
+    A, B = _complex_stack(inputs, "inputs", mixed), _complex_stack(outputs, "outputs", mixed)
     X = _span_coords(domain, A, tol, "input of sample")  # (T, d)
     Y = _span_coords(codomain, B, tol, "output of sample")  # (T, d')
     d = span_dim(domain)
@@ -474,6 +482,7 @@ def embed_extend_pair(phi1: LinMap, phi2: LinMap, tol: float = EXTEND_TOL) -> tu
     """
     _check_tol(tol)
     for name, f in (("phi1", phi1), ("phi2", phi2)):
+        _require_map(f, name)
         if span_of(f.domain).kind is not SpaceKind.FULL or span_of(f.codomain).kind is not SpaceKind.FULL:
             raise InvalidParameterError(f"{name} must map a full matrix space into a full matrix space")
     if phi1.domain != phi2.domain or phi1.codomain != phi2.codomain:

@@ -29,6 +29,7 @@ from .linmaps import (
     SymOdd,
     _first_admitting,
     _inverse,
+    _require_map,
     from_canonical,
 )
 from .spaces import (
@@ -84,6 +85,10 @@ class GenSpec:
             )
         if self.family == "nonextendable" and self.n < 2:
             raise InvalidParameterError("nonextendable needs n >= 2 (X must not be scalar)")
+
+
+# what `generate` takes, bound here, since a tracer or a test may wrap the name GenSpec
+_SPEC_TYPES = (GenSpec,)
 
 
 def _hypothesis(form) -> str:
@@ -341,6 +346,7 @@ def generate(spec: GenSpec) -> Generated:
     """Generate the canonical form and maps named by `spec`, deterministically.
     A tuple whose maps cannot fit in physical memory is refused first
     (InvalidParameterError)."""
+    _require_map(spec, "spec", _SPEC_TYPES)
     family = _FAMILY_TABLE[spec.family]
     form_class = _first_admitting(family.forms, spec.m, spec.field)
     space = SpaceTag(family.kind, spec.field, spec.n)

@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParameterError
-from .linmaps import FORMS, LinMap
-from .spaces import Field, SpaceKind, SpaceTag, span_of
+from .linmaps import FORMS, LinMap, _require_map
+from .spaces import Field, SpaceKind, SpaceTag, _check_space, _numeric, span_of
 
 if TYPE_CHECKING:  # annotations only: the codec needs none of these modules
     from .decompose import DecompositionResult
@@ -36,7 +36,7 @@ def encode_matrix(M) -> dict:
 def _matrix(M, stream: bool) -> dict:
     """`encode_matrix`'s object; with `stream`, its "data" is M itself, which
     `encode_document` writes a block of rows at a time (`_write_rows`)."""
-    M = np.asarray(M)
+    M = _numeric(M, "M")
     if M.ndim != 2:
         raise InvalidParameterError(f"can only encode 2-d matrices, got ndim={M.ndim}")
     real = not np.iscomplexobj(M) or float(np.max(np.abs(M.imag), initial=0.0)) == 0.0
@@ -116,6 +116,7 @@ def decode_matrix(obj) -> np.ndarray:
 
 
 def encode_space(space: SpaceTag) -> dict:
+    _check_space(space, "space")
     return {"kind": space.kind.value, "field": space.field.value, "n": space.n}
 
 
@@ -129,6 +130,7 @@ def decode_space(obj) -> SpaceTag:
 
 
 def encode_linmap(map_: LinMap) -> dict:
+    _require_map(map_, "map_")
     return _linmap(map_, stream=False)
 
 

@@ -59,10 +59,12 @@ from .spaces import (
     span_dim,
     span_of,
     _basis_terms,
+    _check_space,
     _check_tol,
     _dtype_of,
     _entry_terms,
     _is_real,
+    _numeric,
     _reassemble,
     _span_coords,
     _span_deviation,
@@ -74,13 +76,7 @@ _BLOCK_ENTRIES = 2**15
 
 
 def _as_param(M, name: str) -> np.ndarray:
-    try:
-        M = np.asarray(M)
-    except (TypeError, ValueError) as exc:  # a ragged nesting, say
-        raise InvalidParameterError(f"{name} must be a square matrix of numbers ({exc})") from None
-    if M.dtype.kind not in "iufc":  # a bool, string or object array
-        raise InvalidParameterError(f"{name} must be a square matrix of numbers, got dtype {M.dtype}")
-    M = M.astype(np.complex128, copy=False)
+    M = _numeric(M, name, "a square matrix").astype(np.complex128, copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidParameterError(f"{name} must be a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -120,13 +116,15 @@ class LinMap:
     transfer: np.ndarray
 
     def __post_init__(self):
+        _check_space(self.domain, "domain")
+        _check_space(self.codomain, "codomain")
         bf_dom = base_field(self.domain)
         if bf_dom is not base_field(self.codomain):
             raise InvalidParameterError(
                 f"domain and codomain must share a base field, got {bf_dom.value} vs "
                 f"{base_field(self.codomain).value}"
             )
-        T = np.asarray(self.transfer)
+        T = _numeric(self.transfer, "transfer")
         shape = (span_dim(self.codomain), span_dim(self.domain))
         if T.shape != shape:
             raise DimensionMismatchError(f"transfer must have shape {shape}, got {T.shape}")
@@ -135,6 +133,20 @@ class LinMap:
             raise InvalidParameterError("transfer has non-finite entries")
         T.setflags(write=False)
         object.__setattr__(self, "transfer", T)
+
+
+def _require_map(value, what: str, kinds: tuple = (LinMap,)) -> None:
+    """The one map rule: refuse, naming `what`, anything but an instance of `kinds`."""
+    if not isinstance(value, kinds):
+        raise InvalidParameterError(f"{what} is not a {' or '.join(k.__name__ for k in kinds)}")
+
+
+def _require_maps(maps, kinds: tuple = (LinMap,)) -> None:
+    """Refuse an empty tuple, or one holding anything but instances of `kinds`."""
+    if not maps:
+        raise InvalidParameterError("need at least one map")
+    for i, f in enumerate(maps):
+        _require_map(f, f"maps[{i}]", kinds)
 
 
 def _in_field(field: Field, T: np.ndarray) -> np.ndarray:
@@ -155,6 +167,8 @@ def identity_map(space: SpaceTag) -> LinMap:
 
 def compose(f: LinMap, g: LinMap) -> LinMap:
     """The map f after g."""
+    _require_map(f, "f")
+    _require_map(g, "g")
     if f.domain != g.codomain:
         raise DimensionMismatchError(f"cannot compose: domain of f is {f.domain}, codomain of g is {g.codomain}")
     return LinMap(g.domain, f.codomain, f.transfer @ g.transfer)
@@ -164,12 +178,14 @@ def apply(map_: LinMap, A: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Evaluate the map on A, which must lie in the span of the domain within
     tol times max(1, largest entry of A) (`spaces._span_coords`)."""
     _check_tol(tol)
-    x = _span_coords(map_.domain, np.asarray(A, dtype=np.complex128)[None], tol, "input")
+    _require_map(map_, "map_")
+    x = _span_coords(map_.domain, _numeric(A, "A").astype(np.complex128, copy=False)[None], tol, "input")
     return reassemble_batch(map_.codomain, x @ map_.transfer.T)[0]
 
 
 def apply_batch(map_: LinMap, batch: np.ndarray) -> np.ndarray:
     """Evaluate the map on a (count, n, n) stack without membership checks."""
+    _require_map(map_, "map_")
     return _apply_batch(map_, batch, np.complex128)
 
 
@@ -186,6 +202,7 @@ def _apply_coords(map_: LinMap, x: np.ndarray, dtype) -> np.ndarray:
 
 def image_stack(map_: LinMap) -> np.ndarray:
     """(d, k, k) images of the domain's canonical basis elements."""
+    _require_map(map_, "map_")
     return reassemble_batch(map_.codomain, map_.transfer.T)
 
 
@@ -199,11 +216,12 @@ def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float 
     span by construction.
     """
     _check_tol(tol)
-    d = span_dim(domain)
-    if len(images) != d:
+    _check_space(domain, "domain")
+    _check_space(codomain, "codomain")
+    d, k = span_dim(domain), codomain.n
+    images = _numeric(images, "images").astype(np.complex128, copy=False)
+    if images.ndim and len(images) != d:
         raise DimensionMismatchError(f"need {d} images, got {len(images)}")
-    images = np.asarray(images, dtype=np.complex128)
-    k = codomain.n
     if images.shape[1:] != (k, k):
         raise DimensionMismatchError(f"images must be {k} x {k}, got shape {images.shape[1:]}")
     return LinMap(domain, codomain, _span_coords(codomain, images, tol, "image").T)
@@ -219,6 +237,7 @@ def is_hermitian_preserving(map_: LinMap, tol: float = DEFAULT_TOL) -> bool:
     gathered from its terms.
     """
     _check_tol(tol)
+    _require_map(map_, "map_")
     dom, x = span_of(map_.domain), map_.transfer.T
     if dom.kind is SpaceKind.FULL:
         x = _gather(_basis_terms(SpaceTag(SpaceKind.HERMITIAN, dom.field, dom.n)), map_.transfer, axis=1).T
@@ -335,6 +354,7 @@ def complexify(map_: LinMap) -> LinMap:
     basis is also a complex basis of M_n, so this is the change of
     coordinates S_cod T S_dom^-1, built as one row and one column gather.
     """
+    _require_map(map_, "map_")
     dom = span_of(map_.domain)
     cod = span_of(map_.codomain)
     if dom.kind is not SpaceKind.HERMITIAN or cod.kind is not SpaceKind.HERMITIAN:
@@ -790,6 +810,7 @@ def from_canonical(form: CanonicalForm, space: SpaceTag, tol: float = CANONICAL_
     is its scalar times its side.
     """
     _check_tol(tol)
+    _check_space(space, "space")
     plan = _validated(form, space, tol)
     sides = [side() for side in plan.sides]
     return [LinMap(space, plan.codomain, _scaled_slot(c, sides[k])) for c, k in plan.slots]

@@ -6,6 +6,17 @@ its linear span, coordinates with respect to that basis, one span test, the
 trace pairing tr(AB), and seeded random sampling. Everything downstream (linear
 maps, preservation checks, decompositions) works in these coordinates.
 
+Each input rule of the package is stated once, here, and each refusal is an
+InvalidParameterError that names the argument:
+- `_numeric`, the matrix rule: every matrix, stack or coordinate array is
+  an array of integers, floats or complex numbers, or a rectangular nesting
+  of them; a string, a dict, None, a ragged nesting or an array of bool,
+  string or object dtype is none. The shape is each caller's own check.
+- `_check_space`, the space rule: a space is a `SpaceTag`.
+- `_count`, the positive-integer rule, for every n, m, trials and count.
+- `_is_real`, the real-number rule, and `_check_tol`, the tol rule.
+`linmaps._require_map` is the map rule beside them.
+
 Coordinates and reassembly are index gathers and scatters on the matrix
 entries. `_reassemble` is the one place the basis order is written down:
 `_entry_terms` and `_basis_terms`, the at most two weighted entries of each
@@ -92,7 +103,7 @@ class SpaceTag:
 
 @functools.lru_cache(maxsize=None)
 def span_of(space: SpaceTag) -> SpaceTag:
-    """The linear space spanned by `space`.
+    """The linear space spanned by `space`, which must be a SpaceTag.
 
     Positive (semi)definite cones span the Hermitian matrices (complex field) or
     the real symmetric matrices (real field). Real Hermitian means real symmetric.
@@ -100,6 +111,7 @@ def span_of(space: SpaceTag) -> SpaceTag:
     which is its own span, so `span_of(t) is span_of(t)` and
     `span_of(span_of(t)) is span_of(t)`.
     """
+    _check_space(space, "space")
     kind, field = space.kind, space.field
     if kind in (SpaceKind.POSDEF, SpaceKind.POSSEMIDEF):
         kind = SpaceKind.HERMITIAN if field is Field.COMPLEX else SpaceKind.SYMMETRIC
@@ -158,9 +170,10 @@ def coords(space: SpaceTag, A: np.ndarray) -> np.ndarray:
     entry, or the mean of a mirrored pair of entries (see `coords_batch`). No
     membership check; callers validate separately.
     """
-    A = np.asarray(A)
-    if A.shape != (space.n, space.n):
-        raise DimensionMismatchError(f"expected shape {(space.n, space.n)}, got {A.shape}")
+    n = span_of(space).n
+    A = _numeric(A, "A")
+    if A.shape != (n, n):
+        raise DimensionMismatchError(f"expected shape {(n, n)}, got {A.shape}")
     return coords_batch(space, A[None])[0]
 
 
@@ -190,7 +203,7 @@ def coords_batch(space: SpaceTag, batch: np.ndarray) -> np.ndarray:
     """
     s = span_of(space)
     n = s.n
-    A = np.asarray(batch)
+    A = _numeric(batch, "batch")
     if A.ndim != 3 or A.shape[1:] != (n, n):
         raise DimensionMismatchError(f"expected a (count, {n}, {n}) stack, got shape {A.shape}")
     field = base_field(space)
@@ -234,8 +247,8 @@ def _halves(entries: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def reassemble(space: SpaceTag, x: np.ndarray) -> np.ndarray:
     """Matrix with coordinate vector x in the canonical basis."""
-    x = np.asarray(x)
     d = span_dim(space)
+    x = _numeric(x, "x")
     if x.shape != (d,):
         raise DimensionMismatchError(f"expected {d} coordinates, got shape {x.shape}")
     return reassemble_batch(space, x[None])[0]
@@ -273,7 +286,7 @@ def _reassemble(space: SpaceTag, x: np.ndarray, dtype) -> np.ndarray:
     writes straight into the flat entries of the zeroed output."""
     s = span_of(space)
     n = s.n
-    x = np.asarray(x)
+    x = _numeric(x, "x")
     d = span_dim(s)
     if x.ndim != 2 or x.shape[1] != d:
         raise DimensionMismatchError(f"expected (count, {d}) coordinates, got shape {x.shape}")
@@ -387,8 +400,9 @@ def membership(space: SpaceTag, A: np.ndarray, tol: float = DEFAULT_TOL) -> bool
     projection's eigenvalues above tol (PosDef) or at least -tol (PosSemiDef).
     """
     _check_tol(tol)
-    A = np.asarray(A)
-    if A.shape != (space.n, space.n):
+    n = span_of(space).n
+    A = _numeric(A, "A")
+    if A.shape != (n, n):
         return False
     x, dev = _span_deviation(space, A.astype(np.complex128, copy=False)[None])
     if dev[0] > tol:
@@ -403,8 +417,7 @@ def membership(space: SpaceTag, A: np.ndarray, tol: float = DEFAULT_TOL) -> bool
 
 def trace_pair(A: np.ndarray, B: np.ndarray) -> complex:
     """tr(AB) for A of shape (p, q) and B of shape (q, p). No conjugation."""
-    A = np.asarray(A)
-    B = np.asarray(B)
+    A, B = _numeric(A, "A"), _numeric(B, "B")
     if A.ndim != 2 or B.ndim != 2 or A.shape != B.shape[::-1]:
         raise DimensionMismatchError(f"trace pairing needs (p,q) x (q,p) shapes, got {A.shape} and {B.shape}")
     return complex(np.sum(A * B.T))
@@ -416,16 +429,13 @@ def gram_matrix(left, right=None) -> np.ndarray:
     Arguments may be sequences of matrices or SpaceTags (standing for their
     canonical bases). With one argument, the Gram matrix of that basis.
     """
-    if isinstance(left, SpaceTag):
-        left = _basis_stack(left)
-    if right is None:
-        right = left
-    elif isinstance(right, SpaceTag):
-        right = _basis_stack(right)
-    try:
-        left, right = np.asarray(left, dtype=np.complex128), np.asarray(right, dtype=np.complex128)
-    except ValueError as exc:  # a sequence of matrices of mixed shapes
-        raise DimensionMismatchError(f"trace pairing needs one matrix shape per side: {exc}") from None
+    def stack(side, what):
+        if isinstance(side, SpaceTag):
+            return _basis_stack(side)
+        return _complex_stack(side, what, "trace pairing needs one matrix shape per side")
+
+    left = stack(left, "left")
+    right = left if right is None else stack(right, "right")
     if left.ndim != 3 or right.ndim != 3 or left.shape[1:] != right.shape[:0:-1]:
         raise DimensionMismatchError(
             f"trace pairing needs (p,q) x (q,p) shapes, got stacks {left.shape} and {right.shape}"
@@ -443,6 +453,7 @@ def random_batch(space: SpaceTag, count: int, rng=0) -> np.ndarray:
     Hermitian and symmetric, G G* + 0.1 I for PosDef (G G* for PosSemiDef),
     Gaussian diagonals for diagonal spaces.
     """
+    _check_space(space, "space")
     return _random_batch(space, _count(count, "count"), _rng(rng)).astype(np.complex128, copy=False)
 
 
@@ -482,6 +493,41 @@ def _is_real(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         return False
     return not isinstance(value, int) or abs(value) <= sys.float_info.max
+
+
+def _numeric(value, what: str, noun: str = "an array") -> np.ndarray:
+    """The one matrix rule: `value` as an array of integers, floats or complex
+    numbers, given as one or as a rectangular nesting of them; an array of a
+    numeric dtype passes as it is. A string, a dict, None, a ragged nesting
+    or an array of bool, string or object dtype is refused with
+    InvalidParameterError("<what> must be <noun> of numbers ..."). The shape
+    is the caller's own check."""
+    try:
+        A = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # a ragged nesting, say
+        raise InvalidParameterError(f"{what} must be {noun} of numbers ({exc})") from None
+    if A.dtype.kind not in "iufc":  # a bool, string or object array
+        raise InvalidParameterError(f"{what} must be {noun} of numbers, got dtype {A.dtype}")
+    return A
+
+
+def _complex_stack(mats, what: str, mixed: str) -> np.ndarray:
+    """A stack of matrices by the matrix rule, as complex128. A list or tuple
+    is read matrix by matrix, as `what[i]`, so that matrices of numbers in
+    two shapes are the DimensionMismatchError `mixed`, which names their
+    shapes, and not a ragged nesting; anything else is read whole."""
+    if isinstance(mats, (list, tuple)):
+        mats = [_numeric(M, f"{what}[{i}]") for i, M in enumerate(mats)]
+        shapes = sorted({M.shape for M in mats})
+        if len(shapes) > 1:
+            raise DimensionMismatchError(f"{mixed}: {what} of shapes {shapes}")
+    return _numeric(mats, what).astype(np.complex128, copy=False)
+
+
+def _check_space(space, what: str) -> None:
+    """The one space rule: refuse, naming `what`, anything but a SpaceTag."""
+    if not isinstance(space, SpaceTag):
+        raise InvalidParameterError(f"{what} must be a SpaceTag, got {type(space).__name__}")
 
 
 def _count(value, what: str, label: str = "") -> int:

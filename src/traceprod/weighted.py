@@ -17,8 +17,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, PositivityError
-from .extend import CheckMode, PreservationReport, _map_list, _require_maps, _residuals, extend_from_subset
-from .linmaps import HermEven, HermOdd, LinMap, apply_batch, from_canonical
+from .extend import CheckMode, PreservationReport, _map_list, _residuals, extend_from_subset
+from .linmaps import HermEven, HermOdd, LinMap, _require_map, _require_maps, apply_batch, from_canonical
 from .spaces import (
     DEFAULT_TOL, POWER_FLOOR, REDUCTION_FLOOR, WEIGHTED_TOL,
     Field,
@@ -32,6 +32,7 @@ from .spaces import (
     _count,
     _hermitian_part,
     _is_real,
+    _numeric,
     _random_batch,
     _rng,
     _span_coords,
@@ -57,8 +58,8 @@ def _definite_input(A, tol: float) -> np.ndarray:
     smallest eigenvalue is above the floor `tol`, whatever power is taken. An
     eigendecomposition reads one triangle only, so an unchecked A would be
     judged by half its entries."""
-    # np.array copies, so t == 1 never hands back a view of A
-    A = np.array(A, dtype=np.complex128)
+    # astype copies, so t == 1 never hands back a view of A
+    A = _numeric(A, "A").astype(np.complex128)
     if A.ndim != 2:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
     _span_coords(SpaceTag(SpaceKind.HERMITIAN, Field.COMPLEX, A.shape[-1]), A[None], DEFAULT_TOL, "input")
@@ -147,6 +148,7 @@ def power_map_apply(map_: MapLike, A: np.ndarray, tol: float = POWER_FLOOR) -> n
     Hermitian and positive definite as `_definite_input` judges it, whatever
     pre is; tol is the eigenvalue floor."""
     _check_tol(tol)
+    _require_map(map_, "map_", (LinMap, PowerMap))
     return _weighted_image(map_, _definite_input(A, tol), tol=tol)[0]
 
 

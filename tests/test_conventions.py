@@ -1,7 +1,9 @@
-"""The two array conventions in `traceprod.spaces`: `_dtype_of` is the one
+"""The array conventions in `traceprod.spaces`: `_dtype_of` is the one
 choice between float64 and complex128, and `_hermitian_part` the one
 (X + X*)/2. No other line of the package makes either, and the functions
-that build arrays in a span's coordinates agree with the rule."""
+that build arrays in a span's coordinates agree with the rule. `_numeric`
+is the one matrix rule: no public function hands one of its own parameters
+to numpy's array constructors instead."""
 import ast
 from pathlib import Path
 
@@ -84,6 +86,34 @@ def _hermitian_means(tree: ast.AST) -> list:
     return found
 
 
+def _public_functions(tree: ast.Module) -> list:
+    """The module's functions, and its classes' methods, whose names do not start with an underscore."""
+    def public(body, kind):
+        return [node for node in body if isinstance(node, kind) and not node.name.startswith("_")]
+
+    return public(tree.body, ast.FunctionDef) + [
+        fn for cls in public(tree.body, ast.ClassDef) for fn in public(cls.body, ast.FunctionDef)
+    ]
+
+
+def _parameter_conversions(tree: ast.Module) -> list:
+    """Lines where a public function passes one of its own parameters to
+    np.asarray, np.array or np.asanyarray, not to the matrix rule."""
+    found = []
+    for fn in _public_functions(tree):
+        params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("asarray", "array", "asanyarray")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id in params
+            ):
+                found.append(node.lineno)
+    return sorted(found)
+
+
 def _outside(tree: ast.AST, lines: list, module: str, home: tuple) -> list:
     """The `lines` that do not lie in the function `home` names."""
     if module != home[0]:
@@ -114,6 +144,33 @@ def test_the_scans_find_each_way_of_writing_a_choice():
         "n = 8 if big else 4\n"
     )
     assert _dtype_choices(tree) == [] and _hermitian_means(tree) == []
+
+
+def test_the_scan_finds_each_parameter_handed_to_an_array_constructor():
+    tree = ast.parse(
+        "def coords(space, A):\n"
+        "    return np.asarray(A)\n"
+        "def stack(mats, *, dtype=None):\n"
+        "    return np.array(mats, dtype=dtype)\n"
+        "class Map:\n"
+        "    def apply(self, x):\n"
+        "        return np.asanyarray(x)\n"
+        "    def _read(self, x):\n"
+        "        return np.asarray(x)\n"
+        "def _private(A):\n"
+        "    return np.asarray(A)\n"
+        "def ruled(A, T):\n"
+        "    B = np.asarray(T.real)\n"
+        "    return _numeric(A, 'A')\n"
+    )
+    # a private helper, an attribute of a parameter and the rule itself are no such hand-over
+    assert _parameter_conversions(tree) == [2, 4, 7]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_public_functions_read_their_matrices_by_the_rule(path):
+    lines = _parameter_conversions(ast.parse(path.read_text()))
+    assert lines == [], f"an array argument of {path.name} read at lines {lines}; take spaces._numeric"
 
 
 @pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)

@@ -465,6 +465,14 @@ _C3 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 3)
             InvalidParameterError, "sample_space must be a SpaceTag, got str", id="sample-space-not-a-tag",
         ),
         pytest.param(lambda: extend_from_subset(C2, C2, []), InvalidParameterError, "no samples given", id="no-samples"),
+        pytest.param(  # a bare TypeError of list()
+            lambda: extend_from_subset(C2, C2, None), InvalidParameterError,
+            "samples must be an iterable of (input, output) pairs, got NoneType", id="samples-not-iterable",
+        ),
+        pytest.param(  # a bare TypeError of zip()
+            lambda: extend_from_subset(C2, C2, [np.eye(2), 5]), DimensionMismatchError,
+            "samples must be (input, output) matrix pairs: sample 1 is no pair", id="sample-not-a-pair",
+        ),
         pytest.param(
             lambda: extend_from_subset(C2, C2, [(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))]),
             DimensionMismatchError, "samples must be (input, output) matrix pairs: ", id="samples-of-two-shapes",
