@@ -50,7 +50,6 @@ from .errors import (
 )
 from .extend import (
     PreservationReport,
-    _map_list,
     _require_passed,
     check_preservation,
 )
@@ -93,10 +92,10 @@ from .spaces import (
     _gaussian,
     _hermitian_part,
     _is_real,
-    _numeric,
     _per_span,
     _rng,
     _span_coords,
+    _stack,
 )
 
 PRECHECK_TRIALS = 512
@@ -308,10 +307,11 @@ def recover_conjugator(images: np.ndarray, tol: float = CONJUGATOR_TOL) -> np.nd
     the first candidate and leaves the check to its rebuild.
     """
     _check_tol(tol)
-    images = _numeric(images, "images").astype(np.complex128, copy=False)
+    shape = "need n^2 or n(n+1)/2 images of shape (n, n)"
+    images = _stack(images, "images", shape).astype(np.complex128, copy=False)
     d, n, cols = images.shape if images.ndim == 3 else (0, 0, None)
     if cols != n or d not in (n * n, n * (n + 1) // 2):
-        raise DimensionMismatchError("need n^2 or n(n+1)/2 images of shape (n, n)")
+        raise DimensionMismatchError(shape)
     full = SpaceTag(SpaceKind.FULL, Field.COMPLEX, n)
     _span_coords(full, images, DEFAULT_TOL, "image")  # on M_n, refuses only a non-finite image
     kind = SpaceKind.FULL if d == n * n else SpaceKind.SYMMETRIC
@@ -643,8 +643,7 @@ def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> Decomposi
         raise InvalidParameterError(
             f"unknown family {family!r}; expected one of {sorted(_DECOMPOSERS)} or 'auto'"
         )
-    maps = _map_list(maps)
-    _require_maps(maps)
+    maps = _require_maps(maps)
     m = len(maps)
     spec = _DECOMPOSERS[_resolve(maps[0].domain, m) if family == "auto" else family]
     dom = _validate_tuple_on(maps, spec)

@@ -47,17 +47,18 @@ from .spaces import (
     _check_seed,
     _check_space,
     _check_tol,
-    _complex_stack,
     _count,
     _dtype_of,
     _field_dtype,
     _gaussian,
     _is_real,
+    _items,
     _member,
     _random_batch,
     _reassemble,
     _rng,
     _span_coords,
+    _stack,
 )
 
 # beyond this many basis tuples the exhaustive check switches to sampling
@@ -114,17 +115,7 @@ def _residuals(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return res
 
 
-def _map_list(maps) -> list:
-    """`maps`, any iterable of them, as a list; anything else is an InvalidParameterError."""
-    try:
-        items = iter(maps)
-    except TypeError:
-        raise InvalidParameterError(f"maps must be an iterable of maps, got {type(maps).__name__}") from None
-    return list(items)
-
-
-def _validate_tuple(maps) -> tuple[int, int]:
-    _require_maps(maps)
+def _validate_tuple(maps: list) -> tuple[int, int]:
     n = maps[0].domain.n
     k = maps[0].codomain.n
     for i, f in enumerate(maps):
@@ -184,7 +175,7 @@ def check_preservation(
     _check_tol(tol)
     _check_seed(seed)
     trials = _count(trials, "trials")
-    maps = _map_list(maps)
+    maps = _require_maps(maps)
     n, _ = _validate_tuple(maps)
     if sample_space is not None:
         _check_space(sample_space, "sample_space")
@@ -355,12 +346,7 @@ def extend_from_subset(domain: SpaceTag, codomain: SpaceTag, samples, tol: float
     _check_tol(tol)
     _check_space(domain, "domain")
     _check_space(codomain, "codomain")
-    try:
-        pairs = list(samples)
-    except TypeError:
-        raise InvalidParameterError(
-            f"samples must be an iterable of (input, output) pairs, got {type(samples).__name__}"
-        ) from None
+    pairs = _items(samples, "samples must be an iterable of (input, output) pairs")
     if not pairs:
         raise InvalidParameterError("no samples given")
     mixed = "samples must be (input, output) matrix pairs"
@@ -372,7 +358,8 @@ def extend_from_subset(domain: SpaceTag, codomain: SpaceTag, samples, tol: float
             raise DimensionMismatchError(f"{mixed}: sample {i} is no pair") from None
         inputs.append(a)
         outputs.append(b)
-    A, B = _complex_stack(inputs, "inputs", mixed), _complex_stack(outputs, "outputs", mixed)
+    A = _stack(inputs, "inputs", mixed).astype(np.complex128, copy=False)
+    B = _stack(outputs, "outputs", mixed).astype(np.complex128, copy=False)
     X = _span_coords(domain, A, tol, "input of sample")  # (T, d)
     Y = _span_coords(codomain, B, tol, "output of sample")  # (T, d')
     d = span_dim(domain)

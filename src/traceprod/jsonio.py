@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .linmaps import FORMS, LinMap, _require_map
-from .spaces import Field, SpaceKind, SpaceTag, _check_space, _numeric, span_of
+from .spaces import Field, SpaceKind, SpaceTag, _check_space, _items, _numeric, span_of
 
-if TYPE_CHECKING:  # annotations only: the codec needs none of these modules
+if TYPE_CHECKING:  # annotations only: each encoder of these records imports its class when called
     from .decompose import DecompositionResult
     from .extend import InfeasibilityCertificate, PreservationReport
     from .families import Generated
@@ -207,6 +207,8 @@ def _residual(x: float) -> float | None:
 
 
 def encode_report(report: PreservationReport) -> dict:
+    from .extend import PreservationReport
+    _require_map(report, "report", (PreservationReport,))
     return {
         "m": report.m,
         "spaces": [encode_space(s) for s in report.spaces],
@@ -228,6 +230,8 @@ def encode_error(exc: Exception) -> dict:
 
 
 def encode_certificate(cert: InfeasibilityCertificate) -> dict:
+    from .extend import InfeasibilityCertificate
+    _require_map(cert, "cert", (InfeasibilityCertificate,))
     return {
         "n": cert.n,
         "k": cert.k,
@@ -242,6 +246,8 @@ def encode_certificate(cert: InfeasibilityCertificate) -> dict:
 
 
 def encode_decomposition(result: DecompositionResult, space: SpaceTag) -> dict:
+    from .decompose import DecompositionResult
+    _require_map(result, "result", (DecompositionResult,))
     return {
         "space": encode_space(space),
         "form": encode_form(result.form),
@@ -254,7 +260,11 @@ def encode_decomposition(result: DecompositionResult, space: SpaceTag) -> dict:
 
 
 def encode_maps(space: SpaceTag, maps) -> dict:
-    """A bare maps document: the space and the encoded maps."""
+    """A bare maps document: the space and the encoded maps, of which there may be none."""
+    _check_space(space, "space")
+    maps = _items(maps, "maps must be an iterable of maps")
+    for i, f in enumerate(maps):
+        _require_map(f, f"maps[{i}]")
     return _maps_document(space, maps, stream=False)
 
 
@@ -265,6 +275,8 @@ def _maps_document(space: SpaceTag, maps, stream: bool) -> dict:
 
 
 def encode_generated(gen: Generated, family: str) -> dict:
+    from .families import Generated
+    _require_map(gen, "gen", (Generated,))
     return _generated_document(gen, family, stream=False)
 
 

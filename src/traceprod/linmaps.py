@@ -64,10 +64,12 @@ from .spaces import (
     _dtype_of,
     _entry_terms,
     _is_real,
+    _items,
     _numeric,
     _reassemble,
     _span_coords,
     _span_deviation,
+    _stack,
 )
 
 # entries of a side's transfer that the rebuild, and the kernel on a Hermitian or
@@ -141,12 +143,14 @@ def _require_map(value, what: str, kinds: tuple = (LinMap,)) -> None:
         raise InvalidParameterError(f"{what} is not a {' or '.join(k.__name__ for k in kinds)}")
 
 
-def _require_maps(maps, kinds: tuple = (LinMap,)) -> None:
-    """Refuse an empty tuple, or one holding anything but instances of `kinds`."""
+def _require_maps(maps, kinds: tuple = (LinMap,)) -> list:
+    """The tuple-of-maps rule: `maps`, a nonempty iterable of instances of `kinds`, as a list (`_items`)."""
+    maps = _items(maps, "maps must be an iterable of maps")
     if not maps:
         raise InvalidParameterError("need at least one map")
     for i, f in enumerate(maps):
         _require_map(f, f"maps[{i}]", kinds)
+    return maps
 
 
 def _in_field(field: Field, T: np.ndarray) -> np.ndarray:
@@ -219,11 +223,12 @@ def linmap_from_images(domain: SpaceTag, codomain: SpaceTag, images, tol: float 
     _check_space(domain, "domain")
     _check_space(codomain, "codomain")
     d, k = span_dim(domain), codomain.n
-    images = _numeric(images, "images").astype(np.complex128, copy=False)
+    shape = f"images must be {k} x {k}"
+    images = _stack(images, "images", shape).astype(np.complex128, copy=False)
     if images.ndim and len(images) != d:
         raise DimensionMismatchError(f"need {d} images, got {len(images)}")
     if images.shape[1:] != (k, k):
-        raise DimensionMismatchError(f"images must be {k} x {k}, got shape {images.shape[1:]}")
+        raise DimensionMismatchError(f"{shape}, got shape {images.shape[1:]}")
     return LinMap(domain, codomain, _span_coords(codomain, images, tol, "image").T)
 
 
@@ -379,10 +384,8 @@ def transpose_map(space: SpaceTag) -> LinMap:
 
 
 def _tuple_of_matrices(mats, name: str) -> tuple:
-    try:
-        out = tuple(_as_param(M, f"{name}[{i}]") for i, M in enumerate(mats))
-    except TypeError as exc:  # from enumerate: `_as_param` raises only InvalidParameterError
-        raise InvalidParameterError(f"{name} must be a sequence of matrices ({exc})") from None
+    mats = _items(mats, f"{name} must be a sequence of matrices")
+    out = tuple(_as_param(M, f"{name}[{i}]") for i, M in enumerate(mats))
     if not out:
         raise InvalidParameterError(f"{name} must be nonempty")
     sizes = {M.shape[0] for M in out}
@@ -394,10 +397,7 @@ def _tuple_of_matrices(mats, name: str) -> tuple:
 def _numbers(kind: type, what: str, values, name: str) -> tuple:
     """`values` as a tuple of `kind` numbers, refused, naming `name`, unless each is a `what` number:
     a real one by `spaces._is_real`, and for a complex `kind` a Python or numpy complex too."""
-    try:
-        values = tuple(values)
-    except TypeError as exc:
-        raise InvalidParameterError(f"{name} must be a sequence of {what} numbers ({exc})") from None
+    values = _items(values, f"{name} must be a sequence of {what} numbers")
     for x in values:
         if not (_is_real(x) or kind is complex and isinstance(x, (complex, np.complexfloating))):
             raise InvalidParameterError(f"{name} must be a sequence of {what} numbers, got {x!r}")

@@ -12,10 +12,18 @@ InvalidParameterError that names the argument:
   an array of integers, floats or complex numbers, or a rectangular nesting
   of them; a string, a dict, None, a ragged nesting or an array of bool,
   string or object dtype is none. The shape is each caller's own check.
+- `_stack`, the stack rule: a list or tuple of matrices is read matrix by
+  matrix by the matrix rule, as `what[i]`, and matrices of two shapes are a
+  DimensionMismatchError naming them; any other stack is read whole.
+- `_items`, the sequence rule: an iterable argument (maps, samples, a
+  form's matrices and scalars, weights) is read once as a list; anything
+  else is refused.
 - `_check_space`, the space rule: a space is a `SpaceTag`.
 - `_count`, the positive-integer rule, for every n, m, trials and count.
 - `_is_real`, the real-number rule, and `_check_tol`, the tol rule.
-`linmaps._require_map` is the map rule beside them.
+`linmaps._require_map` is the map rule beside them, and
+`linmaps._require_maps` the tuple-of-maps rule: `_items`, then a nonempty
+list of maps, each entry named `maps[i]`.
 
 Coordinates and reassembly are index gathers and scatters on the matrix
 entries. `_reassemble` is the one place the basis order is written down:
@@ -203,9 +211,10 @@ def coords_batch(space: SpaceTag, batch: np.ndarray) -> np.ndarray:
     """
     s = span_of(space)
     n = s.n
-    A = _numeric(batch, "batch")
+    shape = f"expected a (count, {n}, {n}) stack"
+    A = _stack(batch, "batch", shape)
     if A.ndim != 3 or A.shape[1:] != (n, n):
-        raise DimensionMismatchError(f"expected a (count, {n}, {n}) stack, got shape {A.shape}")
+        raise DimensionMismatchError(f"{shape}, got shape {A.shape}")
     field = base_field(space)
     entries = A.reshape(A.shape[0], n * n)
     flat = entries.real if field is Field.REAL else entries
@@ -432,7 +441,7 @@ def gram_matrix(left, right=None) -> np.ndarray:
     def stack(side, what):
         if isinstance(side, SpaceTag):
             return _basis_stack(side)
-        return _complex_stack(side, what, "trace pairing needs one matrix shape per side")
+        return _stack(side, what, "trace pairing needs one matrix shape per side").astype(np.complex128, copy=False)
 
     left = stack(left, "left")
     right = left if right is None else stack(right, "right")
@@ -511,17 +520,26 @@ def _numeric(value, what: str, noun: str = "an array") -> np.ndarray:
     return A
 
 
-def _complex_stack(mats, what: str, mixed: str) -> np.ndarray:
-    """A stack of matrices by the matrix rule, as complex128. A list or tuple
-    is read matrix by matrix, as `what[i]`, so that matrices of numbers in
-    two shapes are the DimensionMismatchError `mixed`, which names their
-    shapes, and not a ragged nesting; anything else is read whole."""
+def _stack(mats, what: str, mixed: str) -> np.ndarray:
+    """The one stack rule: a stack of matrices by the matrix rule, uncast. A
+    list or tuple is read matrix by matrix, as `what[i]`, so that matrices of
+    numbers in two shapes are the DimensionMismatchError `mixed`, which names
+    their shapes, and not a ragged nesting; anything else is read whole."""
     if isinstance(mats, (list, tuple)):
         mats = [_numeric(M, f"{what}[{i}]") for i, M in enumerate(mats)]
         shapes = sorted({M.shape for M in mats})
         if len(shapes) > 1:
             raise DimensionMismatchError(f"{mixed}: {what} of shapes {shapes}")
-    return _numeric(mats, what).astype(np.complex128, copy=False)
+    return _numeric(mats, what)
+
+
+def _items(value, what: str) -> list:
+    """The one sequence rule: an iterable read once as a list, else InvalidParameterError("<what>, got <type>")."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise InvalidParameterError(f"{what}, got {type(value).__name__}") from None
+    return list(items)
 
 
 def _check_space(space, what: str) -> None:

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, PositivityError
-from .extend import CheckMode, PreservationReport, _map_list, _residuals, extend_from_subset
+from .extend import CheckMode, PreservationReport, _residuals, extend_from_subset
 from .linmaps import HermEven, HermOdd, LinMap, _require_map, _require_maps, apply_batch, from_canonical
 from .spaces import (
     DEFAULT_TOL, POWER_FLOOR, REDUCTION_FLOOR, WEIGHTED_TOL,
@@ -32,6 +32,7 @@ from .spaces import (
     _count,
     _hermitian_part,
     _is_real,
+    _items,
     _numeric,
     _random_batch,
     _rng,
@@ -181,10 +182,7 @@ def _weights(alpha, beta, m: int) -> tuple[list, list]:
     """The exponents as finite floats, one of each per map; a zero beta leaves
     the reduced identity on B_i = A_i^beta_i undefined, and so does one whose
     reciprocal, the power of B_i that gives A_i, overflows."""
-    try:
-        alpha, beta = list(alpha), list(beta)
-    except TypeError as exc:
-        raise InvalidParameterError(f"alpha and beta must be real numbers ({exc})") from None
+    alpha, beta = (_items(w, "alpha and beta must be real numbers") for w in (alpha, beta))
     if not all(map(_is_real, alpha + beta)):
         raise InvalidParameterError(f"alpha and beta must be real numbers, got {alpha!r} and {beta!r}")
     alpha, beta = [float(a) for a in alpha], [float(b) for b in beta]
@@ -223,10 +221,9 @@ def verify_weighted(
     """
     _check_tol(tol)
     trials = _count(trials, "trials")
-    maps = _map_list(maps)
+    maps = _require_maps(maps, (LinMap, PowerMap))
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)
-    _require_maps(maps, (LinMap, PowerMap))
     n = maps[0].domain.n
     if any(f.domain.n != n for f in maps):
         raise DimensionMismatchError("maps must share one matrix size")
@@ -314,10 +311,9 @@ def weighted_reduction(maps, alpha, beta, tol: float = WEIGHTED_TOL, seed: int =
     nonzero.
     """
     _check_tol(tol)
-    maps = _map_list(maps)
+    maps = _require_maps(maps, (LinMap, PowerMap))
     m = len(maps)
     alpha, beta = _weights(alpha, beta, m)
-    _require_maps(maps, (LinMap, PowerMap))
     out = []
     rng = _rng(seed)
     for i in range(m):

@@ -3,7 +3,8 @@ choice between float64 and complex128, and `_hermitian_part` the one
 (X + X*)/2. No other line of the package makes either, and the functions
 that build arrays in a span's coordinates agree with the rule. `_numeric`
 is the one matrix rule: no public function hands one of its own parameters
-to numpy's array constructors instead."""
+to numpy's array constructors instead. `_items` is the one sequence rule: no
+other function reads a parameter as a sequence and catches the TypeError."""
 import ast
 from pathlib import Path
 
@@ -20,6 +21,7 @@ _SRC = Path(spaces.__file__).parent
 # the helper, by module, that alone may make each choice
 _DTYPE_HOME = ("spaces.py", "_dtype_of")
 _HERMITIAN_HOME = ("spaces.py", "_hermitian_part")
+_SEQUENCE_HOME = ("spaces.py", "_items")
 
 
 def _dtype_names(node: ast.AST) -> set:
@@ -114,6 +116,36 @@ def _parameter_conversions(tree: ast.Module) -> list:
     return sorted(found)
 
 
+def _catches_type_error(handler: ast.ExceptHandler) -> bool:
+    """Whether an `except` clause catches TypeError: bare, or naming it or a base class of it."""
+    if handler.type is None:
+        return True
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(n, ast.Name) and n.id in ("TypeError", "Exception", "BaseException") for n in names)
+
+
+def _guarded_sequence_reads(tree: ast.AST) -> list:
+    """Lines where a function calls list, tuple, iter or enumerate on one of
+    its own parameters inside a `try` that catches TypeError: a copy of the
+    sequence rule."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Try) and any(map(_catches_type_error, node.handlers))):
+                continue
+            for call in (sub for st in node.body for sub in ast.walk(st)):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name) and call.func.id in ("list", "tuple", "iter", "enumerate")
+                    and any(isinstance(a, ast.Name) and a.id in params for a in call.args)
+                ):
+                    found.append(call.lineno)
+    return sorted(set(found))
+
+
 def _outside(tree: ast.AST, lines: list, module: str, home: tuple) -> list:
     """The `lines` that do not lie in the function `home` names."""
     if module != home[0]:
@@ -171,6 +203,56 @@ def test_the_scan_finds_each_parameter_handed_to_an_array_constructor():
 def test_public_functions_read_their_matrices_by_the_rule(path):
     lines = _parameter_conversions(ast.parse(path.read_text()))
     assert lines == [], f"an array argument of {path.name} read at lines {lines}; take spaces._numeric"
+
+
+def test_the_scan_finds_each_sequence_read_that_catches_its_type_error():
+    tree = ast.parse(
+        "def a(maps):\n"
+        "    try:\n"
+        "        items = iter(maps)\n"
+        "    except TypeError:\n"
+        "        raise ValueError\n"
+        "def b(mats, name):\n"
+        "    try:\n"
+        "        return tuple(f(M) for i, M in enumerate(mats))\n"
+        "    except (ValueError, TypeError):\n"
+        "        raise\n"
+        "def c(x, y):\n"
+        "    try:\n"
+        "        x, y = list(x), tuple(y)\n"
+        "    except:\n"
+        "        pass\n"
+        "def d(values):\n"
+        "    try:\n"
+        "        values = list(values)\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "    try:\n"
+        "        return list(other)\n"
+        "    except TypeError:\n"
+        "        pass\n"
+        "def e(pair):\n"
+        "    try:\n"
+        "        a, b = pair\n"
+        "    except TypeError:\n"
+        "        pass\n"
+        "    return list(pair)\n"
+    )
+    # a handler that catches no TypeError, a read of no parameter, an
+    # unpacking and a read outside the try are no such copy
+    assert _guarded_sequence_reads(tree) == [3, 8, 13]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_sequences_are_read_by_the_rule_only(path):
+    tree = ast.parse(path.read_text())
+    lines = _outside(tree, _guarded_sequence_reads(tree), path.name, _SEQUENCE_HOME)
+    assert lines == [], f"a sequence argument of {path.name} read at lines {lines}; take spaces._items"
+
+
+def test_the_sequence_rule_is_written_in_its_helper():
+    tree = ast.parse((_SRC / "spaces.py").read_text())
+    assert _outside(tree, _guarded_sequence_reads(tree), "spaces.py", ("", "")) != []
 
 
 @pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)

@@ -608,6 +608,17 @@ def test_every_map_reader_takes_an_iterator_and_refuses_a_non_iterable(name):
         call(5)
 
 
+@pytest.mark.parametrize("name", ["verify_weighted", "weighted_reduction"])
+def test_weighted_readers_check_their_maps_before_their_weights(name):
+    # the tuple-of-maps rule reads the maps first, as in decompose and
+    # check_preservation; the weights' length error came first before
+    call = {"verify_weighted": verify_weighted, "weighted_reduction": weighted_reduction}[name]
+    with pytest.raises(InvalidParameterError, match=r"^maps\[1\] is not a LinMap or PowerMap$"):
+        call([identity_map(_CONE), "x"], (1.0,), (1.0,))
+    with pytest.raises(InvalidParameterError, match="^need at least one map$"):
+        call([], (1.0,), (1.0,))
+
+
 # the generator families that no decompose family serves, and what "auto"
 # raises on them: full-space pairs break mn_chain's length rule, and the
 # non-extendable triple's maps are not endomorphisms of one space

@@ -1,8 +1,9 @@
-"""The three argument rules of the package, each a table over every public
+"""The argument rules of the package, each a table over every public
 function that takes such an argument: the matrix rule (`spaces._numeric`),
-the space rule (`spaces._check_space`) and the map rule
-(`linmaps._require_map`). Each refusal is an InvalidParameterError that
-names the argument."""
+the stack rule (`spaces._stack`), the space rule (`spaces._check_space`) and
+the map rule (`linmaps._require_map`), which also reads the records that the
+JSON encoders take. Each refusal is an InvalidParameterError that names the
+argument, or a DimensionMismatchError for a stack of two shapes."""
 import re
 
 import numpy as np
@@ -48,7 +49,16 @@ from traceprod import (
     transpose_map,
     weighted_canonical_maps,
 )
-from traceprod.jsonio import encode_linmap, encode_maps, encode_matrix, encode_space
+from traceprod.jsonio import (
+    encode_certificate,
+    encode_decomposition,
+    encode_generated,
+    encode_linmap,
+    encode_maps,
+    encode_matrix,
+    encode_report,
+    encode_space,
+)
 from traceprod.spaces import coords_batch, reassemble_batch
 
 C2 = SpaceTag(SpaceKind.FULL, Field.COMPLEX, 2)
@@ -74,7 +84,7 @@ _ALL = tuple(_NOT_NUMBERS)
 # error, where the rule now refuses it first.
 _MATRIX_ARGUMENTS = [
     ("coords", lambda M: coords(C2, M), "A", ("numeric-strings", "bool", "ragged", "nones")),
-    ("coords_batch", lambda M: coords_batch(C2, [M]), "batch", ("numeric-strings", "bool", "ragged", "nones")),
+    ("coords_batch", lambda M: coords_batch(C2, [M]), "batch[0]", ("numeric-strings", "bool", "ragged", "nones")),
     ("reassemble", lambda M: reassemble(C2, M), "x", ("ragged",)),
     ("reassemble_batch", lambda M: reassemble_batch(D2, M), "x", ("numeric-strings", "bool", "ragged", "nones")),
     ("membership", lambda M: membership(C2, M), "A", _ALL),
@@ -82,11 +92,11 @@ _MATRIX_ARGUMENTS = [
     ("gram_matrix", lambda M: gram_matrix([M]), "left[0]", ("numeric-strings", "bool", "nones", "dict")),
     ("LinMap", lambda M: LinMap(D2, D2, M), "transfer", ("numeric-strings", "bool", "ragged")),
     ("apply", lambda M: apply(identity_map(C2), M), "A", ("string", "numeric-strings", "bool", "ragged", "dict")),
-    ("apply_batch", lambda M: apply_batch(identity_map(C2), [M]), "batch",
+    ("apply_batch", lambda M: apply_batch(identity_map(C2), [M]), "batch[0]",
      ("numeric-strings", "bool", "ragged", "nones")),
-    ("linmap_from_images", lambda M: linmap_from_images(C2, C2, [M] * 4), "images",
+    ("linmap_from_images", lambda M: linmap_from_images(C2, C2, [M] * 4), "images[0]",
      ("string", "numeric-strings", "bool", "ragged", "dict")),
-    ("recover_conjugator", lambda M: recover_conjugator([M] * 4), "images", ("string", "ragged", "dict")),
+    ("recover_conjugator", lambda M: recover_conjugator([M] * 4), "images[0]", ("string", "ragged", "dict")),
     ("extend_from_subset", lambda M: extend_from_subset(C2, C2, [(U, U) for U in _UNITS[:3]] + [(M, M)]),
      "inputs[3]", ("numeric-strings", "bool")),
     ("encode_matrix", encode_matrix, "M", ("numeric-strings", "bool", "ragged", "nones")),
@@ -120,6 +130,35 @@ def test_the_matrix_rule_leaves_shapes_to_each_caller():
                  lambda: extend_from_subset(C2, C2, [(np.eye(2), np.eye(2)), (np.eye(3), np.eye(3))])):
         with pytest.raises(DimensionMismatchError, match=re.escape("of shapes [(2, 2), (3, 3)]")):
             call()
+    # a list stack that numpy read whole quoted its ragged-array text; each
+    # function names the shapes after its own shape message
+    for call, prefix in (
+        (lambda: coords_batch(C2, [np.eye(2), np.eye(3)]), "expected a (count, 2, 2) stack: batch"),
+        (lambda: apply_batch(identity_map(C2), [np.eye(2), np.eye(3)]), "expected a (count, 2, 2) stack: batch"),
+        (lambda: linmap_from_images(C2, C2, _UNITS[:3] + [np.eye(3)]), "images must be 2 x 2: images"),
+        (lambda: recover_conjugator(_UNITS[:3] + [np.eye(3)]), "need n^2 or n(n+1)/2 images of shape (n, n): images"),
+    ):
+        with pytest.raises(DimensionMismatchError) as exc:
+            call()
+        assert str(exc.value) == f"{prefix} of shapes [(2, 2), (3, 3)]"
+
+
+# (call on a list stack whose last matrix is the bad one, the name the refusal
+# gives that entry); numpy promoted a bool matrix beside a numeric one to 0/1,
+# so each call returned a result read off it
+_LIST_STACKS = {
+    "coords_batch": (lambda M: coords_batch(C2, [np.eye(2), M]), "batch[1]"),
+    "apply_batch": (lambda M: apply_batch(identity_map(C2), [np.eye(2), M]), "batch[1]"),
+    "linmap_from_images": (lambda M: linmap_from_images(C2, C2, _UNITS[:3] + [M]), "images[3]"),
+    "recover_conjugator": (lambda M: recover_conjugator(_UNITS[:3] + [M]), "images[3]"),
+}
+
+
+@pytest.mark.parametrize("call, name", list(_LIST_STACKS.values()), ids=list(_LIST_STACKS))
+def test_a_list_stack_is_read_matrix_by_matrix(call, name):
+    with pytest.raises(InvalidParameterError) as exc:
+        call(np.eye(2, dtype=bool))
+    assert str(exc.value) == f"{name} must be an array of numbers, got dtype bool"
 
 
 _FORM = HermOdd(np.eye(2), (1.0, 1.0, 1.0))
@@ -179,6 +218,11 @@ _MAP_ARGUMENTS = {
     "power_map_apply": (lambda f: power_map_apply(f, np.eye(2)), "map_", "LinMap or PowerMap"),
     "encode_linmap": (encode_linmap, "map_", "LinMap"),
     "generate": (generate, "spec", "GenSpec"),
+    "encode_maps": (lambda f: encode_maps(C2, [f]), "maps[0]", "LinMap"),
+    "encode_generated": (lambda g: encode_generated(g, "mn_chain"), "gen", "Generated"),
+    "encode_report": (encode_report, "report", "PreservationReport"),
+    "encode_certificate": (encode_certificate, "cert", "InfeasibilityCertificate"),
+    "encode_decomposition": (lambda r: encode_decomposition(r, C2), "result", "DecompositionResult"),
 }
 
 
@@ -188,3 +232,11 @@ def test_map_arguments_that_are_no_maps_are_invalid_parameters(call, name, kinds
     with pytest.raises(InvalidParameterError) as exc:
         call(value)
     assert str(exc.value) == f"{name} is not a {kinds}"
+
+
+def test_encode_maps_reads_its_maps_by_the_sequence_rule():
+    # a maps document may hold no map; an iterator has no len(), and a number is no iterable
+    assert encode_maps(C2, ()) == {"space": encode_space(C2), "m": 0, "maps": []}
+    assert encode_maps(C2, iter([_I2])) == encode_maps(C2, [_I2])
+    with pytest.raises(InvalidParameterError, match="^maps must be an iterable of maps, got int$"):
+        encode_maps(C2, 5)
