@@ -7,7 +7,8 @@ set -eo pipefail
 
 err=$(mktemp)
 doc=$(mktemp)
-trap 'rm -f "$err" "$doc"' EXIT
+dual=$(mktemp)
+trap 'rm -f "$err" "$doc" "$dual"' EXIT
 
 python -c "import sys, traceprod.cli; assert 'scipy' not in sys.modules, 'traceprod.cli imports scipy'"
 # a stage imports only what its subcommand runs: generate loads families, and neither decompose nor extend
@@ -29,6 +30,14 @@ out=$(traceprod -- generate --family mn_chain --n 2 --m 3 2>"$err") || status=$?
 test "$status" -eq 2
 test -z "$out"
 grep -q "invalid choice: '--'" "$err"
+# orjson writes each transfer, respelled where it differs from repr (0.00001 and 1e16 for repr's 1e-05
+# and 1e+16): a generate document and a dualize output, both holding such numbers, are json.dumps's text
+traceprod generate --family pn_pair --n 12 --m 2 >"$doc"
+traceprod dualize --maps "$doc" >"$dual"
+for text in "$doc" "$dual"; do
+  grep -qE '[0-9]e(\+|-0)[0-9]' "$text"
+  python -c 'import json, sys; text = open(sys.argv[1]).read(); assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"' "$text"
+done
 traceprod generate --family sym_odd --n 4 --m 3 | traceprod check --maps -
 traceprod generate --family pn_pair --n 4 --m 2 | traceprod dualize --maps - | traceprod check --maps -
 # dualize reads the trace Gram matrix off the basis terms: diagonal, symmetric and full spans over both fields

@@ -25,10 +25,11 @@ _collecting = gc.isenabled()
 gc.disable()
 try:
     import argparse
-    import json
     import os
     import sys
     from typing import Callable, NamedTuple
+
+    import numpy as np
 
     from .errors import (
         CanonicalStructureError,
@@ -63,17 +64,42 @@ def _load(module: str):
 def _read_maps(path: str):
     """The maps and space of a maps document. The text is dropped once
     parsed, before the decode allocates the transfers."""
+    import orjson  # here, so that a command that reads no document never loads it
+
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    # orjson builds nested values by recursion, and past about 10**5 levels
+    # overflows the C stack; json.loads refused at the recursion limit
+    if _nesting(text) > sys.getrecursionlimit():
+        raise InvalidParameterError("the maps document is nested too deeply")
     try:
-        doc = json.loads(text)
-        del text
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        raise InvalidParameterError(f"malformed JSON: {exc}") from None
+    del text
+    try:
         return decode_maps_document(doc)
     except RecursionError:
         raise InvalidParameterError("the maps document is nested too deeply") from None
+
+
+# every byte but the brackets and braces that nest, and the quotes of strings
+_NOT_MARKS = bytes(range(256)).translate(None, b'[]{}"')
+
+
+def _nesting(text: str) -> int:
+    """How deeply the arrays and objects of the JSON `text` nest, counted
+    outside its strings. Text that is not JSON may read any depth; orjson
+    refuses it without building a value."""
+    if "\\" in text:  # drop escaped backslashes, then escaped quotes: each quote left opens or closes a string
+        text = text.replace("\\\\", "").replace('\\"', "")
+    marks = text.encode(errors="replace").translate(None, _NOT_MARKS)
+    marks = np.frombuffer(b"".join(marks.split(b'"')[::2]), np.uint8)
+    steps = np.where((marks == ord("[")) | (marks == ord("{")), np.int8(1), np.int8(-1))
+    return int(np.cumsum(steps, dtype=np.int32).max(initial=0))
 
 
 def _emit(doc) -> None:
@@ -280,7 +306,7 @@ def run(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout: an error document there would break again
         return 2
-    except (TraceProdError, json.JSONDecodeError, UnicodeDecodeError, OSError, MemoryError) as exc:
+    except (TraceProdError, UnicodeDecodeError, OSError, MemoryError) as exc:
         return _failed(exc)
     except ValueError as exc:
         # numpy refuses an array whose size or byte count overflows before touching any memory

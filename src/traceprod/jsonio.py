@@ -7,13 +7,14 @@ command line's `generate` carry "space", "form", and "maps" keys and are
 accepted anywhere a tuple of maps is expected. `encode_document` writes a
 document as one line of compact, strict JSON; the command line's
 `generate`, `dualize` and `extend` have it write each transfer's entries
-straight from the array, a block of rows at a time.
+straight from the array, a block of rows at a time, with orjson.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import re
 from dataclasses import MISSING, fields
 from typing import TYPE_CHECKING
 
@@ -50,26 +51,53 @@ def _matrix(M, stream: bool) -> dict:
 
 def _entry_pairs(M) -> list:
     """The row-major [real, imag] pairs of the entries of M, an array or a sequence."""
+    return _pair_array(M).tolist()
+
+
+def _pair_array(M) -> np.ndarray:
+    """`_entry_pairs(M)` as a C-contiguous float64 array of shape (k, 2)."""
     Mc = np.asarray(M, dtype=np.complex128)
-    return np.stack((Mc.real, Mc.imag), -1).reshape(-1, 2).tolist()
+    return np.stack((Mc.real, Mc.imag), -1).reshape(-1, 2)
 
 
 # entries per block of rows that `_write_rows` writes
 _ROW_ENTRIES = 2**12
 
+# orjson spells a float as repr does but in two ways: it writes fixed point
+# down to 1e-5 (0.00001, which repr writes 1e-05), and an exponent without
+# its sign or a leading zero (1e16 and 1e-7, which repr writes 1e+16 and 1e-07)
+_FIXED = re.compile(r"0\.0000\d*")
+_EXPONENT = re.compile(r"e-?\d+")
+
 
 def _write_rows(M: np.ndarray, fh) -> None:
     """Write the text of `_entry_pairs(M)` a block of rows at a time, so that
-    no list of every entry is built."""
+    no list of every entry is built. orjson writes each block, respelled
+    where it differs from repr, so the text is `json.dumps`'s byte for byte."""
+    import orjson  # here, so that a command that writes no transfer never loads it
+
     step = max(1, _ROW_ENTRIES // max(1, M.shape[1]))
     sep = ""
     fh.write("[")
     for start in range(0, len(M), step):
-        text = _text(_entry_pairs(M[start : start + step]))[1:-1]
+        pairs = _pair_array(M[start : start + step])
+        text = orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY)
+        if b"n" in text:  # orjson writes NaN and infinities as null; json.dumps raises
+            _text(float(pairs[~np.isfinite(pairs)][0]))
+        text = _FIXED.sub(_fixed, _EXPONENT.sub(_exponent, text[1:-1].decode()))
         if text:
             fh.write(sep + text)
             sep = ","
     fh.write("]")
+
+
+def _fixed(digits: re.Match) -> str:
+    # a match that a digit precedes lies inside a number of 10 or more
+    return digits[0] if digits.string[digits.start() - 1].isdigit() else repr(float(digits[0]))
+
+
+def _exponent(exponent: re.Match) -> str:
+    return f"e{int(exponent[0][1:]):+03d}"
 
 
 def _integer(obj, key: str) -> int:
@@ -86,14 +114,13 @@ def _entries(data) -> np.ndarray:
     all of them."""
     pairs = [z if isinstance(z, (list, tuple)) else (z, 0) for z in data]
     # lazily, so no flat list of every number is built; bool is not an int here
-    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
+    if set(map(len, pairs)) - {2} or not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
         raise ValueError("every entry must be a number or a [real, imag] pair of numbers")
     try:
-        flat = np.array(pairs, dtype=np.float64)
-    except OverflowError as exc:  # an integer literal beyond double range
+        flat = np.fromiter(itertools.chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+    except OverflowError as exc:  # an integer beyond double range
         raise ValueError(f"number out of range: {exc}") from exc
-    # a pair without exactly two numbers leaves the wrong count of them
-    return flat.reshape(len(pairs), 2).view(np.complex128)[:, 0]
+    return flat.view(np.complex128)
 
 
 def decode_matrix(obj) -> np.ndarray:

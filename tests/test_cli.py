@@ -327,6 +327,56 @@ def test_non_utf8_maps_file_exits_two(tmp_path, capsys):
     assert err["error"]["code"] == "UnicodeDecodeError"
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # json.dumps writes NaN and Infinity literals, which JSON has not
+        pytest.param(("maps", 0, "transfer", "data", 0), [math.nan, 0.0], "malformed JSON: ", id="NaN"),
+        pytest.param(("maps", 0, "transfer", "data", 0), [0.0, math.inf], "malformed JSON: ", id="Infinity"),
+        # an integer beyond 64 bits reads as a float, which no size is
+        pytest.param(("space", "n"), 2**64, "malformed space object: n must be an integer, got 1.8", id="n-2**64"),
+        pytest.param(
+            ("maps", 0, "transfer", "rows"), 2**64, "malformed matrix object: rows must be an integer, got 1.8",
+            id="rows-2**64",
+        ),
+        pytest.param(("family",), "\ud800", "malformed JSON: ", id="lone-surrogate"),
+    ],
+)
+def test_documents_refused_at_parse_exit_two(tmp_path, capsys, path, value, message):
+    gen = generate(GenSpec(family="mn_chain", n=2, m=3, seed=0))
+    doc = encode_generated(gen, "mn_chain")
+    _set(doc, path, value)
+    code, err = _run(capsys, ["check", "--maps", _write(tmp_path, "bad.json", doc)])
+    assert code == 2
+    assert err["error"]["code"] == "InvalidParameterError"
+    assert err["error"]["message"].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    ["", '{"family": "' + "]" * 300_000 + '", "maps": ', '{"family": "\\"' + "]" * 300_000 + '", "maps": '],
+    ids=["bare", "behind-closers-in-a-string", "behind-an-escaped-quote"],
+)
+def test_a_document_nested_beyond_the_parser_stack_exits_two(prefix):
+    # orjson builds nested values by recursion: 200 000 levels overflowed the
+    # C stack, and the process died of SIGSEGV
+    text = prefix + "[" * 200_000 + "]" * 200_000 + ("}" if prefix else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "traceprod.cli", "check", "--maps", "-"],
+        input=text, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    err = _parse(proc.stdout)["error"]
+    assert (err["code"], err["message"]) == ("InvalidParameterError", "the maps document is nested too deeply")
+    assert "Traceback" not in proc.stderr
+
+
 def test_non_integer_space_size_exits_two(tmp_path, capsys):
     f = identity_map(SpaceTag(SpaceKind.FULL, Field.COMPLEX, 1))
     doc = [encode_linmap(f), encode_linmap(f)]

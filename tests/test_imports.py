@@ -124,3 +124,17 @@ def test_a_stage_imports_only_what_its_subcommand_runs_and_before_the_freeze(tmp
     want = sorted(_COMMON + [f"traceprod.{m}" for m in own])
     assert loaded == want
     assert frozen == [want]
+
+
+def test_orjson_loads_only_where_a_transfer_is_read_or_written():
+    # the codec imports orjson when it first reads or writes a maps document:
+    # importing the command line and the codec, and certify, leave it out
+    code = (
+        "import sys\n"
+        "from traceprod import cli, jsonio\n"
+        "before = 'orjson' in sys.modules\n"
+        "sys.argv = ['traceprod', 'certify', '--n', '3', '--k', '2']\n"
+        "try:\n    cli.main()\nexcept SystemExit as exc:\n    status = exc.code\n"
+        "print(status, before, 'orjson' in sys.modules, file=sys.stderr)"
+    )
+    assert _python(code).stderr.split()[-3:] == ["0", "False", "False"]

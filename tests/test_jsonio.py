@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from traceprod import Field, GenSpec, InvalidParameterError, SpaceKind, SpaceTag, from_canonical, generate
+from traceprod import Field, GenSpec, InvalidParameterError, LinMap, SpaceKind, SpaceTag, from_canonical, generate
 from traceprod import jsonio
 from traceprod.jsonio import (
     decode_form,
@@ -331,6 +331,52 @@ def test_streamed_matrix_of_any_shape(shape):
 def test_streamed_matrix_refuses_nan_as_text_does():
     with pytest.raises(ValueError):
         encode_document({"m": jsonio._matrix(np.array([[1.0, np.nan]]), stream=True)}, io.StringIO())
+
+
+# numbers that orjson, which writes streamed transfers, spells otherwise than
+# repr (1e-05, 1e+16), the edges of repr's fixed point, and numbers with
+# "0.0000" inside them
+SPELLINGS = (
+    0.0, -0.0, 5e-324, 1e-17, 1e-05, 9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16,
+    1.7976931348623157e308, 1e-07, 2.5e-10, 1.2345678901234568e17, 10.00001, 100.000012,
+)
+
+
+@pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+@pytest.mark.parametrize("row_entries", [1, 7, 2**12], ids=["one-row-blocks", "odd-blocks", "default-blocks"])
+def test_streamed_transfers_spell_every_number_as_json_dumps(monkeypatch, field, row_entries):
+    monkeypatch.setattr(jsonio, "_ROW_ENTRIES", row_entries)
+    space = SpaceTag(SpaceKind.FULL, field, 3)
+    signed = np.array(SPELLINGS + tuple(-x for x in SPELLINGS))
+    T = np.resize(signed, (9, 9))
+    if field is Field.COMPLEX:
+        T = T + 1j * np.resize(signed[::-1], (9, 9))
+    maps = [LinMap(space, space, T), LinMap(space, space, T.T.copy())]
+    fh = io.StringIO()
+    encode_document(jsonio._maps_document(space, maps, stream=True), fh)
+    assert fh.getvalue() == json.dumps(encode_maps(space, maps), separators=(",", ":"), allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("imag", [False, True], ids=["real-part", "imaginary-part"])
+def test_streamed_matrix_refuses_non_finite_numbers_as_json_dumps_does(bad, imag):
+    A = np.array([[1e-05, 1e16], [2.0, 3.0]], dtype=complex if imag else float)
+    A[1, 0] = complex(2.0, bad) if imag else bad
+    with pytest.raises(ValueError) as want:
+        json.dumps(jsonio._entry_pairs(A), allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        encode_document({"m": jsonio._matrix(A, stream=True)}, io.StringIO())
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("entry", [[], [1.0], [1.0, 0.0, 2.0]])
+def test_matrix_entry_pairs_hold_two_numbers(entry):
+    data = [[0.0, 0.0]] * 3 + [entry]
+    with pytest.raises(InvalidParameterError) as exc:
+        decode_matrix({"rows": 2, "cols": 2, "field": "complex", "data": data})
+    assert str(exc.value) == (
+        "malformed matrix object: every entry must be a number or a [real, imag] pair of numbers"
+    )
 
 
 @pytest.mark.parametrize(
