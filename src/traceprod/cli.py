@@ -94,7 +94,8 @@ def _nesting(text: str) -> int:
     """How deeply the arrays and objects of the JSON `text` nest, counted
     outside its strings. Text that is not JSON may read any depth; orjson
     refuses it without building a value."""
-    if "\\" in text:  # drop escaped backslashes, then escaped quotes: each quote left opens or closes a string
+    # drop escaped backslashes, then escaped quotes: each quote left opens or closes a string
+    if "\\" in text:
         text = text.replace("\\\\", "").replace('\\"', "")
     marks = text.encode(errors="replace").translate(None, _NOT_MARKS)
     marks = np.frombuffer(b"".join(marks.split(b'"')[::2]), np.uint8)

@@ -113,8 +113,10 @@ def _entries(data) -> np.ndarray:
     number or a [real, imag] pair, validated and converted in one pass over
     all of them."""
     pairs = [z if isinstance(z, (list, tuple)) else (z, 0) for z in data]
-    # lazily, so no flat list of every number is built; bool is not an int here
-    if set(map(len, pairs)) - {2} or not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
+    # two numbers per pair, read lazily, so no flat list of every number is
+    # built; bool is not an int here
+    numbers = set(map(type, itertools.chain.from_iterable(pairs)))
+    if set(map(len, pairs)) - {2} or not numbers <= {int, float}:
         raise ValueError("every entry must be a number or a [real, imag] pair of numbers")
     try:
         flat = np.fromiter(itertools.chain.from_iterable(pairs), np.float64, 2 * len(pairs))
