@@ -9,7 +9,8 @@ non-finite or negative `--tol`, a negative `--seed` and a size too large to
 allocate among them) and a stdout closed by its reader, which gets nothing
 more written to it.
 `generate` output pipes straight into `check`, `decompose`, `extend`, and
-`weighted` via `--maps -`.
+`weighted` via `--maps -`, which reads stdin as strict UTF-8, as a file is
+read; `jsonio.decode_document` parses either.
 """
 from __future__ import annotations
 
@@ -29,8 +30,6 @@ try:
     import sys
     from typing import Callable, NamedTuple
 
-    import numpy as np
-
     from .errors import (
         CanonicalStructureError,
         InvalidParameterError,
@@ -41,6 +40,7 @@ try:
     from .jsonio import (
         _generated_document,
         _maps_document,
+        decode_document,
         decode_maps_document,
         encode_certificate,
         encode_decomposition,
@@ -62,45 +62,15 @@ def _load(module: str):
 
 
 def _read_maps(path: str):
-    """The maps and space of a maps document. The text is dropped once
-    parsed, before the decode allocates the transfers."""
-    import orjson  # here, so that a command that reads no document never loads it
-
-    if path == "-":
-        text = sys.stdin.read()
-    else:
+    """The maps and space of the maps document in the file `path`, or on stdin for `-`."""
+    if path != "-":
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    # orjson builds nested values by recursion, and past about 10**5 levels
-    # overflows the C stack; json.loads refused at the recursion limit
-    if _nesting(text) > sys.getrecursionlimit():
-        raise InvalidParameterError("the maps document is nested too deeply")
-    try:
-        doc = orjson.loads(text)
-    except orjson.JSONDecodeError as exc:
-        raise InvalidParameterError(f"malformed JSON: {exc}") from None
-    del text
-    try:
-        return decode_maps_document(doc)
-    except RecursionError:
-        raise InvalidParameterError("the maps document is nested too deeply") from None
-
-
-# every byte but the brackets and braces that nest, and the quotes of strings
-_NOT_MARKS = bytes(range(256)).translate(None, b'[]{}"')
-
-
-def _nesting(text: str) -> int:
-    """How deeply the arrays and objects of the JSON `text` nest, counted
-    outside its strings. Text that is not JSON may read any depth; orjson
-    refuses it without building a value."""
-    # drop escaped backslashes, then escaped quotes: each quote left opens or closes a string
-    if "\\" in text:
-        text = text.replace("\\\\", "").replace('\\"', "")
-    marks = text.encode(errors="replace").translate(None, _NOT_MARKS)
-    marks = np.frombuffer(b"".join(marks.split(b'"')[::2]), np.uint8)
-    steps = np.where((marks == ord("[")) | (marks == ord("{")), np.int8(1), np.int8(-1))
-    return int(np.cumsum(steps, dtype=np.int32).max(initial=0))
+            doc = decode_document(fh)
+    elif sys.stdin is None:  # the process was started with stdin closed
+        raise InvalidParameterError("--maps - reads stdin, which is closed")
+    else:
+        doc = decode_document(sys.stdin)
+    return decode_maps_document(doc)
 
 
 def _emit(doc) -> None:
@@ -334,10 +304,12 @@ def main() -> None:
     # decoding or encoding a large document triggers, nor by the one at
     # interpreter shutdown, whose walk over numpy's import-time objects was
     # most of the time a stage spent exiting. `run` and the library never
-    # touch the collector.
+    # touch the collector. Reconfiguring stdin allocates, so it runs in the pause too.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        if sys.stdin is not None:  # `--maps -` reads it as a file is read, whatever the locale
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
         _command(sys.argv[1:])
         gc.freeze()
     finally:

@@ -5,9 +5,10 @@ Matrices travel as {"rows", "cols", "field", "data"} with row-major
 field-agnostic and lossless at double precision. Documents produced by the
 command line's `generate` carry "space", "form", and "maps" keys and are
 accepted anywhere a tuple of maps is expected. `encode_document` writes a
-document as one line of compact, strict JSON; the command line's
+document as one line of compact, strict JSON (the command line's
 `generate`, `dualize` and `extend` have it write each transfer's entries
-straight from the array, a block of rows at a time, with orjson.
+straight from the array, a block of rows at a time, with orjson), and
+`decode_document` is the one reader of that text, with orjson.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from dataclasses import MISSING, fields
 from typing import TYPE_CHECKING
 
@@ -360,37 +362,77 @@ def _write(value, fh) -> None:
         fh.write(_text(value))
 
 
+_TOO_DEEP = "the maps document is nested too deeply"
+
+# every byte but the brackets and braces that nest, and the quotes of strings
+_NOT_MARKS = bytes(range(256)).translate(None, b'[]{}"')
+
+
+def decode_document(fh):
+    """The JSON value of the text file `fh`, parsed with orjson; the text is
+    dropped on return. Text nested deeper than the recursion limit, or that
+    orjson refuses ("malformed JSON: ..."), is an `InvalidParameterError`."""
+    import orjson  # here, so that a command that reads no document never loads it
+
+    text = fh.read()
+    if not isinstance(text, str):
+        raise InvalidParameterError(f"fh must be a text file, read {type(text).__name__}")
+    if _nesting(text) > sys.getrecursionlimit():
+        raise InvalidParameterError(_TOO_DEEP)
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        raise InvalidParameterError(f"malformed JSON: {exc}") from None
+
+
+def _nesting(text: str) -> int:
+    """How deeply the arrays and objects of the JSON `text` nest, counted
+    outside its strings. orjson builds nested values by recursion, and past
+    about 10**5 levels overflows the C stack. Text that is not JSON may read
+    any depth; orjson refuses it without building a value."""
+    # drop escaped backslashes, then escaped quotes: each quote left opens or closes a string
+    if "\\" in text:
+        text = text.replace("\\\\", "").replace('\\"', "")
+    marks = text.encode(errors="replace").translate(None, _NOT_MARKS)
+    marks = np.frombuffer(b"".join(marks.split(b'"')[::2]), np.uint8)
+    steps = np.where((marks == ord("[")) | (marks == ord("{")), np.int8(1), np.int8(-1))
+    return int(np.cumsum(steps, dtype=np.int32).max(initial=0))
+
+
 def decode_maps_document(obj) -> tuple[list, SpaceTag | None]:
     """Read a tuple of maps from a bare list of map objects or any document
     with a "maps" key (for example `generate` output). Returns the maps and
     the document's space tag when it carries one; it must span what every
     map's domain spans. A "form" the document carries is decoded too, so a
-    malformed one is an input error.
+    malformed one is an input error, as is a value nested too deeply.
     """
-    space = None
-    if isinstance(obj, dict):
-        if "maps" not in obj:
-            raise InvalidParameterError('document has no "maps" key')
-        if "space" in obj:
-            space = decode_space(obj["space"])
-        if "form" in obj:
-            decode_form(obj["form"])
-        items = obj["maps"]
-    elif isinstance(obj, list):
-        items = obj
-    else:
-        raise InvalidParameterError("expected a list of maps or a document with a maps key")
-    if not isinstance(items, list) or not items:
-        raise InvalidParameterError("maps must be a nonempty list")
-    maps = [decode_linmap(it) for it in items]
-    if space is not None:
-        # the space is copied into the output beside the maps, so it must be theirs
-        want = span_of(space)
-        for i, f in enumerate(maps):
-            got = span_of(f.domain)
-            if got != want:
-                raise InvalidParameterError(
-                    f'the document\'s "space" spans {want.kind.value} {want.field.value} matrices of size '
-                    f"{want.n}, but map {i} acts on {got.kind.value} {got.field.value} matrices of size {got.n}"
-                )
-    return maps, space
+    try:
+        space = None
+        if isinstance(obj, dict):
+            if "maps" not in obj:
+                raise InvalidParameterError('document has no "maps" key')
+            if "space" in obj:
+                space = decode_space(obj["space"])
+            if "form" in obj:
+                decode_form(obj["form"])
+            items = obj["maps"]
+        elif isinstance(obj, list):
+            items = obj
+        else:
+            raise InvalidParameterError("expected a list of maps or a document with a maps key")
+        if not isinstance(items, list) or not items:
+            raise InvalidParameterError("maps must be a nonempty list")
+        maps = [decode_linmap(it) for it in items]
+        if space is not None:
+            # the space is copied into the output beside the maps, so it must be theirs
+            want = span_of(space)
+            for i, f in enumerate(maps):
+                got = span_of(f.domain)
+                if got != want:
+                    raise InvalidParameterError(
+                        f'the document\'s "space" spans {want.kind.value} {want.field.value} matrices of size '
+                        f"{want.n}, but map {i} acts on {got.kind.value} {got.field.value} matrices of size {got.n}"
+                    )
+        return maps, space
+    except RecursionError:
+        raise InvalidParameterError(_TOO_DEEP) from None

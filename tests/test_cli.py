@@ -377,6 +377,73 @@ def test_a_document_nested_beyond_the_parser_stack_exits_two(prefix):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_value_nested_under_the_scan_bound_but_too_deep_to_decode_exits_two(capsys, monkeypatch):
+    # 995 levels pass the nesting scan and the parse; the decode's message reprs the value
+    doc = encode_generated(generate(GenSpec(family="mn_chain", n=2, m=3, seed=0)), "mn_chain")
+    doc["space"]["n"] = "NESTED"
+    text = json.dumps(doc).replace('"NESTED"', "[" * 995 + "1" + "]" * 995)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, err = _run(capsys, ["check", "--maps", "-"])
+    assert code == 2
+    assert (err["error"]["code"], err["error"]["message"]) == (
+        "InvalidParameterError", "the maps document is nested too deeply"
+    )
+
+
+def _stage(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "traceprod.cli", *argv], capture_output=True, timeout=120,
+        env=None if env is None else {**os.environ, **env}, **kwargs,
+    )
+
+
+def _same_as_from_a_file(path, env=None) -> subprocess.CompletedProcess:
+    """`check` of the file `path` by `--maps PATH` and by `--maps -`, which must agree."""
+    from_file = _stage(["check", "--maps", str(path)], env)
+    with open(path, "rb") as fh:
+        from_stdin = _stage(["check", "--maps", "-"], env, stdin=fh)
+    assert (from_stdin.returncode, from_stdin.stdout) == (from_file.returncode, from_file.stdout)
+    assert "Traceback" not in from_stdin.stderr.decode(errors="replace")
+    return from_stdin
+
+
+def test_stdin_that_is_not_utf8_is_refused_as_a_file_is(tmp_path):
+    # stdin was read with surrogateescape and refused as "malformed JSON: str is not valid UTF-8"
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    proc = _same_as_from_a_file(path)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["code"] == "UnicodeDecodeError"
+
+
+def test_stdin_is_read_as_utf8_whatever_the_io_encoding(tmp_path):
+    # under PYTHONIOENCODING=ascii stdin refused the "é" that a file passed
+    doc = encode_generated(generate(GenSpec(family="mn_chain", n=2, m=3, seed=0)), "mn_chain")
+    doc["family"] = "mn_chainé"
+    path = tmp_path / "accented.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    proc = _same_as_from_a_file(path, {"PYTHONIOENCODING": "ascii"})
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["pass"] is True
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes the child's stdin before it starts")
+def test_reading_a_closed_stdin_exits_two():
+    # sys.stdin is None: the read was an AttributeError traceback with exit 1
+    proc = _stage(["check", "--maps", "-"], stdin=None, preexec_fn=lambda: os.close(0))
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    err = _parse(proc.stdout.decode())["error"]
+    assert (err["code"], err["message"]) == ("InvalidParameterError", "--maps - reads stdin, which is closed")
+    assert b"Traceback" not in proc.stderr
+
+
+def test_run_with_no_stdin_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)
+    code, err = _run(capsys, ["decompose", "--maps", "-"])
+    assert code == 2
+    assert err["error"]["message"] == "--maps - reads stdin, which is closed"
+
+
 def test_non_integer_space_size_exits_two(tmp_path, capsys):
     f = identity_map(SpaceTag(SpaceKind.FULL, Field.COMPLEX, 1))
     doc = [encode_linmap(f), encode_linmap(f)]

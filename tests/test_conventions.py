@@ -4,7 +4,9 @@ choice between float64 and complex128, and `_hermitian_part` the one
 that build arrays in a span's coordinates agree with the rule. `_numeric`
 is the one matrix rule: no public function hands one of its own parameters
 to numpy's array constructors instead. `_items` is the one sequence rule: no
-other function reads a parameter as a sequence and catches the TypeError."""
+other function reads a parameter as a sequence and catches the TypeError.
+`jsonio` is the one module that imports orjson, the codec of a document's
+text."""
 import ast
 from pathlib import Path
 
@@ -22,6 +24,7 @@ _SRC = Path(spaces.__file__).parent
 _DTYPE_HOME = ("spaces.py", "_dtype_of")
 _HERMITIAN_HOME = ("spaces.py", "_hermitian_part")
 _SEQUENCE_HOME = ("spaces.py", "_items")
+_ORJSON_HOME = "jsonio.py"
 
 
 def _dtype_names(node: ast.AST) -> set:
@@ -144,6 +147,21 @@ def _guarded_sequence_reads(tree: ast.AST) -> list:
                 ):
                     found.append(call.lineno)
     return sorted(set(found))
+
+
+def _orjson_imports(tree: ast.AST) -> list:
+    """Lines that import orjson or one of its submodules, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "orjson" for name in names):
+            found.append(node.lineno)
+    return sorted(found)
 
 
 def _outside(tree: ast.AST, lines: list, module: str, home: tuple) -> list:
@@ -312,3 +330,27 @@ def test_large_hermitian_samples_stay_c_ordered(kind):
     S = random_batch(SpaceTag(kind, Field.COMPLEX, 8), 256, 0)
     assert S.flags.c_contiguous
     assert np.array_equal(S, S.conj().transpose(0, 2, 1))
+
+
+def test_the_scan_finds_each_import_of_orjson():
+    tree = ast.parse(
+        "import orjson\n"
+        "def f():\n"
+        "    import orjson as fast\n"
+        "from orjson import loads\n"
+        "import json, orjson\n"
+        "import orjsonx\n"
+        "from . import orjson\n"
+        "from json import loads\n"
+    )
+    # a relative import, a longer name and another codec are not orjson
+    assert _orjson_imports(tree) == [1, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_orjson_is_imported_by_the_codec_only(path):
+    lines = _orjson_imports(ast.parse(path.read_text()))
+    if path.name == _ORJSON_HOME:
+        assert lines != []
+    else:
+        assert lines == [], f"{path.name} imports orjson at lines {lines}; read and write JSON text in jsonio"

@@ -7,6 +7,7 @@ import pytest
 from traceprod import Field, GenSpec, InvalidParameterError, LinMap, SpaceKind, SpaceTag, from_canonical, generate
 from traceprod import jsonio
 from traceprod.jsonio import (
+    decode_document,
     decode_form,
     decode_linmap,
     decode_maps_document,
@@ -393,3 +394,61 @@ def test_decode_space_names_what_is_malformed(obj, message):
     with pytest.raises(InvalidParameterError) as exc:
         decode_space(obj)
     assert str(exc.value) == message
+
+
+def _nested(depth: int):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("depth", [998, 1500, 20_000])
+@pytest.mark.parametrize(
+    "path", [("space", "n"), ("maps", 0, "transfer", "rows"), ("maps", 0, "transfer", "field")],
+    ids=["space-n", "rows", "field"],
+)
+def test_a_value_nested_too_deeply_to_decode_is_an_input_error(path, depth):
+    # the decoders' messages repr the value, which raised a bare RecursionError
+    doc = encode_generated(generate(GenSpec(family="mn_chain", n=2, m=3, seed=0)), "mn_chain")
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = _nested(depth)
+    with pytest.raises(InvalidParameterError) as exc:
+        decode_maps_document(doc)
+    assert str(exc.value) == "the maps document is nested too deeply"
+
+
+def test_decode_document_reads_what_encode_document_writes():
+    doc = encode_generated(generate(GenSpec(family="herm_odd", n=3, m=3, seed=1)), "herm_odd")
+    out = io.StringIO()
+    encode_document(doc, out)
+    assert decode_document(io.StringIO(out.getvalue())) == json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("this is not json", "malformed JSON: "),
+        ("", "malformed JSON: "),
+        ('{"n": NaN}', "malformed JSON: "),
+        ("[" * 1001 + "]" * 1001, "the maps document is nested too deeply"),
+    ],
+    ids=["not-json", "empty", "NaN", "nested"],
+)
+def test_decode_document_refuses_what_it_cannot_read(text, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        decode_document(io.StringIO(text))
+    assert str(exc.value).startswith(message)
+
+
+def test_brackets_inside_strings_do_not_nest():
+    text = '["' + "[" * 2000 + '", "\\\"' + "{" * 2000 + '"]'
+    assert decode_document(io.StringIO(text)) == json.loads(text)
+
+
+def test_decode_document_reads_text_files_only():
+    with pytest.raises(InvalidParameterError) as exc:
+        decode_document(io.BytesIO(b"[]"))
+    assert str(exc.value) == "fh must be a text file, read bytes"
