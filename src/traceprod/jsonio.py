@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import re
+import reprlib
 import sys
 from dataclasses import MISSING, fields
 from typing import TYPE_CHECKING
@@ -106,7 +107,8 @@ def _integer(obj, key: str) -> int:
     """A size field, which must be a JSON integer: never truncated, and not a boolean."""
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        # reprlib stops at six levels, where repr recurses once per level of an array or object
+        raise ValueError(f"{key} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
@@ -135,7 +137,7 @@ def decode_matrix(obj) -> np.ndarray:
             raise InvalidParameterError(f"matrix data has {len(data)} entries, expected {rows * cols}")
         field = obj["field"]
         if field not in ("real", "complex"):
-            raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+            raise ValueError(f"field must be 'real' or 'complex', got {reprlib.repr(field)}")
         M = _entries(data).reshape(rows, cols)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed matrix object: {exc}") from exc
@@ -154,6 +156,9 @@ def encode_space(space: SpaceTag) -> dict:
 def decode_space(obj) -> SpaceTag:
     try:
         kind, field, n = obj["kind"], obj["field"], _integer(obj, "n")
+        for value, enum in ((kind, SpaceKind), (field, Field)):
+            if isinstance(value, (list, dict)):  # the enum's own refusal reprs it without bound
+                raise ValueError(f"{reprlib.repr(value)} is not a valid {enum.__name__}")
         kind, field = SpaceKind(kind), Field(field)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed space object: {exc}") from exc
@@ -362,8 +367,6 @@ def _write(value, fh) -> None:
         fh.write(_text(value))
 
 
-_TOO_DEEP = "the maps document is nested too deeply"
-
 # every byte but the brackets and braces that nest, and the quotes of strings
 _NOT_MARKS = bytes(range(256)).translate(None, b'[]{}"')
 
@@ -375,10 +378,8 @@ def decode_document(fh):
     import orjson  # here, so that a command that reads no document never loads it
 
     text = fh.read()
-    if not isinstance(text, str):
-        raise InvalidParameterError(f"fh must be a text file, read {type(text).__name__}")
     if _nesting(text) > sys.getrecursionlimit():
-        raise InvalidParameterError(_TOO_DEEP)
+        raise InvalidParameterError("the maps document is nested too deeply")
     try:
         return orjson.loads(text)
     except orjson.JSONDecodeError as exc:
@@ -386,10 +387,9 @@ def decode_document(fh):
 
 
 def _nesting(text: str) -> int:
-    """How deeply the arrays and objects of the JSON `text` nest, counted
-    outside its strings. orjson builds nested values by recursion, and past
-    about 10**5 levels overflows the C stack. Text that is not JSON may read
-    any depth; orjson refuses it without building a value."""
+    """How deeply the arrays and objects of the JSON `text` nest outside its
+    strings; orjson recurses once per level and overflows the C stack past
+    about 10**5. Text that is not JSON may read any depth; orjson refuses it."""
     # drop escaped backslashes, then escaped quotes: each quote left opens or closes a string
     if "\\" in text:
         text = text.replace("\\\\", "").replace('\\"', "")
@@ -404,35 +404,32 @@ def decode_maps_document(obj) -> tuple[list, SpaceTag | None]:
     with a "maps" key (for example `generate` output). Returns the maps and
     the document's space tag when it carries one; it must span what every
     map's domain spans. A "form" the document carries is decoded too, so a
-    malformed one is an input error, as is a value nested too deeply.
+    malformed one is an input error.
     """
-    try:
-        space = None
-        if isinstance(obj, dict):
-            if "maps" not in obj:
-                raise InvalidParameterError('document has no "maps" key')
-            if "space" in obj:
-                space = decode_space(obj["space"])
-            if "form" in obj:
-                decode_form(obj["form"])
-            items = obj["maps"]
-        elif isinstance(obj, list):
-            items = obj
-        else:
-            raise InvalidParameterError("expected a list of maps or a document with a maps key")
-        if not isinstance(items, list) or not items:
-            raise InvalidParameterError("maps must be a nonempty list")
-        maps = [decode_linmap(it) for it in items]
-        if space is not None:
-            # the space is copied into the output beside the maps, so it must be theirs
-            want = span_of(space)
-            for i, f in enumerate(maps):
-                got = span_of(f.domain)
-                if got != want:
-                    raise InvalidParameterError(
-                        f'the document\'s "space" spans {want.kind.value} {want.field.value} matrices of size '
-                        f"{want.n}, but map {i} acts on {got.kind.value} {got.field.value} matrices of size {got.n}"
-                    )
-        return maps, space
-    except RecursionError:
-        raise InvalidParameterError(_TOO_DEEP) from None
+    space = None
+    if isinstance(obj, dict):
+        if "maps" not in obj:
+            raise InvalidParameterError('document has no "maps" key')
+        if "space" in obj:
+            space = decode_space(obj["space"])
+        if "form" in obj:
+            decode_form(obj["form"])
+        items = obj["maps"]
+    elif isinstance(obj, list):
+        items = obj
+    else:
+        raise InvalidParameterError("expected a list of maps or a document with a maps key")
+    if not isinstance(items, list) or not items:
+        raise InvalidParameterError("maps must be a nonempty list")
+    maps = [decode_linmap(it) for it in items]
+    if space is not None:
+        # the space is copied into the output beside the maps, so it must be theirs
+        want = span_of(space)
+        for i, f in enumerate(maps):
+            got = span_of(f.domain)
+            if got != want:
+                raise InvalidParameterError(
+                    f'the document\'s "space" spans {want.kind.value} {want.field.value} matrices of size '
+                    f"{want.n}, but map {i} acts on {got.kind.value} {got.field.value} matrices of size {got.n}"
+                )
+    return maps, space

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import reprlib
 import sys
 import warnings
 from dataclasses import dataclass, fields
@@ -407,7 +408,7 @@ def _numbers(kind: type, what: str, values, name: str) -> tuple:
 def _flag(value, name: str) -> bool:
     # bool(value) would read the string "false" as True
     if not isinstance(value, (bool, np.bool_)):
-        raise InvalidParameterError(f"{name} must be a boolean, got {value!r}")
+        raise InvalidParameterError(f"{name} must be a boolean, got {reprlib.repr(value)}")
     return bool(value)
 
 

@@ -377,8 +377,8 @@ def test_a_document_nested_beyond_the_parser_stack_exits_two(prefix):
     assert "Traceback" not in proc.stderr
 
 
-def test_a_value_nested_under_the_scan_bound_but_too_deep_to_decode_exits_two(capsys, monkeypatch):
-    # 995 levels pass the nesting scan and the parse; the decode's message reprs the value
+def test_a_value_nested_under_the_scan_bound_exits_two_with_its_field_message(capsys, monkeypatch):
+    # 995 levels pass the nesting scan and the parse; the decode's message reprs the value to six levels
     doc = encode_generated(generate(GenSpec(family="mn_chain", n=2, m=3, seed=0)), "mn_chain")
     doc["space"]["n"] = "NESTED"
     text = json.dumps(doc).replace('"NESTED"', "[" * 995 + "1" + "]" * 995)
@@ -386,7 +386,7 @@ def test_a_value_nested_under_the_scan_bound_but_too_deep_to_decode_exits_two(ca
     code, err = _run(capsys, ["check", "--maps", "-"])
     assert code == 2
     assert (err["error"]["code"], err["error"]["message"]) == (
-        "InvalidParameterError", "the maps document is nested too deeply"
+        "InvalidParameterError", "malformed space object: n must be an integer, got [[[[[[[...]]]]]]]"
     )
 
 

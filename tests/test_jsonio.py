@@ -403,13 +403,22 @@ def _nested(depth: int):
     return value
 
 
+_DEEP = "[[[[[[[...]]]]]]]"
+
+
 @pytest.mark.parametrize("depth", [998, 1500, 20_000])
 @pytest.mark.parametrize(
-    "path", [("space", "n"), ("maps", 0, "transfer", "rows"), ("maps", 0, "transfer", "field")],
-    ids=["space-n", "rows", "field"],
+    "path, message",
+    [
+        (("space", "n"), f"malformed space object: n must be an integer, got {_DEEP}"),
+        (("space", "kind"), f"malformed space object: {_DEEP} is not a valid SpaceKind"),
+        (("maps", 0, "transfer", "rows"), f"malformed matrix object: rows must be an integer, got {_DEEP}"),
+        (("maps", 0, "transfer", "field"), f"malformed matrix object: field must be 'real' or 'complex', got {_DEEP}"),
+    ],
+    ids=["space-n", "space-kind", "rows", "field"],
 )
-def test_a_value_nested_too_deeply_to_decode_is_an_input_error(path, depth):
-    # the decoders' messages repr the value, which raised a bare RecursionError
+def test_a_deeply_nested_value_is_refused_by_its_field(path, message, depth):
+    # the decoders' messages repr'd the value whole, which raised a bare RecursionError
     doc = encode_generated(generate(GenSpec(family="mn_chain", n=2, m=3, seed=0)), "mn_chain")
     obj = doc
     for key in path[:-1]:
@@ -417,8 +426,19 @@ def test_a_value_nested_too_deeply_to_decode_is_an_input_error(path, depth):
     obj[path[-1]] = _nested(depth)
     with pytest.raises(InvalidParameterError) as exc:
         decode_maps_document(doc)
-    assert str(exc.value) == "the maps document is nested too deeply"
+    assert str(exc.value) == message
 
+
+
+def test_a_deeply_nested_object_is_refused_by_its_form_parameter():
+    doc = encode_generated(generate(GenSpec(family="pn_pair", n=2, m=2, seed=0)), "pn_pair")
+    value = True
+    for _ in range(20_000):
+        value = {"k": value}
+    doc["form"]["params"]["transpose"] = value
+    with pytest.raises(InvalidParameterError) as exc:
+        decode_maps_document(doc)
+    assert str(exc.value) == "transpose must be a boolean, got {'k': {'k': {'k': {'k': {'k': {'k': {...}}}}}}}"
 
 def test_decode_document_reads_what_encode_document_writes():
     doc = encode_generated(generate(GenSpec(family="herm_odd", n=3, m=3, seed=1)), "herm_odd")
@@ -447,8 +467,3 @@ def test_brackets_inside_strings_do_not_nest():
     text = '["' + "[" * 2000 + '", "\\\"' + "{" * 2000 + '"]'
     assert decode_document(io.StringIO(text)) == json.loads(text)
 
-
-def test_decode_document_reads_text_files_only():
-    with pytest.raises(InvalidParameterError) as exc:
-        decode_document(io.BytesIO(b"[]"))
-    assert str(exc.value) == "fh must be a text file, read bytes"
