@@ -76,6 +76,17 @@ def __dir__():
     return sorted({*globals(), *__all__})
 
 
+def _script():
+    """The `traceprod` script: `traceprod.cli` run as `__main__`, as `python -m
+    traceprod.cli` runs it, so that the collector stays paused from the
+    module's first import to `main()`'s freeze. Between an import of `cli`
+    and a call of `main()`, one collection would walk numpy's import-time
+    objects."""
+    import runpy
+
+    runpy.run_module("traceprod.cli", run_name="__main__", alter_sys=True)
+
+
 class _Package(types.ModuleType):
     """The package module. `traceprod.decompose` is the public function in
     every import order: importing the submodule of that name sets the

@@ -20,8 +20,9 @@ import gc
 # body, then left as the caller had it. What numpy and the library create as
 # they load lives as long as the process, so a collection that walks it frees
 # nothing. The first allocation after the pause sets off one collection over
-# all of it, so the pause ends last: under `python -m traceprod.cli`, main()
-# pauses the collector again before anything is allocated, and freezes that heap.
+# all of it, so the pause ends last: run as `__main__` (`python -m` and the
+# `traceprod` script), main() pauses the collector again before anything is
+# allocated, and freezes that heap.
 _collecting = gc.isenabled()
 gc.disable()
 try:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
@@ -641,7 +642,7 @@ def decompose(maps, family: str = "auto", tol: float = REBUILD_TOL) -> Decomposi
     _check_tol(tol)
     if not (isinstance(family, str) and (family == "auto" or family in _DECOMPOSERS)):
         raise InvalidParameterError(
-            f"unknown family {family!r}; expected one of {sorted(_DECOMPOSERS)} or 'auto'"
+            f"unknown family {reprlib.repr(family)}; expected one of {sorted(_DECOMPOSERS)} or 'auto'"
         )
     maps = _require_maps(maps)
     m = len(maps)
@@ -701,7 +702,7 @@ def reshuffled_transfer_rank(map_: LinMap, rtol: float = RANK_CUTOFF) -> int:
     or NaN, none does.
     """
     if not (_is_real(rtol) and 0 < rtol < 1):
-        raise InvalidParameterError(f"rtol must lie in the open interval (0, 1), got {rtol!r}")
+        raise InvalidParameterError(f"rtol must lie in the open interval (0, 1), got {reprlib.repr(rtol)}")
     _require_map(map_, "map_")
     dom = span_of(map_.domain)
     cod = span_of(map_.codomain)

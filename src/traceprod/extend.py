@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,13 +189,10 @@ def check_preservation(
                 )
     dims = [span_dim(f.domain) for f in maps]
     total = math.prod(dims)
-    if mode == "auto":
+    if isinstance(mode, str) and mode == "auto":
         chosen = CheckMode.EXHAUSTIVE if total <= EXHAUSTIVE_CAP else CheckMode.RANDOMIZED
     else:
-        try:
-            chosen = CheckMode(mode)
-        except ValueError:
-            raise InvalidParameterError(f"mode must be auto, exhaustive or randomized, got {mode!r}") from None
+        chosen = _member(CheckMode, mode, "mode must be auto, exhaustive or randomized, got {value}")
 
     # an overflow in the products reads as an infinite residual, so it warns nothing
     with np.errstate(over="ignore", invalid="ignore"):
@@ -541,7 +539,9 @@ def infeasibility_certificate(
     counts, and at 1 or above, or NaN, none does.
     """
     if not (_is_real(cutoff_factor) and 0 < cutoff_factor < 1):
-        raise InvalidParameterError(f"cutoff_factor must lie in the open interval (0, 1), got {cutoff_factor!r}")
+        raise InvalidParameterError(
+            f"cutoff_factor must lie in the open interval (0, 1), got {reprlib.repr(cutoff_factor)}"
+        )
     trials = _count(trials, "trials")
     field = _member(Field, field)
     n, k = _count(n, "n"), _count(k, "k")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import os
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -62,12 +63,11 @@ class GenSpec:
     condition_bound: float = CONDITION_BOUND
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not (isinstance(self.family, str) and self.family in FAMILIES):
             raise InvalidParameterError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
+                f"unknown family {reprlib.repr(self.family)}; expected one of {FAMILIES}"
             )
-        if not isinstance(self.field, Field):
-            object.__setattr__(self, "field", _member(Field, self.field))
+        object.__setattr__(self, "field", _member(Field, self.field))
         object.__setattr__(self, "n", _count(self.n, "n"))
         object.__setattr__(self, "m", _count(self.m, "m"))
         if not (_is_real(self.condition_bound) and self.condition_bound >= 1):  # NaN fails too

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .linmaps import FORMS, LinMap, _require_map
-from .spaces import Field, SpaceKind, SpaceTag, _check_space, _items, _numeric, span_of
+from .spaces import Field, SpaceKind, SpaceTag, _check_space, _items, _member, _numeric, span_of
 
 if TYPE_CHECKING:  # annotations only: each encoder of these records imports its class when called
     from .decompose import DecompositionResult
@@ -107,7 +107,6 @@ def _integer(obj, key: str) -> int:
     """A size field, which must be a JSON integer: never truncated, and not a boolean."""
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        # reprlib stops at six levels, where repr recurses once per level of an array or object
         raise ValueError(f"{key} must be an integer, got {reprlib.repr(value)}")
     return value
 
@@ -156,11 +155,8 @@ def encode_space(space: SpaceTag) -> dict:
 def decode_space(obj) -> SpaceTag:
     try:
         kind, field, n = obj["kind"], obj["field"], _integer(obj, "n")
-        for value, enum in ((kind, SpaceKind), (field, Field)):
-            if isinstance(value, (list, dict)):  # the enum's own refusal reprs it without bound
-                raise ValueError(f"{reprlib.repr(value)} is not a valid {enum.__name__}")
-        kind, field = SpaceKind(kind), Field(field)
-    except (KeyError, TypeError, ValueError) as exc:
+        kind, field = _member(SpaceKind, kind), _member(Field, field)
+    except (KeyError, TypeError, ValueError, InvalidParameterError) as exc:
         raise InvalidParameterError(f"malformed space object: {exc}") from exc
     return SpaceTag(kind, field, n)
 
@@ -224,7 +220,7 @@ def decode_form(obj):
     except (KeyError, TypeError) as exc:
         raise InvalidParameterError(f"malformed form object: {exc}") from exc
     if cls is None:
-        raise InvalidParameterError(f"unknown form tag {tag!r}")
+        raise InvalidParameterError(f"unknown form tag {reprlib.repr(tag)}")
     try:
         kwargs = {
             f.name: _PARAM_CODECS[f.type][1](params[f.name])

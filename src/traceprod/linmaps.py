@@ -401,7 +401,7 @@ def _numbers(kind: type, what: str, values, name: str) -> tuple:
     values = _items(values, f"{name} must be a sequence of {what} numbers")
     for x in values:
         if not (_is_real(x) or kind is complex and isinstance(x, (complex, np.complexfloating))):
-            raise InvalidParameterError(f"{name} must be a sequence of {what} numbers, got {x!r}")
+            raise InvalidParameterError(f"{name} must be a sequence of {what} numbers, got {reprlib.repr(x)}")
     return tuple(map(kind, values))
 
 

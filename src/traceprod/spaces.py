@@ -19,8 +19,12 @@ InvalidParameterError that names the argument:
   form's matrices and scalars, weights) is read once as a list; anything
   else is refused.
 - `_check_space`, the space rule: a space is a `SpaceTag`.
+- `_member`, the enum-name rule: a field, a space kind or a check mode is
+  a string that is one of its enum's values.
 - `_count`, the positive-integer rule, for every n, m, trials and count.
 - `_is_real`, the real-number rule, and `_check_tol`, the tol rule.
+- `_check_seed`, the seed rule: a nonnegative int or numpy integer, never a
+  bool, or a numpy Generator, which is drawn from as it is.
 `linmaps._require_map` is the map rule beside them, and
 `linmaps._require_maps` the tuple-of-maps rule: `_items`, then a nonempty
 list of maps, each entry named `maps[i]`.
@@ -32,12 +36,17 @@ basis element, are read off one reassembly of coordinate labels in O(n^2),
 and every program path works from them. The dense (d, n, n) `_basis_stack`
 serves only the public `space_basis` and `gram_matrix` of a tag. All are
 cached read-only once per span.
+
+A refusal quotes the value it refuses with `reprlib.repr`, which shows six
+levels of a nesting and about 30 characters of a string or number, so that
+no message grows with, or recurses into, what it refuses.
 """
 from __future__ import annotations
 
 import enum
 import functools
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -85,12 +94,14 @@ class SpaceKind(str, enum.Enum):
     DIAGONAL = "Diagonal"
 
 
-def _member(enum_type, value):
-    """`enum_type(value)`; a value that names no member is an InvalidParameterError."""
-    try:
-        return enum_type(value)
-    except ValueError as exc:
-        raise InvalidParameterError(str(exc)) from None
+def _member(enum_type, value, refusal: str = "{value} is not a valid {enum}"):
+    """The one enum-name rule: the member whose value is the string `value`, else InvalidParameterError(refusal)."""
+    if isinstance(value, str):
+        try:
+            return enum_type(value)
+        except ValueError:
+            pass
+    raise InvalidParameterError(refusal.format(value=reprlib.repr(value), enum=enum_type.__name__))
 
 
 @dataclass(frozen=True)
@@ -102,10 +113,8 @@ class SpaceTag:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.kind, SpaceKind):
-            object.__setattr__(self, "kind", _member(SpaceKind, self.kind))
-        if not isinstance(self.field, Field):
-            object.__setattr__(self, "field", _member(Field, self.field))
+        object.__setattr__(self, "kind", _member(SpaceKind, self.kind))
+        object.__setattr__(self, "field", _member(Field, self.field))
         object.__setattr__(self, "n", _count(self.n, "space size", "n="))
 
 
@@ -467,23 +476,22 @@ def random_batch(space: SpaceTag, count: int, rng=0) -> np.ndarray:
 
 
 def _rng(seed) -> np.random.Generator:
-    """`np.random.default_rng(seed)`, which hands a Generator back as it is.
-
-    Every seeded function of the package draws through here, so a seed numpy
-    refuses, such as a negative integer, is an InvalidParameterError.
-    """
-    try:
-        return np.random.default_rng(seed)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed!r}") from None
+    """`np.random.default_rng(seed)`, which hands a Generator back as it is,
+    for a seed by the seed rule. Every seeded function of the package draws
+    through here."""
+    _check_seed(seed)
+    return np.random.default_rng(seed)
 
 
 def _check_seed(seed) -> None:
-    """Refuse what `_rng` refuses, where nothing is drawn yet. A nonnegative
-    int passes without importing numpy.random, which costs a process about
-    6 MB of RSS and 12 ms (numpy 2.4 on x86_64)."""
-    if not (isinstance(seed, int) and seed >= 0):
-        _rng(seed)
+    """The one seed rule, also where nothing is drawn: a nonnegative int or
+    numpy integer, never a bool, or a numpy Generator. None, which numpy reads
+    as a call for OS entropy, is refused with the rest. An int is checked
+    without importing numpy.random, which costs a process about 6 MB of RSS
+    and 12 ms (numpy 2.4 on x86_64)."""
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (seed >= 0 if integer else isinstance(seed, np.random.Generator)):
+        raise InvalidParameterError(f"seed must be a nonnegative integer, got {reprlib.repr(seed)}")
 
 
 def _check_tol(tol) -> None:
@@ -491,7 +499,7 @@ def _check_tol(tol) -> None:
     `deviation > tol` is never true at a NaN or infinite tol, so the check
     it guards would pass anything, and at a negative tol nothing passes."""
     if not (_is_real(tol) and math.isfinite(tol) and tol >= 0):
-        raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol!r}")
+        raise InvalidParameterError(f"tol must be finite and nonnegative, got {reprlib.repr(tol)}")
 
 
 def _is_real(value) -> bool:
@@ -553,7 +561,7 @@ def _count(value, what: str, label: str = "") -> int:
     least 1. A bool, a float (3.0 too), a string or None is no count."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1:
         return int(value)
-    raise InvalidParameterError(f"{what} must be a positive integer, got {label}{value!r}")
+    raise InvalidParameterError(f"{what} must be a positive integer, got {label}{reprlib.repr(value)}")
 
 
 def _gaussian(shape: tuple, real: bool, rng: np.random.Generator) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Union
 
@@ -45,7 +46,7 @@ _WEIGHTED_BATCH = 256
 def _finite(value, what: str) -> float:
     """`value` as a float, refused unless it is a finite real number (`spaces._is_real`)."""
     if not _is_real(value):
-        raise InvalidParameterError(f"{what} must be a real number, got {value!r}")
+        raise InvalidParameterError(f"{what} must be a real number, got {reprlib.repr(value)}")
     x = float(value)
     if not math.isfinite(x):
         raise InvalidParameterError(f"{what} must be finite, got {x}")
@@ -182,9 +183,10 @@ def _weights(alpha, beta, m: int) -> tuple[list, list]:
     """The exponents as finite floats, one of each per map; a zero beta leaves
     the reduced identity on B_i = A_i^beta_i undefined, and so does one whose
     reciprocal, the power of B_i that gives A_i, overflows."""
-    alpha, beta = (_items(w, "alpha and beta must be real numbers") for w in (alpha, beta))
+    what = "alpha and beta must be real numbers"
+    alpha, beta = (_items(w, what) for w in (alpha, beta))
     if not all(map(_is_real, alpha + beta)):
-        raise InvalidParameterError(f"alpha and beta must be real numbers, got {alpha!r} and {beta!r}")
+        raise InvalidParameterError(f"{what}, got {reprlib.repr(alpha)} and {reprlib.repr(beta)}")
     alpha, beta = [float(a) for a in alpha], [float(b) for b in beta]
     if len(alpha) != m or len(beta) != m:
         raise DimensionMismatchError("alpha and beta must have one entry per map")

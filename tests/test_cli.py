@@ -4,11 +4,13 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,8 @@ from traceprod.cli import run
 from traceprod.jsonio import decode_maps_document, decode_matrix, encode_generated, encode_linmap, encode_maps, encode_space
 from conftest import ill_conditioned_diag_preservers, move_first_transfer
 from test_jsonio import ROUND_TRIP_CASES
+
+_PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def _strict(constant):
@@ -715,6 +719,29 @@ def test_a_stage_runs_no_collection_over_its_imports():
         "gc.freeze = lambda: collections.append('freeze') or freeze()\n"
         "sys.argv = ['traceprod', 'certify', '--n', '2', '--k', '1']\n"
         "try:\n    runpy.run_module('traceprod.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n    status = exc.code\n"
+        "print(json.dumps([status, collections[:collections.index('freeze')]]))"
+    )
+    status, before = _probe(code)
+    assert status == 0
+    assert True not in before
+
+
+def test_the_installed_script_runs_no_collection_over_its_imports():
+    # the function that pyproject.toml names for the `traceprod` script, called
+    # as the script pip generates calls it; a script that imported `cli` and
+    # then called main() ran one collection with numpy loaded
+    entry = re.search(r'^traceprod = "([\w.]+):(\w+)"$', _PYPROJECT.read_text(), re.M)
+    assert entry, "pyproject.toml names no `traceprod` script"
+    module, function = entry.groups()
+    code = (
+        "import gc, json, sys\n"
+        "collections, freeze = [], gc.freeze\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and collections.append('numpy' in sys.modules))\n"
+        "gc.freeze = lambda: collections.append('freeze') or freeze()\n"
+        "sys.argv = ['traceprod', 'certify', '--n', '2', '--k', '1']\n"
+        f"from {module} import {function}\n"
+        f"try:\n    sys.exit({function}())\n"
         "except SystemExit as exc:\n    status = exc.code\n"
         "print(json.dumps([status, collections[:collections.index('freeze')]]))"
     )

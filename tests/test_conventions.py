@@ -6,7 +6,9 @@ is the one matrix rule: no public function hands one of its own parameters
 to numpy's array constructors instead. `_items` is the one sequence rule: no
 other function reads a parameter as a sequence and catches the TypeError.
 `jsonio` is the one module that imports orjson, the codec of a document's
-text."""
+text. A refusal quotes a value with `reprlib.repr`: no raise of a package
+error or a ValueError quotes one with `!r`, which recurses once per level of
+a nested list and prints all of it."""
 import ast
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from traceprod import Field, SpaceKind, SpaceTag, base_field, identity_map, span_dim, transpose_map
-from traceprod import spaces
+from traceprod import errors, spaces
 from traceprod.families import _MAP_BYTES, _tuple_bytes
 from traceprod.linmaps import _congruence_transfer
 from traceprod.spaces import _dtype_of, _hermitian_part, coords_batch, random_batch
@@ -25,6 +27,8 @@ _DTYPE_HOME = ("spaces.py", "_dtype_of")
 _HERMITIAN_HOME = ("spaces.py", "_hermitian_part")
 _SEQUENCE_HOME = ("spaces.py", "_items")
 _ORJSON_HOME = "jsonio.py"
+# the exceptions whose messages quote a refused value with reprlib
+_REFUSALS = {"ValueError", *(name for name, value in vars(errors).items() if isinstance(value, type))}
 
 
 def _dtype_names(node: ast.AST) -> set:
@@ -354,3 +358,41 @@ def test_orjson_is_imported_by_the_codec_only(path):
         assert lines != []
     else:
         assert lines == [], f"{path.name} imports orjson at lines {lines}; read and write JSON text in jsonio"
+
+
+def _unbounded_quotes(tree: ast.AST) -> list:
+    """Lines of each raise of one of `_REFUSALS`, named bare or as an
+    attribute, whose arguments hold an f-string with a `!r` conversion."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        func = node.exc.func
+        if getattr(func, "id", getattr(func, "attr", None)) in _REFUSALS and any(
+            isinstance(sub, ast.FormattedValue) and sub.conversion == ord("r") for sub in ast.walk(node.exc)
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_finds_each_unbounded_quote_in_a_refusal():
+    tree = ast.parse(
+        "raise InvalidParameterError(f'tol must be finite, got {tol!r}')\n"
+        "raise errors.MembershipError(\n"
+        "    f'{A.shape} is no member; '\n"
+        "    f'got {A!r}'\n"
+        ")\n"
+        "raise ValueError(f'{key} must be an integer, got {value!r}') from None\n"
+        "raise InvalidParameterError(f'tol must be finite, got {reprlib.repr(tol)}')\n"
+        "raise AttributeError(f'module {__name__!r} has no attribute {name!r}')\n"
+        "message = f'got {value!r}'\n"
+        "raise InvalidParameterError(f'{what} must be a real number, got {value}')\n"
+    )
+    # a bounded quote, another class, an f-string outside a raise and a str() are none
+    assert _unbounded_quotes(tree) == [1, 2, 6]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_refusals_quote_values_with_reprlib(path):
+    lines = _unbounded_quotes(ast.parse(path.read_text()))
+    assert lines == [], f"a refusal in {path.name} quotes a value with !r at lines {lines}; take reprlib.repr"

@@ -328,3 +328,30 @@ def test_genspec_takes_a_field_by_its_name():
 def test_genspec_refuses_an_unknown_field_name():
     with pytest.raises(InvalidParameterError, match="'bogus' is not a valid Field"):
         GenSpec(family="sym_odd", n=3, m=3, field="bogus")
+
+
+def test_a_scalar_first_draw_of_a_nonextendable_triple_is_drawn_again(monkeypatch):
+    # a scalar X extends to a bijective triple, so it is drawn again; the
+    # patched draw takes nothing from the generator, so the tuple is the
+    # one that an unpatched spec draws
+    spec = GenSpec(family="nonextendable", n=3, m=3, seed=4)
+    expected = generate(spec)
+    draws = [2.0 * np.eye(3, dtype=np.complex128)]
+    real_ginibre = families._ginibre
+    monkeypatch.setattr(families, "_ginibre", lambda *a: draws.pop() if draws else real_ginibre(*a))
+    gen = generate(spec)
+    assert not draws
+    assert np.array_equal(gen.form.X, expected.form.X)
+    assert all(np.array_equal(f.transfer, g.transfer) for f, g in zip(gen.maps, expected.maps))
+
+
+def test_a_platform_that_reports_no_memory_size_sets_no_bound(monkeypatch):
+    def unsupported(name):
+        raise OSError(f"sysconf {name} is not supported")
+
+    expected = generate(GenSpec(family="mn_chain", n=3, m=3))
+    monkeypatch.setattr(families.os, "sysconf", unsupported)
+    assert families._physical_memory() is None
+    gen = generate(GenSpec(family="mn_chain", n=3, m=3))
+    assert all(np.array_equal(f.transfer, g.transfer) for f, g in zip(gen.maps, expected.maps))
+    assert check_preservation(gen.maps).passed

@@ -5,24 +5,30 @@ the map rule (`linmaps._require_map`), which also reads the records that the
 JSON encoders take. Each refusal is an InvalidParameterError that names the
 argument, or a DimensionMismatchError for a stack of two shapes."""
 import re
+import reprlib
 
 import numpy as np
 import pytest
 
 from traceprod import (
+    CheckMode,
     DimensionMismatchError,
     Field,
+    GenSpec,
     HermOdd,
     InvalidParameterError,
     LinMap,
+    PowerMap,
     SpaceKind,
     SpaceTag,
     apply,
     apply_batch,
     base_field,
+    check_preservation,
     complexify,
     compose,
     coords,
+    decompose,
     dualize,
     embed_extend_pair,
     extend_from_subset,
@@ -33,9 +39,11 @@ from traceprod import (
     herm_power,
     identity_map,
     image_stack,
+    infeasibility_certificate,
     is_hermitian_preserving,
     linmap_from_images,
     membership,
+    nonextendable_best_fit_residual,
     power_map_apply,
     random_batch,
     random_element,
@@ -47,7 +55,9 @@ from traceprod import (
     span_of,
     trace_pair,
     transpose_map,
+    verify_weighted,
     weighted_canonical_maps,
+    weighted_reduction,
 )
 from traceprod.jsonio import (
     encode_certificate,
@@ -240,3 +250,119 @@ def test_encode_maps_reads_its_maps_by_the_sequence_rule():
     assert encode_maps(C2, iter([_I2])) == encode_maps(C2, [_I2])
     with pytest.raises(InvalidParameterError, match="^maps must be an iterable of maps, got int$"):
         encode_maps(C2, 5)
+
+
+def _nested(depth: int) -> list:
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# a list nested far past the recursion limit, and how each refusal quotes it:
+# `reprlib.repr` shows six levels, where repr recursed once per level
+_DEEP = _nested(20_000)
+_DEEP_TEXT = "[[[[[[[...]]]]]]]"
+_H2_MAPS = [identity_map(H2)] * 2
+
+# each entry point, by the argument it is called on; each raised RecursionError
+_DEEP_ARGUMENTS = {
+    "check_preservation-tol": lambda v: check_preservation([_I2, _I2], tol=v),
+    "check_preservation-trials": lambda v: check_preservation([_I2, _I2], trials=v),
+    "check_preservation-mode": lambda v: check_preservation([_I2, _I2], mode=v),
+    "GenSpec-family": lambda v: GenSpec(v, 2, 3),
+    "GenSpec-n": lambda v: GenSpec("mn_chain", v, 3),
+    "GenSpec-field": lambda v: GenSpec("mn_chain", 2, 3, field=v),
+    "SpaceTag": lambda v: SpaceTag(v, Field.REAL, 2),
+    "decompose-family": lambda v: decompose([_I2, _I2], family=v),
+    "verify_weighted": lambda v: verify_weighted(_H2_MAPS, v, [1, 1]),
+    "PowerMap": lambda v: PowerMap(identity_map(H2), v),
+    "infeasibility_certificate-field": lambda v: infeasibility_certificate(3, 2, field=v),
+    "infeasibility_certificate-cutoff_factor": lambda v: infeasibility_certificate(3, 2, cutoff_factor=v),
+    "HermOdd": lambda v: HermOdd(np.eye(2), (v, 1.0, 1.0)),
+    "herm_power": lambda v: herm_power(np.eye(2), v),
+    "reshuffled_transfer_rank": lambda v: reshuffled_transfer_rank(_I2, v),
+    "membership": lambda v: membership(C2, np.eye(2), tol=v),
+    "random_batch": lambda v: random_batch(C2, v),
+    "dualize": lambda v: dualize(_I2, tol=v),
+}
+
+
+@pytest.mark.parametrize("call", list(_DEEP_ARGUMENTS.values()), ids=list(_DEEP_ARGUMENTS))
+def test_a_refusal_quotes_a_deeply_nested_value_to_six_levels(call):
+    with pytest.raises(InvalidParameterError) as exc:
+        call(_DEEP)
+    assert _DEEP_TEXT in str(exc.value)
+
+
+def test_a_refusal_quotes_a_value_within_the_bounds_as_repr_does():
+    for call, value, text in (
+        (lambda v: check_preservation([_I2, _I2], tol=v), "1e-9", "tol must be finite and nonnegative, got '1e-9'"),
+        (lambda v: GenSpec("mn_chain", v, 3), 3.0, "n must be a positive integer, got 3.0"),
+        (lambda v: check_preservation([_I2, _I2], mode=v), "fast",
+         "mode must be auto, exhaustive or randomized, got 'fast'"),
+        (lambda v: SpaceTag(SpaceKind.FULL, v, 2), "quaternion", "'quaternion' is not a valid Field"),
+        (lambda v: decompose([_I2, _I2], family=v), None, "unknown family None; expected one of"),
+    ):
+        with pytest.raises(InvalidParameterError) as exc:
+            call(value)
+        assert str(exc.value).startswith(text)
+
+
+@pytest.mark.parametrize("value", [1, SpaceKind.FULL, Field.REAL.value.encode(), ["real"], None],
+                         ids=["int", "other-enum", "bytes", "list", "None"])
+def test_an_enum_name_is_a_string_that_is_one_of_its_values(value):
+    # a member of another str enum names no field by its value "FullMatrix"
+    with pytest.raises(InvalidParameterError) as exc:
+        SpaceTag(SpaceKind.FULL, value, 2)
+    assert str(exc.value).endswith("is not a valid Field")
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda v: check_preservation([_I2, _I2], mode=v), "mode must be auto, exhaustive or randomized, got array("),
+    (lambda v: GenSpec(v, 2, 3), "unknown family array("),
+], ids=["check_preservation-mode", "GenSpec-family"])
+def test_a_name_given_as_an_array_is_refused_by_its_rule(call, text):
+    # `==` and `in` compared the array entrywise, and its truth value was a bare ValueError
+    with pytest.raises(InvalidParameterError, match="^" + re.escape(text)):
+        call(np.array(["auto", "mn_chain"]))
+
+
+def test_an_enum_name_reads_as_its_member():
+    assert SpaceTag("FullMatrix", "real", 2) == SpaceTag(SpaceKind.FULL, Field.REAL, 2)
+    assert check_preservation([_I2, _I2], mode="exhaustive").mode is CheckMode.EXHAUSTIVE
+
+
+_X2 = np.diag([1.0, 2.0])
+
+# each seeded public function, called on the seed
+_SEED_ARGUMENTS = {
+    "GenSpec": lambda s: GenSpec("mn_chain", 2, 3, seed=s),
+    "check_preservation": lambda s: check_preservation([_I2, _I2], mode="randomized", trials=4, seed=s),
+    "verify_weighted": lambda s: verify_weighted(_H2_MAPS, [1, 1], [1, 1], trials=4, seed=s),
+    "infeasibility_certificate": lambda s: infeasibility_certificate(2, 1, trials=2, seed=s),
+    "random_batch": lambda s: random_batch(C2, 2, s),
+    "weighted_reduction": lambda s: weighted_reduction(_H2_MAPS, [1, 1], [1, 1], seed=s),
+    "nonextendable_best_fit_residual": lambda s: nonextendable_best_fit_residual(_X2, trials=2, seed=s),
+}
+
+# numpy took the first three: None drew from OS entropy, True read as 1 and
+# a list as entropy words; the deep list raised RecursionError, and the rest
+# were refused already
+_BAD_SEEDS = {"None": None, "bool": True, "list": [1, 2], "deep": _DEEP, "negative": -1, "float": 1.0, "str": "0"}
+
+
+@pytest.mark.parametrize("seed", list(_BAD_SEEDS.values()), ids=list(_BAD_SEEDS))
+@pytest.mark.parametrize("call", list(_SEED_ARGUMENTS.values()), ids=list(_SEED_ARGUMENTS))
+def test_a_seed_is_a_nonnegative_integer_or_a_generator(call, seed):
+    with pytest.raises(InvalidParameterError) as exc:
+        call(seed)
+    assert str(exc.value) == f"seed must be a nonnegative integer, got {reprlib.repr(seed)}"
+
+
+@pytest.mark.parametrize("call", list(_SEED_ARGUMENTS.values()), ids=list(_SEED_ARGUMENTS))
+def test_a_numpy_integer_or_a_generator_is_a_seed(call):
+    call(np.int64(3))
+    call(np.random.default_rng(3))
+    # a numpy integer draws as the int of its value does
+    assert np.array_equal(random_batch(C2, 2, np.uint8(7)), random_batch(C2, 2, 7))
